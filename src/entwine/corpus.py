@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactla import ONE, ZERO, Matrix, Vector, matrix_from_columns_fn, sv_apply, sv_permute
+from .exactla import ONE, ZERO, Matrix, Vector, matrix_from_columns_fn
 from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum
 from .hopfcore import (
     AlgebraData,
@@ -23,15 +23,7 @@ from .hopfcore import (
     HopfAlgebraData,
     dual_hopf,
 )
-from .report import pipeline
-
-
-def _ap(pos, op):
-    return lambda state: sv_apply(state, pos, op)
-
-
-def _pm(perm):
-    return lambda state: sv_permute(state, perm)
+from .report import pipeline, _ap, _pm
 
 
 # ---------------------------------------------------------------------------

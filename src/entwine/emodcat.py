@@ -23,19 +23,9 @@ from .exactla import (
     Vector,
     kron,
     matrix_from_columns_fn,
-    sv_apply,
-    sv_permute,
 )
 from .entwining import DoubleQuantumGroup, MonoidalEntwiningDatum, datums_compatible
-from .report import AxiomItem, AxiomReport, Witness, compare_item, pipeline
-
-
-def _ap(pos, op):
-    return lambda state: sv_apply(state, pos, op)
-
-
-def _pm(perm):
-    return lambda state: sv_permute(state, perm)
+from .report import AxiomItem, AxiomReport, Witness, compare_item, pipeline, _ap, _pm
 
 
 class EntwinedModule:

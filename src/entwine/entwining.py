@@ -8,6 +8,12 @@ invertibility), the entwined convolution algebras on hom(C, A) and
 hom(C (x) C, A (x) A), and the antipode compatibility identities that
 make the dual-module formulas work downstream.
 
+Convolution inverses (E10b, and P5 in the pivotal layer) solve the
+stacked system g*x = unit = x*g.  Its two operators x -> g*x and
+x -> x*g are built by the same pipeline that evaluates a product: with
+a SlotLeg standing for x, one pass per input basis tuple yields every
+column of the operator at once, keyed by the trailing slot leg.
+
 The second decorated copy of the entwining map appearing in several
 axioms is always another evaluation of the single stored phi, and the
 braiding map r appearing twice in the splitting identities is the single
@@ -17,29 +23,18 @@ stored R.
 from __future__ import annotations
 
 from functools import cached_property
-from math import prod
 
 from .exactla import (
-    ONE,
     ZERO,
     Matrix,
     TensorOp,
     Vector,
+    hom_operator,
     matrix_from_columns_fn,
-    solve_affine,
     state_to_vector,
-    sv_apply,
-    sv_permute,
+    two_sided_solve,
 )
-from .report import AxiomItem, AxiomReport, Witness, compare_item, pipeline
-
-
-def _ap(pos, op):
-    return lambda state: sv_apply(state, pos, op)
-
-
-def _pm(perm):
-    return lambda state: sv_permute(state, perm)
+from .report import AxiomItem, AxiomReport, Witness, compare_item, pipeline, _ap, _pm
 
 
 class EntwiningMap:
@@ -281,8 +276,30 @@ def check_monoidal_datum(d: MonoidalEntwiningDatum) -> AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# Entwined convolution on hom(C, A)
+# Entwined convolutions on hom(C, A) and hom(C (x) C, A (x) A)
+#
+# Each product formula is written once, as a pipeline whose keys end in a
+# slot leg.  With two concrete maps there is one slot and the pipeline
+# evaluates the product; with a SlotLeg standing for one factor it yields
+# the operator x -> g*x (or x -> x*g) in one pass per input tuple.
 # ---------------------------------------------------------------------------
+
+
+def _operators(d, in_dims, out_dims, side, g_op) -> tuple[list, list]:
+    "Rows of x -> g*x and of x -> x*g on hom(in_dims, out_dims)."
+    return (
+        hom_operator(in_dims, out_dims, lambda f, t: side(d, g_op, f, t)),
+        hom_operator(in_dims, out_dims, lambda f, t: side(d, f, g_op, t)),
+    )
+
+
+def _inverse(operators, unit: Matrix) -> Matrix | None:
+    "The x with g*x = unit = x*g, given both operators' rows; None if there is none."
+    x = two_sided_solve(*operators, [e for row in unit.rows() for e in row])
+    if x is None:
+        return None
+    n = unit.ncols
+    return Matrix([x.coords[i : i + n] for i in range(0, len(x), n)])
 
 
 def conv_unit(d: MonoidalEntwiningDatum) -> HomCA:
@@ -291,43 +308,31 @@ def conv_unit(d: MonoidalEntwiningDatum) -> HomCA:
     return HomCA(d, unit_col * d.c.counit)
 
 
+def _conv_side(d: MonoidalEntwiningDatum, g_op, f_op, t):
+    return pipeline(
+        t + (0,),
+        _ap(0, d.c.comul_op),  # c1 c2 s
+        _ap(1, f_op),          # c1 f(c2) s
+        _ap(0, d.phi_op),      # f(c2)_phi c1^phi s
+        _ap(1, g_op),
+        _ap(0, d.a.mul_op),
+    )
+
+
 def conv_product(g: HomCA, f: HomCA) -> HomCA:
     "(g * f)(c) = f(c2)_phi g(c1^phi), the entwined convolution product."
     if not datums_compatible(g.datum, f.datum):
         raise ValueError("operands live over different datums")
     d = g.datum
-    nc, na = d.c_dim, d.a_dim
-
-    def col(t):
-        return pipeline(
-            t,
-            _ap(0, d.c.comul_op),  # c1 c2
-            _ap(1, f.op),          # c1 f(c2)
-            _ap(0, d.phi_op),      # f(c2)_phi c1^phi
-            _ap(1, g.op),
-            _ap(0, d.a.mul_op),
-        )
-
-    return HomCA(d, matrix_from_columns_fn((nc,), (na,), col))
+    return HomCA(d, matrix_from_columns_fn(
+        (d.c_dim,), (d.a_dim, 1), lambda t: _conv_side(d, g.op, f.op, t)
+    ))
 
 
-def _basis_hom(na: int, nc: int, u: int, p: int) -> Matrix:
-    rows = [[ZERO] * nc for _ in range(na)]
-    rows[u][p] = ONE
-    return Matrix(rows)
-
-
-def _conv_operator(g: HomCA, g_on_left: bool) -> Matrix:
-    "Matrix of x -> g*x (or x*g) on hom(C, A), flattened by (a, c) index pairs."
+def conv_operators(g: HomCA) -> tuple[list, list]:
+    "Rows of x -> g*x and x -> x*g on hom(C, A), flattened by (a, c) index pairs."
     d = g.datum
-    nc, na = d.c_dim, d.a_dim
-    cols = []
-    for u in range(na):
-        for p in range(nc):
-            basis = HomCA(d, _basis_hom(na, nc, u, p))
-            prod_ = conv_product(g, basis) if g_on_left else conv_product(basis, g)
-            cols.append([prod_.map.entry(i, j) for i in range(na) for j in range(nc)])
-    return Matrix.from_cols(cols, na * nc)
+    return _operators(d, (d.c_dim,), (d.a_dim,), _conv_side, g.op)
 
 
 def conv_inverse(g: HomCA) -> HomCA | None:
@@ -336,26 +341,8 @@ def conv_inverse(g: HomCA) -> HomCA | None:
     Solves the joint linear system g*x = unit = x*g; when consistent the
     solution is automatically unique.
     """
-    d = g.datum
-    nc, na = d.c_dim, d.a_dim
-    left = _conv_operator(g, True)
-    right = _conv_operator(g, False)
-    unit = conv_unit(d)
-    rhs = []
-    for i in range(na):
-        for j in range(nc):
-            rhs.append(unit.map.entry(i, j))
-    stacked = Matrix(list(left.rows()) + list(right.rows()))
-    sol = solve_affine(stacked, Vector(rhs + rhs))
-    if sol is None:
-        return None
-    rows = [[sol.particular[i * nc + j] for j in range(nc)] for i in range(na)]
-    return HomCA(d, Matrix(rows))
-
-
-# ---------------------------------------------------------------------------
-# Entwined convolution on hom(C (x) C, A (x) A)
-# ---------------------------------------------------------------------------
+    inv = _inverse(conv_operators(g), conv_unit(g.datum).map)
+    return None if inv is None else HomCA(g.datum, inv)
 
 
 def conv2_unit(d: MonoidalEntwiningDatum) -> Matrix:
@@ -373,79 +360,46 @@ def conv2_unit(d: MonoidalEntwiningDatum) -> Matrix:
     return matrix_from_columns_fn((nc, nc), (na, na), col)
 
 
-def _conv2_col(d: MonoidalEntwiningDatum, g2: TensorOp, f2: TensorOp, t):
+def _conv2_side(d: MonoidalEntwiningDatum, g_op, f_op, t):
     return pipeline(
-        t,
-        _ap(0, d.c.comul_op),   # c1 c2 d
-        _ap(2, d.c.comul_op),   # c1 c2 d1 d2
-        _pm((0, 2, 1, 3)),      # c1 d1 c2 d2
-        _ap(2, f2),             # c1 d1 F1 F2
-        _pm((0, 2, 1, 3)),      # c1 F1 d1 F2
-        _ap(0, d.phi_op),       # F1f c1f d1 F2
-        _ap(2, d.phi_op),       # F1f c1f F2p d1p
-        _pm((0, 2, 1, 3)),      # F1f F2p c1f d1p
-        _ap(2, g2),             # F1f F2p G1 G2
-        _pm((0, 2, 1, 3)),      # F1f G1 F2p G2
+        t + (0,),
+        _ap(0, d.c.comul_op),   # c1 c2 d s
+        _ap(2, d.c.comul_op),   # c1 c2 d1 d2 s
+        _pm((0, 2, 1, 3, 4)),   # c1 d1 c2 d2 s
+        _ap(2, f_op),           # c1 d1 F1 F2 s
+        _pm((0, 2, 1, 3, 4)),   # c1 F1 d1 F2 s
+        _ap(0, d.phi_op),       # F1f c1f d1 F2 s
+        _ap(2, d.phi_op),       # F1f c1f F2p d1p s
+        _pm((0, 2, 1, 3, 4)),   # F1f F2p c1f d1p s
+        _ap(2, g_op),           # F1f F2p G1 G2 s
+        _pm((0, 2, 1, 3, 4)),   # F1f G1 F2p G2 s
         _ap(0, d.a.mul_op),
         _ap(1, d.a.mul_op),
     )
 
 
+def _conv2_op(d: MonoidalEntwiningDatum, g2: Matrix) -> TensorOp:
+    return TensorOp(g2, (d.c_dim, d.c_dim), (d.a_dim, d.a_dim))
+
+
 def conv2_product(d: MonoidalEntwiningDatum, g2: Matrix, f2: Matrix) -> Matrix:
     "Entwined convolution product on hom(C (x) C, A (x) A)."
     nc, na = d.c_dim, d.a_dim
-    g2_op = TensorOp(g2, (nc, nc), (na, na))
-    f2_op = TensorOp(f2, (nc, nc), (na, na))
+    g2_op, f2_op = _conv2_op(d, g2), _conv2_op(d, f2)
     return matrix_from_columns_fn(
-        (nc, nc), (na, na), lambda t: _conv2_col(d, g2_op, f2_op, t)
+        (nc, nc), (na, na, 1), lambda t: _conv2_side(d, g2_op, f2_op, t)
     )
 
 
-def _basis_hom2(na: int, nc: int, u: int, v: int, p: int, q: int) -> Matrix:
-    rows = [[ZERO] * (nc * nc) for _ in range(na * na)]
-    rows[u * na + v][p * nc + q] = ONE
-    return Matrix(rows)
+def conv2_operators(d: MonoidalEntwiningDatum, g2: Matrix) -> tuple[list, list]:
+    "Rows of x -> g2*x and x -> x*g2 on hom(C (x) C, A (x) A), flattened by (a, a', c, c')."
+    nc, na = d.c_dim, d.a_dim
+    return _operators(d, (nc, nc), (na, na), _conv2_side, _conv2_op(d, g2))
 
 
 def conv2_inverse(d: MonoidalEntwiningDatum, g2: Matrix) -> Matrix | None:
     "Two-sided inverse in hom(C (x) C, A (x) A), or None."
-    nc, na = d.c_dim, d.a_dim
-    hom_size = na * na * nc * nc
-    g2_op = TensorOp(g2, (nc, nc), (na, na))
-    rows_left = [[ZERO] * hom_size for _ in range(hom_size)]
-    rows_right = [[ZERO] * hom_size for _ in range(hom_size)]
-    # columns of the left/right convolution operators, one basis map at a time
-    for u in range(na):
-        for v in range(na):
-            for p in range(nc):
-                for q in range(nc):
-                    col_idx = ((u * na + v) * nc + p) * nc + q
-                    basis = TensorOp(_basis_hom2(na, nc, u, v, p, q), (nc, nc), (na, na))
-                    for inp_p in range(nc):
-                        for inp_q in range(nc):
-                            lstate = _conv2_col(d, g2_op, basis, (inp_p, inp_q))
-                            for (i, j), x in lstate.items():
-                                rows_left[((i * na + j) * nc + inp_p) * nc + inp_q][col_idx] = x
-                            rstate = _conv2_col(d, basis, g2_op, (inp_p, inp_q))
-                            for (i, j), x in rstate.items():
-                                rows_right[((i * na + j) * nc + inp_p) * nc + inp_q][col_idx] = x
-    unit = conv2_unit(d)
-    rhs = [
-        unit.entry(i * na + j, p * nc + q)
-        for i in range(na)
-        for j in range(na)
-        for p in range(nc)
-        for q in range(nc)
-    ]
-    sol = solve_affine(Matrix(rows_left + rows_right), Vector(rhs + rhs))
-    if sol is None:
-        return None
-    out = [
-        [sol.particular[((i * na + j) * nc + p) * nc + q] for p in range(nc) for q in range(nc)]
-        for i in range(na)
-        for j in range(na)
-    ]
-    return Matrix(out)
+    return _inverse(conv2_operators(d, g2), conv2_unit(d))
 
 
 # ---------------------------------------------------------------------------

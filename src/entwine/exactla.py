@@ -120,11 +120,6 @@ class Vector:
         c = Fraction(c)
         return Vector([c * a for a in self.coords])
 
-    def dot(self, other: "Vector") -> Fraction:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return sum((a * b for a, b in zip(self.coords, other.coords)), ZERO)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -305,13 +300,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(out)
 
 
-def kron_many(mats: list[Matrix]) -> Matrix:
-    m = mats[0]
-    for n in mats[1:]:
-        m = kron(m, n)
-    return m
-
-
 @dataclass(frozen=True)
 class AffineSolution:
     """Full solution set of a consistent affine system a.x = b.
@@ -423,6 +411,18 @@ def solve_affine(a: Matrix, b: Vector) -> AffineSolution | None:
     return AffineSolution(particular, tuple(null_basis))
 
 
+def two_sided_solve(left_rows, right_rows, rhs) -> Vector | None:
+    """The x with left.x = rhs = right.x, or None when there is none.
+
+    The two systems are stacked left rows first and handed to solve_affine,
+    whose particular solution is returned.  For the operators x -> g*x and
+    x -> x*g of an associative algebra and rhs its unit, x is the two-sided
+    inverse of g, which is unique when it exists.
+    """
+    sol = solve_affine(Matrix([*left_rows, *right_rows]), Vector([*rhs, *rhs]))
+    return None if sol is None else sol.particular
+
+
 def invert(a: Matrix) -> Matrix:
     "Exact inverse of a square matrix; raises NotInvertibleError."
     if a.nrows != a.ncols:
@@ -444,13 +444,6 @@ def invert(a: Matrix) -> Matrix:
             if cc >= n:
                 inv[c][cc - n] = x / pval
     return Matrix(inv)
-
-
-def try_invert(a: Matrix) -> Matrix | None:
-    try:
-        return invert(a)
-    except NotInvertibleError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +506,36 @@ class TensorOp:
         return cached
 
 
+class SlotLeg:
+    """An unknown map f: ``in_dims`` -> ``out_dims`` as a kernel op.
+
+    It rides on a pipeline whose keys end in one extra slot leg, 0 on
+    entry.  Applied to the input legs of f followed by that slot leg, it
+    sends ``(*legs, 0)`` to every ``(*out, slot)`` with coefficient 1, where
+    ``slot`` is the flat index of the matrix unit ``out <- legs`` in
+    hom(in_dims, out_dims), output major.  Concrete maps in the same
+    pipeline act on their own legs and carry the slot leg along.  A side
+    that is linear in f then comes out with the images of all matrix
+    units at once, told apart by the slot leg (see hom_operator).
+    """
+
+    __slots__ = ("arity_in", "arity_out", "_cols")
+
+    def __init__(self, in_dims, out_dims):
+        in_dims, out_dims = tuple(in_dims), tuple(out_dims)
+        self.arity_in = len(in_dims) + 1
+        self.arity_out = len(out_dims) + 1
+        outs = list(itertools.product(*(range(d) for d in out_dims)))
+        n_in = prod(in_dims)
+        self._cols = {
+            legs + (0,): [(out + (i * n_in + j,), ONE) for i, out in enumerate(outs)]
+            for j, legs in enumerate(itertools.product(*(range(d) for d in in_dims)))
+        }
+
+    def cols(self, legs: tuple) -> list[tuple[tuple, Fraction]]:
+        return self._cols[legs]
+
+
 def basis_state(idx: tuple) -> State:
     return {tuple(idx): ONE}
 
@@ -536,25 +559,6 @@ def sv_apply(state: State, pos: int, op: TensorOp) -> State:
 def sv_permute(state: State, perm: tuple[int, ...]) -> State:
     "Reorder legs: new_key[i] = old_key[perm[i]]."
     return {tuple(key[p] for p in perm): c for key, c in state.items()}
-
-
-def sv_scale(state: State, c: Fraction) -> State:
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in state.items()}
-
-
-def sv_add(dst: State, src: State, c: Fraction = ONE) -> None:
-    for k, v in src.items():
-        nv = dst.get(k, ZERO) + c * v
-        if nv == 0:
-            dst.pop(k, None)
-        else:
-            dst[k] = nv
-
-
-def sv_equal(s1: State, s2: State) -> bool:
-    return s1 == s2
 
 
 def state_to_vector(state: State, dims: tuple[int, ...]) -> Vector:
@@ -582,3 +586,25 @@ def matrix_from_columns_fn(in_dims, out_dims, fn) -> Matrix:
         for key, c in fn(idx).items():
             out[flatten_index(out_dims, key)][j] = c
     return Matrix(out)
+
+
+def hom_operator(in_dims, out_dims, side) -> list[list[Fraction]]:
+    """Rows of the matrix of f -> side(f) on hom(in_dims, out_dims).
+
+    ``side(f_op, t)`` evaluates side(f) on the input tuple ``t``, with
+    ``f_op`` standing for f, through a pipeline seeded with ``t + (0,)``
+    (see SlotLeg); it returns a State keyed by the output legs and the
+    slot leg.  Rows and columns share the flat hom index
+    ``out * prod(in_dims) + in``.  One pass per input tuple, with a SlotLeg
+    as f, yields every column at once.
+    """
+    in_dims = tuple(in_dims)
+    out_dims = tuple(out_dims)
+    n_in = prod(in_dims)
+    n = prod(out_dims) * n_in
+    slot = SlotLeg(in_dims, out_dims)
+    rows = [[ZERO] * n for _ in range(n)]
+    for j, t in enumerate(itertools.product(*(range(d) for d in in_dims))):
+        for key, x in side(slot, t).items():
+            rows[flatten_index(out_dims, key[:-1]) * n_in + j][key[-1]] = x
+    return rows

@@ -13,7 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .exactla import Matrix, Vector, rat_from_str, rat_to_str
+from .exactla import Matrix, NotInvertibleError, Vector, rat_from_str, rat_to_str
 from .emodcat import EntwinedModule
 from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum
 from .hopfcore import (
@@ -83,6 +83,14 @@ def _parse_matrix(obj, nrows: int, ncols: int, where: str) -> Matrix:
     return Matrix(rows)
 
 
+def _parse_dim(obj: dict, key: str, where: str) -> int:
+    "A dimension field: a JSON integer >= 1 (not a boolean, string or float)."
+    dim = obj.get(key)
+    if type(dim) is not int or dim < 1:
+        raise FileFormatError(f"{where}.{key}: expected a positive integer, got {dim!r}")
+    return dim
+
+
 def _parse_vector(obj, dim: int, where: str) -> Vector:
     if not isinstance(obj, list) or len(obj) != dim:
         raise FileFormatError(f"{where}: expected {dim} entries")
@@ -107,13 +115,13 @@ def _hopf_payload(h: HopfAlgebraData) -> dict:
 def _parse_hopf_payload(obj: dict, where: str) -> HopfAlgebraData:
     if not isinstance(obj, dict):
         raise FileFormatError(f"{where}: expected an object")
-    try:
-        dim = int(obj["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"{where}.dim: missing or invalid") from exc
-    basis = obj.get("basis") or [f"b{i}" for i in range(dim)]
-    if len(basis) != dim:
-        raise FileFormatError(f"{where}.basis: expected {dim} names")
+    dim = _parse_dim(obj, "dim", where)
+    basis = obj.get("basis")
+    if basis is None:
+        basis = [f"b{i}" for i in range(dim)]
+    elif not (isinstance(basis, list) and len(basis) == dim
+              and all(isinstance(name, str) for name in basis)):
+        raise FileFormatError(f"{where}.basis: expected a list of {dim} names")
     try:
         mult = _parse_matrix(obj["mult"], dim, dim * dim, f"{where}.mult")
         unit = _parse_vector(obj["unit"], dim, f"{where}.unit")
@@ -124,7 +132,10 @@ def _parse_hopf_payload(obj: dict, where: str) -> HopfAlgebraData:
         raise FileFormatError(f"{where}: missing field {exc}") from exc
     alg = AlgebraData(dim, basis, mult, unit)
     coa = CoalgebraData(dim, basis, comult, counit)
-    return HopfAlgebraData(alg, coa, antipode)
+    try:
+        return HopfAlgebraData(alg, coa, antipode)
+    except NotInvertibleError as exc:
+        raise FileFormatError(f"{where}.antipode: not invertible") from exc
 
 
 PHI_SIGNATURE = "C(x)A -> A(x)C"
@@ -224,6 +235,8 @@ def from_payload(doc: dict):
     if kind not in KINDS:
         raise FileFormatError(f"kind: expected one of {', '.join(KINDS)}; got {kind!r}")
     meta = doc.get("metadata", {}) or {}
+    if not isinstance(meta, dict):
+        raise FileFormatError("metadata: expected an object")
     if kind == "hopf":
         return _parse_hopf_payload(doc, "hopf")
     if kind == "entwining":
@@ -244,28 +257,25 @@ def from_payload(doc: dict):
         stored = meta.get("datum_hash")
         if stored is not None and stored != content_hash(_entwining_payload(e)):
             raise FileFormatError("module.metadata.datum_hash: does not match the embedded datum")
-        try:
-            dim = int(doc["dim"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FileFormatError("module.dim: missing or invalid") from exc
+        dim = _parse_dim(doc, "dim", "module")
         action = _parse_matrix(doc.get("action"), dim, dim * e.a.dim, "module.action")
         coaction = _parse_matrix(doc.get("coaction"), dim * e.c.dim, dim, "module.coaction")
         return EntwinedModule(MonoidalEntwiningDatum(e), dim, action, coaction)
     if kind == "morphism":
         rows = doc.get("map")
-        if not isinstance(rows, list) or not rows:
+        if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
             raise FileFormatError("morphism.map: expected a nonempty matrix")
         mat = _parse_matrix(rows, len(rows), len(rows[0]), "morphism.map")
         return LoadedMorphism(mat, meta)
     if kind == "element":
-        dim = int(doc.get("dim", 0))
+        dim = _parse_dim(doc, "dim", "element")
         return LoadedElement(_parse_vector(doc.get("coords"), dim, "element.coords"), meta)
     if kind == "functional":
-        dim = int(doc.get("dim", 0))
+        dim = _parse_dim(doc, "dim", "functional")
         return LoadedFunctional(_parse_matrix(doc.get("coords"), 1, dim, "functional.coords"), meta)
     if kind == "form":
-        dl = int(doc.get("dim_left", 0))
-        dr = int(doc.get("dim_right", 0))
+        dl = _parse_dim(doc, "dim_left", "form")
+        dr = _parse_dim(doc, "dim_right", "form")
         return LoadedForm(
             _parse_matrix(doc.get("coords"), 1, dl * dr, "form.coords"), dl, dr, meta
         )

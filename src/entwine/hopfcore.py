@@ -23,21 +23,11 @@ from .exactla import (
     Vector,
     invert,
     matrix_from_columns_fn,
-    solve_affine,
     sv_apply,
     sv_permute,
+    two_sided_solve,
 )
-from .report import AxiomItem, AxiomReport, Witness, compare_item, pipeline
-
-
-def _ap(pos, op):
-    "Pipeline step: apply op at leg position pos."
-    return lambda state: sv_apply(state, pos, op)
-
-
-def _pm(perm):
-    "Pipeline step: permute legs."
-    return lambda state: sv_permute(state, perm)
+from .report import AxiomItem, AxiomReport, Witness, compare_item, pipeline, _ap, _pm
 
 
 def element_op(v: Vector) -> TensorOp:
@@ -168,11 +158,6 @@ class HopfAlgebraData:
     @cached_property
     def antipode_inv_sq_op(self) -> TensorOp:
         return TensorOp(self.antipode_inv * self.antipode_inv, (self.dim,), (self.dim,))
-
-    def rename(self, basis_names) -> "HopfAlgebraData":
-        alg = AlgebraData(self.dim, basis_names, self.mult, self.unit)
-        coa = CoalgebraData(self.dim, basis_names, self.comult, self.counit)
-        return HopfAlgebraData(alg, coa, self.antipode)
 
 
 class Element:
@@ -477,10 +462,7 @@ def element_inverse(h: HopfAlgebraData, v: Vector) -> Vector | None:
     right = matrix_from_columns_fn(
         (d,), (d,), lambda t: pipeline(t, _ap(1, v_op), _ap(0, h.mul_op))
     )
-    stacked = Matrix(list(left.rows()) + list(right.rows()))
-    rhs = Vector(list(h.unit) + list(h.unit))
-    sol = solve_affine(stacked, rhs)
-    return None if sol is None else sol.particular
+    return two_sided_solve(left.rows(), right.rows(), h.unit)
 
 
 def verify_ribbon_element(h: HopfAlgebraData, rmatrix: Vector, v: Element) -> AxiomReport:
@@ -552,7 +534,7 @@ def _conv_functional_inverse(c: HopfAlgebraData, g_row: Matrix) -> Matrix | None
     g = [g_row.entry(0, i) for i in range(d)]
     ZERO = g_row.entry(0, 0) * 0
 
-    def conv_operator(g_on_left: bool) -> Matrix:
+    def conv_operator(g_on_left: bool) -> list[list]:
         rows = [[ZERO] * d for _ in range(d)]
         for target in range(d):
             for (c1, c2), w in comul.cols((target,)):
@@ -560,14 +542,10 @@ def _conv_functional_inverse(c: HopfAlgebraData, g_row: Matrix) -> Matrix | None
                     rows[target][c2] += w * g[c1]
                 else:
                     rows[target][c1] += w * g[c2]
-        return Matrix(rows)
+        return rows
 
-    left = conv_operator(True)
-    right = conv_operator(False)
-    stacked = Matrix(list(left.rows()) + list(right.rows()))
-    eps = [c.counit.entry(0, i) for i in range(d)]
-    sol = solve_affine(stacked, Vector(eps + eps))
-    return None if sol is None else Matrix([list(sol.particular)])
+    x = two_sided_solve(conv_operator(True), conv_operator(False), c.counit.rows()[0])
+    return None if x is None else Matrix([x.coords])
 
 
 def verify_coribbon_form(c: HopfAlgebraData, form: BilinearForm, g: Functional) -> AxiomReport:

@@ -24,8 +24,6 @@ from .exactla import (
     Vector,
     matrix_from_columns_fn,
     solve_affine,
-    sv_apply,
-    sv_permute,
 )
 from .emodcat import EntwinedModule, ModuleMorphism, double_right_dual
 from .entwining import (
@@ -35,15 +33,7 @@ from .entwining import (
     conv_inverse,
 )
 from .hopfcore import Element, Functional
-from .report import AxiomItem, AxiomReport, Witness, compare_item, pipeline
-
-
-def _ap(pos, op):
-    return lambda state: sv_apply(state, pos, op)
-
-
-def _pm(perm):
-    return lambda state: sv_permute(state, perm)
+from .report import AxiomItem, AxiomReport, Witness, compare_item, pipeline, _ap, _pm
 
 
 @dataclass

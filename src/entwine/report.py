@@ -12,7 +12,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactla import State, Vector, basis_state, rat_to_str, state_to_vector
+from .exactla import (
+    State,
+    Vector,
+    basis_state,
+    rat_to_str,
+    state_to_vector,
+    sv_apply,
+    sv_permute,
+)
 
 
 @dataclass(frozen=True)
@@ -121,3 +129,13 @@ def pipeline(idx, *steps) -> State:
     for step in steps:
         state = step(state)
     return state
+
+
+def _ap(pos, op):
+    "Pipeline step: apply op at leg position pos."
+    return lambda state: sv_apply(state, pos, op)
+
+
+def _pm(perm):
+    "Pipeline step: permute legs."
+    return lambda state: sv_permute(state, perm)

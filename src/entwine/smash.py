@@ -21,8 +21,6 @@ from .exactla import (
     TensorOp,
     Vector,
     matrix_from_columns_fn,
-    sv_apply,
-    sv_permute,
 )
 from .emodcat import EntwinedModule
 from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum
@@ -35,15 +33,7 @@ from .hopfcore import (
     HopfAlgebraData,
     dual_hopf,
 )
-from .report import AxiomItem, AxiomReport, compare_item, pipeline
-
-
-def _ap(pos, op):
-    return lambda state: sv_apply(state, pos, op)
-
-
-def _pm(perm):
-    return lambda state: sv_permute(state, perm)
+from .report import AxiomItem, AxiomReport, compare_item, pipeline, _ap, _pm
 
 
 class DistributiveLaw:

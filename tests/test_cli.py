@@ -5,7 +5,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from entwine import corpus
+from entwine import fileformat as ff
 from entwine.cli import main
+from entwine.emodcat import std_module_CA
+from entwine.hopfcore import trivial_hopf
 
 
 @pytest.fixture()
@@ -120,6 +124,71 @@ def test_parse_error_exit_2(runner, tmp_path, h4_file):
     assert res.exit_code == 2
     res = runner.invoke(main, ["check", "hopf", str(tmp_path / "missing.json")])
     assert res.exit_code == 2
+
+
+def _exported(runner, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    assert runner.invoke(main, ["corpus", name, "-o", str(path)]).exit_code == 0
+    return json.loads(path.read_text())
+
+
+def _singular_antipode(runner, tmp_path):
+    doc = _exported(runner, tmp_path, "h4")
+    doc["antipode"] = [["0"] * 4 for _ in range(4)]
+    return doc
+
+
+def _zero_dim(runner, tmp_path):
+    return {**ff.to_payload(trivial_hopf()), "dim": 0, "basis": [], "mult": [], "unit": [],
+            "comult": [], "counit": [[]], "antipode": []}
+
+
+def _bool_dim(runner, tmp_path):
+    return {**ff.to_payload(trivial_hopf()), "dim": True}
+
+
+def _h4_with(field, value):
+    def build(runner, tmp_path):
+        return {**_exported(runner, tmp_path, "h4"), field: value}
+    return build
+
+
+def _element_bad_dim(runner, tmp_path):
+    return {**_exported(runner, tmp_path, "pivot_h4"), "dim": "x"}
+
+
+def _morphism_map_not_rows(runner, tmp_path):
+    return {**_exported(runner, tmp_path, "g1_yd_h4"), "map": [5]}
+
+
+def _module_metadata_list(runner, tmp_path):
+    module = std_module_CA(corpus.yd_datum(corpus.cyclic_group_algebra(2)))
+    return {**ff.to_payload(module), "metadata": ["x"]}
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (_singular_antipode, "hopf.antipode"),
+        (_zero_dim, "hopf.dim"),
+        (_bool_dim, "hopf.dim"),
+        (_h4_with("basis", 5), "hopf.basis"),
+        (_h4_with("basis", "abcd"), "hopf.basis"),
+        (_element_bad_dim, "element.dim"),
+        (_morphism_map_not_rows, "morphism.map"),
+        (_module_metadata_list, "metadata"),
+    ],
+    ids=["singular_antipode", "dim_0", "dim_true", "basis_5", "basis_string", "element_dim_x",
+         "morphism_map_not_rows", "module_metadata_list"],
+)
+def test_bad_input_exits_2_with_field_path(runner, tmp_path, build, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(build(runner, tmp_path)))
+    res = runner.invoke(main, ["check", "hopf", str(path)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert field in res.output
+    assert "Traceback" not in res.output
 
 
 def test_usage_error_exit_2(runner):

@@ -1,6 +1,9 @@
 """Entwining axioms, double structures, convolution algebras."""
 
+import random
 from fractions import Fraction
+
+import pytest
 
 from entwine import corpus
 from entwine.entwining import (
@@ -13,9 +16,11 @@ from entwine.entwining import (
     check_entwining,
     check_monoidal_datum,
     conv2_inverse,
+    conv2_operators,
     conv2_product,
     conv2_unit,
     conv_inverse,
+    conv_operators,
     conv_product,
     conv_unit,
 )
@@ -258,3 +263,68 @@ def test_e3_restated_as_matrix_identity(monoidal_datums):
             lambda t: pipeline(t, lambda s: sv_apply(s, 0, d.a.unit_op)),
         )
         assert left == right, name
+
+
+def _random_matrix(rng, nrows, ncols):
+    return Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ncols)]
+                   for _ in range(nrows)])
+
+
+def _reference_operators(g, product, nrows, ncols):
+    """x -> g*x and x -> x*g built one matrix unit at a time, the oracle for
+    the one-pass build: column k is the row-major flattening of the product
+    with the k-th matrix unit."""
+    def flat(m):
+        return [x for row in m.rows() for x in row]
+
+    left, right = [], []
+    for k in range(nrows * ncols):
+        unit = [[0] * ncols for _ in range(nrows)]
+        unit[k // ncols][k % ncols] = 1
+        left.append(flat(product(g, Matrix(unit))))
+        right.append(flat(product(Matrix(unit), g)))
+    return Matrix.from_cols(left), Matrix.from_cols(right)
+
+
+@pytest.mark.parametrize("name", ["yd_kz2", "yd_h4"])
+def test_conv_operators_match_matrix_unit_reference(monoidal_datums, name):
+    d = monoidal_datums[name]
+    rng = random.Random(name)
+    g = _random_matrix(rng, d.a_dim, d.c_dim)
+
+    def product(x, y):
+        return conv_product(HomCA(d, x), HomCA(d, y)).map
+
+    left, right = conv_operators(HomCA(d, g))
+    assert (Matrix(left), Matrix(right)) == _reference_operators(g, product, d.a_dim, d.c_dim)
+
+
+@pytest.mark.parametrize("name", ["yd_kz2", "yd_h4"])
+def test_conv2_operators_match_matrix_unit_reference(monoidal_datums, name):
+    d = monoidal_datums[name]
+    rng = random.Random(name)
+    g2 = _random_matrix(rng, d.a_dim ** 2, d.c_dim ** 2)
+
+    def product(x, y):
+        return conv2_product(d, x, y)
+
+    left, right = conv2_operators(d, g2)
+    assert (Matrix(left), Matrix(right)) == _reference_operators(
+        g2, product, d.a_dim ** 2, d.c_dim ** 2
+    )
+
+
+@pytest.mark.parametrize("name", ["yd_kz2", "yd_h4"])
+def test_e10b_fails_for_a_singular_nonzero_rmap(monoidal_datums, name):
+    # the convolution unit with its first column zeroed: nonzero, so E10b
+    # fails through an inconsistent stacked system rather than R = 0
+    d = monoidal_datums[name]
+    rows = [list(r) for r in conv2_unit(d).rows()]
+    for row in rows:
+        row[0] = 0
+    rmap = Matrix(rows)
+    assert not rmap.is_zero()
+    assert conv2_inverse(d, rmap) is None
+    item = check_double_quantum_group(DoubleQuantumGroup(d, rmap)).item("E10b_conv_invertible")
+    assert not item.passed
+    assert list(item.witness.lhs) == [x for row in rows for x in row]

@@ -10,13 +10,17 @@ from entwine.exactla import (
     AffineSolution,
     Matrix,
     NotInvertibleError,
+    TensorOp,
     Vector,
+    hom_operator,
     invert,
     kron,
     rat_from_str,
     rat_to_str,
     solve_affine,
+    two_sided_solve,
 )
+from entwine.report import _ap, pipeline
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=6
@@ -150,3 +154,25 @@ def test_affine_solution_shape():
     assert isinstance(sol, AffineSolution)
     assert sol.particular == Vector([2, 3])
     assert sol.dimension == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_matrix(3, 3), small_matrix(2, 2))
+def test_hom_operator_of_compositions(a, b):
+    # on hom(V, W) flattened out-major, f -> a.f is kron(a, 1) and f -> f.b is kron(1, b^T)
+    a_op = TensorOp(a, (3,), (3,))
+    b_op = TensorOp(b, (2,), (2,))
+    after = hom_operator((2,), (3,), lambda f, t: pipeline(t + (0,), _ap(0, f), _ap(0, a_op)))
+    assert Matrix(after) == kron(a, Matrix.identity(2))
+    before = hom_operator((2,), (3,), lambda f, t: pipeline(t + (0,), _ap(0, b_op), _ap(0, f)))
+    assert Matrix(before) == kron(Matrix.identity(3), b.transpose())
+
+
+def test_two_sided_solve():
+    # left and right multiplication by [[1, 1], [0, 1]] on 2x2 matrices, flattened row-major
+    g = Matrix([[1, 1], [0, 1]])
+    left, right = kron(g, Matrix.identity(2)), kron(Matrix.identity(2), g.transpose())
+    ident = [1, 0, 0, 1]
+    assert two_sided_solve(left.rows(), right.rows(), ident) == Vector([1, -1, 0, 1])
+    # a one-sided solution is not enough
+    assert two_sided_solve(left.rows(), Matrix.zero(4, 4).rows(), ident) is None

@@ -12,7 +12,7 @@ from entwine.emodcat import (
     tensor_modules,
 )
 from entwine.entwining import EntwiningMap, HomCA, MonoidalEntwiningDatum, conv_unit
-from entwine.exactla import Matrix, TensorOp, Vector, kron, matrix_from_columns_fn, sv_apply, sv_permute
+from entwine.exactla import Matrix, TensorOp, Vector, kron, matrix_from_columns_fn
 from entwine.hopfcore import (
     check_hopf,
     coquasitri_check,
@@ -24,7 +24,7 @@ from entwine.hopfcore import (
     verify_pivot,
     verify_ribbon_element,
 )
-from entwine.report import pipeline
+from entwine.report import _ap, _pm, pipeline
 from entwine.smash import (
     check_distributive_law,
     distlaw_to_entwining,
@@ -45,14 +45,6 @@ from entwine.smash import (
     transport_rmatrix,
     transport_ribbon,
 )
-
-
-def _ap(pos, op):
-    return lambda s: sv_apply(s, pos, op)
-
-
-def _pm(p):
-    return lambda s: sv_permute(s, p)
 
 
 # -- distributive laws ---------------------------------------------------------
