@@ -30,7 +30,7 @@ from .entwining import (
 )
 from .hopfcore import check_hopf, dual_hopf
 from .pivribbon import find_morphisms, verify_pivotal, verify_ribbon
-from .report import AxiomReport
+from .report import AxiomReport, render_text
 from .smash import smash_coproduct, smash_product
 from .exactla import rat_to_str
 
@@ -393,14 +393,7 @@ def report_cmd(file, fmt):
             subject = one.get("subject")
             if subject:
                 click.echo(f"== {subject}")
-            for item in one.get("items", []):
-                mark = "pass" if item.get("passed") else "FAIL"
-                line = f"{mark}  {item.get('axiom')}"
-                w = item.get("witness")
-                if w:
-                    line += f"  at basis {tuple(w.get('basis', ()))}"
-                click.echo(line)
-            click.echo("overall: " + ("pass" if one.get("overall") else "FAIL"))
+            click.echo(render_text(one))
     sys.exit(0 if all(one.get("overall") for one in docs) else 1)
 
 

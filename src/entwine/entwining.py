@@ -25,13 +25,13 @@ from __future__ import annotations
 from functools import cached_property
 
 from .exactla import (
-    ZERO,
+    Cap,
+    Cup,
     Matrix,
     TensorOp,
     Vector,
     hom_operator,
     matrix_from_columns_fn,
-    state_to_vector,
     two_sided_solve,
 )
 from .report import AxiomItem, AxiomReport, Witness, compare_item, pipeline, _ap, _pm
@@ -287,9 +287,10 @@ def check_monoidal_datum(d: MonoidalEntwiningDatum) -> AxiomReport:
 
 def _operators(d, in_dims, out_dims, side, g_op) -> tuple[list, list]:
     "Rows of x -> g*x and of x -> x*g on hom(in_dims, out_dims)."
+    dims = (in_dims, out_dims, in_dims, out_dims)
     return (
-        hom_operator(in_dims, out_dims, lambda f, t: side(d, g_op, f, t)),
-        hom_operator(in_dims, out_dims, lambda f, t: side(d, f, g_op, t)),
+        hom_operator(*dims, lambda f, t: side(d, g_op, f, t)),
+        hom_operator(*dims, lambda f, t: side(d, f, g_op, t)),
     )
 
 
@@ -527,79 +528,40 @@ def check_double_quantum_group(q: DoubleQuantumGroup) -> AxiomReport:
 
 
 def check_antipode_compat(d: MonoidalEntwiningDatum) -> AxiomReport:
-    """The two closed-loop identities tying phi to the antipodes.
+    """The two closed-loop identities tying phi to the antipodes, on pairs (c, a).
 
     AC1: S_A^{-1}(a) (x) S_C(c)   agrees with the double-entwined twist
          using (S_A^{-1}, S_C); AC2 is the mirror with (S_A, S_C^{-1}).
     Both identities route one output of each phi evaluation through the
-    other's input, so they are genuine partial-trace contractions rather
-    than plain compositions.
+    other's input, so they are partial traces rather than plain
+    compositions: a Cup opens the loop on an algebra leg x, the first phi
+    entwines c with x, and a Cap closes it against the antipode of the
+    second phi's algebra output.  Both sides are kernel pipelines.
     """
     c, a = d.c, d.a
     nc, na = d.c_dim, d.a_dim
-    phi = d.phi
-
-    # dense 4-tensor view Phi[c_in][a_in][a_out][c_out]
-    Phi = [
-        [
-            [[phi.entry(l * nc + j, i * na + k) for j in range(nc)] for l in range(na)]
-            for k in range(na)
-        ]
-        for i in range(nc)
-    ]
-
-    def closed_loop_rhs(sa: Matrix, sc: Matrix, i: int, k: int):
-        # sum over l (internal A leg) and w (internal C leg):
-        #   Phi[i][t][u][w] sa[t][l] * Phi[s][k][l][j] sc[s][w]  -> out[(u, j)]
-        out: dict = {}
-        for l in range(na):
-            for u in range(na):
-                for w in range(nc):
-                    x = ZERO
-                    for t in range(na):
-                        if sa.entry(t, l) != 0:
-                            x += Phi[i][t][u][w] * sa.entry(t, l)
-                    if x == 0:
-                        continue
-                    for j in range(nc):
-                        q = ZERO
-                        for s in range(nc):
-                            if sc.entry(s, w) != 0:
-                                q += sc.entry(s, w) * Phi[s][k][l][j]
-                        if q == 0:
-                            continue
-                        key = (u, j)
-                        nv = out.get(key, ZERO) + x * q
-                        if nv == 0:
-                            out.pop(key, None)
-                        else:
-                            out[key] = nv
-        return out
+    phi, cup, cap = d.phi_op, Cup(na), Cap()
 
     def item(axiom_id, sa, sc):
-        for i in range(nc):
-            for k in range(na):
-                lhs = {
-                    (u, j): sa.entry(u, k) * sc.entry(j, i)
-                    for u in range(na)
-                    for j in range(nc)
-                    if sa.entry(u, k) * sc.entry(j, i) != 0
-                }
-                got = closed_loop_rhs(sa, sc, i, k)
-                if lhs != got:
-                    return AxiomItem(
-                        axiom_id,
-                        False,
-                        Witness(
-                            (i, k),
-                            state_to_vector(lhs, (na, nc)),
-                            state_to_vector(got, (na, nc)),
-                        ),
-                    )
-        return AxiomItem(axiom_id, True)
+        return compare_item(
+            axiom_id,
+            (nc, na),
+            (na, nc),
+            lambda t: pipeline(t, _ap(0, sc), _ap(1, sa), _pm((1, 0))),
+            lambda t: pipeline(
+                t,
+                _ap(1, cup),         # c x x a
+                _ap(0, phi),         # u w x a
+                _ap(1, sc),          # u S(w) x a
+                _pm((0, 2, 1, 3)),   # u x S(w) a
+                _ap(2, phi),         # u x l j
+                _ap(2, sa),          # u x S(l) j
+                _ap(1, cap),         # u j
+            ),
+        )
 
     items = [
-        item("AC1_inv_antipode", a.antipode_inv, c.antipode),
-        item("AC2_antipode", a.antipode, c.antipode_inv),
+        item("AC1_inv_antipode", a.antipode_inv_op, c.antipode_op),
+        item("AC2_antipode", a.antipode_op, c.antipode_inv_op),
     ]
     return AxiomReport(items)

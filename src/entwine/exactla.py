@@ -452,8 +452,12 @@ def invert(a: Matrix) -> Matrix:
 # Intermediate states of a structural computation (an axiom side, a
 # structure-map column) are sparse vectors in a tensor product of basis
 # spaces, keyed by index tuples.  A TensorOp applies one linear map to a
-# contiguous block of legs; permutations rearrange legs.  Everything is
-# exact and allocation-light: dims stay <= 16 throughout the corpus.
+# contiguous block of legs; permutations rearrange legs.  Cup and Cap
+# insert and contract a pair of dual-basis legs, so a partial trace (one
+# output of a map fed back into an input) or a dual-basis transposition is
+# a plain pipeline too.  A SlotLeg stands for an unknown map, so a side
+# that is linear in it comes out as a matrix (hom_operator).  Everything
+# is exact and allocation-light: dims stay <= 16 throughout the corpus.
 # ---------------------------------------------------------------------------
 
 State = dict[tuple, Fraction]
@@ -536,6 +540,34 @@ class SlotLeg:
         return self._cols[legs]
 
 
+class Cup:
+    """Insertion of sum_x e_x (x) e_x on two n-dimensional legs, as a kernel
+    op from no legs to ``(x, x)``."""
+
+    __slots__ = ("arity_in", "arity_out", "_cols")
+
+    def __init__(self, n: int):
+        self.arity_in = 0
+        self.arity_out = 2
+        self._cols = [((x, x), ONE) for x in range(n)]
+
+    def cols(self, legs: tuple) -> list[tuple[tuple, Fraction]]:
+        return self._cols
+
+
+class Cap:
+    """Contraction of two legs against each other, as a kernel op from
+    ``(x, y)`` to no legs: it keeps a term only when x == y."""
+
+    __slots__ = ()
+    arity_in = 2
+    arity_out = 0
+    _KEEP = [((), ONE)]
+
+    def cols(self, legs: tuple) -> list[tuple[tuple, Fraction]]:
+        return self._KEEP if legs[0] == legs[1] else []
+
+
 def basis_state(idx: tuple) -> State:
     return {tuple(idx): ONE}
 
@@ -588,23 +620,27 @@ def matrix_from_columns_fn(in_dims, out_dims, fn) -> Matrix:
     return Matrix(out)
 
 
-def hom_operator(in_dims, out_dims, side) -> list[list[Fraction]]:
-    """Rows of the matrix of f -> side(f) on hom(in_dims, out_dims).
+def hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> list[list[Fraction]]:
+    """Rows of the matrix of f -> side(f), for f: ``in_dims`` -> ``out_dims``.
 
-    ``side(f_op, t)`` evaluates side(f) on the input tuple ``t``, with
-    ``f_op`` standing for f, through a pipeline seeded with ``t + (0,)``
-    (see SlotLeg); it returns a State keyed by the output legs and the
-    slot leg.  Rows and columns share the flat hom index
-    ``out * prod(in_dims) + in``.  One pass per input tuple, with a SlotLeg
-    as f, yields every column at once.
+    ``side(f_op, t)`` evaluates side(f) on the seed tuple ``t`` over
+    ``seed_dims``, with ``f_op`` standing for f, through a pipeline seeded
+    with ``t + (0,)`` (see SlotLeg); it returns a State keyed by legs over
+    ``key_dims`` and the slot leg.  Row ``key * prod(seed_dims) + t`` holds
+    the coefficients of that output entry, column ``out * prod(in_dims) +
+    in`` those of f's matrix unit ``out <- in``.  One pass per seed tuple,
+    with a SlotLeg as f, yields every column at once.  For a side from
+    hom(in_dims, out_dims) to itself, seed and key dims are f's own.
     """
     in_dims = tuple(in_dims)
     out_dims = tuple(out_dims)
-    n_in = prod(in_dims)
-    n = prod(out_dims) * n_in
+    seed_dims = tuple(seed_dims)
+    key_dims = tuple(key_dims)
+    n_seed = prod(seed_dims)
+    n = prod(out_dims) * prod(in_dims)
     slot = SlotLeg(in_dims, out_dims)
-    rows = [[ZERO] * n for _ in range(n)]
-    for j, t in enumerate(itertools.product(*(range(d) for d in in_dims))):
+    rows = [[ZERO] * n for _ in range(prod(key_dims) * n_seed)]
+    for j, t in enumerate(itertools.product(*(range(d) for d in seed_dims))):
         for key, x in side(slot, t).items():
-            rows[flatten_index(out_dims, key[:-1]) * n_in + j][key[-1]] = x
+            rows[flatten_index(key_dims, key[:-1]) * n_seed + j][key[-1]] = x
     return rows

@@ -19,9 +19,12 @@ from fractions import Fraction
 from .exactla import (
     ONE,
     ZERO,
+    Cap,
+    Cup,
     Matrix,
     TensorOp,
     Vector,
+    hom_operator,
     matrix_from_columns_fn,
     solve_affine,
 )
@@ -52,8 +55,92 @@ class FinderResult:
 
 
 # ---------------------------------------------------------------------------
+# Laws linear in g, each side written once
+#
+# A side takes g as a kernel op and a basis tuple t and runs a pipeline
+# seeded with t + (0,); g is always applied where its input leg sits just
+# before that trailing slot leg.  A verifier passes g's TensorOp, which
+# carries the slot leg along as 0; the finder passes a SlotLeg through
+# hom_operator and reads the side off as a matrix in the entries of g.
+# ---------------------------------------------------------------------------
+
+
+def _counit_side(d: MonoidalEntwiningDatum, g, t):
+    "eps_A(g(1_C)), the side of P2 that is linear in g."
+    return pipeline(t + (0,), _ap(0, d.c.unit_op), _ap(0, g), _ap(0, d.a.counit_op))
+
+
+def _linear_laws(d: MonoidalEntwiningDatum, kind: str):
+    """The homogeneous laws linear in g, as (axiom id, scan dims, output
+    dims, lhs, rhs): the action law (P3 twists by S_A^2, R1 does not), the
+    coaction law (P4 twists by S_C^{-2}, R2 does not) and, for ribbon, R4."""
+    nc, na = d.c_dim, d.a_dim
+    phi, mul_a, comul_c = d.phi_op, d.a.mul_op, d.c.comul_op
+    pivotal = kind == "pivotal"
+    a_twist = [_ap(0, d.a.antipode_sq_op)] if pivotal else []
+    c_twist = [_ap(1, d.c.antipode_inv_sq_op)] if pivotal else []
+    laws = [
+        # g(c) a = a_phi g(c^phi), scanned over (a, c)
+        (
+            "P3_action_twist" if pivotal else "R1_action",
+            (na, nc),
+            (na,),
+            lambda g, t: pipeline(t + (0,), *a_twist, _ap(1, g), _pm((1, 0, 2)), _ap(0, mul_a)),
+            lambda g, t: pipeline(t + (0,), _pm((1, 0, 2)), _ap(0, phi), _ap(1, g), _ap(0, mul_a)),
+        ),
+        # g(c1) (x) c2 = g(c2)_phi (x) c1^phi
+        (
+            "P4_coaction_twist" if pivotal else "R2_coaction",
+            (nc,),
+            (na, nc),
+            lambda g, t: pipeline(t + (0,), _ap(0, comul_c), _pm((1, 0, 2)), _ap(1, g),
+                                  _pm((1, 0, 2))),
+            lambda g, t: pipeline(t + (0,), _ap(0, comul_c), _ap(1, g), _ap(0, phi), *c_twist),
+        ),
+    ]
+    if not pivotal:
+        # g(c) = (S_A^{-1} g S_C (c^phi))_phi: phi's coalgebra output runs
+        # through g back into its own algebra input, a loop that a Cup opens
+        # and a Cap closes
+        cup, cap = Cup(na), Cap()
+        laws.append((
+            "R4_self_dual",
+            (nc,),
+            (na,),
+            lambda g, t: pipeline(t + (0,), _ap(0, g)),
+            lambda g, t: pipeline(
+                t + (0,),
+                _ap(1, cup),                  # c x x s
+                _ap(0, phi),                  # x_phi c^phi x s
+                _pm((0, 2, 1, 3)),            # x_phi x c^phi s
+                _ap(2, d.c.antipode_op),
+                _ap(2, g),
+                _ap(2, d.a.antipode_inv_op),  # x_phi x y s
+                _ap(1, cap),                  # x_phi s where x = y
+            ),
+        ))
+    return laws
+
+
+# ---------------------------------------------------------------------------
 # Verifiers
 # ---------------------------------------------------------------------------
+
+
+def _law_items(d: MonoidalEntwiningDatum, kind: str, g: HomCA) -> list[AxiomItem]:
+    g_op = g.op
+    return [
+        compare_item(axiom_id, scan, out + (1,),
+                     lambda t, f=lhs: f(g_op, t), lambda t, f=rhs: f(g_op, t))
+        for axiom_id, scan, out, lhs, rhs in _linear_laws(d, kind)
+    ]
+
+
+def _conv_invertible_item(axiom_id: str, g: HomCA) -> AxiomItem:
+    if conv_inverse(g) is not None:
+        return AxiomItem(axiom_id, True)
+    flat = Vector([x for row in g.map.rows() for x in row])
+    return AxiomItem(axiom_id, False, Witness((), flat, Vector.zero(flat.dim)))
 
 
 def verify_pivotal(d: MonoidalEntwiningDatum, g: HomCA) -> AxiomReport:
@@ -65,81 +152,26 @@ def verify_pivotal(d: MonoidalEntwiningDatum, g: HomCA) -> AxiomReport:
     P4: g(c1) (x) c2 = g(c2)_phi (x) S_C^{-2}(c1^phi)
     """
     nc, na = d.c_dim, d.a_dim
-    phi, g_op = d.phi_op, g.op
-    mul_a, comul_a = d.a.mul_op, d.a.comul_op
-    mul_c, comul_c = d.c.mul_op, d.c.comul_op
+    g_op = g.op
     items = [
         compare_item(
             "P1_grouplike",
             (nc, nc),
             (na, na),
-            lambda t: pipeline(t, _ap(0, mul_c), _ap(0, g_op), _ap(0, comul_a)),
+            lambda t: pipeline(t, _ap(0, d.c.mul_op), _ap(0, g_op), _ap(0, d.a.comul_op)),
             lambda t: pipeline(t, _ap(0, g_op), _ap(1, g_op)),
         ),
         compare_item(
             "P2_counit_one",
             (),
-            (),
-            lambda t: pipeline(t, _ap(0, d.c.unit_op), _ap(0, g_op), _ap(0, d.a.counit_op)),
-            lambda t: pipeline(t),
+            (1,),
+            lambda t: _counit_side(d, g_op, t),
+            lambda t: pipeline(t + (0,)),
         ),
-        compare_item(
-            "P3_action_twist",
-            (na, nc),
-            (na,),
-            lambda t: pipeline(
-                (t[1], t[0]),
-                _ap(1, d.a.antipode_sq_op),
-                _ap(0, g_op),
-                _ap(0, mul_a),
-            ),
-            lambda t: pipeline((t[1], t[0]), _ap(0, phi), _ap(1, g_op), _ap(0, mul_a)),
-        ),
-        compare_item(
-            "P4_coaction_twist",
-            (nc,),
-            (na, nc),
-            lambda t: pipeline(t, _ap(0, comul_c), _ap(0, g_op)),
-            lambda t: pipeline(
-                t,
-                _ap(0, comul_c),
-                _ap(1, g_op),
-                _ap(0, phi),
-                _ap(1, d.c.antipode_inv_sq_op),
-            ),
-        ),
+        *_law_items(d, "pivotal", g),
+        _conv_invertible_item("P5_conv_invertible", g),
     ]
-    inv = conv_inverse(g)
-    if inv is None:
-        items.append(
-            AxiomItem(
-                "P5_conv_invertible",
-                False,
-                Witness((), Vector([x for row in g.map.rows() for x in row]),
-                        Vector.zero(na * nc)),
-            )
-        )
-    else:
-        items.append(AxiomItem("P5_conv_invertible", True))
     return AxiomReport(items)
-
-
-def _closed_loop_twist(d: MonoidalEntwiningDatum, inner: Matrix) -> Matrix:
-    """The partial-trace map c -> (inner(c^phi))_phi, where inner: C -> A is
-    fed phi's own coalgebra output and returned through its algebra input."""
-    nc, na = d.c_dim, d.a_dim
-    phi = d.phi
-    out = [[ZERO] * nc for _ in range(na)]
-    for i in range(nc):
-        for k in range(na):
-            for l in range(na):
-                for j in range(nc):
-                    w = phi.entry(l * nc + j, i * na + k)
-                    if w != 0:
-                        m = inner.entry(k, j)
-                        if m != 0:
-                            out[l][i] += w * m
-    return Matrix(out)
 
 
 def verify_ribbon(q: DoubleQuantumGroup, g: HomCA) -> AxiomReport:
@@ -156,20 +188,6 @@ def verify_ribbon(q: DoubleQuantumGroup, g: HomCA) -> AxiomReport:
     mul_a, comul_a = d.a.mul_op, d.a.comul_op
     mul_c, comul_c = d.c.mul_op, d.c.comul_op
     items = [
-        compare_item(
-            "R1_action",
-            (na, nc),
-            (na,),
-            lambda t: pipeline((t[1], t[0]), _ap(0, g_op), _ap(0, mul_a)),
-            lambda t: pipeline((t[1], t[0]), _ap(0, phi), _ap(1, g_op), _ap(0, mul_a)),
-        ),
-        compare_item(
-            "R2_coaction",
-            (nc,),
-            (na, nc),
-            lambda t: pipeline(t, _ap(0, comul_c), _ap(0, g_op)),
-            lambda t: pipeline(t, _ap(0, comul_c), _ap(1, g_op), _ap(0, phi)),
-        ),
         compare_item(
             "R3_braided_square",
             (nc, nc),
@@ -197,31 +215,9 @@ def verify_ribbon(q: DoubleQuantumGroup, g: HomCA) -> AxiomReport:
                 _ap(1, mul_a),
             ),
         ),
-        compare_item(
-            "R4_self_dual",
-            (nc,),
-            (na,),
-            lambda t: pipeline(t, _ap(0, g_op)),
-            lambda t, M=_closed_loop_twist(
-                d, d.a.antipode_inv * g.map * d.c.antipode
-            ): {
-                (i,): v
-                for (i,), v in TensorOp(M, (nc,), (na,)).cols(t)
-            },
-        ),
+        *_law_items(d, "ribbon", g),
+        _conv_invertible_item("R5_conv_invertible", g),
     ]
-    inv = conv_inverse(g)
-    if inv is None:
-        items.append(
-            AxiomItem(
-                "R5_conv_invertible",
-                False,
-                Witness((), Vector([x for row in g.map.rows() for x in row]),
-                        Vector.zero(na * nc)),
-            )
-        )
-    else:
-        items.append(AxiomItem("R5_conv_invertible", True))
     return AxiomReport(items)
 
 
@@ -308,106 +304,21 @@ def separable_candidate(d: MonoidalEntwiningDatum, kappa: Element, rho: Function
 
 def _linear_constraint_rows(d: MonoidalEntwiningDatum, kind: str):
     """Rows (coeffs, rhs) of the linear laws over the unknown entries of g,
-    flattened as (a_out, c_in) pairs."""
-    nc, na = d.c_dim, d.a_dim
-    nunk = na * nc
+    flattened as (a_out, c_in) pairs: one hom_operator pass per law side,
+    rows that vanish dropped."""
+    g_dims = ((d.c_dim,), (d.a_dim,))
     rows: list[tuple[list[Fraction], Fraction]] = []
-
-    def g_entry_coeffs(fn):
-        """Linearize g -> fn(g) at matrix units.  fn maps a HomCA to a dict
-        (out_tuple -> value); returns {out_tuple -> coefficient row}."""
-        table: dict[tuple, list[Fraction]] = {}
-        for u in range(na):
-            for p in range(nc):
-                basis = HomCA(d, _unit_matrix(na, nc, u, p))
-                for key, val in fn(basis).items():
-                    row = table.setdefault(key, [ZERO] * nunk)
-                    row[u * nc + p] += val
-        return table
-
-    phi, mul_a, comul_c, mul_c, comul_a = (
-        d.phi_op,
-        d.a.mul_op,
-        d.c.comul_op,
-        d.c.mul_op,
-        d.a.comul_op,
-    )
-
-    def add_equation(lhs_table, rhs_table, out_keys):
-        for key in sorted(out_keys):
-            lrow = lhs_table.get(key, [ZERO] * nunk)
-            rrow = rhs_table.get(key, [ZERO] * nunk)
-            coeffs = [a - b for a, b in zip(lrow, rrow)]
-            if any(c != 0 for c in coeffs):
-                rows.append((coeffs, ZERO))
-
     if kind == "pivotal":
         # counit normalization: eps(g(1_C)) = 1
-        row = [ZERO] * nunk
-        unit_c = d.c.unit
-        eps_a = d.a.counit
-        for u in range(na):
-            for p in range(nc):
-                row[u * nc + p] = eps_a.entry(0, u) * unit_c[p]
+        (row,) = hom_operator(*g_dims, (), (), lambda g, t: _counit_side(d, g, t))
         rows.append((row, ONE))
-
-    # action law: pivotal twists by S^2, ribbon does not
-    tw = d.a.antipode_sq_op if kind == "pivotal" else None
-    for a_idx in range(na):
-        for c_idx in range(nc):
-            def lhs(g, t=(c_idx, a_idx)):
-                steps = [_ap(0, g.op)]
-                if tw is not None:
-                    steps.insert(0, _ap(1, tw))
-                return pipeline(t, *steps, _ap(0, mul_a))
-
-            def rhs(g, t=(c_idx, a_idx)):
-                return pipeline(t, _ap(0, phi), _ap(1, g.op), _ap(0, mul_a))
-
-            lt = g_entry_coeffs(lambda g: lhs(g))
-            rt = g_entry_coeffs(lambda g: rhs(g))
-            add_equation(lt, rt, {(i,) for i in range(na)})
-
-    # coaction law: pivotal twists by S_C^{-2}, ribbon does not
-    ctw = d.c.antipode_inv_sq_op if kind == "pivotal" else None
-    for c_idx in range(nc):
-        def lhs(g, t=(c_idx,)):
-            return pipeline(t, _ap(0, comul_c), _ap(0, g.op))
-
-        def rhs(g, t=(c_idx,)):
-            steps = [_ap(0, comul_c), _ap(1, g.op), _ap(0, phi)]
-            if ctw is not None:
-                steps.append(_ap(1, ctw))
-            return pipeline(t, *steps)
-
-        lt = g_entry_coeffs(lambda g: lhs(g))
-        rt = g_entry_coeffs(lambda g: rhs(g))
-        add_equation(lt, rt, {(i, j) for i in range(na) for j in range(nc)})
-
-    if kind == "ribbon":
-        # self-duality law R4 is linear in g
-        for c_idx in range(nc):
-            def lhs(g, t=(c_idx,)):
-                return pipeline(t, _ap(0, g.op))
-
-            def rhs(g, t=(c_idx,)):
-                m = _closed_loop_twist(d, d.a.antipode_inv * g.map * d.c.antipode)
-                return {
-                    (i,): m.entry(i, t[0])
-                    for i in range(na)
-                    if m.entry(i, t[0]) != 0
-                }
-
-            lt = g_entry_coeffs(lambda g: lhs(g))
-            rt = g_entry_coeffs(lambda g: rhs(g))
-            add_equation(lt, rt, {(i,) for i in range(na)})
+    for _, scan, out, lhs, rhs in _linear_laws(d, kind):
+        lrows, rrows = (hom_operator(*g_dims, scan, out, side) for side in (lhs, rhs))
+        for lrow, rrow in zip(lrows, rrows):
+            coeffs = [x - y for x, y in zip(lrow, rrow)]
+            if any(coeffs):
+                rows.append((coeffs, ZERO))
     return rows
-
-
-def _unit_matrix(nrows, ncols, i, j) -> Matrix:
-    rows = [[ZERO] * ncols for _ in range(nrows)]
-    rows[i][j] = ONE
-    return Matrix(rows)
 
 
 def stage1_affine_family(d: MonoidalEntwiningDatum, kind: str):
@@ -425,7 +336,7 @@ def stage1_affine_family(d: MonoidalEntwiningDatum, kind: str):
 def stage1_residual(d: MonoidalEntwiningDatum, kind: str, g: HomCA) -> Vector:
     "Residual of the linear laws at a concrete candidate (zero iff satisfied)."
     rows = _linear_constraint_rows(d, kind)
-    flat = [g.map.entry(u, p) for u in range(d.a_dim) for p in range(d.c_dim)]
+    flat = [x for row in g.map.rows() for x in row]
     res = []
     for coeffs, rhs in rows:
         res.append(sum((c * x for c, x in zip(coeffs, flat)), ZERO) - rhs)
@@ -724,7 +635,10 @@ def find_morphisms(target, kind: str, max_params: int = 4) -> FinderResult:
             g = hom_from_assignment({**assignment, var: r})
             if verifier(g):
                 sols.append(wrap(g))
-        return FinderResult("complete", sols, family, "quadratic stage solved in one parameter")
+        # another unpinned parameter is unconstrained: the roots found are
+        # sample points of a family, not an exhaustive list
+        status = "complete" if unpinned == [var] else "parametric"
+        return FinderResult(status, sols, family, "quadratic stage solved in one parameter")
 
     return FinderResult(
         "parametric", probe_samples(assignment), family,

@@ -79,24 +79,30 @@ class AxiomReport:
         }
 
     def render_text(self) -> str:
-        lines = []
-        for it in self.items:
-            mark = "pass" if it.passed else "FAIL"
-            line = f"{mark}  {it.axiom_id}"
-            if it.witness is not None:
-                w = it.witness
-                line += (
-                    f"  at basis {w.basis}"
-                    f" lhs=({', '.join(rat_to_str(c) for c in w.lhs)})"
-                    f" rhs=({', '.join(rat_to_str(c) for c in w.rhs)})"
-                )
-            lines.append(line)
-        lines.append("overall: " + ("pass" if self.overall else "FAIL"))
-        return "\n".join(lines)
+        return render_text(self.to_dict())
 
     def __repr__(self):
         verdict = "pass" if self.overall else "FAIL:" + ",".join(self.failed_ids())
         return f"AxiomReport({verdict})"
+
+
+def render_text(doc: dict) -> str:
+    """Text rendering of a report dict in the form AxiomReport.to_dict makes,
+    so a saved JSON report renders exactly as the live one did."""
+    lines = []
+    for it in doc.get("items", []):
+        mark = "pass" if it.get("passed") else "FAIL"
+        line = f"{mark}  {it.get('axiom')}"
+        w = it.get("witness")
+        if w is not None:
+            line += (
+                f"  at basis {tuple(w.get('basis', ()))}"
+                f" lhs=({', '.join(map(str, w.get('lhs', ())))})"
+                f" rhs=({', '.join(map(str, w.get('rhs', ())))})"
+            )
+        lines.append(line)
+    lines.append("overall: " + ("pass" if doc.get("overall") else "FAIL"))
+    return "\n".join(lines)
 
 
 def compare_item(axiom_id, in_dims, out_dims, lhs_fn, rhs_fn) -> AxiomItem:

@@ -4,9 +4,12 @@ A monoidal entwining datum on Hopf sides induces two Hopf algebras: the
 smash product on (dual of C, op) (x) A, whose modules are exactly the
 entwined modules, and the smash coproduct on (dual of A, cop) (x) C,
 whose comodules are.  Both are assembled here from the dual Hopf data
-plus reindexed views of the entwining map, together with the module
+plus dual-basis views of the entwining map, together with the module
 transport equivalence and the transport of pivots, copivots, R-matrices,
-ribbon elements and coribbon data in both directions.
+ribbon elements and coribbon data in both directions.  A view, a
+(co)distributive-law conversion and the module transport are kernel
+pipelines: Cup brings in a pair of dual-basis legs and Cap pairs a
+dual leg with a plain one.
 
 Basis convention for both constructions: dual-basis index first, then
 the plain-side index, left major (so the flat index of e^i (x) a_k is
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 from .exactla import (
     ZERO,
+    Cap,
+    Cup,
     Matrix,
     TensorOp,
     Vector,
@@ -136,55 +141,40 @@ def check_distributive_law(law: DistributiveLaw) -> AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# Reindexed views of the entwining map
+# Dual-basis views of the entwining map
+#
+# Dualizing one pair of phi's legs is a dual-basis transposition: a Cup
+# brings in a pair of dual-basis legs, phi acts on one of them, and a Cap
+# pairs phi's output on that side with the dual input.  Each view is one
+# pipeline; its matrix is both the (co)distributive law the entwining map
+# carries and the map the smash construction entwines with.
 # ---------------------------------------------------------------------------
 
 
-def _phi_tensor(e):
-    "Dense view Phi[c_in][a_in][a_out][c_out] of the entwining matrix."
+def _dual_c_view(e) -> Matrix:
+    """phi with the coalgebra legs dualized, A (x) C* -> C* (x) A:
+    f_k (x) e^j -> sum e^m (x) f_u, weighted by the coefficient of
+    f_u (x) e_j in phi(e_m (x) f_k)."""
     nc, na = e.c_dim, e.a_dim
-    phi = e.phi
-    return [
-        [
-            [[phi.entry(l * nc + j, i * na + k) for j in range(nc)] for l in range(na)]
-            for k in range(na)
-        ]
-        for i in range(nc)
-    ]
+    cup, cap = Cup(nc), Cap()
+    return matrix_from_columns_fn(
+        (na, nc),
+        (nc, na),
+        lambda t: pipeline(t, _ap(0, cup), _ap(1, e.phi_op), _ap(2, cap)),  # m m k j -> m u j j
+    )
 
 
-def _phi_dual_c(e) -> Matrix:
-    """The entwining map with the coalgebra legs dualized:
-    (a_in, dual_c_in j) -> (a_out, dual_c_out m) with coefficient
-    Phi[m][a_in][a_out][j]."""
+def _dual_a_view(e) -> Matrix:
+    """phi with the algebra legs dualized, A* (x) C -> C (x) A*:
+    f^u (x) e_c -> sum e_v (x) f^i, weighted by the coefficient of
+    f_u (x) e_v in phi(e_c (x) f_i)."""
     nc, na = e.c_dim, e.a_dim
-    Phi = _phi_tensor(e)
-    rows = [[ZERO] * (na * nc) for _ in range(na * nc)]
-    for m in range(nc):
-        for k in range(na):
-            for u in range(na):
-                for j in range(nc):
-                    x = Phi[m][k][u][j]
-                    if x != 0:
-                        rows[u * nc + m][k * nc + j] = x
-    return Matrix(rows)
-
-
-def _phi_dual_a(e) -> Matrix:
-    """The entwining map with the algebra legs dualized:
-    (dual_a_in u, c_in) -> (dual_a_out i, c_out v) with coefficient
-    Phi[c_in][i][u][v]."""
-    nc, na = e.c_dim, e.a_dim
-    Phi = _phi_tensor(e)
-    rows = [[ZERO] * (na * nc) for _ in range(na * nc)]
-    for c in range(nc):
-        for i in range(na):
-            for u in range(na):
-                for v in range(nc):
-                    x = Phi[c][i][u][v]
-                    if x != 0:
-                        rows[i * nc + v][u * nc + c] = x
-    return Matrix(rows)
+    cup, cap = Cup(na), Cap()
+    return matrix_from_columns_fn(
+        (na, nc),
+        (nc, na),
+        lambda t: pipeline(t, _ap(2, cup), _ap(1, e.phi_op), _ap(0, cap)),  # u c i i -> u u v i
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,58 +185,34 @@ def _phi_dual_a(e) -> Matrix:
 def entwining_to_distlaw(e: EntwiningMap) -> DistributiveLaw:
     """The algebra distributive law A (x) (dual C, op) -> (dual C, op) (x) A
     carried by an entwining map, by dual-basis transposition."""
-    nc, na = e.c_dim, e.a_dim
-    Phi = _phi_tensor(e)
-    dual_c = dual_hopf(e.c, "op")
-    rows = [[ZERO] * (na * nc) for _ in range(nc * na)]
-    # Phi(a (x) p) = sum p(e_i^phi) e^i (x) a_phi
-    for k in range(na):  # a = f_k
-        for j in range(nc):  # p = e^j
-            for i in range(nc):
-                for l in range(na):
-                    x = Phi[i][k][l][j]
-                    if x != 0:
-                        rows[i * na + l][k * nc + j] = x
-    return DistributiveLaw("algebra", e.a, dual_c, Matrix(rows))
+    return DistributiveLaw("algebra", e.a, dual_hopf(e.c, "op"), _dual_c_view(e))
 
 
 def distlaw_to_entwining(law: DistributiveLaw, c) -> EntwiningMap:
     """Back from an algebra distributive law on A (x) (dual C) to the
-    entwining map on C (x) A; inverse of entwining_to_distlaw."""
+    entwining map on C (x) A; inverse of entwining_to_distlaw.
+
+    phi(e_j (x) f_k) = sum (e^i)^Phi(e_j) f_Phi (x) e_i: a Cup brings in
+    e_i (x) e^i, the law acts on f_k (x) e^i, and a Cap evaluates its dual
+    output at e_j.
+    """
     if law.kind != "algebra":
         raise ValueError("expected an algebra distributive law")
     a = law.left
-    na, nc = a.dim, c.dim
-    rows = [[ZERO] * (nc * na) for _ in range(na * nc)]
-    # phi(c (x) a) = sum (e^i)^Phi(c) a_Phi (x) e_i: the coefficient of
-    # e^m (x) f_l in Phi(f_k (x) e^i) is map[(m,l),(k,i)]; evaluating the
-    # dual output at c = e_j picks m = j.
-    for j in range(nc):
-        for k in range(na):
-            for i in range(nc):
-                for l in range(na):
-                    x = law.map.entry(j * na + l, k * nc + i)
-                    if x != 0:
-                        rows[l * nc + i][j * na + k] = x
-    return EntwiningMap(c, a, Matrix(rows))
+    op, cup, cap = law.op, Cup(c.dim), Cap()
+    phi = matrix_from_columns_fn(
+        (c.dim, a.dim),
+        (a.dim, c.dim),
+        lambda t: pipeline(t, _ap(2, cup), _ap(1, op), _ap(0, cap)),  # j k i i -> j m l i
+    )
+    return EntwiningMap(c, a, phi)
 
 
 def entwining_to_codistlaw(e: EntwiningMap) -> DistributiveLaw:
     """The coalgebra distributive law (dual A, cop) (x) C -> C (x) (dual A, cop)
     carried by an entwining map, by dual-basis transposition on the algebra
     legs (the entwining map's algebra output feeds the dual input)."""
-    nc, na = e.c_dim, e.a_dim
-    Phi = _phi_tensor(e)
-    dual_a = dual_hopf(e.a, "cop")
-    rows = [[ZERO] * (na * nc) for _ in range(nc * na)]
-    for c in range(nc):
-        for i in range(na):
-            for u in range(na):
-                for j in range(nc):
-                    x = Phi[c][i][u][j]
-                    if x != 0:
-                        rows[j * na + i][u * nc + c] = x
-    return DistributiveLaw("coalgebra", dual_a, e.c, Matrix(rows))
+    return DistributiveLaw("coalgebra", dual_hopf(e.a, "cop"), e.c, _dual_a_view(e))
 
 
 def codistlaw_to_entwining(law: DistributiveLaw, a) -> EntwiningMap:
@@ -254,16 +220,13 @@ def codistlaw_to_entwining(law: DistributiveLaw, a) -> EntwiningMap:
     if law.kind != "coalgebra":
         raise ValueError("expected a coalgebra distributive law")
     c = law.right
-    nc, na = c.dim, a.dim
-    rows = [[ZERO] * (nc * na) for _ in range(na * nc)]
-    for cc in range(nc):
-        for i in range(na):
-            for u in range(na):
-                for j in range(nc):
-                    x = law.map.entry(j * na + i, u * nc + cc)
-                    if x != 0:
-                        rows[u * nc + j][cc * na + i] = x
-    return EntwiningMap(c, a, Matrix(rows))
+    op, cup, cap = law.op, Cup(a.dim), Cap()
+    phi = matrix_from_columns_fn(
+        (c.dim, a.dim),
+        (a.dim, c.dim),
+        lambda t: pipeline(t, _ap(0, cup), _ap(1, op), _ap(2, cap)),  # u u c i -> u j i i
+    )
+    return EntwiningMap(c, a, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +242,7 @@ def smash_algebra(e) -> AlgebraData:
     """
     nc, na = e.c_dim, e.a_dim
     dual_c = dual_hopf(e.c, "op")
-    phi_dc = TensorOp(_phi_dual_c(e), (na, nc), (na, nc))
+    phi_dc = TensorOp(_dual_c_view(e), (na, nc), (nc, na))
     mul_dc = dual_c.mul_op  # mult of (dual C, op): (p, q) -> q * p in plain dual
     mul_a = e.a.mul_op
 
@@ -288,8 +251,8 @@ def smash_algebra(e) -> AlgebraData:
         return pipeline(
             t,
             _pm((1, 2, 0, 3)),   # k j i l
-            _ap(0, phi_dc),      # u m i l   (a_phi leg u, dual leg m)
-            _pm((2, 1, 0, 3)),   # i m u l
+            _ap(0, phi_dc),      # m u i l   (dual leg m, a_phi leg u)
+            _pm((2, 0, 1, 3)),   # i m u l
             _ap(0, mul_dc),      # (p *op e^m) = e^m * p ; legs: w u l
             _ap(1, mul_a),       # w (a_phi b)
         )
@@ -313,7 +276,7 @@ def smash_product(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     nc, na = e.c_dim, e.a_dim
     dual_c = dual_hopf(e.c, "op")
     alg = smash_algebra(e)
-    phi_dc = TensorOp(_phi_dual_c(e), (na, nc), (na, nc))
+    phi_dc = TensorOp(_dual_c_view(e), (na, nc), (nc, na))
 
     comult = matrix_from_columns_fn(
         (nc, na),
@@ -334,7 +297,6 @@ def smash_product(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
             _ap(1, e.a.antipode_op),
             _pm((1, 0)),
             _ap(0, phi_dc),
-            _pm((1, 0)),
         )
 
     antipode = matrix_from_columns_fn((nc, na), (nc, na), antipode_col)
@@ -363,7 +325,7 @@ def smash_coproduct(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     # the displayed Sweedler legs on the dual factor are those of the plain
     # dual coproduct; the formula's own leg swap is what realizes the cop
     plain_dual_comul = TensorOp(e.a.mult.transpose(), (na,), (na, na))
-    phi_da = TensorOp(_phi_dual_a(e), (na, nc), (na, nc))
+    phi_da = TensorOp(_dual_a_view(e), (na, nc), (nc, na))
 
     mult = matrix_from_columns_fn(
         (na, nc, na, nc),
@@ -383,8 +345,8 @@ def smash_coproduct(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
             _ap(0, plain_dual_comul),  # g1 g2 c
             _ap(2, e.c.comul_op),      # g1 g2 c1 c2
             _pm((0, 2, 1, 3)),         # g1 c1 g2 c2
-            _ap(0, phi_da),            # i_dual c1f g2 c2
-            _pm((2, 1, 0, 3)),         # g2 c1f i_dual c2
+            _ap(0, phi_da),            # c1f i_dual g2 c2
+            _pm((2, 0, 1, 3)),         # g2 c1f i_dual c2
         )
 
     comult = matrix_from_columns_fn((na, nc), (na, nc, na, nc), comult_col)
@@ -395,7 +357,8 @@ def smash_coproduct(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     def antipode_col(t):
         return pipeline(
             t,
-            _ap(0, phi_da),  # i_dual c_out
+            _ap(0, phi_da),  # c_out i_dual
+            _pm((1, 0)),
             _ap(0, TensorOp(dual_a.antipode, (na,), (na,))),
             _ap(1, e.c.antipode_op),
         )
@@ -413,26 +376,14 @@ def smash_coproduct(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
 def module_transport_to_smash(m: EntwinedModule) -> Matrix:
     """Action of the smash product on the module's own space:
     x <- (p (x) a) = p(x_coact) x_0 . a.  Returns dim x (dim*dimSmash)."""
-    d = m.datum
-    nc, na = d.c_dim, d.a_dim
-
-    def col(t):
-        # legs (x, i, k): pick the coaction leg equal to i, then act by f_k
-        (x, i, k) = t
-        out = {}
-        for (x0, v), c in m.coaction_op.cols((x,)):
-            if v != i:
-                continue
-            for (y,), w in m.action_op.cols((x0, k)):
-                key = (y,)
-                nv = out.get(key, ZERO) + c * w
-                if nv == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = nv
-        return out
-
-    return matrix_from_columns_fn((m.dim, nc, na), (m.dim,), col)
+    nc, na = m.datum.c_dim, m.datum.a_dim
+    cap = Cap()
+    return matrix_from_columns_fn(
+        (m.dim, nc, na),
+        (m.dim,),
+        # x i k -> x0 v i k -> x0 k where v = i -> x0 . f_k
+        lambda t: pipeline(t, _ap(0, m.coaction_op), _ap(1, cap), _ap(0, m.action_op)),
+    )
 
 
 def module_transport_from_smash(d: MonoidalEntwiningDatum, dim: int,
@@ -444,50 +395,40 @@ def module_transport_from_smash(d: MonoidalEntwiningDatum, dim: int,
     """
     nc, na = d.c_dim, d.a_dim
     act = TensorOp(action, (dim, nc, na), (dim,))
-    eps_c = d.c.counit
-    unit_a = d.a.unit
-
-    def action_col(t):
-        (x, k) = t
-        out = {}
-        for i in range(nc):
-            w = eps_c.entry(0, i)
-            if w == 0:
-                continue
-            for (y,), c in act.cols((x, i, k)):
-                key = (y,)
-                nv = out.get(key, ZERO) + w * c
-                if nv == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = nv
-        return out
-
-    def coaction_col(t):
-        (x,) = t
-        out = {}
-        for i in range(nc):
-            for k in range(na):
-                w = unit_a[k]
-                if w == 0:
-                    continue
-                for (y,), c in act.cols((x, i, k)):
-                    key = (y, i)
-                    nv = out.get(key, ZERO) + w * c
-                    if nv == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = nv
-        return out
-
-    new_action = matrix_from_columns_fn((dim, na), (dim,), action_col)
-    new_coaction = matrix_from_columns_fn((dim,), (dim, nc), coaction_col)
+    cup = Cup(nc)
+    new_action = matrix_from_columns_fn(
+        (dim, na),
+        (dim,),
+        # x k -> x i i k -> x i k weighted by eps_C(e_i) -> x <- (e^i (x) f_k)
+        lambda t: pipeline(t, _ap(1, cup), _ap(2, d.c.counit_op), _ap(0, act)),
+    )
+    new_coaction = matrix_from_columns_fn(
+        (dim,),
+        (dim, nc),
+        lambda t: pipeline(
+            t,
+            _ap(1, cup),          # x i i
+            _ap(3, d.a.unit_op),  # x i i 1_A
+            _pm((0, 1, 3, 2)),    # x i 1_A i
+            _ap(0, act),          # (x <- (e^i (x) 1_A)) i
+        ),
+    )
     return EntwinedModule(d, dim, new_action, new_coaction)
 
 
 # ---------------------------------------------------------------------------
 # Transport of pivots, R-matrices, ribbon and coribbon data
 # ---------------------------------------------------------------------------
+
+
+def _smash_coords(g: HomCA) -> Vector:
+    "Coordinates of sum_i e^i (x) g(e_i) on the smash product basis."
+    return Vector([x for row in g.map.transpose().rows() for x in row])
+
+
+def _cosmash_row(g: HomCA) -> Matrix:
+    "The functional f^u (x) e_c -> f^u(g(e_c)) on the smash coproduct basis."
+    return Matrix([[x for row in g.map.rows() for x in row]])
 
 
 def transport_pivot(d: MonoidalEntwiningDatum, g: HomCA,
@@ -500,9 +441,7 @@ def transport_pivot(d: MonoidalEntwiningDatum, g: HomCA,
         raise ValueError(f"pivotal verification failed: {rep.failed_ids()}")
     if smash is None:
         smash = smash_product(d)
-    nc, na = d.c_dim, d.a_dim
-    coords = [g.map.entry(k, i) for i in range(nc) for k in range(na)]
-    return Element(smash, Vector(coords))
+    return Element(smash, _smash_coords(g))
 
 
 def extract_pivot(d: MonoidalEntwiningDatum, t: Element) -> HomCA:
@@ -542,12 +481,9 @@ def transport_ribbon(q: DoubleQuantumGroup, g: HomCA,
     rep = verify_ribbon(q, g)
     if not rep.overall:
         raise ValueError(f"ribbon verification failed: {rep.failed_ids()}")
-    d = q.datum
     if smash is None:
-        smash = smash_product(d)
-    nc, na = d.c_dim, d.a_dim
-    coords = [g.map.entry(k, i) for i in range(nc) for k in range(na)]
-    return transport_rmatrix(q), Element(smash, Vector(coords))
+        smash = smash_product(q.datum)
+    return transport_rmatrix(q), Element(smash, _smash_coords(g))
 
 
 def extract_ribbon(d: MonoidalEntwiningDatum, t: Element) -> HomCA:
@@ -564,9 +500,7 @@ def transport_copivot(d: MonoidalEntwiningDatum, g: HomCA,
         raise ValueError(f"pivotal verification failed: {rep.failed_ids()}")
     if cosmash is None:
         cosmash = smash_coproduct(d)
-    nc, na = d.c_dim, d.a_dim
-    row = [g.map.entry(i, k) for i in range(na) for k in range(nc)]
-    return Functional(cosmash, Matrix([row]))
+    return Functional(cosmash, _cosmash_row(g))
 
 
 def extract_copivot(d: MonoidalEntwiningDatum, gamma: Functional) -> HomCA:
@@ -590,17 +524,13 @@ def transport_coribbon(q: DoubleQuantumGroup, g: HomCA,
     nc, na = d.c_dim, d.a_dim
     dim = na * nc
     row = [ZERO] * (dim * dim)
-    for u in range(na):
-        for j in range(nc):
-            for v in range(na):
-                for i in range(nc):
-                    # zeta((e^u (x) c_j) (x) (e^v (x) c_i)) = (e^u (x) e^v)(R(c_j (x) c_i))
-                    row[(u * nc + j) * dim + (v * nc + i)] = q.rmap.entry(
-                        u * na + v, j * nc + i
-                    )
+    for j in range(nc):
+        for i in range(nc):
+            for (u, v), x in q.rmap_op.cols((j, i)):
+                # zeta((e^u (x) c_j) (x) (e^v (x) c_i)) = (e^u (x) e^v)(R(c_j (x) c_i))
+                row[(u * nc + j) * dim + (v * nc + i)] = x
     form = BilinearForm(cosmash, cosmash, Matrix([row]))
-    char_row = [g.map.entry(i, k) for i in range(na) for k in range(nc)]
-    return form, Functional(cosmash, Matrix([char_row]))
+    return form, Functional(cosmash, _cosmash_row(g))
 
 
 def extract_coribbon(d: MonoidalEntwiningDatum, theta: Functional) -> HomCA:

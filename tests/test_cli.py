@@ -275,3 +275,21 @@ def test_threads_env(runner, tmp_path, monkeypatch, h4_file):
     monkeypatch.setenv("ENTWINE_THREADS", "zebra")
     res = runner.invoke(main, ["check", "hopf", h4_file, str(p2)])
     assert res.exit_code == 2
+
+
+def test_report_text_renders_saved_failures_like_check(runner, tmp_path):
+    # g.g = 2 in Z/2: several Hopf axioms fail with witnesses
+    kp = tmp_path / "kz2.json"
+    runner.invoke(main, ["corpus", "kz2", "-o", str(kp)])
+    doc = json.loads(kp.read_text())
+    doc["mult"][0][3] = "2"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rep = tmp_path / "r.json"
+    checked = runner.invoke(main, ["check", "hopf", str(bad), "--report-out", str(rep)])
+    assert checked.exit_code == 1
+    assert " lhs=(" in checked.output and " rhs=(" in checked.output
+    rendered = runner.invoke(main, ["report", str(rep), "--format", "text"])
+    assert rendered.exit_code == 1
+    # the saved report names its file; the item lines are the check's own
+    assert rendered.output.splitlines()[1:] == checked.output.splitlines()

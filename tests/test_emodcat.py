@@ -361,3 +361,22 @@ def test_module_morphism_rejects_invalid(yd_h4):
     bad = Matrix.identity(m.dim)
     with pytest.raises(ValueError):
         ModuleMorphism(m, n, bad)
+
+
+def test_duality_reports_the_failed_square_of_ev_and_coev(yd_h4):
+    from entwine.emodcat import DualityData, NotAMorphismError
+
+    m = std_module_CA(yd_h4)
+    dd = left_dual(m)
+    # the pairing weighted by position is not a module map
+    bad_ev = Matrix([[x * (i + 1) for i, x in enumerate(dd.ev.row(0))]])
+    bad_coev = Matrix([[x * (i + 1)] for i, x in enumerate(dd.coev.col(0))])
+    rep = check_duality(m, DualityData(dd.dual_module, bad_ev, bad_coev, "left"))
+    src, tgt = tensor_modules(dd.dual_module, m), tensor_modules(m, dd.dual_module)
+    for axiom_id, args in (("D3_ev_morphism", (src, tensor_unit(yd_h4), bad_ev)),
+                           ("D4_coev_morphism", (tensor_unit(yd_h4), tgt, bad_coev))):
+        with pytest.raises(NotAMorphismError) as err:
+            ModuleMorphism(*args)
+        w = rep.item(axiom_id).witness
+        assert w == err.value.item.witness
+        assert w.basis and w.lhs != w.rhs

@@ -162,9 +162,9 @@ def test_hom_operator_of_compositions(a, b):
     # on hom(V, W) flattened out-major, f -> a.f is kron(a, 1) and f -> f.b is kron(1, b^T)
     a_op = TensorOp(a, (3,), (3,))
     b_op = TensorOp(b, (2,), (2,))
-    after = hom_operator((2,), (3,), lambda f, t: pipeline(t + (0,), _ap(0, f), _ap(0, a_op)))
+    after = hom_operator((2,), (3,), (2,), (3,), lambda f, t: pipeline(t + (0,), _ap(0, f), _ap(0, a_op)))
     assert Matrix(after) == kron(a, Matrix.identity(2))
-    before = hom_operator((2,), (3,), lambda f, t: pipeline(t + (0,), _ap(0, b_op), _ap(0, f)))
+    before = hom_operator((2,), (3,), (2,), (3,), lambda f, t: pipeline(t + (0,), _ap(0, b_op), _ap(0, f)))
     assert Matrix(before) == kron(Matrix.identity(3), b.transpose())
 
 

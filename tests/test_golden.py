@@ -1,11 +1,9 @@
 """Golden digests of the command-line output over the exported corpus.
 
 Each case runs one command in-process through click's CliRunner and pins
-the SHA-256 of its exit code, its stdout and any file it writes.  The
-digests were recorded before the partial traces of the entwining map
-(AC1/AC2, R4, the finder's linear stage, the smash views and the
-distributive-law conversions) moved into the kernel, so they pin those
-reports, finder families and built files byte for byte.
+the SHA-256 of its exit code, its stdout and any file it writes, so the
+reports (AC1/AC2 and R4 among them), finder families and built smash
+constructions stay byte for byte the same whatever computes them.
 """
 
 import hashlib

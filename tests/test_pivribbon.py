@@ -363,3 +363,18 @@ def test_finder_inconsistent_linear_stage_reports_complete_empty(kz2):
     assert res.status in ("complete", "parametric")
     for c in res.solutions:
         assert verify_pivotal(d, c.map).overall
+
+
+def test_finder_one_parameter_branch_is_parametric_when_others_unpinned(long_dqg_kz2, monkeypatch):
+    # leave every family parameter but t_0 unconstrained by the quadratic law:
+    # the roots of t_0^2 - t_0 are then sample points, not every solution
+    from entwine import pivribbon
+
+    poly = pivribbon._Poly({(0, 0): Fraction(1), (0,): Fraction(-1)})
+    monkeypatch.setattr(pivribbon, "_quadratic_residuals", lambda d, kind, q, family: [poly])
+    res = find_morphisms(long_dqg_kz2, "ribbon", max_params=4)
+    assert res.family.dimension > 1
+    assert res.notes == "quadratic stage solved in one parameter"
+    assert res.status == "parametric"
+    for c in res.solutions:
+        assert verify_ribbon(long_dqg_kz2, c.map).overall
