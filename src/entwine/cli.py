@@ -374,6 +374,29 @@ def corpus_list_cmd():
         click.echo(name)
 
 
+def _saved_reports(doc, file) -> list[dict]:
+    """The report objects of a saved report (one object or a list of them),
+    checked for the shape render_text reads; a misshapen one exits 2."""
+
+    def expect(value, kind, path):
+        if not isinstance(value, kind):
+            what = "an object" if kind is dict else "a list"
+            raise click.UsageError(f"{file}: {path}: expected {what}")
+        return value
+
+    docs = doc if isinstance(doc, list) else [doc]
+    for n, one in enumerate(docs):
+        path = f"report[{n}]" if isinstance(doc, list) else "report"
+        items = expect(expect(one, dict, path).get("items", []), list, f"{path}.items")
+        for i, it in enumerate(items):
+            w = expect(it, dict, f"{path}.items[{i}]").get("witness")
+            if w is not None:
+                expect(w, dict, f"{path}.items[{i}].witness")
+                for key in ("basis", "lhs", "rhs"):
+                    expect(w.get(key, []), list, f"{path}.items[{i}].witness.{key}")
+    return docs
+
+
 @main.command(name="report", help="Re-render a saved JSON report.")
 @click.argument("file", type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
@@ -385,7 +408,7 @@ def report_cmd(file, fmt):
         raise click.UsageError(f"{file}: no such file")
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"{file}: not valid JSON: {exc}")
-    docs = doc if isinstance(doc, list) else [doc]
+    docs = _saved_reports(doc, file)
     if fmt == "json":
         click.echo(json.dumps(doc, sort_keys=True, indent=2))
     else:

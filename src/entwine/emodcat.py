@@ -18,6 +18,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .exactla import (
+    Cap,
+    Cup,
     Matrix,
     TensorOp,
     Vector,
@@ -272,52 +274,28 @@ class DualityData:
         self.side = side
 
 
-def _dual_module(m: EntwinedModule, antipode_a: Matrix, antipode_c: Matrix) -> EntwinedModule:
+def _dual_module(m: EntwinedModule, antipode_a: TensorOp, antipode_c: TensorOp) -> EntwinedModule:
     """Dual space on the dual basis: action through antipode_a, coaction
     through antipode_c applied to the output leg."""
     d = m.datum
     dim, na, nc = m.dim, d.a_dim, d.c_dim
-    act_cols = m.action.sparse_cols()
-    sa = antipode_a
-    # (f.a)(x) = f(x . sa(a)): column (i, a) of the dual action is row i of
-    # the matrix of right action by sa(a).
-    rows = [[None] * (dim * na) for _ in range(dim)]
-    for a in range(na):
-        # matrix of x -> x . sa(e_a) on M
-        cols = [[0] * dim for _ in range(dim)]  # cols[j] = image of e_j
-        for t in range(na):
-            w = sa.entry(t, a)
-            if w == 0:
-                continue
-            for j in range(dim):
-                for i, x in act_cols[j * na + t]:
-                    cols[j][i] += w * x
-        for i in range(dim):
-            for j in range(dim):
-                rows[j][i * na + a] = cols[j][i]
-    action = Matrix(rows)
-
-    coact_op = m.coaction_op
-    sc_op = TensorOp(antipode_c, (nc,), (nc,))
-
-    def coact_col(t):
-        # f0(x) (x) f1 = f(x0) (x) s_c(x1): gather over all basis x
-        out = {}
-        (i,) = t
-        for j in range(dim):
-            for (u, v), c in coact_op.cols((j,)):
-                if u != i:
-                    continue
-                for (s,), w in sc_op.cols((v,)):
-                    key = (j, s)
-                    nv = out.get(key, 0) + c * w
-                    if nv == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = nv
-        return out
-
-    coaction = matrix_from_columns_fn((dim,), (dim, nc), coact_col)
+    action_t = TensorOp(m.action.transpose(), (dim,), (dim, na))
+    coaction_t = TensorOp(m.coaction.transpose(), (dim, nc), (dim,))
+    cup, cap = Cup(nc), Cap()
+    # (f.a)(x) = f(x . sa(a)): sa on a, the action transposed on f, then the
+    # action's algebra leg closed against sa(a)
+    action = matrix_from_columns_fn(
+        (dim, na),
+        (dim,),
+        lambda t: pipeline(t, _ap(1, antipode_a), _ap(0, action_t), _ap(1, cap)),
+    )
+    # f0(x) (x) f1 = f(x0) (x) sc(x1): the coaction transposed on f (x) e_v
+    # summed over the dual pair e_v (x) e_v, then sc on the coalgebra leg
+    coaction = matrix_from_columns_fn(
+        (dim,),
+        (dim, nc),
+        lambda t: pipeline(t, _ap(1, cup), _ap(0, coaction_t), _ap(1, antipode_c)),
+    )
     names = [f"{n}^" for n in m.basis_names]
     return EntwinedModule(d, dim, action, coaction, names)
 
@@ -344,14 +322,14 @@ def left_dual(m: EntwinedModule) -> DualityData:
     by check_duality.
     """
     d = m.datum
-    dual = _dual_module(m, d.a.antipode_inv, d.c.antipode)
+    dual = _dual_module(m, d.a.antipode_inv_op, d.c.antipode_op)
     return DualityData(dual, _pairing(m.dim), _copairing(m.dim), "left")
 
 
 def right_dual(m: EntwinedModule) -> DualityData:
     "Right dual: action twisted by S_A, coaction by S_C^{-1}."
     d = m.datum
-    dual = _dual_module(m, d.a.antipode, d.c.antipode_inv)
+    dual = _dual_module(m, d.a.antipode_op, d.c.antipode_inv_op)
     return DualityData(dual, _pairing(m.dim), _copairing(m.dim), "right")
 
 
@@ -459,7 +437,7 @@ def braiding_columns(m: EntwinedModule, n: EntwinedModule, q: DoubleQuantumGroup
 
 
 def braiding(m: EntwinedModule, n: EntwinedModule, q: DoubleQuantumGroup) -> Matrix:
-    "The braiding m (x) n -> n (x) m induced by R, as a dense matrix."
+    "The braiding m (x) n -> n (x) m induced by R, as a matrix."
     return matrix_from_columns_fn(
         (m.dim, n.dim), (n.dim, m.dim), braiding_columns(m, n, q)
     )
@@ -476,11 +454,9 @@ def action_endomorphisms(m: EntwinedModule) -> list[ModuleMorphism]:
     out = [ModuleMorphism(m, m, Matrix.identity(m.dim))]
     d = m.datum
     for a in range(d.a_dim):
-        cols = []
-        for j in range(m.dim):
-            state = pipeline((j, a), _ap(0, m.action_op))
-            cols.append([state.get((i,), 0) for i in range(m.dim)])
-        mat = Matrix.from_cols(cols, m.dim)
+        mat = matrix_from_columns_fn(
+            (m.dim,), (m.dim,), lambda t, a=a: pipeline((t[0], a), _ap(0, m.action_op))
+        )
         try:
             out.append(ModuleMorphism(m, m, mat))
         except ValueError:

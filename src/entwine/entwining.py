@@ -1,7 +1,7 @@
 """Entwining structures, monoidal datums, double structures, convolutions.
 
 An entwining map phi: C (x) A -> A (x) C between a coalgebra side C and
-an algebra side A is stored as a dense matrix under the global tensor
+an algebra side A is stored as a Matrix under the global tensor
 index convention.  This module houses the axiom chain E1-E10 (E10 split
 into E10a, the coproduct-splitting identity, and E10b, convolution
 invertibility), the entwined convolution algebras on hom(C, A) and
@@ -285,8 +285,8 @@ def check_monoidal_datum(d: MonoidalEntwiningDatum) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
-def _operators(d, in_dims, out_dims, side, g_op) -> tuple[list, list]:
-    "Rows of x -> g*x and of x -> x*g on hom(in_dims, out_dims)."
+def _operators(d, in_dims, out_dims, side, g_op) -> tuple[Matrix, Matrix]:
+    "The matrices of x -> g*x and of x -> x*g on hom(in_dims, out_dims)."
     dims = (in_dims, out_dims, in_dims, out_dims)
     return (
         hom_operator(*dims, lambda f, t: side(d, g_op, f, t)),
@@ -295,7 +295,7 @@ def _operators(d, in_dims, out_dims, side, g_op) -> tuple[list, list]:
 
 
 def _inverse(operators, unit: Matrix) -> Matrix | None:
-    "The x with g*x = unit = x*g, given both operators' rows; None if there is none."
+    "The x with g*x = unit = x*g, given both operators; None if there is none."
     x = two_sided_solve(*operators, [e for row in unit.rows() for e in row])
     if x is None:
         return None
@@ -330,8 +330,8 @@ def conv_product(g: HomCA, f: HomCA) -> HomCA:
     ))
 
 
-def conv_operators(g: HomCA) -> tuple[list, list]:
-    "Rows of x -> g*x and x -> x*g on hom(C, A), flattened by (a, c) index pairs."
+def conv_operators(g: HomCA) -> tuple[Matrix, Matrix]:
+    "Matrices of x -> g*x and x -> x*g on hom(C, A), flattened by (a, c) index pairs."
     d = g.datum
     return _operators(d, (d.c_dim,), (d.a_dim,), _conv_side, g.op)
 
@@ -392,8 +392,8 @@ def conv2_product(d: MonoidalEntwiningDatum, g2: Matrix, f2: Matrix) -> Matrix:
     )
 
 
-def conv2_operators(d: MonoidalEntwiningDatum, g2: Matrix) -> tuple[list, list]:
-    "Rows of x -> g2*x and x -> x*g2 on hom(C (x) C, A (x) A), flattened by (a, a', c, c')."
+def conv2_operators(d: MonoidalEntwiningDatum, g2: Matrix) -> tuple[Matrix, Matrix]:
+    "Matrices of x -> g2*x and x -> x*g2 on hom(C (x) C, A (x) A), flattened by (a, a', c, c')."
     nc, na = d.c_dim, d.a_dim
     return _operators(d, (nc, nc), (na, na), _conv2_side, _conv2_op(d, g2))
 

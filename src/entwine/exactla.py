@@ -1,9 +1,9 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
 Every structure in this package is a matrix of Fractions over a chosen
-basis; this module is the substrate they all compute on.  There is no
-floating point and no tolerance anywhere: comparisons are exact equality
-of canonical rationals.
+basis, stored as its nonzero entries column by column; this module is the
+substrate they all compute on.  There is no floating point and no
+tolerance anywhere: comparisons are exact equality of canonical rationals.
 
 Conventions fixed here and used everywhere else:
 
@@ -123,37 +123,47 @@ class Vector:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def sparse(self) -> dict[int, Fraction]:
-        return {i: c for i, c in enumerate(self.coords) if c != 0}
-
     def __repr__(self):
         return "Vector([%s])" % ", ".join(rat_to_str(c) for c in self.coords)
 
 
 class Matrix:
-    """Immutable dense row-major matrix over Q.
+    """Immutable sparse-column matrix over Q.
 
     Treated as a linear map: ``nrows x ncols`` sends a ``ncols``-vector to
-    a ``nrows``-vector; column j is the image of basis vector j.
+    a ``nrows``-vector; column j is the image of basis vector j.  Column j
+    is stored as its nonzero entries, a list of (row, value) pairs in
+    ascending row order.
+
+    ``Matrix(rows)`` takes dense rows and normalises them once; builders
+    inside this package pass canonical columns with ``Matrix(shape=(nrows,
+    ncols), cols=...)``.  Dense rows are built only on demand by ``rows()``
+    (file output, ``repr``).
     """
 
-    __slots__ = ("nrows", "ncols", "_rows", "_colcache")
+    # the columns live in _colcache; the benchmark tracer reads that name
+    # and the dense rows as _rows
+    __slots__ = ("nrows", "ncols", "_colcache")
 
-    def __init__(self, rows):
-        self._rows = tuple(tuple(_as_rat(x) for x in row) for row in rows)
-        self.nrows = len(self._rows)
-        self.ncols = len(self._rows[0]) if self._rows else 0
-        if any(len(r) != self.ncols for r in self._rows):
-            raise ValueError("ragged rows")
-        self._colcache = None
+    def __init__(self, rows=None, *, shape=None, cols=None):
+        if cols is None:
+            rows = [[_as_rat(x) for x in row] for row in rows]
+            shape = len(rows), len(rows[0]) if rows else 0
+            if any(len(r) != shape[1] for r in rows):
+                raise ValueError("ragged rows")
+            cols = [[(i, r[j]) for i, r in enumerate(rows) if r[j]] for j in range(shape[1])]
+        elif len(cols) != shape[1]:
+            raise ValueError("column count does not match shape")
+        self.nrows, self.ncols = shape
+        self._colcache = cols
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Matrix":
-        return Matrix([[ZERO] * ncols for _ in range(nrows)])
+        return Matrix(shape=(nrows, ncols), cols=[[] for _ in range(ncols)])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix(shape=(n, n), cols=[[(i, ONE)] for i in range(n)])
 
     @staticmethod
     def from_cols(cols: list[Vector] | list[list[Fraction]], nrows: int | None = None) -> "Matrix":
@@ -163,26 +173,34 @@ class Matrix:
         return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(nrows)])
 
     def row(self, i: int) -> Vector:
-        return Vector(self._rows[i])
+        return Vector(self.rows()[i])
 
     def col(self, j: int) -> Vector:
-        return Vector([self._rows[i][j] for i in range(self.nrows)])
+        coords = [ZERO] * self.nrows
+        for i, x in self._colcache[j]:
+            coords[i] = x
+        return Vector(coords)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
+        for r, x in self._colcache[j]:
+            if r == i:
+                return x
+        return ZERO
 
     def rows(self):
-        return self._rows
+        "Dense rows, as a tuple of tuples (built on each call, never kept)."
+        out = [[ZERO] * self.ncols for _ in range(self.nrows)]
+        for j, col in enumerate(self._colcache):
+            for i, x in col:
+                out[i][j] = x
+        return tuple(map(tuple, out))
+
+    @property
+    def _rows(self):
+        return self.rows()
 
     def sparse_cols(self) -> list[list[tuple[int, Fraction]]]:
-        "Cached nonzero entries per column, as (row, value) lists."
-        if self._colcache is None:
-            cols = [[] for _ in range(self.ncols)]
-            for i, row in enumerate(self._rows):
-                for j, x in enumerate(row):
-                    if x != 0:
-                        cols[j].append((i, x))
-            self._colcache = cols
+        "Nonzero entries per column, as (row, value) lists in row order."
         return self._colcache
 
     def __eq__(self, other) -> bool:
@@ -190,32 +208,37 @@ class Matrix:
             isinstance(other, Matrix)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self._rows == other._rows
+            and self._colcache == other._colcache
         )
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash((self.nrows, self.ncols, tuple(map(tuple, self._colcache))))
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        "self + sign * other, column by column."
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        cols = []
+        for a, b in zip(self._colcache, other._colcache):
+            acc = dict(a)
+            for i, x in b:
+                acc[i] = acc.get(i, ZERO) + sign * x
+            cols.append(sorted((i, x) for i, x in acc.items() if x))
+        return Matrix(shape=(self.nrows, self.ncols), cols=cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)]
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self._rows])
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
-        return Matrix([[c * a for a in r] for r in self._rows])
+        cols = [[(i, c * x) for i, x in col] if c else [] for col in self._colcache]
+        return Matrix(shape=(self.nrows, self.ncols), cols=cols)
 
     def __mul__(self, other):
         "Composition with a Matrix, or application to a Vector."
@@ -225,54 +248,44 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        # iterate over the sparse columns of the right factor
-        out = [[ZERO] * other.ncols for _ in range(self.nrows)]
-        rcols = other.sparse_cols()
-        for j in range(other.ncols):
-            col = rcols[j]
-            if not col:
-                continue
-            for i in range(self.nrows):
-                row = self._rows[i]
-                s = ZERO
-                for k, x in col:
-                    rk = row[k]
-                    if rk != 0:
-                        s += rk * x
-                out[i][j] = s
-        return Matrix(out)
+        lcols = self._colcache
+        cols = []
+        for rcol in other._colcache:
+            acc: dict[int, Fraction] = {}
+            for k, x in rcol:
+                for i, y in lcols[k]:
+                    acc[i] = acc.get(i, ZERO) + y * x
+            cols.append(sorted((i, s) for i, s in acc.items() if s))
+        return Matrix(shape=(self.nrows, other.ncols), cols=cols)
 
     def apply(self, v: Vector) -> Vector:
         if self.ncols != v.dim:
             raise ValueError("shape mismatch in apply")
         out = [ZERO] * self.nrows
-        for j, x in enumerate(v.coords):
-            if x == 0:
-                continue
-            for i, m in self.sparse_cols()[j]:
-                out[i] += m * x
+        for col, x in zip(self._colcache, v.coords):
+            if x:
+                for i, m in col:
+                    out[i] += m * x
         return Vector(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
+        cols = [[] for _ in range(self.nrows)]
+        for j, col in enumerate(self._colcache):
+            for i, x in col:
+                cols[i].append((j, x))
+        return Matrix(shape=(self.ncols, self.nrows), cols=cols)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._rows for x in row)
+        return not any(self._colcache)
 
     def is_identity(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        return all(
-            self._rows[i][j] == (ONE if i == j else ZERO)
-            for i in range(self.nrows)
-            for j in range(self.ncols)
+        return self.nrows == self.ncols and all(
+            col == [(j, ONE)] for j, col in enumerate(self._colcache)
         )
 
     def __repr__(self):
         body = "; ".join(
-            " ".join(rat_to_str(x) for x in row) for row in self._rows
+            " ".join(rat_to_str(x) for x in row) for row in self.rows()
         )
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
@@ -283,21 +296,14 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     (a (x) b)(v (x) w) = a(v) (x) b(w) under the left-factor-major flat
     index convention; shapes multiply.
     """
-    out = [[ZERO] * (a.ncols * b.ncols) for _ in range(a.nrows * b.nrows)]
-    for i in range(a.nrows):
-        arow = a._rows[i]
-        for j in range(a.ncols):
-            x = arow[j]
-            if x == 0:
-                continue
-            for k in range(b.nrows):
-                brow = b._rows[k]
-                orow = out[i * b.nrows + k]
-                off = j * b.ncols
-                for l in range(b.ncols):
-                    if brow[l] != 0:
-                        orow[off + l] = x * brow[l]
-    return Matrix(out)
+    bn = b.nrows
+    bcols = b.sparse_cols()
+    cols = [
+        [(i * bn + k, x * y) for i, x in acol for k, y in bcol]
+        for acol in a.sparse_cols()
+        for bcol in bcols
+    ]
+    return Matrix(shape=(a.nrows * bn, a.ncols * b.ncols), cols=cols)
 
 
 @dataclass(frozen=True)
@@ -356,6 +362,15 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
     return pivots
 
 
+def _row_dicts(a: Matrix) -> list[dict[int, Fraction]]:
+    "The nonzero entries of each row of a, keyed by column in ascending order."
+    rows: list[dict[int, Fraction]] = [{} for _ in range(a.nrows)]
+    for j, col in enumerate(a.sparse_cols()):
+        for i, x in col:
+            rows[i][j] = x
+    return rows
+
+
 def solve_affine(a: Matrix, b: Vector) -> AffineSolution | None:
     """Exact affine solve of a.x = b; None when inconsistent.
 
@@ -366,12 +381,10 @@ def solve_affine(a: Matrix, b: Vector) -> AffineSolution | None:
     if a.nrows != b.dim:
         raise ValueError("rows(a) must equal dim(b)")
     n = a.ncols
-    rows: list[dict[int, Fraction]] = []
-    for i in range(a.nrows):
-        row = {j: x for j, x in enumerate(a._rows[i]) if x != 0}
-        if b[i] != 0:
-            row[n] = b[i]  # augmented column
-        rows.append(row)
+    rows = _row_dicts(a)
+    for row, x in zip(rows, b.coords):
+        if x:
+            row[n] = x  # augmented column
     pivots = _eliminate(rows, n)
     piv_rows = {r for r, _ in pivots}
     for r, row in enumerate(rows):
@@ -411,7 +424,7 @@ def solve_affine(a: Matrix, b: Vector) -> AffineSolution | None:
     return AffineSolution(particular, tuple(null_basis))
 
 
-def two_sided_solve(left_rows, right_rows, rhs) -> Vector | None:
+def two_sided_solve(left: Matrix, right: Matrix, rhs) -> Vector | None:
     """The x with left.x = rhs = right.x, or None when there is none.
 
     The two systems are stacked left rows first and handed to solve_affine,
@@ -419,7 +432,13 @@ def two_sided_solve(left_rows, right_rows, rhs) -> Vector | None:
     x -> x*g of an associative algebra and rhs its unit, x is the two-sided
     inverse of g, which is unique when it exists.
     """
-    sol = solve_affine(Matrix([*left_rows, *right_rows]), Vector([*rhs, *rhs]))
+    if left.ncols != right.ncols:
+        raise ValueError("both systems must have the same unknowns")
+    n = left.nrows
+    cols = [lc + [(i + n, x) for i, x in rc]
+            for lc, rc in zip(left.sparse_cols(), right.sparse_cols())]
+    stacked = Matrix(shape=(n + right.nrows, left.ncols), cols=cols)
+    sol = solve_affine(stacked, Vector([*rhs, *rhs]))
     return None if sol is None else sol.particular
 
 
@@ -428,22 +447,20 @@ def invert(a: Matrix) -> Matrix:
     if a.nrows != a.ncols:
         raise NotInvertibleError("matrix is not square")
     n = a.nrows
-    rows: list[dict[int, Fraction]] = []
-    for i in range(n):
-        row = {j: x for j, x in enumerate(a._rows[i]) if x != 0}
+    rows = _row_dicts(a)
+    for i, row in enumerate(rows):
         row[n + i] = ONE  # augmented identity block
-        rows.append(row)
     pivots = _eliminate(rows, n)
     if len(pivots) < n:
         raise NotInvertibleError("matrix is rank-deficient")
-    inv = [[ZERO] * n for _ in range(n)]
+    cols = [[] for _ in range(n)]
     for r, c in pivots:
         row = rows[r]
         pval = row[c]
         for cc, x in row.items():
             if cc >= n:
-                inv[c][cc - n] = x / pval
-    return Matrix(inv)
+                cols[cc - n].append((c, x / pval))
+    return Matrix(shape=(n, n), cols=[sorted(col) for col in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -610,18 +627,15 @@ def matrix_from_columns_fn(in_dims, out_dims, fn) -> Matrix:
     """
     in_dims = tuple(in_dims)
     out_dims = tuple(out_dims)
-    ncols = prod(in_dims)
-    nrows = prod(out_dims)
-    out = [[ZERO] * ncols for _ in range(nrows)]
-    for idx in itertools.product(*(range(d) for d in in_dims)):
-        j = flatten_index(in_dims, idx)
-        for key, c in fn(idx).items():
-            out[flatten_index(out_dims, key)][j] = c
-    return Matrix(out)
+    cols = [
+        sorted((flatten_index(out_dims, key), _as_rat(c)) for key, c in fn(idx).items() if c)
+        for idx in itertools.product(*(range(d) for d in in_dims))
+    ]
+    return Matrix(shape=(prod(out_dims), len(cols)), cols=cols)
 
 
-def hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> list[list[Fraction]]:
-    """Rows of the matrix of f -> side(f), for f: ``in_dims`` -> ``out_dims``.
+def hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> Matrix:
+    """The matrix of f -> side(f), for f: ``in_dims`` -> ``out_dims``.
 
     ``side(f_op, t)`` evaluates side(f) on the seed tuple ``t`` over
     ``seed_dims``, with ``f_op`` standing for f, through a pipeline seeded
@@ -637,10 +651,9 @@ def hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> list[list[Frac
     seed_dims = tuple(seed_dims)
     key_dims = tuple(key_dims)
     n_seed = prod(seed_dims)
-    n = prod(out_dims) * prod(in_dims)
     slot = SlotLeg(in_dims, out_dims)
-    rows = [[ZERO] * n for _ in range(prod(key_dims) * n_seed)]
+    cols = [[] for _ in range(prod(out_dims) * prod(in_dims))]
     for j, t in enumerate(itertools.product(*(range(d) for d in seed_dims))):
         for key, x in side(slot, t).items():
-            rows[flatten_index(key_dims, key[:-1]) * n_seed + j][key[-1]] = x
-    return rows
+            cols[key[-1]].append((flatten_index(key_dims, key[:-1]) * n_seed + j, x))
+    return Matrix(shape=(prod(key_dims) * n_seed, len(cols)), cols=[sorted(c) for c in cols])

@@ -462,7 +462,7 @@ def element_inverse(h: HopfAlgebraData, v: Vector) -> Vector | None:
     right = matrix_from_columns_fn(
         (d,), (d,), lambda t: pipeline(t, _ap(1, v_op), _ap(0, h.mul_op))
     )
-    return two_sided_solve(left.rows(), right.rows(), h.unit)
+    return two_sided_solve(left, right, h.unit)
 
 
 def verify_ribbon_element(h: HopfAlgebraData, rmatrix: Vector, v: Element) -> AxiomReport:
@@ -534,7 +534,7 @@ def _conv_functional_inverse(c: HopfAlgebraData, g_row: Matrix) -> Matrix | None
     g = [g_row.entry(0, i) for i in range(d)]
     ZERO = g_row.entry(0, 0) * 0
 
-    def conv_operator(g_on_left: bool) -> list[list]:
+    def conv_operator(g_on_left: bool) -> Matrix:
         rows = [[ZERO] * d for _ in range(d)]
         for target in range(d):
             for (c1, c2), w in comul.cols((target,)):
@@ -542,7 +542,7 @@ def _conv_functional_inverse(c: HopfAlgebraData, g_row: Matrix) -> Matrix | None
                     rows[target][c2] += w * g[c1]
                 else:
                     rows[target][c1] += w * g[c2]
-        return rows
+        return Matrix(rows)
 
     x = two_sided_solve(conv_operator(True), conv_operator(False), c.counit.rows()[0])
     return None if x is None else Matrix([x.coords])

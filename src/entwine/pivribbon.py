@@ -13,6 +13,7 @@ most two with rational roots.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,6 +123,49 @@ def _linear_laws(d: MonoidalEntwiningDatum, kind: str):
     return laws
 
 
+def _quadratic_law(d: MonoidalEntwiningDatum, kind: str, q: DoubleQuantumGroup | None):
+    """The law quadratic in g, as (axiom id, scan dims, output dims, linear
+    side, bilinear side): P1 for pivotal, R3 (through q's R) for ribbon.
+    The linear side takes g's kernel op and a basis tuple, the bilinear side
+    one op for each of its two copies of g; the law says they agree."""
+    nc, na = d.c_dim, d.a_dim
+    mul_a, comul_a = d.a.mul_op, d.a.comul_op
+    mul_c, comul_c = d.c.mul_op, d.c.comul_op
+
+    def linear(g, t):
+        return pipeline(t, _ap(0, mul_c), _ap(0, g), _ap(0, comul_a))
+
+    if kind == "pivotal":
+        return ("P1_grouplike", (nc, nc), (na, na), linear,
+                lambda ga, gb, t: pipeline(t, _ap(0, ga), _ap(1, gb)))
+    rr, phi = q.rmap_op, d.phi_op
+
+    def bilinear(ga, gb, t):
+        return pipeline(
+            t,
+            _ap(0, comul_c),
+            _ap(0, comul_c),    # x1 x2 x3 y
+            _ap(3, comul_c),
+            _ap(3, comul_c),    # x1 x2 x3 y1 y2 y3
+            _pm((0, 1, 3, 4, 2, 5)),  # x1 x2 y1 y2 x3 y3
+            _ap(4, rr),         # x1 x2 y1 y2 r1 r2
+            _ap(3, phi),        # x1 x2 y1 r1f y2f r2  (phi on y2 (x) r1)
+            _pm((0, 1, 5, 2, 3, 4)),  # x1 x2 r2 y1 r1f y2f
+            _ap(1, phi),        # x1 r2p x2p y1 r1f y2f  (psi on x2 (x) r2)
+            _pm((0, 1, 3, 4, 5, 2)),  # x1 r2p y1 r1f y2f x2p
+            _ap(4, rr),         # x1 r2p y1 r1f R1 R2
+            _ap(0, ga),         # g(x1) ...
+            _ap(2, gb),         # .. g(y1) ..
+            _pm((0, 1, 4, 2, 3, 5)),  # g(x1) r2p R1 g(y1) r1f R2
+            _ap(0, mul_a),
+            _ap(0, mul_a),      # first output leg done
+            _ap(1, mul_a),
+            _ap(1, mul_a),
+        )
+
+    return "R3_braided_square", (nc, nc), (na, na), linear, bilinear
+
+
 # ---------------------------------------------------------------------------
 # Verifiers
 # ---------------------------------------------------------------------------
@@ -134,6 +178,14 @@ def _law_items(d: MonoidalEntwiningDatum, kind: str, g: HomCA) -> list[AxiomItem
                      lambda t, f=lhs: f(g_op, t), lambda t, f=rhs: f(g_op, t))
         for axiom_id, scan, out, lhs, rhs in _linear_laws(d, kind)
     ]
+
+
+def _quadratic_item(d: MonoidalEntwiningDatum, kind: str, q: DoubleQuantumGroup | None,
+                    g: HomCA) -> AxiomItem:
+    axiom_id, scan, out, linear, bilinear = _quadratic_law(d, kind, q)
+    g_op = g.op
+    return compare_item(axiom_id, scan, out,
+                        lambda t: linear(g_op, t), lambda t: bilinear(g_op, g_op, t))
 
 
 def _conv_invertible_item(axiom_id: str, g: HomCA) -> AxiomItem:
@@ -151,16 +203,9 @@ def verify_pivotal(d: MonoidalEntwiningDatum, g: HomCA) -> AxiomReport:
     P3: g(c) S_A^2(a) = a_phi g(c^phi)        (all pairs a, c)
     P4: g(c1) (x) c2 = g(c2)_phi (x) S_C^{-2}(c1^phi)
     """
-    nc, na = d.c_dim, d.a_dim
     g_op = g.op
     items = [
-        compare_item(
-            "P1_grouplike",
-            (nc, nc),
-            (na, na),
-            lambda t: pipeline(t, _ap(0, d.c.mul_op), _ap(0, g_op), _ap(0, d.a.comul_op)),
-            lambda t: pipeline(t, _ap(0, g_op), _ap(1, g_op)),
-        ),
+        _quadratic_item(d, "pivotal", None, g),
         compare_item(
             "P2_counit_one",
             (),
@@ -183,38 +228,8 @@ def verify_ribbon(q: DoubleQuantumGroup, g: HomCA) -> AxiomReport:
     R4: g(c) = (S_A^{-1} g S_C (c^phi))_phi   (a closed-loop contraction)
     """
     d = q.datum
-    nc, na = d.c_dim, d.a_dim
-    phi, g_op, rr = d.phi_op, g.op, q.rmap_op
-    mul_a, comul_a = d.a.mul_op, d.a.comul_op
-    mul_c, comul_c = d.c.mul_op, d.c.comul_op
     items = [
-        compare_item(
-            "R3_braided_square",
-            (nc, nc),
-            (na, na),
-            lambda t: pipeline(t, _ap(0, mul_c), _ap(0, g_op), _ap(0, comul_a)),
-            lambda t: pipeline(
-                t,
-                _ap(0, comul_c),
-                _ap(0, comul_c),    # x1 x2 x3 y
-                _ap(3, comul_c),
-                _ap(3, comul_c),    # x1 x2 x3 y1 y2 y3
-                _pm((0, 1, 3, 4, 2, 5)),  # x1 x2 y1 y2 x3 y3
-                _ap(4, rr),         # x1 x2 y1 y2 r1 r2
-                _ap(3, phi),        # x1 x2 y1 r1f y2f r2  (phi on y2 (x) r1)
-                _pm((0, 1, 5, 2, 3, 4)),  # x1 x2 r2 y1 r1f y2f
-                _ap(1, phi),        # x1 r2p x2p y1 r1f y2f  (psi on x2 (x) r2)
-                _pm((0, 1, 3, 4, 5, 2)),  # x1 r2p y1 r1f y2f x2p
-                _ap(4, rr),         # x1 r2p y1 r1f R1 R2
-                _ap(0, g_op),       # g(x1) ...
-                _ap(2, g_op),       # .. g(y1) ..
-                _pm((0, 1, 4, 2, 3, 5)),  # g(x1) r2p R1 g(y1) r1f R2
-                _ap(0, mul_a),
-                _ap(0, mul_a),      # first output leg done
-                _ap(1, mul_a),
-                _ap(1, mul_a),
-            ),
-        ),
+        _quadratic_item(d, "ribbon", q, g),
         *_law_items(d, "ribbon", g),
         _conv_invertible_item("R5_conv_invertible", g),
     ]
@@ -310,14 +325,11 @@ def _linear_constraint_rows(d: MonoidalEntwiningDatum, kind: str):
     rows: list[tuple[list[Fraction], Fraction]] = []
     if kind == "pivotal":
         # counit normalization: eps(g(1_C)) = 1
-        (row,) = hom_operator(*g_dims, (), (), lambda g, t: _counit_side(d, g, t))
-        rows.append((row, ONE))
+        (row,) = hom_operator(*g_dims, (), (), lambda g, t: _counit_side(d, g, t)).rows()
+        rows.append((list(row), ONE))
     for _, scan, out, lhs, rhs in _linear_laws(d, kind):
-        lrows, rrows = (hom_operator(*g_dims, scan, out, side) for side in (lhs, rhs))
-        for lrow, rrow in zip(lrows, rrows):
-            coeffs = [x - y for x, y in zip(lrow, rrow)]
-            if any(coeffs):
-                rows.append((coeffs, ZERO))
+        lop, rop = (hom_operator(*g_dims, scan, out, side) for side in (lhs, rhs))
+        rows += [(list(coeffs), ZERO) for coeffs in (lop - rop).rows() if any(coeffs)]
     return rows
 
 
@@ -432,39 +444,8 @@ def _quadratic_residuals(d: MonoidalEntwiningDatum, kind: str,
         rows = [[v[u * nc + p] for p in range(nc)] for u in range(na)]
         return HomCA(d, Matrix(rows))
 
-    homs = [hom_from_flat(g0)] + [hom_from_flat(h) for h in hs]
-
-    def linear_side(g: HomCA, t):
-        return pipeline(t, _ap(0, d.c.mul_op), _ap(0, g.op), _ap(0, d.a.comul_op))
-
-    if kind == "pivotal":
-        def bilinear_side(ga: HomCA, gb: HomCA, t):
-            return pipeline(t, _ap(0, ga.op), _ap(1, gb.op))
-    else:
-        rr, phi = q.rmap_op, d.phi_op
-
-        def bilinear_side(ga: HomCA, gb: HomCA, t):
-            return pipeline(
-                t,
-                _ap(0, d.c.comul_op),
-                _ap(0, d.c.comul_op),
-                _ap(3, d.c.comul_op),
-                _ap(3, d.c.comul_op),
-                _pm((0, 1, 3, 4, 2, 5)),
-                _ap(4, rr),
-                _ap(3, phi),
-                _pm((0, 1, 5, 2, 3, 4)),
-                _ap(1, phi),
-                _pm((0, 1, 3, 4, 5, 2)),
-                _ap(4, rr),
-                _ap(0, ga.op),
-                _ap(2, gb.op),
-                _pm((0, 1, 4, 2, 3, 5)),
-                _ap(0, d.a.mul_op),
-                _ap(0, d.a.mul_op),
-                _ap(1, d.a.mul_op),
-                _ap(1, d.a.mul_op),
-            )
+    ops = [hom_from_flat(v).op for v in [g0, *hs]]
+    _, scan, _, linear_side, bilinear_side = _quadratic_law(d, kind, q)
 
     polys: dict[tuple, _Poly] = {}
 
@@ -475,18 +456,16 @@ def _quadratic_residuals(d: MonoidalEntwiningDatum, kind: str,
             p = polys[pk] = _Poly()
         return p
 
-    import itertools
-
-    for t in itertools.product(range(nc), repeat=2):
+    for t in itertools.product(*(range(n) for n in scan)):
         # bilinear part: sum_{s,r} t_s t_r  B(h_s, h_r), t_0 := 1
-        for s, ga in enumerate(homs):
-            for r, gb in enumerate(homs):
+        for s, ga in enumerate(ops):
+            for r, gb in enumerate(ops):
                 state = bilinear_side(ga, gb, t)
                 mono = tuple(v - 1 for v in (s, r) if v > 0)
                 for key, val in state.items():
                     poly_at(t, key).add_term(mono, val)
         # minus the linear part
-        for s, gg in enumerate(homs):
+        for s, gg in enumerate(ops):
             state = linear_side(gg, t)
             mono = (s - 1,) if s > 0 else ()
             for key, val in state.items():

@@ -42,7 +42,7 @@ from .report import AxiomItem, AxiomReport, compare_item, pipeline, _ap, _pm
 
 
 class DistributiveLaw:
-    """An algebra or coalgebra distributive law as a dense matrix.
+    """An algebra or coalgebra distributive law as a matrix.
 
     kind "algebra": map B (x) A -> A (x) B between two algebras;
     kind "coalgebra": map C (x) D -> D (x) C between two coalgebras.

@@ -293,3 +293,23 @@ def test_report_text_renders_saved_failures_like_check(runner, tmp_path):
     assert rendered.exit_code == 1
     # the saved report names its file; the item lines are the check's own
     assert rendered.output.splitlines()[1:] == checked.output.splitlines()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ([5], "report[0]: expected an object"),
+        ({"overall": False, "items": [{"axiom": "H01", "passed": False, "witness": {"basis": 5}}]},
+         "report.items[0].witness.basis: expected a list"),
+    ],
+    ids=["list_of_non_objects", "witness_basis_5"],
+)
+def test_report_bad_document_exits_2_with_field_path(runner, tmp_path, doc, field, fmt):
+    path = tmp_path / "bad_report.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["report", str(path), "--format", fmt])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert field in res.output
+    assert "Traceback" not in res.output

@@ -296,7 +296,7 @@ def test_conv_operators_match_matrix_unit_reference(monoidal_datums, name):
         return conv_product(HomCA(d, x), HomCA(d, y)).map
 
     left, right = conv_operators(HomCA(d, g))
-    assert (Matrix(left), Matrix(right)) == _reference_operators(g, product, d.a_dim, d.c_dim)
+    assert (left, right) == _reference_operators(g, product, d.a_dim, d.c_dim)
 
 
 @pytest.mark.parametrize("name", ["yd_kz2", "yd_h4"])
@@ -309,7 +309,7 @@ def test_conv2_operators_match_matrix_unit_reference(monoidal_datums, name):
         return conv2_product(d, x, y)
 
     left, right = conv2_operators(d, g2)
-    assert (Matrix(left), Matrix(right)) == _reference_operators(
+    assert (left, right) == _reference_operators(
         g2, product, d.a_dim ** 2, d.c_dim ** 2
     )
 

@@ -1,5 +1,6 @@
 """Exact linear algebra: kron, affine solving, inversion, rational strings."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwine.exactla import (
+    ONE,
+    ZERO,
     AffineSolution,
     Matrix,
     NotInvertibleError,
     TensorOp,
     Vector,
+    _as_rat,
+    _eliminate,
     hom_operator,
     invert,
     kron,
@@ -163,9 +168,9 @@ def test_hom_operator_of_compositions(a, b):
     a_op = TensorOp(a, (3,), (3,))
     b_op = TensorOp(b, (2,), (2,))
     after = hom_operator((2,), (3,), (2,), (3,), lambda f, t: pipeline(t + (0,), _ap(0, f), _ap(0, a_op)))
-    assert Matrix(after) == kron(a, Matrix.identity(2))
+    assert after == kron(a, Matrix.identity(2))
     before = hom_operator((2,), (3,), (2,), (3,), lambda f, t: pipeline(t + (0,), _ap(0, b_op), _ap(0, f)))
-    assert Matrix(before) == kron(Matrix.identity(3), b.transpose())
+    assert before == kron(Matrix.identity(3), b.transpose())
 
 
 def test_two_sided_solve():
@@ -173,6 +178,312 @@ def test_two_sided_solve():
     g = Matrix([[1, 1], [0, 1]])
     left, right = kron(g, Matrix.identity(2)), kron(Matrix.identity(2), g.transpose())
     ident = [1, 0, 0, 1]
-    assert two_sided_solve(left.rows(), right.rows(), ident) == Vector([1, -1, 0, 1])
+    assert two_sided_solve(left, right, ident) == Vector([1, -1, 0, 1])
     # a one-sided solution is not enough
-    assert two_sided_solve(left.rows(), Matrix.zero(4, 4).rows(), ident) is None
+    assert two_sided_solve(left, Matrix.zero(4, 4), ident) is None
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the dense row-major Matrix that sparse columns replaced.  The class
+# body (reduced to the methods compared here), kron, solve_affine and invert
+# are kept verbatim apart from their names; the sparse Matrix must agree with
+# them entry for entry on seeded random matrices.
+# ---------------------------------------------------------------------------
+
+
+class DenseMatrix:
+    """Immutable dense row-major matrix over Q.
+
+    Treated as a linear map: ``nrows x ncols`` sends a ``ncols``-vector to
+    a ``nrows``-vector; column j is the image of basis vector j.
+    """
+
+    __slots__ = ("nrows", "ncols", "_rows", "_colcache")
+
+    def __init__(self, rows):
+        self._rows = tuple(tuple(_as_rat(x) for x in row) for row in rows)
+        self.nrows = len(self._rows)
+        self.ncols = len(self._rows[0]) if self._rows else 0
+        if any(len(r) != self.ncols for r in self._rows):
+            raise ValueError("ragged rows")
+        self._colcache = None
+
+    def sparse_cols(self) -> list[list[tuple[int, Fraction]]]:
+        "Cached nonzero entries per column, as (row, value) lists."
+        if self._colcache is None:
+            cols = [[] for _ in range(self.ncols)]
+            for i, row in enumerate(self._rows):
+                for j, x in enumerate(row):
+                    if x != 0:
+                        cols[j].append((i, x))
+            self._colcache = cols
+        return self._colcache
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, DenseMatrix)
+            and self.nrows == other.nrows
+            and self.ncols == other.ncols
+            and self._rows == other._rows
+        )
+
+    def __hash__(self):
+        return hash(self._rows)
+
+    def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        return DenseMatrix(
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)]
+        )
+
+    def __sub__(self, other: "DenseMatrix") -> "DenseMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        return DenseMatrix(
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)]
+        )
+
+    def __neg__(self) -> "DenseMatrix":
+        return DenseMatrix([[-a for a in r] for r in self._rows])
+
+    def scale(self, c) -> "DenseMatrix":
+        c = Fraction(c)
+        return DenseMatrix([[c * a for a in r] for r in self._rows])
+
+    def __mul__(self, other):
+        "Composition with a Matrix, or application to a Vector."
+        if isinstance(other, Vector):
+            return self.apply(other)
+        if not isinstance(other, DenseMatrix):
+            return NotImplemented
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch in product")
+        # iterate over the sparse columns of the right factor
+        out = [[ZERO] * other.ncols for _ in range(self.nrows)]
+        rcols = other.sparse_cols()
+        for j in range(other.ncols):
+            col = rcols[j]
+            if not col:
+                continue
+            for i in range(self.nrows):
+                row = self._rows[i]
+                s = ZERO
+                for k, x in col:
+                    rk = row[k]
+                    if rk != 0:
+                        s += rk * x
+                out[i][j] = s
+        return DenseMatrix(out)
+
+    def transpose(self) -> "DenseMatrix":
+        return DenseMatrix(
+            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
+        )
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for row in self._rows for x in row)
+
+    def is_identity(self) -> bool:
+        if self.nrows != self.ncols:
+            return False
+        return all(
+            self._rows[i][j] == (ONE if i == j else ZERO)
+            for i in range(self.nrows)
+            for j in range(self.ncols)
+        )
+
+
+def dense_kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    """Kronecker product realizing the tensor product of linear maps.
+
+    (a (x) b)(v (x) w) = a(v) (x) b(w) under the left-factor-major flat
+    index convention; shapes multiply.
+    """
+    out = [[ZERO] * (a.ncols * b.ncols) for _ in range(a.nrows * b.nrows)]
+    for i in range(a.nrows):
+        arow = a._rows[i]
+        for j in range(a.ncols):
+            x = arow[j]
+            if x == 0:
+                continue
+            for k in range(b.nrows):
+                brow = b._rows[k]
+                orow = out[i * b.nrows + k]
+                off = j * b.ncols
+                for l in range(b.ncols):
+                    if brow[l] != 0:
+                        orow[off + l] = x * brow[l]
+    return DenseMatrix(out)
+
+
+def dense_solve_affine(a: DenseMatrix, b: Vector) -> AffineSolution | None:
+    """Exact affine solve of a.x = b; None when inconsistent.
+
+    RHS is carried in the augmented column; free variables are set to 0
+    for the particular solution and swept one at a time for the
+    nullspace basis.
+    """
+    if a.nrows != b.dim:
+        raise ValueError("rows(a) must equal dim(b)")
+    n = a.ncols
+    rows: list[dict[int, Fraction]] = []
+    for i in range(a.nrows):
+        row = {j: x for j, x in enumerate(a._rows[i]) if x != 0}
+        if b[i] != 0:
+            row[n] = b[i]  # augmented column
+        rows.append(row)
+    pivots = _eliminate(rows, n)
+    piv_rows = {r for r, _ in pivots}
+    for r, row in enumerate(rows):
+        if r not in piv_rows and row.get(n, ZERO) != 0:
+            return None
+    piv_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(n) if c not in piv_cols]
+
+    def backsub(free_values: dict[int, Fraction]) -> Vector:
+        x = [ZERO] * n
+        for c, v in free_values.items():
+            x[c] = v
+        for r, c in reversed(pivots):
+            row = rows[r]
+            s = row.get(n, ZERO)
+            for cc, coeff in row.items():
+                if cc != c and cc != n:
+                    s -= coeff * x[cc]
+            x[c] = s / row[c]
+        return Vector(x)
+
+    particular = backsub({})
+    null_basis = []
+    for f in free_cols:
+        hom_rows = [dict(rows[r]) for r, _ in pivots]
+        for row in hom_rows:
+            row.pop(n, None)
+        x = [ZERO] * n
+        x[f] = ONE
+        for (r, c), row in zip(reversed(pivots), reversed(hom_rows)):
+            s = ZERO
+            for cc, coeff in row.items():
+                if cc != c:
+                    s -= coeff * x[cc]
+            x[c] = s / row[c]
+        null_basis.append(Vector(x))
+    return AffineSolution(particular, tuple(null_basis))
+
+
+def dense_invert(a: DenseMatrix) -> DenseMatrix:
+    "Exact inverse of a square matrix; raises NotInvertibleError."
+    if a.nrows != a.ncols:
+        raise NotInvertibleError("matrix is not square")
+    n = a.nrows
+    rows: list[dict[int, Fraction]] = []
+    for i in range(n):
+        row = {j: x for j, x in enumerate(a._rows[i]) if x != 0}
+        row[n + i] = ONE  # augmented identity block
+        rows.append(row)
+    pivots = _eliminate(rows, n)
+    if len(pivots) < n:
+        raise NotInvertibleError("matrix is rank-deficient")
+    inv = [[ZERO] * n for _ in range(n)]
+    for r, c in pivots:
+        row = rows[r]
+        pval = row[c]
+        for cc, x in row.items():
+            if cc >= n:
+                inv[c][cc - n] = x / pval
+    return DenseMatrix(inv)
+
+
+VALUES = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+
+
+def random_rows(rng, nrows, ncols, density):
+    """Random rational rows with about ``density`` nonzeros, plus one zero
+    row and one zero column whenever the shape leaves room for them."""
+    rows = [[rng.choice(VALUES) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows > 1:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    if ncols > 1:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+def random_pair(rng, nrows, ncols):
+    rows = random_rows(rng, nrows, ncols, rng.choice([0.15, 0.5, 0.9]))
+    return Matrix(rows), DenseMatrix(rows)
+
+
+def assert_same(sparse, dense):
+    assert (sparse.nrows, sparse.ncols) == (dense.nrows, dense.ncols)
+    assert sparse.rows() == dense._rows
+    assert sparse.sparse_cols() == dense.sparse_cols()
+    assert sparse.is_zero() == dense.is_zero()
+    assert sparse.is_identity() == dense.is_identity()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_sparse_matrix_agrees_with_dense_reference(seed):
+    rng = random.Random(seed)
+    n, m, p, q = (rng.randint(1, 5) for _ in range(4))
+    a, a_ref = random_pair(rng, n, m)
+    b, b_ref = random_pair(rng, n, m)
+    c, c_ref = random_pair(rng, m, p)
+    d, d_ref = random_pair(rng, p, q)
+    assert_same(a, a_ref)
+    assert_same(a * c, a_ref * c_ref)
+    assert_same(a * c * d, a_ref * c_ref * d_ref)
+    # sums of +-1 cancel to exact zeros often, which no column may keep
+    signs = [[rng.choice((1, -1)) for _ in range(4)] for _ in range(4)]
+    assert_same(Matrix(signs) * Matrix(signs), DenseMatrix(signs) * DenseMatrix(signs))
+    assert_same(kron(a, c), dense_kron(a_ref, c_ref))
+    assert_same(kron(c, Matrix.identity(2)), dense_kron(c_ref, DenseMatrix([[1, 0], [0, 1]])))
+    assert_same(a.transpose(), a_ref.transpose())
+    assert_same(a + b, a_ref + b_ref)
+    assert_same(a - b, a_ref - b_ref)
+    assert_same(a - a, a_ref - a_ref)
+    assert_same(-a, -a_ref)
+    assert_same(a.scale(Fraction(-2, 3)), a_ref.scale(Fraction(-2, 3)))
+    assert_same(a.scale(0), a_ref.scale(0))
+    assert_same(Matrix.identity(n), DenseMatrix([[int(i == j) for j in range(n)] for i in range(n)]))
+    assert_same(Matrix.zero(n, m), DenseMatrix([[0] * m for _ in range(n)]))
+    # equality and hashing: the same verdicts, whichever way a matrix was built
+    assert (a == b) == (a_ref == b_ref)
+    for same in (a.transpose().transpose(), a + Matrix.zero(n, m), Matrix.from_cols(
+            [a.col(j) for j in range(m)], n), Matrix(a.rows()), a * Matrix.identity(m)):
+        assert same == a and hash(same) == hash(a)
+    assert ((a * c) == (a * c).scale(1)) and hash(a * c) == hash((a * c).scale(1))
+    sq, sq_ref = random_pair(rng, n, n)
+    assert (sq == Matrix.identity(n)) == (sq_ref == DenseMatrix(Matrix.identity(n).rows()))
+    assert (sq - sq + Matrix.identity(n)).is_identity()
+    for i in range(n):
+        for j in range(m):
+            assert a.entry(i, j) == a_ref._rows[i][j]
+        assert a.row(i) == Vector(a_ref._rows[i])
+    v = Vector([rng.choice(VALUES + [0]) for _ in range(m)])
+    assert a.apply(v) == Vector([sum((x * y for x, y in zip(r, v)), Fraction(0)) for r in a_ref._rows])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_sparse_solve_and_invert_agree_with_dense_reference(seed):
+    rng = random.Random(1000 + seed)
+    n, m = rng.randint(1, 6), rng.randint(1, 6)
+    a, a_ref = random_pair(rng, n, m)
+    x = Vector([rng.choice(VALUES + [0]) for _ in range(m)])
+    for b in (a.apply(x), Vector([rng.choice(VALUES + [0]) for _ in range(n)]), Vector.zero(n)):
+        assert solve_affine(a, b) == dense_solve_affine(a_ref, b)
+    sq, sq_ref = random_pair(rng, n, n)
+    # the zero row of a random square matrix makes it singular: also try a full one
+    full = [[rng.choice(VALUES) for _ in range(n)] for _ in range(n)]
+    for s, s_ref in ((sq, sq_ref), (Matrix(full), DenseMatrix(full)),
+                     (Matrix.identity(n), DenseMatrix(Matrix.identity(n).rows()))):
+        try:
+            expected = dense_invert(s_ref)
+        except NotInvertibleError:
+            with pytest.raises(NotInvertibleError):
+                invert(s)
+        else:
+            assert_same(invert(s), expected)
