@@ -135,10 +135,10 @@ class Matrix:
     is stored as its nonzero entries, a list of (row, value) pairs in
     ascending row order.
 
-    ``Matrix(rows)`` takes dense rows and normalises them once; builders
-    inside this package pass canonical columns with ``Matrix(shape=(nrows,
-    ncols), cols=...)``.  Dense rows are built only on demand by ``rows()``
-    (file output, ``repr``).
+    ``Matrix(rows)`` takes dense rows and normalises them once; the
+    operations of this package pass canonical columns with
+    ``Matrix(shape=(nrows, ncols), cols=...)``.  Dense rows are built
+    only on demand by ``rows()`` (file output, ``repr``).
     """
 
     # the columns live in _colcache; the benchmark tracer reads that name
