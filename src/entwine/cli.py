@@ -111,16 +111,22 @@ def check():
     "Run axiom checks against structure files."
 
 
-def _full_datum_report(e) -> AxiomReport:
-    base = e.base if isinstance(e, MonoidalEntwiningDatum) else e
-    d = MonoidalEntwiningDatum(base)
-    rep = check_entwining(base).merged_with(check_monoidal_datum(d))
+def _load_datum(path) -> MonoidalEntwiningDatum:
+    obj = _load(path)
+    if isinstance(obj, DoubleQuantumGroup):
+        return obj.datum
+    if isinstance(obj, EntwiningMap):
+        return MonoidalEntwiningDatum(obj)
+    raise click.UsageError(f"{path}: expected an entwining or dqg file")
+
+
+def _full_datum_report(d: MonoidalEntwiningDatum) -> AxiomReport:
+    rep = check_entwining(d.base).merged_with(check_monoidal_datum(d))
     return rep.merged_with(check_antipode_compat(d))
 
 
 def _full_dqg_report(q: DoubleQuantumGroup) -> AxiomReport:
-    rep = _full_datum_report(q.datum.base)
-    return rep.merged_with(check_double_quantum_group(q))
+    return _full_datum_report(q.datum).merged_with(check_double_quantum_group(q))
 
 
 @check.command(name="hopf", help="Full Hopf axiom suite on hopf files.")
@@ -145,15 +151,8 @@ def check_hopf_cmd(files, fmt, report_out):
 @_format_option
 @_report_out_option
 def check_entwining_cmd(files, fmt, report_out):
-    def run_one(path):
-        obj = _load(path)
-        if isinstance(obj, DoubleQuantumGroup):
-            return check_entwining(obj.datum.base)
-        if isinstance(obj, EntwiningMap):
-            return check_entwining(obj)
-        raise click.UsageError(f"{path}: expected an entwining or dqg file")
-
-    ok = _run_file_checks(list(files), run_one, fmt, report_out)
+    ok = _run_file_checks(list(files), lambda path: check_entwining(_load_datum(path).base),
+                          fmt, report_out)
     sys.exit(0 if ok else 1)
 
 
@@ -162,15 +161,8 @@ def check_entwining_cmd(files, fmt, report_out):
 @_format_option
 @_report_out_option
 def check_datum_cmd(files, fmt, report_out):
-    def run_one(path):
-        obj = _load(path)
-        if isinstance(obj, DoubleQuantumGroup):
-            return _full_datum_report(obj.datum.base)
-        if isinstance(obj, EntwiningMap):
-            return _full_datum_report(obj)
-        raise click.UsageError(f"{path}: expected an entwining or dqg file")
-
-    ok = _run_file_checks(list(files), run_one, fmt, report_out)
+    ok = _run_file_checks(list(files), lambda path: _full_datum_report(_load_datum(path)),
+                          fmt, report_out)
     sys.exit(0 if ok else 1)
 
 
@@ -206,12 +198,10 @@ def check_module_cmd(files, fmt, report_out):
     sys.exit(0 if ok else 1)
 
 
-def _attach_morphism(datum_obj, morph_path) -> HomCA:
+def _attach_morphism(d: MonoidalEntwiningDatum, morph_path) -> HomCA:
     m = _load(morph_path)
     if not isinstance(m, ff.LoadedMorphism):
         raise click.UsageError(f"{morph_path}: expected a morphism file")
-    base = datum_obj.base if isinstance(datum_obj, MonoidalEntwiningDatum) else datum_obj
-    d = MonoidalEntwiningDatum(base)
     if m.map.nrows != d.a_dim or m.map.ncols != d.c_dim:
         raise click.UsageError(
             f"{morph_path}: map is {m.map.nrows}x{m.map.ncols}, expected "
@@ -226,12 +216,7 @@ def _attach_morphism(datum_obj, morph_path) -> HomCA:
 @_format_option
 @_report_out_option
 def check_pivotal_cmd(datum_path, morph_path, fmt, report_out):
-    obj = _load(datum_path)
-    if isinstance(obj, DoubleQuantumGroup):
-        obj = obj.datum.base
-    if not isinstance(obj, EntwiningMap):
-        raise click.UsageError(f"{datum_path}: expected an entwining or dqg file")
-    g = _attach_morphism(obj, morph_path)
+    g = _attach_morphism(_load_datum(datum_path), morph_path)
     rep = verify_pivotal(g.datum, g)
     _emit_report("", rep, fmt, report_out)
     sys.exit(0 if rep.overall else 1)
@@ -246,8 +231,7 @@ def check_ribbon_cmd(dqg_path, morph_path, fmt, report_out):
     q = _load(dqg_path)
     if not isinstance(q, DoubleQuantumGroup):
         raise click.UsageError(f"{dqg_path}: expected a dqg file")
-    g = _attach_morphism(q.datum.base, morph_path)
-    rep = verify_ribbon(q, HomCA(q.datum, g.map))
+    rep = verify_ribbon(q, _attach_morphism(q.datum, morph_path))
     _emit_report("", rep, fmt, report_out)
     sys.exit(0 if rep.overall else 1)
 
@@ -255,15 +239,6 @@ def check_ribbon_cmd(dqg_path, morph_path, fmt, report_out):
 @main.group()
 def build():
     "Construct derived objects and save them to structure files."
-
-
-def _load_datum(path) -> MonoidalEntwiningDatum:
-    obj = _load(path)
-    if isinstance(obj, DoubleQuantumGroup):
-        return obj.datum
-    if isinstance(obj, EntwiningMap):
-        return MonoidalEntwiningDatum(obj)
-    raise click.UsageError(f"{path}: expected an entwining or dqg file")
 
 
 @build.command(name="smash", help="Smash product Hopf algebra of a datum.")

@@ -8,11 +8,13 @@ invertibility), the entwined convolution algebras on hom(C, A) and
 hom(C (x) C, A (x) A), and the antipode compatibility identities that
 make the dual-module formulas work downstream.
 
-Convolution inverses (E10b, and P5 in the pivotal layer) solve the
-stacked system g*x = unit = x*g.  Its two operators x -> g*x and
-x -> x*g are built by the same pipeline that evaluates a product: with
-a SlotLeg standing for x, one pass per input basis tuple yields every
-column of the operator at once, keyed by the trailing slot leg.
+Convolution inverses (E10b here, P5/R5 in the pivotal layer, RE4/CB4 in
+hopfcore on a datum with one trivial side) solve the stacked system
+g*x = unit = x*g.  Its two operators x -> g*x and x -> x*g are built by
+the same pipeline that evaluates a product: with a SlotLeg standing for
+x, one pass per input basis tuple yields every column of the operator at
+once, keyed by the trailing slot leg.  One builder, invertibility_item,
+turns each inverse into its axiom item.
 
 The second decorated copy of the entwining map appearing in several
 axioms is always another evaluation of the single stored phi, and the
@@ -346,6 +348,16 @@ def conv_inverse(g: HomCA) -> HomCA | None:
     return None if inv is None else HomCA(g.datum, inv)
 
 
+def invertibility_item(axiom_id: str, map: Matrix, inverse) -> AxiomItem:
+    """The item saying that map has a convolution inverse (E10b, P5, R5,
+    RE4, CB4); a missing inverse fails with the map's row-major entries
+    against zeros as the witness."""
+    if inverse is not None:
+        return AxiomItem(axiom_id, True)
+    flat = Vector([x for row in map.rows() for x in row])
+    return AxiomItem(axiom_id, False, Witness((), flat, Vector.zero(flat.dim)))
+
+
 def conv2_unit(d: MonoidalEntwiningDatum) -> Matrix:
     nc, na = d.c_dim, d.a_dim
 
@@ -507,18 +519,7 @@ def check_double_quantum_group(q: DoubleQuantumGroup) -> AxiomReport:
             ),
         ),
     ]
-    inv = q.rmap_conv_inverse
-    if inv is None:
-        items.append(
-            AxiomItem(
-                "E10b_conv_invertible",
-                False,
-                Witness((), Vector([x for row in q.rmap.rows() for x in row]),
-                        Vector.zero(q.rmap.nrows * q.rmap.ncols)),
-            )
-        )
-    else:
-        items.append(AxiomItem("E10b_conv_invertible", True))
+    items.append(invertibility_item("E10b_conv_invertible", q.rmap, q.rmap_conv_inverse))
     return AxiomReport(items)
 
 

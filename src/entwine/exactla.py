@@ -20,7 +20,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 
 Rat = Fraction
 
@@ -42,23 +42,23 @@ def rat_to_str(x: Fraction) -> str:
 def rat_from_str(s: str) -> Fraction:
     """Parse a canonical rational string, rejecting non-canonical input.
 
-    '2/4', '1/-2', '3/1' and anything with whitespace are all errors;
-    load/save round trips must be bit-exact.
+    '2/4', '1/-2', '3/1', '-0', '007' and anything with whitespace are all
+    errors: the value must print back as s, so load/save round trips are
+    bit-exact.
     """
     m = _RAT_RE.match(s)
     if not m:
         raise ValueError(f"malformed rational {s!r}")
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return Fraction(num)
-    den = int(m.group(2))
-    if den <= 0:
-        raise ValueError(f"non-positive denominator in {s!r}")
-    if den == 1:
-        raise ValueError(f"non-canonical rational {s!r} (write {num} instead)")
-    if gcd(abs(num), den) != 1:
-        raise ValueError(f"non-canonical rational {s!r} (not in lowest terms)")
-    return Fraction(num, den)
+    num, den = m.groups()
+    if den is None:
+        x = Fraction(int(num))
+    elif int(den) == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    else:
+        x = Fraction(int(num), int(den))
+    if str(x) != s:
+        raise ValueError(f"non-canonical rational {s!r} (write {x})")
+    return x
 
 
 def _as_rat(x) -> Fraction:

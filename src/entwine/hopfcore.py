@@ -10,13 +10,19 @@ tuples, never sampled.
 The quasitriangular / coquasitriangular checks are not hand-coded here:
 they specialize the double-structure axioms of :mod:`entwine.entwining`
 to the degenerate case where one side is the ground field, so the
-hardest axiom block has a single source of truth.
+hardest axiom block has a single source of truth.  The invertibility
+items RE4 and CB4 do the same: an element of H is inverted as a map
+k -> H and a functional on C as a map C -> k, by the entwined
+convolution inverse over that degenerate datum.  There the convolution
+is the product of H (reversed) and the plain convolution on the dual
+of C.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
+from . import entwining as ent
 from .exactla import (
     Matrix,
     TensorOp,
@@ -25,9 +31,8 @@ from .exactla import (
     matrix_from_columns_fn,
     sv_apply,
     sv_permute,
-    two_sided_solve,
 )
-from .report import AxiomItem, AxiomReport, Witness, compare_item, pipeline, _ap, _pm
+from .report import AxiomReport, compare_item, pipeline, _ap, _pm
 
 
 def element_op(v: Vector) -> TensorOp:
@@ -452,17 +457,15 @@ def verify_copivot(c: HopfAlgebraData, g: Functional) -> AxiomReport:
     return AxiomReport(items)
 
 
+def _element_hom(h: HopfAlgebraData, v: Vector) -> ent.HomCA:
+    "v as the map k -> H over the degenerate datum."
+    return ent.HomCA(_degenerate_datum(trivial_hopf(), h), Matrix([[x] for x in v]))
+
+
 def element_inverse(h: HopfAlgebraData, v: Vector) -> Vector | None:
     "Two-sided multiplicative inverse of an element, or None."
-    d = h.dim
-    v_op = element_op(v)
-    left = matrix_from_columns_fn(
-        (d,), (d,), lambda t: pipeline(t, _ap(0, v_op), _ap(0, h.mul_op))
-    )
-    right = matrix_from_columns_fn(
-        (d,), (d,), lambda t: pipeline(t, _ap(1, v_op), _ap(0, h.mul_op))
-    )
-    return two_sided_solve(left, right, h.unit)
+    inv = ent.conv_inverse(_element_hom(h, v))
+    return None if inv is None else inv.map.col(0)
 
 
 def verify_ribbon_element(h: HopfAlgebraData, rmatrix: Vector, v: Element) -> AxiomReport:
@@ -519,33 +522,9 @@ def verify_ribbon_element(h: HopfAlgebraData, rmatrix: Vector, v: Element) -> Ax
             lambda t: pipeline(t, _ap(0, v_op)),
         ),
     ]
-    inv = element_inverse(h, v.coords)
-    if inv is None:
-        items.append(AxiomItem("RE4_invertible", False, Witness((), v.coords, Vector.zero(d))))
-    else:
-        items.append(AxiomItem("RE4_invertible", True))
+    g = _element_hom(h, v.coords)
+    items.append(ent.invertibility_item("RE4_invertible", g.map, ent.conv_inverse(g)))
     return AxiomReport(items)
-
-
-def _conv_functional_inverse(c: HopfAlgebraData, g_row: Matrix) -> Matrix | None:
-    "Inverse of a functional under ordinary convolution on the dual, or None."
-    d = c.dim
-    comul = c.comul_op
-    g = [g_row.entry(0, i) for i in range(d)]
-    ZERO = g_row.entry(0, 0) * 0
-
-    def conv_operator(g_on_left: bool) -> Matrix:
-        rows = [[ZERO] * d for _ in range(d)]
-        for target in range(d):
-            for (c1, c2), w in comul.cols((target,)):
-                if g_on_left:
-                    rows[target][c2] += w * g[c1]
-                else:
-                    rows[target][c1] += w * g[c2]
-        return Matrix(rows)
-
-    x = two_sided_solve(conv_operator(True), conv_operator(False), c.counit.rows()[0])
-    return None if x is None else Matrix([x.coords])
 
 
 def verify_coribbon_form(c: HopfAlgebraData, form: BilinearForm, g: Functional) -> AxiomReport:
@@ -595,13 +574,9 @@ def verify_coribbon_form(c: HopfAlgebraData, form: BilinearForm, g: Functional) 
             lambda t: pipeline(t, _ap(0, c.antipode_op), _ap(0, g_op)),
         ),
     ]
-    inv = _conv_functional_inverse(c, g.coords)
-    if inv is None:
-        items.append(
-            AxiomItem("CB4_conv_invertible", False, Witness((), g.coords.row(0), Vector.zero(d)))
-        )
-    else:
-        items.append(AxiomItem("CB4_conv_invertible", True))
+    # g as the map C -> k, inverted under the plain convolution of C*
+    g_hom = ent.HomCA(_degenerate_datum(c, trivial_hopf()), g.coords)
+    items.append(ent.invertibility_item("CB4_conv_invertible", g.coords, ent.conv_inverse(g_hom)))
     return AxiomReport(items)
 
 
@@ -610,33 +585,31 @@ def verify_coribbon_form(c: HopfAlgebraData, form: BilinearForm, g: Functional) 
 # ---------------------------------------------------------------------------
 
 
+def _degenerate_datum(c: HopfAlgebraData, a: HopfAlgebraData) -> ent.MonoidalEntwiningDatum:
+    "The datum of the identity entwining map; one of c, a is trivial_hopf()."
+    return ent.MonoidalEntwiningDatum(ent.EntwiningMap(c, a, Matrix.identity(c.dim * a.dim)))
+
+
+def _degenerate_double_check(d: ent.MonoidalEntwiningDatum, rmap: Matrix) -> AxiomReport:
+    q = ent.DoubleQuantumGroup(d, rmap)
+    rep = ent.check_entwining(d.base).merged_with(ent.check_monoidal_datum(d))
+    return rep.merged_with(ent.check_double_quantum_group(q))
+
+
 def quasitri_check(h: HopfAlgebraData, rmatrix: Vector) -> AxiomReport:
     """Quasitriangularity of (h, R) via the degenerate double structure.
 
     Builds the entwining datum with trivial coalgebra side and identity
     entwining map, then delegates to the full E-axiom chain.
     """
-    from . import entwining as ent
-
     if rmatrix.dim != h.dim * h.dim:
         raise ValueError("rmatrix must live in H (x) H")
-    ck = trivial_hopf()
-    e = ent.EntwiningMap(ck, h, Matrix.identity(h.dim))
-    d = ent.MonoidalEntwiningDatum(e)
-    q = ent.DoubleQuantumGroup(d, Matrix([[c] for c in rmatrix]))
-    rep = ent.check_entwining(e).merged_with(ent.check_monoidal_datum(d))
-    return rep.merged_with(ent.check_double_quantum_group(q))
+    d = _degenerate_datum(trivial_hopf(), h)
+    return _degenerate_double_check(d, Matrix([[x] for x in rmatrix]))
 
 
 def coquasitri_check(c: HopfAlgebraData, form: BilinearForm) -> AxiomReport:
     "Coquasitriangularity of (c, form), by the dual degenerate specialization."
-    from . import entwining as ent
-
     if form.host_left is not c or form.host_right is not c:
         raise ValueError("form must be hosted in c")
-    ak = trivial_hopf()
-    e = ent.EntwiningMap(c, ak, Matrix.identity(c.dim))
-    d = ent.MonoidalEntwiningDatum(e)
-    q = ent.DoubleQuantumGroup(d, form.coords)
-    rep = ent.check_entwining(e).merged_with(ent.check_monoidal_datum(d))
-    return rep.merged_with(ent.check_double_quantum_group(q))
+    return _degenerate_double_check(_degenerate_datum(c, trivial_hopf()), form.coords)

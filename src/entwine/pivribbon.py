@@ -35,9 +35,10 @@ from .entwining import (
     HomCA,
     MonoidalEntwiningDatum,
     conv_inverse,
+    invertibility_item,
 )
 from .hopfcore import Element, Functional
-from .report import AxiomItem, AxiomReport, Witness, compare_item, pipeline, _ap, _pm
+from .report import AxiomItem, AxiomReport, compare_item, pipeline, _ap, _pm
 
 
 @dataclass
@@ -188,13 +189,6 @@ def _quadratic_item(d: MonoidalEntwiningDatum, kind: str, q: DoubleQuantumGroup 
                         lambda t: linear(g_op, t), lambda t: bilinear(g_op, g_op, t))
 
 
-def _conv_invertible_item(axiom_id: str, g: HomCA) -> AxiomItem:
-    if conv_inverse(g) is not None:
-        return AxiomItem(axiom_id, True)
-    flat = Vector([x for row in g.map.rows() for x in row])
-    return AxiomItem(axiom_id, False, Witness((), flat, Vector.zero(flat.dim)))
-
-
 def verify_pivotal(d: MonoidalEntwiningDatum, g: HomCA) -> AxiomReport:
     """Pivotal laws P1-P4 plus convolution invertibility as item P5.
 
@@ -214,7 +208,7 @@ def verify_pivotal(d: MonoidalEntwiningDatum, g: HomCA) -> AxiomReport:
             lambda t: pipeline(t + (0,)),
         ),
         *_law_items(d, "pivotal", g),
-        _conv_invertible_item("P5_conv_invertible", g),
+        invertibility_item("P5_conv_invertible", g.map, conv_inverse(g)),
     ]
     return AxiomReport(items)
 
@@ -231,7 +225,7 @@ def verify_ribbon(q: DoubleQuantumGroup, g: HomCA) -> AxiomReport:
     items = [
         _quadratic_item(d, "ribbon", q, g),
         *_law_items(d, "ribbon", g),
-        _conv_invertible_item("R5_conv_invertible", g),
+        invertibility_item("R5_conv_invertible", g.map, conv_inverse(g)),
     ]
     return AxiomReport(items)
 
@@ -428,6 +422,12 @@ def _isqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
+def _hom_from_flat(d: MonoidalEntwiningDatum, v) -> HomCA:
+    "The map C -> A whose entries are v, flattened as (a_out, c_in) pairs."
+    nc = d.c_dim
+    return HomCA(d, Matrix([[v[u * nc + p] for p in range(nc)] for u in range(d.a_dim)]))
+
+
 def _quadratic_residuals(d: MonoidalEntwiningDatum, kind: str,
                          q: DoubleQuantumGroup | None,
                          family) -> list[_Poly]:
@@ -436,15 +436,7 @@ def _quadratic_residuals(d: MonoidalEntwiningDatum, kind: str,
     For pivotal candidates this is the grouplike law P1; for ribbon, the
     braided square R3.  Components are degree <= 2 polynomials in t.
     """
-    g0 = family.particular
-    hs = list(family.nullspace_basis)
-    nc, na = d.c_dim, d.a_dim
-
-    def hom_from_flat(v: Vector) -> HomCA:
-        rows = [[v[u * nc + p] for p in range(nc)] for u in range(na)]
-        return HomCA(d, Matrix(rows))
-
-    ops = [hom_from_flat(v).op for v in [g0, *hs]]
+    ops = [_hom_from_flat(d, v).op for v in [family.particular, *family.nullspace_basis]]
     _, scan, _, linear_side, bilinear_side = _quadratic_law(d, kind, q)
 
     polys: dict[tuple, _Poly] = {}
@@ -495,7 +487,6 @@ def find_morphisms(target, kind: str, max_params: int = 4) -> FinderResult:
         verifier = lambda g: verify_ribbon(q, g).overall
     else:
         raise ValueError("kind must be 'pivotal' or 'ribbon'")
-    nc, na = d.c_dim, d.a_dim
 
     family = stage1_affine_family(d, kind)
     if family is None:
@@ -507,8 +498,7 @@ def find_morphisms(target, kind: str, max_params: int = 4) -> FinderResult:
             c = assignment.get(s, ZERO)
             if c != 0:
                 v = [a + c * b for a, b in zip(v, h)]
-        rows = [[v[u * nc + p] for p in range(nc)] for u in range(na)]
-        return HomCA(d, Matrix(rows))
+        return _hom_from_flat(d, v)
 
     def wrap(g: HomCA) -> MorphismCandidate:
         return MorphismCandidate(d, g, kind)
@@ -525,10 +515,9 @@ def find_morphisms(target, kind: str, max_params: int = 4) -> FinderResult:
                 trials.append({**assignment, s: -ONE})
         for trial in trials:
             g = hom_from_assignment(trial)
-            key = tuple(tuple(row) for row in g.map.rows())
-            if key in seen:
+            if g.map in seen:
                 continue
-            seen.add(key)
+            seen.add(g.map)
             if verifier(g):
                 out.append(wrap(g))
         return out

@@ -240,9 +240,13 @@ def smash_algebra(e) -> AlgebraData:
     Product: (p (x) a)(q (x) b) = sum (e^i * p) (x) a_phi b q(e_i^phi),
     with * the plain dual convolution (e^i on the left).
     """
+    phi_dc = TensorOp(_dual_c_view(e), (e.a_dim, e.c_dim), (e.c_dim, e.a_dim))
+    return _smash_algebra(e, dual_hopf(e.c, "op"), phi_dc)
+
+
+def _smash_algebra(e, dual_c: HopfAlgebraData, phi_dc: TensorOp) -> AlgebraData:
+    "smash_algebra with (dual C, op) and the dual view of phi already built."
     nc, na = e.c_dim, e.a_dim
-    dual_c = dual_hopf(e.c, "op")
-    phi_dc = TensorOp(_dual_c_view(e), (na, nc), (nc, na))
     mul_dc = dual_c.mul_op  # mult of (dual C, op): (p, q) -> q * p in plain dual
     mul_a = e.a.mul_op
 
@@ -275,8 +279,8 @@ def smash_product(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     e = d.base
     nc, na = e.c_dim, e.a_dim
     dual_c = dual_hopf(e.c, "op")
-    alg = smash_algebra(e)
     phi_dc = TensorOp(_dual_c_view(e), (na, nc), (nc, na))
+    alg = _smash_algebra(e, dual_c, phi_dc)
 
     comult = matrix_from_columns_fn(
         (nc, na),

@@ -148,7 +148,11 @@ def test_rational_string_round_trip(a, b):
         assert rat_from_str(s) == x
 
 
-@pytest.mark.parametrize("bad", ["2/4", "3/1", "1/-2", "1/0", " 1", "1 ", "0.5", "a"])
+@pytest.mark.parametrize(
+    "bad",
+    ["2/4", "3/1", "1/-2", "1/0", " 1", "1 ", "0.5", "a",
+     "-0", "00", "007", "-05/3", "1/02", "1\n"],
+)
 def test_rational_rejects_non_canonical(bad):
     with pytest.raises(ValueError):
         rat_from_str(bad)

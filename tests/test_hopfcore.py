@@ -253,6 +253,26 @@ def test_ribbon_element_noncentral_fails(h4):
     assert not rep.item("RE1_central").passed
 
 
+def test_ribbon_element_nilpotent_fails_re4(h4):
+    # x is nilpotent in h4, so it has no inverse; RE4 names x against zeros
+    x = Vector([0, 0, 1, 0])
+    item = verify_ribbon_element(h4, Vector([1] + [0] * 15), Element(h4, x)).item("RE4_invertible")
+    assert not item.passed
+    assert item.witness.basis == ()
+    assert item.witness.lhs == x
+    assert item.witness.rhs == Vector.zero(4)
+
+
+def test_coribbon_zero_functional_fails_cb4(kz2):
+    triv = BilinearForm(kz2, kz2, Matrix([[1, 1, 1, 1]]))
+    zero = Functional(kz2, Matrix.zero(1, 2))
+    item = verify_coribbon_form(kz2, triv, zero).item("CB4_conv_invertible")
+    assert not item.passed
+    assert item.witness.basis == ()
+    assert item.witness.lhs == Vector.zero(2)
+    assert item.witness.rhs == Vector.zero(2)
+
+
 def test_coquasitri_and_coribbon(kz2, dual_kz2):
     triv = BilinearForm(kz2, kz2, Matrix([[1, 1, 1, 1]]))
     assert coquasitri_check(kz2, triv).overall

@@ -103,6 +103,23 @@ def test_ribbon_unit_morphism_fails_on_yd_h4(yd_dqg_h4):
 # -- induced structures -----------------------------------------------------
 
 
+def test_zero_map_fails_p5_on_yd_h4(yd_h4):
+    item = verify_pivotal(yd_h4, HomCA(yd_h4, Matrix.zero(4, 4))).item("P5_conv_invertible")
+    assert not item.passed
+    assert item.witness.basis == ()
+    assert item.witness.lhs == Vector.zero(16)
+    assert item.witness.rhs == Vector.zero(16)
+
+
+def test_zero_map_fails_r5_on_long_dqg_kz2(long_dqg_kz2):
+    d = long_dqg_kz2.datum
+    item = verify_ribbon(long_dqg_kz2, HomCA(d, Matrix.zero(2, 2))).item("R5_conv_invertible")
+    assert not item.passed
+    assert item.witness.basis == ()
+    assert item.witness.lhs == Vector.zero(4)
+    assert item.witness.rhs == Vector.zero(4)
+
+
 def test_pivotal_structure_on_unit_is_identity(yd_h4):
     g1, _ = corpus.h4_yd_pivotal_pair(yd_h4)
     beta = pivotal_structure(yd_h4, g1, tensor_unit(yd_h4))
