@@ -313,3 +313,23 @@ def test_report_bad_document_exits_2_with_field_path(runner, tmp_path, doc, fiel
     assert isinstance(res.exception, SystemExit)
     assert field in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args, bad, what", [
+    (["check", "hopf", "{yd}"], "{yd}", "hopf"),
+    (["check", "dqg", "{h4}"], "{h4}", "dqg"),
+    (["check", "module", "{h4}"], "{h4}", "module"),
+    (["check", "pivotal", "--datum", "{yd}", "--morphism", "{h4}"], "{h4}", "morphism"),
+    (["check", "ribbon", "--dqg", "{yd}", "--morphism", "{h4}"], "{yd}", "dqg"),
+    (["build", "double", "--hopf", "{yd}", "-o", "{out}"], "{yd}", "hopf"),
+    (["build", "dual", "--hopf", "{yd}", "-o", "{out}"], "{yd}", "hopf"),
+    (["find", "ribbon", "--dqg", "{h4}"], "{h4}", "dqg"),
+    (["check", "entwining", "{h4}"], "{h4}", "entwining or dqg"),
+])
+def test_wrong_kind_of_file_exits_2(runner, tmp_path, h4_file, yd_file, args, bad, what):
+    paths = {"h4": h4_file, "yd": yd_file, "out": str(tmp_path / "out.json")}
+    res = runner.invoke(main, [a.format(**paths) for a in args])
+    assert res.exit_code == 2
+    article = "an" if what[0] in "aeiou" else "a"
+    assert f"{bad.format(**paths)}: expected {article} {what} file" in res.output
+    assert not (tmp_path / "out.json").exists()

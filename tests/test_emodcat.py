@@ -26,7 +26,7 @@ from entwine.emodcat import (
 from entwine.entwining import DoubleQuantumGroup, EntwiningMap, MonoidalEntwiningDatum
 from entwine.exactla import Matrix, TensorOp, Vector, kron, matrix_from_columns_fn, sv_apply, sv_permute
 from entwine.hopfcore import trivial_hopf
-from entwine.report import pipeline
+from entwine.report import _ap, pipeline
 
 
 def _all_std_modules(d):
@@ -380,3 +380,85 @@ def test_duality_reports_the_failed_square_of_ev_and_coev(yd_h4):
         w = rep.item(axiom_id).witness
         assert w == err.value.item.witness
         assert w.basis and w.lhs != w.rhs
+
+
+@pytest.mark.parametrize("dualize", [left_dual, right_dual])
+@pytest.mark.parametrize("scaled, k", [("ev", 2), ("coev", 3)])
+def test_scaled_ev_or_coev_fails_both_snakes(yd_h4, dualize, scaled, k):
+    from entwine.emodcat import DualityData
+
+    m = std_module_CA(yd_h4)
+    dd = dualize(m)
+    ev = dd.ev.scale(k) if scaled == "ev" else dd.ev
+    coev = dd.coev.scale(k) if scaled == "coev" else dd.coev
+    # a scalar multiple of a morphism is a morphism: only the snakes see it
+    rep = check_duality(m, DualityData(dd.dual_module, ev, coev, dd.side))
+    assert rep.failed_ids() == ["D1_snake_object", "D2_snake_dual"]
+    e0 = Vector.basis(m.dim, 0)
+    for axiom_id in ("D1_snake_object", "D2_snake_dual"):
+        w = rep.item(axiom_id).witness
+        assert (w.basis, w.lhs, w.rhs) == ((0,), e0.scale(k), e0)
+
+
+@pytest.mark.parametrize("dualize, d1_basis, d2_basis",
+                         [(left_dual, 1, 0), (right_dual, 0, 1)])
+@pytest.mark.parametrize("changed", ["ev", "coev"])
+def test_off_diagonal_pairing_tells_the_two_snakes_apart(yd_h4, dualize, d1_basis,
+                                                         d2_basis, changed):
+    from entwine.emodcat import DualityData
+
+    m = std_module_CA(yd_h4)
+    dd = dualize(m)
+    dim = m.dim
+    # one extra pairing entry between the first and the second leg's basis
+    # vectors 0 and 1: each snake then fails on the basis vector its
+    # orientation feeds into that entry
+    ev, coev = dd.ev, dd.coev
+    if changed == "ev":
+        row = list(ev.row(0))
+        row[1] = 1
+        ev = Matrix([row])
+    else:
+        col = list(coev.col(0))
+        col[1] = 1
+        coev = Matrix([[x] for x in col])
+    rep = check_duality(m, DualityData(dd.dual_module, ev, coev, dd.side))
+    both = Vector.basis(dim, 0) + Vector.basis(dim, 1)
+    for axiom_id, j in (("D1_snake_object", d1_basis), ("D2_snake_dual", d2_basis)):
+        w = rep.item(axiom_id).witness
+        assert (w.basis, w.lhs, w.rhs) == ((j,), both, Vector.basis(dim, j))
+
+
+def test_braiding_naturality_holds_for_any_linear_r(yd_dqg_h4):
+    """N1/N2 cannot fail: for an A-linear, C-colinear f the braiding built
+    from any linear R commutes with f.  A random R breaks the double
+    structure's axioms but not naturality."""
+    import random
+
+    from entwine.emodcat import check_braiding_naturality
+    from entwine.entwining import check_double_quantum_group
+
+    d = yd_dqg_h4.datum
+    rng = random.Random(2016)
+    rows = [[0] * 16 for _ in range(16)]
+    for _ in range(12):
+        rows[rng.randrange(16)][rng.randrange(16)] = rng.choice([-2, -1, 1, 2, 3])
+    q = DoubleQuantumGroup(d, Matrix(rows))
+    failed = set(check_double_quantum_group(q).failed_ids())
+    assert {"E07_coact", "E08_act", "E09_split_right", "E10a_split_left"} <= failed
+    m, n = std_module_CA(d), std_module_AC(d)
+    # endomorphisms beyond the action family: c (x) a -> theta(c_1) c_2 (x) a
+    # on C (x) A and a (x) c -> b a (x) c on A (x) C
+    extra = []
+    for k in range(4):
+        theta = TensorOp(Matrix([[int(i == k) for i in range(4)]]), (4,), ())
+        b = TensorOp(Matrix([[int(i == k)] for i in range(4)]), (), (4,))
+        extra += [
+            ModuleMorphism(m, m, matrix_from_columns_fn(
+                (4, 4), (4, 4), lambda t: pipeline(t, _ap(0, d.c.comul_op), _ap(0, theta)))),
+            ModuleMorphism(n, n, matrix_from_columns_fn(
+                (4, 4), (4, 4), lambda t: pipeline(t, _ap(0, b), _ap(0, d.a.mul_op)))),
+        ]
+    rep = check_braiding_naturality(m, n, q, morphisms=extra)
+    assert rep.overall
+    assert [it.axiom_id for it in rep.items] == ["N1_left_slot", "N2_right_slot"]
