@@ -17,7 +17,7 @@ import click
 
 from . import corpus as corpus_mod
 from . import fileformat as ff
-from .emodcat import check_entwined_module
+from .emodcat import EntwinedModule, check_entwined_module
 from .entwining import (
     DoubleQuantumGroup,
     EntwiningMap,
@@ -28,7 +28,7 @@ from .entwining import (
     check_entwining,
     check_monoidal_datum,
 )
-from .hopfcore import check_hopf, dual_hopf
+from .hopfcore import HopfAlgebraData, check_hopf, dual_hopf
 from .pivribbon import find_morphisms, verify_pivotal, verify_ribbon
 from .report import AxiomReport, render_text
 from .smash import smash_coproduct, smash_product
@@ -111,6 +111,14 @@ def check():
     "Run axiom checks against structure files."
 
 
+def _load_as(path, cls, what):
+    "Load a structure file that must hold a cls; any other kind exits 2."
+    obj = _load(path)
+    if not isinstance(obj, cls):
+        raise click.UsageError(f"{path}: expected a {what} file")
+    return obj
+
+
 def _load_datum(path) -> MonoidalEntwiningDatum:
     obj = _load(path)
     if isinstance(obj, DoubleQuantumGroup):
@@ -134,15 +142,9 @@ def _full_dqg_report(q: DoubleQuantumGroup) -> AxiomReport:
 @_format_option
 @_report_out_option
 def check_hopf_cmd(files, fmt, report_out):
-    from .hopfcore import HopfAlgebraData
-
-    def run_one(path):
-        obj = _load(path)
-        if not isinstance(obj, HopfAlgebraData):
-            raise click.UsageError(f"{path}: expected a hopf file")
-        return check_hopf(obj)
-
-    ok = _run_file_checks(list(files), run_one, fmt, report_out)
+    ok = _run_file_checks(list(files),
+                          lambda path: check_hopf(_load_as(path, HopfAlgebraData, "hopf")),
+                          fmt, report_out)
     sys.exit(0 if ok else 1)
 
 
@@ -171,13 +173,9 @@ def check_datum_cmd(files, fmt, report_out):
 @_format_option
 @_report_out_option
 def check_dqg_cmd(files, fmt, report_out):
-    def run_one(path):
-        obj = _load(path)
-        if not isinstance(obj, DoubleQuantumGroup):
-            raise click.UsageError(f"{path}: expected a dqg file")
-        return _full_dqg_report(obj)
-
-    ok = _run_file_checks(list(files), run_one, fmt, report_out)
+    ok = _run_file_checks(
+        list(files), lambda path: _full_dqg_report(_load_as(path, DoubleQuantumGroup, "dqg")),
+        fmt, report_out)
     sys.exit(0 if ok else 1)
 
 
@@ -186,22 +184,14 @@ def check_dqg_cmd(files, fmt, report_out):
 @_format_option
 @_report_out_option
 def check_module_cmd(files, fmt, report_out):
-    from .emodcat import EntwinedModule
-
-    def run_one(path):
-        obj = _load(path)
-        if not isinstance(obj, EntwinedModule):
-            raise click.UsageError(f"{path}: expected a module file")
-        return check_entwined_module(obj)
-
-    ok = _run_file_checks(list(files), run_one, fmt, report_out)
+    ok = _run_file_checks(
+        list(files), lambda path: check_entwined_module(_load_as(path, EntwinedModule, "module")),
+        fmt, report_out)
     sys.exit(0 if ok else 1)
 
 
 def _attach_morphism(d: MonoidalEntwiningDatum, morph_path) -> HomCA:
-    m = _load(morph_path)
-    if not isinstance(m, ff.LoadedMorphism):
-        raise click.UsageError(f"{morph_path}: expected a morphism file")
+    m = _load_as(morph_path, ff.LoadedMorphism, "morphism")
     if m.map.nrows != d.a_dim or m.map.ncols != d.c_dim:
         raise click.UsageError(
             f"{morph_path}: map is {m.map.nrows}x{m.map.ncols}, expected "
@@ -228,9 +218,7 @@ def check_pivotal_cmd(datum_path, morph_path, fmt, report_out):
 @_format_option
 @_report_out_option
 def check_ribbon_cmd(dqg_path, morph_path, fmt, report_out):
-    q = _load(dqg_path)
-    if not isinstance(q, DoubleQuantumGroup):
-        raise click.UsageError(f"{dqg_path}: expected a dqg file")
+    q = _load_as(dqg_path, DoubleQuantumGroup, "dqg")
     rep = verify_ribbon(q, _attach_morphism(q.datum, morph_path))
     _emit_report("", rep, fmt, report_out)
     sys.exit(0 if rep.overall else 1)
@@ -265,11 +253,7 @@ def build_cosmash_cmd(datum_path, output):
 @click.option("--hopf", "hopf_path", required=True, type=click.Path())
 @click.option("-o", "--output", required=True, type=click.Path())
 def build_double_cmd(hopf_path, output):
-    from .hopfcore import HopfAlgebraData
-
-    h = _load(hopf_path)
-    if not isinstance(h, HopfAlgebraData):
-        raise click.UsageError(f"{hopf_path}: expected a hopf file")
+    h = _load_as(hopf_path, HopfAlgebraData, "hopf")
     src_hash = ff.content_hash(ff.to_payload(h))
     ff.save(corpus_mod.drinfeld_double(h), output,
             metadata={"construction": "drinfeld_double", "source_hash": src_hash})
@@ -280,11 +264,7 @@ def build_double_cmd(hopf_path, output):
 @click.option("--twist", type=click.Choice(["plain", "op", "cop"]), default="plain")
 @click.option("-o", "--output", required=True, type=click.Path())
 def build_dual_cmd(hopf_path, twist, output):
-    from .hopfcore import HopfAlgebraData
-
-    h = _load(hopf_path)
-    if not isinstance(h, HopfAlgebraData):
-        raise click.UsageError(f"{hopf_path}: expected a hopf file")
+    h = _load_as(hopf_path, HopfAlgebraData, "hopf")
     src_hash = ff.content_hash(ff.to_payload(h))
     ff.save(dual_hopf(h, twist), output,
             metadata={"construction": f"dual_{twist}", "source_hash": src_hash})
@@ -326,9 +306,7 @@ def find_pivotal_cmd(datum_path, max_params):
 @click.option("--dqg", "--datum", "dqg_path", required=True, type=click.Path())
 @click.option("--max-params", type=int, default=4, show_default=True)
 def find_ribbon_cmd(dqg_path, max_params):
-    q = _load(dqg_path)
-    if not isinstance(q, DoubleQuantumGroup):
-        raise click.UsageError(f"{dqg_path}: expected a dqg file")
+    q = _load_as(dqg_path, DoubleQuantumGroup, "dqg")
     _emit_finder(find_morphisms(q, "ribbon", max_params))
 
 

@@ -5,14 +5,15 @@ Sweedler algebra from its defining relations through a deterministic
 word-rewriting normalizer, cyclic group algebras from group structure,
 flip and conjugation entwinings from their closed forms.  These objects
 are the regression surface for the whole package: every constructor's
-output passes its full checker suite.
+output passes its full checker suite.  Every structure map beyond a
+closed-form table is a kernel pipeline over those tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactla import ONE, ZERO, Matrix, Vector, matrix_from_columns_fn
+from .exactla import ONE, Matrix, TensorOp, Vector, matrix_from_columns_fn
 from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum
 from .hopfcore import (
     AlgebraData,
@@ -67,51 +68,32 @@ def sweedler_h4() -> HopfAlgebraData:
         return {(index[w],): Fraction(sign)}
 
     mult = matrix_from_columns_fn((dim, dim), (dim,), mult_col)
+    mul = TensorOp(mult, (dim, dim), (dim,))
 
-    # coproduct on generators; extended to y = e*x multiplicatively
+    def on_generators(values, out_dims):
+        "A map given on the generators 1, e, x as a kernel op, zero on y."
+        gen = matrix_from_columns_fn((dim,), out_dims, lambda t: values.get(t[0], {}))
+        return TensorOp(gen, (dim,), out_dims)
+
+    # coproduct and antipode on generators, extended to y = e*x through the
+    # product: Delta(y) = Delta(e)Delta(x) multiplicatively, and
+    # S(y) = S(x)S(e) antimultiplicatively
     one, e, x, y = 0, 1, 2, 3
     delta = {
         one: {(one, one): ONE},
         e: {(e, e): ONE},
         x: {(x, one): ONE, (e, x): ONE},
     }
-
-    def tensor_mul(s1, s2):
-        out = {}
-        for (a1, a2), c1 in s1.items():
-            for (b1, b2), c2 in s2.items():
-                r1 = _h4_mul_words(_H4_WORDS[a1], _H4_WORDS[b1])
-                r2 = _h4_mul_words(_H4_WORDS[a2], _H4_WORDS[b2])
-                if r1 is None or r2 is None:
-                    continue
-                (s1_, w1), (s2_, w2) = r1, r2
-                key = (index[w1], index[w2])
-                nv = out.get(key, ZERO) + c1 * c2 * s1_ * s2_
-                if nv == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = nv
-        return out
-
-    delta[y] = tensor_mul(delta[e], delta[x])
+    s_gen = {one: {(one,): ONE}, e: {(e,): ONE}, x: {(y,): -ONE}}
+    d_gen = on_generators(delta, (dim, dim))
+    delta[y] = pipeline(
+        (e, x), _ap(1, d_gen), _ap(0, d_gen), _pm((0, 2, 1, 3)), _ap(0, mul), _ap(1, mul)
+    )
+    s_op = on_generators(s_gen, (dim,))
+    s_gen[y] = pipeline((e, x), _ap(0, s_op), _ap(1, s_op), _pm((1, 0)), _ap(0, mul))
     comult = matrix_from_columns_fn((dim,), (dim, dim), lambda t: delta[t[0]])
     counit = Matrix([[1, 1, 0, 0]])
-
-    # antipode on generators: S(1) = 1, S(e) = e, S(x) = -y; extended
-    # antimultiplicatively, S(e*x) = S(x)*S(e)
-    s_gen = {one: {one: ONE}, e: {e: ONE}, x: {y: -ONE}}
-    sy = {}
-    for wx, cx in s_gen[x].items():
-        for we, ce in s_gen[e].items():
-            r = _h4_mul_words(_H4_WORDS[wx], _H4_WORDS[we])
-            if r is None:
-                continue
-            sign, w = r
-            sy[index[w]] = sy.get(index[w], ZERO) + cx * ce * sign
-    s_gen[y] = sy
-    antipode = Matrix(
-        [[s_gen[j].get(i, ZERO) for j in range(dim)] for i in range(dim)]
-    )
+    antipode = matrix_from_columns_fn((dim,), (dim,), lambda t: s_gen[t[0]])
     alg = AlgebraData(dim, _H4_NAMES, mult, Vector([1, 0, 0, 0]))
     coa = CoalgebraData(dim, _H4_NAMES, comult, counit)
     return HopfAlgebraData(alg, coa, antipode)
@@ -151,6 +133,8 @@ def dual_cyclic_group_algebra(n: int) -> HopfAlgebraData:
 def z2_characters(b: HopfAlgebraData):
     """The two characters of functions-on-Z/2 as elements of b, i.e. the
     grouplike basis (counit-like and sign-like) exhibiting b = kZ2."""
+    if b.dim != 2:
+        raise ValueError("expected the dual Z/2 algebra")
     eps = Vector([1, 1])
     sgn = Vector([1, -1])
     return eps, sgn
@@ -248,20 +232,11 @@ def long_dqg(h: HopfAlgebraData, rmatrix: Vector, b: HopfAlgebraData,
         raise ValueError("rmatrix must live in H (x) H")
     datum = long_datum(h, b)
     nb, nh = b.dim, h.dim
-
-    def col(t):
-        beta = form.value(t[0], t[1])
-        out = {}
-        if beta == 0:
-            return out
-        for u in range(nh):
-            for v in range(nh):
-                x = rmatrix[u * nh + v]
-                if x != 0:
-                    out[(v, u)] = beta * x
-        return out
-
-    rmap = matrix_from_columns_fn((nb, nb), (nh, nh), col)
+    form_op = TensorOp(form.coords, (nb, nb), ())
+    r_op = TensorOp(Matrix.from_cols([rmatrix]), (), (nh, nh))
+    rmap = matrix_from_columns_fn(
+        (nb, nb), (nh, nh), lambda t: pipeline(t, _ap(0, form_op), _ap(0, r_op), _pm((1, 0)))
+    )
     return DoubleQuantumGroup(datum, rmap)
 
 

@@ -6,10 +6,12 @@ entwined modules, and the smash coproduct on (dual of A, cop) (x) C,
 whose comodules are.  Both are assembled here from the dual Hopf data
 plus dual-basis views of the entwining map, together with the module
 transport equivalence and the transport of pivots, copivots, R-matrices,
-ribbon elements and coribbon data in both directions.  A view, a
-(co)distributive-law conversion and the module transport are kernel
-pipelines: Cup brings in a pair of dual-basis legs and Cap pairs a
-dual leg with a plain one.
+ribbon elements and coribbon data in both directions.  Every structure
+map here is a kernel pipeline: a view, a (co)distributive-law
+conversion, the module transport and the transported R-matrix and
+coquasitriangular form.  Cup brings in a pair of dual-basis legs and
+Cap pairs a dual leg with a plain one.  Every axiom scan goes through
+report.compare_item.
 
 Basis convention for both constructions: dual-basis index first, then
 the plain-side index, left major (so the flat index of e^i (x) a_k is
@@ -19,13 +21,14 @@ the plain-side index, left major (so the flat index of e^i (x) a_k is
 from __future__ import annotations
 
 from .exactla import (
-    ZERO,
     Cap,
     Cup,
     Matrix,
+    State,
     TensorOp,
     Vector,
     matrix_from_columns_fn,
+    state_to_vector,
 )
 from .emodcat import EntwinedModule
 from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum
@@ -455,6 +458,14 @@ def extract_pivot(d: MonoidalEntwiningDatum, t: Element) -> HomCA:
     return HomCA(d, Matrix(rows))
 
 
+def _rmap_legs(q: DoubleQuantumGroup, perm) -> State:
+    """R(c_j (x) c_i) summed over dual bases, with both dual-basis legs kept:
+    two Cups open e^j (x) c_j and c_i (x) e^i, R acts on the middle, which
+    gives legs j u v i for R1 = e_u and R2 = e_v; perm then reorders them."""
+    cup = Cup(q.datum.c_dim)
+    return pipeline((), _ap(0, cup), _ap(2, cup), _ap(1, q.rmap_op), _pm(perm))
+
+
 def transport_rmatrix(q: DoubleQuantumGroup) -> Vector:
     """The R-matrix of the smash product induced by the braiding map:
     sum over dual bases of (e^i (x) R1(c_j (x) e_i)) (x) (c^j (x) R2(...)).
@@ -466,15 +477,8 @@ def transport_rmatrix(q: DoubleQuantumGroup) -> Vector:
     assert it on every corpus double structure.
     """
     d = q.datum
-    nc, na = d.c_dim, d.a_dim
-    dim = nc * na
-    coords = [ZERO] * (dim * dim)
-    for j in range(nc):
-        for i in range(nc):
-            for (u, v), x in q.rmap_op.cols((j, i)):
-                # first smash leg (i, u) carries R1, second (j, v) carries R2
-                coords[(i * na + u) * dim + (j * na + v)] += x
-    return Vector(coords)
+    # first smash leg (i, u) carries R1, second (j, v) carries R2
+    return state_to_vector(_rmap_legs(q, (3, 1, 0, 2)), (d.c_dim, d.a_dim) * 2)
 
 
 def transport_ribbon(q: DoubleQuantumGroup, g: HomCA,
@@ -525,14 +529,8 @@ def transport_coribbon(q: DoubleQuantumGroup, g: HomCA,
     d = q.datum
     if cosmash is None:
         cosmash = smash_coproduct(d)
-    nc, na = d.c_dim, d.a_dim
-    dim = na * nc
-    row = [ZERO] * (dim * dim)
-    for j in range(nc):
-        for i in range(nc):
-            for (u, v), x in q.rmap_op.cols((j, i)):
-                # zeta((e^u (x) c_j) (x) (e^v (x) c_i)) = (e^u (x) e^v)(R(c_j (x) c_i))
-                row[(u * nc + j) * dim + (v * nc + i)] = x
+    # zeta((e^u (x) c_j) (x) (e^v (x) c_i)) = (e^u (x) e^v)(R(c_j (x) c_i))
+    row = state_to_vector(_rmap_legs(q, (1, 0, 2, 3)), (d.a_dim, d.c_dim) * 2)
     form = BilinearForm(cosmash, cosmash, Matrix([row]))
     return form, Functional(cosmash, _cosmash_row(g))
 

@@ -127,3 +127,11 @@ def test_corpus_names_cover_cli_registry():
 def test_unknown_corpus_name():
     with pytest.raises(KeyError):
         corpus.corpus_build("nope")
+
+
+def test_z2_characters_needs_a_two_dimensional_algebra(h4):
+    eps, sgn = corpus.z2_characters(corpus.dual_cyclic_group_algebra(2))
+    assert [list(eps), list(sgn)] == [[1, 1], [1, -1]]
+    for b in (h4, corpus.cyclic_group_algebra(3)):
+        with pytest.raises(ValueError):
+            corpus.z2_characters(b)
