@@ -135,3 +135,42 @@ def test_z2_characters_needs_a_two_dimensional_algebra(h4):
     for b in (h4, corpus.cyclic_group_algebra(3)):
         with pytest.raises(ValueError):
             corpus.z2_characters(b)
+
+
+def oracle_long_dqg_rmap(h, rmatrix, b, form):
+    "The column loop long_dqg used before it became a pipeline, kept verbatim."
+    from entwine.exactla import matrix_from_columns_fn
+
+    nb, nh = b.dim, h.dim
+
+    def col(t):
+        beta = form.value(t[0], t[1])
+        out = {}
+        if beta == 0:
+            return out
+        for u in range(nh):
+            for v in range(nh):
+                x = rmatrix[u * nh + v]
+                if x != 0:
+                    out[(v, u)] = beta * x
+        return out
+
+    return matrix_from_columns_fn((nb, nb), (nh, nh), col)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_long_dqg_braiding_map_matches_oracle(h4, seed):
+    # R and beta are arbitrary here, neither symmetric nor (co)quasitriangular:
+    # long_dqg only assembles the map
+    import random
+
+    from entwine.exactla import Matrix, Vector
+    from entwine.hopfcore import BilinearForm
+
+    rng = random.Random(seed)
+    b = corpus.cyclic_group_algebra(3)
+    r = Vector([rng.choice([0, 1, -2, Fraction(1, 3)]) for _ in range(16)])
+    form = BilinearForm(b, b, Matrix([[rng.choice([0, 1, -1, 2]) for _ in range(9)]]))
+    q = corpus.long_dqg(h4, r, b, form)
+    assert q.rmap == oracle_long_dqg_rmap(h4, r, b, form)
+    assert not q.rmap.is_zero()

@@ -11,8 +11,9 @@ import random
 import pytest
 
 from entwine import corpus
-from entwine.entwining import DoubleQuantumGroup
+from entwine.entwining import DoubleQuantumGroup, HomCA
 from entwine.exactla import ZERO, Matrix, Vector
+from entwine.report import AxiomReport
 from entwine.smash import transport_coribbon, transport_rmatrix
 
 
@@ -81,3 +82,17 @@ def test_transport_coribbon_form_matches_oracle():
     form, _theta = transport_coribbon(q, corpus.long_kz2_ribbon())
     assert form.coords == oracle_coribbon_form_row(q)
     assert not form.coords.is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(DQGS))
+def test_coribbon_form_matches_oracle_without_a_ribbon(name, monkeypatch):
+    # the form depends on R alone; with the ribbon check passed through, it
+    # is compared on braiding maps that have no ribbon morphism, including
+    # ones that are not symmetric under swapping their two inputs
+    import entwine.pivribbon
+
+    monkeypatch.setattr(entwine.pivribbon, "verify_ribbon", lambda q, g: AxiomReport([]))
+    q = DQGS[name]
+    g = HomCA(q.datum, Matrix.zero(q.datum.a_dim, q.datum.c_dim))
+    form, _theta = transport_coribbon(q, g)
+    assert form.coords == oracle_coribbon_form_row(q)
