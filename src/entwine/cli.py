@@ -142,9 +142,9 @@ def _full_dqg_report(q: DoubleQuantumGroup) -> AxiomReport:
 @_format_option
 @_report_out_option
 def check_hopf_cmd(files, fmt, report_out):
-    ok = _run_file_checks(list(files),
-                          lambda path: check_hopf(_load_as(path, HopfAlgebraData, "hopf")),
-                          fmt, report_out)
+    ok = _run_file_checks(
+        list(files), lambda path: check_hopf(_load_as(path, HopfAlgebraData, "hopf")),
+        fmt, report_out)
     sys.exit(0 if ok else 1)
 
 

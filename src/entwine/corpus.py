@@ -5,8 +5,10 @@ Sweedler algebra from its defining relations through a deterministic
 word-rewriting normalizer, cyclic group algebras from group structure,
 flip and conjugation entwinings from their closed forms.  These objects
 are the regression surface for the whole package: every constructor's
-output passes its full checker suite.  Every structure map beyond a
-closed-form table is a kernel pipeline over those tables.
+output passes its full checker suite.  Every structure map that is not
+a closed-form table (the Sweedler coproduct and antipode on y = ex, the
+conjugation and Hopf-module entwinings, the braiding maps) is a kernel
+pipeline over those tables; the checks run through report.compare_item.
 """
 
 from __future__ import annotations

@@ -12,9 +12,10 @@ basis via the canonical evaluation identification: its action twists by
 S_A^2 and its coaction by S_C^{-2}, which keeps pivotal-structure
 matrices square.
 
-Every structure map is a kernel pipeline (TensorOp steps, with Cup and
-Cap for the dual-basis legs), and every axiom scan, the snake identities
-and braiding naturality included, goes through report.compare_item.
+Every action, coaction, pairing and braiding is built by a kernel
+pipeline (TensorOp steps, with Cup and Cap for the dual-basis legs), and
+every axiom scan, the snake identities and braiding naturality included,
+goes through report.compare_item.
 """
 
 from __future__ import annotations

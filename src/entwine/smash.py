@@ -6,12 +6,12 @@ entwined modules, and the smash coproduct on (dual of A, cop) (x) C,
 whose comodules are.  Both are assembled here from the dual Hopf data
 plus dual-basis views of the entwining map, together with the module
 transport equivalence and the transport of pivots, copivots, R-matrices,
-ribbon elements and coribbon data in both directions.  Every structure
-map here is a kernel pipeline: a view, a (co)distributive-law
-conversion, the module transport and the transported R-matrix and
-coquasitriangular form.  Cup brings in a pair of dual-basis legs and
-Cap pairs a dual leg with a plain one.  Every axiom scan goes through
-report.compare_item.
+ribbon elements and coribbon data in both directions.  Every product,
+coproduct and antipode, view, (co)distributive-law conversion, module
+transport and transported R-matrix or form is a kernel pipeline: Cup
+brings in a pair of dual-basis legs and Cap pairs a dual leg with a
+plain one.  Units, counits, pivots and copivots are coordinate lists
+reshaped.  Every axiom scan goes through report.compare_item.
 
 Basis convention for both constructions: dual-basis index first, then
 the plain-side index, left major (so the flat index of e^i (x) a_k is
