@@ -436,13 +436,16 @@ def braiding_morphism(m, n, q) -> ModuleMorphism:
 
 def action_endomorphisms(m: EntwinedModule) -> list[ModuleMorphism]:
     """Deterministic generating family of endomorphisms: the identity plus
-    every action-by-basis-element map that happens to be a morphism."""
+    every action-by-basis-element map that happens to be a morphism, each
+    distinct map once (the action of the unit is the identity again)."""
     out = [ModuleMorphism(m, m, Matrix.identity(m.dim))]
     d = m.datum
     for a in range(d.a_dim):
         mat = matrix_from_columns_fn(
             (m.dim,), (m.dim,), lambda t, a=a: pipeline((t[0], a), _ap(0, m.action_op))
         )
+        if any(f.map == mat for f in out):
+            continue
         try:
             out.append(ModuleMorphism(m, m, mat))
         except ValueError:

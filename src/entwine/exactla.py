@@ -5,6 +5,17 @@ basis, stored as its nonzero entries column by column; this module is the
 substrate they all compute on.  There is no floating point and no
 tolerance anywhere: comparisons are exact equality of canonical rationals.
 
+Inside the tensor-contraction kernel (the second half of this module) a
+coefficient is an ``int`` where it is integral and a Fraction otherwise:
+the corpus data is integral, and int arithmetic is far cheaper.  Mixed
+int/Fraction arithmetic is exact and ``Fraction(2) == 2`` with equal
+hashes, so states compare the same either way.  A value becomes a Fraction
+again wherever it leaves the kernel: ``Vector`` and ``Matrix(rows)``
+convert their entries, ``matrix_from_columns_fn``, ``hom_operator`` and
+``state_to_vector`` convert what they read from a state (so a ``Witness``
+holds Fractions), and the finder's polynomials convert their coefficients.
+Outside the kernel an int must not appear, because ``int / int`` is a float.
+
 Conventions fixed here and used everywhere else:
 
 * column j of a Matrix is the image of basis vector j;
@@ -36,7 +47,9 @@ class NotInvertibleError(ValueError):
 
 def rat_to_str(x: Fraction) -> str:
     "Canonical string form of a rational: 'p/q' or 'p' when q == 1."
-    return str(Fraction(x))
+    # a Fraction prints its own numerator and denominator; building a new
+    # one per entry cost several times as much
+    return str(_as_rat(x))
 
 
 def rat_from_str(s: str) -> Fraction:
@@ -326,37 +339,48 @@ class AffineSolution:
 def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
     """Gauss-Jordan elimination on sparse rows (in place).
 
-    Pivot selection is deterministic: columns left to right, first row
-    (in current order) with a nonzero entry in that column; the pivot
-    column is cleared from every other row.  Returns the list of
-    (row_index, pivot_col) pairs in elimination order.
+    Pivot selection is deterministic: columns left to right, the lowest
+    unpivoted row with a nonzero entry in that column; the pivot column is
+    cleared from every other row, pivoted rows included.  Rows must store
+    no zero entries.  An index of the rows holding each later column is
+    kept as entries fill in and cancel, so a column costs its own holders
+    rather than a scan of every row.  Returns the list of (row_index,
+    pivot_col) pairs in elimination order.
     """
+    holders: dict[int, set[int]] = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            if c < ncols:
+                holders.setdefault(c, set()).add(r)
     pivots = []
     pivoted: set[int] = set()
     for col in range(ncols):
-        piv = None
-        for r in range(len(rows)):
-            if r not in pivoted and rows[r].get(col, ZERO) != 0:
-                piv = r
-                break
+        held = holders.pop(col, ())
+        piv = min((r for r in held if r not in pivoted), default=None)
         if piv is None:
             continue
         pivoted.add(piv)
         pivots.append((piv, col))
         prow = rows[piv]
         pval = prow[col]
-        for r in range(len(rows)):
+        # each cleared row depends only on the pivot row: any order will do
+        for r in held:
             if r == piv:
                 continue
-            rv = rows[r].get(col)
-            if not rv:
-                continue
-            factor = rv / pval
             row = rows[r]
+            factor = row[col] / pval
             for c, x in prow.items():
-                nv = row.get(c, ZERO) - factor * x
+                old = row.get(c)
+                if old is None:
+                    row[c] = -factor * x
+                    if col < c < ncols:
+                        holders.setdefault(c, set()).add(r)
+                    continue
+                nv = old - factor * x
                 if nv == 0:
-                    row.pop(c, None)
+                    del row[c]
+                    if col < c < ncols:
+                        holders[c].discard(r)
                 else:
                     row[c] = nv
     return pivots
@@ -475,9 +499,16 @@ def invert(a: Matrix) -> Matrix:
 # a plain pipeline too.  A SlotLeg stands for an unknown map, so a side
 # that is linear in it comes out as a matrix (hom_operator).  Everything
 # is exact and allocation-light: dims stay <= 16 throughout the corpus.
+#
+# Coefficients are ints where integral: TensorOp.cols hands out the integral
+# entries of its matrix as ints, SlotLeg, Cup, Cap and basis_state use 1,
+# and sv_apply sums from 0.  The functions that turn a state into a Vector
+# or a Matrix (state_to_vector, matrix_from_columns_fn, hom_operator)
+# convert every value back to a Fraction.
 # ---------------------------------------------------------------------------
 
-State = dict[tuple, Fraction]
+# a sparse tensor: index tuple -> nonzero int or Fraction coefficient
+State = dict[tuple, int | Fraction]
 
 
 def flatten_index(dims: tuple[int, ...], idx: tuple[int, ...]) -> int:
@@ -515,12 +546,12 @@ class TensorOp:
         self.arity_out = len(self.out_dims)
         self._cols: dict[tuple, list] = {}
 
-    def cols(self, legs: tuple) -> list[tuple[tuple, Fraction]]:
+    def cols(self, legs: tuple) -> list[tuple[tuple, int | Fraction]]:
         cached = self._cols.get(legs)
         if cached is None:
             flat = flatten_index(self.in_dims, legs)
             cached = [
-                (unflatten_index(self.out_dims, i), x)
+                (unflatten_index(self.out_dims, i), x.numerator if x.denominator == 1 else x)
                 for i, x in self.matrix.sparse_cols()[flat]
             ]
             self._cols[legs] = cached
@@ -549,11 +580,11 @@ class SlotLeg:
         outs = list(itertools.product(*(range(d) for d in out_dims)))
         n_in = prod(in_dims)
         self._cols = {
-            legs + (0,): [(out + (i * n_in + j,), ONE) for i, out in enumerate(outs)]
+            legs + (0,): [(out + (i * n_in + j,), 1) for i, out in enumerate(outs)]
             for j, legs in enumerate(itertools.product(*(range(d) for d in in_dims)))
         }
 
-    def cols(self, legs: tuple) -> list[tuple[tuple, Fraction]]:
+    def cols(self, legs: tuple) -> list[tuple[tuple, int | Fraction]]:
         return self._cols[legs]
 
 
@@ -566,9 +597,9 @@ class Cup:
     def __init__(self, n: int):
         self.arity_in = 0
         self.arity_out = 2
-        self._cols = [((x, x), ONE) for x in range(n)]
+        self._cols = [((x, x), 1) for x in range(n)]
 
-    def cols(self, legs: tuple) -> list[tuple[tuple, Fraction]]:
+    def cols(self, legs: tuple) -> list[tuple[tuple, int | Fraction]]:
         return self._cols
 
 
@@ -579,14 +610,14 @@ class Cap:
     __slots__ = ()
     arity_in = 2
     arity_out = 0
-    _KEEP = [((), ONE)]
+    _KEEP = [((), 1)]
 
-    def cols(self, legs: tuple) -> list[tuple[tuple, Fraction]]:
+    def cols(self, legs: tuple) -> list[tuple[tuple, int | Fraction]]:
         return self._KEEP if legs[0] == legs[1] else []
 
 
 def basis_state(idx: tuple) -> State:
-    return {tuple(idx): ONE}
+    return {tuple(idx): 1}
 
 
 def sv_apply(state: State, pos: int, op: TensorOp) -> State:
@@ -597,7 +628,7 @@ def sv_apply(state: State, pos: int, op: TensorOp) -> State:
         head, legs, tail = key[:pos], key[pos : pos + a_in], key[pos + a_in :]
         for out_legs, x in op.cols(legs):
             nk = head + out_legs + tail
-            nv = out.get(nk, ZERO) + c * x
+            nv = out.get(nk, 0) + c * x
             if nv == 0:
                 out.pop(nk, None)
             else:
@@ -655,5 +686,5 @@ def hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> Matrix:
     cols = [[] for _ in range(prod(out_dims) * prod(in_dims))]
     for j, t in enumerate(itertools.product(*(range(d) for d in seed_dims))):
         for key, x in side(slot, t).items():
-            cols[key[-1]].append((flatten_index(key_dims, key[:-1]) * n_seed + j, x))
+            cols[key[-1]].append((flatten_index(key_dims, key[:-1]) * n_seed + j, _as_rat(x)))
     return Matrix(shape=(prod(key_dims) * n_seed, len(cols)), cols=[sorted(c) for c in cols])

@@ -25,6 +25,7 @@ from .exactla import (
     Matrix,
     TensorOp,
     Vector,
+    _as_rat,
     hom_operator,
     matrix_from_columns_fn,
     solve_affine,
@@ -357,11 +358,12 @@ class _Poly:
     def __init__(self, terms=None):
         self.terms = dict(terms or {})  # monomial tuple (sorted) -> coeff
 
-    def add_term(self, mono: tuple, coeff: Fraction):
+    def add_term(self, mono: tuple, coeff):
+        "Add coeff * mono; a kernel coefficient may be an int, a term is a Fraction."
         if coeff == 0:
             return
         key = tuple(sorted(mono))
-        nv = self.terms.get(key, ZERO) + coeff
+        nv = self.terms.get(key, 0) + _as_rat(coeff)
         if nv == 0:
             self.terms.pop(key, None)
         else:

@@ -140,29 +140,49 @@ def test_flip_left_dual_closed_form(long_kz2, kz2):
     assert dd.dual_module.coaction == expect
 
 
-def test_transpose_laws(yd_h4):
-    m = std_module_CA(yd_h4)
-    endos = action_endomorphisms(m)
-    assert len(endos) >= 2
-    ident = endos[0]
-    f = endos[-1]
-    assert transpose(ident, "left").map.is_identity()
-    tf = transpose(f, "left")
-    tg = transpose(ident, "left")
-    comp = f.then(ident)
-    assert transpose(comp, "left").map == tg.map * tf.map
-    # transpose on dual bases is the matrix transpose
-    assert tf.map == f.map.transpose()
+def _non_identity_endomorphisms(case):
+    """std_module_CA and two distinct non-identity endomorphisms of it.
+
+    On yd_kz3 they come from the action family.  On yd_h4 that family is
+    the identity alone, so they are c (x) a -> theta(c_1) c_2 (x) a for two
+    coordinate functionals theta."""
+    if case == "yd_kz3":
+        m = std_module_CA(corpus.yd_datum(corpus.cyclic_group_algebra(3)))
+        f, g = action_endomorphisms(m)[1:]
+    else:
+        d = corpus.yd_datum(corpus.sweedler_h4())
+        m = std_module_CA(d)
+        f, g = (
+            ModuleMorphism(m, m, matrix_from_columns_fn((4, 4), (4, 4), lambda t, k=k: pipeline(
+                t, _ap(0, d.c.comul_op),
+                _ap(0, TensorOp(Matrix([[int(i == k) for i in range(4)]]), (4,), ())))))
+            for k in (0, 1)
+        )
+    assert not f.map.is_identity() and not g.map.is_identity() and f.map != g.map
+    return m, f, g
 
 
-def test_transpose_tr2_squares(yd_h4):
-    m = std_module_CA(yd_h4)
-    f = action_endomorphisms(m)[-1]
-    tf = transpose(f, "left")
-    dd = left_dual(m)
-    eye = Matrix.identity(m.dim)
-    assert dd.ev * kron(tf.map, eye) == dd.ev * kron(eye, f.map)
-    assert kron(eye, tf.map) * dd.coev == kron(f.map, eye) * dd.coev
+def test_transpose_laws():
+    for case in ("yd_kz3", "yd_h4"):
+        m, f, g = _non_identity_endomorphisms(case)
+        ident = action_endomorphisms(m)[0]
+        assert transpose(ident, "left").map.is_identity()
+        tf = transpose(f, "left")
+        tg = transpose(g, "left")
+        comp = f.then(g)
+        assert transpose(comp, "left").map == tf.map * tg.map
+        # transpose on dual bases is the matrix transpose
+        assert tf.map == f.map.transpose()
+
+
+def test_transpose_tr2_squares():
+    for case in ("yd_kz3", "yd_h4"):
+        m, f, _ = _non_identity_endomorphisms(case)
+        tf = transpose(f, "left")
+        dd = left_dual(m)
+        eye = Matrix.identity(m.dim)
+        assert dd.ev * kron(tf.map, eye) == dd.ev * kron(eye, f.map)
+        assert kron(eye, tf.map) * dd.coev == kron(f.map, eye) * dd.coev
 
 
 def test_double_right_dual_matches_literal_iteration(monoidal_datums):
@@ -462,3 +482,87 @@ def test_braiding_naturality_holds_for_any_linear_r(yd_dqg_h4):
     rep = check_braiding_naturality(m, n, q, morphisms=extra)
     assert rep.overall
     assert [it.axiom_id for it in rep.items] == ["N1_left_slot", "N2_right_slot"]
+
+
+# ---------------------------------------------------------------------------
+# M01-M05 fail: one-entry perturbations of std_module_CA(yd_h4).  The
+# expected witness comes from the matrices of both sides, composed with kron
+# and products instead of the kernel: the first column (lexicographic in the
+# basis tuple) where they differ, and those two columns.
+# ---------------------------------------------------------------------------
+
+
+def _bumped(m, which, row, col, delta):
+    mat = getattr(m, which)
+    rows = [list(r) for r in mat.rows()]
+    rows[row][col] += delta
+    parts = {"action": m.action, "coaction": m.coaction, which: Matrix(rows)}
+    return EntwinedModule(m.datum, m.dim, parts["action"], parts["coaction"], m.basis_names)
+
+
+def _module_sides(m, axiom_id):
+    "The two sides of a module axiom as (in_dims, lhs matrix, rhs matrix)."
+    d = m.datum
+    dim, na, nc = m.dim, d.a_dim, d.c_dim
+    eye_m, eye_a, eye_c = Matrix.identity(dim), Matrix.identity(na), Matrix.identity(nc)
+    act, coact = m.action, m.coaction
+    return {
+        "M01_action_assoc": ((dim, na, na), act * kron(eye_m, d.a.mult),
+                             act * kron(act, eye_a)),
+        "M02_action_unit": ((dim,), act * kron(eye_m, Matrix([[x] for x in d.a.unit])), eye_m),
+        "M03_coassoc": ((dim,), kron(coact, eye_c) * coact, kron(eye_m, d.c.comult) * coact),
+        "M04_counit": ((dim,), kron(eye_m, d.c.counit) * coact, eye_m),
+        "M05_entwined": ((dim, na), coact * act,
+                         kron(act, eye_c) * kron(eye_m, d.phi) * kron(coact, eye_a)),
+    }[axiom_id]
+
+
+def _first_mismatch(in_dims, lhs, rhs):
+    from entwine.exactla import unflatten_index
+
+    for j in range(lhs.ncols):
+        if lhs.col(j) != rhs.col(j):
+            return unflatten_index(in_dims, j), lhs.col(j), rhs.col(j)
+    return None
+
+
+def _e(*coords):
+    return Vector(list(coords) + [0] * (16 - len(coords)))
+
+
+# basis of std_module_CA(yd_h4): m_(4c + a) = c (x) a over 1, e, x, y
+@pytest.mark.parametrize("axiom_id, which, row, col, delta, literal", [
+    # m0 . e gains m0: at (m0, e, e), m0 . (e e) = m0 but (m0 . e) . e = 2 m0 + m1
+    ("M01_action_assoc", "action", 0, 1, 1, ((0, 1, 1), _e(1), _e(2, 1))),
+    # m0 . 1 = m0 + 2 m1
+    ("M02_action_unit", "action", 1, 0, 2, ((0,), _e(1, 2), _e(1))),
+    # rho(m0) gains m1 (x) x, whose counit is 0: M04 still holds
+    ("M03_coassoc", "coaction", 1 * 4 + 2, 0, 1, None),
+    # rho(m0) gains -m1 (x) 1, so (id (x) eps) rho(m0) = m0 - m1
+    ("M04_counit", "coaction", 1 * 4 + 0, 0, -1, ((0,), _e(1, -1), _e(1))),
+    # m0 . e gains m0 / 2; the entwined square first differs at (m0, x)
+    ("M05_entwined", "action", 0, 1, Fraction(1, 2), None),
+])
+def test_one_entry_perturbation_fails_module_axiom(yd_h4, axiom_id, which, row, col, delta,
+                                                   literal):
+    m = _bumped(std_module_CA(yd_h4), which, row, col, delta)
+    item = check_entwined_module(m).item(axiom_id)
+    assert not item.passed
+    expected = _first_mismatch(*_module_sides(m, axiom_id))
+    assert expected is not None
+    w = item.witness
+    assert (w.basis, w.lhs, w.rhs) == expected
+    if literal is not None:
+        assert expected == literal
+    if axiom_id == "M03_coassoc":
+        assert check_entwined_module(m).item("M04_counit").passed
+    if axiom_id == "M05_entwined":
+        assert w.basis == (0, 2)
+
+
+def test_module_sides_oracle_agrees_on_the_unperturbed_module(yd_h4):
+    m = std_module_CA(yd_h4)
+    assert check_entwined_module(m).overall
+    for axiom_id in ("M01_action_assoc", "M02_action_unit", "M03_coassoc", "M04_counit",
+                     "M05_entwined"):
+        assert _first_mismatch(*_module_sides(m, axiom_id)) is None, axiom_id

@@ -191,8 +191,49 @@ def test_two_sided_solve():
 # Oracle: the dense row-major Matrix that sparse columns replaced.  The class
 # body (reduced to the methods compared here), kron, solve_affine and invert
 # are kept verbatim apart from their names; the sparse Matrix must agree with
-# them entry for entry on seeded random matrices.
+# them entry for entry on seeded random matrices.  They eliminate with
+# scan_eliminate, the row-scanning elimination that the column index of
+# _eliminate replaced, also kept verbatim.
 # ---------------------------------------------------------------------------
+
+
+def scan_eliminate(rows: list[dict[int, Fraction]], ncols: int):
+    """Gauss-Jordan elimination on sparse rows (in place).
+
+    Pivot selection is deterministic: columns left to right, first row
+    (in current order) with a nonzero entry in that column; the pivot
+    column is cleared from every other row.  Returns the list of
+    (row_index, pivot_col) pairs in elimination order.
+    """
+    pivots = []
+    pivoted: set[int] = set()
+    for col in range(ncols):
+        piv = None
+        for r in range(len(rows)):
+            if r not in pivoted and rows[r].get(col, ZERO) != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        pivoted.add(piv)
+        pivots.append((piv, col))
+        prow = rows[piv]
+        pval = prow[col]
+        for r in range(len(rows)):
+            if r == piv:
+                continue
+            rv = rows[r].get(col)
+            if not rv:
+                continue
+            factor = rv / pval
+            row = rows[r]
+            for c, x in prow.items():
+                nv = row.get(c, ZERO) - factor * x
+                if nv == 0:
+                    row.pop(c, None)
+                else:
+                    row[c] = nv
+    return pivots
 
 
 class DenseMatrix:
@@ -337,7 +378,7 @@ def dense_solve_affine(a: DenseMatrix, b: Vector) -> AffineSolution | None:
         if b[i] != 0:
             row[n] = b[i]  # augmented column
         rows.append(row)
-    pivots = _eliminate(rows, n)
+    pivots = scan_eliminate(rows, n)
     piv_rows = {r for r, _ in pivots}
     for r, row in enumerate(rows):
         if r not in piv_rows and row.get(n, ZERO) != 0:
@@ -386,7 +427,7 @@ def dense_invert(a: DenseMatrix) -> DenseMatrix:
         row = {j: x for j, x in enumerate(a._rows[i]) if x != 0}
         row[n + i] = ONE  # augmented identity block
         rows.append(row)
-    pivots = _eliminate(rows, n)
+    pivots = scan_eliminate(rows, n)
     if len(pivots) < n:
         raise NotInvertibleError("matrix is rank-deficient")
     inv = [[ZERO] * n for _ in range(n)]
@@ -491,3 +532,70 @@ def test_sparse_solve_and_invert_agree_with_dense_reference(seed):
                 invert(s)
         else:
             assert_same(invert(s), expected)
+
+
+# ---------------------------------------------------------------------------
+# The pivot rule of _eliminate, on hand-built systems where a wrong rule
+# shows: the pivot of a column is the lowest *unpivoted* row holding it, and
+# the column is cleared from every other holder, pivoted rows included.
+# ---------------------------------------------------------------------------
+
+PIVOT_RULE_SYSTEMS = {
+    # row 0 pivots column 0 and holds column 1, whose pivot is row 1: Gauss-
+    # Jordan clears column 1 (and then 2) from the pivoted row 0 as well
+    "pivoted_row_holds_later_column": (
+        [[1, 2, 0, 3], [0, 1, 1, 0], [0, 0, 2, 1], [1, 0, 0, 1]], [1, 2, 3, 4]),
+    # after column 0 the lowest holder of column 1 is row 0, already pivoted;
+    # the pivot is row 2
+    "lowest_holder_pivoted": (
+        [[1, 1, 1, 0], [1, 1, 0, 2], [0, 1, 3, 1], [2, 0, 1, 1]], [0, 1, -1, 2]),
+    # column 1 is held only by the pivoted row 0 once column 0 is done, so it
+    # is free; the same for column 3 after column 2
+    "only_holder_pivoted": (
+        [[1, 1, 0, 0, 1], [2, 2, 1, 1, 0], [0, 0, 3, 3, 1]], [1, 0, Fraction(1, 2)]),
+    # the finder's shape: wide, rank 2 of 3, a four-dimensional nullspace
+    "wide_rank_deficient": (
+        [[1, 0, 2, -1, 0, 1], [0, 1, 1, 0, 2, 0], [1, 1, 3, -1, 2, 1]], [1, 2, 3]),
+}
+
+
+def _rows_of(entries, rhs=None):
+    rows = [{j: _as_rat(x) for j, x in enumerate(r) if x} for r in entries]
+    if rhs is not None:
+        n = len(entries[0])
+        for row, x in zip(rows, rhs):
+            if x:
+                row[n] = _as_rat(x)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(PIVOT_RULE_SYSTEMS))
+def test_eliminate_pivot_rule_matches_row_scan(name):
+    entries, rhs = PIVOT_RULE_SYSTEMS[name]
+    n = len(entries[0])
+    for rhs_or_none in (rhs, None):
+        rows, ref = _rows_of(entries, rhs_or_none), _rows_of(entries, rhs_or_none)
+        pivots = _eliminate(rows, n)
+        assert pivots == scan_eliminate(ref, n)
+        assert rows == ref
+        # reduced: a pivot column is held by its pivot row alone
+        for r, c in pivots:
+            assert [i for i, row in enumerate(rows) if c in row] == [r]
+    a, a_ref = Matrix(entries), DenseMatrix(entries)
+    b = Vector(rhs)
+    sol = solve_affine(a, b)
+    assert sol == dense_solve_affine(a_ref, b)
+    assert sol is not None and a.apply(sol.particular) == b
+    for v in sol.nullspace_basis:
+        assert a.apply(v).is_zero()
+    if name == "wide_rank_deficient":
+        assert sol.dimension == 4
+    if a.nrows == a.ncols:
+        try:
+            expected = dense_invert(a_ref)
+        except NotInvertibleError:
+            with pytest.raises(NotInvertibleError):
+                invert(a)
+        else:
+            assert invert(a) == Matrix(expected._rows)
+            assert (invert(a) * a).is_identity()
