@@ -162,6 +162,14 @@ def _non_identity_endomorphisms(case):
     return m, f, g
 
 
+def test_action_endomorphisms_lists_each_map_once():
+    # the action of the unit is the identity, listed first already
+    for h, n_maps in ((corpus.sweedler_h4(), 1), (corpus.cyclic_group_algebra(3), 3)):
+        endos = action_endomorphisms(std_module_CA(corpus.yd_datum(h)))
+        assert endos[0].map.is_identity()
+        assert len({f.map for f in endos}) == len(endos) == n_maps
+
+
 def test_transpose_laws():
     for case in ("yd_kz3", "yd_h4"):
         m, f, g = _non_identity_endomorphisms(case)
