@@ -137,57 +137,27 @@ def _full_dqg_report(q: DoubleQuantumGroup) -> AxiomReport:
     return _full_datum_report(q.datum).merged_with(check_double_quantum_group(q))
 
 
-@check.command(name="hopf", help="Full Hopf axiom suite on hopf files.")
-@click.argument("files", nargs=-1, required=True, type=click.Path())
-@_format_option
-@_report_out_option
-def check_hopf_cmd(files, fmt, report_out):
-    ok = _run_file_checks(
-        list(files), lambda path: check_hopf(_load_as(path, HopfAlgebraData, "hopf")),
-        fmt, report_out)
-    sys.exit(0 if ok else 1)
+def _file_check(name: str, help: str, runner) -> None:
+    "Register `check <name> FILES...`, which reports runner(path) for each file."
+
+    @check.command(name=name, help=help)
+    @click.argument("files", nargs=-1, required=True, type=click.Path())
+    @_format_option
+    @_report_out_option
+    def cmd(files, fmt, report_out):
+        sys.exit(0 if _run_file_checks(list(files), runner, fmt, report_out) else 1)
 
 
-@check.command(name="entwining", help="Basic entwining axioms on entwining/dqg files.")
-@click.argument("files", nargs=-1, required=True, type=click.Path())
-@_format_option
-@_report_out_option
-def check_entwining_cmd(files, fmt, report_out):
-    ok = _run_file_checks(list(files), lambda path: check_entwining(_load_datum(path).base),
-                          fmt, report_out)
-    sys.exit(0 if ok else 1)
-
-
-@check.command(name="datum", help="Entwining + monoidal + antipode-compat axioms.")
-@click.argument("files", nargs=-1, required=True, type=click.Path())
-@_format_option
-@_report_out_option
-def check_datum_cmd(files, fmt, report_out):
-    ok = _run_file_checks(list(files), lambda path: _full_datum_report(_load_datum(path)),
-                          fmt, report_out)
-    sys.exit(0 if ok else 1)
-
-
-@check.command(name="dqg", help="Full double-structure axiom chain on dqg files.")
-@click.argument("files", nargs=-1, required=True, type=click.Path())
-@_format_option
-@_report_out_option
-def check_dqg_cmd(files, fmt, report_out):
-    ok = _run_file_checks(
-        list(files), lambda path: _full_dqg_report(_load_as(path, DoubleQuantumGroup, "dqg")),
-        fmt, report_out)
-    sys.exit(0 if ok else 1)
-
-
-@check.command(name="module", help="Entwined-module axioms on module files.")
-@click.argument("files", nargs=-1, required=True, type=click.Path())
-@_format_option
-@_report_out_option
-def check_module_cmd(files, fmt, report_out):
-    ok = _run_file_checks(
-        list(files), lambda path: check_entwined_module(_load_as(path, EntwinedModule, "module")),
-        fmt, report_out)
-    sys.exit(0 if ok else 1)
+_file_check("hopf", "Full Hopf axiom suite on hopf files.",
+            lambda path: check_hopf(_load_as(path, HopfAlgebraData, "hopf")))
+_file_check("entwining", "Basic entwining axioms on entwining/dqg files.",
+            lambda path: check_entwining(_load_datum(path).base))
+_file_check("datum", "Entwining + monoidal + antipode-compat axioms.",
+            lambda path: _full_datum_report(_load_datum(path)))
+_file_check("dqg", "Full double-structure axiom chain on dqg files.",
+            lambda path: _full_dqg_report(_load_as(path, DoubleQuantumGroup, "dqg")))
+_file_check("module", "Entwined-module axioms on module files.",
+            lambda path: check_entwined_module(_load_as(path, EntwinedModule, "module")))
 
 
 def _attach_morphism(d: MonoidalEntwiningDatum, morph_path) -> HomCA:
@@ -229,14 +199,18 @@ def build():
     "Construct derived objects and save them to structure files."
 
 
+def _save_built(src, obj, output, construction: str) -> None:
+    "Save a built object, with its construction and the hash of its source."
+    src_hash = ff.content_hash(ff.to_payload(src))
+    ff.save(obj, output, metadata={"construction": construction, "source_hash": src_hash})
+
+
 @build.command(name="smash", help="Smash product Hopf algebra of a datum.")
 @click.option("--datum", "datum_path", required=True, type=click.Path())
 @click.option("-o", "--output", required=True, type=click.Path())
 def build_smash_cmd(datum_path, output):
     d = _load_datum(datum_path)
-    src_hash = ff.content_hash(ff.to_payload(d))
-    ff.save(smash_product(d), output,
-            metadata={"construction": "smash_product", "source_hash": src_hash})
+    _save_built(d, smash_product(d), output, "smash_product")
 
 
 @build.command(name="cosmash", help="Smash coproduct Hopf algebra of a datum.")
@@ -244,9 +218,7 @@ def build_smash_cmd(datum_path, output):
 @click.option("-o", "--output", required=True, type=click.Path())
 def build_cosmash_cmd(datum_path, output):
     d = _load_datum(datum_path)
-    src_hash = ff.content_hash(ff.to_payload(d))
-    ff.save(smash_coproduct(d), output,
-            metadata={"construction": "smash_coproduct", "source_hash": src_hash})
+    _save_built(d, smash_coproduct(d), output, "smash_coproduct")
 
 
 @build.command(name="double", help="Drinfeld double of a Hopf algebra file.")
@@ -254,9 +226,7 @@ def build_cosmash_cmd(datum_path, output):
 @click.option("-o", "--output", required=True, type=click.Path())
 def build_double_cmd(hopf_path, output):
     h = _load_as(hopf_path, HopfAlgebraData, "hopf")
-    src_hash = ff.content_hash(ff.to_payload(h))
-    ff.save(corpus_mod.drinfeld_double(h), output,
-            metadata={"construction": "drinfeld_double", "source_hash": src_hash})
+    _save_built(h, corpus_mod.drinfeld_double(h), output, "drinfeld_double")
 
 
 @build.command(name="dual", help="Dual Hopf algebra, optionally op/cop twisted.")
@@ -265,9 +235,7 @@ def build_double_cmd(hopf_path, output):
 @click.option("-o", "--output", required=True, type=click.Path())
 def build_dual_cmd(hopf_path, twist, output):
     h = _load_as(hopf_path, HopfAlgebraData, "hopf")
-    src_hash = ff.content_hash(ff.to_payload(h))
-    ff.save(dual_hopf(h, twist), output,
-            metadata={"construction": f"dual_{twist}", "source_hash": src_hash})
+    _save_built(h, dual_hopf(h, twist), output, f"dual_{twist}")
 
 
 @main.group(name="find")

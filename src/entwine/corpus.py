@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactla import ONE, Matrix, TensorOp, Vector, matrix_from_columns_fn
-from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum
+from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum, conv_unit
 from .hopfcore import (
     AlgebraData,
     BilinearForm,
@@ -26,7 +26,9 @@ from .hopfcore import (
     HopfAlgebraData,
     dual_hopf,
 )
+from .pivribbon import separable_candidate
 from .report import pipeline, _ap, _pm
+from .smash import smash_coproduct, smash_product
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +246,6 @@ def long_dqg(h: HopfAlgebraData, rmatrix: Vector, b: HopfAlgebraData,
 
 def drinfeld_double(h: HopfAlgebraData) -> HopfAlgebraData:
     "The smash product of the conjugation datum: the double of h."
-    from .smash import smash_product
-
     return smash_product(yd_datum(h))
 
 
@@ -270,8 +270,6 @@ def h4_yd_pivotal_pair(d: MonoidalEntwiningDatum) -> tuple[HomCA, HomCA]:
 
 # registry used by the command line `corpus` command
 def _corpus_registry():
-    from .smash import smash_coproduct
-
     def entry_hopf(builder):
         return lambda: ("hopf", builder())
 
@@ -298,7 +296,7 @@ def _corpus_registry():
         "g1_yd_h4": lambda: ("morphism", h4_yd_pivotal_pair(yd_datum(sweedler_h4()))[0]),
         "g2_yd_h4": lambda: ("morphism", h4_yd_pivotal_pair(yd_datum(sweedler_h4()))[1]),
         "g_long_h4": lambda: ("morphism", h4_long_pivotal(long_datum(sweedler_h4(), sweedler_h4()))),
-        "unit_morphism_yd_h4": lambda: ("morphism", _unit_hom(yd_datum(sweedler_h4()))),
+        "unit_morphism_yd_h4": lambda: ("morphism", conv_unit(yd_datum(sweedler_h4()))),
         "g_ribbon_long_kz2": lambda: ("morphism", long_kz2_ribbon()),
         "pivot_h4": lambda: ("element", Element(sweedler_h4(), Vector([0, 1, 0, 0]))),
         "copivot_h4": lambda: ("functional", h4_copivot(sweedler_h4())),
@@ -311,12 +309,6 @@ def _corpus_registry():
         ),
     }
     return reg
-
-
-def _unit_hom(d: MonoidalEntwiningDatum) -> HomCA:
-    from .entwining import conv_unit
-
-    return conv_unit(d)
 
 
 def _long_dqg_kz2() -> DoubleQuantumGroup:
@@ -332,8 +324,6 @@ def long_kz2_ribbon() -> HomCA:
     Z/2: the ribbon-element/ribbon-character pairing with both trivial."""
     q = _long_dqg_kz2()
     d = q.datum
-    from .pivribbon import separable_candidate
-
     kappa = Element(d.a, d.a.unit)
     rho = Functional(d.c, Matrix([list(d.c.counit.row(0))]))
     return separable_candidate(d, kappa, rho, "ribbon").map

@@ -341,11 +341,14 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
 
     Pivot selection is deterministic: columns left to right, the lowest
     unpivoted row with a nonzero entry in that column; the pivot column is
-    cleared from every other row, pivoted rows included.  Rows must store
-    no zero entries.  An index of the rows holding each later column is
-    kept as entries fill in and cancel, so a column costs its own holders
-    rather than a scan of every row.  Returns the list of (row_index,
-    pivot_col) pairs in elimination order.
+    cleared from every other row, pivoted rows included.  So when it
+    finishes, a pivot row holds only its own pivot, free columns and the
+    right-hand sides (the entries at ncols and beyond), and every solution
+    can be read off the reduced rows (_read_off).  Rows must store no zero
+    entries.  An index of the rows holding each later column is kept as
+    entries fill in and cancel, so a column costs its own holders rather
+    than a scan of every row.  Returns the list of (row_index, pivot_col)
+    pairs in elimination order.
     """
     holders: dict[int, set[int]] = {}
     for r, row in enumerate(rows):
@@ -386,66 +389,74 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
     return pivots
 
 
-def _row_dicts(a: Matrix) -> list[dict[int, Fraction]]:
-    "The nonzero entries of each row of a, keyed by column in ascending order."
+def _reduce(a: Matrix, rhs_cols: list[list[tuple[int, Fraction]]]):
+    """The rows of [a | rhs] after _eliminate, and its pivots.
+
+    ``rhs_cols`` are sparse columns like Matrix.sparse_cols(); right-hand
+    side k sits at column ``a.ncols + k``.
+    """
+    n = a.ncols
     rows: list[dict[int, Fraction]] = [{} for _ in range(a.nrows)]
     for j, col in enumerate(a.sparse_cols()):
         for i, x in col:
             rows[i][j] = x
-    return rows
+    for k, col in enumerate(rhs_cols):
+        for i, x in col:
+            rows[i][n + k] = x
+    return rows, _eliminate(rows, n)
+
+
+def _read_off(rows, pivots, col: int) -> dict[int, Fraction]:
+    """Column col read off the reduced rows: x[c] = row[col] / row[c] at
+    each pivot (r, c), zero elsewhere (only the nonzeros are returned).
+    For a right-hand side this is the solution with every free variable 0;
+    for a free column f, minus it is the pivot part of f's null vector."""
+    return {c: rows[r][col] / rows[r][c] for r, c in pivots if col in rows[r]}
+
+
+def vstack(*blocks: Matrix) -> Matrix:
+    "The rows of each block in turn; every block must have the same unknowns."
+    ncols = blocks[0].ncols
+    if any(b.ncols != ncols for b in blocks):
+        raise ValueError("stacked blocks must have the same number of columns")
+    cols = [[] for _ in range(ncols)]
+    offset = 0
+    for b in blocks:
+        for col, bcol in zip(cols, b.sparse_cols()):
+            col.extend((i + offset, x) for i, x in bcol)
+        offset += b.nrows
+    return Matrix(shape=(offset, ncols), cols=cols)
 
 
 def solve_affine(a: Matrix, b: Vector) -> AffineSolution | None:
     """Exact affine solve of a.x = b; None when inconsistent.
 
-    RHS is carried in the augmented column; free variables are set to 0
-    for the particular solution and swept one at a time for the
-    nullspace basis.
+    The right-hand side is carried in one augmented column.  The particular
+    solution sets every free variable to 0; the null vector of free column
+    f sets f to 1 and the other free variables to 0.
     """
     if a.nrows != b.dim:
         raise ValueError("rows(a) must equal dim(b)")
     n = a.ncols
-    rows = _row_dicts(a)
-    for row, x in zip(rows, b.coords):
-        if x:
-            row[n] = x  # augmented column
-    pivots = _eliminate(rows, n)
+    rows, pivots = _reduce(a, [[(i, x) for i, x in enumerate(b.coords) if x]])
     piv_rows = {r for r, _ in pivots}
-    for r, row in enumerate(rows):
-        if r not in piv_rows and row.get(n, ZERO) != 0:
-            return None
+    if any(n in row for r, row in enumerate(rows) if r not in piv_rows):
+        return None
     piv_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(n) if c not in piv_cols]
 
-    def backsub(free_values: dict[int, Fraction]) -> Vector:
+    def vector(entries: dict[int, Fraction]) -> Vector:
         x = [ZERO] * n
-        for c, v in free_values.items():
+        for c, v in entries.items():
             x[c] = v
-        for r, c in reversed(pivots):
-            row = rows[r]
-            s = row.get(n, ZERO)
-            for cc, coeff in row.items():
-                if cc != c and cc != n:
-                    s -= coeff * x[cc]
-            x[c] = s / row[c]
         return Vector(x)
 
-    particular = backsub({})
     null_basis = []
-    for f in free_cols:
-        hom_rows = [dict(rows[r]) for r, _ in pivots]
-        for row in hom_rows:
-            row.pop(n, None)
-        x = [ZERO] * n
-        x[f] = ONE
-        for (r, c), row in zip(reversed(pivots), reversed(hom_rows)):
-            s = ZERO
-            for cc, coeff in row.items():
-                if cc != c:
-                    s -= coeff * x[cc]
-            x[c] = s / row[c]
-        null_basis.append(Vector(x))
-    return AffineSolution(particular, tuple(null_basis))
+    for f in range(n):
+        if f not in piv_cols:
+            entries = {c: -v for c, v in _read_off(rows, pivots, f).items()}
+            entries[f] = ONE
+            null_basis.append(vector(entries))
+    return AffineSolution(vector(_read_off(rows, pivots, n)), tuple(null_basis))
 
 
 def two_sided_solve(left: Matrix, right: Matrix, rhs) -> Vector | None:
@@ -456,13 +467,7 @@ def two_sided_solve(left: Matrix, right: Matrix, rhs) -> Vector | None:
     x -> x*g of an associative algebra and rhs its unit, x is the two-sided
     inverse of g, which is unique when it exists.
     """
-    if left.ncols != right.ncols:
-        raise ValueError("both systems must have the same unknowns")
-    n = left.nrows
-    cols = [lc + [(i + n, x) for i, x in rc]
-            for lc, rc in zip(left.sparse_cols(), right.sparse_cols())]
-    stacked = Matrix(shape=(n + right.nrows, left.ncols), cols=cols)
-    sol = solve_affine(stacked, Vector([*rhs, *rhs]))
+    sol = solve_affine(vstack(left, right), Vector([*rhs, *rhs]))
     return None if sol is None else sol.particular
 
 
@@ -471,20 +476,12 @@ def invert(a: Matrix) -> Matrix:
     if a.nrows != a.ncols:
         raise NotInvertibleError("matrix is not square")
     n = a.nrows
-    rows = _row_dicts(a)
-    for i, row in enumerate(rows):
-        row[n + i] = ONE  # augmented identity block
-    pivots = _eliminate(rows, n)
+    rows, pivots = _reduce(a, Matrix.identity(n).sparse_cols())
     if len(pivots) < n:
         raise NotInvertibleError("matrix is rank-deficient")
-    cols = [[] for _ in range(n)]
-    for r, c in pivots:
-        row = rows[r]
-        pval = row[c]
-        for cc, x in row.items():
-            if cc >= n:
-                cols[cc - n].append((c, x / pval))
-    return Matrix(shape=(n, n), cols=[sorted(col) for col in cols])
+    # pivots come in column order, so each read-off is a sorted column
+    return Matrix(shape=(n, n), cols=[list(_read_off(rows, pivots, n + i).items())
+                                      for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .exactla import (
     hom_operator,
     matrix_from_columns_fn,
     solve_affine,
+    vstack,
 )
 from .emodcat import EntwinedModule, ModuleMorphism, double_right_dual
 from .entwining import (
@@ -312,42 +313,40 @@ def separable_candidate(d: MonoidalEntwiningDatum, kappa: Element, rho: Function
 # ---------------------------------------------------------------------------
 
 
-def _linear_constraint_rows(d: MonoidalEntwiningDatum, kind: str):
-    """Rows (coeffs, rhs) of the linear laws over the unknown entries of g,
-    flattened as (a_out, c_in) pairs: one hom_operator pass per law side,
-    rows that vanish dropped."""
+def _linear_system(d: MonoidalEntwiningDatum, kind: str) -> tuple[Matrix, Vector]:
+    """The linear laws as a system a.x = b over the unknown entries of g,
+    flattened as (a_out, c_in) pairs: P2's row (right-hand side 1, pivotal
+    only), then one block lop - rop per law, one hom_operator pass per side.
+    Rows that vanish stay; they never hold a pivot."""
     g_dims = ((d.c_dim,), (d.a_dim,))
-    rows: list[tuple[list[Fraction], Fraction]] = []
+    blocks = []
     if kind == "pivotal":
         # counit normalization: eps(g(1_C)) = 1
-        (row,) = hom_operator(*g_dims, (), (), lambda g, t: _counit_side(d, g, t)).rows()
-        rows.append((list(row), ONE))
+        blocks.append(hom_operator(*g_dims, (), (), lambda g, t: _counit_side(d, g, t)))
     for _, scan, out, lhs, rhs in _linear_laws(d, kind):
         lop, rop = (hom_operator(*g_dims, scan, out, side) for side in (lhs, rhs))
-        rows += [(list(coeffs), ZERO) for coeffs in (lop - rop).rows() if any(coeffs)]
-    return rows
+        blocks.append(lop - rop)
+    a = vstack(*blocks)
+    b = [ZERO] * a.nrows
+    if kind == "pivotal":
+        b[0] = ONE
+    return a, Vector(b)
 
 
 def stage1_affine_family(d: MonoidalEntwiningDatum, kind: str):
     "Solve the linear laws exactly; None when inconsistent."
-    rows = _linear_constraint_rows(d, kind)
-    if not rows:
-        nunk = d.a_dim * d.c_dim
-        ident = Matrix.zero(1, nunk)
-        return solve_affine(ident, Vector.zero(1))
-    mat = Matrix([r for r, _ in rows])
-    rhs = Vector([b for _, b in rows])
-    return solve_affine(mat, rhs)
+    return solve_affine(*_linear_system(d, kind))
 
 
 def stage1_residual(d: MonoidalEntwiningDatum, kind: str, g: HomCA) -> Vector:
     "Residual of the linear laws at a concrete candidate (zero iff satisfied)."
-    rows = _linear_constraint_rows(d, kind)
-    flat = [x for row in g.map.rows() for x in row]
-    res = []
-    for coeffs, rhs in rows:
-        res.append(sum((c * x for c, x in zip(coeffs, flat)), ZERO) - rhs)
-    return Vector(res)
+    a, b = _linear_system(d, kind)
+    nc = d.c_dim
+    flat = [ZERO] * a.ncols
+    for p, col in enumerate(g.map.sparse_cols()):
+        for u, x in col:
+            flat[u * nc + p] = x
+    return a.apply(Vector(flat)) - b
 
 
 class _Poly:
@@ -393,15 +392,16 @@ class _Poly:
         return out
 
 
-def _rational_roots_deg2(poly: _Poly, var: int) -> list[Fraction] | None:
-    "Rational roots of a univariate polynomial of degree <= 2; None = all of Q."
+def _rational_roots_deg2(poly: _Poly, var: int) -> list[Fraction]:
+    """Rational roots of a polynomial of degree exactly 2 in var alone.
+
+    find_morphisms only gets here with such polynomials: its pinning loop
+    pins every residual of degree 1 in the one remaining variable, stops
+    on a nonzero constant and drops the zero residuals.
+    """
     c0 = poly.terms.get((), ZERO)
     c1 = poly.terms.get((var,), ZERO)
-    c2 = poly.terms.get((var, var), ZERO)
-    if c2 == 0:
-        if c1 == 0:
-            return None if c0 == 0 else []
-        return [-c0 / c1]
+    c2 = poly.terms[(var, var)]
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
         return []
@@ -594,14 +594,12 @@ def find_morphisms(target, kind: str, max_params: int = 4) -> FinderResult:
         var = free_vars[0]
         root_set: set[Fraction] | None = None
         for p in current:
-            roots = _rational_roots_deg2(p, var)
-            if roots is None:
-                continue
-            root_set = set(roots) if root_set is None else root_set & set(roots)
+            roots = set(_rational_roots_deg2(p, var))
+            root_set = roots if root_set is None else root_set & roots
             if not root_set:
                 return FinderResult("complete", [], family, "no common rational root")
         sols = []
-        for r in sorted(root_set or set()):
+        for r in sorted(root_set):
             g = hom_from_assignment({**assignment, var: r})
             if verifier(g):
                 sols.append(wrap(g))

@@ -31,7 +31,13 @@ from .exactla import (
     state_to_vector,
 )
 from .emodcat import EntwinedModule
-from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum
+from .entwining import (
+    DoubleQuantumGroup,
+    EntwiningMap,
+    HomCA,
+    MonoidalEntwiningDatum,
+    check_antipode_compat,
+)
 from .hopfcore import (
     AlgebraData,
     BilinearForm,
@@ -425,6 +431,10 @@ def module_transport_from_smash(d: MonoidalEntwiningDatum, dim: int,
 
 # ---------------------------------------------------------------------------
 # Transport of pivots, R-matrices, ribbon and coribbon data
+#
+# Each transport imports its verifier from pivribbon when it runs, not at
+# the top of the module, so that a verifier patched into pivribbon (as the
+# transport oracle tests do) is the one it calls.
 # ---------------------------------------------------------------------------
 
 
@@ -552,8 +562,6 @@ def smash_identity_checks(d: MonoidalEntwiningDatum) -> AxiomReport:
     SI2: the smash coproduct antipode reverses coproducts;
     SI3: the conjunction agrees with check_antipode_compat's verdict.
     """
-    from .entwining import check_antipode_compat
-
     sp = smash_product(d)
     dim = sp.dim
     s_op = sp.antipode_op

@@ -333,3 +333,53 @@ def test_wrong_kind_of_file_exits_2(runner, tmp_path, h4_file, yd_file, args, ba
     article = "an" if what[0] in "aeiou" else "a"
     assert f"{bad.format(**paths)}: expected {article} {what} file" in res.output
     assert not (tmp_path / "out.json").exists()
+
+
+_GROUP_HELP = {
+    "check": (
+        "Run axiom checks against structure files.",
+        [
+            ("datum", "Entwining + monoidal + antipode-compat axioms."),
+            ("dqg", "Full double-structure axiom chain on dqg files."),
+            ("entwining", "Basic entwining axioms on entwining/dqg files."),
+            ("hopf", "Full Hopf axiom suite on hopf files."),
+            ("module", "Entwined-module axioms on module files."),
+            ("pivotal", "Verify an entwined pivotal morphism."),
+            ("ribbon", "Verify an entwined ribbon morphism."),
+        ],
+    ),
+    "build": (
+        "Construct derived objects and save them to structure files.",
+        [
+            ("cosmash", "Smash coproduct Hopf algebra of a datum."),
+            ("double", "Drinfeld double of a Hopf algebra file."),
+            ("dual", "Dual Hopf algebra, optionally op/cop twisted."),
+            ("smash", "Smash product Hopf algebra of a datum."),
+        ],
+    ),
+    "find": ("Search for pivotal/ribbon morphism candidates.", [("pivotal", ""), ("ribbon", "")]),
+}
+
+
+@pytest.mark.parametrize("group", sorted(_GROUP_HELP))
+def test_group_help_lists_every_command(runner, group):
+    about, commands = _GROUP_HELP[group]
+    width = max(len(name) for name, _ in commands)
+    listing = "".join(
+        f"  {name.ljust(width)}  {text}".rstrip() + "\n" for name, text in commands
+    )
+    res = runner.invoke(main, [group, "--help"], prog_name="entwine")
+    assert res.exit_code == 0
+    assert res.output == (
+        f"Usage: entwine {group} [OPTIONS] COMMAND [ARGS]...\n\n  {about}\n\n"
+        "Options:\n  --help  Show this message and exit.\n\nCommands:\n" + listing
+    )
+
+
+@pytest.mark.parametrize("name", ["hopf", "entwining", "datum", "dqg", "module"])
+def test_file_checks_share_one_signature(runner, name):
+    res = runner.invoke(main, ["check", name, "--help"], prog_name="entwine")
+    assert res.exit_code == 0
+    assert res.output.startswith(f"Usage: entwine check {name} [OPTIONS] FILES...\n")
+    for option in ("--format [text|json]", "--report-out PATH"):
+        assert option in res.output

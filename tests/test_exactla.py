@@ -24,6 +24,7 @@ from entwine.exactla import (
     rat_to_str,
     solve_affine,
     two_sided_solve,
+    vstack,
 )
 from entwine.report import _ap, pipeline
 
@@ -185,6 +186,36 @@ def test_two_sided_solve():
     assert two_sided_solve(left, right, ident) == Vector([1, -1, 0, 1])
     # a one-sided solution is not enough
     assert two_sided_solve(left, Matrix.zero(4, 4), ident) is None
+
+
+def test_vstack_offsets_the_rows_of_each_block():
+    a = Matrix([[1, 0, 2], [0, 3, 0]])
+    b = Matrix([[0, 0, 4]])
+    c = Matrix([[5, 6, 0], [0, 0, 0], [7, 0, 8]])
+    stacked = vstack(a, b, c)
+    assert stacked.rows() == a.rows() + b.rows() + c.rows()
+    assert stacked.sparse_cols() == [
+        [(0, 1), (3, 5), (5, 7)],
+        [(1, 3), (3, 6)],
+        [(0, 2), (2, 4), (5, 8)],
+    ]
+    assert vstack(a) == a
+
+
+def test_vstack_keeps_blocks_of_zero_rows():
+    a = Matrix([[1, 2]])
+    # a block without rows shifts nothing; an all-zero block keeps its rows
+    assert vstack(Matrix.zero(0, 2), a, Matrix.zero(0, 2)) == a
+    stacked = vstack(Matrix.zero(2, 2), a)
+    assert (stacked.nrows, stacked.ncols) == (3, 2)
+    assert stacked.sparse_cols() == [[(2, 1)], [(2, 2)]]
+
+
+def test_vstack_rejects_a_column_count_mismatch():
+    with pytest.raises(ValueError):
+        vstack(Matrix.identity(2), Matrix.identity(3))
+    with pytest.raises(ValueError):
+        two_sided_solve(Matrix.identity(2), Matrix.zero(2, 3), [1, 0])
 
 
 # ---------------------------------------------------------------------------

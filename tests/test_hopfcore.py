@@ -1,7 +1,9 @@
 """Hopf data checkers, duals, pivots, copivots, ribbon elements, forms."""
 
+import pytest
+
 from entwine import corpus
-from entwine.exactla import Matrix, Vector, invert, kron
+from entwine.exactla import Matrix, NotInvertibleError, Vector, invert, kron
 from entwine.hopfcore import (
     BilinearForm,
     Element,
@@ -109,6 +111,18 @@ def test_h4_with_identity_antipode_fails(h4):
     # hand expansion: m(id (x) id) Delta(x) = x*1 + e*x = x + y, against 0
     assert item.witness.lhs == Vector([0, 0, 1, 1])
     assert item.witness.rhs == Vector.zero(4)
+
+
+def test_singular_antipode_is_rejected_at_construction(h4):
+    # S is inverted when the algebra is built, so check_hopf has no
+    # bijectivity item: a singular S never reaches it
+    singular = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]])
+    with pytest.raises(NotInvertibleError):
+        HopfAlgebraData(h4.algebra, h4.coalgebra, singular)
+    with pytest.raises(NotInvertibleError):
+        HopfAlgebraData(h4.algebra, h4.coalgebra, Matrix.zero(4, 4))
+    assert [it.axiom_id for it in check_hopf(h4).items][-2:] == [
+        "H11_antipode_left", "H12_antipode_right"]
 
 
 def test_group_algebra_axioms(kz2):

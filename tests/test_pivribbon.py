@@ -395,3 +395,33 @@ def test_finder_one_parameter_branch_is_parametric_when_others_unpinned(long_dqg
     assert res.status == "parametric"
     for c in res.solutions:
         assert verify_ribbon(long_dqg_kz2, c.map).overall
+
+
+def test_root_stage_only_sees_quadratics(monkeypatch):
+    # the pinning loop pins every degree-1 residual in the last free
+    # parameter, so the root stage gets polynomials of degree exactly 2
+    from entwine import pivribbon
+
+    seen = []
+    roots = pivribbon._rational_roots_deg2
+
+    def recording(poly, var):
+        seen.append((poly.degree(), poly.variables()))
+        return roots(poly, var)
+
+    monkeypatch.setattr(pivribbon, "_rational_roots_deg2", recording)
+    datums = dict(corpus.corpus_monoidal_datums())
+    dqgs = corpus.corpus_dqgs()
+    datums.update((name, q.datum) for name, q in dqgs.items())
+    assert len(datums) == 7
+    for d in datums.values():
+        find_morphisms(d, "pivotal")
+    for q in dqgs.values():
+        find_morphisms(q, "ribbon")
+    t0 = Fraction(1)
+    residuals = [pivribbon._Poly({(0,): t0, (): -2 * t0}),
+                 pivribbon._Poly({(0, 0): t0, (): -4 * t0})]
+    monkeypatch.setattr(pivribbon, "_quadratic_residuals", lambda d, kind, q, family: residuals)
+    res = find_morphisms(dqgs["long_dqg_kz2"], "ribbon", max_params=4)
+    assert res.notes != "quadratic stage solved in one parameter"
+    assert seen and all(deg == 2 and len(v) == 1 for deg, v in seen), seen
