@@ -445,10 +445,7 @@ def solve_affine(a: Matrix, b: Vector) -> AffineSolution | None:
     piv_cols = {c for _, c in pivots}
 
     def vector(entries: dict[int, Fraction]) -> Vector:
-        x = [ZERO] * n
-        for c, v in entries.items():
-            x[c] = v
-        return Vector(x)
+        return Vector([entries.get(c, ZERO) for c in range(n)])
 
     null_basis = []
     for f in range(n):
