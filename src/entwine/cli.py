@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -77,6 +76,9 @@ def _run_file_checks(paths, runner, fmt, report_out) -> bool:
     if len(paths) == 1:
         reports = [runner(paths[0])]
     else:
+        # imported here: most runs check one file and skip its import cost
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
             reports = list(pool.map(runner, paths))
     ok = True

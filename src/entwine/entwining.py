@@ -9,12 +9,13 @@ hom(C (x) C, A (x) A), and the antipode compatibility identities that
 make the dual-module formulas work downstream.
 
 Convolution inverses (E10b here, P5/R5 in the pivotal layer, RE4/CB4 in
-hopfcore on a datum with one trivial side) solve the stacked system
-g*x = unit = x*g.  Its two operators x -> g*x and x -> x*g are built by
-the same pipeline that evaluates a product: with a SlotLeg standing for
-x, one pass per input basis tuple yields every column of the operator at
-once, keyed by the trailing slot leg.  One builder, invertibility_item,
-turns each inverse into its axiom item.
+hopfcore on a datum with one trivial side) solve x*g = unit and check
+g*x = unit on the solution; only a rank-deficient system falls back to
+the stacked system g*x = unit = x*g.  The operators x -> x*g and
+x -> g*x are built by the same pipeline that evaluates a product: with a
+SlotLeg standing for x, one pass per input basis tuple yields every
+column of the operator at once, keyed by the trailing slot leg.  One
+builder, invertibility_item, turns each inverse into its axiom item.
 
 The second decorated copy of the entwining map appearing in several
 axioms is always another evaluation of the single stored phi, and the
@@ -34,6 +35,7 @@ from .exactla import (
     Vector,
     hom_operator,
     matrix_from_columns_fn,
+    solve_affine,
     two_sided_solve,
 )
 from .report import AxiomItem, AxiomReport, Witness, compare_item, pipeline, _ap, _pm
@@ -287,22 +289,57 @@ def check_monoidal_datum(d: MonoidalEntwiningDatum) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
+def _operator(d, in_dims, out_dims, side, g_op, g_first: bool) -> Matrix:
+    "The matrix of x -> g*x (g_first) or of x -> x*g on hom(in_dims, out_dims)."
+    def fn(f, t):
+        return side(d, g_op, f, t) if g_first else side(d, f, g_op, t)
+
+    return hom_operator(in_dims, out_dims, in_dims, out_dims, fn)
+
+
 def _operators(d, in_dims, out_dims, side, g_op) -> tuple[Matrix, Matrix]:
     "The matrices of x -> g*x and of x -> x*g on hom(in_dims, out_dims)."
-    dims = (in_dims, out_dims, in_dims, out_dims)
     return (
-        hom_operator(*dims, lambda f, t: side(d, g_op, f, t)),
-        hom_operator(*dims, lambda f, t: side(d, f, g_op, t)),
+        _operator(d, in_dims, out_dims, side, g_op, True),
+        _operator(d, in_dims, out_dims, side, g_op, False),
     )
 
 
-def _inverse(operators, unit: Matrix) -> Matrix | None:
-    "The x with g*x = unit = x*g, given both operators; None if there is none."
-    x = two_sided_solve(*operators, [e for row in unit.rows() for e in row])
+def _product(d, in_dims, out_dims, side, g_op, f_op) -> Matrix:
+    "The matrix of g*f in hom(in_dims, out_dims)."
+    return matrix_from_columns_fn(in_dims, (*out_dims, 1), lambda t: side(d, g_op, f_op, t))
+
+
+def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
+    """The x with g*x = unit = x*g, or None if there is none.
+
+    Only x -> x*g is built, and x*g = unit is solved alone.  A two-sided
+    inverse solves it, so an inconsistent system means there is none, and
+    a unique solution x is the inverse exactly when g*x = unit, which one
+    product checks.  In an associative algebra a left inverse is two-sided
+    and unique, so a consistent rank-deficient system arises only on a
+    datum failing E01-E06; there x -> g*x is built as well and the stacked
+    system g*x = unit = x*g is solved, as two_sided_solve does.  Every
+    branch returns what the stacked solve returns.
+    """
+    right = _operator(d, in_dims, out_dims, side, g_op, False)
+    rhs = [e for row in unit.rows() for e in row]
+    sol = solve_affine(right, Vector(rhs))
+    if sol is None:
+        return None
+    if sol.dimension:
+        left = _operator(d, in_dims, out_dims, side, g_op, True)
+        return _reshape(two_sided_solve(left, right, rhs), unit.ncols)
+    x = _reshape(sol.particular, unit.ncols)
+    gx = _product(d, in_dims, out_dims, side, g_op, TensorOp(x, in_dims, out_dims))
+    return x if gx == unit else None
+
+
+def _reshape(x: Vector | None, ncols: int) -> Matrix | None:
+    "The row-major flattening x as a matrix with ncols columns; None stays None."
     if x is None:
         return None
-    n = unit.ncols
-    return Matrix([x.coords[i : i + n] for i in range(0, len(x), n)])
+    return Matrix([x.coords[i : i + ncols] for i in range(0, len(x), ncols)])
 
 
 def conv_unit(d: MonoidalEntwiningDatum) -> HomCA:
@@ -327,9 +364,7 @@ def conv_product(g: HomCA, f: HomCA) -> HomCA:
     if not datums_compatible(g.datum, f.datum):
         raise ValueError("operands live over different datums")
     d = g.datum
-    return HomCA(d, matrix_from_columns_fn(
-        (d.c_dim,), (d.a_dim, 1), lambda t: _conv_side(d, g.op, f.op, t)
-    ))
+    return HomCA(d, _product(d, (d.c_dim,), (d.a_dim,), _conv_side, g.op, f.op))
 
 
 def conv_operators(g: HomCA) -> tuple[Matrix, Matrix]:
@@ -341,11 +376,14 @@ def conv_operators(g: HomCA) -> tuple[Matrix, Matrix]:
 def conv_inverse(g: HomCA) -> HomCA | None:
     """Two-sided inverse of g in the entwined convolution algebra, or None.
 
-    Solves the joint linear system g*x = unit = x*g; when consistent the
-    solution is automatically unique.
+    Solves x*g = unit and checks g*x = unit on its solution (see _inverse):
+    a two-sided inverse solves x*g = unit, so when that solution is unique
+    it is the inverse or there is none.  Equal to the solution of the
+    stacked system g*x = unit = x*g in every case.
     """
-    inv = _inverse(conv_operators(g), conv_unit(g.datum).map)
-    return None if inv is None else HomCA(g.datum, inv)
+    d = g.datum
+    inv = _inverse(d, (d.c_dim,), (d.a_dim,), _conv_side, g.op, conv_unit(d).map)
+    return None if inv is None else HomCA(d, inv)
 
 
 def invertibility_item(axiom_id: str, map: Matrix, inverse) -> AxiomItem:
@@ -398,10 +436,7 @@ def _conv2_op(d: MonoidalEntwiningDatum, g2: Matrix) -> TensorOp:
 def conv2_product(d: MonoidalEntwiningDatum, g2: Matrix, f2: Matrix) -> Matrix:
     "Entwined convolution product on hom(C (x) C, A (x) A)."
     nc, na = d.c_dim, d.a_dim
-    g2_op, f2_op = _conv2_op(d, g2), _conv2_op(d, f2)
-    return matrix_from_columns_fn(
-        (nc, nc), (na, na, 1), lambda t: _conv2_side(d, g2_op, f2_op, t)
-    )
+    return _product(d, (nc, nc), (na, na), _conv2_side, _conv2_op(d, g2), _conv2_op(d, f2))
 
 
 def conv2_operators(d: MonoidalEntwiningDatum, g2: Matrix) -> tuple[Matrix, Matrix]:
@@ -411,8 +446,9 @@ def conv2_operators(d: MonoidalEntwiningDatum, g2: Matrix) -> tuple[Matrix, Matr
 
 
 def conv2_inverse(d: MonoidalEntwiningDatum, g2: Matrix) -> Matrix | None:
-    "Two-sided inverse in hom(C (x) C, A (x) A), or None."
-    return _inverse(conv2_operators(d, g2), conv2_unit(d))
+    "Two-sided inverse in hom(C (x) C, A (x) A), or None; solved as in conv_inverse."
+    nc, na = d.c_dim, d.a_dim
+    return _inverse(d, (nc, nc), (na, na), _conv2_side, _conv2_op(d, g2), conv2_unit(d))
 
 
 # ---------------------------------------------------------------------------

@@ -462,7 +462,11 @@ def two_sided_solve(left: Matrix, right: Matrix, rhs) -> Vector | None:
     The two systems are stacked left rows first and handed to solve_affine,
     whose particular solution is returned.  For the operators x -> g*x and
     x -> x*g of an associative algebra and rhs its unit, x is the two-sided
-    inverse of g, which is unique when it exists.
+    inverse of g, which is unique when it exists.  Convolution inverses
+    solve right.x = rhs alone and call this only when that system is
+    consistent and rank-deficient, which needs a non-associative product:
+    a unique solution of one side is the two-sided inverse or there is
+    none, and the stacked system has no more solutions than either side.
     """
     sol = solve_affine(vstack(left, right), Vector([*rhs, *rhs]))
     return None if sol is None else sol.particular

@@ -1,10 +1,15 @@
 """Command-line contract: exit codes, report formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import entwine
 from entwine import corpus
 from entwine import fileformat as ff
 from entwine.cli import main
@@ -275,6 +280,16 @@ def test_threads_env(runner, tmp_path, monkeypatch, h4_file):
     monkeypatch.setenv("ENTWINE_THREADS", "zebra")
     res = runner.invoke(main, ["check", "hopf", h4_file, str(p2)])
     assert res.exit_code == 2
+
+
+def test_cli_import_leaves_out_the_thread_pool():
+    # only a multi-file check imports concurrent.futures
+    src = str(Path(entwine.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, entwine.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_report_text_renders_saved_failures_like_check(runner, tmp_path):

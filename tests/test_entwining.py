@@ -71,6 +71,38 @@ def test_zero_phi_fails_e3(h4):
     assert rep.item("E03_unit").witness is not None
 
 
+# One-entry +1 perturbations of yd_kz2 (the flip on kz2, basis 1 = e0,
+# g = e1, every basis element grouplike).  phi[row][col] has row
+# a' * nc + c' and col c * na + a.  The failing axiom and its first failing
+# tuple follow from the axioms alone; every earlier tuple reads only
+# unperturbed columns, or the perturbed one through a unit on both sides.
+#  - E01, phi(g (x) g) += 1 (x) 1: at (a, b, c) = (g, g, g) the left side
+#    phi(g (x) g^2) = 1 (x) g reads column (g, 1), the right side reads
+#    phi(g (x) g) twice and gains 2 g (x) 1.
+#  - E04, phi(1 (x) g) += 1 (x) 1: (id (x) eps) phi(1 (x) g) gains
+#    eps(1) 1 = 1 against eps(1) g.
+#  - E05, phi(g (x) g) += 1 (x) 1: at (a, c, d) = (g, 1, g) the left side
+#    gains Delta(1) (x) 1 = 1 (x) 1 (x) 1 and the right side
+#    g (x) 1 (x) 1, from phi(1 (x) g) phi(g (x) g).
+#  - E06, phi(1 (x) g) += 1 (x) g: (eps (x) id) phi(1_C (x) g) gains
+#    eps(1) g = g against eps(g) 1_C = 1.
+@pytest.mark.parametrize("check, axiom, row, col, basis, lhs, rhs", [
+    (check_entwining, "E01_mult", 0, 3, (1, 1, 1), [0, 1, 0, 0], [0, 1, 2, 0]),
+    (check_entwining, "E04_counit", 0, 1, (0, 1), [1, 1], [0, 1]),
+    (check_monoidal_datum, "E05_mult_c", 0, 3, (1, 0, 1),
+     [1, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0, 0, 1]),
+    (check_monoidal_datum, "E06_unit_c", 1, 1, (1,), [1, 1], [1, 0]),
+])
+def test_one_entry_phi_perturbation_fails_axiom(monoidal_datums, check, axiom, row, col,
+                                                basis, lhs, rhs):
+    e = _mutate_phi(monoidal_datums["yd_kz2"].base, row, col)
+    item = check(MonoidalEntwiningDatum(e)).item(axiom)
+    assert not item.passed
+    assert item.witness.basis == basis
+    assert list(item.witness.lhs) == lhs
+    assert list(item.witness.rhs) == rhs
+
+
 def test_dqg_axioms_on_corpus(dqgs):
     for name, q in dqgs.items():
         assert check_double_quantum_group(q).overall, name
