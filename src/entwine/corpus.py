@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactla import ONE, Matrix, TensorOp, Vector, matrix_from_columns_fn
+from .exactla import ONE, Matrix, TensorOp, Vector, matrix_from_columns_fn, pipeline_matrix
 from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum, conv_unit
 from .hopfcore import (
     AlgebraData,
@@ -182,11 +182,10 @@ def yd_datum(h: HopfAlgebraData) -> MonoidalEntwiningDatum:
     """The conjugation entwining c (x) a -> a_2 (x) S(a_1) c a_3 whose
     entwined modules are the right-right Yetter-Drinfeld modules."""
     d = h.dim
-    phi = matrix_from_columns_fn(
+    phi = pipeline_matrix(
         (d, d),
         (d, d),
-        lambda t: pipeline(
-            t,
+        (
             _ap(1, h.comul_op),       # c a1 a2
             _ap(2, h.comul_op),       # c a1 a2 a3
             _ap(1, h.antipode_op),    # c S(a1) a2 a3
@@ -202,11 +201,7 @@ def yd_dqg(h: HopfAlgebraData) -> DoubleQuantumGroup:
     "The conjugation datum with the braiding map a (x) b -> 1 (x) eps(a) b."
     d = h.dim
     datum = yd_datum(h)
-    rmap = matrix_from_columns_fn(
-        (d, d),
-        (d, d),
-        lambda t: pipeline(t, _ap(0, h.counit_op), _ap(0, h.unit_op)),
-    )
+    rmap = pipeline_matrix((d, d), (d, d), (_ap(0, h.counit_op), _ap(0, h.unit_op)))
     return DoubleQuantumGroup(datum, rmap)
 
 
@@ -214,11 +209,10 @@ def hopf_module_datum(h: HopfAlgebraData) -> EntwiningMap:
     """The entwining x (x) y -> y_1 (x) x y_2 whose entwined modules are the
     Hopf modules; satisfies the basic axioms but is not monoidal."""
     d = h.dim
-    phi = matrix_from_columns_fn(
+    phi = pipeline_matrix(
         (d, d),
         (d, d),
-        lambda t: pipeline(
-            t,
+        (
             _ap(1, h.comul_op),  # x y1 y2
             _pm((1, 0, 2)),      # y1 x y2
             _ap(1, h.mul_op),
@@ -238,9 +232,7 @@ def long_dqg(h: HopfAlgebraData, rmatrix: Vector, b: HopfAlgebraData,
     nb, nh = b.dim, h.dim
     form_op = TensorOp(form.coords, (nb, nb), ())
     r_op = TensorOp(Matrix.from_cols([rmatrix]), (), (nh, nh))
-    rmap = matrix_from_columns_fn(
-        (nb, nb), (nh, nh), lambda t: pipeline(t, _ap(0, form_op), _ap(0, r_op), _pm((1, 0)))
-    )
+    rmap = pipeline_matrix((nb, nb), (nh, nh), (_ap(0, form_op), _ap(0, r_op), _pm((1, 0))))
     return DoubleQuantumGroup(datum, rmap)
 
 

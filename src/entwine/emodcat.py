@@ -27,10 +27,10 @@ from .exactla import (
     Cup,
     Matrix,
     TensorOp,
-    matrix_from_columns_fn,
+    pipeline_matrix,
 )
 from .entwining import DoubleQuantumGroup, MonoidalEntwiningDatum, datums_compatible
-from .report import AxiomItem, AxiomReport, compare_item, pipeline, _ap, _pm
+from .report import AxiomItem, AxiomReport, compare_item, _ap, _pm
 
 
 class EntwinedModule:
@@ -81,36 +81,36 @@ def check_entwined_module(m: EntwinedModule) -> AxiomReport:
             "M01_action_assoc",
             (dim, na, na),
             (dim,),
-            lambda t: pipeline(t, _ap(1, d.a.mul_op), _ap(0, act)),
-            lambda t: pipeline(t, _ap(0, act), _ap(0, act)),
+            (_ap(1, d.a.mul_op), _ap(0, act)),
+            (_ap(0, act), _ap(0, act)),
         ),
         compare_item(
             "M02_action_unit",
             (dim,),
             (dim,),
-            lambda t: pipeline(t, _ap(1, d.a.unit_op), _ap(0, act)),
-            lambda t: pipeline(t),
+            (_ap(1, d.a.unit_op), _ap(0, act)),
+            (),
         ),
         compare_item(
             "M03_coassoc",
             (dim,),
             (dim, nc, nc),
-            lambda t: pipeline(t, _ap(0, coact), _ap(0, coact)),
-            lambda t: pipeline(t, _ap(0, coact), _ap(1, d.c.comul_op)),
+            (_ap(0, coact), _ap(0, coact)),
+            (_ap(0, coact), _ap(1, d.c.comul_op)),
         ),
         compare_item(
             "M04_counit",
             (dim,),
             (dim,),
-            lambda t: pipeline(t, _ap(0, coact), _ap(1, d.c.counit_op)),
-            lambda t: pipeline(t),
+            (_ap(0, coact), _ap(1, d.c.counit_op)),
+            (),
         ),
         compare_item(
             "M05_entwined",
             (dim, na),
             (dim, nc),
-            lambda t: pipeline(t, _ap(0, act), _ap(0, coact)),
-            lambda t: pipeline(t, _ap(0, coact), _ap(1, d.phi_op), _ap(0, act)),
+            (_ap(0, act), _ap(0, coact)),
+            (_ap(0, coact), _ap(1, d.phi_op), _ap(0, act)),
         ),
     ]
     return AxiomReport(items)
@@ -146,8 +146,8 @@ class ModuleMorphism:
             "A_linear",
             (source.dim, d.a_dim),
             (target.dim,),
-            lambda t: pipeline(t, _ap(0, source.action_op), _ap(0, f_op)),
-            lambda t: pipeline(t, _ap(0, f_op), _ap(0, target.action_op)),
+            (_ap(0, source.action_op), _ap(0, f_op)),
+            (_ap(0, f_op), _ap(0, target.action_op)),
         )
         if not linear.passed:
             raise NotAMorphismError("module-linear", linear)
@@ -155,8 +155,8 @@ class ModuleMorphism:
             "C_colinear",
             (source.dim,),
             (target.dim, d.c_dim),
-            lambda t: pipeline(t, _ap(0, f_op), _ap(0, target.coaction_op)),
-            lambda t: pipeline(t, _ap(0, source.coaction_op), _ap(0, f_op)),
+            (_ap(0, f_op), _ap(0, target.coaction_op)),
+            (_ap(0, source.coaction_op), _ap(0, f_op)),
         )
         if not colinear.passed:
             raise NotAMorphismError("comodule-colinear", colinear)
@@ -179,14 +179,8 @@ class ModuleMorphism:
 def std_module_CA(d: MonoidalEntwiningDatum) -> EntwinedModule:
     "C (x) A with (c (x) a).x = c (x) ax and entwined coaction."
     nc, na = d.c_dim, d.a_dim
-    action = matrix_from_columns_fn(
-        (nc, na, na), (nc, na), lambda t: pipeline(t, _ap(1, d.a.mul_op))
-    )
-    coaction = matrix_from_columns_fn(
-        (nc, na),
-        (nc, na, nc),
-        lambda t: pipeline(t, _ap(0, d.c.comul_op), _ap(1, d.phi_op)),
-    )
+    action = pipeline_matrix((nc, na, na), (nc, na), (_ap(1, d.a.mul_op),))
+    coaction = pipeline_matrix((nc, na), (nc, na, nc), (_ap(0, d.c.comul_op), _ap(1, d.phi_op)))
     names = [f"{cn}(x){an}" for cn in d.c.basis_names for an in d.a.basis_names]
     return EntwinedModule(d, nc * na, action, coaction, names)
 
@@ -194,14 +188,8 @@ def std_module_CA(d: MonoidalEntwiningDatum) -> EntwinedModule:
 def std_module_AC(d: MonoidalEntwiningDatum) -> EntwinedModule:
     "A (x) C with (a (x) c).x = a x_phi (x) c^phi and free coaction."
     nc, na = d.c_dim, d.a_dim
-    action = matrix_from_columns_fn(
-        (na, nc, na),
-        (na, nc),
-        lambda t: pipeline(t, _ap(1, d.phi_op), _ap(0, d.a.mul_op)),
-    )
-    coaction = matrix_from_columns_fn(
-        (na, nc), (na, nc, nc), lambda t: pipeline(t, _ap(1, d.c.comul_op))
-    )
+    action = pipeline_matrix((na, nc, na), (na, nc), (_ap(1, d.phi_op), _ap(0, d.a.mul_op)))
+    coaction = pipeline_matrix((na, nc), (na, nc, nc), (_ap(1, d.c.comul_op),))
     names = [f"{an}(x){cn}" for an in d.a.basis_names for cn in d.c.basis_names]
     return EntwinedModule(d, na * nc, action, coaction, names)
 
@@ -211,14 +199,12 @@ def extend_MC(module_dim: int, module_action: Matrix, d: MonoidalEntwiningDatum,
     "Freely extend a plain right module M to the entwined module M (x) C."
     nc, na = d.c_dim, d.a_dim
     act_op = TensorOp(module_action, (module_dim, na), (module_dim,))
-    action = matrix_from_columns_fn(
+    action = pipeline_matrix(
         (module_dim, nc, na),
         (module_dim, nc),
-        lambda t: pipeline(t, _ap(1, d.phi_op), _ap(0, act_op)),
+        (_ap(1, d.phi_op), _ap(0, act_op)),
     )
-    coaction = matrix_from_columns_fn(
-        (module_dim, nc), (module_dim, nc, nc), lambda t: pipeline(t, _ap(1, d.c.comul_op))
-    )
+    coaction = pipeline_matrix((module_dim, nc), (module_dim, nc, nc), (_ap(1, d.c.comul_op),))
     return EntwinedModule(d, module_dim * nc, action, coaction, basis_names)
 
 
@@ -234,22 +220,20 @@ def tensor_modules(m: EntwinedModule, n: EntwinedModule) -> EntwinedModule:
     if not datums_compatible(m.datum, n.datum):
         raise ValueError("modules live over different datums")
     d = m.datum
-    action = matrix_from_columns_fn(
+    action = pipeline_matrix(
         (m.dim, n.dim, d.a_dim),
         (m.dim, n.dim),
-        lambda t: pipeline(
-            t,
+        (
             _ap(2, d.a.comul_op),
             _pm((0, 2, 1, 3)),
             _ap(0, m.action_op),
             _ap(1, n.action_op),
         ),
     )
-    coaction = matrix_from_columns_fn(
+    coaction = pipeline_matrix(
         (m.dim, n.dim),
         (m.dim, n.dim, d.c_dim),
-        lambda t: pipeline(
-            t,
+        (
             _ap(0, m.coaction_op),
             _ap(2, n.coaction_op),
             _pm((0, 2, 1, 3)),
@@ -287,17 +271,17 @@ def _dual_module(m: EntwinedModule, antipode_a: TensorOp, antipode_c: TensorOp) 
     cup, cap = Cup(nc), Cap()
     # (f.a)(x) = f(x . sa(a)): sa on a, the action transposed on f, then the
     # action's algebra leg closed against sa(a)
-    action = matrix_from_columns_fn(
+    action = pipeline_matrix(
         (dim, na),
         (dim,),
-        lambda t: pipeline(t, _ap(1, antipode_a), _ap(0, action_t), _ap(1, cap)),
+        (_ap(1, antipode_a), _ap(0, action_t), _ap(1, cap)),
     )
     # f0(x) (x) f1 = f(x0) (x) sc(x1): the coaction transposed on f (x) e_v
     # summed over the dual pair e_v (x) e_v, then sc on the coalgebra leg
-    coaction = matrix_from_columns_fn(
+    coaction = pipeline_matrix(
         (dim,),
         (dim, nc),
-        lambda t: pipeline(t, _ap(1, cup), _ap(0, coaction_t), _ap(1, antipode_c)),
+        (_ap(1, cup), _ap(0, coaction_t), _ap(1, antipode_c)),
     )
     names = [f"{n}^" for n in m.basis_names]
     return EntwinedModule(d, dim, action, coaction, names)
@@ -305,8 +289,8 @@ def _dual_module(m: EntwinedModule, antipode_a: TensorOp, antipode_c: TensorOp) 
 
 def _pairing_copairing(dim: int) -> tuple[Matrix, Matrix]:
     "The canonical pairing (a Cap) and copairing (a Cup) as matrices."
-    ev = matrix_from_columns_fn((dim, dim), (), lambda t: pipeline(t, _ap(0, Cap())))
-    coev = matrix_from_columns_fn((), (dim, dim), lambda t: pipeline(t, _ap(0, Cup(dim))))
+    ev = pipeline_matrix((dim, dim), (), (_ap(0, Cap()),))
+    coev = pipeline_matrix((), (dim, dim), (_ap(0, Cup(dim)),))
     return ev, coev
 
 
@@ -346,8 +330,7 @@ def check_duality(m: EntwinedModule, dd: DualityData) -> AxiomReport:
     coev_tgt = tensor_modules(m, dual) if left else tensor_modules(dual, m)
 
     def snake_item(axiom_id, steps):
-        return compare_item(axiom_id, (dim,), (dim,),
-                            lambda t: pipeline(t, *steps), lambda t: pipeline(t))
+        return compare_item(axiom_id, (dim,), (dim,), steps, ())
 
     def morphism_item(axiom_id, source, target, map):
         # the witness is the first failing square's: A_linear, then C_colinear
@@ -384,15 +367,15 @@ def double_right_dual(m: EntwinedModule) -> EntwinedModule:
     dualization produces exactly these matrices on the double-dual basis.
     """
     d = m.datum
-    action = matrix_from_columns_fn(
+    action = pipeline_matrix(
         (m.dim, d.a_dim),
         (m.dim,),
-        lambda t: pipeline(t, _ap(1, d.a.antipode_sq_op), _ap(0, m.action_op)),
+        (_ap(1, d.a.antipode_sq_op), _ap(0, m.action_op)),
     )
-    coaction = matrix_from_columns_fn(
+    coaction = pipeline_matrix(
         (m.dim,),
         (m.dim, d.c_dim),
-        lambda t: pipeline(t, _ap(0, m.coaction_op), _ap(1, d.c.antipode_inv_sq_op)),
+        (_ap(0, m.coaction_op), _ap(1, d.c.antipode_inv_sq_op)),
     )
     return EntwinedModule(d, m.dim, action, coaction, m.basis_names)
 
@@ -402,31 +385,24 @@ def double_right_dual(m: EntwinedModule) -> EntwinedModule:
 # ---------------------------------------------------------------------------
 
 
-def braiding_columns(m: EntwinedModule, n: EntwinedModule, q: DoubleQuantumGroup):
-    "Column function of the braiding M (x) N -> N (x) M."
+def braiding_steps(m: EntwinedModule, n: EntwinedModule, q: DoubleQuantumGroup):
+    "The kernel steps of the braiding M (x) N -> N (x) M."
     if not (datums_compatible(m.datum, q.datum) and datums_compatible(n.datum, q.datum)):
         raise ValueError("modules must live over the double structure's datum")
-
-    def col(t):
-        return pipeline(
-            t,
-            _ap(0, m.coaction_op),   # m0 mc n
-            _ap(2, n.coaction_op),   # m0 mc n0 nc
-            _pm((0, 2, 1, 3)),       # m0 n0 mc nc
-            _ap(2, q.rmap_op),       # m0 n0 R1 R2
-            _pm((1, 2, 0, 3)),       # n0 R1 m0 R2
-            _ap(0, n.action_op),
-            _ap(1, m.action_op),
-        )
-
-    return col
+    return (
+        _ap(0, m.coaction_op),   # m0 mc n
+        _ap(2, n.coaction_op),   # m0 mc n0 nc
+        _pm((0, 2, 1, 3)),       # m0 n0 mc nc
+        _ap(2, q.rmap_op),       # m0 n0 R1 R2
+        _pm((1, 2, 0, 3)),       # n0 R1 m0 R2
+        _ap(0, n.action_op),
+        _ap(1, m.action_op),
+    )
 
 
 def braiding(m: EntwinedModule, n: EntwinedModule, q: DoubleQuantumGroup) -> Matrix:
     "The braiding m (x) n -> n (x) m induced by R, as a matrix."
-    return matrix_from_columns_fn(
-        (m.dim, n.dim), (n.dim, m.dim), braiding_columns(m, n, q)
-    )
+    return pipeline_matrix((m.dim, n.dim), (n.dim, m.dim), braiding_steps(m, n, q))
 
 
 def braiding_morphism(m, n, q) -> ModuleMorphism:
@@ -439,11 +415,10 @@ def action_endomorphisms(m: EntwinedModule) -> list[ModuleMorphism]:
     every action-by-basis-element map that happens to be a morphism, each
     distinct map once (the action of the unit is the identity again)."""
     out = [ModuleMorphism(m, m, Matrix.identity(m.dim))]
-    d = m.datum
-    for a in range(d.a_dim):
-        mat = matrix_from_columns_fn(
-            (m.dim,), (m.dim,), lambda t, a=a: pipeline((t[0], a), _ap(0, m.action_op))
-        )
+    na, cols = m.datum.a_dim, m.action.sparse_cols()
+    for a in range(na):
+        # x -> x . e_a is column x * na + a of the action
+        mat = Matrix(shape=(m.dim, m.dim), cols=[cols[x * na + a] for x in range(m.dim)])
         if any(f.map == mat for f in out):
             continue
         try:
@@ -490,8 +465,8 @@ def check_braiding_naturality(m: EntwinedModule, n: EntwinedModule,
                 axiom_id,
                 (m.dim, n.dim),
                 (n.dim, m.dim),
-                lambda t: pipeline(t, _ap(0, br), _ap(1 - slot, f.op)),
-                lambda t: pipeline(t, _ap(slot, f.op), _ap(0, br)),
+                (_ap(0, br), _ap(1 - slot, f.op)),
+                (_ap(slot, f.op), _ap(0, br)),
             )
             if not item.passed:
                 break
@@ -507,15 +482,15 @@ def check_module_over_algebra(alg, dim: int, action: Matrix) -> AxiomReport:
             "RM1_assoc",
             (dim, alg.dim, alg.dim),
             (dim,),
-            lambda t: pipeline(t, _ap(1, alg.mul_op), _ap(0, act)),
-            lambda t: pipeline(t, _ap(0, act), _ap(0, act)),
+            (_ap(1, alg.mul_op), _ap(0, act)),
+            (_ap(0, act), _ap(0, act)),
         ),
         compare_item(
             "RM2_unit",
             (dim,),
             (dim,),
-            lambda t: pipeline(t, _ap(1, alg.unit_op), _ap(0, act)),
-            lambda t: pipeline(t),
+            (_ap(1, alg.unit_op), _ap(0, act)),
+            (),
         ),
     ]
     return AxiomReport(items)

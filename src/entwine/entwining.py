@@ -13,8 +13,8 @@ hopfcore on a datum with one trivial side) solve x*g = unit and check
 g*x = unit on the solution; only a rank-deficient system falls back to
 the stacked system g*x = unit = x*g.  The operators x -> x*g and
 x -> g*x are built by the same pipeline that evaluates a product: with a
-SlotLeg standing for x, one pass per input basis tuple yields every
-column of the operator at once, keyed by the trailing slot leg.  One
+SlotLeg standing for x, one pass per batch of input basis tuples yields
+every column of the operator at once, keyed by the slot leg.  One
 builder, invertibility_item, turns each inverse into its axiom item.
 
 The second decorated copy of the entwining map appearing in several
@@ -34,11 +34,11 @@ from .exactla import (
     TensorOp,
     Vector,
     hom_operator,
-    matrix_from_columns_fn,
+    pipeline_matrix,
     solve_affine,
     two_sided_solve,
 )
-from .report import AxiomItem, AxiomReport, Witness, compare_item, pipeline, _ap, _pm
+from .report import AxiomItem, AxiomReport, Witness, compare_item, _ap, _pm, _slot
 
 
 class EntwiningMap:
@@ -200,36 +200,32 @@ def check_entwining(e: EntwiningMap) -> AxiomReport:
             "E01_mult",
             (na, na, nc),
             (na, nc),
-            lambda t: pipeline(
-                (t[2], t[0], t[1]), _ap(1, mul_a), _ap(0, phi)
-            ),
-            lambda t: pipeline(
-                (t[2], t[0], t[1]), _ap(0, phi), _ap(1, phi), _ap(0, mul_a)
-            ),
+            (_pm((2, 0, 1)), _ap(1, mul_a), _ap(0, phi)),
+            (_pm((2, 0, 1)), _ap(0, phi), _ap(1, phi), _ap(0, mul_a)),
         ),
         # (id (x) Delta) phi = (phi (x) id)(id (x) phi)(Delta (x) id)
         compare_item(
             "E02_comult",
             (nc, na),
             (na, nc, nc),
-            lambda t: pipeline(t, _ap(0, phi), _ap(1, comul_c)),
-            lambda t: pipeline(t, _ap(0, comul_c), _ap(1, phi), _ap(0, phi)),
+            (_ap(0, phi), _ap(1, comul_c)),
+            (_ap(0, comul_c), _ap(1, phi), _ap(0, phi)),
         ),
         # phi(c (x) 1) = 1 (x) c
         compare_item(
             "E03_unit",
             (nc,),
             (na, nc),
-            lambda t: pipeline(t, _ap(1, unit_a), _ap(0, phi)),
-            lambda t: pipeline(t, _ap(0, unit_a)),
+            (_ap(1, unit_a), _ap(0, phi)),
+            (_ap(0, unit_a),),
         ),
         # (id (x) eps) phi = eps (x) id
         compare_item(
             "E04_counit",
             (nc, na),
             (na,),
-            lambda t: pipeline(t, _ap(0, phi), _ap(1, counit_c)),
-            lambda t: pipeline(t, _ap(0, counit_c)),
+            (_ap(0, phi), _ap(1, counit_c)),
+            (_ap(0, counit_c),),
         ),
     ]
     return AxiomReport(items)
@@ -254,11 +250,9 @@ def check_monoidal_datum(d: MonoidalEntwiningDatum) -> AxiomReport:
             "E05_mult_c",
             (na, nc, nc),
             (na, na, nc),
-            lambda t: pipeline(
-                (t[1], t[2], t[0]), _ap(0, mul_c), _ap(0, phi), _ap(0, comul_a)
-            ),
-            lambda t: pipeline(
-                (t[1], t[2], t[0]),
+            (_pm((1, 2, 0)), _ap(0, mul_c), _ap(0, phi), _ap(0, comul_a)),
+            (
+                _pm((1, 2, 0)),        # c d a
                 _ap(2, comul_a),       # c d a1 a2
                 _pm((0, 2, 1, 3)),     # c a1 d a2
                 _ap(0, phi),           # a1f cf d a2
@@ -272,8 +266,8 @@ def check_monoidal_datum(d: MonoidalEntwiningDatum) -> AxiomReport:
             "E06_unit_c",
             (na,),
             (nc,),
-            lambda t: pipeline(t, _ap(0, unit_c), _ap(0, phi), _ap(0, counit_a)),
-            lambda t: pipeline(t, _ap(0, counit_a), _ap(0, unit_c)),
+            (_ap(0, unit_c), _ap(0, phi), _ap(0, counit_a)),
+            (_ap(0, counit_a), _ap(0, unit_c)),
         ),
     ]
     return AxiomReport(items)
@@ -282,32 +276,29 @@ def check_monoidal_datum(d: MonoidalEntwiningDatum) -> AxiomReport:
 # ---------------------------------------------------------------------------
 # Entwined convolutions on hom(C, A) and hom(C (x) C, A (x) A)
 #
-# Each product formula is written once, as a pipeline whose keys end in a
-# slot leg.  With two concrete maps there is one slot and the pipeline
-# evaluates the product; with a SlotLeg standing for one factor it yields
-# the operator x -> g*x (or x -> x*g) in one pass per input tuple.
+# Each product formula is written once, as steps on keys that end in a slot
+# leg.  With two concrete maps there is one slot and the steps evaluate the
+# product; with a SlotLeg standing for one factor they yield the operator
+# x -> g*x (or x -> x*g) in one pass per batch of input tuples.
 # ---------------------------------------------------------------------------
 
 
 def _operator(d, in_dims, out_dims, side, g_op, g_first: bool) -> Matrix:
     "The matrix of x -> g*x (g_first) or of x -> x*g on hom(in_dims, out_dims)."
-    def fn(f, t):
-        return side(d, g_op, f, t) if g_first else side(d, f, g_op, t)
+    def steps(f):
+        return side(d, g_op, f) if g_first else side(d, f, g_op)
 
-    return hom_operator(in_dims, out_dims, in_dims, out_dims, fn)
+    return hom_operator(in_dims, out_dims, in_dims, out_dims, steps)
 
 
 def _operators(d, in_dims, out_dims, side, g_op) -> tuple[Matrix, Matrix]:
     "The matrices of x -> g*x and of x -> x*g on hom(in_dims, out_dims)."
-    return (
-        _operator(d, in_dims, out_dims, side, g_op, True),
-        _operator(d, in_dims, out_dims, side, g_op, False),
-    )
+    return tuple(_operator(d, in_dims, out_dims, side, g_op, first) for first in (True, False))
 
 
 def _product(d, in_dims, out_dims, side, g_op, f_op) -> Matrix:
     "The matrix of g*f in hom(in_dims, out_dims)."
-    return matrix_from_columns_fn(in_dims, (*out_dims, 1), lambda t: side(d, g_op, f_op, t))
+    return pipeline_matrix(in_dims, (*out_dims, 1), (_slot(len(in_dims)), *side(d, g_op, f_op)))
 
 
 def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
@@ -348,9 +339,8 @@ def conv_unit(d: MonoidalEntwiningDatum) -> HomCA:
     return HomCA(d, unit_col * d.c.counit)
 
 
-def _conv_side(d: MonoidalEntwiningDatum, g_op, f_op, t):
-    return pipeline(
-        t + (0,),
+def _conv_side(d: MonoidalEntwiningDatum, g_op, f_op):
+    return (
         _ap(0, d.c.comul_op),  # c1 c2 s
         _ap(1, f_op),          # c1 f(c2) s
         _ap(0, d.phi_op),      # f(c2)_phi c1^phi s
@@ -398,22 +388,16 @@ def invertibility_item(axiom_id: str, map: Matrix, inverse) -> AxiomItem:
 
 def conv2_unit(d: MonoidalEntwiningDatum) -> Matrix:
     nc, na = d.c_dim, d.a_dim
-
-    def col(t):
-        return pipeline(
-            t,
-            _ap(0, d.c.counit_op),
-            _ap(0, d.c.counit_op),
-            _ap(0, d.a.unit_op),
-            _ap(1, d.a.unit_op),
-        )
-
-    return matrix_from_columns_fn((nc, nc), (na, na), col)
+    return pipeline_matrix((nc, nc), (na, na), (
+        _ap(0, d.c.counit_op),
+        _ap(0, d.c.counit_op),
+        _ap(0, d.a.unit_op),
+        _ap(1, d.a.unit_op),
+    ))
 
 
-def _conv2_side(d: MonoidalEntwiningDatum, g_op, f_op, t):
-    return pipeline(
-        t + (0,),
+def _conv2_side(d: MonoidalEntwiningDatum, g_op, f_op):
+    return (
         _ap(0, d.c.comul_op),   # c1 c2 d s
         _ap(2, d.c.comul_op),   # c1 c2 d1 d2 s
         _pm((0, 2, 1, 3, 4)),   # c1 d1 c2 d2 s
@@ -473,16 +457,14 @@ def check_double_quantum_group(q: DoubleQuantumGroup) -> AxiomReport:
             "E07_coact",
             (nc, nc),
             (na, na, nc),
-            lambda t: pipeline(
-                t,
+            (
                 _ap(0, comul_c),     # c1 c2 d
                 _ap(2, comul_c),     # c1 c2 d1 d2
                 _pm((0, 2, 1, 3)),   # c1 d1 c2 d2
                 _ap(0, rr),          # R1 R2 c2 d2
                 _ap(2, mul_c),
             ),
-            lambda t: pipeline(
-                t,
+            (
                 _ap(0, comul_c),
                 _ap(2, comul_c),     # c1 c2 d1 d2
                 _pm((0, 2, 1, 3)),   # c1 d1 c2 d2
@@ -498,8 +480,8 @@ def check_double_quantum_group(q: DoubleQuantumGroup) -> AxiomReport:
             "E08_act",
             (na, nc, nc),
             (na, na),
-            lambda t: pipeline(
-                (t[1], t[2], t[0]),
+            (
+                _pm((1, 2, 0)),      # c d a
                 _ap(2, comul_a),     # c d a1 a2
                 _pm((0, 2, 1, 3)),   # c a1 d a2
                 _ap(0, phi),         # a1f cf d a2
@@ -510,8 +492,8 @@ def check_double_quantum_group(q: DoubleQuantumGroup) -> AxiomReport:
                 _ap(0, mul_a),
                 _ap(1, mul_a),
             ),
-            lambda t: pipeline(
-                (t[1], t[2], t[0]),
+            (
+                _pm((1, 2, 0)),      # c d a
                 _ap(0, rr),          # R1 R2 a
                 _ap(2, comul_a),     # R1 R2 a1 a2
                 _pm((0, 2, 1, 3)),   # R1 a1 R2 a2
@@ -523,9 +505,8 @@ def check_double_quantum_group(q: DoubleQuantumGroup) -> AxiomReport:
             "E09_split_right",
             (nc, nc, nc),
             (na, na, na),
-            lambda t: pipeline(t, _ap(1, mul_c), _ap(0, rr), _ap(0, comul_a)),
-            lambda t: pipeline(
-                t,
+            (_ap(1, mul_c), _ap(0, rr), _ap(0, comul_a)),
+            (
                 _ap(0, comul_c),     # x1 x2 y z
                 _ap(1, rr),          # x1 r1 r2 z
                 _pm((0, 2, 1, 3)),   # x1 r2 r1 z
@@ -540,9 +521,8 @@ def check_double_quantum_group(q: DoubleQuantumGroup) -> AxiomReport:
             "E10a_split_left",
             (nc, nc, nc),
             (na, na, na),
-            lambda t: pipeline(t, _ap(0, mul_c), _ap(0, rr), _ap(1, comul_a)),
-            lambda t: pipeline(
-                t,
+            (_ap(0, mul_c), _ap(0, rr), _ap(1, comul_a)),
+            (
                 _ap(2, comul_c),     # x y z1 z2
                 _pm((0, 1, 3, 2)),   # x y z2 z1
                 _ap(1, rr),          # x r1 r2 z1
@@ -584,9 +564,8 @@ def check_antipode_compat(d: MonoidalEntwiningDatum) -> AxiomReport:
             axiom_id,
             (nc, na),
             (na, nc),
-            lambda t: pipeline(t, _ap(0, sc), _ap(1, sa), _pm((1, 0))),
-            lambda t: pipeline(
-                t,
+            (_ap(0, sc), _ap(1, sa), _pm((1, 0))),
+            (
                 _ap(1, cup),         # c x x a
                 _ap(0, phi),         # u w x a
                 _ap(1, sc),          # u S(w) x a

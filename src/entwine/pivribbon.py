@@ -13,7 +13,6 @@ most two with rational roots.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,8 +25,10 @@ from .exactla import (
     TensorOp,
     Vector,
     _as_rat,
+    basis_batches,
     hom_operator,
-    matrix_from_columns_fn,
+    pipeline_matrix,
+    run_batch,
     solve_affine,
     vstack,
 )
@@ -40,7 +41,7 @@ from .entwining import (
     invertibility_item,
 )
 from .hopfcore import Element, Functional
-from .report import AxiomItem, AxiomReport, compare_item, pipeline, _ap, _pm
+from .report import AxiomItem, AxiomReport, compare_item, _ap, _pm, _slot
 
 
 @dataclass
@@ -61,17 +62,18 @@ class FinderResult:
 # ---------------------------------------------------------------------------
 # Laws linear in g, each side written once
 #
-# A side takes g as a kernel op and a basis tuple t and runs a pipeline
-# seeded with t + (0,); g is always applied where its input leg sits just
-# before that trailing slot leg.  A verifier passes g's TensorOp, which
-# carries the slot leg along as 0; the finder passes a SlotLeg through
-# hom_operator and reads the side off as a matrix in the entries of g.
+# A side takes g as a kernel op and gives steps on keys that end in a slot
+# leg after the scanned legs; g is always applied where its input leg sits
+# just before that slot leg.  A verifier passes g's TensorOp, which carries
+# the slot leg along as 0, and inserts the slot leg with a leading _slot
+# step; the finder passes a SlotLeg through hom_operator, which seeds the
+# slot leg, and reads the side off as a matrix in the entries of g.
 # ---------------------------------------------------------------------------
 
 
-def _counit_side(d: MonoidalEntwiningDatum, g, t):
+def _counit_side(d: MonoidalEntwiningDatum, g):
     "eps_A(g(1_C)), the side of P2 that is linear in g."
-    return pipeline(t + (0,), _ap(0, d.c.unit_op), _ap(0, g), _ap(0, d.a.counit_op))
+    return _ap(0, d.c.unit_op), _ap(0, g), _ap(0, d.a.counit_op)
 
 
 def _linear_laws(d: MonoidalEntwiningDatum, kind: str):
@@ -89,17 +91,16 @@ def _linear_laws(d: MonoidalEntwiningDatum, kind: str):
             "P3_action_twist" if pivotal else "R1_action",
             (na, nc),
             (na,),
-            lambda g, t: pipeline(t + (0,), *a_twist, _ap(1, g), _pm((1, 0, 2)), _ap(0, mul_a)),
-            lambda g, t: pipeline(t + (0,), _pm((1, 0, 2)), _ap(0, phi), _ap(1, g), _ap(0, mul_a)),
+            lambda g: (*a_twist, _ap(1, g), _pm((1, 0, 2)), _ap(0, mul_a)),
+            lambda g: (_pm((1, 0, 2)), _ap(0, phi), _ap(1, g), _ap(0, mul_a)),
         ),
         # g(c1) (x) c2 = g(c2)_phi (x) c1^phi
         (
             "P4_coaction_twist" if pivotal else "R2_coaction",
             (nc,),
             (na, nc),
-            lambda g, t: pipeline(t + (0,), _ap(0, comul_c), _pm((1, 0, 2)), _ap(1, g),
-                                  _pm((1, 0, 2))),
-            lambda g, t: pipeline(t + (0,), _ap(0, comul_c), _ap(1, g), _ap(0, phi), *c_twist),
+            lambda g: (_ap(0, comul_c), _pm((1, 0, 2)), _ap(1, g), _pm((1, 0, 2))),
+            lambda g: (_ap(0, comul_c), _ap(1, g), _ap(0, phi), *c_twist),
         ),
     ]
     if not pivotal:
@@ -111,9 +112,8 @@ def _linear_laws(d: MonoidalEntwiningDatum, kind: str):
             "R4_self_dual",
             (nc,),
             (na,),
-            lambda g, t: pipeline(t + (0,), _ap(0, g)),
-            lambda g, t: pipeline(
-                t + (0,),
+            lambda g: (_ap(0, g),),
+            lambda g: (
                 _ap(1, cup),                  # c x x s
                 _ap(0, phi),                  # x_phi c^phi x s
                 _pm((0, 2, 1, 3)),            # x_phi x c^phi s
@@ -129,23 +129,22 @@ def _linear_laws(d: MonoidalEntwiningDatum, kind: str):
 def _quadratic_law(d: MonoidalEntwiningDatum, kind: str, q: DoubleQuantumGroup | None):
     """The law quadratic in g, as (axiom id, scan dims, output dims, linear
     side, bilinear side): P1 for pivotal, R3 (through q's R) for ribbon.
-    The linear side takes g's kernel op and a basis tuple, the bilinear side
-    one op for each of its two copies of g; the law says they agree."""
+    The linear side takes g's kernel op, the bilinear side one op for each
+    of its two copies of g, and each gives steps; the law says they agree."""
     nc, na = d.c_dim, d.a_dim
     mul_a, comul_a = d.a.mul_op, d.a.comul_op
     mul_c, comul_c = d.c.mul_op, d.c.comul_op
 
-    def linear(g, t):
-        return pipeline(t, _ap(0, mul_c), _ap(0, g), _ap(0, comul_a))
+    def linear(g):
+        return _ap(0, mul_c), _ap(0, g), _ap(0, comul_a)
 
     if kind == "pivotal":
         return ("P1_grouplike", (nc, nc), (na, na), linear,
-                lambda ga, gb, t: pipeline(t, _ap(0, ga), _ap(1, gb)))
+                lambda ga, gb: (_ap(0, ga), _ap(1, gb)))
     rr, phi = q.rmap_op, d.phi_op
 
-    def bilinear(ga, gb, t):
-        return pipeline(
-            t,
+    def bilinear(ga, gb):
+        return (
             _ap(0, comul_c),
             _ap(0, comul_c),    # x1 x2 x3 y
             _ap(3, comul_c),
@@ -178,7 +177,7 @@ def _law_items(d: MonoidalEntwiningDatum, kind: str, g: HomCA) -> list[AxiomItem
     g_op = g.op
     return [
         compare_item(axiom_id, scan, out + (1,),
-                     lambda t, f=lhs: f(g_op, t), lambda t, f=rhs: f(g_op, t))
+                     (_slot(len(scan)), *lhs(g_op)), (_slot(len(scan)), *rhs(g_op)))
         for axiom_id, scan, out, lhs, rhs in _linear_laws(d, kind)
     ]
 
@@ -187,8 +186,7 @@ def _quadratic_item(d: MonoidalEntwiningDatum, kind: str, q: DoubleQuantumGroup 
                     g: HomCA) -> AxiomItem:
     axiom_id, scan, out, linear, bilinear = _quadratic_law(d, kind, q)
     g_op = g.op
-    return compare_item(axiom_id, scan, out,
-                        lambda t: linear(g_op, t), lambda t: bilinear(g_op, g_op, t))
+    return compare_item(axiom_id, scan, out, linear(g_op), bilinear(g_op, g_op))
 
 
 def verify_pivotal(d: MonoidalEntwiningDatum, g: HomCA) -> AxiomReport:
@@ -206,8 +204,8 @@ def verify_pivotal(d: MonoidalEntwiningDatum, g: HomCA) -> AxiomReport:
             "P2_counit_one",
             (),
             (1,),
-            lambda t: _counit_side(d, g_op, t),
-            lambda t: pipeline(t + (0,)),
+            (_slot(0), *_counit_side(d, g_op)),
+            (_slot(0),),
         ),
         *_law_items(d, "pivotal", g),
         invertibility_item("P5_conv_invertible", g.map, conv_inverse(g)),
@@ -239,10 +237,10 @@ def verify_ribbon(q: DoubleQuantumGroup, g: HomCA) -> AxiomReport:
 
 def _act_by_g_matrix(m: EntwinedModule, g: HomCA) -> Matrix:
     "Matrix of x -> x0 . g(x1) on a module."
-    return matrix_from_columns_fn(
+    return pipeline_matrix(
         (m.dim,),
         (m.dim,),
-        lambda t: pipeline(t, _ap(0, m.coaction_op), _ap(1, g.op), _ap(0, m.action_op)),
+        (_ap(0, m.coaction_op), _ap(1, g.op), _ap(0, m.action_op)),
     )
 
 
@@ -283,19 +281,15 @@ def nat_to_hom(d: MonoidalEntwiningDatum, map_matrix: Matrix, kind: str) -> HomC
         if map_matrix.nrows != nc * na or map_matrix.ncols != nc * na:
             raise ValueError("expected an endomorphism matrix of C (x) A")
         op = TensorOp(map_matrix, (nc, na), (nc, na))
-        col = lambda t: pipeline(
-            t, _ap(1, d.a.unit_op), _ap(0, op), _ap(0, d.c.counit_op)
-        )
+        steps = (_ap(1, d.a.unit_op), _ap(0, op), _ap(0, d.c.counit_op))
     elif kind == "pivotal":
         if map_matrix.nrows != na * nc or map_matrix.ncols != na * nc:
             raise ValueError("expected a square matrix on A (x) C")
         op = TensorOp(map_matrix, (na, nc), (na, nc))
-        col = lambda t: pipeline(
-            (t[0],), _ap(0, d.a.unit_op), _ap(0, op), _ap(1, d.c.counit_op)
-        )
+        steps = (_ap(0, d.a.unit_op), _ap(0, op), _ap(1, d.c.counit_op))
     else:
         raise ValueError("kind must be 'pivotal' or 'ribbon'")
-    return HomCA(d, matrix_from_columns_fn((nc,), (na,), col))
+    return HomCA(d, pipeline_matrix((nc,), (na,), steps))
 
 
 def separable_candidate(d: MonoidalEntwiningDatum, kappa: Element, rho: Functional,
@@ -322,7 +316,7 @@ def _linear_system(d: MonoidalEntwiningDatum, kind: str) -> tuple[Matrix, Vector
     blocks = []
     if kind == "pivotal":
         # counit normalization: eps(g(1_C)) = 1
-        blocks.append(hom_operator(*g_dims, (), (), lambda g, t: _counit_side(d, g, t)))
+        blocks.append(hom_operator(*g_dims, (), (), lambda g: _counit_side(d, g)))
     for _, scan, out, lhs, rhs in _linear_laws(d, kind):
         lop, rop = (hom_operator(*g_dims, scan, out, side) for side in (lhs, rhs))
         blocks.append(lop - rop)
@@ -450,20 +444,18 @@ def _quadratic_residuals(d: MonoidalEntwiningDatum, kind: str,
             p = polys[pk] = _Poly()
         return p
 
-    for t in itertools.product(*(range(n) for n in scan)):
+    for batch in basis_batches(scan):
         # bilinear part: sum_{s,r} t_s t_r  B(h_s, h_r), t_0 := 1
         for s, ga in enumerate(ops):
             for r, gb in enumerate(ops):
-                state = bilinear_side(ga, gb, t)
                 mono = tuple(v - 1 for v in (s, r) if v > 0)
-                for key, val in state.items():
-                    poly_at(t, key).add_term(mono, val)
+                for key, val in run_batch(batch, bilinear_side(ga, gb)).items():
+                    poly_at(batch[key[-1]], key[:-1]).add_term(mono, val)
         # minus the linear part
         for s, gg in enumerate(ops):
-            state = linear_side(gg, t)
             mono = (s - 1,) if s > 0 else ()
-            for key, val in state.items():
-                poly_at(t, key).add_term(mono, -val)
+            for key, val in run_batch(batch, linear_side(gg)).items():
+                poly_at(batch[key[-1]], key[:-1]).add_term(mono, -val)
     return [p for p in polys.values() if not p.is_zero()]
 
 

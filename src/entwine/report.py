@@ -9,13 +9,15 @@ only on the input data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .exactla import (
+    Matrix,
     State,
+    TensorOp,
     Vector,
-    basis_state,
+    basis_batches,
+    run_batch,
     rat_to_str,
     state_to_vector,
     sv_apply,
@@ -105,36 +107,38 @@ def render_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def compare_item(axiom_id, in_dims, out_dims, lhs_fn, rhs_fn) -> AxiomItem:
+def compare_item(axiom_id, in_dims, out_dims, lhs, rhs) -> AxiomItem:
     """Evaluate two sides on every basis tuple and report the first mismatch.
 
-    ``lhs_fn``/``rhs_fn`` map a basis index tuple to a sparse State over
-    ``out_dims``.  Scan order is lexicographic in the tuple.
+    ``lhs``/``rhs`` are step sequences taking a basis tuple over
+    ``in_dims`` to a State over ``out_dims``.  The tuples run in
+    lexicographic order, in batches of 1, 2, 4, ... up to BATCH_CAP = 64
+    (see run_batch), and each batch is decided by one comparison of the two
+    batched states.  The batches grow so that a scan failing early
+    evaluates few tuples past its witness, and stop at 64 because a larger
+    batch holds larger states for no gain in speed (exactla's kernel
+    comment has the figures).  On a mismatch the smallest batch leg j whose
+    terms differ names the witness tuple, and its sides are the two states
+    restricted to j: the first failing tuple and the sides it alone gives.
     """
-    in_dims = tuple(in_dims)
     out_dims = tuple(out_dims)
-    for idx in itertools.product(*(range(d) for d in in_dims)):
-        lhs = lhs_fn(idx)
-        rhs = rhs_fn(idx)
-        if lhs != rhs:
-            return AxiomItem(
-                axiom_id,
-                False,
-                Witness(idx, state_to_vector(lhs, out_dims), state_to_vector(rhs, out_dims)),
-            )
+    for batch in basis_batches(in_dims, 1):
+        left, right = run_batch(batch, lhs), run_batch(batch, rhs)
+        if left != right:
+            j = min(key[-1] for key, _ in left.items() ^ right.items())
+
+            def side(state):
+                return state_to_vector({k[:-1]: c for k, c in state.items() if k[-1] == j},
+                                       out_dims)
+
+            return AxiomItem(axiom_id, False, Witness(batch[j], side(left), side(right)))
     return AxiomItem(axiom_id, True)
 
 
 def pipeline(idx, *steps) -> State:
-    """Run a basis tuple through a sequence of kernel steps.
-
-    Each step is a callable State -> State; this is just foldl with a
-    basis seed, kept tiny so axiom transcriptions stay readable.
-    """
-    state = basis_state(idx)
-    for step in steps:
-        state = step(state)
-    return state
+    """Run one basis tuple through a sequence of kernel steps (callables
+    State -> State): a batch of one, with its batch leg dropped."""
+    return {key[:-1]: c for key, c in run_batch([tuple(idx)], steps).items()}
 
 
 def _ap(pos, op):
@@ -145,3 +149,12 @@ def _ap(pos, op):
 def _pm(perm):
     "Pipeline step: permute legs."
     return lambda state: sv_permute(state, perm)
+
+
+# the kernel op inserting one leg of dimension 1, always 0
+_UNIT_LEG = TensorOp(Matrix([[1]]), (), (1,))
+
+
+def _slot(pos):
+    "Pipeline step: insert a slot leg 0 at leg position pos (see SlotLeg)."
+    return _ap(pos, _UNIT_LEG)

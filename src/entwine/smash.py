@@ -27,7 +27,7 @@ from .exactla import (
     State,
     TensorOp,
     Vector,
-    matrix_from_columns_fn,
+    pipeline_matrix,
     state_to_vector,
 )
 from .emodcat import EntwinedModule
@@ -86,29 +86,29 @@ def check_distributive_law(law: DistributiveLaw) -> AxiomReport:
                 "DL1_left_mult",
                 (nb, nb, na),
                 (na, nb),
-                lambda t: pipeline(t, _ap(0, mul_b), _ap(0, op)),
-                lambda t: pipeline(t, _ap(1, op), _ap(0, op), _ap(1, mul_b)),
+                (_ap(0, mul_b), _ap(0, op)),
+                (_ap(1, op), _ap(0, op), _ap(1, mul_b)),
             ),
             compare_item(
                 "DL2_left_unit",
                 (na,),
                 (na, nb),
-                lambda t: pipeline(t, _ap(0, unit_b), _ap(0, op)),
-                lambda t: pipeline(t, _ap(1, unit_b)),
+                (_ap(0, unit_b), _ap(0, op)),
+                (_ap(1, unit_b),),
             ),
             compare_item(
                 "DL3_right_mult",
                 (nb, na, na),
                 (na, nb),
-                lambda t: pipeline(t, _ap(1, mul_a), _ap(0, op)),
-                lambda t: pipeline(t, _ap(0, op), _ap(1, op), _ap(0, mul_a)),
+                (_ap(1, mul_a), _ap(0, op)),
+                (_ap(0, op), _ap(1, op), _ap(0, mul_a)),
             ),
             compare_item(
                 "DL4_right_unit",
                 (nb,),
                 (na, nb),
-                lambda t: pipeline(t, _ap(1, unit_a), _ap(0, op)),
-                lambda t: pipeline(t, _ap(0, unit_a)),
+                (_ap(1, unit_a), _ap(0, op)),
+                (_ap(0, unit_a),),
             ),
         ]
     else:
@@ -121,29 +121,29 @@ def check_distributive_law(law: DistributiveLaw) -> AxiomReport:
                 "DL1_right_comult",
                 (nc, nd),
                 (nd, nd, nc),
-                lambda t: pipeline(t, _ap(0, op), _ap(0, comul_d)),
-                lambda t: pipeline(t, _ap(1, comul_d), _ap(0, op), _ap(1, op)),
+                (_ap(0, op), _ap(0, comul_d)),
+                (_ap(1, comul_d), _ap(0, op), _ap(1, op)),
             ),
             compare_item(
                 "DL2_right_counit",
                 (nc, nd),
                 (nc,),
-                lambda t: pipeline(t, _ap(0, op), _ap(0, counit_d)),
-                lambda t: pipeline(t, _ap(1, counit_d)),
+                (_ap(0, op), _ap(0, counit_d)),
+                (_ap(1, counit_d),),
             ),
             compare_item(
                 "DL3_left_comult",
                 (nc, nd),
                 (nd, nc, nc),
-                lambda t: pipeline(t, _ap(0, op), _ap(1, comul_c)),
-                lambda t: pipeline(t, _ap(0, comul_c), _ap(1, op), _ap(0, op)),
+                (_ap(0, op), _ap(1, comul_c)),
+                (_ap(0, comul_c), _ap(1, op), _ap(0, op)),
             ),
             compare_item(
                 "DL4_left_counit",
                 (nc, nd),
                 (nd,),
-                lambda t: pipeline(t, _ap(0, op), _ap(1, counit_c)),
-                lambda t: pipeline(t, _ap(0, counit_c)),
+                (_ap(0, op), _ap(1, counit_c)),
+                (_ap(0, counit_c),),
             ),
         ]
     return AxiomReport(items)
@@ -166,10 +166,10 @@ def _dual_c_view(e) -> Matrix:
     f_u (x) e_j in phi(e_m (x) f_k)."""
     nc, na = e.c_dim, e.a_dim
     cup, cap = Cup(nc), Cap()
-    return matrix_from_columns_fn(
+    return pipeline_matrix(
         (na, nc),
         (nc, na),
-        lambda t: pipeline(t, _ap(0, cup), _ap(1, e.phi_op), _ap(2, cap)),  # m m k j -> m u j j
+        (_ap(0, cup), _ap(1, e.phi_op), _ap(2, cap)),  # m m k j -> m u j j
     )
 
 
@@ -179,10 +179,10 @@ def _dual_a_view(e) -> Matrix:
     f_u (x) e_v in phi(e_c (x) f_i)."""
     nc, na = e.c_dim, e.a_dim
     cup, cap = Cup(na), Cap()
-    return matrix_from_columns_fn(
+    return pipeline_matrix(
         (na, nc),
         (nc, na),
-        lambda t: pipeline(t, _ap(2, cup), _ap(1, e.phi_op), _ap(0, cap)),  # u c i i -> u u v i
+        (_ap(2, cup), _ap(1, e.phi_op), _ap(0, cap)),  # u c i i -> u u v i
     )
 
 
@@ -209,10 +209,10 @@ def distlaw_to_entwining(law: DistributiveLaw, c) -> EntwiningMap:
         raise ValueError("expected an algebra distributive law")
     a = law.left
     op, cup, cap = law.op, Cup(c.dim), Cap()
-    phi = matrix_from_columns_fn(
+    phi = pipeline_matrix(
         (c.dim, a.dim),
         (a.dim, c.dim),
-        lambda t: pipeline(t, _ap(2, cup), _ap(1, op), _ap(0, cap)),  # j k i i -> j m l i
+        (_ap(2, cup), _ap(1, op), _ap(0, cap)),  # j k i i -> j m l i
     )
     return EntwiningMap(c, a, phi)
 
@@ -230,10 +230,10 @@ def codistlaw_to_entwining(law: DistributiveLaw, a) -> EntwiningMap:
         raise ValueError("expected a coalgebra distributive law")
     c = law.right
     op, cup, cap = law.op, Cup(a.dim), Cap()
-    phi = matrix_from_columns_fn(
+    phi = pipeline_matrix(
         (c.dim, a.dim),
         (a.dim, c.dim),
-        lambda t: pipeline(t, _ap(0, cup), _ap(1, op), _ap(2, cap)),  # u u c i -> u j i i
+        (_ap(0, cup), _ap(1, op), _ap(2, cap)),  # u u c i -> u j i i
     )
     return EntwiningMap(c, a, phi)
 
@@ -259,18 +259,14 @@ def _smash_algebra(e, dual_c: HopfAlgebraData, phi_dc: TensorOp) -> AlgebraData:
     mul_dc = dual_c.mul_op  # mult of (dual C, op): (p, q) -> q * p in plain dual
     mul_a = e.a.mul_op
 
-    def col(t):
-        # input legs: (i, k, j, l) for (e^i (x) f_k)(e^j (x) f_l)
-        return pipeline(
-            t,
-            _pm((1, 2, 0, 3)),   # k j i l
-            _ap(0, phi_dc),      # m u i l   (dual leg m, a_phi leg u)
-            _pm((2, 0, 1, 3)),   # i m u l
-            _ap(0, mul_dc),      # (p *op e^m) = e^m * p ; legs: w u l
-            _ap(1, mul_a),       # w (a_phi b)
-        )
-
-    mult = matrix_from_columns_fn((nc, na, nc, na), (nc, na), col)
+    # input legs: (i, k, j, l) for (e^i (x) f_k)(e^j (x) f_l)
+    mult = pipeline_matrix((nc, na, nc, na), (nc, na), (
+        _pm((1, 2, 0, 3)),   # k j i l
+        _ap(0, phi_dc),      # m u i l   (dual leg m, a_phi leg u)
+        _pm((2, 0, 1, 3)),   # i m u l
+        _ap(0, mul_dc),      # (p *op e^m) = e^m * p ; legs: w u l
+        _ap(1, mul_a),       # w (a_phi b)
+    ))
     unit = Vector(
         [e.c.counit.entry(0, i) * e.a.unit[k] for i in range(nc) for k in range(na)]
     )
@@ -291,28 +287,23 @@ def smash_product(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     phi_dc = TensorOp(_dual_c_view(e), (na, nc), (nc, na))
     alg = _smash_algebra(e, dual_c, phi_dc)
 
-    comult = matrix_from_columns_fn(
+    comult = pipeline_matrix(
         (nc, na),
         (nc, na, nc, na),
-        lambda t: pipeline(t, _ap(0, dual_c.comul_op), _ap(2, e.a.comul_op),
-                           _pm((0, 2, 1, 3))),
+        (_ap(0, dual_c.comul_op), _ap(2, e.a.comul_op), _pm((0, 2, 1, 3))),
     )
     counit = Matrix(
         [[e.c.unit[i] * e.a.counit.entry(0, k) for i in range(nc) for k in range(na)]]
     )
 
-    def antipode_col(t):
-        # (j, k): apply the inverse dual antipode to the dual leg, the
-        # antipode of A to the other, then entwine.
-        return pipeline(
-            t,
-            _ap(0, TensorOp(dual_c.antipode, (nc,), (nc,))),
-            _ap(1, e.a.antipode_op),
-            _pm((1, 0)),
-            _ap(0, phi_dc),
-        )
-
-    antipode = matrix_from_columns_fn((nc, na), (nc, na), antipode_col)
+    # (j, k): apply the inverse dual antipode to the dual leg, the antipode
+    # of A to the other, then entwine.
+    antipode = pipeline_matrix((nc, na), (nc, na), (
+        _ap(0, TensorOp(dual_c.antipode, (nc,), (nc,))),
+        _ap(1, e.a.antipode_op),
+        _pm((1, 0)),
+        _ap(0, phi_dc),
+    ))
     coa = CoalgebraData(alg.dim, alg.basis_names, comult, counit)
     return HopfAlgebraData(alg, coa, antipode)
 
@@ -340,10 +331,10 @@ def smash_coproduct(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     plain_dual_comul = TensorOp(e.a.mult.transpose(), (na,), (na, na))
     phi_da = TensorOp(_dual_a_view(e), (na, nc), (nc, na))
 
-    mult = matrix_from_columns_fn(
+    mult = pipeline_matrix(
         (na, nc, na, nc),
         (na, nc),
-        lambda t: pipeline(t, _pm((0, 2, 1, 3)), _ap(0, dual_a.mul_op), _ap(1, e.c.mul_op)),
+        (_pm((0, 2, 1, 3)), _ap(0, dual_a.mul_op), _ap(1, e.c.mul_op)),
     )
     unit = Vector(
         [e.a.counit.entry(0, i) * e.c.unit[k] for i in range(na) for k in range(nc)]
@@ -351,32 +342,24 @@ def smash_coproduct(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     names = [f"{an}^(x){cn}" for an in e.a.basis_names for cn in e.c.basis_names]
     alg = AlgebraData(na * nc, names, mult, unit)
 
-    def comult_col(t):
-        # (g, c): split both legs, entwine gamma_1 against c_1
-        return pipeline(
-            t,
-            _ap(0, plain_dual_comul),  # g1 g2 c
-            _ap(2, e.c.comul_op),      # g1 g2 c1 c2
-            _pm((0, 2, 1, 3)),         # g1 c1 g2 c2
-            _ap(0, phi_da),            # c1f i_dual g2 c2
-            _pm((2, 0, 1, 3)),         # g2 c1f i_dual c2
-        )
-
-    comult = matrix_from_columns_fn((na, nc), (na, nc, na, nc), comult_col)
+    # (g, c): split both legs, entwine gamma_1 against c_1
+    comult = pipeline_matrix((na, nc), (na, nc, na, nc), (
+        _ap(0, plain_dual_comul),  # g1 g2 c
+        _ap(2, e.c.comul_op),      # g1 g2 c1 c2
+        _pm((0, 2, 1, 3)),         # g1 c1 g2 c2
+        _ap(0, phi_da),            # c1f i_dual g2 c2
+        _pm((2, 0, 1, 3)),         # g2 c1f i_dual c2
+    ))
     counit = Matrix(
         [[e.a.unit[i] * e.c.counit.entry(0, k) for i in range(na) for k in range(nc)]]
     )
 
-    def antipode_col(t):
-        return pipeline(
-            t,
-            _ap(0, phi_da),  # c_out i_dual
-            _pm((1, 0)),
-            _ap(0, TensorOp(dual_a.antipode, (na,), (na,))),
-            _ap(1, e.c.antipode_op),
-        )
-
-    antipode = matrix_from_columns_fn((na, nc), (na, nc), antipode_col)
+    antipode = pipeline_matrix((na, nc), (na, nc), (
+        _ap(0, phi_da),  # c_out i_dual
+        _pm((1, 0)),
+        _ap(0, TensorOp(dual_a.antipode, (na,), (na,))),
+        _ap(1, e.c.antipode_op),
+    ))
     coa = CoalgebraData(alg.dim, names, comult, counit)
     return HopfAlgebraData(alg, coa, antipode)
 
@@ -391,11 +374,11 @@ def module_transport_to_smash(m: EntwinedModule) -> Matrix:
     x <- (p (x) a) = p(x_coact) x_0 . a.  Returns dim x (dim*dimSmash)."""
     nc, na = m.datum.c_dim, m.datum.a_dim
     cap = Cap()
-    return matrix_from_columns_fn(
+    return pipeline_matrix(
         (m.dim, nc, na),
         (m.dim,),
         # x i k -> x0 v i k -> x0 k where v = i -> x0 . f_k
-        lambda t: pipeline(t, _ap(0, m.coaction_op), _ap(1, cap), _ap(0, m.action_op)),
+        (_ap(0, m.coaction_op), _ap(1, cap), _ap(0, m.action_op)),
     )
 
 
@@ -409,17 +392,16 @@ def module_transport_from_smash(d: MonoidalEntwiningDatum, dim: int,
     nc, na = d.c_dim, d.a_dim
     act = TensorOp(action, (dim, nc, na), (dim,))
     cup = Cup(nc)
-    new_action = matrix_from_columns_fn(
+    new_action = pipeline_matrix(
         (dim, na),
         (dim,),
         # x k -> x i i k -> x i k weighted by eps_C(e_i) -> x <- (e^i (x) f_k)
-        lambda t: pipeline(t, _ap(1, cup), _ap(2, d.c.counit_op), _ap(0, act)),
+        (_ap(1, cup), _ap(2, d.c.counit_op), _ap(0, act)),
     )
-    new_coaction = matrix_from_columns_fn(
+    new_coaction = pipeline_matrix(
         (dim,),
         (dim, nc),
-        lambda t: pipeline(
-            t,
+        (
             _ap(1, cup),          # x i i
             _ap(3, d.a.unit_op),  # x i i 1_A
             _pm((0, 1, 3, 2)),    # x i 1_A i
@@ -569,8 +551,8 @@ def smash_identity_checks(d: MonoidalEntwiningDatum) -> AxiomReport:
         "SI1_product_antimult",
         (dim, dim),
         (dim,),
-        lambda t: pipeline(t, _ap(0, sp.mul_op), _ap(0, s_op)),
-        lambda t: pipeline(t, _ap(0, s_op), _ap(1, s_op), _pm((1, 0)), _ap(0, sp.mul_op)),
+        (_ap(0, sp.mul_op), _ap(0, s_op)),
+        (_ap(0, s_op), _ap(1, s_op), _pm((1, 0)), _ap(0, sp.mul_op)),
     )
     sc = smash_coproduct(d)
     dim2 = sc.dim
@@ -579,8 +561,8 @@ def smash_identity_checks(d: MonoidalEntwiningDatum) -> AxiomReport:
         "SI2_coproduct_anticomult",
         (dim2,),
         (dim2, dim2),
-        lambda t: pipeline(t, _ap(0, s2_op), _ap(0, sc.comul_op)),
-        lambda t: pipeline(t, _ap(0, sc.comul_op), _pm((1, 0)), _ap(0, s2_op), _ap(1, s2_op)),
+        (_ap(0, s2_op), _ap(0, sc.comul_op)),
+        (_ap(0, sc.comul_op), _pm((1, 0)), _ap(0, s2_op), _ap(1, s2_op)),
     )
     direct = check_antipode_compat(d)
     agreed = (si1.passed and si2.passed) == direct.overall

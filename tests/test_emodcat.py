@@ -10,7 +10,7 @@ from entwine.emodcat import (
     ModuleMorphism,
     action_endomorphisms,
     braiding,
-    braiding_columns,
+    braiding_steps,
     check_duality,
     check_entwined_module,
     double_right_dual,
@@ -354,7 +354,7 @@ def test_hexagon_split_left_h4_columnwise(yd_dqg_h4):
     d = q.datum
     m, n, p = std_module_CA(d), std_module_AC(d), std_module_CA(d)
     qmn = tensor_modules(m, n)
-    colfn = braiding_columns(qmn, p, q)
+    steps = braiding_steps(qmn, p, q)
     br_mp = TensorOp(braiding(m, p, q), (m.dim, p.dim), (p.dim, m.dim))
     br_np = TensorOp(braiding(n, p, q), (n.dim, p.dim), (p.dim, n.dim))
     for mi in range(m.dim):
@@ -362,7 +362,7 @@ def test_hexagon_split_left_h4_columnwise(yd_dqg_h4):
             for pi in range(p.dim):
                 lhs = {
                     (pp, qq // n.dim, qq % n.dim): v
-                    for (pp, qq), v in colfn((mi * n.dim + ni, pi)).items()
+                    for (pp, qq), v in pipeline((mi * n.dim + ni, pi), *steps).items()
                 }
                 rhs = pipeline(
                     (mi, ni, pi),

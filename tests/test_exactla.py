@@ -26,7 +26,7 @@ from entwine.exactla import (
     two_sided_solve,
     vstack,
 )
-from entwine.report import _ap, pipeline
+from entwine.report import _ap
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=6
@@ -172,10 +172,27 @@ def test_hom_operator_of_compositions(a, b):
     # on hom(V, W) flattened out-major, f -> a.f is kron(a, 1) and f -> f.b is kron(1, b^T)
     a_op = TensorOp(a, (3,), (3,))
     b_op = TensorOp(b, (2,), (2,))
-    after = hom_operator((2,), (3,), (2,), (3,), lambda f, t: pipeline(t + (0,), _ap(0, f), _ap(0, a_op)))
+    after = hom_operator((2,), (3,), (2,), (3,), lambda f: (_ap(0, f), _ap(0, a_op)))
     assert after == kron(a, Matrix.identity(2))
-    before = hom_operator((2,), (3,), (2,), (3,), lambda f, t: pipeline(t + (0,), _ap(0, b_op), _ap(0, f)))
+    before = hom_operator((2,), (3,), (2,), (3,), lambda f: (_ap(0, b_op), _ap(0, f)))
     assert before == kron(Matrix.identity(3), b.transpose())
+
+
+def test_floats_are_rejected():
+    # a float would be stored as its binary expansion: 0.1 is 3602879701896397/2**55
+    for bad in (0.1, 1.0, "1/2"):
+        with pytest.raises(TypeError):
+            Matrix([[bad]])
+        with pytest.raises(TypeError):
+            Vector([bad])
+        with pytest.raises(TypeError):
+            Vector([1]).scale(bad)
+        with pytest.raises(TypeError):
+            Matrix([[1]]).scale(bad)
+    half = Fraction(1, 2)
+    assert Matrix([[1, half]]).scale(2) == Matrix([[2, 1]])
+    assert Vector([half]).scale(-2) == Vector([-1])
+    assert all(type(x) is Fraction for x in Matrix([[1, 3]]).rows()[0])
 
 
 def test_two_sided_solve():

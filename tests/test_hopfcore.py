@@ -5,7 +5,9 @@ import pytest
 from entwine import corpus
 from entwine.exactla import Matrix, NotInvertibleError, Vector, invert, kron
 from entwine.hopfcore import (
+    AlgebraData,
     BilinearForm,
+    CoalgebraData,
     Element,
     Functional,
     HopfAlgebraData,
@@ -111,6 +113,56 @@ def test_h4_with_identity_antipode_fails(h4):
     # hand expansion: m(id (x) id) Delta(x) = x*1 + e*x = x + y, against 0
     assert item.witness.lhs == Vector([0, 0, 1, 1])
     assert item.witness.rhs == Vector.zero(4)
+
+
+def _bump_kz2(kz2, part, row, col):
+    "kz2 with entry (row, col) of one structure map raised by 1; the antipode is kept."
+    maps = {"mult": kz2.mult, "unit": Matrix([[x] for x in kz2.unit]),
+            "comult": kz2.comult, "counit": kz2.counit}
+    rows = [list(r) for r in maps[part].rows()]
+    rows[row][col] += 1
+    maps[part] = Matrix(rows)
+    alg = AlgebraData(2, kz2.basis_names, maps["mult"], maps["unit"].col(0))
+    coa = CoalgebraData(2, kz2.basis_names, maps["comult"], maps["counit"])
+    return HopfAlgebraData(alg, coa, kz2.antipode)
+
+
+# One-entry +1 perturbations of kz2 (basis 1 = e0, g = e1; g g = 1,
+# Delta(x) = x (x) x, eps = (1, 1), eta = 1, S = id).  mult[row][col] has
+# col x * 2 + y, comult[row][col] row x1 * 2 + x2.  The first failing tuple
+# and both sides follow from the axiom alone; every earlier tuple reads only
+# unperturbed entries.
+#  - H02, 1 1 += g: at x = 1, 1 1 = 1 + g against 1.
+#  - H03, g 1 += 1: at x = 1 both sides are 1; at x = g, g 1 = 1 + g
+#    against g (H02 reads 1 g, unperturbed, and passes).
+#  - H04, Delta(g) += 1 (x) 1: at x = g, (Delta (x) id) gives
+#    g g g + 1 1 g + 1 1 1 and (id (x) Delta) gives g g g + g 1 1 + 1 1 1.
+#  - H05, Delta(1) += g (x) 1: at x = 1, (eps (x) id) Delta(1) = 2 1.
+#  - H06, Delta(1) += 1 (x) g: at x = 1, (id (x) eps) Delta(1) = 2 1.
+#  - H07, g g += g: at (g, g), Delta(1 + g) = 1 1 + g g against
+#    (g g) (x) (g g) = (1 + g) (x) (1 + g); every other pair reads g g
+#    nowhere.
+#  - H08, Delta(1) += g (x) g: Delta(1) = 1 1 + g g against 1 1.
+#  - H09, eps(g) += 1: at (g, g), eps(g g) = eps(1) = 1 against
+#    eps(g)^2 = 4; (1, g) and (g, 1) give 2 on both sides.
+#  - H10, eta += g: eps(1 + g) = 2 against 1.
+@pytest.mark.parametrize("axiom, part, row, col, basis, lhs, rhs", [
+    ("H02_left_unit", "mult", 1, 0, (0,), [1, 1], [1, 0]),
+    ("H03_right_unit", "mult", 0, 2, (1,), [1, 1], [0, 1]),
+    ("H04_coassoc", "comult", 0, 1, (1,), [1, 1, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0, 0, 1]),
+    ("H05_left_counit", "comult", 2, 0, (0,), [2, 0], [1, 0]),
+    ("H06_right_counit", "comult", 1, 0, (0,), [2, 0], [1, 0]),
+    ("H07_comult_mult", "mult", 1, 3, (1, 1), [1, 0, 0, 1], [1, 1, 1, 1]),
+    ("H08_comult_unit", "comult", 3, 0, (), [1, 0, 0, 1], [1, 0, 0, 0]),
+    ("H09_counit_mult", "counit", 0, 1, (1, 1), [1], [4]),
+    ("H10_counit_unit", "unit", 1, 0, (), [2], [1]),
+])
+def test_one_entry_kz2_perturbation_fails_axiom(kz2, axiom, part, row, col, basis, lhs, rhs):
+    item = check_hopf(_bump_kz2(kz2, part, row, col)).item(axiom)
+    assert not item.passed
+    assert item.witness.basis == basis
+    assert list(item.witness.lhs) == lhs
+    assert list(item.witness.rhs) == rhs
 
 
 def test_singular_antipode_is_rejected_at_construction(h4):

@@ -124,13 +124,9 @@ def oracle_r4_item(d: MonoidalEntwiningDatum, g: HomCA) -> AxiomItem:
         "R4_self_dual",
         (nc,),
         (na,),
-        lambda t: pipeline(t, _ap(0, g.op)),
-        lambda t, M=_closed_loop_twist(
-            d, d.a.antipode_inv * g.map * d.c.antipode
-        ): {
-            (i,): v
-            for (i,), v in TensorOp(M, (nc,), (na,)).cols(t)
-        },
+        (_ap(0, g.op),),
+        (_ap(0, TensorOp(_closed_loop_twist(d, d.a.antipode_inv * g.map * d.c.antipode),
+                         (nc,), (na,))),),
     )
 
 
