@@ -9,7 +9,6 @@ structure, byte-for-byte deterministic for identical inputs.
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -35,13 +34,8 @@ from .exactla import rat_to_str
 
 
 def _max_workers() -> int:
-    env = os.environ.get("ENTWINE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise click.UsageError(f"ENTWINE_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    # files are checked one after another; kept for bench/tracer.py, which reads it
+    return 1
 
 
 def _load(path):
@@ -72,15 +66,12 @@ def _emit_report(label: str, report: AxiomReport, fmt: str, report_out=None) -> 
 
 
 def _run_file_checks(paths, runner, fmt, report_out) -> bool:
-    """Check many files, possibly in parallel; output stays in input order."""
-    if len(paths) == 1:
-        reports = [runner(paths[0])]
-    else:
-        # imported here: most runs check one file and skip its import cost
-        from concurrent.futures import ThreadPoolExecutor
+    """Check every file in input order, then print and save the reports.
 
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            reports = list(pool.map(runner, paths))
+    Nothing is output until every file is checked, so a bad later file
+    exits 2 with no report printed.
+    """
+    reports = [runner(path) for path in paths]
     ok = True
     docs = []
     for path, report in zip(paths, reports):

@@ -291,11 +291,6 @@ def _operator(d, in_dims, out_dims, side, g_op, g_first: bool) -> Matrix:
     return hom_operator(in_dims, out_dims, in_dims, out_dims, steps)
 
 
-def _operators(d, in_dims, out_dims, side, g_op) -> tuple[Matrix, Matrix]:
-    "The matrices of x -> g*x and of x -> x*g on hom(in_dims, out_dims)."
-    return tuple(_operator(d, in_dims, out_dims, side, g_op, first) for first in (True, False))
-
-
 def _product(d, in_dims, out_dims, side, g_op, f_op) -> Matrix:
     "The matrix of g*f in hom(in_dims, out_dims)."
     return pipeline_matrix(in_dims, (*out_dims, 1), (_slot(len(in_dims)), *side(d, g_op, f_op)))
@@ -357,12 +352,6 @@ def conv_product(g: HomCA, f: HomCA) -> HomCA:
     return HomCA(d, _product(d, (d.c_dim,), (d.a_dim,), _conv_side, g.op, f.op))
 
 
-def conv_operators(g: HomCA) -> tuple[Matrix, Matrix]:
-    "Matrices of x -> g*x and x -> x*g on hom(C, A), flattened by (a, c) index pairs."
-    d = g.datum
-    return _operators(d, (d.c_dim,), (d.a_dim,), _conv_side, g.op)
-
-
 def conv_inverse(g: HomCA) -> HomCA | None:
     """Two-sided inverse of g in the entwined convolution algebra, or None.
 
@@ -421,12 +410,6 @@ def conv2_product(d: MonoidalEntwiningDatum, g2: Matrix, f2: Matrix) -> Matrix:
     "Entwined convolution product on hom(C (x) C, A (x) A)."
     nc, na = d.c_dim, d.a_dim
     return _product(d, (nc, nc), (na, na), _conv2_side, _conv2_op(d, g2), _conv2_op(d, f2))
-
-
-def conv2_operators(d: MonoidalEntwiningDatum, g2: Matrix) -> tuple[Matrix, Matrix]:
-    "Matrices of x -> g2*x and x -> x*g2 on hom(C (x) C, A (x) A), flattened by (a, a', c, c')."
-    nc, na = d.c_dim, d.a_dim
-    return _operators(d, (nc, nc), (na, na), _conv2_side, _conv2_op(d, g2))
 
 
 def conv2_inverse(d: MonoidalEntwiningDatum, g2: Matrix) -> Matrix | None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .exactla import (
     ONE,
@@ -410,8 +411,6 @@ def _rational_roots_deg2(poly: _Poly, var: int) -> list[Fraction]:
 
 
 def _isqrt_exact(n: int) -> int | None:
-    from math import isqrt
-
     if n < 0:
         return None
     r = isqrt(n)
@@ -568,7 +567,7 @@ def find_morphisms(target, kind: str, max_params: int = 4) -> FinderResult:
                 assignment[var] = sol.particular[i]
                 changed = True
 
-    current = [p.substitute(assignment) for p in residuals if not p.substitute(assignment).is_zero()]
+    current = [q for q in (p.substitute(assignment) for p in residuals) if not q.is_zero()]
     free_vars = sorted({v for p in current for v in p.variables()})
     all_vars = set(range(family.dimension))
     unpinned = sorted(all_vars - set(assignment))

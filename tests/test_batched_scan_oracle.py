@@ -353,10 +353,14 @@ def _built_matrices():
         back = module_transport_from_smash(d, ca.dim, out[f"{name}.transport"])
         out[f"{name}.transport_back"] = (back.action, back.coaction)
         out[f"{name}.conv2_unit"] = ent.conv2_unit(d)
-        out[f"{name}.conv2_ops"] = ent.conv2_operators(d, q.rmap)
+        nc, na = d.c_dim, d.a_dim
+        out[f"{name}.conv2_ops"] = [
+            ent._operator(d, (nc, nc), (na, na), ent._conv2_side, ent._conv2_op(d, q.rmap), first)
+            for first in (True, False)]
         out[f"{name}.conv2_product"] = ent.conv2_product(d, q.rmap, q.rmap)
         g = ent.conv_unit(d)
-        out[f"{name}.conv_ops"] = ent.conv_operators(g)
+        out[f"{name}.conv_ops"] = [ent._operator(d, (nc,), (na,), ent._conv_side, g.op, first)
+                                   for first in (True, False)]
         out[f"{name}.conv2_inverse"] = ent.conv2_inverse(d, q.rmap)
         out[f"{name}.act_by_g"] = _act_by_g_matrix(ca, g)
         out[f"{name}.nat_to_hom"] = nat_to_hom(d, _act_by_g_matrix(ca, g), "ribbon").map

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -271,24 +272,54 @@ def test_corpus_list(runner):
     assert "h4" in res.output.split()
 
 
-def test_threads_env(runner, tmp_path, monkeypatch, h4_file):
-    monkeypatch.setenv("ENTWINE_THREADS", "2")
+def test_bad_later_file_exits_2_before_any_report(runner, tmp_path, h4_file):
+    # every file is checked before anything is printed, so a malformed second
+    # file leaves no report of the first on stdout or in --report-out
+    bad = tmp_path / "bad.json"
+    bad.write_text(open(h4_file).read()[:60])
+    rep = tmp_path / "reps.json"
+    res = runner.invoke(main, ["check", "hopf", h4_file, str(bad), "--report-out", str(rep)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "bad.json" in res.output
+    assert h4_file not in res.output and "overall" not in res.output
+    assert not rep.exists()
+
+
+def _run_in_subprocess(code, *args):
+    src = str(Path(entwine.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+
+
+def test_multi_file_check_starts_no_thread(runner, tmp_path, h4_file):
     p2 = tmp_path / "kz2.json"
     runner.invoke(main, ["corpus", "kz2", "-o", str(p2)])
-    res = runner.invoke(main, ["check", "hopf", h4_file, str(p2)])
-    assert res.exit_code == 0
-    monkeypatch.setenv("ENTWINE_THREADS", "zebra")
-    res = runner.invoke(main, ["check", "hopf", h4_file, str(p2)])
-    assert res.exit_code == 2
+    code = textwrap.dedent("""
+        import sys, threading
+        started = []
+        start = threading.Thread.start
+        def counting_start(self):
+            started.append(self.name)
+            return start(self)
+        threading.Thread.start = counting_start
+        from entwine.cli import main
+        try:
+            main(["check", "hopf", sys.argv[1], sys.argv[2]])
+        except SystemExit as exc:
+            status = exc.code
+        print(status, started, "concurrent.futures" in sys.modules, file=sys.stderr)
+    """)
+    out = _run_in_subprocess(code, h4_file, str(p2))
+    assert out.stdout.count("overall: pass") == 2
+    assert out.stderr.strip() == "0 [] False"
 
 
 def test_cli_import_leaves_out_the_thread_pool():
-    # only a multi-file check imports concurrent.futures
-    src = str(Path(entwine.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
+    # no command runs a thread pool, so concurrent.futures stays out of start-up
     code = "import sys, entwine.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
+    out = _run_in_subprocess(code)
     assert out.stdout.strip() == "False"
 
 

@@ -11,16 +11,18 @@ from entwine.entwining import (
     EntwiningMap,
     HomCA,
     MonoidalEntwiningDatum,
+    _conv2_op,
+    _conv2_side,
+    _conv_side,
+    _operator,
     check_antipode_compat,
     check_double_quantum_group,
     check_entwining,
     check_monoidal_datum,
     conv2_inverse,
-    conv2_operators,
     conv2_product,
     conv2_unit,
     conv_inverse,
-    conv_operators,
     conv_product,
     conv_unit,
 )
@@ -300,6 +302,20 @@ def test_e3_restated_as_matrix_identity(monoidal_datums):
 def _random_matrix(rng, nrows, ncols):
     return Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ncols)]
                    for _ in range(nrows)])
+
+
+def conv_operators(g: HomCA) -> tuple[Matrix, Matrix]:
+    "x -> g*x and x -> x*g on hom(C, A), flattened by (a, c), from the production _operator."
+    d = g.datum
+    return tuple(_operator(d, (d.c_dim,), (d.a_dim,), _conv_side, g.op, first)
+                 for first in (True, False))
+
+
+def conv2_operators(d: MonoidalEntwiningDatum, g2: Matrix) -> tuple[Matrix, Matrix]:
+    "x -> g2*x and x -> x*g2 on hom(C (x) C, A (x) A), from the production _operator."
+    nc, na = d.c_dim, d.a_dim
+    return tuple(_operator(d, (nc, nc), (na, na), _conv2_side, _conv2_op(d, g2), first)
+                 for first in (True, False))
 
 
 def _reference_operators(g, product, nrows, ncols):

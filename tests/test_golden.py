@@ -47,6 +47,12 @@ def _cases():
                                           "-o", "{out}"]
     for name in HOPFS:
         cases[f"build-double-{name}"] = ["build", "double", "--hopf", "{%s}" % name, "-o", "{out}"]
+    # several files in one run: reports in input order, --report-out holds an array
+    cases["check-datum-multi"] = ["check", "datum", "{hopfmod_h4}", "{yd_h4}", "{long_kz2}",
+                                  "--report-out", "{out}"]
+    cases["check-dqg-multi-json"] = ["check", "dqg", "{long_dqg_kz2}", "{yd_dqg_h4}",
+                                     "{yd_dqg_kz2}", "--format", "json", "--report-out", "{out}"]
+    cases["check-hopf-multi"] = ["check", "hopf", "{h4}", "{kz2}", "{kz3}"]
     return cases
 
 
@@ -76,13 +82,16 @@ GOLDEN = {
     "check-datum-long_dqg_kz2": "655e21c01ef1fee0556a1a599f46791d266b54961899fe8b4802b71dd985ceaf",
     "check-datum-long_h4": "7e5b5fed104314adae297d0ebe5a03443fcffa1753e004cc86ca1c417b8bd727",
     "check-datum-long_kz2": "a41088f7ca04e31bf011f43efc97eb287c9f005af742877495e53a08c2b13e5a",
+    "check-datum-multi": "02c1e410fc8e50ebea846fd4e514663fc22049f2f420c135a2cf572cf7cb19b7",
     "check-datum-yd_dqg_h4": "b017d993cde1673cedf164d7967b31b71411f8428352acb0347707f9c27d8ea1",
     "check-datum-yd_dqg_kz2": "852584c5e588afd0d0cafded453801f8e259a8235a9b2300b3adbaa6c76942ab",
     "check-datum-yd_h4": "820f73963a8a95c2701ad9236cd9525fe81fec0c53a20e89eeda1477aac26e95",
     "check-datum-yd_kz2": "c9d80d5fc3593c26cde6bb4f3552e4b2e0505023b13c71feb245ebc70e970e86",
     "check-dqg-long_dqg_kz2": "edd14586b009eb6f0e739acd91360fdc1fd12233396bc5d89193f95d8e96fa76",
+    "check-dqg-multi-json": "dc161c2d9aba2bdbfe3a865017e1f5ef5e3e17bed503c0b1800a56bcb8632162",
     "check-dqg-yd_dqg_h4": "98736897cb3bb99b49eead7bbce8b02d02f061fa28d3acd60c462e6007a76f62",
     "check-dqg-yd_dqg_kz2": "1dbec3444abe6239322eda557c04beab1cafebbd0e8bbf8b2809c3ed65109afe",
+    "check-hopf-multi": "c0eb5dd176c93aeeabc1a0dcc9e540f9208a45efc07917f0884b2f37cea263e0",
     "check-pivotal-g1_yd_h4": "191c2bda5fb1a770a77eb1d23994908ff4e198fe79bfb66e96e1636a7d2525bc",
     "check-pivotal-g2_yd_h4": "191c2bda5fb1a770a77eb1d23994908ff4e198fe79bfb66e96e1636a7d2525bc",
     "check-pivotal-g_long_h4": "191c2bda5fb1a770a77eb1d23994908ff4e198fe79bfb66e96e1636a7d2525bc",

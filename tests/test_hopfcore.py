@@ -361,6 +361,82 @@ def test_coquasitri_precondition_fails_on_h4(h4):
     assert not coquasitri_check(h4, eps2).overall
 
 
+def _pivot_kz2(coords):
+    h = corpus.cyclic_group_algebra(2)
+    return verify_pivot(h, Element(h, Vector(coords)))
+
+
+def _copivot_kz2(coords):
+    h = corpus.cyclic_group_algebra(2)
+    return verify_copivot(h, Functional(h, Matrix([coords])))
+
+
+def _ribbon_kz(n):
+    def build(coords):
+        h = corpus.cyclic_group_algebra(n)
+        trivial_r = Vector([1] + [0] * (n * n - 1))  # R = 1 (x) 1
+        return verify_ribbon_element(h, trivial_r, Element(h, Vector(coords)))
+    return build
+
+
+def _coribbon(host):
+    def build(coords):
+        h = host()
+        eps = h.counit.row(0)
+        eps2 = BilinearForm(h, h, Matrix([[a * b for a in eps for b in eps]]))
+        return verify_coribbon_form(h, eps2, Functional(h, Matrix([coords])))
+    return build
+
+
+# One-entry perturbations of passing pivots, copivots, ribbon elements and
+# coribbon functionals.  kz_n has basis 1 = g^0, g, ..., g^(n-1), with
+# Delta(g^i) = g^i (x) g^i, eps = 1 on every g^i and S(g^i) = g^(n-i); h4 has
+# basis 1, e, x, y with Delta(x) = x (x) 1 + e (x) x and eps = (1, 1, 0, 0).
+# Ribbon elements use R = 1 (x) 1, coribbon functionals the form eps (x) eps,
+# so R21 R = 1 (x) 1 and every R(., .) factor is a product of counits.  An
+# output over (d, d) is flattened as x1 * d + x2; the unperturbed input passes
+# every item of its report.
+#  - PV1, g = 1 -> 1 + g: Delta(1 + g) = 1 1 + g g against
+#    (1 + g) (x) (1 + g).
+#  - PV2, g = 1 -> 0: eps(0) = 0 against 1 (0 is grouplike, so PV1 passes).
+#  - CP1, g = eps -> g(1) = 2: at (1, 1), g(1 1) = 2 against g(1) g(1) = 4.
+#  - CP2, g = eps -> g(1) = 0: g(1) = 0 against 1.
+#  - RE2, v = 1 -> 2 on kz2: Delta(2) = 2 1 1 against (v (x) v) = 4 1 1.
+#  - RE3, v = 1 -> 1 + g on kz3 (S = id on kz2): S(1 + g) = 1 + g^2
+#    against 1 + g.
+#  - CB1, g = eps -> g(x) = 1 on h4 (kz_n is cocommutative): at 1 and e
+#    both sides are the basis vector; at x, g(x) 1 + g(e) x = 1 + x against
+#    x g(1) + e g(x) = e + x.
+#  - CB2, g = eps -> g(1) = 2 on kz2: at (1, 1), g(1 1) = 2 against
+#    g(1) g(1) R(1, 1) R(1, 1) = 4.
+#  - CB3, g = eps -> g(g) = 2 on kz3: at 1 both sides are 1; at g,
+#    g(g) = 2 against g(S(g)) = g(g^2) = 1.
+@pytest.mark.parametrize("axiom, build, base, entry, delta, basis, lhs, rhs", [
+    ("PV1_grouplike", _pivot_kz2, [1, 0], 1, 1, (), [1, 0, 0, 1], [1, 1, 1, 1]),
+    ("PV2_counit_one", _pivot_kz2, [1, 0], 0, -1, (), [0], [1]),
+    ("CP1_multiplicative", _copivot_kz2, [1, 1], 0, 1, (0, 0), [2], [4]),
+    ("CP2_unit_one", _copivot_kz2, [1, 1], 0, -1, (), [0], [1]),
+    ("RE2_comult_r21r", _ribbon_kz(2), [1, 0], 0, 1, (), [2, 0, 0, 0], [4, 0, 0, 0]),
+    ("RE3_antipode_fixed", _ribbon_kz(3), [1, 0, 0], 1, 1, (), [1, 0, 1], [1, 1, 0]),
+    ("CB1_cocentral", _coribbon(corpus.sweedler_h4), [1, 1, 0, 0], 2, 1, (2,),
+     [1, 0, 1, 0], [0, 1, 1, 0]),
+    ("CB2_product_rule", _coribbon(lambda: corpus.cyclic_group_algebra(2)), [1, 1], 0, 1,
+     (0, 0), [2], [4]),
+    ("CB3_antipode_fixed", _coribbon(lambda: corpus.cyclic_group_algebra(3)), [1, 1, 1], 1, 1,
+     (1,), [2], [1]),
+])
+def test_one_entry_perturbation_fails_pivot_or_ribbon_axiom(axiom, build, base, entry, delta,
+                                                             basis, lhs, rhs):
+    assert build(base).overall
+    coords = list(base)
+    coords[entry] += delta
+    item = build(coords).item(axiom)
+    assert not item.passed
+    assert item.witness.basis == basis
+    assert list(item.witness.lhs) == lhs
+    assert list(item.witness.rhs) == rhs
+
+
 def test_trivial_hopf():
     k = trivial_hopf()
     assert k.dim == 1 and check_hopf(k).overall

@@ -21,7 +21,6 @@ from entwine.entwining import (
     EntwiningMap,
     MonoidalEntwiningDatum,
     conv2_inverse,
-    conv2_operators,
     conv2_unit,
 )
 from entwine.exactla import Matrix, two_sided_solve
@@ -30,6 +29,13 @@ UNIQUE = "unique, g*x = 1"
 NOT_TWO_SIDED = "unique, g*x != 1"
 DEFICIENT = "rank-deficient"
 INCONSISTENT = "inconsistent"
+
+
+def conv2_operators(d, g2):
+    "x -> g2*x and x -> x*g2 on hom(C (x) C, A (x) A), from the production _operator."
+    nc, na = d.c_dim, d.a_dim
+    return tuple(ent._operator(d, (nc, nc), (na, na), ent._conv2_side, ent._conv2_op(d, g2), first)
+                 for first in (True, False))
 
 
 def stacked_oracle(d, g2):
