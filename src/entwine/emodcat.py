@@ -21,6 +21,7 @@ goes through report.compare_item.
 from __future__ import annotations
 
 from functools import cached_property
+from math import prod
 
 from .exactla import (
     Cap,
@@ -36,32 +37,36 @@ from .report import AxiomItem, AxiomReport, compare_item, _ap, _pm
 class EntwinedModule:
     """A right module / right comodule pair over a datum.
 
-    ``action`` is ``dim x (dim*dimA)`` and ``coaction`` ``(dim*dimC) x dim``
-    under the global index convention.
+    The action maps M (x) A -> M and the coaction M -> M (x) C.  Each comes
+    in either as a Matrix, ``dim x (dim*dimA)`` and ``(dim*dimC) x dim``
+    under the global index convention (file input, tensor_unit), or as a
+    TensorOp on the legs (dim, dimA) -> (dim,) and (dim,) -> (dim, dimC)
+    (the pipeline-built constructors below).  Scans read ``action_op`` and
+    ``coaction_op``, so a step-built op builds only the columns a scan
+    reads.  ``action`` and ``coaction`` are their matrices, made on first
+    access: a file save, same_structure, a dual's transpose and
+    action_endomorphisms ask for them.
     """
 
-    def __init__(self, datum: MonoidalEntwiningDatum, dim: int, action: Matrix,
-                 coaction: Matrix, basis_names=None):
+    def __init__(self, datum: MonoidalEntwiningDatum, dim: int, action: Matrix | TensorOp,
+                 coaction: Matrix | TensorOp, basis_names=None):
         na, nc = datum.a_dim, datum.c_dim
-        if action.nrows != dim or action.ncols != dim * na:
-            raise ValueError("action must be dim x (dim*dimA)")
-        if coaction.nrows != dim * nc or coaction.ncols != dim:
-            raise ValueError("coaction must be (dim*dimC) x dim")
+        self.action_op = _module_op(action, (dim, na), (dim,), "action must be dim x (dim*dimA)")
+        self.coaction_op = _module_op(coaction, (dim,), (dim, nc),
+                                      "coaction must be (dim*dimC) x dim")
         self.datum = datum
         self.dim = dim
-        self.action = action
-        self.coaction = coaction
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"m{i}" for i in range(dim)
         )
 
-    @cached_property
-    def action_op(self) -> TensorOp:
-        return TensorOp(self.action, (self.dim, self.datum.a_dim), (self.dim,))
+    @property
+    def action(self) -> Matrix:
+        return self.action_op.matrix
 
-    @cached_property
-    def coaction_op(self) -> TensorOp:
-        return TensorOp(self.coaction, (self.dim,), (self.dim, self.datum.c_dim))
+    @property
+    def coaction(self) -> Matrix:
+        return self.coaction_op.matrix
 
     def same_structure(self, other: "EntwinedModule") -> bool:
         return (
@@ -69,6 +74,15 @@ class EntwinedModule:
             and self.action == other.action
             and self.coaction == other.coaction
         )
+
+
+def _module_op(x: Matrix | TensorOp, in_dims, out_dims, error: str) -> TensorOp:
+    "x as a TensorOp from in_dims to out_dims; ValueError(error) when it is not one."
+    if isinstance(x, Matrix) and (x.ncols, x.nrows) == (prod(in_dims), prod(out_dims)):
+        x = TensorOp(x, in_dims, out_dims)
+    if not isinstance(x, TensorOp) or (x.in_dims, x.out_dims) != (in_dims, out_dims):
+        raise ValueError(error)
+    return x
 
 
 def check_entwined_module(m: EntwinedModule) -> AxiomReport:
@@ -176,11 +190,25 @@ class ModuleMorphism:
 # ---------------------------------------------------------------------------
 
 
+def _action_op(legs, na: int, steps) -> TensorOp:
+    """The action given by steps from the basis tuples over (*legs, na) to
+    those over legs, as an op on the legs (prod(legs), na) -> (prod(legs),)."""
+    dim = prod(legs)
+    return TensorOp(None, (dim, na), (dim,), steps, ((*legs, na), legs))
+
+
+def _coaction_op(legs, nc: int, steps) -> TensorOp:
+    """The coaction given by steps from the basis tuples over legs to those
+    over (*legs, nc), as an op on the legs (prod(legs),) -> (prod(legs), nc)."""
+    dim = prod(legs)
+    return TensorOp(None, (dim,), (dim, nc), steps, (legs, (*legs, nc)))
+
+
 def std_module_CA(d: MonoidalEntwiningDatum) -> EntwinedModule:
     "C (x) A with (c (x) a).x = c (x) ax and entwined coaction."
     nc, na = d.c_dim, d.a_dim
-    action = pipeline_matrix((nc, na, na), (nc, na), (_ap(1, d.a.mul_op),))
-    coaction = pipeline_matrix((nc, na), (nc, na, nc), (_ap(0, d.c.comul_op), _ap(1, d.phi_op)))
+    action = _action_op((nc, na), na, (_ap(1, d.a.mul_op),))
+    coaction = _coaction_op((nc, na), nc, (_ap(0, d.c.comul_op), _ap(1, d.phi_op)))
     names = [f"{cn}(x){an}" for cn in d.c.basis_names for an in d.a.basis_names]
     return EntwinedModule(d, nc * na, action, coaction, names)
 
@@ -188,8 +216,8 @@ def std_module_CA(d: MonoidalEntwiningDatum) -> EntwinedModule:
 def std_module_AC(d: MonoidalEntwiningDatum) -> EntwinedModule:
     "A (x) C with (a (x) c).x = a x_phi (x) c^phi and free coaction."
     nc, na = d.c_dim, d.a_dim
-    action = pipeline_matrix((na, nc, na), (na, nc), (_ap(1, d.phi_op), _ap(0, d.a.mul_op)))
-    coaction = pipeline_matrix((na, nc), (na, nc, nc), (_ap(1, d.c.comul_op),))
+    action = _action_op((na, nc), na, (_ap(1, d.phi_op), _ap(0, d.a.mul_op)))
+    coaction = _coaction_op((na, nc), nc, (_ap(1, d.c.comul_op),))
     names = [f"{an}(x){cn}" for an in d.a.basis_names for cn in d.c.basis_names]
     return EntwinedModule(d, na * nc, action, coaction, names)
 
@@ -199,12 +227,8 @@ def extend_MC(module_dim: int, module_action: Matrix, d: MonoidalEntwiningDatum,
     "Freely extend a plain right module M to the entwined module M (x) C."
     nc, na = d.c_dim, d.a_dim
     act_op = TensorOp(module_action, (module_dim, na), (module_dim,))
-    action = pipeline_matrix(
-        (module_dim, nc, na),
-        (module_dim, nc),
-        (_ap(1, d.phi_op), _ap(0, act_op)),
-    )
-    coaction = pipeline_matrix((module_dim, nc), (module_dim, nc, nc), (_ap(1, d.c.comul_op),))
+    action = _action_op((module_dim, nc), na, (_ap(1, d.phi_op), _ap(0, act_op)))
+    coaction = _coaction_op((module_dim, nc), nc, (_ap(1, d.c.comul_op),))
     return EntwinedModule(d, module_dim * nc, action, coaction, basis_names)
 
 
@@ -220,9 +244,9 @@ def tensor_modules(m: EntwinedModule, n: EntwinedModule) -> EntwinedModule:
     if not datums_compatible(m.datum, n.datum):
         raise ValueError("modules live over different datums")
     d = m.datum
-    action = pipeline_matrix(
-        (m.dim, n.dim, d.a_dim),
+    action = _action_op(
         (m.dim, n.dim),
+        d.a_dim,
         (
             _ap(2, d.a.comul_op),
             _pm((0, 2, 1, 3)),
@@ -230,9 +254,9 @@ def tensor_modules(m: EntwinedModule, n: EntwinedModule) -> EntwinedModule:
             _ap(1, n.action_op),
         ),
     )
-    coaction = pipeline_matrix(
+    coaction = _coaction_op(
         (m.dim, n.dim),
-        (m.dim, n.dim, d.c_dim),
+        d.c_dim,
         (
             _ap(0, m.coaction_op),
             _ap(2, n.coaction_op),
@@ -271,18 +295,10 @@ def _dual_module(m: EntwinedModule, antipode_a: TensorOp, antipode_c: TensorOp) 
     cup, cap = Cup(nc), Cap()
     # (f.a)(x) = f(x . sa(a)): sa on a, the action transposed on f, then the
     # action's algebra leg closed against sa(a)
-    action = pipeline_matrix(
-        (dim, na),
-        (dim,),
-        (_ap(1, antipode_a), _ap(0, action_t), _ap(1, cap)),
-    )
+    action = _action_op((dim,), na, (_ap(1, antipode_a), _ap(0, action_t), _ap(1, cap)))
     # f0(x) (x) f1 = f(x0) (x) sc(x1): the coaction transposed on f (x) e_v
     # summed over the dual pair e_v (x) e_v, then sc on the coalgebra leg
-    coaction = pipeline_matrix(
-        (dim,),
-        (dim, nc),
-        (_ap(1, cup), _ap(0, coaction_t), _ap(1, antipode_c)),
-    )
+    coaction = _coaction_op((dim,), nc, (_ap(1, cup), _ap(0, coaction_t), _ap(1, antipode_c)))
     names = [f"{n}^" for n in m.basis_names]
     return EntwinedModule(d, dim, action, coaction, names)
 
@@ -367,16 +383,9 @@ def double_right_dual(m: EntwinedModule) -> EntwinedModule:
     dualization produces exactly these matrices on the double-dual basis.
     """
     d = m.datum
-    action = pipeline_matrix(
-        (m.dim, d.a_dim),
-        (m.dim,),
-        (_ap(1, d.a.antipode_sq_op), _ap(0, m.action_op)),
-    )
-    coaction = pipeline_matrix(
-        (m.dim,),
-        (m.dim, d.c_dim),
-        (_ap(0, m.coaction_op), _ap(1, d.c.antipode_inv_sq_op)),
-    )
+    action = _action_op((m.dim,), d.a_dim, (_ap(1, d.a.antipode_sq_op), _ap(0, m.action_op)))
+    coaction = _coaction_op((m.dim,), d.c_dim,
+                            (_ap(0, m.coaction_op), _ap(1, d.c.antipode_inv_sq_op)))
     return EntwinedModule(d, m.dim, action, coaction, m.basis_names)
 
 

@@ -504,7 +504,25 @@ def invert(a: Matrix) -> Matrix:
 # that is linear in it comes out as a matrix (hom_operator).  Everything
 # is exact and allocation-light: dims stay <= 16 throughout the corpus.
 #
-# Coefficients are ints where integral: TensorOp.cols hands out the integral
+# Ops.  Every op (KernelOp) keeps a column table ``_cols``: input legs ->
+# [(output legs, coefficient)].  sv_apply reads the table directly.  At its
+# first miss in a call it hands all the input legs of its state that the
+# table lacks to the op's ``fill`` in one call, and reads on.  Cup and
+# SlotLeg build their whole table up front; Cap fills an entry when it is
+# first asked for.  A TensorOp fills its columns from one of two sources:
+#  * a Matrix: a column is read off the matrix, each row index unflattened
+#    once per op;
+#  * kernel steps: they run over only the missing tuples, BATCH_CAP at a
+#    time (run_batch), on legs that may be finer than the op's own (a
+#    tensor module's action runs on (m, n, a) legs and is an op on
+#    (m*n, a) legs; a tuple has the same flat index over both).
+# So a step-built op builds the columns a scan reads and no others.  Its
+# Matrix is made only when something asks for ``matrix`` (a dual module's
+# transpose, a file save, an equality): the missing columns are filled and
+# the table goes through matrix_from_columns_fn.  pipeline_matrix is that
+# materialisation of a fresh step-built op.
+#
+# Coefficients are ints where integral: a TensorOp hands out the integral
 # entries of its matrix as ints, SlotLeg, Cup, Cap and the seeds use 1, and
 # sv_apply sums from 0.  The functions that turn a state into a Vector or a
 # Matrix (state_to_vector, matrix_from_columns_fn, pipeline_matrix,
@@ -518,14 +536,14 @@ def invert(a: Matrix) -> Matrix:
 # gives.  A state holds about one term per tuple, so batching pays a step's
 # per-call cost once per batch instead of once per tuple.  compare_item
 # takes batches of 1, 2, 4, ... tuples, so a scan that fails early
-# evaluates little past its witness; pipeline_matrix and hom_operator take
-# full batches.  Either way a batch holds at most BATCH_CAP = 64 tuples:
-# larger batches hold larger states at once and were no faster.  Peak RSS
-# of `entwine check hopf` on four 16-dimensional built Hopf algebras was
-# 23.8 MB one tuple at a time, 24.7 MB with a cap of 64, 26.3 MB with 256
-# and 26.5 MB with 4096; the benchmark's modules-duality workload peaked at
-# 25.2, 25.2, 25.4 and 25.6 MB.  Every key of a state has the same number
-# of legs.
+# evaluates little past its witness; a step-built TensorOp, and with it
+# pipeline_matrix, and hom_operator take full batches.  Either way a batch
+# holds at most BATCH_CAP = 64 tuples: larger batches hold larger states at
+# once and were no faster.  Peak RSS of `entwine check hopf` on four
+# 16-dimensional built Hopf algebras was 23.8 MB one tuple at a time,
+# 24.7 MB with a cap of 64, 26.3 MB with 256 and 26.5 MB with 4096; the
+# benchmark's modules-duality workload peaked at 25.2, 25.2, 25.4 and
+# 25.6 MB.  Every key of a state has the same number of legs.
 # ---------------------------------------------------------------------------
 
 # a sparse tensor: index tuple -> nonzero int or Fraction coefficient
@@ -550,39 +568,115 @@ def unflatten_index(dims: tuple[int, ...], flat: int) -> tuple[int, ...]:
     return tuple(reversed(idx))
 
 
-class TensorOp:
-    """Sparse column view of a linear map between tensor-index spaces.
+def _basis(dims):
+    "The basis tuples over dims, in lexicographic order."
+    return itertools.product(*(range(d) for d in dims))
 
-    Wraps a Matrix whose row/column spaces factor as ``out_dims`` and
-    ``in_dims``; ``cols(legs)`` returns the image of a basis tuple as a
-    list of (out_tuple, coefficient) pairs.
+
+class KernelOp:
+    """A kernel op: ``arity_in`` legs in, ``arity_out`` legs out, and the
+    column table ``_cols`` (input legs -> [(output legs, coefficient)])
+    that sv_apply reads.  ``fill(legs)`` adds the columns at each of legs
+    that the table lacks; this base's table is complete from the start."""
+
+    __slots__ = ("arity_in", "arity_out", "_cols")
+
+    def fill(self, legs) -> None:
+        "Add the columns at legs to the table (nothing is missing here)."
+
+    def cols(self, legs: tuple) -> list[tuple[tuple, int | Fraction]]:
+        "The column at legs, filled first if the table lacks it."
+        col = self._cols.get(legs)
+        if col is None:
+            self.fill((legs,))
+            col = self._cols[legs]
+        return col
+
+
+class TensorOp(KernelOp):
+    """A linear map between tensor-index spaces as a kernel op.
+
+    Its input and output spaces factor as ``in_dims`` and ``out_dims``, and
+    ``cols(legs)`` is the image of a basis tuple as (out_tuple, coefficient)
+    pairs in flat-index order.  The columns come from ``matrix``, or, with
+    ``matrix`` None, from kernel ``steps`` run on legs over ``step_dims`` =
+    (input dims, output dims), by default the op's own; a basis tuple and
+    its reshape have the same flat index.  A step-built op fills only the
+    columns it is asked for, and makes its Matrix on first access to
+    ``matrix`` (see the comment above).
     """
 
-    __slots__ = ("matrix", "in_dims", "out_dims", "arity_in", "arity_out", "_cols")
+    __slots__ = ("in_dims", "out_dims", "_matrix", "_steps", "_step_dims", "_outs")
 
-    def __init__(self, matrix: Matrix, in_dims, out_dims):
-        self.matrix = matrix
+    def __init__(self, matrix: Matrix | None, in_dims, out_dims, steps=None, step_dims=None):
         self.in_dims = tuple(in_dims)
         self.out_dims = tuple(out_dims)
-        if prod(self.in_dims) != matrix.ncols or prod(self.out_dims) != matrix.nrows:
+        self._step_dims = (self.in_dims, self.out_dims)
+        if step_dims is not None:
+            self._step_dims = tuple(step_dims[0]), tuple(step_dims[1])
+        if matrix is not None:
+            shape = matrix.ncols, matrix.nrows
+        else:
+            shape = prod(self._step_dims[0]), prod(self._step_dims[1])
+        if shape != (prod(self.in_dims), prod(self.out_dims)):
             raise ValueError("tensor dims inconsistent with matrix shape")
         self.arity_in = len(self.in_dims)
         self.arity_out = len(self.out_dims)
+        self._matrix = matrix
+        self._steps = steps
         self._cols: dict[tuple, list] = {}
+        # the op's output legs per matrix row, or per output key of the steps
+        self._outs: dict = {}
 
-    def cols(self, legs: tuple) -> list[tuple[tuple, int | Fraction]]:
-        cached = self._cols.get(legs)
-        if cached is None:
-            flat = flatten_index(self.in_dims, legs)
-            cached = [
-                (unflatten_index(self.out_dims, i), x.numerator if x.denominator == 1 else x)
-                for i, x in self.matrix.sparse_cols()[flat]
-            ]
-            self._cols[legs] = cached
-        return cached
+    @property
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            table = self._cols
+            self.fill([t for t in _basis(self.in_dims) if t not in table])
+            self._matrix = matrix_from_columns_fn(self.in_dims, self.out_dims,
+                                                  lambda t: dict(table[t]))
+        return self._matrix
+
+    def fill(self, legs) -> None:
+        if self._steps is None:
+            self._fill_from_matrix(legs)
+        else:
+            self._fill_from_steps(list(legs))
+
+    def _fill_from_matrix(self, legs) -> None:
+        cols, outs, table = self._matrix.sparse_cols(), self._outs, self._cols
+        in_dims, out_dims = self.in_dims, self.out_dims
+        for t in legs:
+            col = []
+            for i, x in cols[flatten_index(in_dims, t)]:
+                out = outs.get(i)
+                if out is None:
+                    out = outs[i] = unflatten_index(out_dims, i)
+                col.append((out, x.numerator if x.denominator == 1 else x))
+            table[t] = col
+
+    def _fill_from_steps(self, legs: list) -> None:
+        (step_in, step_out), outs, table = self._step_dims, self._outs, self._cols
+        in_dims, out_dims = self.in_dims, self.out_dims
+        for start in range(0, len(legs), BATCH_CAP):
+            batch = legs[start:start + BATCH_CAP]
+            seeds = batch if step_in == in_dims else [
+                unflatten_index(step_in, flatten_index(in_dims, t)) for t in batch]
+            parts = [[] for _ in batch]
+            for key, c in run_batch(seeds, self._steps).items():
+                k = key[:-1]
+                out = outs.get(k)
+                if out is None:
+                    out = outs[k] = k if step_out == out_dims else unflatten_index(
+                        out_dims, flatten_index(step_out, k))
+                parts[key[-1]].append((out, c))
+            for t, part in zip(batch, parts):
+                # output legs differ within a column and sort in flat-index order
+                part.sort()
+                table[t] = part
 
 
-class SlotLeg:
+class SlotLeg(KernelOp):
     """An unknown map f: ``in_dims`` -> ``out_dims`` as a kernel op.
 
     It rides on a pipeline whose keys end in one extra slot leg, 0 on
@@ -595,58 +689,62 @@ class SlotLeg:
     units at once, told apart by the slot leg (see hom_operator).
     """
 
-    __slots__ = ("arity_in", "arity_out", "_cols")
+    __slots__ = ()
 
     def __init__(self, in_dims, out_dims):
         in_dims, out_dims = tuple(in_dims), tuple(out_dims)
         self.arity_in = len(in_dims) + 1
         self.arity_out = len(out_dims) + 1
-        outs = list(itertools.product(*(range(d) for d in out_dims)))
+        outs = list(_basis(out_dims))
         n_in = prod(in_dims)
         self._cols = {
             legs + (0,): [(out + (i * n_in + j,), 1) for i, out in enumerate(outs)]
-            for j, legs in enumerate(itertools.product(*(range(d) for d in in_dims)))
+            for j, legs in enumerate(_basis(in_dims))
         }
 
-    def cols(self, legs: tuple) -> list[tuple[tuple, int | Fraction]]:
-        return self._cols[legs]
 
-
-class Cup:
+class Cup(KernelOp):
     """Insertion of sum_x e_x (x) e_x on two n-dimensional legs, as a kernel
     op from no legs to ``(x, x)``."""
 
-    __slots__ = ("arity_in", "arity_out", "_cols")
+    __slots__ = ()
 
     def __init__(self, n: int):
         self.arity_in = 0
         self.arity_out = 2
-        self._cols = [((x, x), 1) for x in range(n)]
-
-    def cols(self, legs: tuple) -> list[tuple[tuple, int | Fraction]]:
-        return self._cols
+        self._cols = {(): [((x, x), 1) for x in range(n)]}
 
 
-class Cap:
+class Cap(KernelOp):
     """Contraction of two legs against each other, as a kernel op from
     ``(x, y)`` to no legs: it keeps a term only when x == y."""
 
     __slots__ = ()
-    arity_in = 2
-    arity_out = 0
     _KEEP = [((), 1)]
 
-    def cols(self, legs: tuple) -> list[tuple[tuple, int | Fraction]]:
-        return self._KEEP if legs[0] == legs[1] else []
+    def __init__(self):
+        self.arity_in = 2
+        self.arity_out = 0
+        self._cols = {}
+
+    def fill(self, legs) -> None:
+        for t in legs:
+            self._cols[t] = self._KEEP if t[0] == t[1] else []
 
 
-def sv_apply(state: State, pos: int, op: TensorOp) -> State:
+def sv_apply(state: State, pos: int, op: KernelOp) -> State:
     "Apply op to the legs [pos, pos + op.arity_in) of every key."
     out: State = {}
-    get, cols, end = out.get, op.cols, pos + op.arity_in
+    get, table, end = out.get, op._cols, pos + op.arity_in
     for key, c in state.items():
+        legs = key[pos:end]
+        col = table.get(legs)
+        if col is None:
+            # the first miss fills every column the state still lacks
+            op.fill(dict.fromkeys(k[pos:end] for k in state if k[pos:end] not in table))
+            col = table[legs]
         head, tail = key[:pos], key[end:]
-        for out_legs, x in cols(key[pos:end]):
+        for out_legs, x in col:
             nk = head + out_legs + tail
             nv = get(nk, 0) + c * x
             if nv:
@@ -678,7 +776,7 @@ def state_to_vector(state: State, dims: tuple[int, ...]) -> Vector:
 def basis_batches(dims, first: int = BATCH_CAP):
     """The basis tuples over dims in lexicographic order, in lists of first,
     2 * first, 4 * first, ... tuples, none longer than BATCH_CAP."""
-    tuples = itertools.product(*(range(d) for d in dims))
+    tuples = _basis(dims)
     size = min(first, BATCH_CAP)
     while batch := list(itertools.islice(tuples, size)):
         yield batch
@@ -691,7 +789,7 @@ def run_batch(tuples, steps) -> State:
     The seed holds (*t, j) with coefficient 1 for the j-th tuple t; each
     step acts on the legs before the trailing batch leg j and carries it
     along, so the terms keyed (..., j) are what steps give on t alone.
-    Callers pass at most BATCH_CAP tuples (basis_batches).
+    Callers pass at most BATCH_CAP tuples (basis_batches, TensorOp.fill).
     """
     state: State = {(*t, j): 1 for j, t in enumerate(tuples)}
     for step in steps:
@@ -703,34 +801,36 @@ def matrix_from_columns_fn(in_dims, out_dims, fn) -> Matrix:
     """Assemble the matrix of a map given column-wise on basis tuples.
 
     ``fn`` maps an input basis tuple to a State over ``out_dims``; it is
-    called once per tuple, in lexicographic order.  A table is passed as
-    is; a map computed by kernel steps comes through pipeline_matrix, whose
-    ``fn`` hands out the columns of one run of BATCH_CAP tuples (their
-    trailing batch leg split off) after another.
+    called once per tuple, in lexicographic order.  A map computed by
+    kernel steps comes here through pipeline_matrix (TensorOp.matrix).
+    Within one call the flat index of each distinct output key and the
+    Fraction of each distinct int are worked out once; any other value goes
+    through _as_rat every time, so a float is still a TypeError.
     """
-    in_dims = tuple(in_dims)
     out_dims = tuple(out_dims)
-    cols = [
-        sorted((flatten_index(out_dims, key), _as_rat(c)) for key, c in fn(idx).items() if c)
-        for idx in itertools.product(*(range(d) for d in in_dims))
-    ]
+    flats: dict[tuple, int] = {}
+    rats: dict[int, Fraction] = {}
+
+    def entry(key, c):
+        i = flats.get(key)
+        if i is None:
+            i = flats[key] = flatten_index(out_dims, key)
+        if type(c) is int:
+            r = rats.get(c)
+            if r is None:
+                r = rats[c] = Fraction(c)
+            return i, r
+        return i, _as_rat(c)
+
+    cols = [sorted(entry(key, c) for key, c in fn(idx).items() if c) for idx in _basis(in_dims)]
     return Matrix(shape=(prod(out_dims), len(cols)), cols=cols)
 
 
 def pipeline_matrix(in_dims, out_dims, steps) -> Matrix:
     """The matrix whose column at a basis tuple t over ``in_dims`` is what
-    steps give on t, a State over ``out_dims``.  The steps run BATCH_CAP
-    tuples at a time (run_batch); matrix_from_columns_fn takes the columns
-    in the lexicographic order the batches come in."""
-    def columns():
-        for batch in basis_batches(in_dims):
-            part = [{} for _ in batch]
-            for key, c in run_batch(batch, steps).items():
-                part[key[-1]][key[:-1]] = c
-            yield from part
-
-    cols = columns()
-    return matrix_from_columns_fn(in_dims, out_dims, lambda t: next(cols))
+    steps give on t, a State over ``out_dims``: the Matrix of the
+    step-built TensorOp, every column filled BATCH_CAP tuples at a time."""
+    return TensorOp(None, in_dims, out_dims, steps).matrix
 
 
 def hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> Matrix:

@@ -13,6 +13,7 @@ from entwine.emodcat import (
     braiding_steps,
     check_duality,
     check_entwined_module,
+    check_module_over_algebra,
     double_right_dual,
     extend_MC,
     left_dual,
@@ -574,3 +575,29 @@ def test_module_sides_oracle_agrees_on_the_unperturbed_module(yd_h4):
     for axiom_id in ("M01_action_assoc", "M02_action_unit", "M03_coassoc", "M04_counit",
                      "M05_entwined"):
         assert _first_mismatch(*_module_sides(m, axiom_id)) is None, axiom_id
+
+
+# The regular right module of kz2 (basis m0 = 1, m1 = g; m . a = ma, so the
+# action matrix is the product's, column m * 2 + a) under a one-entry +1
+# perturbation.  check_module_over_algebra scans (m, a, b) for RM1,
+# m . (ab) against (m . a) . b, and m for RM2, m . 1 against m.
+#  - RM1, m0 . g stays m1 but m1 . g = m0 gains m1 (column 3, row 1).
+#    (m0, 1, 1), (m0, 1, g) and (m0, g, 1) read only m0 . 1, m0 . g and
+#    m1 . 1; at (m0, g, g), m0 . (g g) = m0 . 1 = m0 against
+#    (m0 . g) . g = m1 . g = m0 + m1.  RM2 reads m . 1 only, and passes.
+#  - RM2, m0 . 1 = m0 gains m0 (column 0, row 0): at m0, m0 . 1 = 2 m0
+#    against m0.  RM1 fails too, at once: at (m0, 1, 1),
+#    m0 . (1 1) = 2 m0 against (m0 . 1) . 1 = 2 (2 m0) = 4 m0.
+@pytest.mark.parametrize("row, col, failed", [
+    (1, 3, {"RM1_assoc": ((0, 1, 1), [1, 0], [1, 1])}),
+    (0, 0, {"RM1_assoc": ((0, 0, 0), [2, 0], [4, 0]), "RM2_unit": ((0,), [2, 0], [1, 0])}),
+])
+def test_one_entry_perturbation_fails_module_over_algebra_axiom(kz2, row, col, failed):
+    assert check_module_over_algebra(kz2, 2, kz2.mult).overall
+    rows = [list(r) for r in kz2.mult.rows()]
+    rows[row][col] += 1
+    rep = check_module_over_algebra(kz2, 2, Matrix(rows))
+    assert rep.failed_ids() == sorted(failed)
+    for axiom_id, (basis, lhs, rhs) in failed.items():
+        w = rep.item(axiom_id).witness
+        assert (w.basis, w.lhs, w.rhs) == (basis, Vector(lhs), Vector(rhs))

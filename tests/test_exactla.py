@@ -20,6 +20,7 @@ from entwine.exactla import (
     hom_operator,
     invert,
     kron,
+    matrix_from_columns_fn,
     rat_from_str,
     rat_to_str,
     solve_affine,
@@ -193,6 +194,21 @@ def test_floats_are_rejected():
     assert Matrix([[1, half]]).scale(2) == Matrix([[2, 1]])
     assert Vector([half]).scale(-2) == Vector([-1])
     assert all(type(x) is Fraction for x in Matrix([[1, 3]]).rows()[0])
+
+
+def test_column_assembly_memos_keep_values_exact():
+    """matrix_from_columns_fn works out each distinct key's flat index and
+    each distinct int's Fraction once per call: repeated keys and values
+    land where they belong, and a float equal to an int already seen is
+    still refused."""
+    cols = {(0,): {(1, 0): 1, (0, 1): -1}, (1,): {(1, 0): -1, (0, 1): 1, (1, 1): Fraction(1, 2)},
+            (2,): {(0, 1): 1, (1, 1): 3}}
+    m = matrix_from_columns_fn((3,), (2, 2), cols.__getitem__)
+    assert m == Matrix([[0, 0, 0], [-1, 1, 1], [1, -1, 0], [0, Fraction(1, 2), 3]])
+    assert all(type(x) is Fraction for col in m.sparse_cols() for _, x in col)
+    for first, later in ((1, 1.0), (Fraction(1, 2), 0.5)):
+        with pytest.raises(TypeError):
+            matrix_from_columns_fn((2,), (1,), lambda t: {(0,): (first, later)[t[0]]})
 
 
 def test_two_sided_solve():

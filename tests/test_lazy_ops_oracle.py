@@ -1,0 +1,203 @@
+"""Step-built module ops against the eager matrix build they replaced.
+
+A module's action and coaction are TensorOps built from kernel steps: they
+fill only the columns a scan reads, on legs reshaped from the steps' own
+(a tensor module's action runs on (m, n, a) legs and is an op on (m*n, a)
+legs), and make their Matrix only when asked.  The eager builder they
+replaced, pipeline_matrix with the column assembler it called, is kept
+below verbatim as the oracle.  Every module op, fresh or partly filled,
+must give the oracle's columns through ``cols``, through sv_apply on a
+state spanning several batches and through ``matrix``, on the corpus
+datums and on seeded one-entry mutants of their entwining maps.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from math import prod
+
+import pytest
+
+from entwine import corpus
+from entwine import emodcat
+from entwine import entwining as ent
+from entwine.emodcat import (
+    check_duality,
+    double_right_dual,
+    left_dual,
+    right_dual,
+    std_module_AC,
+    std_module_CA,
+    tensor_modules,
+)
+from entwine.exactla import (
+    Matrix,
+    TensorOp,
+    _as_rat,
+    basis_batches,
+    flatten_index,
+    run_batch,
+    sv_apply,
+)
+
+
+# -- the oracle: the eager builder, verbatim -----------------------------------
+
+
+def oracle_matrix_from_columns_fn(in_dims, out_dims, fn) -> Matrix:
+    """Assemble the matrix of a map given column-wise on basis tuples.
+
+    ``fn`` maps an input basis tuple to a State over ``out_dims``; it is
+    called once per tuple, in lexicographic order.  A table is passed as
+    is; a map computed by kernel steps comes through pipeline_matrix, whose
+    ``fn`` hands out the columns of one run of BATCH_CAP tuples (their
+    trailing batch leg split off) after another.
+    """
+    in_dims = tuple(in_dims)
+    out_dims = tuple(out_dims)
+    cols = [
+        sorted((flatten_index(out_dims, key), _as_rat(c)) for key, c in fn(idx).items() if c)
+        for idx in itertools.product(*(range(d) for d in in_dims))
+    ]
+    return Matrix(shape=(prod(out_dims), len(cols)), cols=cols)
+
+
+def oracle_pipeline_matrix(in_dims, out_dims, steps) -> Matrix:
+    """The matrix whose column at a basis tuple t over ``in_dims`` is what
+    steps give on t, a State over ``out_dims``.  The steps run BATCH_CAP
+    tuples at a time (run_batch); matrix_from_columns_fn takes the columns
+    in the lexicographic order the batches come in."""
+    def columns():
+        for batch in basis_batches(in_dims):
+            part = [{} for _ in batch]
+            for key, c in run_batch(batch, steps).items():
+                part[key[-1]][key[:-1]] = c
+            yield from part
+
+    cols = columns()
+    return oracle_matrix_from_columns_fn(in_dims, out_dims, lambda t: next(cols))
+
+
+def oracle_op(op: TensorOp) -> TensorOp:
+    "The Matrix-backed op of op's steps, built eagerly on the steps' own legs."
+    step_in, step_out = op._step_dims
+    return TensorOp(oracle_pipeline_matrix(step_in, step_out, op._steps), op.in_dims, op.out_dims)
+
+
+# -- inputs ----------------------------------------------------------------------
+
+
+def _bump_phi(d, rng):
+    "d with one seeded entry of its entwining map raised or lowered by 1."
+    rows = [list(r) for r in d.phi.rows()]
+    rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += rng.choice((-1, 1))
+    return ent.MonoidalEntwiningDatum(ent.EntwiningMap(d.c, d.a, Matrix(rows)))
+
+
+def _datums():
+    h4 = corpus.sweedler_h4()
+    datums = {"yd_h4": corpus.yd_datum(h4), "long_h4": corpus.long_datum(h4, h4),
+              "yd_kz4": corpus.yd_datum(corpus.cyclic_group_algebra(4)),
+              "yd_kz3": corpus.yd_datum(corpus.cyclic_group_algebra(3))}
+    for i, (name, d) in enumerate(list(datums.items())):
+        datums[f"{name}_phi_mutant"] = _bump_phi(d, random.Random(20 + i))
+    return datums
+
+
+DATUMS = _datums()
+
+# every pipeline-built module, made fresh on each call
+BUILDERS = {
+    "CA": lambda d: std_module_CA(d),
+    "AC": lambda d: std_module_AC(d),
+    "CA_x_AC": lambda d: tensor_modules(std_module_CA(d), std_module_AC(d)),
+    "AC_x_CA": lambda d: tensor_modules(std_module_AC(d), std_module_CA(d)),
+    "left_dual_CA": lambda d: left_dual(std_module_CA(d)).dual_module,
+    "right_dual_AC": lambda d: right_dual(std_module_AC(d)).dual_module,
+    "double_right_dual_CA": lambda d: double_right_dual(std_module_CA(d)),
+    "double_right_dual_AC": lambda d: double_right_dual(std_module_AC(d)),
+}
+
+CASES = [(dn, bn, which) for dn in DATUMS for bn in BUILDERS for which in ("action", "coaction")]
+
+
+def _fresh_op(datum_name, builder, which) -> TensorOp:
+    m = BUILDERS[builder](DATUMS[datum_name])
+    op = getattr(m, f"{which}_op")
+    assert op._cols == {}, "a new module must hold no column yet"
+    return op
+
+
+def _basis(dims):
+    return list(itertools.product(*(range(d) for d in dims)))
+
+
+# -- tests -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("datum_name, builder, which", CASES)
+def test_step_built_op_matches_eager_build(datum_name, builder, which):
+    op = _fresh_op(datum_name, builder, which)
+    oracle = oracle_op(op)
+    tuples = _basis(op.in_dims)
+    rng = random.Random(f"{datum_name}/{builder}/{which}")
+    # a seeded third of the columns one at a time, in a shuffled order
+    some = rng.sample(tuples, max(1, len(tuples) // 3))
+    for t in some:
+        assert op.cols(t) == oracle.cols(t), t
+    assert set(op._cols) == set(some)
+    # then the matrix, built from the filled and the missing columns alike
+    assert op.matrix == oracle.matrix
+    for t in tuples:
+        assert op.cols(t) == oracle.cols(t), t
+    # a fresh op built whole
+    assert _fresh_op(datum_name, builder, which).matrix == oracle.matrix
+
+
+@pytest.mark.parametrize("datum_name, builder, which", CASES)
+def test_step_built_op_under_sv_apply(datum_name, builder, which):
+    """sv_apply fills every missing column of its state at once, in the
+    state's order: on a tensor module over h4 half the action's basis is 512
+    columns, eight batches of BATCH_CAP."""
+    op = _fresh_op(datum_name, builder, which)
+    oracle = oracle_op(op)
+    tuples = _basis(op.in_dims)
+    rng = random.Random(7)
+    rng.shuffle(tuples)
+    # a trailing leg keeps every key apart, as the batch leg does in a scan
+    first = {(*t, j): 1 + j % 3 for j, t in enumerate(tuples[: len(tuples) // 2])}
+    assert sv_apply(first, 0, op) == sv_apply(first, 0, oracle)
+    assert len(op._cols) == len(first)
+    whole = {(*t, j): 1 for j, t in enumerate(tuples)}
+    assert sv_apply(whole, 0, op) == sv_apply(whole, 0, oracle)
+    assert len(op._cols) == len(tuples)
+    assert op.matrix == oracle.matrix
+
+
+def test_duality_check_builds_only_the_coevaluation_columns_it_reads(monkeypatch):
+    """D4 checks that coev: 1 -> M (x) M* is a morphism.  The unit has one
+    basis vector, coev sends it to the 16 terms e_x (x) e_x, and the target's
+    action is read at those 16 times 4 algebra legs and its coaction at the
+    16: 64 of 1024 and 16 of 256 columns.  D3's source, M* (x) M, is read
+    whole."""
+    built = []
+    real = emodcat.tensor_modules
+
+    def recording(m, n):
+        built.append(real(m, n))
+        return built[-1]
+
+    monkeypatch.setattr(emodcat, "tensor_modules", recording)
+    d = DATUMS["yd_h4"]
+    m = std_module_CA(d)
+    assert check_duality(m, left_dual(m)).overall
+    ev_src, coev_tgt = built
+    assert coev_tgt.dim == 256
+    assert len(coev_tgt.action_op._cols) == 64
+    assert len(coev_tgt.coaction_op._cols) == 16
+    assert sorted(coev_tgt.coaction_op._cols) == [(x * 17,) for x in range(16)]
+    assert len(ev_src.action_op._cols) == 1024
+    assert len(ev_src.coaction_op._cols) == 256
+    # asked for, the matrix is the eager one
+    assert coev_tgt.action == oracle_op(coev_tgt.action_op).matrix
