@@ -122,7 +122,7 @@ def _load_datum(path) -> MonoidalEntwiningDatum:
 
 
 def _full_datum_report(d: MonoidalEntwiningDatum) -> AxiomReport:
-    rep = check_entwining(d.base).merged_with(check_monoidal_datum(d))
+    rep = check_entwining(d).merged_with(check_monoidal_datum(d))
     return rep.merged_with(check_antipode_compat(d))
 
 
@@ -144,7 +144,7 @@ def _file_check(name: str, help: str, runner) -> None:
 _file_check("hopf", "Full Hopf axiom suite on hopf files.",
             lambda path: check_hopf(_load_as(path, HopfAlgebraData, "hopf")))
 _file_check("entwining", "Basic entwining axioms on entwining/dqg files.",
-            lambda path: check_entwining(_load_datum(path).base))
+            lambda path: check_entwining(_load_datum(path)))
 _file_check("datum", "Entwining + monoidal + antipode-compat axioms.",
             lambda path: _full_datum_report(_load_datum(path)))
 _file_check("dqg", "Full double-structure axiom chain on dqg files.",

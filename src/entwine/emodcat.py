@@ -154,8 +154,7 @@ class ModuleMorphism:
         self.source = source
         self.target = target
         self.map = map
-        d = source.datum
-        f_op = TensorOp(map, (source.dim,), (target.dim,))
+        d, f_op = source.datum, self.op
         linear = compare_item(
             "A_linear",
             (source.dim, d.a_dim),
@@ -454,10 +453,11 @@ def check_braiding_naturality(m: EntwinedModule, n: EntwinedModule,
     two squares for every family member.
     """
     br = TensorOp(braiding(m, n, q), (m.dim, n.dim), (n.dim, m.dim))
-    # slot of f's object in the input m (x) n
+    left = action_endomorphisms(m)
+    # slot of f's object in the input m (x) n; each slot owns its list
     fams = {
-        "N1_left_slot": (0, action_endomorphisms(m)),
-        "N2_right_slot": (1, action_endomorphisms(n)),
+        "N1_left_slot": (0, left),
+        "N2_right_slot": (1, list(left) if n is m else action_endomorphisms(n)),
     }
     for f in morphisms or ():
         if f.source.same_structure(m) and f.target.same_structure(m):

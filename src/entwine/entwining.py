@@ -69,35 +69,18 @@ class EntwiningMap:
         return TensorOp(self.phi, (self.c.dim, self.a.dim), (self.a.dim, self.c.dim))
 
 
-class MonoidalEntwiningDatum:
-    "An entwining map between bialgebras, expected to satisfy E1-E6."
+class MonoidalEntwiningDatum(EntwiningMap):
+    """An entwining map between bialgebras, expected to satisfy E1-E6.
+
+    It is its own entwining map: ``c``, ``a`` and ``phi`` are set once
+    here, so ``phi_op`` is built on the datum, and every check takes the
+    datum itself.  The map passed in is kept as ``base`` for outside
+    readers (bench/workloads.py reads it).
+    """
 
     def __init__(self, base: EntwiningMap):
+        super().__init__(base.c, base.a, base.phi)
         self.base = base
-
-    @property
-    def c(self):
-        return self.base.c
-
-    @property
-    def a(self):
-        return self.base.a
-
-    @property
-    def phi(self) -> Matrix:
-        return self.base.phi
-
-    @property
-    def phi_op(self) -> TensorOp:
-        return self.base.phi_op
-
-    @property
-    def c_dim(self) -> int:
-        return self.base.c_dim
-
-    @property
-    def a_dim(self) -> int:
-        return self.base.a_dim
 
 
 def _hopf_like_equal(x, y) -> bool:
@@ -123,9 +106,10 @@ def datums_compatible(d1, d2) -> bool:
 
 
 class DoubleQuantumGroup:
-    """A monoidal entwining datum plus R: C (x) C -> A (x) A.
+    """A double structure: a monoidal entwining datum plus R: C (x) C -> A (x) A.
 
-    The convolution inverse of R (axiom E10b) is computed on demand and
+    The datum's sides and entwining map are read through ``datum``.  The
+    convolution inverse of R (axiom E10b) is computed on demand and
     cached; it is None when R is not invertible.
     """
 
@@ -135,18 +119,6 @@ class DoubleQuantumGroup:
             raise ValueError("rmap must be dimA^2 x dimC^2")
         self.datum = datum
         self.rmap = rmap
-
-    @property
-    def c(self):
-        return self.datum.c
-
-    @property
-    def a(self):
-        return self.datum.a
-
-    @property
-    def phi_op(self) -> TensorOp:
-        return self.datum.phi_op
 
     @cached_property
     def rmap_op(self) -> TensorOp:
@@ -431,7 +403,7 @@ def check_double_quantum_group(q: DoubleQuantumGroup) -> AxiomReport:
     """
     d = q.datum
     nc, na = d.c_dim, d.a_dim
-    phi, rr = q.phi_op, q.rmap_op
+    phi, rr = d.phi_op, q.rmap_op
     mul_a, comul_a = d.a.mul_op, d.a.comul_op
     mul_c, comul_c = d.c.mul_op, d.c.comul_op
 

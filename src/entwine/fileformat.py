@@ -180,18 +180,17 @@ def to_payload(obj, name: str | None = None, metadata: dict | None = None) -> di
     if isinstance(obj, HopfAlgebraData):
         doc["kind"] = "hopf"
         doc.update(_hopf_payload(obj))
-    elif isinstance(obj, (EntwiningMap, MonoidalEntwiningDatum)):
-        e = obj.base if isinstance(obj, MonoidalEntwiningDatum) else obj
+    elif isinstance(obj, EntwiningMap):
         doc["kind"] = "entwining"
-        doc.update(_entwining_payload(e))
+        doc.update(_entwining_payload(obj))
     elif isinstance(obj, DoubleQuantumGroup):
         doc["kind"] = "dqg"
-        doc.update(_entwining_payload(obj.datum.base))
+        doc.update(_entwining_payload(obj.datum))
         doc["rmap"] = _matrix_to_rows(obj.rmap)
         doc["rmap_signature"] = RMAP_SIGNATURE
     elif isinstance(obj, EntwinedModule):
         doc["kind"] = "module"
-        datum_payload = _entwining_payload(obj.datum.base)
+        datum_payload = _entwining_payload(obj.datum)
         doc["datum"] = datum_payload
         doc["dim"] = obj.dim
         doc["action"] = _matrix_to_rows(obj.action)
@@ -201,7 +200,7 @@ def to_payload(obj, name: str | None = None, metadata: dict | None = None) -> di
         doc["kind"] = "morphism"
         doc["map"] = _matrix_to_rows(obj.map)
         meta.setdefault(
-            "datum_hash", content_hash(_entwining_payload(obj.datum.base))
+            "datum_hash", content_hash(_entwining_payload(obj.datum))
         )
     elif isinstance(obj, Element):
         doc["kind"] = "element"

@@ -91,11 +91,18 @@ def _names(basis_names, dim):
     return names
 
 
-class HopfAlgebraData:
-    """Hopf algebra: bialgebra data plus a bijective antipode.
+class HopfAlgebraData(AlgebraData, CoalgebraData):
+    """Hopf algebra: an algebra and a coalgebra on one basis plus a bijective
+    antipode.
 
-    The antipode inverse is always computed by exact matrix inversion,
-    never user-supplied; construction fails early when S is singular.
+    It is its own algebra and coalgebra: ``dim``, ``basis_names``,
+    ``mult``, ``unit``, ``comult`` and ``counit`` are set once here (the
+    names from the algebra), so the kernel ops ``mul_op``, ``comul_op``
+    and the rest are built on this object, once per structure map.  The
+    parts passed in are kept as ``algebra`` and ``coalgebra`` for outside
+    readers.  The antipode inverse is always computed by exact matrix
+    inversion, never user-supplied; construction fails early when S is
+    singular.
     """
 
     def __init__(self, algebra: AlgebraData, coalgebra: CoalgebraData, antipode: Matrix):
@@ -105,48 +112,12 @@ class HopfAlgebraData:
             raise ValueError("antipode must be dim x dim")
         self.algebra = algebra
         self.coalgebra = coalgebra
+        self.dim = algebra.dim
+        self.basis_names = algebra.basis_names
+        self.mult, self.unit = algebra.mult, algebra.unit
+        self.comult, self.counit = coalgebra.comult, coalgebra.counit
         self.antipode = antipode
         self.antipode_inv = invert(antipode)
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-    @property
-    def basis_names(self):
-        return self.algebra.basis_names
-
-    @property
-    def mult(self) -> Matrix:
-        return self.algebra.mult
-
-    @property
-    def unit(self) -> Vector:
-        return self.algebra.unit
-
-    @property
-    def comult(self) -> Matrix:
-        return self.coalgebra.comult
-
-    @property
-    def counit(self) -> Matrix:
-        return self.coalgebra.counit
-
-    @property
-    def mul_op(self) -> TensorOp:
-        return self.algebra.mul_op
-
-    @property
-    def unit_op(self) -> TensorOp:
-        return self.algebra.unit_op
-
-    @property
-    def comul_op(self) -> TensorOp:
-        return self.coalgebra.comul_op
-
-    @property
-    def counit_op(self) -> TensorOp:
-        return self.coalgebra.counit_op
 
     @cached_property
     def antipode_op(self) -> TensorOp:
@@ -276,7 +247,7 @@ def check_coalgebra(c: CoalgebraData) -> AxiomReport:
 def check_bialgebra(h: HopfAlgebraData) -> AxiomReport:
     d = h.dim
     mul, unit, comul, counit = h.mul_op, h.unit_op, h.comul_op, h.counit_op
-    items = list(check_algebra(h.algebra).items) + list(check_coalgebra(h.coalgebra).items)
+    items = list(check_algebra(h).items) + list(check_coalgebra(h).items)
     items += [
         compare_item(
             "H07_comult_mult",
@@ -581,7 +552,7 @@ def _degenerate_datum(c: HopfAlgebraData, a: HopfAlgebraData) -> ent.MonoidalEnt
 
 def _degenerate_double_check(d: ent.MonoidalEntwiningDatum, rmap: Matrix) -> AxiomReport:
     q = ent.DoubleQuantumGroup(d, rmap)
-    rep = ent.check_entwining(d.base).merged_with(ent.check_monoidal_datum(d))
+    rep = ent.check_entwining(d).merged_with(ent.check_monoidal_datum(d))
     return rep.merged_with(ent.check_double_quantum_group(q))
 
 

@@ -245,23 +245,28 @@ def _act_by_g_matrix(m: EntwinedModule, g: HomCA) -> Matrix:
     )
 
 
+def require_verified(kind: str, target, g: HomCA) -> None:
+    """Raise ValueError unless g passes verify_pivotal(target, g) (kind
+    "pivotal") or verify_ribbon(target, g) (kind "ribbon").  The verifier
+    is looked up in this module when called, so a patched one is used."""
+    rep = (verify_pivotal if kind == "pivotal" else verify_ribbon)(target, g)
+    if not rep.overall:
+        raise ValueError(f"{kind} verification failed: {rep.failed_ids()}")
+
+
 def pivotal_structure(d: MonoidalEntwiningDatum, g: HomCA, m: EntwinedModule) -> ModuleMorphism:
     """beta_m: m -> double right dual, x -> x0 . g(x1) on the canonical basis.
 
     Rejects unverified candidates; the returned morphism is validated at
     construction and is invertible whenever g verifies.
     """
-    rep = verify_pivotal(d, g)
-    if not rep.overall:
-        raise ValueError(f"pivotal verification failed: {rep.failed_ids()}")
+    require_verified("pivotal", d, g)
     return ModuleMorphism(m, double_right_dual(m), _act_by_g_matrix(m, g))
 
 
 def twist(q: DoubleQuantumGroup, g: HomCA, m: EntwinedModule) -> ModuleMorphism:
     "theta_m: m -> m, x -> x0 . g(x1); rejects unverified ribbon candidates."
-    rep = verify_ribbon(q, g)
-    if not rep.overall:
-        raise ValueError(f"ribbon verification failed: {rep.failed_ids()}")
+    require_verified("ribbon", q, g)
     return ModuleMorphism(m, m, _act_by_g_matrix(m, g))
 
 

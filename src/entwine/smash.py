@@ -47,6 +47,7 @@ from .hopfcore import (
     HopfAlgebraData,
     dual_hopf,
 )
+from .pivribbon import require_verified
 from .report import AxiomItem, AxiomReport, compare_item, pipeline, _ap, _pm
 
 
@@ -281,26 +282,25 @@ def smash_product(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     through the entwining map against the antipode of A, with the
     inverse dual antipode on the C side.
     """
-    e = d.base
-    nc, na = e.c_dim, e.a_dim
-    dual_c = dual_hopf(e.c, "op")
-    phi_dc = TensorOp(_dual_c_view(e), (na, nc), (nc, na))
-    alg = _smash_algebra(e, dual_c, phi_dc)
+    nc, na = d.c_dim, d.a_dim
+    dual_c = dual_hopf(d.c, "op")
+    phi_dc = TensorOp(_dual_c_view(d), (na, nc), (nc, na))
+    alg = _smash_algebra(d, dual_c, phi_dc)
 
     comult = pipeline_matrix(
         (nc, na),
         (nc, na, nc, na),
-        (_ap(0, dual_c.comul_op), _ap(2, e.a.comul_op), _pm((0, 2, 1, 3))),
+        (_ap(0, dual_c.comul_op), _ap(2, d.a.comul_op), _pm((0, 2, 1, 3))),
     )
     counit = Matrix(
-        [[e.c.unit[i] * e.a.counit.entry(0, k) for i in range(nc) for k in range(na)]]
+        [[d.c.unit[i] * d.a.counit.entry(0, k) for i in range(nc) for k in range(na)]]
     )
 
     # (j, k): apply the inverse dual antipode to the dual leg, the antipode
     # of A to the other, then entwine.
     antipode = pipeline_matrix((nc, na), (nc, na), (
         _ap(0, TensorOp(dual_c.antipode, (nc,), (nc,))),
-        _ap(1, e.a.antipode_op),
+        _ap(1, d.a.antipode_op),
         _pm((1, 0)),
         _ap(0, phi_dc),
     ))
@@ -323,42 +323,41 @@ def smash_coproduct(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     carried here.  Comultiplication entwines the first dual-A Sweedler
     leg with the C-leg.
     """
-    e = d.base
-    nc, na = e.c_dim, e.a_dim
-    dual_a = dual_hopf(e.a, "cop")
+    nc, na = d.c_dim, d.a_dim
+    dual_a = dual_hopf(d.a, "cop")
     # the displayed Sweedler legs on the dual factor are those of the plain
     # dual coproduct; the formula's own leg swap is what realizes the cop
-    plain_dual_comul = TensorOp(e.a.mult.transpose(), (na,), (na, na))
-    phi_da = TensorOp(_dual_a_view(e), (na, nc), (nc, na))
+    plain_dual_comul = TensorOp(d.a.mult.transpose(), (na,), (na, na))
+    phi_da = TensorOp(_dual_a_view(d), (na, nc), (nc, na))
 
     mult = pipeline_matrix(
         (na, nc, na, nc),
         (na, nc),
-        (_pm((0, 2, 1, 3)), _ap(0, dual_a.mul_op), _ap(1, e.c.mul_op)),
+        (_pm((0, 2, 1, 3)), _ap(0, dual_a.mul_op), _ap(1, d.c.mul_op)),
     )
     unit = Vector(
-        [e.a.counit.entry(0, i) * e.c.unit[k] for i in range(na) for k in range(nc)]
+        [d.a.counit.entry(0, i) * d.c.unit[k] for i in range(na) for k in range(nc)]
     )
-    names = [f"{an}^(x){cn}" for an in e.a.basis_names for cn in e.c.basis_names]
+    names = [f"{an}^(x){cn}" for an in d.a.basis_names for cn in d.c.basis_names]
     alg = AlgebraData(na * nc, names, mult, unit)
 
     # (g, c): split both legs, entwine gamma_1 against c_1
     comult = pipeline_matrix((na, nc), (na, nc, na, nc), (
         _ap(0, plain_dual_comul),  # g1 g2 c
-        _ap(2, e.c.comul_op),      # g1 g2 c1 c2
+        _ap(2, d.c.comul_op),      # g1 g2 c1 c2
         _pm((0, 2, 1, 3)),         # g1 c1 g2 c2
         _ap(0, phi_da),            # c1f i_dual g2 c2
         _pm((2, 0, 1, 3)),         # g2 c1f i_dual c2
     ))
     counit = Matrix(
-        [[e.a.unit[i] * e.c.counit.entry(0, k) for i in range(na) for k in range(nc)]]
+        [[d.a.unit[i] * d.c.counit.entry(0, k) for i in range(na) for k in range(nc)]]
     )
 
     antipode = pipeline_matrix((na, nc), (na, nc), (
         _ap(0, phi_da),  # c_out i_dual
         _pm((1, 0)),
         _ap(0, TensorOp(dual_a.antipode, (na,), (na,))),
-        _ap(1, e.c.antipode_op),
+        _ap(1, d.c.antipode_op),
     ))
     coa = CoalgebraData(alg.dim, names, comult, counit)
     return HopfAlgebraData(alg, coa, antipode)
@@ -413,10 +412,6 @@ def module_transport_from_smash(d: MonoidalEntwiningDatum, dim: int,
 
 # ---------------------------------------------------------------------------
 # Transport of pivots, R-matrices, ribbon and coribbon data
-#
-# Each transport imports its verifier from pivribbon when it runs, not at
-# the top of the module, so that a verifier patched into pivribbon (as the
-# transport oracle tests do) is the one it calls.
 # ---------------------------------------------------------------------------
 
 
@@ -433,11 +428,7 @@ def _cosmash_row(g: HomCA) -> Matrix:
 def transport_pivot(d: MonoidalEntwiningDatum, g: HomCA,
                     smash: HopfAlgebraData | None = None) -> Element:
     "The candidate pivot sum_i e^i (x) g(e_i) of the smash product."
-    from .pivribbon import verify_pivotal
-
-    rep = verify_pivotal(d, g)
-    if not rep.overall:
-        raise ValueError(f"pivotal verification failed: {rep.failed_ids()}")
+    require_verified("pivotal", d, g)
     if smash is None:
         smash = smash_product(d)
     return Element(smash, _smash_coords(g))
@@ -476,11 +467,7 @@ def transport_rmatrix(q: DoubleQuantumGroup) -> Vector:
 def transport_ribbon(q: DoubleQuantumGroup, g: HomCA,
                      smash: HopfAlgebraData | None = None):
     "The candidate (R-matrix, ribbon element) pair of the smash product."
-    from .pivribbon import verify_ribbon
-
-    rep = verify_ribbon(q, g)
-    if not rep.overall:
-        raise ValueError(f"ribbon verification failed: {rep.failed_ids()}")
+    require_verified("ribbon", q, g)
     if smash is None:
         smash = smash_product(q.datum)
     return transport_rmatrix(q), Element(smash, _smash_coords(g))
@@ -493,11 +480,7 @@ def extract_ribbon(d: MonoidalEntwiningDatum, t: Element) -> HomCA:
 def transport_copivot(d: MonoidalEntwiningDatum, g: HomCA,
                       cosmash: HopfAlgebraData | None = None) -> Functional:
     "The candidate copivot gamma (x) c -> gamma(g(c)) on the smash coproduct."
-    from .pivribbon import verify_pivotal
-
-    rep = verify_pivotal(d, g)
-    if not rep.overall:
-        raise ValueError(f"pivotal verification failed: {rep.failed_ids()}")
+    require_verified("pivotal", d, g)
     if cosmash is None:
         cosmash = smash_coproduct(d)
     return Functional(cosmash, _cosmash_row(g))
@@ -513,11 +496,7 @@ def extract_copivot(d: MonoidalEntwiningDatum, gamma: Functional) -> HomCA:
 def transport_coribbon(q: DoubleQuantumGroup, g: HomCA,
                        cosmash: HopfAlgebraData | None = None):
     "The candidate (coquasitriangular form, ribbon character) on the coproduct."
-    from .pivribbon import verify_ribbon
-
-    rep = verify_ribbon(q, g)
-    if not rep.overall:
-        raise ValueError(f"ribbon verification failed: {rep.failed_ids()}")
+    require_verified("ribbon", q, g)
     d = q.datum
     if cosmash is None:
         cosmash = smash_coproduct(d)

@@ -85,7 +85,7 @@ def inverse(monkeypatch):
 def phi_mutant(q: DoubleQuantumGroup, i: int, j: int, delta: int) -> MonoidalEntwiningDatum:
     rows = [list(r) for r in q.datum.phi.rows()]
     rows[i][j] += delta
-    return MonoidalEntwiningDatum(EntwiningMap(q.c, q.a, Matrix(rows)))
+    return MonoidalEntwiningDatum(EntwiningMap(q.datum.c, q.datum.a, Matrix(rows)))
 
 
 def test_corpus_rmaps_match_stacked_oracle(inverse, dqgs, yd_h4):
@@ -133,7 +133,7 @@ def test_dense_rmaps_match_stacked_oracle(inverse):
     # seeded dense R on yd_dqg(kz3), entries in -3..3; seeds 3 and 5 are
     # invertible, the others are not
     q = corpus.yd_dqg(corpus.cyclic_group_algebra(3))
-    n = q.c.dim ** 2
+    n = q.datum.c.dim ** 2
     branches = Counter()
     for seed in range(6):
         rng = random.Random(seed)

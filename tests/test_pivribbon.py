@@ -61,6 +61,34 @@ def test_yd_h4_unit_morphism_fails_p4(yd_h4):
     assert item.witness.basis == (2,)  # first failure at the skew-primitive
 
 
+# One-entry perturbations of the pivotal morphism of long_h4 (the flip datum,
+# C = A = h4 with basis 1, e, x, y): g(1) = e, g(e) = -e, g(x) = g(y) = 0, as
+# a 4 x 4 matrix with row the output and column the input.  In h4 e^2 = 1,
+# xe = -ex = -y, Delta(e) = e (x) e, eps(e) = 1 and S^2(a) = e a e; the flip
+# makes a_phi = a and c^phi = c.  Outputs over (A, A) flatten as u * 4 + v.
+#  - P1, g(1) = e -> 1 + e: at (1, 1), Delta(1 + e) = 1 1 + e e against
+#    (1 + e) (x) (1 + e) = 1 1 + 1 e + e 1 + e e.
+#  - P2, g(1) = e -> 0: eps(0) = 0 against 1.
+#  - P3, g(1) = e -> e + x: at a = 1 both sides are g(c); at (a, c) = (e, 1),
+#    g(1) S^2(e) = (e + x) e = 1 - y against e g(1) = 1 + y.
+@pytest.mark.parametrize("axiom, entry, delta, basis, lhs, rhs", [
+    ("P1_grouplike", (0, 0), 1, (0, 0),
+     [1, 0, 0, 0, 0, 1] + [0] * 10, [1, 1, 0, 0, 1, 1] + [0] * 10),
+    ("P2_counit_one", (1, 0), -1, (), [0], [1]),
+    ("P3_action_twist", (2, 0), 1, (1, 0), [1, 0, 0, -1], [1, 0, 0, 1]),
+])
+def test_one_entry_perturbation_fails_pivotal_law(long_h4, axiom, entry, delta, basis, lhs, rhs):
+    g = corpus.h4_long_pivotal(long_h4)
+    assert verify_pivotal(long_h4, g).overall
+    rows = [list(r) for r in g.map.rows()]
+    rows[entry[0]][entry[1]] += delta
+    item = verify_pivotal(long_h4, HomCA(long_h4, Matrix(rows))).item(axiom)
+    assert not item.passed
+    assert item.witness.basis == basis
+    assert list(item.witness.lhs) == lhs
+    assert list(item.witness.rhs) == rhs
+
+
 def test_ribbon_on_long_kz2(long_dqg_kz2):
     g = corpus.long_kz2_ribbon()
     assert verify_ribbon(long_dqg_kz2, g).overall

@@ -28,6 +28,7 @@ from entwine.report import _ap, _pm, pipeline
 from entwine.smash import (
     check_distributive_law,
     distlaw_to_entwining,
+    entwining_to_codistlaw,
     entwining_to_distlaw,
     extract_copivot,
     extract_coribbon,
@@ -106,6 +107,70 @@ def test_coalgebra_distributive_law_round_trip(h4, yd_h4, long_h4):
         assert check_distributive_law(law).overall
         back = codistlaw_to_entwining(law, e.a)
         assert back.phi == e.phi
+
+
+# One-entry perturbations of the flip entwining map of long_kz2 (C = A = kz2,
+# basis 1 = g^0, g), seen through both dual-basis transpositions.  phi is
+# 4 x 4, row a * 2 + c for the output a (x) c, column c * 2 + a for the input
+# c (x) a; unperturbed, phi(c (x) a) = a (x) c and both laws are flips.
+#
+# Algebra law t: B (x) A' -> A' (x) B, with B = kz2 (A's side) and A' = the
+# dual of C with op, basis e^0, e^1, e^i e^j = delta_ij e^i, 1 = e^0 + e^1;
+# t(f_k (x) e^j) holds e^m (x) f_u with phi's coefficient of f_u (x) e_j in
+# phi(e_m (x) f_k).  phi[2][0] += 1 (phi(1 (x) 1) gains g (x) 1) makes
+# t(f_0 (x) e^0) = e^0 (x) f_0 + e^0 (x) f_1.  Outputs over (A', B) flatten as
+# a * 2 + b.  The first scanned tuple fails each square:
+#  - DL1 at (f_0, f_0, e^0): t(f_0 f_0 (x) e^0) = e^0 (f_0 + f_1) against
+#    e^0 (x) (f_0 + f_1)(f_0 + f_1) = e^0 (x) (2 f_0 + 2 f_1).
+#  - DL2 at e^0: t(1 (x) e^0) = e^0 (f_0 + f_1) against e^0 (x) f_0.
+#  - DL3 at (f_0, e^0, e^0): t(f_0 (x) e^0) = e^0 (f_0 + f_1) against
+#    e^0 e^0 (x) f_0 + 2 e^0 e^0 (x) f_1, as t(f_1 (x) e^0) = e^0 (x) f_1.
+#  - DL4 at f_0: t(f_0 (x) (e^0 + e^1)) = e^0 (f_0 + f_1) + e^1 f_0 against
+#    (e^0 + e^1) (x) f_0.
+#
+# Coalgebra law s: C' (x) D -> D (x) C', with C' = the dual of A with cop
+# (f^k: Delta f^k = sum over i + j = k of f^i (x) f^j, eps(f^0) = 1,
+# eps(f^1) = 0) and D = kz2 (C's side, grouplike, eps = 1); s(f^u (x) e_c)
+# holds e_v (x) f^i with phi's coefficient of f_u (x) e_v in phi(e_c (x) f_i).
+# phi[1][0] += 1 (phi(1 (x) 1) gains 1 (x) g) makes s(f^0 (x) e_0) =
+# e_0 (x) f^0 + e_1 (x) f^0.  Every square fails at (f^0, e_0); outputs
+# flatten left major over their legs:
+#  - DL1 (D, D, C'): Delta_D on s = e_0 e_0 f^0 + e_1 e_1 f^0 (entries 0, 6)
+#    against s twice through Delta_D: all four e_v e_w f^0 (0, 2, 4, 6).
+#  - DL2 (C'): eps_D on s = 2 f^0 against eps_D(e_0) f^0.
+#  - DL3 (D, C', C'): Delta_C' on s = (e_0 + e_1)(f^0 f^0 + f^1 f^1)
+#    (0, 3, 4, 7) against s twice through Delta_C': e_0 f^0 f^0 + 2 e_1 f^0 f^0
+#    + e_0 f^1 f^1, since s(f^1 (x) e_0) = e_0 (x) f^1.
+#  - DL4 (D): eps_C' on s = e_0 + e_1 against eps_C'(f^0) e_0.
+@pytest.mark.parametrize("axiom, convert, entry, basis, lhs, rhs", [
+    ("DL1_left_mult", entwining_to_distlaw, (2, 0), (0, 0, 0),
+     [1, 1, 0, 0], [2, 2, 0, 0]),
+    ("DL2_left_unit", entwining_to_distlaw, (2, 0), (0,),
+     [1, 1, 0, 0], [1, 0, 0, 0]),
+    ("DL3_right_mult", entwining_to_distlaw, (2, 0), (0, 0, 0),
+     [1, 1, 0, 0], [1, 2, 0, 0]),
+    ("DL4_right_unit", entwining_to_distlaw, (2, 0), (0,),
+     [1, 1, 1, 0], [1, 0, 1, 0]),
+    ("DL1_right_comult", entwining_to_codistlaw, (1, 0), (0, 0),
+     [1, 0, 0, 0, 0, 0, 1, 0], [1, 0, 1, 0, 1, 0, 1, 0]),
+    ("DL2_right_counit", entwining_to_codistlaw, (1, 0), (0, 0),
+     [2, 0], [1, 0]),
+    ("DL3_left_comult", entwining_to_codistlaw, (1, 0), (0, 0),
+     [1, 0, 0, 1, 1, 0, 0, 1], [1, 0, 0, 1, 2, 0, 0, 0]),
+    ("DL4_left_counit", entwining_to_codistlaw, (1, 0), (0, 0),
+     [1, 1], [1, 0]),
+])
+def test_one_entry_perturbation_fails_distributive_law_axiom(long_kz2, axiom, convert, entry,
+                                                             basis, lhs, rhs):
+    assert check_distributive_law(convert(long_kz2)).overall
+    rows = [list(r) for r in long_kz2.phi.rows()]
+    rows[entry[0]][entry[1]] += 1
+    law = convert(EntwiningMap(long_kz2.c, long_kz2.a, Matrix(rows)))
+    item = check_distributive_law(law).item(axiom)
+    assert not item.passed
+    assert item.witness.basis == basis
+    assert list(item.witness.lhs) == lhs
+    assert list(item.witness.rhs) == rhs
 
 
 # -- smash product ---------------------------------------------------------
