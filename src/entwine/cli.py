@@ -30,7 +30,7 @@ from .hopfcore import HopfAlgebraData, check_hopf, dual_hopf
 from .pivribbon import find_morphisms, verify_pivotal, verify_ribbon
 from .report import AxiomReport, render_text
 from .smash import smash_coproduct, smash_product
-from .exactla import rat_to_str
+from .exactla import NotInvertibleError, rat_to_str
 
 
 def _max_workers() -> int:
@@ -192,8 +192,13 @@ def build():
     "Construct derived objects and save them to structure files."
 
 
-def _save_built(src, obj, output, construction: str) -> None:
-    "Save a built object, with its construction and the hash of its source."
+def _save_built(path, src, build, output, construction: str) -> None:
+    """Save build(src), with its construction and the hash of its source.
+    A built antipode that is singular exits 2, and nothing is written."""
+    try:
+        obj = build(src)
+    except NotInvertibleError:
+        raise click.UsageError(f"{path}: the antipode of its {construction} is singular")
     src_hash = ff.content_hash(ff.to_payload(src))
     ff.save(obj, output, metadata={"construction": construction, "source_hash": src_hash})
 
@@ -202,16 +207,14 @@ def _save_built(src, obj, output, construction: str) -> None:
 @click.option("--datum", "datum_path", required=True, type=click.Path())
 @click.option("-o", "--output", required=True, type=click.Path())
 def build_smash_cmd(datum_path, output):
-    d = _load_datum(datum_path)
-    _save_built(d, smash_product(d), output, "smash_product")
+    _save_built(datum_path, _load_datum(datum_path), smash_product, output, "smash_product")
 
 
 @build.command(name="cosmash", help="Smash coproduct Hopf algebra of a datum.")
 @click.option("--datum", "datum_path", required=True, type=click.Path())
 @click.option("-o", "--output", required=True, type=click.Path())
 def build_cosmash_cmd(datum_path, output):
-    d = _load_datum(datum_path)
-    _save_built(d, smash_coproduct(d), output, "smash_coproduct")
+    _save_built(datum_path, _load_datum(datum_path), smash_coproduct, output, "smash_coproduct")
 
 
 @build.command(name="double", help="Drinfeld double of a Hopf algebra file.")
@@ -219,7 +222,7 @@ def build_cosmash_cmd(datum_path, output):
 @click.option("-o", "--output", required=True, type=click.Path())
 def build_double_cmd(hopf_path, output):
     h = _load_as(hopf_path, HopfAlgebraData, "hopf")
-    _save_built(h, corpus_mod.drinfeld_double(h), output, "drinfeld_double")
+    _save_built(hopf_path, h, corpus_mod.drinfeld_double, output, "drinfeld_double")
 
 
 @build.command(name="dual", help="Dual Hopf algebra, optionally op/cop twisted.")
@@ -228,7 +231,7 @@ def build_double_cmd(hopf_path, output):
 @click.option("-o", "--output", required=True, type=click.Path())
 def build_dual_cmd(hopf_path, twist, output):
     h = _load_as(hopf_path, HopfAlgebraData, "hopf")
-    _save_built(h, dual_hopf(h, twist), output, f"dual_{twist}")
+    _save_built(hopf_path, h, lambda x: dual_hopf(x, twist), output, f"dual_{twist}")
 
 
 @main.group(name="find")

@@ -25,6 +25,7 @@ from .hopfcore import (
     Functional,
     HopfAlgebraData,
     dual_hopf,
+    element_op,
 )
 from .pivribbon import separable_candidate
 from .report import pipeline, _ap, _pm
@@ -72,7 +73,8 @@ def sweedler_h4() -> HopfAlgebraData:
         return {(index[w],): Fraction(sign)}
 
     mult = matrix_from_columns_fn((dim, dim), (dim,), mult_col)
-    mul = TensorOp(mult, (dim, dim), (dim,))
+    alg = AlgebraData(dim, _H4_NAMES, mult, Vector([1, 0, 0, 0]))
+    mul = alg.mul_op
 
     def on_generators(values, out_dims):
         "A map given on the generators 1, e, x as a kernel op, zero on y."
@@ -98,9 +100,11 @@ def sweedler_h4() -> HopfAlgebraData:
     comult = matrix_from_columns_fn((dim,), (dim, dim), lambda t: delta[t[0]])
     counit = Matrix([[1, 1, 0, 0]])
     antipode = matrix_from_columns_fn((dim,), (dim,), lambda t: s_gen[t[0]])
-    alg = AlgebraData(dim, _H4_NAMES, mult, Vector([1, 0, 0, 0]))
     coa = CoalgebraData(dim, _H4_NAMES, comult, counit)
-    return HopfAlgebraData(alg, coa, antipode)
+    h = HopfAlgebraData(alg, coa, antipode)
+    # h keeps the product op that extended Delta and S: one op, one fill
+    h.mul_op = mul
+    return h
 
 
 def h4_copivot(h4: HopfAlgebraData) -> Functional:
@@ -156,7 +160,7 @@ def z2_dual_triangular_form(b: HopfAlgebraData, r: Vector) -> BilinearForm:
     "The coquasitriangular form on the dual obtained by evaluating at R."
     if b.dim != 2 or r.dim != 4:
         raise ValueError("expected the dual Z/2 algebra and a 2x2 R-matrix")
-    return BilinearForm(b, b, Matrix([list(r)]))
+    return BilinearForm(b, b, Matrix.from_flat(r, r.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +235,7 @@ def long_dqg(h: HopfAlgebraData, rmatrix: Vector, b: HopfAlgebraData,
     datum = long_datum(h, b)
     nb, nh = b.dim, h.dim
     form_op = TensorOp(form.coords, (nb, nb), ())
-    r_op = TensorOp(Matrix.from_cols([rmatrix]), (), (nh, nh))
+    r_op = element_op(rmatrix, (nh, nh))
     rmap = pipeline_matrix((nb, nb), (nh, nh), (_ap(0, form_op), _ap(0, r_op), _pm((1, 0))))
     return DoubleQuantumGroup(datum, rmap)
 
@@ -317,7 +321,7 @@ def long_kz2_ribbon() -> HomCA:
     q = _long_dqg_kz2()
     d = q.datum
     kappa = Element(d.a, d.a.unit)
-    rho = Functional(d.c, Matrix([list(d.c.counit.row(0))]))
+    rho = Functional(d.c, d.c.counit)
     return separable_candidate(d, kappa, rho, "ribbon").map
 
 

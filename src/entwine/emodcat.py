@@ -233,9 +233,7 @@ def extend_MC(module_dim: int, module_action: Matrix, d: MonoidalEntwiningDatum,
 
 def tensor_unit(d: MonoidalEntwiningDatum) -> EntwinedModule:
     "The monoidal unit: the ground field with counit action and unit coaction."
-    action = Matrix([list(d.a.counit.row(0))])
-    coaction = Matrix([[c] for c in d.c.unit])
-    return EntwinedModule(d, 1, action, coaction, ("1",))
+    return EntwinedModule(d, 1, d.a.counit, Matrix.from_flat(d.c.unit, 1), ("1",))
 
 
 def tensor_modules(m: EntwinedModule, n: EntwinedModule) -> EntwinedModule:

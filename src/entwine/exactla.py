@@ -21,6 +21,8 @@ Conventions fixed here and used everywhere else:
 * column j of a Matrix is the image of basis vector j;
 * the flat index of e_i (x) f_j in U (x) V is ``i * dim(V) + j`` (left
   factor major), and the same recursively for longer tensor products;
+* a map as a vector is its matrix row by row, entry (out, in) at
+  ``out * ncols + in``; only Matrix.flat and Matrix.from_flat write it;
 * rationals serialize as ``"p/q"`` (or ``"p"`` when q == 1), canonical
   form, ASCII, no whitespace.
 """
@@ -190,6 +192,15 @@ class Matrix:
         if nrows is None:
             nrows = len(cols[0])
         return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(nrows)])
+
+    @staticmethod
+    def from_flat(values, ncols: int) -> "Matrix":
+        "The matrix with ncols columns whose flat() is the sequence values."
+        return Matrix([values[i:i + ncols] for i in range(0, len(values), ncols)])
+
+    def flat(self) -> Vector:
+        "The entries row by row: entry (i, j) at i * ncols + j."
+        return Vector(x for row in self.rows() for x in row)
 
     def row(self, i: int) -> Vector:
         return Vector(self.rows()[i])
@@ -501,7 +512,8 @@ def invert(a: Matrix) -> Matrix:
 # insert and contract a pair of dual-basis legs, so a partial trace (one
 # output of a map fed back into an input) or a dual-basis transposition is
 # a plain pipeline too.  A SlotLeg stands for an unknown map, so a side
-# that is linear in it comes out as a matrix (hom_operator).  Everything
+# that is linear in it comes out as a matrix (hom_operator), its columns
+# in the order of Matrix.flat.  Everything
 # is exact and allocation-light: dims stay <= 16 throughout the corpus.
 #
 # Ops.  Every op (KernelOp) keeps a column table ``_cols``: input legs ->
@@ -520,7 +532,9 @@ def invert(a: Matrix) -> Matrix:
 # Matrix is made only when something asks for ``matrix`` (a dual module's
 # transpose, a file save, an equality): the missing columns are filled and
 # the table goes through matrix_from_columns_fn.  pipeline_matrix is that
-# materialisation of a fresh step-built op.
+# materialisation of a fresh step-built op.  A map used only as an op
+# stays step-built and is never made a Matrix and wrapped again: each map
+# has one op, so each of its columns is filled once.
 #
 # Coefficients are ints where integral: a TensorOp hands out the integral
 # entries of its matrix as ints, SlotLeg, Cup, Cap and the seeds use 1, and

@@ -35,9 +35,10 @@ from .exactla import (
 from .report import AxiomReport, compare_item, _ap, _pm
 
 
-def element_op(v: Vector) -> TensorOp:
-    "A fixed element as a 0-ary tensor op (inserts one leg)."
-    return TensorOp(Matrix([[c] for c in v]), (), (v.dim,))
+def element_op(v: Vector, dims=None) -> TensorOp:
+    """A fixed element as a 0-ary tensor op: it inserts legs over dims, by
+    default one leg over the whole space."""
+    return TensorOp(Matrix.from_flat(v, 1), (), (v.dim,) if dims is None else dims)
 
 
 class AlgebraData:
@@ -154,9 +155,6 @@ class Functional:
             raise ValueError("functional must be 1 x dim")
         self.host = host
         self.coords = coords
-
-    def value(self, i: int):
-        return self.coords.entry(0, i)
 
 
 class BilinearForm:
@@ -331,9 +329,9 @@ def dual_hopf(h: HopfAlgebraData, twist: str = "plain") -> HopfAlgebraData:
     d = h.dim
     names = tuple(f"{n}^" for n in h.basis_names)
     mult = h.comult.transpose()
-    unit = Vector(h.counit.row(0))
+    unit = h.counit.flat()
     comult = h.mult.transpose()
-    counit = Matrix([list(h.unit)])
+    counit = Matrix.from_flat(h.unit, d)
     antipode = h.antipode.transpose()
     if twist == "op":
         plain = TensorOp(mult, (d, d), (d,))
@@ -421,7 +419,7 @@ def verify_copivot(c: HopfAlgebraData, g: Functional) -> AxiomReport:
 
 def _element_hom(h: HopfAlgebraData, v: Vector) -> ent.HomCA:
     "v as the map k -> H over the degenerate datum."
-    return ent.HomCA(_degenerate_datum(trivial_hopf(), h), Matrix([[x] for x in v]))
+    return ent.HomCA(_degenerate_datum(trivial_hopf(), h), Matrix.from_flat(v, 1))
 
 
 def element_inverse(h: HopfAlgebraData, v: Vector) -> Vector | None:
@@ -444,7 +442,7 @@ def verify_ribbon_element(h: HopfAlgebraData, rmatrix: Vector, v: Element) -> Ax
     d = h.dim
     mul, comul = h.mul_op, h.comul_op
     v_op = element_op(v.coords)
-    r_op = TensorOp(Matrix([[c] for c in rmatrix]), (), (d, d))
+    r_op = element_op(rmatrix, (d, d))
 
     def componentwise_mul(state):
         # (x1 (x) x2) * (y1 (x) y2) on a 4-leg state
@@ -565,7 +563,7 @@ def quasitri_check(h: HopfAlgebraData, rmatrix: Vector) -> AxiomReport:
     if rmatrix.dim != h.dim * h.dim:
         raise ValueError("rmatrix must live in H (x) H")
     d = _degenerate_datum(trivial_hopf(), h)
-    return _degenerate_double_check(d, Matrix([[x] for x in rmatrix]))
+    return _degenerate_double_check(d, Matrix.from_flat(rmatrix, 1))
 
 
 def coquasitri_check(c: HopfAlgebraData, form: BilinearForm) -> AxiomReport:

@@ -304,8 +304,7 @@ def separable_candidate(d: MonoidalEntwiningDatum, kappa: Element, rho: Function
     nc, na = d.c_dim, d.a_dim
     if kappa.coords.dim != na or rho.coords.ncols != nc:
         raise ValueError("kappa must live in A and rho on C")
-    rows = [[kappa.coords[i] * rho.value(j) for j in range(nc)] for i in range(na)]
-    return MorphismCandidate(d, HomCA(d, Matrix(rows)), kind)
+    return MorphismCandidate(d, HomCA(d, Matrix.from_flat(kappa.coords, 1) * rho.coords), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +340,7 @@ def stage1_affine_family(d: MonoidalEntwiningDatum, kind: str):
 def stage1_residual(d: MonoidalEntwiningDatum, kind: str, g: HomCA) -> Vector:
     "Residual of the linear laws at a concrete candidate (zero iff satisfied)."
     a, b = _linear_system(d, kind)
-    nc = d.c_dim
-    flat = [ZERO] * a.ncols
-    for p, col in enumerate(g.map.sparse_cols()):
-        for u, x in col:
-            flat[u * nc + p] = x
-    return a.apply(Vector(flat)) - b
+    return a.apply(g.map.flat()) - b
 
 
 class _Poly:
@@ -422,12 +416,6 @@ def _isqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def _hom_from_flat(d: MonoidalEntwiningDatum, v) -> HomCA:
-    "The map C -> A whose entries are v, flattened as (a_out, c_in) pairs."
-    nc = d.c_dim
-    return HomCA(d, Matrix([[v[u * nc + p] for p in range(nc)] for u in range(d.a_dim)]))
-
-
 def _quadratic_residuals(d: MonoidalEntwiningDatum, kind: str,
                          q: DoubleQuantumGroup | None,
                          family) -> list[_Poly]:
@@ -436,7 +424,8 @@ def _quadratic_residuals(d: MonoidalEntwiningDatum, kind: str,
     For pivotal candidates this is the grouplike law P1; for ribbon, the
     braided square R3.  Components are degree <= 2 polynomials in t.
     """
-    ops = [_hom_from_flat(d, v).op for v in [family.particular, *family.nullspace_basis]]
+    ops = [HomCA(d, Matrix.from_flat(v, d.c_dim)).op
+           for v in [family.particular, *family.nullspace_basis]]
     _, scan, _, linear_side, bilinear_side = _quadratic_law(d, kind, q)
 
     polys: dict[tuple, _Poly] = {}
@@ -496,7 +485,7 @@ def find_morphisms(target, kind: str, max_params: int = 4) -> FinderResult:
             c = assignment.get(s, ZERO)
             if c != 0:
                 v = [a + c * b for a, b in zip(v, h)]
-        return _hom_from_flat(d, v)
+        return HomCA(d, Matrix.from_flat(v, d.c_dim))
 
     def wrap(g: HomCA) -> MorphismCandidate:
         return MorphismCandidate(d, g, kind)

@@ -117,9 +117,13 @@ def compare_item(axiom_id, in_dims, out_dims, lhs, rhs) -> AxiomItem:
     batched states.  The batches grow so that a scan failing early
     evaluates few tuples past its witness, and stop at 64 because a larger
     batch holds larger states for no gain in speed (exactla's kernel
-    comment has the figures).  On a mismatch the smallest batch leg j whose
-    terms differ names the witness tuple, and its sides are the two states
-    restricted to j: the first failing tuple and the sides it alone gives.
+    comment has the figures).  Fixed batches of 64 were tried and dropped
+    (2-vCPU VM, 3 alternating pairs): dqg-e10b wall_s went 0.0448 ->
+    0.0421 s, but verify-scan op_p50_ms went 1.43 -> 1.77 and op_p90_ms
+    4.15 -> 5.59, as its mutants fail early.  On a mismatch the smallest
+    batch leg j whose terms differ names the witness tuple, and its sides
+    are the two states restricted to j: the first failing tuple and the
+    sides it alone gives.
     """
     out_dims = tuple(out_dims)
     for batch in basis_batches(in_dims, 1):

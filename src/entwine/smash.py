@@ -10,8 +10,9 @@ ribbon elements and coribbon data in both directions.  Every product,
 coproduct and antipode, view, (co)distributive-law conversion, module
 transport and transported R-matrix or form is a kernel pipeline: Cup
 brings in a pair of dual-basis legs and Cap pairs a dual leg with a
-plain one.  Units, counits, pivots and copivots are coordinate lists
-reshaped.  Every axiom scan goes through report.compare_item.
+plain one.  Units and counits are Kronecker products, and pivots and
+copivots a map's entries laid flat.  Every axiom scan goes through
+report.compare_item.
 
 Basis convention for both constructions: dual-basis index first, then
 the plain-side index, left major (so the flat index of e^i (x) a_k is
@@ -20,6 +21,8 @@ the plain-side index, left major (so the flat index of e^i (x) a_k is
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .exactla import (
     Cap,
     Cup,
@@ -27,6 +30,7 @@ from .exactla import (
     State,
     TensorOp,
     Vector,
+    kron,
     pipeline_matrix,
     state_to_vector,
 )
@@ -68,7 +72,7 @@ class DistributiveLaw:
         self.right = right  # A (algebra case) or D (coalgebra case)
         self.map = map
 
-    @property
+    @cached_property
     def op(self) -> TensorOp:
         return TensorOp(self.map, (self.left.dim, self.right.dim),
                         (self.right.dim, self.left.dim))
@@ -156,35 +160,32 @@ def check_distributive_law(law: DistributiveLaw) -> AxiomReport:
 # Dualizing one pair of phi's legs is a dual-basis transposition: a Cup
 # brings in a pair of dual-basis legs, phi acts on one of them, and a Cap
 # pairs phi's output on that side with the dual input.  Each view is one
-# pipeline; its matrix is both the (co)distributive law the entwining map
-# carries and the map the smash construction entwines with.
+# step-built op: the smash construction entwines with it and fills only the
+# columns it reads, and its matrix is the (co)distributive law the
+# entwining map carries.
 # ---------------------------------------------------------------------------
 
 
-def _dual_c_view(e) -> Matrix:
+def _dual_c_view(e) -> TensorOp:
     """phi with the coalgebra legs dualized, A (x) C* -> C* (x) A:
     f_k (x) e^j -> sum e^m (x) f_u, weighted by the coefficient of
     f_u (x) e_j in phi(e_m (x) f_k)."""
     nc, na = e.c_dim, e.a_dim
     cup, cap = Cup(nc), Cap()
-    return pipeline_matrix(
-        (na, nc),
-        (nc, na),
-        (_ap(0, cup), _ap(1, e.phi_op), _ap(2, cap)),  # m m k j -> m u j j
-    )
+    return TensorOp(None, (na, nc), (nc, na), (
+        _ap(0, cup), _ap(1, e.phi_op), _ap(2, cap),  # m m k j -> m u j j
+    ))
 
 
-def _dual_a_view(e) -> Matrix:
+def _dual_a_view(e) -> TensorOp:
     """phi with the algebra legs dualized, A* (x) C -> C (x) A*:
     f^u (x) e_c -> sum e_v (x) f^i, weighted by the coefficient of
     f_u (x) e_v in phi(e_c (x) f_i)."""
     nc, na = e.c_dim, e.a_dim
     cup, cap = Cup(na), Cap()
-    return pipeline_matrix(
-        (na, nc),
-        (nc, na),
-        (_ap(2, cup), _ap(1, e.phi_op), _ap(0, cap)),  # u c i i -> u u v i
-    )
+    return TensorOp(None, (na, nc), (nc, na), (
+        _ap(2, cup), _ap(1, e.phi_op), _ap(0, cap),  # u c i i -> u u v i
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,7 @@ def _dual_a_view(e) -> Matrix:
 def entwining_to_distlaw(e: EntwiningMap) -> DistributiveLaw:
     """The algebra distributive law A (x) (dual C, op) -> (dual C, op) (x) A
     carried by an entwining map, by dual-basis transposition."""
-    return DistributiveLaw("algebra", e.a, dual_hopf(e.c, "op"), _dual_c_view(e))
+    return DistributiveLaw("algebra", e.a, dual_hopf(e.c, "op"), _dual_c_view(e).matrix)
 
 
 def distlaw_to_entwining(law: DistributiveLaw, c) -> EntwiningMap:
@@ -222,7 +223,7 @@ def entwining_to_codistlaw(e: EntwiningMap) -> DistributiveLaw:
     """The coalgebra distributive law (dual A, cop) (x) C -> C (x) (dual A, cop)
     carried by an entwining map, by dual-basis transposition on the algebra
     legs (the entwining map's algebra output feeds the dual input)."""
-    return DistributiveLaw("coalgebra", dual_hopf(e.a, "cop"), e.c, _dual_a_view(e))
+    return DistributiveLaw("coalgebra", dual_hopf(e.a, "cop"), e.c, _dual_a_view(e).matrix)
 
 
 def codistlaw_to_entwining(law: DistributiveLaw, a) -> EntwiningMap:
@@ -250,8 +251,7 @@ def smash_algebra(e) -> AlgebraData:
     Product: (p (x) a)(q (x) b) = sum (e^i * p) (x) a_phi b q(e_i^phi),
     with * the plain dual convolution (e^i on the left).
     """
-    phi_dc = TensorOp(_dual_c_view(e), (e.a_dim, e.c_dim), (e.c_dim, e.a_dim))
-    return _smash_algebra(e, dual_hopf(e.c, "op"), phi_dc)
+    return _smash_algebra(e, dual_hopf(e.c, "op"), _dual_c_view(e))
 
 
 def _smash_algebra(e, dual_c: HopfAlgebraData, phi_dc: TensorOp) -> AlgebraData:
@@ -268,9 +268,7 @@ def _smash_algebra(e, dual_c: HopfAlgebraData, phi_dc: TensorOp) -> AlgebraData:
         _ap(0, mul_dc),      # (p *op e^m) = e^m * p ; legs: w u l
         _ap(1, mul_a),       # w (a_phi b)
     ))
-    unit = Vector(
-        [e.c.counit.entry(0, i) * e.a.unit[k] for i in range(nc) for k in range(na)]
-    )
+    unit = kron(e.c.counit, Matrix.from_flat(e.a.unit, na)).flat()
     names = [f"{cn}^(x){an}" for cn in e.c.basis_names for an in e.a.basis_names]
     return AlgebraData(nc * na, names, mult, unit)
 
@@ -284,7 +282,7 @@ def smash_product(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     """
     nc, na = d.c_dim, d.a_dim
     dual_c = dual_hopf(d.c, "op")
-    phi_dc = TensorOp(_dual_c_view(d), (na, nc), (nc, na))
+    phi_dc = _dual_c_view(d)
     alg = _smash_algebra(d, dual_c, phi_dc)
 
     comult = pipeline_matrix(
@@ -292,14 +290,12 @@ def smash_product(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
         (nc, na, nc, na),
         (_ap(0, dual_c.comul_op), _ap(2, d.a.comul_op), _pm((0, 2, 1, 3))),
     )
-    counit = Matrix(
-        [[d.c.unit[i] * d.a.counit.entry(0, k) for i in range(nc) for k in range(na)]]
-    )
+    counit = kron(dual_c.counit, d.a.counit)
 
     # (j, k): apply the inverse dual antipode to the dual leg, the antipode
     # of A to the other, then entwine.
     antipode = pipeline_matrix((nc, na), (nc, na), (
-        _ap(0, TensorOp(dual_c.antipode, (nc,), (nc,))),
+        _ap(0, dual_c.antipode_op),
         _ap(1, d.a.antipode_op),
         _pm((1, 0)),
         _ap(0, phi_dc),
@@ -322,22 +318,24 @@ def smash_coproduct(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     reading making the counit law hold is the product of the C-legs
     carried here.  Comultiplication entwines the first dual-A Sweedler
     leg with the C-leg.
+
+    On a monoidal datum this is dual_hopf(smash_product(d), "cop") with
+    its legs swapped, but not on hopfmod_h4 or a one-entry change of phi,
+    which `build cosmash` also takes; so it keeps its own construction.
     """
     nc, na = d.c_dim, d.a_dim
     dual_a = dual_hopf(d.a, "cop")
     # the displayed Sweedler legs on the dual factor are those of the plain
     # dual coproduct; the formula's own leg swap is what realizes the cop
     plain_dual_comul = TensorOp(d.a.mult.transpose(), (na,), (na, na))
-    phi_da = TensorOp(_dual_a_view(d), (na, nc), (nc, na))
+    phi_da = _dual_a_view(d)
 
     mult = pipeline_matrix(
         (na, nc, na, nc),
         (na, nc),
         (_pm((0, 2, 1, 3)), _ap(0, dual_a.mul_op), _ap(1, d.c.mul_op)),
     )
-    unit = Vector(
-        [d.a.counit.entry(0, i) * d.c.unit[k] for i in range(na) for k in range(nc)]
-    )
+    unit = kron(d.a.counit, Matrix.from_flat(d.c.unit, nc)).flat()
     names = [f"{an}^(x){cn}" for an in d.a.basis_names for cn in d.c.basis_names]
     alg = AlgebraData(na * nc, names, mult, unit)
 
@@ -349,14 +347,12 @@ def smash_coproduct(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
         _ap(0, phi_da),            # c1f i_dual g2 c2
         _pm((2, 0, 1, 3)),         # g2 c1f i_dual c2
     ))
-    counit = Matrix(
-        [[d.a.unit[i] * d.c.counit.entry(0, k) for i in range(na) for k in range(nc)]]
-    )
+    counit = kron(dual_a.counit, d.c.counit)
 
     antipode = pipeline_matrix((na, nc), (na, nc), (
         _ap(0, phi_da),  # c_out i_dual
         _pm((1, 0)),
-        _ap(0, TensorOp(dual_a.antipode, (na,), (na,))),
+        _ap(0, dual_a.antipode_op),
         _ap(1, d.c.antipode_op),
     ))
     coa = CoalgebraData(alg.dim, names, comult, counit)
@@ -417,12 +413,13 @@ def module_transport_from_smash(d: MonoidalEntwiningDatum, dim: int,
 
 def _smash_coords(g: HomCA) -> Vector:
     "Coordinates of sum_i e^i (x) g(e_i) on the smash product basis."
-    return Vector([x for row in g.map.transpose().rows() for x in row])
+    return g.map.transpose().flat()
 
 
 def _cosmash_row(g: HomCA) -> Matrix:
     "The functional f^u (x) e_c -> f^u(g(e_c)) on the smash coproduct basis."
-    return Matrix([[x for row in g.map.rows() for x in row]])
+    flat = g.map.flat()
+    return Matrix.from_flat(flat, flat.dim)
 
 
 def transport_pivot(d: MonoidalEntwiningDatum, g: HomCA,
@@ -436,9 +433,7 @@ def transport_pivot(d: MonoidalEntwiningDatum, g: HomCA,
 
 def extract_pivot(d: MonoidalEntwiningDatum, t: Element) -> HomCA:
     "Back from a pivot of the smash product: g(c) = sum T1(c) T2."
-    nc, na = d.c_dim, d.a_dim
-    rows = [[t.coords[j * na + k] for j in range(nc)] for k in range(na)]
-    return HomCA(d, Matrix(rows))
+    return HomCA(d, Matrix.from_flat(t.coords, d.a_dim).transpose())
 
 
 def _rmap_legs(q: DoubleQuantumGroup, perm) -> State:
@@ -488,9 +483,7 @@ def transport_copivot(d: MonoidalEntwiningDatum, g: HomCA,
 
 def extract_copivot(d: MonoidalEntwiningDatum, gamma: Functional) -> HomCA:
     "Back from a copivot of the smash coproduct: g(c) = sum Gamma(e^i (x) c) e_i."
-    nc, na = d.c_dim, d.a_dim
-    rows = [[gamma.coords.entry(0, i * nc + k) for k in range(nc)] for i in range(na)]
-    return HomCA(d, Matrix(rows))
+    return HomCA(d, Matrix.from_flat(gamma.coords.flat(), d.c_dim))
 
 
 def transport_coribbon(q: DoubleQuantumGroup, g: HomCA,
@@ -502,7 +495,7 @@ def transport_coribbon(q: DoubleQuantumGroup, g: HomCA,
         cosmash = smash_coproduct(d)
     # zeta((e^u (x) c_j) (x) (e^v (x) c_i)) = (e^u (x) e^v)(R(c_j (x) c_i))
     row = state_to_vector(_rmap_legs(q, (1, 0, 2, 3)), (d.a_dim, d.c_dim) * 2)
-    form = BilinearForm(cosmash, cosmash, Matrix([row]))
+    form = BilinearForm(cosmash, cosmash, Matrix.from_flat(row, row.dim))
     return form, Functional(cosmash, _cosmash_row(g))
 
 

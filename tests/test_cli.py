@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,33 @@ def test_build_commands(runner, tmp_path, h4_file, yd_file):
         res = runner.invoke(main, ["build", sub, *opts, "-o", str(out)])
         assert res.exit_code == 0, sub
         assert runner.invoke(main, ["check", "hopf", str(out)]).exit_code == 0, sub
+
+
+@pytest.mark.parametrize(
+    "cmd, source, field, entry, construction",
+    [
+        ("smash", "yd_h4", "phi", (0, 0, -1), "smash_product"),
+        ("cosmash", "yd_h4", "phi", (0, 0, -1), "smash_coproduct"),
+        ("double", "h4", "mult", (2, 13, 1), "drinfeld_double"),
+    ],
+)
+def test_build_with_singular_antipode_exits_2_and_writes_nothing(
+        runner, tmp_path, cmd, source, field, entry, construction):
+    """A file that loads but whose construction has a singular antipode is
+    bad input: one line names the file and the construction."""
+    doc = _exported(runner, tmp_path, source)
+    i, j, delta = entry
+    doc[field][i][j] = str(Fraction(doc[field][i][j]) + delta)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    opt = "--hopf" if cmd == "double" else "--datum"
+    res = runner.invoke(main, ["build", cmd, opt, str(path), "-o", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"Error: {path}: the antipode of its {construction} is singular\n" in res.output
+    assert "Traceback" not in res.output
+    assert not out.exists()
 
 
 def test_find_pivotal_machine_readable(runner, yd_file):

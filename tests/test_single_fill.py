@@ -4,12 +4,15 @@ A Hopf algebra is its own algebra and coalgebra, a monoidal datum its own
 entwining map and a module morphism checks its squares with the op it
 keeps, so no Matrix backs two TensorOps on one run.  The test records
 every column a Matrix-backed TensorOp fills, as (the Matrix, the input
-legs), and asserts that none is filled twice while a Hopf suite, the
-``check datum`` suite, morphism construction and braiding naturality run.
+legs), and asserts that none is filled twice while the Sweedler algebra is
+built and a Hopf suite, the ``check datum`` suite, morphism construction
+and braiding naturality run.  A second guard asserts that the smash
+constructions never make a Matrix of a map they use only as an op.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import pytest
@@ -20,18 +23,11 @@ from entwine.emodcat import ModuleMorphism, check_braiding_naturality, std_modul
 from entwine.entwining import check_antipode_compat, check_entwining, check_monoidal_datum
 from entwine.exactla import Matrix, TensorOp, sv_apply
 from entwine.hopfcore import check_hopf
+from entwine.smash import smash_coproduct, smash_product
 
 
 @pytest.fixture
-def h4():
-    """A fresh Sweedler algebra, built before recording starts: its
-    constructor reads a few product columns through a TensorOp of its own
-    before the Hopf algebra, and its mul_op, exist."""
-    return corpus.sweedler_h4()
-
-
-@pytest.fixture
-def fills(monkeypatch, h4):
+def fills(monkeypatch):
     """Counter of (id of the Matrix, legs) over every matrix-backed fill
     from here on.  The matrices are kept alive, so no id is reused."""
     seen, kept = Counter(), []
@@ -45,6 +41,14 @@ def fills(monkeypatch, h4):
 
     monkeypatch.setattr(TensorOp, "_fill_from_matrix", recording)
     return seen
+
+
+@pytest.fixture
+def h4(fills):
+    """A fresh Sweedler algebra, built while fills are recorded: its
+    constructor extends the coproduct and antipode through the product op
+    that the Hopf algebra then keeps."""
+    return corpus.sweedler_h4()
 
 
 def _twice(seen: Counter) -> list:
@@ -107,3 +111,51 @@ def test_supplied_morphism_joins_only_its_slot_when_m_is_n(h4, monkeypatch):
     monkeypatch.setattr(emodcat, "compare_item", counting)
     assert check_braiding_naturality(m, m, corpus.yd_dqg(h4), [extra]).overall
     assert scans == {"N1_left_slot": len(family) + 1, "N2_right_slot": len(family)}
+
+
+def test_sweedler_constructor_fills_each_product_column_once(h4, fills):
+    assert check_hopf(h4).overall
+    assert fills and not _twice(fills)
+
+
+@pytest.fixture
+def rewraps(monkeypatch):
+    """The functions that built a TensorOp over a Matrix that a step-built
+    op made in this run.  The op an object keeps over a map it stores (a
+    Hopf algebra's mul_op over its mult, a datum's phi_op over its phi) is
+    that map's one op and is not recorded."""
+    made, wrapped = {}, []
+    real_matrix, real_init = TensorOp.matrix, TensorOp.__init__
+
+    def matrix(self):
+        fresh = self._matrix is None
+        m = real_matrix.fget(self)
+        if fresh:
+            made[id(m)] = m
+        return m
+
+    def init(self, matrix, *args, **kwargs):
+        if matrix is not None and id(matrix) in made:
+            caller = sys._getframe(1)
+            owner = caller.f_locals.get("self")
+            if not any(v is matrix for v in getattr(owner, "__dict__", {}).values()):
+                wrapped.append(caller.f_code.co_name)
+        real_init(self, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(TensorOp, "matrix", property(matrix))
+    monkeypatch.setattr(TensorOp, "__init__", init)
+    return wrapped
+
+
+# check_braiding_naturality is left out: it wraps the Matrix that
+# emodcat.braiding() makes, and it must keep calling braiding(), whose time
+# the benchmark's modules-duality workload reads as emodcat.braiding.self_s.
+@pytest.mark.parametrize("build", [
+    lambda h4: smash_product(corpus.yd_datum(h4)),
+    lambda h4: smash_coproduct(corpus.yd_datum(h4)),
+    corpus.drinfeld_double,
+], ids=["smash_product", "smash_coproduct", "drinfeld_double"])
+def test_smash_constructions_wrap_no_materialised_view(build, rewraps):
+    h = build(corpus.sweedler_h4())
+    assert check_hopf(h).overall
+    assert rewraps == []

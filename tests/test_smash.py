@@ -247,6 +247,33 @@ def test_cosmash_of_flip_is_tensor_hopf(long_h4, h4):
     assert cm.antipode == kron(acop.antipode, h4.antipode)
 
 
+def _swapped_legs(h, nc, na):
+    """mult, unit, comult, counit and antipode of h on C (x) A*, carried to
+    A* (x) C along the leg swap p."""
+    p = matrix_from_columns_fn((nc, na), (na, nc), lambda t: {(t[1], t[0]): 1})
+    pt = p.transpose()
+    return (p * h.mult * kron(pt, pt), p * Matrix.from_flat(h.unit, 1),
+            kron(p, p) * h.comult * pt, h.counit * pt, p * h.antipode * pt)
+
+
+def _maps(h):
+    return h.mult, Matrix.from_flat(h.unit, 1), h.comult, h.counit, h.antipode
+
+
+def test_cosmash_is_the_cop_dual_of_the_smash_product_on_monoidal_datums(monoidal_datums, h4):
+    """On a monoidal datum the two constructions agree by duality: the smash
+    coproduct is the cop dual of the smash product, legs swapped.  On the
+    Hopf-module entwining, which is not monoidal, the antipodes differ, so
+    smash_coproduct keeps a construction of its own."""
+    for name, d in monoidal_datums.items():
+        dual = dual_hopf(smash_product(d), "cop")
+        assert _maps(smash_coproduct(d)) == _swapped_legs(dual, d.c_dim, d.a_dim), name
+    d = MonoidalEntwiningDatum(corpus.hopf_module_datum(h4))
+    mine = _maps(smash_coproduct(d))
+    dual = _swapped_legs(dual_hopf(smash_product(d), "cop"), 4, 4)
+    assert mine[:4] == dual[:4] and mine[4] != dual[4]
+
+
 # -- module transport -------------------------------------------------------
 
 
