@@ -13,14 +13,14 @@ S_A^2 and its coaction by S_C^{-2}, which keeps pivotal-structure
 matrices square.
 
 Every action, coaction, pairing and braiding is built by a kernel
-pipeline (TensorOp steps, with Cup and Cap for the dual-basis legs), and
-every axiom scan, the snake identities and braiding naturality included,
-goes through report.compare_item.
+pipeline (TensorOp steps, with Cup and Cap for the dual-basis legs).  A
+module's action and coaction and a morphism's map are each one TensorOp,
+made a Matrix only when ``action``, ``coaction`` or ``map`` is read.  Every
+axiom scan, snakes and naturality included, goes through compare_item.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import prod
 
 from .exactla import (
@@ -41,11 +41,11 @@ class EntwinedModule:
     in either as a Matrix, ``dim x (dim*dimA)`` and ``(dim*dimC) x dim``
     under the global index convention (file input, tensor_unit), or as a
     TensorOp on the legs (dim, dimA) -> (dim,) and (dim,) -> (dim, dimC)
-    (the pipeline-built constructors below).  Scans read ``action_op`` and
-    ``coaction_op``, so a step-built op builds only the columns a scan
-    reads.  ``action`` and ``coaction`` are their matrices, made on first
-    access: a file save, same_structure, a dual's transpose and
-    action_endomorphisms ask for them.
+    (the step-built constructors here and in smash).  Scans read the one
+    op each is kept as, ``action_op`` and ``coaction_op``, so a step-built
+    op builds only the columns a scan reads.  ``action`` and ``coaction``
+    are their matrices, made on first access: a file save, same_structure,
+    a dual's transpose and action_endomorphisms ask for them.
     """
 
     def __init__(self, datum: MonoidalEntwiningDatum, dim: int, action: Matrix | TensorOp,
@@ -141,19 +141,19 @@ class NotAMorphismError(ValueError):
 class ModuleMorphism:
     """A linear map between entwined modules over one datum.
 
-    Construction validates both commuting squares exactly and rejects
-    invalid maps with NotAMorphismError, so downstream operations may
-    assume morphism-ness.
+    The map comes as a Matrix or a TensorOp and is kept as ``op``; ``map``
+    is its matrix, made on first access.  Construction validates both
+    commuting squares exactly and rejects invalid maps with
+    NotAMorphismError, so downstream operations may assume morphism-ness.
     """
 
-    def __init__(self, source: EntwinedModule, target: EntwinedModule, map: Matrix):
+    def __init__(self, source: EntwinedModule, target: EntwinedModule, map: Matrix | TensorOp):
         if not datums_compatible(source.datum, target.datum):
             raise ValueError("source and target live over different datums")
-        if map.nrows != target.dim or map.ncols != source.dim:
-            raise ValueError("map must be target.dim x source.dim")
+        self.op = _module_op(map, (source.dim,), (target.dim,),
+                             "map must be target.dim x source.dim")
         self.source = source
         self.target = target
-        self.map = map
         d, f_op = source.datum, self.op
         linear = compare_item(
             "A_linear",
@@ -174,9 +174,9 @@ class ModuleMorphism:
         if not colinear.passed:
             raise NotAMorphismError("comodule-colinear", colinear)
 
-    @cached_property
-    def op(self) -> TensorOp:
-        return TensorOp(self.map, (self.source.dim,), (self.target.dim,))
+    @property
+    def map(self) -> Matrix:
+        return self.op.matrix
 
     def then(self, other: "ModuleMorphism") -> "ModuleMorphism":
         if other.source is not self.target and not other.source.same_structure(self.target):
@@ -327,12 +327,15 @@ def right_dual(m: EntwinedModule) -> DualityData:
 
 
 def check_duality(m: EntwinedModule, dd: DualityData) -> AxiomReport:
-    "Snake identities plus morphism-ness of ev and coev."
+    """Snake identities plus morphism-ness of ev and coev.  Each map has one
+    op, on the flat legs D3/D4 take; the snakes read it on split legs."""
     d = m.datum
     dim = m.dim
     dual = dd.dual_module
-    ev = TensorOp(dd.ev, (dim, dim), ())
-    coev = TensorOp(dd.coev, (), (dim, dim))
+    ev_op = TensorOp(dd.ev, (dim * dim,), (1,))
+    coev_op = TensorOp(dd.coev, (1,), (dim * dim,))
+    ev = TensorOp(None, (dim, dim), (), (_ap(0, ev_op),), ((dim * dim,), (1,)))
+    coev = TensorOp(None, (), (dim, dim), (_ap(0, coev_op),), ((1,), (dim * dim,)))
     left = dd.side == "left"
     # left:  (V (x) ev)(coev (x) V) = id_V ; (ev (x) V*)(V* (x) coev) = id_V*
     # right: (ev~ (x) V)(V (x) coev~) = id_V ; (V* (x) ev~)(coev~ (x) V*) = id_V*
@@ -357,8 +360,8 @@ def check_duality(m: EntwinedModule, dd: DualityData) -> AxiomReport:
     items = [
         snake_item("D1_snake_object", snake_obj),
         snake_item("D2_snake_dual", snake_dual),
-        morphism_item("D3_ev_morphism", ev_src, unit, dd.ev),
-        morphism_item("D4_coev_morphism", unit, coev_tgt, dd.coev),
+        morphism_item("D3_ev_morphism", ev_src, unit, ev_op),
+        morphism_item("D4_coev_morphism", unit, coev_tgt, coev_op),
     ]
     return AxiomReport(items)
 

@@ -525,16 +525,17 @@ def invert(a: Matrix) -> Matrix:
 #  * a Matrix: a column is read off the matrix, each row index unflattened
 #    once per op;
 #  * kernel steps: they run over only the missing tuples, BATCH_CAP at a
-#    time (run_batch), on legs that may be finer than the op's own (a
-#    tensor module's action runs on (m, n, a) legs and is an op on
-#    (m*n, a) legs; a tuple has the same flat index over both).
+#    time (run_batch), on legs that may differ from the op's own (a tensor
+#    module's (m*n, a) action runs on (m, n, a) legs, a snake's (m, m) ev
+#    on (m*m,) legs; a tuple has the same flat index over both).
 # So a step-built op builds the columns a scan reads and no others.  Its
-# Matrix is made only when something asks for ``matrix`` (a dual module's
-# transpose, a file save, an equality): the missing columns are filled and
-# the table goes through matrix_from_columns_fn.  pipeline_matrix is that
-# materialisation of a fresh step-built op.  A map used only as an op
-# stays step-built and is never made a Matrix and wrapped again: each map
-# has one op, so each of its columns is filled once.
+# Matrix is made only when something reads ``matrix``: a module's
+# ``action``/``coaction`` (a dual's transpose, a file save, an equality) or
+# a morphism's ``map`` (then, transpose, nat_to_hom).  The missing columns
+# are filled and the table goes through matrix_from_columns_fn.
+# pipeline_matrix is that materialisation of a fresh step-built op.  A map
+# used only as an op stays step-built and is never made a Matrix and
+# wrapped again: each map has one op, so each column is filled once.
 #
 # Coefficients are ints where integral: a TensorOp hands out the integral
 # entries of its matrix as ints, SlotLeg, Cup, Cap and the seeds use 1, and

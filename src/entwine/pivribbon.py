@@ -236,13 +236,10 @@ def verify_ribbon(q: DoubleQuantumGroup, g: HomCA) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
-def _act_by_g_matrix(m: EntwinedModule, g: HomCA) -> Matrix:
-    "Matrix of x -> x0 . g(x1) on a module."
-    return pipeline_matrix(
-        (m.dim,),
-        (m.dim,),
-        (_ap(0, m.coaction_op), _ap(1, g.op), _ap(0, m.action_op)),
-    )
+def _act_by_g_op(m: EntwinedModule, g: HomCA) -> TensorOp:
+    "x -> x0 . g(x1) on a module, as a step-built op."
+    return TensorOp(None, (m.dim,), (m.dim,),
+                    (_ap(0, m.coaction_op), _ap(1, g.op), _ap(0, m.action_op)))
 
 
 def require_verified(kind: str, target, g: HomCA) -> None:
@@ -261,13 +258,13 @@ def pivotal_structure(d: MonoidalEntwiningDatum, g: HomCA, m: EntwinedModule) ->
     construction and is invertible whenever g verifies.
     """
     require_verified("pivotal", d, g)
-    return ModuleMorphism(m, double_right_dual(m), _act_by_g_matrix(m, g))
+    return ModuleMorphism(m, double_right_dual(m), _act_by_g_op(m, g))
 
 
 def twist(q: DoubleQuantumGroup, g: HomCA, m: EntwinedModule) -> ModuleMorphism:
     "theta_m: m -> m, x -> x0 . g(x1); rejects unverified ribbon candidates."
     require_verified("ribbon", q, g)
-    return ModuleMorphism(m, m, _act_by_g_matrix(m, g))
+    return ModuleMorphism(m, m, _act_by_g_op(m, g))
 
 
 def nat_to_hom(d: MonoidalEntwiningDatum, map_matrix: Matrix, kind: str) -> HomCA:

@@ -34,7 +34,7 @@ from .exactla import (
     pipeline_matrix,
     state_to_vector,
 )
-from .emodcat import EntwinedModule
+from .emodcat import EntwinedModule, _action_op, _coaction_op
 from .entwining import (
     DoubleQuantumGroup,
     EntwiningMap,
@@ -325,9 +325,6 @@ def smash_coproduct(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     """
     nc, na = d.c_dim, d.a_dim
     dual_a = dual_hopf(d.a, "cop")
-    # the displayed Sweedler legs on the dual factor are those of the plain
-    # dual coproduct; the formula's own leg swap is what realizes the cop
-    plain_dual_comul = TensorOp(d.a.mult.transpose(), (na,), (na, na))
     phi_da = _dual_a_view(d)
 
     mult = pipeline_matrix(
@@ -339,9 +336,11 @@ def smash_coproduct(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     names = [f"{an}^(x){cn}" for an in d.a.basis_names for cn in d.c.basis_names]
     alg = AlgebraData(na * nc, names, mult, unit)
 
-    # (g, c): split both legs, entwine gamma_1 against c_1
+    # (g, c): split both legs, entwine gamma_1 against c_1.  The displayed
+    # dual legs are the plain dual coproduct's, so dual_a's cop ones swap back
     comult = pipeline_matrix((na, nc), (na, nc, na, nc), (
-        _ap(0, plain_dual_comul),  # g1 g2 c
+        _ap(0, dual_a.comul_op),
+        _pm((1, 0)),               # g1 g2 c
         _ap(2, d.c.comul_op),      # g1 g2 c1 c2
         _pm((0, 2, 1, 3)),         # g1 c1 g2 c2
         _ap(0, phi_da),            # c1f i_dual g2 c2
@@ -387,15 +386,15 @@ def module_transport_from_smash(d: MonoidalEntwiningDatum, dim: int,
     nc, na = d.c_dim, d.a_dim
     act = TensorOp(action, (dim, nc, na), (dim,))
     cup = Cup(nc)
-    new_action = pipeline_matrix(
-        (dim, na),
+    new_action = _action_op(
         (dim,),
+        na,
         # x k -> x i i k -> x i k weighted by eps_C(e_i) -> x <- (e^i (x) f_k)
         (_ap(1, cup), _ap(2, d.c.counit_op), _ap(0, act)),
     )
-    new_coaction = pipeline_matrix(
+    new_coaction = _coaction_op(
         (dim,),
-        (dim, nc),
+        nc,
         (
             _ap(1, cup),          # x i i
             _ap(3, d.a.unit_op),  # x i i 1_A

@@ -34,7 +34,7 @@ from entwine.entwining import (
 from entwine.exactla import Matrix, TensorOp, Vector, invert, kron, matrix_from_columns_fn
 from entwine.hopfcore import Element, Functional, check_hopf, verify_copivot, verify_pivot
 from entwine.pivribbon import (
-    _act_by_g_matrix,
+    _act_by_g_op,
     find_morphisms,
     nat_to_hom,
     pivotal_structure,
@@ -49,7 +49,6 @@ from entwine.smash import (
     extract_pivot,
     module_transport_from_smash,
     module_transport_to_smash,
-    smash_coproduct,
     smash_identity_checks,
     smash_product,
     transport_copivot,
@@ -202,8 +201,8 @@ def test_criterion_09_convolution_algebra(monoidal_datums, yd_h4):
                 g = random_hom(d)
                 assert conv_product(u, g).map == g.map
                 assert conv_product(g, u).map == g.map
-                assert nat_to_hom(d, _act_by_g_matrix(mca, g), "ribbon").map == g.map
-                assert nat_to_hom(d, _act_by_g_matrix(mac, g), "pivotal").map == g.map
+                assert nat_to_hom(d, _act_by_g_op(mca, g).matrix, "ribbon").map == g.map
+                assert nat_to_hom(d, _act_by_g_op(mac, g).matrix, "pivotal").map == g.map
             for _ in range(5):
                 a, b, c = random_hom(d), random_hom(d), random_hom(d)
                 assert conv_product(conv_product(a, b), c).map == conv_product(

@@ -53,7 +53,7 @@ from entwine.exactla import (
 )
 from entwine.hopfcore import AlgebraData, CoalgebraData, HopfAlgebraData, check_hopf, dual_hopf
 from entwine.pivribbon import (
-    _act_by_g_matrix,
+    _act_by_g_op,
     _linear_system,
     find_morphisms,
     nat_to_hom,
@@ -362,8 +362,8 @@ def _built_matrices():
         out[f"{name}.conv_ops"] = [ent._operator(d, (nc,), (na,), ent._conv_side, g.op, first)
                                    for first in (True, False)]
         out[f"{name}.conv2_inverse"] = ent.conv2_inverse(d, q.rmap)
-        out[f"{name}.act_by_g"] = _act_by_g_matrix(ca, g)
-        out[f"{name}.nat_to_hom"] = nat_to_hom(d, _act_by_g_matrix(ca, g), "ribbon").map
+        out[f"{name}.act_by_g"] = _act_by_g_op(ca, g).matrix
+        out[f"{name}.nat_to_hom"] = nat_to_hom(d, _act_by_g_op(ca, g).matrix, "ribbon").map
         for kind in ("pivotal", "ribbon"):
             out[f"{name}.{kind}_system"] = _linear_system(d, kind)
     return out

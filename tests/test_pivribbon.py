@@ -17,10 +17,10 @@ from entwine.emodcat import (
     transpose,
 )
 from entwine.entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum, conv_unit
-from entwine.exactla import Matrix, Vector, invert, kron
+from entwine.exactla import Matrix, Vector, invert, kron, unflatten_index
 from entwine.hopfcore import Element, Functional, trivial_hopf
 from entwine.pivribbon import (
-    _act_by_g_matrix,
+    _act_by_g_op,
     find_morphisms,
     nat_to_hom,
     pivotal_structure,
@@ -126,6 +126,77 @@ def test_ribbon_unit_morphism_fails_on_yd_h4(yd_dqg_h4):
     rep = verify_ribbon(yd_dqg_h4, conv_unit(yd_dqg_h4.datum))
     assert not rep.overall
     assert rep.failed_ids() == ["R3_braided_square"]
+
+
+def _swap(m, n):
+    "The permutation matrix of u (x) v -> v (x) u, for u over m and v over n."
+    rows = [[0] * (m * n) for _ in range(m * n)]
+    for i in range(m):
+        for j in range(n):
+            rows[j * m + i][i * n + j] = 1
+    return Matrix(rows)
+
+
+def _ribbon_law_sides(d, g, axiom_id):
+    """(scan dims, lhs, rhs) of R1 or R2 for g, as matrices from kron and
+    products: R1 g(c) a = a_phi g(c^phi) over (a, c), R2 g(c1) (x) c2 =
+    g(c2)_phi (x) c1^phi over c."""
+    na, nc, gm = d.a_dim, d.c_dim, g.map
+    eye_a, eye_c = Matrix.identity(na), Matrix.identity(nc)
+    return {
+        "R1_action": ((na, nc), d.a.mult * _swap(na, na) * kron(eye_a, gm),
+                      d.a.mult * kron(eye_a, gm) * d.phi * _swap(na, nc)),
+        "R2_coaction": ((nc,), _swap(nc, na) * kron(eye_c, gm) * _swap(nc, nc) * d.c.comult,
+                        d.phi * kron(eye_c, gm) * d.c.comult),
+    }[axiom_id]
+
+
+# yd_dqg_h4, basis 1, e, x, y on both sides.  The convolution unit
+# g(c) = eps(c) 1 passes R1 and R2; raising its entry (0, 0) by 1 makes
+# g(1) = 2 and keeps g(e) = 1, g(x) = g(y) = 0.
+#  - R1 first differs at (a, c) = (x, 1): g(1) x = 2x against
+#    x_phi g(1^phi) = x.
+#  - R2 first differs at c = x: g(x1) (x) x2 = 1 (x) x against
+#    g(x2)_phi (x) x1^phi = 2 (1 (x) x).  Outputs over (A, C) flatten as
+#    u * 4 + v, so 1 (x) x sits at index 2.
+@pytest.mark.parametrize("axiom_id, basis, lhs, rhs", [
+    ("R1_action", (2, 0), [0, 0, 2, 0], [0, 0, 1, 0]),
+    ("R2_coaction", (2,), [0, 0, 1] + [0] * 13, [0, 0, 2] + [0] * 13),
+])
+def test_one_entry_perturbation_fails_ribbon_law(yd_dqg_h4, axiom_id, basis, lhs, rhs):
+    d = yd_dqg_h4.datum
+    unit = conv_unit(d)
+    assert verify_ribbon(yd_dqg_h4, unit).item(axiom_id).passed
+    rows = [list(r) for r in unit.map.rows()]
+    rows[0][0] += 1
+    g = HomCA(d, Matrix(rows))
+    item = verify_ribbon(yd_dqg_h4, g).item(axiom_id)
+    assert not item.passed
+    dims, l_mat, r_mat = _ribbon_law_sides(d, g, axiom_id)
+    first = next(j for j in range(l_mat.ncols) if l_mat.col(j) != r_mat.col(j))
+    w = item.witness
+    assert (w.basis, w.lhs, w.rhs) == (unflatten_index(dims, first), l_mat.col(first),
+                                      r_mat.col(first))
+    assert (w.basis, list(w.lhs), list(w.rhs)) == (basis, lhs, rhs)
+
+
+def test_every_one_entry_change_of_the_convolution_unit_fails_r1_and_r2(yd_dqg_h4):
+    d = yd_dqg_h4.datum
+    unit_rows = conv_unit(d).map.rows()
+    for i in range(d.a_dim):
+        for j in range(d.c_dim):
+            for delta in (1, -1):
+                rows = [list(r) for r in unit_rows]
+                rows[i][j] += delta
+                failed = verify_ribbon(yd_dqg_h4, HomCA(d, Matrix(rows))).failed_ids()
+                assert {"R1_action", "R2_coaction"} <= set(failed), (i, j, delta)
+
+
+def test_ribbon_law_oracle_agrees_on_the_convolution_unit(yd_dqg_h4):
+    d = yd_dqg_h4.datum
+    for axiom_id in ("R1_action", "R2_coaction"):
+        _, l_mat, r_mat = _ribbon_law_sides(d, conv_unit(d), axiom_id)
+        assert l_mat == r_mat, axiom_id
 
 
 # -- induced structures -----------------------------------------------------
@@ -298,9 +369,9 @@ def test_nat_to_hom_round_trips_random(monoidal_datums):
         mac = std_module_AC(d)
         for _ in range(20):
             g = _random_hom(d, rng)
-            theta = _act_by_g_matrix(mca, g)
+            theta = _act_by_g_op(mca, g).matrix
             assert nat_to_hom(d, theta, "ribbon").map == g.map, name
-            beta = _act_by_g_matrix(mac, g)
+            beta = _act_by_g_op(mac, g).matrix
             assert nat_to_hom(d, beta, "pivotal").map == g.map, name
 
 

@@ -3,11 +3,14 @@
 A Hopf algebra is its own algebra and coalgebra, a monoidal datum its own
 entwining map and a module morphism checks its squares with the op it
 keeps, so no Matrix backs two TensorOps on one run.  The test records
-every column a Matrix-backed TensorOp fills, as (the Matrix, the input
-legs), and asserts that none is filled twice while the Sweedler algebra is
-built and a Hopf suite, the ``check datum`` suite, morphism construction
-and braiding naturality run.  A second guard asserts that the smash
-constructions never make a Matrix of a map they use only as an op.
+every column a Matrix-backed TensorOp fills, as (the Matrix, the flat
+column index), so two ops over one Matrix on different legs show up too,
+and asserts that none is filled twice while the Sweedler algebra is built
+and a Hopf suite, the ``check datum`` suite, morphism construction, the
+duality checks, pivotal and twist morphisms, the module transport back
+from the smash product and braiding naturality run.  A second guard
+asserts that the smash constructions and the module transport never make
+a Matrix of a map they use only as an op.
 """
 
 from __future__ import annotations
@@ -19,24 +22,40 @@ import pytest
 
 from entwine import corpus
 from entwine import emodcat
-from entwine.emodcat import ModuleMorphism, check_braiding_naturality, std_module_CA
+from entwine.emodcat import (
+    ModuleMorphism,
+    check_braiding_naturality,
+    check_duality,
+    check_entwined_module,
+    left_dual,
+    right_dual,
+    std_module_AC,
+    std_module_CA,
+)
 from entwine.entwining import check_antipode_compat, check_entwining, check_monoidal_datum
-from entwine.exactla import Matrix, TensorOp, sv_apply
+from entwine.exactla import Matrix, TensorOp, flatten_index, sv_apply
 from entwine.hopfcore import check_hopf
-from entwine.smash import smash_coproduct, smash_product
+from entwine.pivribbon import pivotal_structure, twist
+from entwine.smash import (
+    module_transport_from_smash,
+    module_transport_to_smash,
+    smash_coproduct,
+    smash_product,
+)
 
 
 @pytest.fixture
 def fills(monkeypatch):
-    """Counter of (id of the Matrix, legs) over every matrix-backed fill
-    from here on.  The matrices are kept alive, so no id is reused."""
+    """Counter of (id of the Matrix, flat column index) over every
+    matrix-backed fill from here on.  The matrices are kept alive, so no id
+    is reused."""
     seen, kept = Counter(), []
     real = TensorOp._fill_from_matrix
 
     def recording(self, legs):
         legs = list(legs)
         kept.append(self._matrix)
-        seen.update((id(self._matrix), t) for t in legs)
+        seen.update((id(self._matrix), flatten_index(self.in_dims, t)) for t in legs)
         return real(self, legs)
 
     monkeypatch.setattr(TensorOp, "_fill_from_matrix", recording)
@@ -118,6 +137,47 @@ def test_sweedler_constructor_fills_each_product_column_once(h4, fills):
     assert fills and not _twice(fills)
 
 
+# the left dual of C (x) A and the right dual of A (x) C: each snake reads
+# ev and coev on split legs, and D3/D4 read them on flat ones
+@pytest.mark.parametrize("module, dualize", [
+    (std_module_CA, left_dual),
+    (std_module_AC, right_dual),
+], ids=["left_CA", "right_AC"])
+def test_duality_check_fills_each_column_once(h4, fills, module, dualize):
+    m = module(corpus.yd_datum(h4))
+    dd = dualize(m)
+    rep = check_duality(m, dd)
+    assert rep.overall
+    assert [it.axiom_id for it in rep.items] == [
+        "D1_snake_object", "D2_snake_dual", "D3_ev_morphism", "D4_coev_morphism"]
+    assert fills and not _twice(fills)
+    assert {(id(dd.ev), j) for j in range(m.dim * m.dim)} <= set(fills)
+
+
+def test_pivotal_structure_fills_each_column_once(h4, fills):
+    d = corpus.yd_datum(h4)
+    g1, _ = corpus.h4_yd_pivotal_pair(d)
+    beta = pivotal_structure(d, g1, std_module_CA(d))
+    assert beta.map.nrows == beta.map.ncols == 16
+    assert fills and not _twice(fills)
+
+
+def test_twist_fills_each_column_once(fills):
+    q = corpus.corpus_dqgs()["long_dqg_kz2"]
+    m = std_module_CA(q.datum)
+    theta = twist(q, corpus.long_kz2_ribbon(), m)
+    assert theta.map.nrows == theta.map.ncols == m.dim
+    assert fills and not _twice(fills)
+
+
+def test_module_transport_from_smash_fills_each_column_once(h4, fills):
+    d = corpus.yd_datum(h4)
+    m = std_module_CA(d)
+    back = module_transport_from_smash(d, m.dim, module_transport_to_smash(m))
+    assert check_entwined_module(back).overall
+    assert fills and not _twice(fills)
+
+
 @pytest.fixture
 def rewraps(monkeypatch):
     """The functions that built a TensorOp over a Matrix that a step-built
@@ -158,4 +218,16 @@ def rewraps(monkeypatch):
 def test_smash_constructions_wrap_no_materialised_view(build, rewraps):
     h = build(corpus.sweedler_h4())
     assert check_hopf(h).overall
+    assert rewraps == []
+
+
+def test_module_transport_from_smash_wraps_no_materialised_view(request):
+    d = corpus.yd_datum(corpus.sweedler_h4())
+    m = std_module_CA(d)
+    action = module_transport_to_smash(m)
+    # recorded from here on: the smash action above is the input, not a view
+    rewraps = request.getfixturevalue("rewraps")
+    back = module_transport_from_smash(d, m.dim, action)
+    assert check_entwined_module(back).overall
+    assert back.same_structure(m)
     assert rewraps == []
