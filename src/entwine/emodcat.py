@@ -301,10 +301,9 @@ def _dual_module(m: EntwinedModule, antipode_a: TensorOp, antipode_c: TensorOp) 
 
 
 def _pairing_copairing(dim: int) -> tuple[Matrix, Matrix]:
-    "The canonical pairing (a Cap) and copairing (a Cup) as matrices."
-    ev = pipeline_matrix((dim, dim), (), (_ap(0, Cap()),))
-    coev = pipeline_matrix((), (dim, dim), (_ap(0, Cup(dim)),))
-    return ev, coev
+    "The canonical pairing (a Cap) and copairing (a Cup) as matrices: the flattened identity."
+    ev = Matrix.from_flat(Matrix.identity(dim).flat(), dim * dim)
+    return ev, ev.transpose()
 
 
 def left_dual(m: EntwinedModule) -> DualityData:

@@ -4,18 +4,19 @@ A pivotal candidate is a linear map g: C -> A satisfying one quadratic
 grouplike-style law plus three linear laws; verified candidates induce
 a monoidal isomorphism onto the double right dual (beta) on every
 module.  A ribbon candidate satisfies the braided analogues and induces
-a twist (theta).  Verification is exhaustive and exact; the finder
-solves the linear laws into an affine family first and is explicitly
-staged and honest about what it cannot decide -- the quadratic law is
-only solved when elimination leaves at most one parameter in degree at
-most two with rational roots.
+a twist (theta).  Verification is exhaustive and exact.  The finder
+solves the linear laws into an affine family, then branches and pins on
+the quadratic law over that family: a degree-1 residual pins a
+parameter, a residual with a common variable splits, a one-variable
+residual splits on its rational roots.  A branch that none of these
+rules reaches stays open, and the finder says so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from .exactla import (
     ONE,
@@ -267,7 +268,8 @@ def twist(q: DoubleQuantumGroup, g: HomCA, m: EntwinedModule) -> ModuleMorphism:
     return ModuleMorphism(m, m, _act_by_g_op(m, g))
 
 
-def nat_to_hom(d: MonoidalEntwiningDatum, map_matrix: Matrix, kind: str) -> HomCA:
+def nat_to_hom(d: MonoidalEntwiningDatum, map_matrix: Matrix | ModuleMorphism,
+               kind: str) -> HomCA:
     """Extract the C -> A map from a natural family evaluated on a standard
     module.
 
@@ -275,24 +277,26 @@ def nat_to_hom(d: MonoidalEntwiningDatum, map_matrix: Matrix, kind: str) -> HomC
     is (eps (x) id) theta(c (x) 1).  kind == "pivotal": the input sends
     A (x) C to its double right dual on the canonical basis and the map
     is (id (x) eps) beta(1 (x) c).  A ModuleMorphism is accepted in place
-    of its matrix.
+    of its matrix, and its op is read on split legs.
     """
-    if isinstance(map_matrix, ModuleMorphism):
-        map_matrix = map_matrix.map
     nc, na = d.c_dim, d.a_dim
     if kind == "ribbon":
-        if map_matrix.nrows != nc * na or map_matrix.ncols != nc * na:
-            raise ValueError("expected an endomorphism matrix of C (x) A")
-        op = TensorOp(map_matrix, (nc, na), (nc, na))
-        steps = (_ap(1, d.a.unit_op), _ap(0, op), _ap(0, d.c.counit_op))
+        legs, error = (nc, na), "expected an endomorphism matrix of C (x) A"
+        ends = _ap(1, d.a.unit_op), _ap(0, d.c.counit_op)
     elif kind == "pivotal":
-        if map_matrix.nrows != na * nc or map_matrix.ncols != na * nc:
-            raise ValueError("expected a square matrix on A (x) C")
-        op = TensorOp(map_matrix, (na, nc), (na, nc))
-        steps = (_ap(0, d.a.unit_op), _ap(0, op), _ap(1, d.c.counit_op))
+        legs, error = (na, nc), "expected a square matrix on A (x) C"
+        ends = _ap(0, d.a.unit_op), _ap(1, d.c.counit_op)
     else:
         raise ValueError("kind must be 'pivotal' or 'ribbon'")
-    return HomCA(d, pipeline_matrix((nc,), (na,), steps))
+    if isinstance(map_matrix, ModuleMorphism):
+        op = map_matrix.op
+    else:
+        op = TensorOp(map_matrix, (map_matrix.ncols,), (map_matrix.nrows,))
+    flat = ((nc * na,), (nc * na,))
+    if (op.in_dims, op.out_dims) != flat:
+        raise ValueError(error)
+    op = TensorOp(None, legs, legs, (_ap(0, op),), flat)
+    return HomCA(d, pipeline_matrix((nc,), (na,), (ends[0], _ap(0, op), ends[1])))
 
 
 def separable_candidate(d: MonoidalEntwiningDatum, kappa: Element, rho: Functional,
@@ -305,7 +309,7 @@ def separable_candidate(d: MonoidalEntwiningDatum, kappa: Element, rho: Function
 
 
 # ---------------------------------------------------------------------------
-# Finder: staged exact search for candidates
+# Finder: an exact linear solve, then branch and pin on the quadratic law
 # ---------------------------------------------------------------------------
 
 
@@ -368,27 +372,34 @@ class _Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def times(self, other: "_Poly") -> "_Poly":
+        out = _Poly()
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                out.add_term(m1 + m2, c1 * c2)
+        return out
+
     def substitute(self, assignment: dict) -> "_Poly":
+        "Replace each assigned variable by its _Poly value, of degree <= 1."
+        if self.variables().isdisjoint(assignment):
+            return self
         out = _Poly()
         for mono, coeff in self.terms.items():
-            c = coeff
-            rest = []
+            term = _Poly({tuple(v for v in mono if v not in assignment): coeff})
             for v in mono:
                 if v in assignment:
-                    c *= assignment[v]
-                else:
-                    rest.append(v)
-            if c != 0:
-                out.add_term(tuple(rest), c)
+                    term = term.times(assignment[v])
+            for m, c in term.terms.items():
+                out.add_term(m, c)
         return out
 
 
 def _rational_roots_deg2(poly: _Poly, var: int) -> list[Fraction]:
     """Rational roots of a polynomial of degree exactly 2 in var alone.
 
-    find_morphisms only gets here with such polynomials: its pinning loop
-    pins every residual of degree 1 in the one remaining variable, stops
-    on a nonzero constant and drops the zero residuals.
+    _branches only gets here with such polynomials: it pins every residual
+    of degree 1 first, ends a branch on a nonzero constant and drops the
+    zero residuals.
     """
     c0 = poly.terms.get((), ZERO)
     c1 = poly.terms.get((var,), ZERO)
@@ -449,15 +460,65 @@ def _quadratic_residuals(d: MonoidalEntwiningDatum, kind: str,
     return [p for p in polys.values() if not p.is_zero()]
 
 
-def find_morphisms(target, kind: str, max_params: int = 4) -> FinderResult:
-    """Stage the search: exact affine solve of the linear laws, then an
-    honest attempt at the quadratic law.
+def _affine_pin(p: _Poly) -> tuple:
+    "The pin (v, e) that solves the degree-1 polynomial p for its last variable v."
+    v = max(p.variables())
+    c = p.terms[(v,)]
+    return v, _Poly({m: -x / c for m, x in p.terms.items() if m != (v,)})
 
-    Returns status "complete" (the solution list is exhaustive),
-    "parametric" (an affine family satisfying the linear laws is
-    returned, with any verified sample points), or "undecided" (the
-    family has more parameters than max_params).  Every listed solution
-    passes its verifier.
+
+def _split(live: list[_Poly]) -> list | None:
+    """The pins of a branch's children, by the first rule that applies: a
+    degree-1 residual pins its last variable; a residual whose monomials
+    all contain v splits into v = 0 and rest = 0; a residual in one
+    variable splits on its rational roots.  None leaves the branch open."""
+    for p in live:
+        if p.degree() == 1:
+            return [_affine_pin(p)]
+    for p in live:
+        common = set.intersection(*(set(m) for m in p.terms))
+        if common:
+            v = max(common)
+            rest = _Poly({m[:m.index(v)] + m[m.index(v) + 1:]: x for m, x in p.terms.items()})
+            return [(v, _Poly()), _affine_pin(rest)]
+    for p in live:
+        if len(p.variables()) == 1:
+            v, = p.variables()
+            return [(v, _Poly({(): r})) for r in _rational_roots_deg2(p, v)]
+    return None
+
+
+def _branches(residuals: list[_Poly], pins: tuple = ()):
+    """Yield the leaves of the branch-and-pin recursion on the residuals, as
+    tuples of pins (v, e): parameter v equals the affine _Poly e in the
+    parameters pinned after it or left free.  A nonzero constant ends a
+    branch with no leaf.  A leaf that pins every parameter is a point
+    where every residual vanishes; any other leaf is open.  Each step pins
+    a parameter, so k parameters give at most 2^k leaves."""
+    live = [p for p in residuals if not p.is_zero()]
+    if any(p.degree() == 0 for p in live):
+        return
+    children = _split(live)
+    if children is None:
+        yield pins
+    for v, e in children or ():
+        yield from _branches([p.substitute({v: e}) for p in live], (*pins, (v, e)))
+
+
+def find_morphisms(target, kind: str, max_params: int = 4) -> FinderResult:
+    """Solve the linear laws into an exact affine family, then run the
+    branch-and-pin recursion of _branches on the quadratic law over it.
+
+    Every listed solution passes its verifier.  The status says what the
+    list proves:
+    - "complete": every solution over Q is listed.  The linear stage was
+      inconsistent, its solution was unique, or every branch closed on a
+      point; the points that pass the verifier are listed;
+    - "parametric": a branch stayed open, so solutions may be missing.
+      The verified points are listed with the verified samples of each
+      open branch, and the affine family is returned;
+    - "undecided": the family has more than max_params parameters, and
+      only verified samples of it are listed.
     """
     if kind == "pivotal":
         d = target if isinstance(target, MonoidalEntwiningDatum) else target.datum
@@ -475,123 +536,49 @@ def find_morphisms(target, kind: str, max_params: int = 4) -> FinderResult:
     family = stage1_affine_family(d, kind)
     if family is None:
         return FinderResult("complete", [], None, "linear stage inconsistent")
+    k = family.dimension
 
-    def hom_from_assignment(assignment: dict) -> HomCA:
-        v = list(family.particular)
-        for s, h in enumerate(family.nullspace_basis):
-            c = assignment.get(s, ZERO)
-            if c != 0:
-                v = [a + c * b for a, b in zip(v, h)]
-        return HomCA(d, Matrix.from_flat(v, d.c_dim))
-
-    def wrap(g: HomCA) -> MorphismCandidate:
-        return MorphismCandidate(d, g, kind)
-
-    def probe_samples(assignment: dict) -> list[MorphismCandidate]:
-        """Deterministic sample points of the family that happen to verify:
-        the pinned assignment itself, then one step along each free axis."""
-        seen: set = set()
+    def samples(pins: tuple) -> list[dict]:
+        """A leaf's sample assignments: every free parameter at 0, then +-1
+        along each free axis, with the pins evaluated last-pinned first."""
+        free = [s for s in range(k) if s not in dict(pins)]
         out = []
-        trials = [dict(assignment)]
-        for s in range(family.dimension):
-            if s not in assignment:
-                trials.append({**assignment, s: ONE})
-                trials.append({**assignment, s: -ONE})
-        for trial in trials:
-            g = hom_from_assignment(trial)
-            if g.map in seen:
-                continue
-            seen.add(g.map)
-            if verifier(g):
-                out.append(wrap(g))
+        for trial in [{}] + [{s: x} for s in free for x in (ONE, -ONE)]:
+            t = {s: trial.get(s, ZERO) for s in free}
+            for v, e in reversed(pins):
+                t[v] = sum((c * prod(t[u] for u in m) for m, c in e.terms.items()), ZERO)
+            out.append(t)
         return out
 
-    if family.dimension == 0:
-        g = hom_from_assignment({})
-        if verifier(g):
-            return FinderResult("complete", [wrap(g)], family, "unique linear solution verified")
-        return FinderResult("complete", [], family, "unique linear solution fails verification")
+    def verified(assignments) -> list[MorphismCandidate]:
+        "The distinct maps g0 + sum t_s h_s of the assignments that verify."
+        seen: set = set()
+        out = []
+        for t in assignments:
+            v = list(family.particular)
+            for s, h in enumerate(family.nullspace_basis):
+                if t.get(s, ZERO) != 0:
+                    v = [a + t[s] * b for a, b in zip(v, h)]
+            g = HomCA(d, Matrix.from_flat(v, d.c_dim))
+            if g.map not in seen:
+                seen.add(g.map)
+                if verifier(g):
+                    out.append(MorphismCandidate(d, g, kind))
+        return out
 
-    if family.dimension > max_params:
-        return FinderResult(
-            "undecided", probe_samples({}), family,
-            f"affine family has {family.dimension} parameters (> max_params)",
-        )
+    if k == 0:
+        sols = verified([{}])
+        return FinderResult("complete", sols, family, "unique linear solution "
+                            + ("verified" if sols else "fails verification"))
+    if k > max_params:
+        return FinderResult("undecided", verified(samples(())), family,
+                            f"affine family has {k} parameters (> max_params)")
 
-    residuals = _quadratic_residuals(d, kind, q, family)
-
-    # eliminate parameters pinned by constraints that are linear in t
-    assignment: dict[int, Fraction] = {}
-    changed = True
-    while changed:
-        changed = False
-        current = [p.substitute(assignment) for p in residuals]
-        lin_rows, lin_rhs = [], []
-        params = sorted({v for p in current for v in p.variables()})
-        pindex = {v: i for i, v in enumerate(params)}
-        for p in current:
-            if p.is_zero() or p.degree() > 1:
-                continue
-            row = [ZERO] * len(params)
-            rhs = -p.terms.get((), ZERO)
-            for mono, coeff in p.terms.items():
-                if mono:
-                    row[pindex[mono[0]]] += coeff
-            if any(c != 0 for c in row):
-                lin_rows.append(row)
-                lin_rhs.append(rhs)
-            elif rhs != 0:
-                return FinderResult("complete", [], family, "quadratic stage inconsistent")
-        if not lin_rows:
-            break
-        sol = solve_affine(Matrix(lin_rows), Vector(lin_rhs))
-        if sol is None:
-            return FinderResult("complete", [], family, "quadratic stage inconsistent")
-        pinned = {i for i in range(len(params))}
-        for nv in sol.nullspace_basis:
-            for i, x in enumerate(nv):
-                if x != 0:
-                    pinned.discard(i)
-        for i in sorted(pinned):
-            var = params[i]
-            if var not in assignment:
-                assignment[var] = sol.particular[i]
-                changed = True
-
-    current = [q for q in (p.substitute(assignment) for p in residuals) if not q.is_zero()]
-    free_vars = sorted({v for p in current for v in p.variables()})
-    all_vars = set(range(family.dimension))
-    unpinned = sorted(all_vars - set(assignment))
-
-    if not current:
-        # the whole (possibly still multi-parameter) family satisfies the
-        # quadratic law; return it with verified sample points
-        status = "complete" if not unpinned else "parametric"
-        return FinderResult(
-            status, probe_samples(assignment), family,
-            "quadratic law holds on the family",
-        )
-
-    if len(free_vars) == 1 and all(p.degree() <= 2 for p in current):
-        var = free_vars[0]
-        root_set: set[Fraction] | None = None
-        for p in current:
-            roots = set(_rational_roots_deg2(p, var))
-            root_set = roots if root_set is None else root_set & roots
-            if not root_set:
-                return FinderResult("complete", [], family, "no common rational root")
-        sols = []
-        for r in sorted(root_set):
-            g = hom_from_assignment({**assignment, var: r})
-            if verifier(g):
-                sols.append(wrap(g))
-        # another unpinned parameter is unconstrained: the roots found are
-        # sample points of a family, not an exhaustive list
-        status = "complete" if unpinned == [var] else "parametric"
-        return FinderResult(status, sols, family, "quadratic stage solved in one parameter")
-
-    return FinderResult(
-        "parametric", probe_samples(assignment), family,
-        "quadratic system not reducible to one parameter; returning the affine "
-        "family with any verified sample points",
-    )
+    leaves = list(_branches(_quadratic_residuals(d, kind, q, family)))
+    sols = verified(t for pins in leaves for t in samples(pins))
+    if all(len(pins) == k for pins in leaves):
+        return FinderResult("complete", sols, family,
+                            "the quadratic stage closed every branch on a point")
+    return FinderResult("parametric", sols, family,
+                        "a branch of the quadratic stage stayed open; returning the "
+                        "affine family with its verified points and samples")

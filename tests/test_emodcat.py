@@ -8,6 +8,7 @@ from entwine import corpus
 from entwine.emodcat import (
     EntwinedModule,
     ModuleMorphism,
+    _pairing_copairing,
     action_endomorphisms,
     braiding,
     braiding_steps,
@@ -25,7 +26,18 @@ from entwine.emodcat import (
     transpose,
 )
 from entwine.entwining import DoubleQuantumGroup, EntwiningMap, MonoidalEntwiningDatum
-from entwine.exactla import Matrix, TensorOp, Vector, kron, matrix_from_columns_fn, sv_apply, sv_permute
+from entwine.exactla import (
+    Cap,
+    Cup,
+    Matrix,
+    TensorOp,
+    Vector,
+    kron,
+    matrix_from_columns_fn,
+    pipeline_matrix,
+    sv_apply,
+    sv_permute,
+)
 from entwine.hopfcore import trivial_hopf
 from entwine.report import _ap, pipeline
 
@@ -108,6 +120,13 @@ def test_duality_on_corpus(monoidal_datums):
                 dd = dualize(m)
                 assert check_entwined_module(dd.dual_module).overall, (name, mk)
                 assert check_duality(m, dd).overall, (name, mk, dd.side)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 16])
+def test_pairing_and_copairing_match_cap_and_cup(dim):
+    ev, coev = _pairing_copairing(dim)
+    assert ev == pipeline_matrix((dim, dim), (), (_ap(0, Cap()),))
+    assert coev == pipeline_matrix((), (dim, dim), (_ap(0, Cup(dim)),))
 
 
 def test_dual_of_unit_is_unit(yd_h4):

@@ -81,6 +81,10 @@ def test_zero_phi_fails_e3(h4):
 #  - E01, phi(g (x) g) += 1 (x) 1: at (a, b, c) = (g, g, g) the left side
 #    phi(g (x) g^2) = 1 (x) g reads column (g, 1), the right side reads
 #    phi(g (x) g) twice and gains 2 g (x) 1.
+#  - E02, phi(1 (x) g) += 1 (x) 1: at (c, a) = (1, g) the left side is
+#    (id (x) Delta)(g (x) 1 + 1 (x) 1) = g 1 1 + 1 1 1; the right side is
+#    phi_12 phi_23 (1 1 g) = phi_12 (1 g 1 + 1 1 1) = g 1 1 + 2 1 1.
+#    (1, 1) reads column (1, 1) alone.
 #  - E04, phi(1 (x) g) += 1 (x) 1: (id (x) eps) phi(1 (x) g) gains
 #    eps(1) 1 = 1 against eps(1) g.
 #  - E05, phi(g (x) g) += 1 (x) 1: at (a, c, d) = (g, 1, g) the left side
@@ -90,6 +94,8 @@ def test_zero_phi_fails_e3(h4):
 #    eps(1) g = g against eps(g) 1_C = 1.
 @pytest.mark.parametrize("check, axiom, row, col, basis, lhs, rhs", [
     (check_entwining, "E01_mult", 0, 3, (1, 1, 1), [0, 1, 0, 0], [0, 1, 2, 0]),
+    (check_entwining, "E02_comult", 0, 1, (0, 1), [1, 0, 0, 0, 1, 0, 0, 0],
+     [2, 0, 0, 0, 1, 0, 0, 0]),
     (check_entwining, "E04_counit", 0, 1, (0, 1), [1, 1], [0, 1]),
     (check_monoidal_datum, "E05_mult_c", 0, 3, (1, 0, 1),
      [1, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0, 0, 1]),

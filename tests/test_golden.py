@@ -99,16 +99,16 @@ GOLDEN = {
     "check-ribbon-long_dqg_kz2-g_ribbon_long_kz2": "404e6f7f225428fb5c50e98c42ece55c37d85fee2780f5221705e0c86b60b188",
     "check-ribbon-yd_dqg_h4-g1_yd_h4": "3399f453430bf30160a208dd724fe043329b23d73baa19f4b0fcb7bd17449f88",
     "check-ribbon-yd_dqg_h4-unit_morphism_yd_h4": "860c63e8c1afa44fec0f8a89498af453a601734aae5479d9bf30441420250899",
-    "find-pivotal-long_dqg_kz2": "9bda9d65cfef4a4c0a7194da9820b65c9861f6fb8a7f05d928e5fa1bbd444d82",
+    "find-pivotal-long_dqg_kz2": "58cc0992afa48e626def58acd9df527499d05edf137c7f07bfff5f15cd7eecdf",
     "find-pivotal-long_h4": "1fda79268b5e8f40d95950f763075510536ade10af29ba2d12ac44613c57c5ea",
-    "find-pivotal-long_kz2": "0295ca9562d400d4babbc3c72e4232be899d9ce161297f05effe2b3cdf951f6d",
-    "find-pivotal-yd_dqg_h4": "af72460da596c50df6822586e5d09ddce9360d4935edb31a7ae78ad93f91887d",
-    "find-pivotal-yd_dqg_kz2": "0295ca9562d400d4babbc3c72e4232be899d9ce161297f05effe2b3cdf951f6d",
-    "find-pivotal-yd_h4": "af72460da596c50df6822586e5d09ddce9360d4935edb31a7ae78ad93f91887d",
-    "find-pivotal-yd_kz2": "0295ca9562d400d4babbc3c72e4232be899d9ce161297f05effe2b3cdf951f6d",
-    "find-ribbon-long_dqg_kz2": "52e87b0ed1d9e7573b3b5f4d68c8a42222301861ccd7529761a03616c593e922",
-    "find-ribbon-yd_dqg_h4": "2b82abc18c584e4d2670d7a29f2e65504c9167eb166ada6a8161585baf94aca1",
-    "find-ribbon-yd_dqg_kz2": "7005815396cf1410a59d211d954efe90193f6c3e0eeb07e6ae8759090966e61b",
+    "find-pivotal-long_kz2": "804624a4e51db6697224ddb3aecda5d2dbb9e6dc33c9af113216046b93a75822",
+    "find-pivotal-yd_dqg_h4": "76de05d58762c80a8dd63e6a33b14aa0e35e5b84cfe262c9d7c21f559211374a",
+    "find-pivotal-yd_dqg_kz2": "804624a4e51db6697224ddb3aecda5d2dbb9e6dc33c9af113216046b93a75822",
+    "find-pivotal-yd_h4": "76de05d58762c80a8dd63e6a33b14aa0e35e5b84cfe262c9d7c21f559211374a",
+    "find-pivotal-yd_kz2": "804624a4e51db6697224ddb3aecda5d2dbb9e6dc33c9af113216046b93a75822",
+    "find-ribbon-long_dqg_kz2": "553de1474b4942a21486c1d65a4e34e2f9886ff9817b0353210d51a21dfcf435",
+    "find-ribbon-yd_dqg_h4": "47ed912b27ca532eaaaf415b544c4f712e0869fb209216fbcffb24752b1df934",
+    "find-ribbon-yd_dqg_kz2": "a1cbfd24895ccfd969b09270888eb87b17d44919922d0ee0104c7006cca22e12",
 }
 
 

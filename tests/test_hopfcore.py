@@ -116,15 +116,15 @@ def test_h4_with_identity_antipode_fails(h4):
 
 
 def _bump_kz2(kz2, part, row, col):
-    "kz2 with entry (row, col) of one structure map raised by 1; the antipode is kept."
+    "kz2 with entry (row, col) of one structure map raised by 1."
     maps = {"mult": kz2.mult, "unit": Matrix([[x] for x in kz2.unit]),
-            "comult": kz2.comult, "counit": kz2.counit}
+            "comult": kz2.comult, "counit": kz2.counit, "antipode": kz2.antipode}
     rows = [list(r) for r in maps[part].rows()]
     rows[row][col] += 1
     maps[part] = Matrix(rows)
     alg = AlgebraData(2, kz2.basis_names, maps["mult"], maps["unit"].col(0))
     coa = CoalgebraData(2, kz2.basis_names, maps["comult"], maps["counit"])
-    return HopfAlgebraData(alg, coa, kz2.antipode)
+    return HopfAlgebraData(alg, coa, maps["antipode"])
 
 
 # One-entry +1 perturbations of kz2 (basis 1 = e0, g = e1; g g = 1,
@@ -132,6 +132,8 @@ def _bump_kz2(kz2, part, row, col):
 # col x * 2 + y, comult[row][col] row x1 * 2 + x2.  The first failing tuple
 # and both sides follow from the axiom alone; every earlier tuple reads only
 # unperturbed entries.
+#  - H01, 1 g += 1: at (x, y, z) = (1, 1, g), (1 1) g = 1 g = 1 + g
+#    against 1 (1 g) = 1 1 + 1 g = 2 1 + g; (1, 1, 1) reads 1 1 alone.
 #  - H02, 1 1 += g: at x = 1, 1 1 = 1 + g against 1.
 #  - H03, g 1 += 1: at x = 1 both sides are 1; at x = g, g 1 = 1 + g
 #    against g (H02 reads 1 g, unperturbed, and passes).
@@ -146,7 +148,10 @@ def _bump_kz2(kz2, part, row, col):
 #  - H09, eps(g) += 1: at (g, g), eps(g g) = eps(1) = 1 against
 #    eps(g)^2 = 4; (1, g) and (g, 1) give 2 on both sides.
 #  - H10, eta += g: eps(1 + g) = 2 against 1.
+#  - H12, S(1) += 1: S = diag(2, 1) stays invertible; at x = 1,
+#    1 S(1) = 2 1 against eps(1) 1 = 1.
 @pytest.mark.parametrize("axiom, part, row, col, basis, lhs, rhs", [
+    ("H01_assoc", "mult", 0, 1, (0, 0, 1), [1, 1], [2, 1]),
     ("H02_left_unit", "mult", 1, 0, (0,), [1, 1], [1, 0]),
     ("H03_right_unit", "mult", 0, 2, (1,), [1, 1], [0, 1]),
     ("H04_coassoc", "comult", 0, 1, (1,), [1, 1, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0, 0, 1]),
@@ -156,6 +161,7 @@ def _bump_kz2(kz2, part, row, col):
     ("H08_comult_unit", "comult", 3, 0, (), [1, 0, 0, 1], [1, 0, 0, 0]),
     ("H09_counit_mult", "counit", 0, 1, (1, 1), [1], [4]),
     ("H10_counit_unit", "unit", 1, 0, (), [2], [1]),
+    ("H12_antipode_right", "antipode", 0, 0, (0,), [2, 0], [1, 0]),
 ])
 def test_one_entry_kz2_perturbation_fails_axiom(kz2, axiom, part, row, col, basis, lhs, rhs):
     item = check_hopf(_bump_kz2(kz2, part, row, col)).item(axiom)

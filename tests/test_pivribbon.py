@@ -1,7 +1,9 @@
 """Pivotal/ribbon verification, induced structures, extraction, finder."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -17,10 +19,11 @@ from entwine.emodcat import (
     transpose,
 )
 from entwine.entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum, conv_unit
-from entwine.exactla import Matrix, Vector, invert, kron, unflatten_index
+from entwine.exactla import Matrix, Vector, invert, kron, solve_affine, unflatten_index
 from entwine.hopfcore import Element, Functional, trivial_hopf
 from entwine.pivribbon import (
     _act_by_g_op,
+    _quadratic_residuals,
     find_morphisms,
     nat_to_hom,
     pivotal_structure,
@@ -437,14 +440,89 @@ def test_finder_soundness_everywhere(monoidal_datums, dqgs):
             assert verify_ribbon(q, c.map).overall, name
 
 
-def test_finder_parametric_samples_on_braided_flip(long_dqg_kz2):
-    # the affine family is 4-dimensional; the deterministic probes find
-    # verified sample points even though the family cannot be enumerated
-    res = find_morphisms(long_dqg_kz2, "ribbon", max_params=4)
-    assert res.status == "parametric"
-    assert len(res.solutions) >= 1
+@pytest.fixture(scope="module")
+def finder_run(monoidal_datums, dqgs):
+    "run(kind, corpus name) -> (target, datum, finder result), each run once."
+    runs = {}
+
+    def run(kind, name):
+        if (kind, name) not in runs:
+            target = dqgs[name] if name in dqgs else monoidal_datums[name]
+            d = target.datum if name in dqgs else target
+            runs[kind, name] = target, d, find_morphisms(target, kind)
+        return runs[kind, name]
+    return run
+
+
+def test_finder_closes_every_branch_on_braided_flip(finder_run):
+    # the affine family is 4-dimensional and the quadratic law R3 cuts it
+    # down to four points, each of which verifies
+    q, _, res = finder_run("ribbon", "long_dqg_kz2")
+    assert res.status == "complete"
+    assert res.family.dimension == 4
+    assert len(res.solutions) == 4
     for c in res.solutions:
-        assert verify_ribbon(long_dqg_kz2, c.map).overall
+        assert verify_ribbon(q, c.map).overall
+
+
+def test_finder_lists_the_four_pivotal_maps_of_long_kz2(finder_run):
+    # By hand.  On the flip datum over kZ2 both sides are commutative and
+    # cocommutative with S = id, so P3 and P4 hold for every g, and P2 reads
+    # eps(g(1)) = 1.  Write g(c) = sum_y G[y][c] y over y in {1, g}.  P1
+    # sets Delta(g(cd)) = sum_y G[y][cd] y (x) y against g(c) (x) g(d):
+    # off the diagonal G[y][c] G[z][d] = 0 for y != z, so at most one row
+    # is nonzero, and on the diagonal G[y][cd] = G[y][c] G[y][d], so that
+    # row is a character or zero.  P2 makes it the character chi with
+    # chi(1) = 1.  So g(c) = chi(c) y for chi in {eps, sign} and y in
+    # {1, g}: four maps, each with convolution inverse c -> chi(c) y^{-1}
+    # (P5).  Rows are indexed by the basis of A, columns by that of C.
+    _, _, res = finder_run("pivotal", "long_kz2")
+    assert res.status == "complete"
+    got = sorted([list(r) for r in c.map.map.rows()] for c in res.solutions)
+    assert got == sorted([
+        [[1, 1], [0, 0]], [[1, -1], [0, 0]], [[0, 0], [1, 1]], [[0, 0], [1, -1]],
+    ])
+
+
+FINDER_RUNS = [("pivotal", name) for name in ("long_h4", "long_kz2", "yd_h4", "yd_kz2",
+                                              "long_dqg_kz2", "yd_dqg_h4", "yd_dqg_kz2")]
+FINDER_RUNS += [("ribbon", name) for name in ("long_dqg_kz2", "yd_dqg_h4", "yd_dqg_kz2")]
+
+
+@pytest.mark.parametrize("kind, name", FINDER_RUNS)
+def test_finder_points_zero_every_quadratic_residual(finder_run, kind, name):
+    target, d, res = finder_run(kind, name)
+    assert res.status == "complete"
+    q = target if kind == "ribbon" else None
+    residuals = _quadratic_residuals(d, kind, q, res.family)
+    basis = res.family.nullspace_basis
+    for c in res.solutions:
+        t = []
+        if basis:
+            diff = Vector([x - y for x, y in zip(c.map.map.flat(), res.family.particular)])
+            t = list(solve_affine(Matrix.from_cols(basis), diff).particular)
+        for p in residuals:
+            assert sum(x * prod(t[v] for v in m) for m, x in p.terms.items()) == 0, (name, p.terms)
+
+
+@pytest.mark.parametrize("kind, name, box", [
+    ("pivotal", "long_kz2", range(-2, 3)),
+    ("pivotal", "yd_kz2", range(-2, 3)),
+    ("pivotal", "yd_h4", range(-1, 2)),
+    ("ribbon", "yd_dqg_kz2", range(-1, 2)),
+    ("ribbon", "long_dqg_kz2", range(-1, 2)),
+])
+def test_finder_box_search_finds_no_unlisted_point(finder_run, kind, name, box):
+    target, d, res = finder_run(kind, name)
+    verify = verify_pivotal if kind == "pivotal" else verify_ribbon
+    listed = {c.map.map for c in res.solutions}
+    family = res.family
+    for t in itertools.product(box, repeat=family.dimension):
+        v = list(family.particular)
+        for x, h in zip(t, family.nullspace_basis):
+            v = [a + x * b for a, b in zip(v, h)]
+        g = HomCA(d, Matrix.from_flat(v, d.c_dim))
+        assert g.map in listed or not verify(target, g).overall, (name, t)
 
 
 def test_finder_stage1_membership_of_known_morphisms(yd_h4, long_h4, long_dqg_kz2):
@@ -483,22 +561,24 @@ def test_finder_inconsistent_linear_stage_reports_complete_empty(kz2):
 
 def test_finder_one_parameter_branch_is_parametric_when_others_unpinned(long_dqg_kz2, monkeypatch):
     # leave every family parameter but t_0 unconstrained by the quadratic law:
-    # the roots of t_0^2 - t_0 are then sample points, not every solution
+    # t_0^2 - t_0 splits into t_0 = 0 and t_0 = 1, and both branches stay
+    # open, so their probes are sample points, not every solution
     from entwine import pivribbon
 
     poly = pivribbon._Poly({(0, 0): Fraction(1), (0,): Fraction(-1)})
     monkeypatch.setattr(pivribbon, "_quadratic_residuals", lambda d, kind, q, family: [poly])
     res = find_morphisms(long_dqg_kz2, "ribbon", max_params=4)
     assert res.family.dimension > 1
-    assert res.notes == "quadratic stage solved in one parameter"
+    assert res.notes.startswith("a branch of the quadratic stage stayed open")
     assert res.status == "parametric"
     for c in res.solutions:
         assert verify_ribbon(long_dqg_kz2, c.map).overall
 
 
 def test_root_stage_only_sees_quadratics(monkeypatch):
-    # the pinning loop pins every degree-1 residual in the last free
-    # parameter, so the root stage gets polynomials of degree exactly 2
+    # _branches pins every degree-1 residual and splits off a common
+    # variable before it looks for roots, so the root stage gets
+    # one-variable polynomials of degree exactly 2
     from entwine import pivribbon
 
     seen = []
@@ -521,6 +601,8 @@ def test_root_stage_only_sees_quadratics(monkeypatch):
     residuals = [pivribbon._Poly({(0,): t0, (): -2 * t0}),
                  pivribbon._Poly({(0, 0): t0, (): -4 * t0})]
     monkeypatch.setattr(pivribbon, "_quadratic_residuals", lambda d, kind, q, family: residuals)
+    before = len(seen)
     res = find_morphisms(dqgs["long_dqg_kz2"], "ribbon", max_params=4)
-    assert res.notes != "quadratic stage solved in one parameter"
+    # t_0 - 2 pins t_0 = 2 first, so t_0^2 - 4 vanishes before any root search
+    assert len(seen) == before and res.status == "parametric"
     assert seen and all(deg == 2 and len(v) == 1 for deg, v in seen), seen

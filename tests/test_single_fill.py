@@ -9,8 +9,8 @@ and asserts that none is filled twice while the Sweedler algebra is built
 and a Hopf suite, the ``check datum`` suite, morphism construction, the
 duality checks, pivotal and twist morphisms, the module transport back
 from the smash product and braiding naturality run.  A second guard
-asserts that the smash constructions and the module transport never make
-a Matrix of a map they use only as an op.
+asserts that the smash constructions, the module transport, the duality
+check and nat_to_hom never make a Matrix of a map they use only as an op.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from entwine.emodcat import (
 from entwine.entwining import check_antipode_compat, check_entwining, check_monoidal_datum
 from entwine.exactla import Matrix, TensorOp, flatten_index, sv_apply
 from entwine.hopfcore import check_hopf
-from entwine.pivribbon import pivotal_structure, twist
+from entwine.pivribbon import nat_to_hom, pivotal_structure, twist
 from entwine.smash import (
     module_transport_from_smash,
     module_transport_to_smash,
@@ -230,4 +230,21 @@ def test_module_transport_from_smash_wraps_no_materialised_view(request):
     back = module_transport_from_smash(d, m.dim, action)
     assert check_entwined_module(back).overall
     assert back.same_structure(m)
+    assert rewraps == []
+
+
+def test_nat_to_hom_reads_a_morphism_op(request):
+    d = corpus.yd_datum(corpus.sweedler_h4())
+    g1, _ = corpus.h4_yd_pivotal_pair(d)
+    beta = pivotal_structure(d, g1, std_module_AC(d))
+    # recorded from here on: beta keeps a step-built op and no Matrix yet
+    rewraps = request.getfixturevalue("rewraps")
+    assert nat_to_hom(d, beta, "pivotal").map == g1.map
+    assert rewraps == []
+
+
+def test_duality_check_wraps_no_materialised_view(rewraps):
+    # ev and coev are written as matrices, not made from a Cap or Cup op
+    m = std_module_CA(corpus.yd_datum(corpus.sweedler_h4()))
+    assert check_duality(m, left_dual(m)).overall
     assert rewraps == []
