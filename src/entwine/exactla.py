@@ -7,14 +7,16 @@ tolerance anywhere: comparisons are exact equality of canonical rationals.
 
 Inside the tensor-contraction kernel (the second half of this module) a
 coefficient is an ``int`` where it is integral and a Fraction otherwise:
-the corpus data is integral, and int arithmetic is far cheaper.  Mixed
-int/Fraction arithmetic is exact and ``Fraction(2) == 2`` with equal
-hashes, so states compare the same either way.  A value becomes a Fraction
-again wherever it leaves the kernel: ``Vector`` and ``Matrix(rows)``
-convert their entries, ``matrix_from_columns_fn``, ``hom_operator`` and
-``state_to_vector`` convert what they read from a state (so a ``Witness``
-holds Fractions), and the finder's polynomials convert their coefficients.
-Outside the kernel an int must not appear, because ``int / int`` is a float.
+the corpus data is integral, and int arithmetic is far cheaper.  In the
+finder's quadratic stage it may also be a ``pivribbon._Poly``: the kernel
+needs only ``+``, ``*`` and truth of a coefficient.  Mixed int/Fraction
+arithmetic is exact and ``Fraction(2) == 2`` with equal hashes, so states
+compare the same either way.  A value becomes a Fraction again wherever it
+leaves the kernel: ``Vector`` and ``Matrix(rows)`` convert their entries,
+``matrix_from_columns_fn``, ``hom_operator`` and ``state_to_vector``
+convert what they read from a state (so a ``Witness`` holds Fractions),
+and the finder's polynomials convert their coefficients.  Outside the
+kernel an int must not appear, because ``int / int`` is a float.
 
 Conventions fixed here and used everywhere else:
 
@@ -519,9 +521,10 @@ def invert(a: Matrix) -> Matrix:
 # Ops.  Every op (KernelOp) keeps a column table ``_cols``: input legs ->
 # [(output legs, coefficient)].  sv_apply reads the table directly.  At its
 # first miss in a call it hands all the input legs of its state that the
-# table lacks to the op's ``fill`` in one call, and reads on.  Cup and
-# SlotLeg build their whole table up front; Cap fills an entry when it is
-# first asked for.  A TensorOp fills its columns from one of two sources:
+# table lacks to the op's ``fill`` in one call, and reads on.  Cup, SlotLeg
+# and the finder's family op hand KernelOp their whole table up front; Cap
+# fills an entry when it is first asked for.  A TensorOp fills its columns
+# from one of two sources:
 #  * a Matrix: a column is read off the matrix, each row index unflattened
 #    once per op;
 #  * kernel steps: they run over only the missing tuples, BATCH_CAP at a
@@ -539,9 +542,12 @@ def invert(a: Matrix) -> Matrix:
 #
 # Coefficients are ints where integral: a TensorOp hands out the integral
 # entries of its matrix as ints, SlotLeg, Cup, Cap and the seeds use 1, and
-# sv_apply sums from 0.  The functions that turn a state into a Vector or a
-# Matrix (state_to_vector, matrix_from_columns_fn, pipeline_matrix,
-# hom_operator) convert every value back to a Fraction.
+# sv_apply sums from 0.  A coefficient is an int, a Fraction or, in the
+# finder's quadratic stage, a pivribbon._Poly of the family op: sv_apply
+# only adds, multiplies and tests coefficients for truth.  The functions
+# that turn a state into a Vector or a Matrix (state_to_vector,
+# matrix_from_columns_fn, pipeline_matrix, hom_operator) convert every
+# value back to a Fraction.
 #
 # Batches.  Steps run once per batch of basis tuples, not once per tuple:
 # run_batch seeds {(*t, j): 1} for the j-th tuple t of a batch, and every
@@ -596,6 +602,9 @@ class KernelOp:
 
     __slots__ = ("arity_in", "arity_out", "_cols")
 
+    def __init__(self, arity_in: int, arity_out: int, cols: dict):
+        self.arity_in, self.arity_out, self._cols = arity_in, arity_out, cols
+
     def fill(self, legs) -> None:
         "Add the columns at legs to the table (nothing is missing here)."
 
@@ -635,11 +644,9 @@ class TensorOp(KernelOp):
             shape = prod(self._step_dims[0]), prod(self._step_dims[1])
         if shape != (prod(self.in_dims), prod(self.out_dims)):
             raise ValueError("tensor dims inconsistent with matrix shape")
-        self.arity_in = len(self.in_dims)
-        self.arity_out = len(self.out_dims)
+        super().__init__(len(self.in_dims), len(self.out_dims), {})
         self._matrix = matrix
         self._steps = steps
-        self._cols: dict[tuple, list] = {}
         # the op's output legs per matrix row, or per output key of the steps
         self._outs: dict = {}
 
@@ -708,14 +715,12 @@ class SlotLeg(KernelOp):
 
     def __init__(self, in_dims, out_dims):
         in_dims, out_dims = tuple(in_dims), tuple(out_dims)
-        self.arity_in = len(in_dims) + 1
-        self.arity_out = len(out_dims) + 1
         outs = list(_basis(out_dims))
         n_in = prod(in_dims)
-        self._cols = {
+        super().__init__(len(in_dims) + 1, len(out_dims) + 1, {
             legs + (0,): [(out + (i * n_in + j,), 1) for i, out in enumerate(outs)]
             for j, legs in enumerate(_basis(in_dims))
-        }
+        })
 
 
 class Cup(KernelOp):
@@ -725,9 +730,7 @@ class Cup(KernelOp):
     __slots__ = ()
 
     def __init__(self, n: int):
-        self.arity_in = 0
-        self.arity_out = 2
-        self._cols = {(): [((x, x), 1) for x in range(n)]}
+        super().__init__(0, 2, {(): [((x, x), 1) for x in range(n)]})
 
 
 class Cap(KernelOp):
@@ -738,9 +741,7 @@ class Cap(KernelOp):
     _KEEP = [((), 1)]
 
     def __init__(self):
-        self.arity_in = 2
-        self.arity_out = 0
-        self._cols = {}
+        super().__init__(2, 0, {})
 
     def fill(self, legs) -> None:
         for t in legs:

@@ -5,8 +5,9 @@ grouplike-style law plus three linear laws; verified candidates induce
 a monoidal isomorphism onto the double right dual (beta) on every
 module.  A ribbon candidate satisfies the braided analogues and induces
 a twist (theta).  Verification is exhaustive and exact.  The finder
-solves the linear laws into an affine family, then branches and pins on
-the quadratic law over that family: a degree-1 residual pins a
+solves the linear laws into an affine family, runs the quadratic law
+once on one kernel op for the whole family, with polynomial coefficients,
+and branches and pins on its residuals: a degree-1 residual pins a
 parameter, a residual with a common variable splits, a one-variable
 residual splits on its rational roots.  A branch that none of these
 rules reaches stays open, and the finder says so.
@@ -23,6 +24,7 @@ from .exactla import (
     ZERO,
     Cap,
     Cup,
+    KernelOp,
     Matrix,
     TensorOp,
     Vector,
@@ -131,8 +133,7 @@ def _linear_laws(d: MonoidalEntwiningDatum, kind: str):
 def _quadratic_law(d: MonoidalEntwiningDatum, kind: str, q: DoubleQuantumGroup | None):
     """The law quadratic in g, as (axiom id, scan dims, output dims, linear
     side, bilinear side): P1 for pivotal, R3 (through q's R) for ribbon.
-    The linear side takes g's kernel op, the bilinear side one op for each
-    of its two copies of g, and each gives steps; the law says they agree."""
+    Each side takes g's kernel op and gives steps; the law says they agree."""
     nc, na = d.c_dim, d.a_dim
     mul_a, comul_a = d.a.mul_op, d.a.comul_op
     mul_c, comul_c = d.c.mul_op, d.c.comul_op
@@ -142,10 +143,10 @@ def _quadratic_law(d: MonoidalEntwiningDatum, kind: str, q: DoubleQuantumGroup |
 
     if kind == "pivotal":
         return ("P1_grouplike", (nc, nc), (na, na), linear,
-                lambda ga, gb: (_ap(0, ga), _ap(1, gb)))
+                lambda g: (_ap(0, g), _ap(1, g)))
     rr, phi = q.rmap_op, d.phi_op
 
-    def bilinear(ga, gb):
+    def bilinear(g):
         return (
             _ap(0, comul_c),
             _ap(0, comul_c),    # x1 x2 x3 y
@@ -158,8 +159,8 @@ def _quadratic_law(d: MonoidalEntwiningDatum, kind: str, q: DoubleQuantumGroup |
             _ap(1, phi),        # x1 r2p x2p y1 r1f y2f  (psi on x2 (x) r2)
             _pm((0, 1, 3, 4, 5, 2)),  # x1 r2p y1 r1f y2f x2p
             _ap(4, rr),         # x1 r2p y1 r1f R1 R2
-            _ap(0, ga),         # g(x1) ...
-            _ap(2, gb),         # .. g(y1) ..
+            _ap(0, g),          # g(x1) ...
+            _ap(2, g),          # .. g(y1) ..
             _pm((0, 1, 4, 2, 3, 5)),  # g(x1) r2p R1 g(y1) r1f R2
             _ap(0, mul_a),
             _ap(0, mul_a),      # first output leg done
@@ -188,7 +189,7 @@ def _quadratic_item(d: MonoidalEntwiningDatum, kind: str, q: DoubleQuantumGroup 
                     g: HomCA) -> AxiomItem:
     axiom_id, scan, out, linear, bilinear = _quadratic_law(d, kind, q)
     g_op = g.op
-    return compare_item(axiom_id, scan, out, linear(g_op), bilinear(g_op, g_op))
+    return compare_item(axiom_id, scan, out, linear(g_op), bilinear(g_op))
 
 
 def verify_pivotal(d: MonoidalEntwiningDatum, g: HomCA) -> AxiomReport:
@@ -345,7 +346,9 @@ def stage1_residual(d: MonoidalEntwiningDatum, kind: str, g: HomCA) -> Vector:
 
 
 class _Poly:
-    "Sparse polynomial in finder parameters, degree <= 2 by construction."
+    """Sparse polynomial in finder parameters, degree <= 2 by construction,
+    and a kernel coefficient: ``+`` and ``*`` take a _Poly, an int or a
+    Fraction.  Never changed once built, so p + 0 and p * 1 return p."""
 
     __slots__ = ("terms",)
 
@@ -354,8 +357,6 @@ class _Poly:
 
     def add_term(self, mono: tuple, coeff):
         "Add coeff * mono; a kernel coefficient may be an int, a term is a Fraction."
-        if coeff == 0:
-            return
         key = tuple(sorted(mono))
         nv = self.terms.get(key, 0) + _as_rat(coeff)
         if nv == 0:
@@ -369,15 +370,34 @@ class _Poly:
     def variables(self) -> set:
         return {v for m in self.terms for v in m}
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _items(x):
+        "The (monomial, coefficient) pairs of x, a _Poly or a kernel scalar."
+        return x.terms.items() if isinstance(x, _Poly) else (((), x),)
 
-    def times(self, other: "_Poly") -> "_Poly":
+    def __add__(self, other) -> "_Poly":
+        if not other:
+            return self
+        out = _Poly(self.terms)
+        for m, c in self._items(other):
+            out.add_term(m, c)
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "_Poly":
+        if other == 1:
+            return self
         out = _Poly()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in self._items(other):
                 out.add_term(m1 + m2, c1 * c2)
         return out
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def substitute(self, assignment: dict) -> "_Poly":
         "Replace each assigned variable by its _Poly value, of degree <= 1."
@@ -386,11 +406,7 @@ class _Poly:
         out = _Poly()
         for mono, coeff in self.terms.items():
             term = _Poly({tuple(v for v in mono if v not in assignment): coeff})
-            for v in mono:
-                if v in assignment:
-                    term = term.times(assignment[v])
-            for m, c in term.terms.items():
-                out.add_term(m, c)
+            out = out + prod((assignment[v] for v in mono if v in assignment), start=term)
         return out
 
 
@@ -407,57 +423,37 @@ def _rational_roots_deg2(poly: _Poly, var: int) -> list[Fraction]:
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
         return []
-    num, den = disc.numerator, disc.denominator
-    rn = _isqrt_exact(num)
-    rd = _isqrt_exact(den)
-    if rn is None or rd is None:
+    # a reduced rational is a square iff its numerator and denominator are
+    sq = Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
+    if sq * sq != disc:
         return []
-    sq = Fraction(rn, rd)
-    roots = {(-c1 + sq) / (2 * c2), (-c1 - sq) / (2 * c2)}
-    return sorted(roots)
-
-
-def _isqrt_exact(n: int) -> int | None:
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None
+    return sorted({(-c1 + sq) / (2 * c2), (-c1 - sq) / (2 * c2)})
 
 
 def _quadratic_residuals(d: MonoidalEntwiningDatum, kind: str,
                          q: DoubleQuantumGroup | None,
                          family) -> list[_Poly]:
-    """The quadratic law evaluated on the affine family g0 + sum t_s h_s.
-
-    For pivotal candidates this is the grouplike law P1; for ribbon, the
-    braided square R3.  Components are degree <= 2 polynomials in t.
-    """
-    ops = [HomCA(d, Matrix.from_flat(v, d.c_dim)).op
-           for v in [family.particular, *family.nullspace_basis]]
+    """The quadratic law (P1 for pivotal, R3 for ribbon) evaluated on the
+    affine family g0 + sum t_s h_s: both sides run once per batch on one
+    family op, so each output entry is a polynomial in t and its residual,
+    bilinear - linear, has degree <= 2.  Each distinct nonzero residual is
+    returned once, in order of first occurrence."""
+    nc, na = d.c_dim, d.a_dim
+    # the family op C -> A: each entry a _Poly of degree <= 1, t_s the variable s
+    entries = [_Poly() for _ in range(na * nc)]
+    for s, v in enumerate([family.particular, *family.nullspace_basis]):
+        for i, x in enumerate(v):
+            entries[i].add_term((s - 1,) if s else (), x)
+    g = KernelOp(1, 1, {(c,): [((a,), p) for a in range(na) if (p := entries[a * nc + c])]
+                        for c in range(nc)})
     _, scan, _, linear_side, bilinear_side = _quadratic_law(d, kind, q)
-
-    polys: dict[tuple, _Poly] = {}
-
-    def poly_at(t, key) -> _Poly:
-        pk = (t, key)
-        p = polys.get(pk)
-        if p is None:
-            p = polys[pk] = _Poly()
-        return p
-
+    distinct: dict[frozenset, _Poly] = {}
     for batch in basis_batches(scan):
-        # bilinear part: sum_{s,r} t_s t_r  B(h_s, h_r), t_0 := 1
-        for s, ga in enumerate(ops):
-            for r, gb in enumerate(ops):
-                mono = tuple(v - 1 for v in (s, r) if v > 0)
-                for key, val in run_batch(batch, bilinear_side(ga, gb)).items():
-                    poly_at(batch[key[-1]], key[:-1]).add_term(mono, val)
-        # minus the linear part
-        for s, gg in enumerate(ops):
-            mono = (s - 1,) if s > 0 else ()
-            for key, val in run_batch(batch, linear_side(gg)).items():
-                poly_at(batch[key[-1]], key[:-1]).add_term(mono, -val)
-    return [p for p in polys.values() if not p.is_zero()]
+        res = run_batch(batch, bilinear_side(g))
+        for key, val in run_batch(batch, linear_side(g)).items():
+            res[key] = res.get(key, 0) + val * -1
+        distinct.update((frozenset(p.terms.items()), p) for p in res.values() if p)
+    return list(distinct.values())
 
 
 def _affine_pin(p: _Poly) -> tuple:
@@ -495,7 +491,7 @@ def _branches(residuals: list[_Poly], pins: tuple = ()):
     branch with no leaf.  A leaf that pins every parameter is a point
     where every residual vanishes; any other leaf is open.  Each step pins
     a parameter, so k parameters give at most 2^k leaves."""
-    live = [p for p in residuals if not p.is_zero()]
+    live = [p for p in residuals if p]
     if any(p.degree() == 0 for p in live):
         return
     children = _split(live)

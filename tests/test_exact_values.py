@@ -4,10 +4,13 @@ Kernel coefficients may be ints (the corpus data is integral), but every
 entry stored in a Matrix, Vector or Witness must be a Fraction: ``int / int``
 is a float, so one int that escapes turns an exact solve inexact.  The same
 holds for the coefficients of the finder's polynomials in its parameters
-(``pivribbon._Poly``), which are read from kernel states and divided to
-find roots.  A guard wraps the four constructors and records every entry
-that breaks the rule while the checkers, finders and module checks run
-over the corpus and over seeded one-entry mutants.  The dense entry points
+(``pivribbon._Poly``), which are kernel coefficients themselves in the
+finder's quadratic stage and are divided to find roots; every term they
+store goes through ``_Poly.add_term``.  A guard wraps the four
+constructors and records every entry that breaks the rule while the
+checkers, finders and module checks run over the corpus and over seeded
+one-entry mutants; it also asserts that the finders stored polynomial
+terms, so its _Poly check is not vacuous.  The dense entry points
 (``Matrix(rows)`` and ``Vector(coords)``) may take ints, which they
 convert; a float is refused there too.
 """
@@ -50,8 +53,9 @@ DENSE_OK = (int, Fraction)
 
 @pytest.fixture
 def leaks(monkeypatch):
-    "Every non-Fraction entry stored (or float entry passed) while the test runs."
-    found = []
+    """Every non-Fraction entry stored (or float entry passed) while the test
+    runs, and a list of every term that _Poly.add_term stored."""
+    found, poly_terms = [], []
     matrix_init, vector_init, witness_init = Matrix.__init__, Vector.__init__, Witness.__init__
     poly_add_term = _Poly.add_term
 
@@ -80,14 +84,16 @@ def leaks(monkeypatch):
     def guarded_add_term(self, mono, coeff):
         poly_add_term(self, mono, coeff)
         x = self.terms.get(tuple(sorted(mono)))
-        if x is not None and type(x) is not Fraction:
-            found.append(("_Poly", x))
+        if x is not None:
+            poly_terms.append(x)
+            if type(x) is not Fraction:
+                found.append(("_Poly", x))
 
     monkeypatch.setattr(Matrix, "__init__", guarded_matrix)
     monkeypatch.setattr(_Poly, "add_term", guarded_add_term)
     monkeypatch.setattr(Vector, "__init__", guarded_vector)
     monkeypatch.setattr(Witness, "__init__", guarded_witness)
-    return found
+    return found, poly_terms
 
 
 def _bump(mat: Matrix, i: int, j: int, delta) -> Matrix:
@@ -114,6 +120,7 @@ def _datum_checks(d: MonoidalEntwiningDatum):
 
 
 def test_no_float_or_int_leaves_the_kernel(leaks):
+    found, poly_terms = leaks
     rng = random.Random(2016)
     built = {name: corpus.corpus_build(name) for name in corpus.corpus_names()}
     for kind, obj in built.values():
@@ -137,6 +144,8 @@ def test_no_float_or_int_leaves_the_kernel(leaks):
         check_double_quantum_group(q)
         find_morphisms(q, "ribbon")
         check_double_quantum_group(DoubleQuantumGroup(q.datum, _bump(q.rmap, 0, 0, 2)))
+    # the finder's polynomials went through the guard: it is not vacuous there
+    assert poly_terms
     for kind, obj in built.values():
         if kind == "morphism":
             verify_pivotal(obj.datum, obj)
@@ -153,4 +162,4 @@ def test_no_float_or_int_leaves_the_kernel(leaks):
     check_entwined_module(tensor_modules(std_module_CA(kz2), std_module_AC(kz2)))
     q = dqgs["yd_dqg_kz2"]
     check_braiding_naturality(std_module_CA(q.datum), std_module_AC(q.datum), q)
-    assert leaks == []
+    assert found == []

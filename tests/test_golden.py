@@ -99,14 +99,14 @@ GOLDEN = {
     "check-ribbon-long_dqg_kz2-g_ribbon_long_kz2": "404e6f7f225428fb5c50e98c42ece55c37d85fee2780f5221705e0c86b60b188",
     "check-ribbon-yd_dqg_h4-g1_yd_h4": "3399f453430bf30160a208dd724fe043329b23d73baa19f4b0fcb7bd17449f88",
     "check-ribbon-yd_dqg_h4-unit_morphism_yd_h4": "860c63e8c1afa44fec0f8a89498af453a601734aae5479d9bf30441420250899",
-    "find-pivotal-long_dqg_kz2": "58cc0992afa48e626def58acd9df527499d05edf137c7f07bfff5f15cd7eecdf",
+    "find-pivotal-long_dqg_kz2": "d23a58cf494ca0b19b64c4a2488b092eac503d77d1071ed0333b8ab0bb9ac290",
     "find-pivotal-long_h4": "1fda79268b5e8f40d95950f763075510536ade10af29ba2d12ac44613c57c5ea",
     "find-pivotal-long_kz2": "804624a4e51db6697224ddb3aecda5d2dbb9e6dc33c9af113216046b93a75822",
     "find-pivotal-yd_dqg_h4": "76de05d58762c80a8dd63e6a33b14aa0e35e5b84cfe262c9d7c21f559211374a",
     "find-pivotal-yd_dqg_kz2": "804624a4e51db6697224ddb3aecda5d2dbb9e6dc33c9af113216046b93a75822",
     "find-pivotal-yd_h4": "76de05d58762c80a8dd63e6a33b14aa0e35e5b84cfe262c9d7c21f559211374a",
     "find-pivotal-yd_kz2": "804624a4e51db6697224ddb3aecda5d2dbb9e6dc33c9af113216046b93a75822",
-    "find-ribbon-long_dqg_kz2": "553de1474b4942a21486c1d65a4e34e2f9886ff9817b0353210d51a21dfcf435",
+    "find-ribbon-long_dqg_kz2": "805d88166a029c779acec4e69d3415df63db4fccf2761d4636ca97aca9eda45e",
     "find-ribbon-yd_dqg_h4": "47ed912b27ca532eaaaf415b544c4f712e0869fb209216fbcffb24752b1df934",
     "find-ribbon-yd_dqg_kz2": "a1cbfd24895ccfd969b09270888eb87b17d44919922d0ee0104c7006cca22e12",
 }

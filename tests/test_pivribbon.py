@@ -19,10 +19,21 @@ from entwine.emodcat import (
     transpose,
 )
 from entwine.entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum, conv_unit
-from entwine.exactla import Matrix, Vector, invert, kron, solve_affine, unflatten_index
+from entwine.exactla import (
+    Matrix,
+    Vector,
+    basis_batches,
+    invert,
+    kron,
+    run_batch,
+    solve_affine,
+    unflatten_index,
+)
 from entwine.hopfcore import Element, Functional, trivial_hopf
 from entwine.pivribbon import (
+    _Poly,
     _act_by_g_op,
+    _quadratic_law,
     _quadratic_residuals,
     find_morphisms,
     nat_to_hom,
@@ -503,6 +514,68 @@ def test_finder_points_zero_every_quadratic_residual(finder_run, kind, name):
             t = list(solve_affine(Matrix.from_cols(basis), diff).particular)
         for p in residuals:
             assert sum(x * prod(t[v] for v in m) for m, x in p.terms.items()) == 0, (name, p.terms)
+
+
+def _law_values(scan, steps) -> dict:
+    "(scan tuple, output key) -> value, for steps run over every scan tuple."
+    return {(batch[key[-1]], key[:-1]): val for batch in basis_batches(scan)
+            for key, val in run_batch(batch, steps).items()}
+
+
+def _pairwise_residuals(d, kind, q, family) -> list:
+    """The quadratic law on g0 + sum t_s h_s, expanded one pair of family
+    generators at a time on concrete maps (h_0 = g0, t_0 = 1).
+
+    Write B(x, y) for the bilinear side with x in its first copy of g and
+    y in its second; the law's side takes one op x and gives B(x, x).  The
+    coefficient of t_s t_r is B(h_s, h_s) for s = r and, for s < r,
+    B(h_s, h_r) + B(h_r, h_s) = B(x + y, x + y) - B(x, x) - B(y, y) with
+    x = h_s, y = h_r (polarization).  The linear side on h_s is subtracted
+    at t_s.  Returns the nonzero polynomial of each (scan tuple, output
+    key)."""
+    _, scan, _, linear, bilinear = _quadratic_law(d, kind, q)
+    gens = [family.particular, *family.nullspace_basis]
+
+    def op(*vs):
+        return HomCA(d, Matrix.from_flat([sum(xs) for xs in zip(*vs)], d.c_dim)).op
+
+    squares = [_law_values(scan, bilinear(op(v))) for v in gens]
+    polys = {}
+
+    def add(values, mono, sign):
+        for at, val in values.items():
+            polys.setdefault(at, _Poly()).add_term(mono, sign * val)
+
+    for s, v in enumerate(gens):
+        mono = (s - 1,) if s else ()
+        add(_law_values(scan, linear(op(v))), mono, -1)
+        add(squares[s], mono * 2, 1)
+        for r in range(s + 1, len(gens)):
+            pair = (*mono, r - 1)
+            add(_law_values(scan, bilinear(op(v, gens[r]))), pair, 1)
+            add(squares[s], pair, -1)
+            add(squares[r], pair, -1)
+    return [p for p in polys.values() if p]
+
+
+# distinct nonzero residuals of each corpus run whose family has parameters
+DISTINCT_RESIDUALS = {
+    ("pivotal", "long_dqg_kz2"): 10, ("pivotal", "long_kz2"): 9, ("pivotal", "yd_kz2"): 9,
+    ("pivotal", "yd_dqg_kz2"): 9, ("pivotal", "yd_h4"): 59, ("pivotal", "yd_dqg_h4"): 59,
+    ("ribbon", "long_dqg_kz2"): 10, ("ribbon", "yd_dqg_kz2"): 10, ("ribbon", "yd_dqg_h4"): 60,
+}
+
+
+@pytest.mark.parametrize("kind, name", sorted(DISTINCT_RESIDUALS))
+def test_one_pass_residuals_match_the_pairwise_expansion(finder_run, kind, name):
+    target, d, res = finder_run(kind, name)
+    assert res.family.dimension > 0
+    q = target if kind == "ribbon" else None
+    got = [frozenset(p.terms.items()) for p in _quadratic_residuals(d, kind, q, res.family)]
+    assert len(got) == len(set(got)), "a residual is listed twice"
+    want = {frozenset(p.terms.items()) for p in _pairwise_residuals(d, kind, q, res.family)}
+    assert set(got) == want
+    assert len(got) == DISTINCT_RESIDUALS[kind, name]
 
 
 @pytest.mark.parametrize("kind, name, box", [

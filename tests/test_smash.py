@@ -396,6 +396,52 @@ def test_smash_identity_checks_on_corpus(monoidal_datums):
         assert smash_identity_checks(d).overall, name
 
 
+# long_kz2 (C = A = kZ2, basis 1 = e0, g = e1; phi the flip c (x) a ->
+# a (x) c) with phi[0][1] += 1, so phi(1 (x) g) = g (x) 1 + 1 (x) 1 and
+# every other basis pair flips as before.  S_A, S_C and the dual antipodes
+# are the identity, and a dual basis multiplies pointwise.
+#  - SI1, smash product on (C*, op) (x) A, basis x0..x3 = e^1#1, e^1#g,
+#    e^g#1, e^g#g.  (e^i#a)(e^j#b) = sum e^i e^m # f_u b over
+#    phi_dc(a (x) e^j) = sum e^m (x) f_u, weighted by the coefficient of
+#    f_u (x) e_j in phi(e_m (x) a), and S(e^j#a) = phi_dc(a (x) e^j).
+#    So phi_dc(1 (x) e^1) = e^1 (x) 1 and phi_dc(g (x) e^1) = e^1 (x) g +
+#    e^1 (x) 1: x0 x0 = x0, x0 x1 = x1,
+#    x1 x0 = x0 + x1, S(x0) = x0 and S(x1) = x0 + x1.  At (x0, x0) both
+#    sides are x0; at (x0, x1), S(x0 x1) = x0 + x1 against
+#    S(x1) S(x0) = x0 + (x0 + x1) = 2 x0 + x1.
+#  - SI2, smash coproduct on (A*, cop) (x) C, basis y0..y3 = f^1#1, f^1#g,
+#    f^g#1, f^g#g.  phi_da(f^u (x) c) = sum e_v (x) f^i, weighted by the
+#    coefficient of f_u (x) e_v in phi(c (x) f_i): phi_da(f^1 (x) 1) =
+#    1 (x) (f^1 + f^g) and phi_da(f^g (x) 1) = 1 (x) f^g.  S(f^u#c) = phi_da(f^u (x) c) with its
+#    legs swapped, so S(y0) = y0 + y2 and S(y2) = y2; Delta(f^u#c) sums
+#    (gamma2 # c) (x) phi_da(gamma1 (x) c) over Delta(f^u) = sum gamma1
+#    (x) gamma2 (f^1 -> f^1 f^1 + f^g f^g, f^g -> f^1 f^g + f^g f^1),
+#    so Delta(y0) = y0y0 + y0y2 + y2y2 and Delta(y2) = y2y0 + y2y2 + y0y2.
+#    At y0, Delta(S(y0)) = y0y0 + 2 y0y2 + y2y0 + 2 y2y2 against
+#    (S (x) S)(y0y0 + y2y0 + y2y2) = y0y0 + y0y2 + 2 y2y0 + 3 y2y2, with
+#    y_a y_b at flat index 4a + b.
+#  - AC1 and AC2 fail as well, so SI3 (the agreement) passes.
+def test_one_entry_long_kz2_phi_change_fails_si1_and_si2(long_kz2):
+    from entwine.entwining import check_antipode_compat
+
+    rows = [list(r) for r in long_kz2.phi.rows()]
+    rows[0][1] += 1
+    d = MonoidalEntwiningDatum(EntwiningMap(long_kz2.c, long_kz2.a, Matrix(rows)))
+    rep = smash_identity_checks(d)
+    si1, si2 = rep.item("SI1_product_antimult"), rep.item("SI2_coproduct_anticomult")
+    assert not si1.passed and not si2.passed
+    assert si1.witness.basis == (0, 1)
+    assert list(si1.witness.lhs) == [1, 1, 0, 0]
+    assert list(si1.witness.rhs) == [2, 1, 0, 0]
+    assert si2.witness.basis == (0,)
+    assert list(si2.witness.lhs) == [1, 0, 2, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0]
+    assert list(si2.witness.rhs) == [1, 0, 1, 0, 0, 0, 0, 0, 2, 0, 3, 0, 0, 0, 0, 0]
+    assert rep.item("SI3_agrees_direct").passed
+    direct = check_antipode_compat(d)
+    assert not direct.item("AC1_inv_antipode").passed
+    assert not direct.item("AC2_antipode").passed
+
+
 def test_smash_identity_checks_fail_consistently_for_corrupted_phi(yd_h4):
     from entwine.entwining import check_antipode_compat
 
