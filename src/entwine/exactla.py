@@ -682,8 +682,15 @@ class TensorOp(KernelOp):
         in_dims, out_dims = self.in_dims, self.out_dims
         for start in range(0, len(legs), BATCH_CAP):
             batch = legs[start:start + BATCH_CAP]
-            seeds = batch if step_in == in_dims else [
-                unflatten_index(step_in, flatten_index(in_dims, t)) for t in batch]
+            if step_in == in_dims:
+                seeds = batch
+            elif in_dims and len(step_in) == len(in_dims) + 1 and step_in[2:] == in_dims[1:]:
+                # a module op's first leg splits in two (emodcat._action_op): one
+                # divmod; a memo of reshaped tuples shared by ops was faster but
+                # outlived them
+                seeds = [(*divmod(t[0], step_in[1]), *t[1:]) for t in batch]
+            else:
+                seeds = [unflatten_index(step_in, flatten_index(in_dims, t)) for t in batch]
             parts = [[] for _ in batch]
             for key, c in run_batch(seeds, self._steps).items():
                 k = key[:-1]

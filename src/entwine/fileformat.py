@@ -5,17 +5,18 @@ One file holds one object.  All scalars are canonical rational strings
 of rows; keys are sorted and output ends with a single newline, so
 save/load round trips are bit-exact.  Non-canonical rationals ("2/4",
 "3/1") are rejected on load.
+
+Only the Hopf-side kinds load with this module.  The entwining and module
+classes are imported in the branches that build or save those kinds, so
+that checking a Hopf file loads no entwining code.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
 from .exactla import Matrix, NotInvertibleError, Vector, rat_from_str, rat_to_str
-from .emodcat import EntwinedModule
-from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum
 from .hopfcore import (
     AlgebraData,
     BilinearForm,
@@ -151,7 +152,8 @@ def _entwining_payload(e) -> dict:
     }
 
 
-def _parse_entwining_payload(obj: dict, where: str) -> EntwiningMap:
+def _parse_entwining_payload(obj: dict, where: str):
+    from .entwining import EntwiningMap
     if not isinstance(obj, dict):
         raise FileFormatError(f"{where}: expected an object")
     sig = obj.get("phi_signature", PHI_SIGNATURE)
@@ -167,6 +169,7 @@ def _parse_entwining_payload(obj: dict, where: str) -> EntwiningMap:
 
 def content_hash(payload: dict) -> str:
     "sha256 of the canonical JSON encoding of a payload."
+    import hashlib
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
@@ -180,28 +183,6 @@ def to_payload(obj, name: str | None = None, metadata: dict | None = None) -> di
     if isinstance(obj, HopfAlgebraData):
         doc["kind"] = "hopf"
         doc.update(_hopf_payload(obj))
-    elif isinstance(obj, EntwiningMap):
-        doc["kind"] = "entwining"
-        doc.update(_entwining_payload(obj))
-    elif isinstance(obj, DoubleQuantumGroup):
-        doc["kind"] = "dqg"
-        doc.update(_entwining_payload(obj.datum))
-        doc["rmap"] = _matrix_to_rows(obj.rmap)
-        doc["rmap_signature"] = RMAP_SIGNATURE
-    elif isinstance(obj, EntwinedModule):
-        doc["kind"] = "module"
-        datum_payload = _entwining_payload(obj.datum)
-        doc["datum"] = datum_payload
-        doc["dim"] = obj.dim
-        doc["action"] = _matrix_to_rows(obj.action)
-        doc["coaction"] = _matrix_to_rows(obj.coaction)
-        meta["datum_hash"] = content_hash(datum_payload)
-    elif isinstance(obj, HomCA):
-        doc["kind"] = "morphism"
-        doc["map"] = _matrix_to_rows(obj.map)
-        meta.setdefault(
-            "datum_hash", content_hash(_entwining_payload(obj.datum))
-        )
     elif isinstance(obj, Element):
         doc["kind"] = "element"
         doc["dim"] = obj.host.dim
@@ -216,7 +197,30 @@ def to_payload(obj, name: str | None = None, metadata: dict | None = None) -> di
         doc["dim_right"] = obj.host_right.dim
         doc["coords"] = _matrix_to_rows(obj.coords)
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        from .emodcat import EntwinedModule
+        from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA
+        if isinstance(obj, EntwiningMap):
+            doc["kind"] = "entwining"
+            doc.update(_entwining_payload(obj))
+        elif isinstance(obj, DoubleQuantumGroup):
+            doc["kind"] = "dqg"
+            doc.update(_entwining_payload(obj.datum))
+            doc["rmap"] = _matrix_to_rows(obj.rmap)
+            doc["rmap_signature"] = RMAP_SIGNATURE
+        elif isinstance(obj, EntwinedModule):
+            doc["kind"] = "module"
+            datum_payload = _entwining_payload(obj.datum)
+            doc["datum"] = datum_payload
+            doc["dim"] = obj.dim
+            doc["action"] = _matrix_to_rows(obj.action)
+            doc["coaction"] = _matrix_to_rows(obj.coaction)
+            meta["datum_hash"] = content_hash(datum_payload)
+        elif isinstance(obj, HomCA):
+            doc["kind"] = "morphism"
+            doc["map"] = _matrix_to_rows(obj.map)
+            meta.setdefault("datum_hash", content_hash(_entwining_payload(obj.datum)))
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
     if meta:
         doc["metadata"] = meta
     return doc
@@ -241,6 +245,7 @@ def from_payload(doc: dict):
     if kind == "entwining":
         return _parse_entwining_payload(doc, "entwining")
     if kind == "dqg":
+        from .entwining import DoubleQuantumGroup, MonoidalEntwiningDatum
         e = _parse_entwining_payload(doc, "dqg")
         sig = doc.get("rmap_signature", RMAP_SIGNATURE)
         if sig != RMAP_SIGNATURE:
@@ -252,6 +257,8 @@ def from_payload(doc: dict):
         )
         return DoubleQuantumGroup(MonoidalEntwiningDatum(e), rmap)
     if kind == "module":
+        from .emodcat import EntwinedModule
+        from .entwining import MonoidalEntwiningDatum
         e = _parse_entwining_payload(doc.get("datum"), "module.datum")
         stored = meta.get("datum_hash")
         if stored is not None and stored != content_hash(_entwining_payload(e)):
