@@ -2,10 +2,12 @@
 double structures and their pivotal/ribbon data over the rationals.
 
 Every public name loads its submodule on first use (PEP 562), so
-``import entwine`` loads no library module.  A CLI process compiles every
-module it imports, and most commands need only a few of them.  A name is
-looked up in its submodule on every access and never cached here, so a
-rebinding of that submodule's name is what ``entwine.<name>`` returns.
+``import entwine`` loads no library module, and ``import entwine.cli``
+loads only the modules the CLI reads for every command.  Without a
+bytecode cache a process compiles every module it imports, and a short
+command spends most of its time starting up.  A name is looked up in its
+submodule on every access and never cached here, so a rebinding of that
+submodule's name is what ``entwine.<name>`` returns.
 """
 
 from importlib import import_module

@@ -5,9 +5,11 @@ check passes, 1 when a check fails, 2 on usage or parse errors.  Reports
 render as text or machine-readable JSON mirroring the AxiomReport
 structure, byte-for-byte deterministic for identical inputs.
 
-Each command imports the library modules it runs when it runs, so
-``import entwine.cli`` loads none of them: a CLI process compiles every
-module it imports, and start-up is most of a short command's time.
+The modules that every check and build reads (fileformat, exactla, report,
+hopfcore, entwining) load with this module.  emodcat, pivribbon, smash and
+corpus load only in the commands that run them: without a bytecode cache a
+process compiles every module it imports, and start-up is most of a short
+command's time.
 """
 
 from __future__ import annotations
@@ -17,6 +19,21 @@ import sys
 
 import click
 
+from . import fileformat as ff
+from .entwining import (
+    DoubleQuantumGroup,
+    EntwiningMap,
+    HomCA,
+    MonoidalEntwiningDatum,
+    check_antipode_compat,
+    check_double_quantum_group,
+    check_entwining,
+    check_monoidal_datum,
+)
+from .hopfcore import HopfAlgebraData, check_hopf, dual_hopf
+from .report import AxiomReport, render_text
+from .exactla import NotInvertibleError, rat_to_str
+
 
 def _max_workers() -> int:
     # files are checked one after another; kept for bench/tracer.py, which reads it
@@ -24,12 +41,11 @@ def _max_workers() -> int:
 
 
 def _load(path):
-    from .fileformat import FileFormatError, load
     try:
-        return load(path)
+        return ff.load(path)
     except FileNotFoundError:
         raise click.UsageError(f"{path}: no such file")
-    except FileFormatError as exc:
+    except ff.FileFormatError as exc:
         raise click.UsageError(f"{path}: {exc}")
 
 
@@ -39,7 +55,7 @@ def _write_report_file(report_out, docs) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _emit_report(label: str, report, fmt: str, report_out=None) -> None:
+def _emit_report(label: str, report: AxiomReport, fmt: str, report_out=None) -> None:
     doc = {"subject": label, **report.to_dict()}
     if fmt == "json":
         click.echo(json.dumps(doc, sort_keys=True, indent=2))
@@ -98,8 +114,7 @@ def _load_as(path, cls, what):
     return obj
 
 
-def _load_datum(path):
-    from .entwining import DoubleQuantumGroup, EntwiningMap, MonoidalEntwiningDatum
+def _load_datum(path) -> MonoidalEntwiningDatum:
     obj = _load(path)
     if isinstance(obj, DoubleQuantumGroup):
         return obj.datum
@@ -108,62 +123,44 @@ def _load_datum(path):
     raise click.UsageError(f"{path}: expected an entwining or dqg file")
 
 
-def _full_datum_report(d):
-    from .entwining import check_antipode_compat, check_entwining, check_monoidal_datum
+def _full_datum_report(d: MonoidalEntwiningDatum) -> AxiomReport:
     rep = check_entwining(d).merged_with(check_monoidal_datum(d))
     return rep.merged_with(check_antipode_compat(d))
 
 
-def _file_check(name: str, help: str):
-    "Register `check <name> FILES...`, which reports the decorated runner(path) for each file."
-
-    def register(runner):
-        @check.command(name=name, help=help)
-        @click.argument("files", nargs=-1, required=True, type=click.Path())
-        @_format_option
-        @_report_out_option
-        def cmd(files, fmt, report_out):
-            sys.exit(0 if _run_file_checks(list(files), runner, fmt, report_out) else 1)
-
-        return runner
-
-    return register
-
-
-@_file_check("hopf", "Full Hopf axiom suite on hopf files.")
-def _hopf_file(path):
-    from .hopfcore import HopfAlgebraData, check_hopf
-    return check_hopf(_load_as(path, HopfAlgebraData, "hopf"))
-
-
-@_file_check("entwining", "Basic entwining axioms on entwining/dqg files.")
-def _entwining_file(path):
-    from .entwining import check_entwining
-    return check_entwining(_load_datum(path))
-
-
-@_file_check("datum", "Entwining + monoidal + antipode-compat axioms.")
-def _datum_file(path):
-    return _full_datum_report(_load_datum(path))
-
-
-@_file_check("dqg", "Full double-structure axiom chain on dqg files.")
-def _dqg_file(path):
-    from .entwining import DoubleQuantumGroup, check_double_quantum_group
-    q = _load_as(path, DoubleQuantumGroup, "dqg")
+def _full_dqg_report(q: DoubleQuantumGroup) -> AxiomReport:
     return _full_datum_report(q.datum).merged_with(check_double_quantum_group(q))
 
 
-@_file_check("module", "Entwined-module axioms on module files.")
-def _module_file(path):
+def _module_report(path) -> AxiomReport:
     from .emodcat import EntwinedModule, check_entwined_module
     return check_entwined_module(_load_as(path, EntwinedModule, "module"))
 
 
-def _attach_morphism(d, morph_path):
-    from .entwining import HomCA
-    from .fileformat import LoadedMorphism
-    m = _load_as(morph_path, LoadedMorphism, "morphism")
+def _file_check(name: str, help: str, runner) -> None:
+    "Register `check <name> FILES...`, which reports runner(path) for each file."
+
+    @check.command(name=name, help=help)
+    @click.argument("files", nargs=-1, required=True, type=click.Path())
+    @_format_option
+    @_report_out_option
+    def cmd(files, fmt, report_out):
+        sys.exit(0 if _run_file_checks(list(files), runner, fmt, report_out) else 1)
+
+
+_file_check("hopf", "Full Hopf axiom suite on hopf files.",
+            lambda path: check_hopf(_load_as(path, HopfAlgebraData, "hopf")))
+_file_check("entwining", "Basic entwining axioms on entwining/dqg files.",
+            lambda path: check_entwining(_load_datum(path)))
+_file_check("datum", "Entwining + monoidal + antipode-compat axioms.",
+            lambda path: _full_datum_report(_load_datum(path)))
+_file_check("dqg", "Full double-structure axiom chain on dqg files.",
+            lambda path: _full_dqg_report(_load_as(path, DoubleQuantumGroup, "dqg")))
+_file_check("module", "Entwined-module axioms on module files.", _module_report)
+
+
+def _attach_morphism(d: MonoidalEntwiningDatum, morph_path) -> HomCA:
+    m = _load_as(morph_path, ff.LoadedMorphism, "morphism")
     if m.map.nrows != d.a_dim or m.map.ncols != d.c_dim:
         raise click.UsageError(
             f"{morph_path}: map is {m.map.nrows}x{m.map.ncols}, expected "
@@ -191,7 +188,6 @@ def check_pivotal_cmd(datum_path, morph_path, fmt, report_out):
 @_format_option
 @_report_out_option
 def check_ribbon_cmd(dqg_path, morph_path, fmt, report_out):
-    from .entwining import DoubleQuantumGroup
     from .pivribbon import verify_ribbon
     q = _load_as(dqg_path, DoubleQuantumGroup, "dqg")
     rep = verify_ribbon(q, _attach_morphism(q.datum, morph_path))
@@ -207,14 +203,12 @@ def build():
 def _save_built(path, src, build, output, construction: str) -> None:
     """Save build(src), with its construction and the hash of its source.
     A built antipode that is singular exits 2, and nothing is written."""
-    from .exactla import NotInvertibleError
-    from .fileformat import content_hash, save, to_payload
     try:
         obj = build(src)
     except NotInvertibleError:
         raise click.UsageError(f"{path}: the antipode of its {construction} is singular")
-    src_hash = content_hash(to_payload(src))
-    save(obj, output, metadata={"construction": construction, "source_hash": src_hash})
+    src_hash = ff.content_hash(ff.to_payload(src))
+    ff.save(obj, output, metadata={"construction": construction, "source_hash": src_hash})
 
 
 @build.command(name="smash", help="Smash product Hopf algebra of a datum.")
@@ -238,7 +232,6 @@ def build_cosmash_cmd(datum_path, output):
 @click.option("-o", "--output", required=True, type=click.Path())
 def build_double_cmd(hopf_path, output):
     from .corpus import drinfeld_double
-    from .hopfcore import HopfAlgebraData
     h = _load_as(hopf_path, HopfAlgebraData, "hopf")
     _save_built(hopf_path, h, drinfeld_double, output, "drinfeld_double")
 
@@ -248,7 +241,6 @@ def build_double_cmd(hopf_path, output):
 @click.option("--twist", type=click.Choice(["plain", "op", "cop"]), default="plain")
 @click.option("-o", "--output", required=True, type=click.Path())
 def build_dual_cmd(hopf_path, twist, output):
-    from .hopfcore import HopfAlgebraData, dual_hopf
     h = _load_as(hopf_path, HopfAlgebraData, "hopf")
     _save_built(hopf_path, h, lambda x: dual_hopf(x, twist), output, f"dual_{twist}")
 
@@ -259,7 +251,6 @@ def find_grp():
 
 
 def _emit_finder(res) -> None:
-    from .exactla import rat_to_str
     doc = {
         "status": res.status,
         "notes": res.notes,
@@ -291,7 +282,6 @@ def find_pivotal_cmd(datum_path, max_params):
 @click.option("--dqg", "--datum", "dqg_path", required=True, type=click.Path())
 @click.option("--max-params", type=int, default=4, show_default=True)
 def find_ribbon_cmd(dqg_path, max_params):
-    from .entwining import DoubleQuantumGroup
     from .pivribbon import find_morphisms
     q = _load_as(dqg_path, DoubleQuantumGroup, "dqg")
     _emit_finder(find_morphisms(q, "ribbon", max_params))
@@ -302,12 +292,11 @@ def find_ribbon_cmd(dqg_path, max_params):
 @click.option("-o", "--output", required=True, type=click.Path())
 def corpus_cmd(name, output):
     from .corpus import corpus_build
-    from .fileformat import save
     try:
         _kind, obj = corpus_build(name)
     except KeyError as exc:
         raise click.UsageError(str(exc.args[0]))
-    save(obj, output, name=name, metadata={"construction": f"corpus:{name}"})
+    ff.save(obj, output, name=name, metadata={"construction": f"corpus:{name}"})
 
 
 @main.command(name="corpus-list", help="List the built-in corpus names.")
@@ -344,7 +333,6 @@ def _saved_reports(doc, file) -> list[dict]:
 @click.argument("file", type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def report_cmd(file, fmt):
-    from .report import render_text
     try:
         with open(file, encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -6,9 +6,9 @@ of rows; keys are sorted and output ends with a single newline, so
 save/load round trips are bit-exact.  Non-canonical rationals ("2/4",
 "3/1") are rejected on load.
 
-Only the Hopf-side kinds load with this module.  The entwining and module
-classes are imported in the branches that build or save those kinds, so
-that checking a Hopf file loads no entwining code.
+emodcat is imported only where a module file is parsed or saved, and
+hashlib only where a hash is taken, so that loading a Hopf algebra or a
+datum compiles neither.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .exactla import Matrix, NotInvertibleError, Vector, rat_from_str, rat_to_str
+from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum
 from .hopfcore import (
     AlgebraData,
     BilinearForm,
@@ -152,8 +153,7 @@ def _entwining_payload(e) -> dict:
     }
 
 
-def _parse_entwining_payload(obj: dict, where: str):
-    from .entwining import EntwiningMap
+def _parse_entwining_payload(obj: dict, where: str) -> EntwiningMap:
     if not isinstance(obj, dict):
         raise FileFormatError(f"{where}: expected an object")
     sig = obj.get("phi_signature", PHI_SIGNATURE)
@@ -183,6 +183,20 @@ def to_payload(obj, name: str | None = None, metadata: dict | None = None) -> di
     if isinstance(obj, HopfAlgebraData):
         doc["kind"] = "hopf"
         doc.update(_hopf_payload(obj))
+    elif isinstance(obj, EntwiningMap):
+        doc["kind"] = "entwining"
+        doc.update(_entwining_payload(obj))
+    elif isinstance(obj, DoubleQuantumGroup):
+        doc["kind"] = "dqg"
+        doc.update(_entwining_payload(obj.datum))
+        doc["rmap"] = _matrix_to_rows(obj.rmap)
+        doc["rmap_signature"] = RMAP_SIGNATURE
+    elif isinstance(obj, HomCA):
+        doc["kind"] = "morphism"
+        doc["map"] = _matrix_to_rows(obj.map)
+        meta.setdefault(
+            "datum_hash", content_hash(_entwining_payload(obj.datum))
+        )
     elif isinstance(obj, Element):
         doc["kind"] = "element"
         doc["dim"] = obj.host.dim
@@ -198,29 +212,15 @@ def to_payload(obj, name: str | None = None, metadata: dict | None = None) -> di
         doc["coords"] = _matrix_to_rows(obj.coords)
     else:
         from .emodcat import EntwinedModule
-        from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA
-        if isinstance(obj, EntwiningMap):
-            doc["kind"] = "entwining"
-            doc.update(_entwining_payload(obj))
-        elif isinstance(obj, DoubleQuantumGroup):
-            doc["kind"] = "dqg"
-            doc.update(_entwining_payload(obj.datum))
-            doc["rmap"] = _matrix_to_rows(obj.rmap)
-            doc["rmap_signature"] = RMAP_SIGNATURE
-        elif isinstance(obj, EntwinedModule):
-            doc["kind"] = "module"
-            datum_payload = _entwining_payload(obj.datum)
-            doc["datum"] = datum_payload
-            doc["dim"] = obj.dim
-            doc["action"] = _matrix_to_rows(obj.action)
-            doc["coaction"] = _matrix_to_rows(obj.coaction)
-            meta["datum_hash"] = content_hash(datum_payload)
-        elif isinstance(obj, HomCA):
-            doc["kind"] = "morphism"
-            doc["map"] = _matrix_to_rows(obj.map)
-            meta.setdefault("datum_hash", content_hash(_entwining_payload(obj.datum)))
-        else:
+        if not isinstance(obj, EntwinedModule):
             raise TypeError(f"cannot serialize {type(obj).__name__}")
+        doc["kind"] = "module"
+        datum_payload = _entwining_payload(obj.datum)
+        doc["datum"] = datum_payload
+        doc["dim"] = obj.dim
+        doc["action"] = _matrix_to_rows(obj.action)
+        doc["coaction"] = _matrix_to_rows(obj.coaction)
+        meta["datum_hash"] = content_hash(datum_payload)
     if meta:
         doc["metadata"] = meta
     return doc
@@ -245,7 +245,6 @@ def from_payload(doc: dict):
     if kind == "entwining":
         return _parse_entwining_payload(doc, "entwining")
     if kind == "dqg":
-        from .entwining import DoubleQuantumGroup, MonoidalEntwiningDatum
         e = _parse_entwining_payload(doc, "dqg")
         sig = doc.get("rmap_signature", RMAP_SIGNATURE)
         if sig != RMAP_SIGNATURE:
@@ -258,7 +257,6 @@ def from_payload(doc: dict):
         return DoubleQuantumGroup(MonoidalEntwiningDatum(e), rmap)
     if kind == "module":
         from .emodcat import EntwinedModule
-        from .entwining import MonoidalEntwiningDatum
         e = _parse_entwining_payload(doc.get("datum"), "module.datum")
         stored = meta.get("datum_hash")
         if stored is not None and stored != content_hash(_entwining_payload(e)):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from . import entwining as ent
 from .exactla import (
     Matrix,
     TensorOp,
@@ -416,15 +417,13 @@ def verify_copivot(c: HopfAlgebraData, g: Functional) -> AxiomReport:
     return AxiomReport(items)
 
 
-def _element_hom(h: HopfAlgebraData, v: Vector):
+def _element_hom(h: HopfAlgebraData, v: Vector) -> ent.HomCA:
     "v as the map k -> H over the degenerate datum."
-    from . import entwining as ent
     return ent.HomCA(_degenerate_datum(trivial_hopf(), h), Matrix.from_flat(v, 1))
 
 
 def element_inverse(h: HopfAlgebraData, v: Vector) -> Vector | None:
     "Two-sided multiplicative inverse of an element, or None."
-    from . import entwining as ent
     inv = ent.conv_inverse(_element_hom(h, v))
     return None if inv is None else inv.map.col(0)
 
@@ -436,7 +435,6 @@ def verify_ribbon_element(h: HopfAlgebraData, rmatrix: Vector, v: Element) -> Ax
     invertibility; quasitriangularity of (h, rmatrix) is the caller's
     precondition (see quasitri_check).
     """
-    from . import entwining as ent
     if v.host is not h:
         raise ValueError("element must be hosted in h")
     if rmatrix.dim != h.dim * h.dim:
@@ -495,7 +493,6 @@ def verify_coribbon_form(c: HopfAlgebraData, form: BilinearForm, g: Functional) 
     form, invariance under the antipode, and convolution invertibility;
     coquasitriangularity of (c, form) is the caller's precondition.
     """
-    from . import entwining as ent
     if g.host is not c or form.host_left is not c or form.host_right is not c:
         raise ValueError("form and functional must be hosted in c")
     d = c.dim
@@ -546,14 +543,12 @@ def verify_coribbon_form(c: HopfAlgebraData, form: BilinearForm, g: Functional) 
 # ---------------------------------------------------------------------------
 
 
-def _degenerate_datum(c: HopfAlgebraData, a: HopfAlgebraData):
+def _degenerate_datum(c: HopfAlgebraData, a: HopfAlgebraData) -> ent.MonoidalEntwiningDatum:
     "The datum of the identity entwining map; one of c, a is trivial_hopf()."
-    from . import entwining as ent
     return ent.MonoidalEntwiningDatum(ent.EntwiningMap(c, a, Matrix.identity(c.dim * a.dim)))
 
 
-def _degenerate_double_check(d, rmap: Matrix) -> AxiomReport:
-    from . import entwining as ent
+def _degenerate_double_check(d: ent.MonoidalEntwiningDatum, rmap: Matrix) -> AxiomReport:
     q = ent.DoubleQuantumGroup(d, rmap)
     rep = ent.check_entwining(d).merged_with(ent.check_monoidal_datum(d))
     return rep.merged_with(ent.check_double_quantum_group(q))

@@ -1,5 +1,6 @@
-"""Start-up guards: each CLI command loads only the modules it runs, and the
-``entwine`` namespace resolves every public name through its submodule."""
+"""Start-up guards: the CLI loads emodcat, pivribbon, smash and corpus only in
+the commands that run them, and the ``entwine`` namespace resolves every
+public name through its submodule."""
 
 import importlib
 import json
@@ -18,20 +19,22 @@ from entwine import corpus, fileformat
 from entwine.cli import main
 from entwine.emodcat import std_module_CA
 
-HOPF = {"cli", "fileformat", "exactla", "report", "hopfcore"}
-ENTWINING = HOPF | {"entwining"}
-MODULE = ENTWINING | {"emodcat"}
+# what `import entwine.cli` loads: the modules every check and build reads
+CORE = {"cli", "fileformat", "exactla", "report", "hopfcore", "entwining"}
+MODULE = CORE | {"emodcat"}
 PIVRIBBON = MODULE | {"pivribbon"}
 SMASH = PIVRIBBON | {"smash"}
+EVERY = SMASH | {"corpus"}
 
 # command -> the entwine.* modules loaded once it has run
 CASES = {
-    "help": (["--help"], {"cli"}),
-    "check-hopf": (["check", "hopf", "kz2.json"], HOPF),
-    "build-dual": (["build", "dual", "--hopf", "kz2.json", "-o", "dual.json"], HOPF),
-    "check-entwining": (["check", "entwining", "yd_kz2.json"], ENTWINING),
-    "check-datum": (["check", "datum", "yd_kz2.json"], ENTWINING),
-    "check-dqg": (["check", "dqg", "yd_dqg_kz2.json"], ENTWINING),
+    "help": (["--help"], CORE),
+    "check-hopf": (["check", "hopf", "kz2.json"], CORE),
+    "build-dual": (["build", "dual", "--hopf", "kz2.json", "-o", "dual.json"], CORE),
+    "check-entwining": (["check", "entwining", "yd_kz2.json"], CORE),
+    "check-datum": (["check", "datum", "yd_kz2.json"], CORE),
+    "check-dqg": (["check", "dqg", "yd_dqg_kz2.json"], CORE),
+    "report": (["report", "saved_report.json"], CORE),
     "check-module": (["check", "module", "mod.json"], MODULE),
     "check-pivotal": (["check", "pivotal", "--datum", "yd_h4.json",
                        "--morphism", "g1_yd_h4.json"], PIVRIBBON),
@@ -41,7 +44,8 @@ CASES = {
     "find-ribbon": (["find", "ribbon", "--dqg", "yd_dqg_kz2.json"], PIVRIBBON),
     "build-smash": (["build", "smash", "--datum", "yd_kz2.json", "-o", "s.json"], SMASH),
     "build-cosmash": (["build", "cosmash", "--datum", "yd_kz2.json", "-o", "cs.json"], SMASH),
-    "report": (["report", "saved_report.json"], {"cli", "report", "exactla"}),
+    "build-double": (["build", "double", "--hopf", "kz2.json", "-o", "d.json"], EVERY),
+    "corpus-list": (["corpus-list"], EVERY),
 }
 
 PROBE = textwrap.dedent("""
