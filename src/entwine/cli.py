@@ -3,21 +3,24 @@
 Exit codes follow the verification contract: 0 when every requested
 check passes, 1 when a check fails, 2 on usage or parse errors.  Reports
 render as text or machine-readable JSON mirroring the AxiomReport
-structure, byte-for-byte deterministic for identical inputs.
+structure, byte-for-byte deterministic for identical inputs.  A bad input
+found while a command runs prints ``Error: <message>`` on stderr, and
+nothing on stdout.
 
-The modules that every check and build reads (fileformat, exactla, report,
-hopfcore, entwining) load with this module.  emodcat, pivribbon, smash and
-corpus load only in the commands that run them: without a bytecode cache a
-process compiles every module it imports, and start-up is most of a short
-command's time.
+The parser is the standard library's argparse, built from the one table
+_COMMANDS.  The modules that every check and build reads (fileformat,
+exactla, report, hopfcore, entwining) load with this module.  emodcat,
+pivribbon, smash and corpus load only in the commands that run them:
+without a bytecode cache a process compiles every module it imports, and
+start-up is most of a short command's time.  For the same reason the CLI
+uses no third-party package.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
-
-import click
 
 from . import fileformat as ff
 from .entwining import (
@@ -35,6 +38,10 @@ from .report import AxiomReport, render_text
 from .exactla import NotInvertibleError, rat_to_str
 
 
+class UsageError(Exception):
+    "Bad input found by a command: main prints `Error: <message>` and exits 2."
+
+
 def _max_workers() -> int:
     # files are checked one after another; kept for bench/tracer.py, which reads it
     return 1
@@ -44,9 +51,9 @@ def _load(path):
     try:
         return ff.load(path)
     except FileNotFoundError:
-        raise click.UsageError(f"{path}: no such file")
+        raise UsageError(f"{path}: no such file")
     except ff.FileFormatError as exc:
-        raise click.UsageError(f"{path}: {exc}")
+        raise UsageError(f"{path}: {exc}")
 
 
 def _write_report_file(report_out, docs) -> None:
@@ -58,11 +65,11 @@ def _write_report_file(report_out, docs) -> None:
 def _emit_report(label: str, report: AxiomReport, fmt: str, report_out=None) -> None:
     doc = {"subject": label, **report.to_dict()}
     if fmt == "json":
-        click.echo(json.dumps(doc, sort_keys=True, indent=2))
+        print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         if label:
-            click.echo(f"== {label}")
-        click.echo(report.render_text())
+            print(f"== {label}")
+        print(report.render_text())
     if report_out:
         _write_report_file(report_out, [doc])
 
@@ -86,31 +93,11 @@ def _run_file_checks(paths, runner, fmt, report_out) -> bool:
     return ok
 
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
-    help="report rendering",
-)
-_report_out_option = click.option(
-    "--report-out", type=click.Path(), default=None,
-    help="also write the JSON report to this path",
-)
-
-
-@click.group()
-def main():
-    "Exact verification of Hopf/entwining structure data."
-
-
-@main.group()
-def check():
-    "Run axiom checks against structure files."
-
-
 def _load_as(path, cls, what):
     "Load a structure file that must hold a cls; any other kind exits 2."
     obj = _load(path)
     if not isinstance(obj, cls):
-        raise click.UsageError(f"{path}: expected a {what} file")
+        raise UsageError(f"{path}: expected a {what} file")
     return obj
 
 
@@ -120,7 +107,7 @@ def _load_datum(path) -> MonoidalEntwiningDatum:
         return obj.datum
     if isinstance(obj, EntwiningMap):
         return MonoidalEntwiningDatum(obj)
-    raise click.UsageError(f"{path}: expected an entwining or dqg file")
+    raise UsageError(f"{path}: expected an entwining or dqg file")
 
 
 def _full_datum_report(d: MonoidalEntwiningDatum) -> AxiomReport:
@@ -137,67 +124,36 @@ def _module_report(path) -> AxiomReport:
     return check_entwined_module(_load_as(path, EntwinedModule, "module"))
 
 
-def _file_check(name: str, help: str, runner) -> None:
-    "Register `check <name> FILES...`, which reports runner(path) for each file."
-
-    @check.command(name=name, help=help)
-    @click.argument("files", nargs=-1, required=True, type=click.Path())
-    @_format_option
-    @_report_out_option
-    def cmd(files, fmt, report_out):
-        sys.exit(0 if _run_file_checks(list(files), runner, fmt, report_out) else 1)
-
-
-_file_check("hopf", "Full Hopf axiom suite on hopf files.",
-            lambda path: check_hopf(_load_as(path, HopfAlgebraData, "hopf")))
-_file_check("entwining", "Basic entwining axioms on entwining/dqg files.",
-            lambda path: check_entwining(_load_datum(path)))
-_file_check("datum", "Entwining + monoidal + antipode-compat axioms.",
-            lambda path: _full_datum_report(_load_datum(path)))
-_file_check("dqg", "Full double-structure axiom chain on dqg files.",
-            lambda path: _full_dqg_report(_load_as(path, DoubleQuantumGroup, "dqg")))
-_file_check("module", "Entwined-module axioms on module files.", _module_report)
+def _file_check(runner):
+    "The command `check <name> FILES...`, which reports runner(path) for each file."
+    # _run_file_checks is looked up when the command runs, so a rebinding of it counts
+    return lambda a: _run_file_checks(a.files, runner, a.fmt, a.report_out)
 
 
 def _attach_morphism(d: MonoidalEntwiningDatum, morph_path) -> HomCA:
     m = _load_as(morph_path, ff.LoadedMorphism, "morphism")
     if m.map.nrows != d.a_dim or m.map.ncols != d.c_dim:
-        raise click.UsageError(
+        raise UsageError(
             f"{morph_path}: map is {m.map.nrows}x{m.map.ncols}, expected "
             f"{d.a_dim}x{d.c_dim} for this datum"
         )
     return HomCA(d, m.map)
 
 
-@check.command(name="pivotal", help="Verify an entwined pivotal morphism.")
-@click.option("--datum", "datum_path", required=True, type=click.Path())
-@click.option("--morphism", "morph_path", required=True, type=click.Path())
-@_format_option
-@_report_out_option
-def check_pivotal_cmd(datum_path, morph_path, fmt, report_out):
+def _pivotal_cmd(a) -> bool:
     from .pivribbon import verify_pivotal
-    g = _attach_morphism(_load_datum(datum_path), morph_path)
+    g = _attach_morphism(_load_datum(a.datum), a.morphism)
     rep = verify_pivotal(g.datum, g)
-    _emit_report("", rep, fmt, report_out)
-    sys.exit(0 if rep.overall else 1)
+    _emit_report("", rep, a.fmt, a.report_out)
+    return rep.overall
 
 
-@check.command(name="ribbon", help="Verify an entwined ribbon morphism.")
-@click.option("--dqg", "dqg_path", required=True, type=click.Path())
-@click.option("--morphism", "morph_path", required=True, type=click.Path())
-@_format_option
-@_report_out_option
-def check_ribbon_cmd(dqg_path, morph_path, fmt, report_out):
+def _ribbon_cmd(a) -> bool:
     from .pivribbon import verify_ribbon
-    q = _load_as(dqg_path, DoubleQuantumGroup, "dqg")
-    rep = verify_ribbon(q, _attach_morphism(q.datum, morph_path))
-    _emit_report("", rep, fmt, report_out)
-    sys.exit(0 if rep.overall else 1)
-
-
-@main.group()
-def build():
-    "Construct derived objects and save them to structure files."
+    q = _load_as(a.dqg, DoubleQuantumGroup, "dqg")
+    rep = verify_ribbon(q, _attach_morphism(q.datum, a.morphism))
+    _emit_report("", rep, a.fmt, a.report_out)
+    return rep.overall
 
 
 def _save_built(path, src, build, output, construction: str) -> None:
@@ -206,48 +162,30 @@ def _save_built(path, src, build, output, construction: str) -> None:
     try:
         obj = build(src)
     except NotInvertibleError:
-        raise click.UsageError(f"{path}: the antipode of its {construction} is singular")
+        raise UsageError(f"{path}: the antipode of its {construction} is singular")
     src_hash = ff.content_hash(ff.to_payload(src))
     ff.save(obj, output, metadata={"construction": construction, "source_hash": src_hash})
 
 
-@build.command(name="smash", help="Smash product Hopf algebra of a datum.")
-@click.option("--datum", "datum_path", required=True, type=click.Path())
-@click.option("-o", "--output", required=True, type=click.Path())
-def build_smash_cmd(datum_path, output):
+def _smash_cmd(a) -> None:
     from .smash import smash_product
-    _save_built(datum_path, _load_datum(datum_path), smash_product, output, "smash_product")
+    _save_built(a.datum, _load_datum(a.datum), smash_product, a.output, "smash_product")
 
 
-@build.command(name="cosmash", help="Smash coproduct Hopf algebra of a datum.")
-@click.option("--datum", "datum_path", required=True, type=click.Path())
-@click.option("-o", "--output", required=True, type=click.Path())
-def build_cosmash_cmd(datum_path, output):
+def _cosmash_cmd(a) -> None:
     from .smash import smash_coproduct
-    _save_built(datum_path, _load_datum(datum_path), smash_coproduct, output, "smash_coproduct")
+    _save_built(a.datum, _load_datum(a.datum), smash_coproduct, a.output, "smash_coproduct")
 
 
-@build.command(name="double", help="Drinfeld double of a Hopf algebra file.")
-@click.option("--hopf", "hopf_path", required=True, type=click.Path())
-@click.option("-o", "--output", required=True, type=click.Path())
-def build_double_cmd(hopf_path, output):
+def _double_cmd(a) -> None:
     from .corpus import drinfeld_double
-    h = _load_as(hopf_path, HopfAlgebraData, "hopf")
-    _save_built(hopf_path, h, drinfeld_double, output, "drinfeld_double")
+    h = _load_as(a.hopf, HopfAlgebraData, "hopf")
+    _save_built(a.hopf, h, drinfeld_double, a.output, "drinfeld_double")
 
 
-@build.command(name="dual", help="Dual Hopf algebra, optionally op/cop twisted.")
-@click.option("--hopf", "hopf_path", required=True, type=click.Path())
-@click.option("--twist", type=click.Choice(["plain", "op", "cop"]), default="plain")
-@click.option("-o", "--output", required=True, type=click.Path())
-def build_dual_cmd(hopf_path, twist, output):
-    h = _load_as(hopf_path, HopfAlgebraData, "hopf")
-    _save_built(hopf_path, h, lambda x: dual_hopf(x, twist), output, f"dual_{twist}")
-
-
-@main.group(name="find")
-def find_grp():
-    "Search for pivotal/ribbon morphism candidates."
+def _dual_cmd(a) -> None:
+    h = _load_as(a.hopf, HopfAlgebraData, "hopf")
+    _save_built(a.hopf, h, lambda x: dual_hopf(x, a.twist), a.output, f"dual_{a.twist}")
 
 
 def _emit_finder(res) -> None:
@@ -266,44 +204,33 @@ def _emit_finder(res) -> None:
                 [rat_to_str(x) for x in v] for v in res.family.nullspace_basis
             ],
         }
-    click.echo(json.dumps(doc, sort_keys=True, indent=2))
+    print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-@find_grp.command(name="pivotal")
-@click.option("--datum", "datum_path", required=True, type=click.Path())
-@click.option("--max-params", type=int, default=4, show_default=True)
-def find_pivotal_cmd(datum_path, max_params):
+def _find_pivotal_cmd(a) -> None:
     from .pivribbon import find_morphisms
-    d = _load_datum(datum_path)
-    _emit_finder(find_morphisms(d, "pivotal", max_params))
+    _emit_finder(find_morphisms(_load_datum(a.datum), "pivotal", a.max_params))
 
 
-@find_grp.command(name="ribbon")
-@click.option("--dqg", "--datum", "dqg_path", required=True, type=click.Path())
-@click.option("--max-params", type=int, default=4, show_default=True)
-def find_ribbon_cmd(dqg_path, max_params):
+def _find_ribbon_cmd(a) -> None:
     from .pivribbon import find_morphisms
-    q = _load_as(dqg_path, DoubleQuantumGroup, "dqg")
-    _emit_finder(find_morphisms(q, "ribbon", max_params))
+    q = _load_as(a.dqg, DoubleQuantumGroup, "dqg")
+    _emit_finder(find_morphisms(q, "ribbon", a.max_params))
 
 
-@main.command(name="corpus", help="Export a built-in example structure.")
-@click.argument("name")
-@click.option("-o", "--output", required=True, type=click.Path())
-def corpus_cmd(name, output):
+def _corpus_cmd(a) -> None:
     from .corpus import corpus_build
     try:
-        _kind, obj = corpus_build(name)
+        _kind, obj = corpus_build(a.name)
     except KeyError as exc:
-        raise click.UsageError(str(exc.args[0]))
-    ff.save(obj, output, name=name, metadata={"construction": f"corpus:{name}"})
+        raise UsageError(str(exc.args[0]))
+    ff.save(obj, a.output, name=a.name, metadata={"construction": f"corpus:{a.name}"})
 
 
-@main.command(name="corpus-list", help="List the built-in corpus names.")
-def corpus_list_cmd():
+def _corpus_list_cmd(a) -> None:
     from .corpus import corpus_names
     for name in corpus_names():
-        click.echo(name)
+        print(name)
 
 
 def _saved_reports(doc, file) -> list[dict]:
@@ -313,7 +240,7 @@ def _saved_reports(doc, file) -> list[dict]:
     def expect(value, kind, path):
         if not isinstance(value, kind):
             what = "an object" if kind is dict else "a list"
-            raise click.UsageError(f"{file}: {path}: expected {what}")
+            raise UsageError(f"{file}: {path}: expected {what}")
         return value
 
     docs = doc if isinstance(doc, list) else [doc]
@@ -329,27 +256,110 @@ def _saved_reports(doc, file) -> list[dict]:
     return docs
 
 
-@main.command(name="report", help="Re-render a saved JSON report.")
-@click.argument("file", type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def report_cmd(file, fmt):
+def _report_cmd(a) -> bool:
     try:
-        with open(file, encoding="utf-8") as fh:
+        with open(a.file, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
-        raise click.UsageError(f"{file}: no such file")
+        raise UsageError(f"{a.file}: no such file")
     except json.JSONDecodeError as exc:
-        raise click.UsageError(f"{file}: not valid JSON: {exc}")
-    docs = _saved_reports(doc, file)
-    if fmt == "json":
-        click.echo(json.dumps(doc, sort_keys=True, indent=2))
+        raise UsageError(f"{a.file}: not valid JSON: {exc}")
+    docs = _saved_reports(doc, a.file)
+    if a.fmt == "json":
+        print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         for one in docs:
             subject = one.get("subject")
             if subject:
-                click.echo(f"== {subject}")
-            click.echo(render_text(one))
-    sys.exit(0 if all(one.get("overall") for one in docs) else 1)
+                print(f"== {subject}")
+            print(render_text(one))
+    return all(one.get("overall") for one in docs)
+
+
+# arguments: (flags, add_argument keywords); a path option's dest is its first long flag
+def _path(*flags):
+    return flags, {"required": True, "metavar": "PATH"}
+
+
+_FORMAT = ("--format",), {"dest": "fmt", "choices": ("text", "json"), "default": "text",
+                          "help": "report rendering"}
+_REPORT = (_FORMAT, (("--report-out",), {"metavar": "PATH",
+                                         "help": "also write the JSON report to this path"}))
+_FILES = ((("files",), {"nargs": "+", "metavar": "FILES"}),) + _REPORT
+_MAX_PARAMS = ("--max-params",), {"type": int, "default": 4,
+                                  "help": "most free parameters to search (default 4)"}
+_OUTPUT = _path("-o", "--output")
+
+# (command words, one-line help, arguments, run); a group has no run.  run(args)
+# returns False for a failing verdict (exit 1) and raises UsageError on bad input.
+_COMMANDS = (
+    ("check", "Run axiom checks against structure files.", (), None),
+    ("check hopf", "Full Hopf axiom suite on hopf files.", _FILES,
+     _file_check(lambda path: check_hopf(_load_as(path, HopfAlgebraData, "hopf")))),
+    ("check entwining", "Basic entwining axioms on entwining/dqg files.", _FILES,
+     _file_check(lambda path: check_entwining(_load_datum(path)))),
+    ("check datum", "Entwining + monoidal + antipode-compat axioms.", _FILES,
+     _file_check(lambda path: _full_datum_report(_load_datum(path)))),
+    ("check dqg", "Full double-structure axiom chain on dqg files.", _FILES,
+     _file_check(lambda path: _full_dqg_report(_load_as(path, DoubleQuantumGroup, "dqg")))),
+    ("check module", "Entwined-module axioms on module files.", _FILES,
+     _file_check(_module_report)),
+    ("check pivotal", "Verify an entwined pivotal morphism.",
+     (_path("--datum"), _path("--morphism")) + _REPORT, _pivotal_cmd),
+    ("check ribbon", "Verify an entwined ribbon morphism.",
+     (_path("--dqg"), _path("--morphism")) + _REPORT, _ribbon_cmd),
+    ("build", "Construct derived objects and save them to structure files.", (), None),
+    ("build smash", "Smash product Hopf algebra of a datum.",
+     (_path("--datum"), _OUTPUT), _smash_cmd),
+    ("build cosmash", "Smash coproduct Hopf algebra of a datum.",
+     (_path("--datum"), _OUTPUT), _cosmash_cmd),
+    ("build double", "Drinfeld double of a Hopf algebra file.",
+     (_path("--hopf"), _OUTPUT), _double_cmd),
+    ("build dual", "Dual Hopf algebra, optionally op/cop twisted.",
+     (_path("--hopf"), (("--twist",), {"choices": ("plain", "op", "cop"), "default": "plain"}),
+      _OUTPUT), _dual_cmd),
+    ("find", "Search for pivotal/ribbon morphism candidates.", (), None),
+    ("find pivotal", "Pivotal morphisms of an entwining or dqg file.",
+     (_path("--datum"), _MAX_PARAMS), _find_pivotal_cmd),
+    ("find ribbon", "Ribbon morphisms of a dqg file.",
+     (_path("--dqg", "--datum"), _MAX_PARAMS), _find_ribbon_cmd),
+    ("corpus", "Export a built-in example structure.",
+     ((("name",), {"metavar": "NAME"}), _OUTPUT), _corpus_cmd),
+    ("corpus-list", "List the built-in corpus names.", (), _corpus_list_cmd),
+    ("report", "Re-render a saved JSON report.", ((("file",), {"metavar": "FILE"}), _FORMAT),
+     _report_cmd),
+)
+
+
+def _parser(prog) -> argparse.ArgumentParser:
+    root = argparse.ArgumentParser(prog=prog, description=main.__doc__, allow_abbrev=False)
+    groups = {"": root.add_subparsers(metavar="COMMAND", required=True)}
+    for words, about, arguments, run in _COMMANDS:
+        group, _, name = words.rpartition(" ")
+        p = groups[group].add_parser(name, help=about, description=about, allow_abbrev=False)
+        if run is None:
+            groups[words] = p.add_subparsers(metavar="COMMAND", required=True)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(run=run)
+    return root
+
+
+def main(args=None, prog_name=None):
+    "Exact verification of Hopf/entwining structure data."
+    parser = _parser(prog_name)
+    ns, extra = parser.parse_known_args(args)
+    # files may follow an option, as in `check hopf a.json --format json b.json`
+    if extra and (not hasattr(ns, "files") or any(w.startswith("-") for w in extra)):
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if extra:
+        ns.files += extra
+    try:
+        ok = ns.run(ns)
+    except UsageError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    sys.exit(1 if ok is False else 0)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import prod
 from operator import itemgetter
@@ -338,17 +338,15 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(shape=(a.nrows * bn, a.ncols * b.ncols), cols=cols)
 
 
-@dataclass(frozen=True)
-class AffineSolution:
+class AffineSolution(namedtuple("AffineSolution", "particular nullspace_basis")):
     """Full solution set of a consistent affine system a.x = b.
 
-    ``particular`` solves the inhomogeneous system; ``nullspace_basis``
-    is a linearly independent basis of solutions of a.x = 0, so the set
-    of all solutions is particular + span(nullspace_basis).
+    ``particular`` (a Vector) solves the inhomogeneous system;
+    ``nullspace_basis`` is a tuple of linearly independent Vectors solving
+    a.x = 0, so the set of all solutions is particular + span(nullspace_basis).
     """
 
-    particular: Vector
-    nullspace_basis: tuple[Vector, ...]
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:

@@ -14,7 +14,7 @@ datum compiles neither.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .exactla import Matrix, NotInvertibleError, Vector, rat_from_str, rat_to_str
 from .entwining import DoubleQuantumGroup, EntwiningMap, HomCA, MonoidalEntwiningDatum
@@ -36,31 +36,11 @@ class FileFormatError(ValueError):
     "Raised on malformed structure files, with a field-path diagnostic."
 
 
-@dataclass
-class LoadedMorphism:
-    "A morphism file: the map C -> A, to be attached to a datum by the caller."
-    map: Matrix
-    metadata: dict = field(default_factory=dict)
-
-
-@dataclass
-class LoadedElement:
-    coords: Vector
-    metadata: dict = field(default_factory=dict)
-
-
-@dataclass
-class LoadedFunctional:
-    coords: Matrix
-    metadata: dict = field(default_factory=dict)
-
-
-@dataclass
-class LoadedForm:
-    coords: Matrix
-    dim_left: int
-    dim_right: int
-    metadata: dict = field(default_factory=dict)
+# the files that hold a bare map or coordinates, each with its metadata dict
+LoadedMorphism = namedtuple("LoadedMorphism", "map metadata")  # map: C -> A, a Matrix
+LoadedElement = namedtuple("LoadedElement", "coords metadata")  # coords: a Vector
+LoadedFunctional = namedtuple("LoadedFunctional", "coords metadata")  # coords: a Matrix
+LoadedForm = namedtuple("LoadedForm", "coords dim_left dim_right metadata")
 
 
 def _matrix_to_rows(m: Matrix) -> list[list[str]]:
@@ -71,7 +51,23 @@ def _vector_to_list(v: Vector) -> list[str]:
     return [rat_to_str(x) for x in v]
 
 
-def _parse_matrix(obj, nrows: int, ncols: int, where: str) -> Matrix:
+class _Rats(dict):
+    """The rationals of one file load, each distinct string parsed once.
+
+    rats[s] parses a string s on its first lookup.  rats.parse(entries)
+    looks each string entry up and hands any other entry to rat_from_str,
+    so it fails with the error that function gives it.
+    """
+
+    def __missing__(self, s):
+        x = self[s] = rat_from_str(s)
+        return x
+
+    def parse(self, entries) -> list:
+        return [self[x] if type(x) is str else rat_from_str(x) for x in entries]
+
+
+def _parse_matrix(obj, nrows: int, ncols: int, where: str, rats: _Rats) -> Matrix:
     if not isinstance(obj, list) or len(obj) != nrows:
         raise FileFormatError(f"{where}: expected {nrows} rows")
     rows = []
@@ -79,7 +75,7 @@ def _parse_matrix(obj, nrows: int, ncols: int, where: str) -> Matrix:
         if not isinstance(row, list) or len(row) != ncols:
             raise FileFormatError(f"{where}[{i}]: expected {ncols} entries")
         try:
-            rows.append([rat_from_str(x) for x in row])
+            rows.append(rats.parse(row))
         except (ValueError, TypeError) as exc:
             raise FileFormatError(f"{where}[{i}]: {exc}") from exc
     return Matrix(rows)
@@ -93,11 +89,11 @@ def _parse_dim(obj: dict, key: str, where: str) -> int:
     return dim
 
 
-def _parse_vector(obj, dim: int, where: str) -> Vector:
+def _parse_vector(obj, dim: int, where: str, rats: _Rats) -> Vector:
     if not isinstance(obj, list) or len(obj) != dim:
         raise FileFormatError(f"{where}: expected {dim} entries")
     try:
-        return Vector([rat_from_str(x) for x in obj])
+        return Vector(rats.parse(obj))
     except (ValueError, TypeError) as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 
@@ -114,7 +110,7 @@ def _hopf_payload(h: HopfAlgebraData) -> dict:
     }
 
 
-def _parse_hopf_payload(obj: dict, where: str) -> HopfAlgebraData:
+def _parse_hopf_payload(obj: dict, where: str, rats: _Rats) -> HopfAlgebraData:
     if not isinstance(obj, dict):
         raise FileFormatError(f"{where}: expected an object")
     dim = _parse_dim(obj, "dim", where)
@@ -125,11 +121,11 @@ def _parse_hopf_payload(obj: dict, where: str) -> HopfAlgebraData:
               and all(isinstance(name, str) for name in basis)):
         raise FileFormatError(f"{where}.basis: expected a list of {dim} names")
     try:
-        mult = _parse_matrix(obj["mult"], dim, dim * dim, f"{where}.mult")
-        unit = _parse_vector(obj["unit"], dim, f"{where}.unit")
-        comult = _parse_matrix(obj["comult"], dim * dim, dim, f"{where}.comult")
-        counit = _parse_matrix(obj["counit"], 1, dim, f"{where}.counit")
-        antipode = _parse_matrix(obj["antipode"], dim, dim, f"{where}.antipode")
+        mult = _parse_matrix(obj["mult"], dim, dim * dim, f"{where}.mult", rats)
+        unit = _parse_vector(obj["unit"], dim, f"{where}.unit", rats)
+        comult = _parse_matrix(obj["comult"], dim * dim, dim, f"{where}.comult", rats)
+        counit = _parse_matrix(obj["counit"], 1, dim, f"{where}.counit", rats)
+        antipode = _parse_matrix(obj["antipode"], dim, dim, f"{where}.antipode", rats)
     except KeyError as exc:
         raise FileFormatError(f"{where}: missing field {exc}") from exc
     alg = AlgebraData(dim, basis, mult, unit)
@@ -153,7 +149,7 @@ def _entwining_payload(e) -> dict:
     }
 
 
-def _parse_entwining_payload(obj: dict, where: str) -> EntwiningMap:
+def _parse_entwining_payload(obj: dict, where: str, rats: _Rats) -> EntwiningMap:
     if not isinstance(obj, dict):
         raise FileFormatError(f"{where}: expected an object")
     sig = obj.get("phi_signature", PHI_SIGNATURE)
@@ -161,9 +157,9 @@ def _parse_entwining_payload(obj: dict, where: str) -> EntwiningMap:
         raise FileFormatError(
             f"{where}.phi_signature: expected {PHI_SIGNATURE!r}, got {sig!r}"
         )
-    c = _parse_hopf_payload(obj.get("coalgebra_side"), f"{where}.coalgebra_side")
-    a = _parse_hopf_payload(obj.get("algebra_side"), f"{where}.algebra_side")
-    phi = _parse_matrix(obj.get("phi"), a.dim * c.dim, c.dim * a.dim, f"{where}.phi")
+    c = _parse_hopf_payload(obj.get("coalgebra_side"), f"{where}.coalgebra_side", rats)
+    a = _parse_hopf_payload(obj.get("algebra_side"), f"{where}.algebra_side", rats)
+    phi = _parse_matrix(obj.get("phi"), a.dim * c.dim, c.dim * a.dim, f"{where}.phi", rats)
     return EntwiningMap(c, a, phi)
 
 
@@ -240,48 +236,50 @@ def from_payload(doc: dict):
     meta = doc.get("metadata", {}) or {}
     if not isinstance(meta, dict):
         raise FileFormatError("metadata: expected an object")
+    rats = _Rats()
     if kind == "hopf":
-        return _parse_hopf_payload(doc, "hopf")
+        return _parse_hopf_payload(doc, "hopf", rats)
     if kind == "entwining":
-        return _parse_entwining_payload(doc, "entwining")
+        return _parse_entwining_payload(doc, "entwining", rats)
     if kind == "dqg":
-        e = _parse_entwining_payload(doc, "dqg")
+        e = _parse_entwining_payload(doc, "dqg", rats)
         sig = doc.get("rmap_signature", RMAP_SIGNATURE)
         if sig != RMAP_SIGNATURE:
             raise FileFormatError(
                 f"dqg.rmap_signature: expected {RMAP_SIGNATURE!r}, got {sig!r}"
             )
         rmap = _parse_matrix(
-            doc.get("rmap"), e.a.dim * e.a.dim, e.c.dim * e.c.dim, "dqg.rmap"
+            doc.get("rmap"), e.a.dim * e.a.dim, e.c.dim * e.c.dim, "dqg.rmap", rats
         )
         return DoubleQuantumGroup(MonoidalEntwiningDatum(e), rmap)
     if kind == "module":
         from .emodcat import EntwinedModule
-        e = _parse_entwining_payload(doc.get("datum"), "module.datum")
+        e = _parse_entwining_payload(doc.get("datum"), "module.datum", rats)
         stored = meta.get("datum_hash")
         if stored is not None and stored != content_hash(_entwining_payload(e)):
             raise FileFormatError("module.metadata.datum_hash: does not match the embedded datum")
         dim = _parse_dim(doc, "dim", "module")
-        action = _parse_matrix(doc.get("action"), dim, dim * e.a.dim, "module.action")
-        coaction = _parse_matrix(doc.get("coaction"), dim * e.c.dim, dim, "module.coaction")
+        action = _parse_matrix(doc.get("action"), dim, dim * e.a.dim, "module.action", rats)
+        coaction = _parse_matrix(doc.get("coaction"), dim * e.c.dim, dim, "module.coaction", rats)
         return EntwinedModule(MonoidalEntwiningDatum(e), dim, action, coaction)
     if kind == "morphism":
         rows = doc.get("map")
         if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
             raise FileFormatError("morphism.map: expected a nonempty matrix")
-        mat = _parse_matrix(rows, len(rows), len(rows[0]), "morphism.map")
+        mat = _parse_matrix(rows, len(rows), len(rows[0]), "morphism.map", rats)
         return LoadedMorphism(mat, meta)
     if kind == "element":
         dim = _parse_dim(doc, "dim", "element")
-        return LoadedElement(_parse_vector(doc.get("coords"), dim, "element.coords"), meta)
+        return LoadedElement(_parse_vector(doc.get("coords"), dim, "element.coords", rats), meta)
     if kind == "functional":
         dim = _parse_dim(doc, "dim", "functional")
-        return LoadedFunctional(_parse_matrix(doc.get("coords"), 1, dim, "functional.coords"), meta)
+        coords = _parse_matrix(doc.get("coords"), 1, dim, "functional.coords", rats)
+        return LoadedFunctional(coords, meta)
     if kind == "form":
         dl = _parse_dim(doc, "dim_left", "form")
         dr = _parse_dim(doc, "dim_right", "form")
         return LoadedForm(
-            _parse_matrix(doc.get("coords"), 1, dl * dr, "form.coords"), dl, dr, meta
+            _parse_matrix(doc.get("coords"), 1, dl * dr, "form.coords", rats), dl, dr, meta
         )
     raise AssertionError("unreachable")
 

@@ -15,7 +15,7 @@ rules reaches stays open, and the finder says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -48,19 +48,10 @@ from .hopfcore import Element, Functional
 from .report import AxiomItem, AxiomReport, compare_item, _ap, _pm, _slot
 
 
-@dataclass
-class MorphismCandidate:
-    datum: MonoidalEntwiningDatum
-    map: HomCA
-    kind: str  # "pivotal" | "ribbon"
-
-
-@dataclass
-class FinderResult:
-    status: str  # "complete" | "parametric" | "undecided"
-    solutions: list
-    family: object | None
-    notes: str
+# kind is "pivotal" or "ribbon"; map is a HomCA on datum
+MorphismCandidate = namedtuple("MorphismCandidate", "datum map kind")
+# status is "complete", "parametric" or "undecided"; family is an AffineSolution or None
+FinderResult = namedtuple("FinderResult", "status solutions family notes")
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ only on the input data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactla import (
     Matrix,
     State,
     TensorOp,
-    Vector,
     basis_batches,
     run_batch,
     rat_to_str,
@@ -25,11 +24,10 @@ from .exactla import (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
-    basis: tuple[int, ...]
-    lhs: Vector
-    rhs: Vector
+class Witness(namedtuple("Witness", "basis lhs rhs")):
+    "The first failing basis tuple of an axiom, with both sides as Vectors."
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -39,11 +37,10 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class AxiomItem:
-    axiom_id: str
-    passed: bool
-    witness: Witness | None = None
+class AxiomItem(namedtuple("AxiomItem", "axiom_id passed witness", defaults=(None,))):
+    "One axiom's verdict, with a Witness when it failed."
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         d: dict = {"axiom": self.axiom_id, "passed": self.passed}

@@ -1,3 +1,7 @@
+import contextlib
+import io
+from collections import namedtuple
+
 import pytest
 
 from entwine import corpus
@@ -62,3 +66,34 @@ def monoidal_datums():
 @pytest.fixture(scope="session")
 def dqgs():
     return corpus.corpus_dqgs()
+
+
+CliResult = namedtuple("CliResult", "exit_code output stdout exception")
+
+
+class CliRunner:
+    """Runs a command line through entwine.cli.main in this process.
+
+    .output is stdout followed by stderr (a command writes to only one of
+    them), .stdout is stdout alone, and .exception is what ended a run that
+    did not exit 0: the SystemExit, or an error the command did not catch.
+    """
+
+    @staticmethod
+    def invoke(cli, args, prog_name=None) -> CliResult:
+        out, err = io.StringIO(), io.StringIO()
+        code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli(list(args), prog_name=prog_name)
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+                exception = exc if code else None
+            except Exception as exc:  # noqa: BLE001 - reported to the test
+                code, exception = 1, exc
+        return CliResult(code, out.getvalue() + err.getvalue(), out.getvalue(), exception)
+
+
+@pytest.fixture(scope="session")
+def runner():
+    return CliRunner()

@@ -56,7 +56,7 @@ def leaks(monkeypatch):
     """Every non-Fraction entry stored (or float entry passed) while the test
     runs, and a list of every term that _Poly.add_term stored."""
     found, poly_terms = [], []
-    matrix_init, vector_init, witness_init = Matrix.__init__, Vector.__init__, Witness.__init__
+    matrix_init, vector_init, witness_new = Matrix.__init__, Vector.__init__, Witness.__new__
     poly_add_term = _Poly.add_term
 
     def guarded_matrix(self, rows=None, *, shape=None, cols=None):
@@ -73,13 +73,15 @@ def leaks(monkeypatch):
         vector_init(self, coords)
         found.extend(("Vector", x) for x in self.coords if type(x) is not Fraction)
 
-    def guarded_witness(self, basis, lhs, rhs):
-        witness_init(self, basis, lhs, rhs)
+    # Witness is a namedtuple, so its fields are set in __new__
+    def guarded_witness(cls, basis, lhs, rhs):
+        witness = witness_new(cls, basis, lhs, rhs)
         for side in (lhs, rhs):
             if type(side) is not Vector:
                 found.append(("Witness", side))
             else:
                 found.extend(("Witness", x) for x in side.coords if type(x) is not Fraction)
+        return witness
 
     def guarded_add_term(self, mono, coeff):
         poly_add_term(self, mono, coeff)
@@ -92,7 +94,7 @@ def leaks(monkeypatch):
     monkeypatch.setattr(Matrix, "__init__", guarded_matrix)
     monkeypatch.setattr(_Poly, "add_term", guarded_add_term)
     monkeypatch.setattr(Vector, "__init__", guarded_vector)
-    monkeypatch.setattr(Witness, "__init__", guarded_witness)
+    monkeypatch.setattr(Witness, "__new__", guarded_witness)
     return found, poly_terms
 
 

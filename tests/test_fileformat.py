@@ -7,7 +7,7 @@ import pytest
 from entwine import corpus, fileformat as ff
 from entwine.emodcat import std_module_CA
 from entwine.entwining import DoubleQuantumGroup
-from entwine.exactla import Matrix, Vector
+from entwine.exactla import Matrix, Vector, rat_from_str
 from entwine.hopfcore import BilinearForm, Element, Functional
 
 
@@ -74,6 +74,39 @@ def test_rejects_non_canonical_rational(h4):
     bad = text.replace('"1"', '"3/1"', 1)
     with pytest.raises(ff.FileFormatError):
         ff.loads(bad)
+
+
+def test_repeated_bad_rational_names_its_first_row(h4):
+    doc = json.loads(ff.dumps(h4))
+    doc["mult"][1][3] = doc["mult"][2][0] = "2/4"
+    with pytest.raises(ff.FileFormatError) as exc:
+        ff.from_payload(doc)
+    assert str(exc.value) == "hopf.mult[1]: non-canonical rational '2/4' (write 1/2)"
+
+
+@pytest.mark.parametrize("value", [5, None, ["1"]], ids=["int", "null", "list"])
+def test_non_string_entry_keeps_the_parse_error(h4, value):
+    # the message is the one rat_from_str gives the entry itself
+    with pytest.raises(TypeError) as raw:
+        rat_from_str(value)
+    for field, where in (("comult", "hopf.comult[3]"), ("unit", "hopf.unit")):
+        doc = json.loads(ff.dumps(h4))
+        row = doc[field][3] if field == "comult" else doc[field]
+        row[0] = value
+        with pytest.raises(ff.FileFormatError) as exc:
+            ff.from_payload(doc)
+        assert str(exc.value) == f"{where}: {raw.value}"
+
+
+def test_each_distinct_rational_is_parsed_once_per_load(monkeypatch, yd_dqg_h4):
+    text = ff.dumps(yd_dqg_h4)
+    parsed = []
+    monkeypatch.setattr(ff, "rat_from_str", lambda s: parsed.append(s) or rat_from_str(s))
+    loaded = ff.loads(text)
+    assert sorted(parsed) == sorted(set(parsed))
+    assert loaded.rmap == yd_dqg_h4.rmap and loaded.datum.phi == yd_dqg_h4.datum.phi
+    ff.loads(text)
+    assert len(parsed) == 2 * len(set(parsed))
 
 
 def test_rejects_truncated_and_malformed(h4):

@@ -1,7 +1,7 @@
 """Golden digests of the command-line output over the exported corpus.
 
-Each case runs one command in-process through click's CliRunner and pins
-the SHA-256 of its exit code, its stdout and any file it writes, so the
+Each case runs one command in-process through the runner of conftest.py and
+pins the SHA-256 of its exit code, its stdout and any file it writes, so the
 reports (AC1/AC2 and R4 among them), finder families and built smash
 constructions stay byte for byte the same whatever computes them.
 """
@@ -9,7 +9,6 @@ constructions stay byte for byte the same whatever computes them.
 import hashlib
 
 import pytest
-from click.testing import CliRunner
 
 from entwine.cli import main
 
@@ -113,9 +112,8 @@ GOLDEN = {
 
 
 @pytest.fixture(scope="module")
-def corpus_files(tmp_path_factory):
+def corpus_files(tmp_path_factory, runner):
     root = tmp_path_factory.mktemp("golden_corpus")
-    runner = CliRunner()
     files = {}
     names = set(ENTWININGS + DQGS + HOPFS) | {
         "g1_yd_h4", "g2_yd_h4", "g_long_h4", "unit_morphism_yd_h4", "g_ribbon_long_kz2",
@@ -128,9 +126,9 @@ def corpus_files(tmp_path_factory):
     return files
 
 
-def digest(args, files, out) -> str:
+def digest(runner, args, files, out) -> str:
     argv = [a.format(out=out, **files) for a in args]
-    res = CliRunner().invoke(main, argv)
+    res = runner.invoke(main, argv)
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
     text = f"exit={res.exit_code}\n{res.output}"
     if "{out}" in args:
@@ -143,5 +141,5 @@ def digest(args, files, out) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_digest(case, corpus_files, tmp_path):
-    assert digest(CASES[case], corpus_files, str(tmp_path / "out.json")) == GOLDEN[case]
+def test_golden_digest(case, runner, corpus_files, tmp_path):
+    assert digest(runner, CASES[case], corpus_files, str(tmp_path / "out.json")) == GOLDEN[case]

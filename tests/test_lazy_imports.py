@@ -1,6 +1,7 @@
 """Start-up guards: the CLI loads emodcat, pivribbon, smash and corpus only in
-the commands that run them, and the ``entwine`` namespace resolves every
-public name through its submodule."""
+the commands that run them, no command loads click, dataclasses or inspect,
+and the ``entwine`` namespace resolves every public name through its
+submodule."""
 
 import importlib
 import json
@@ -12,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import entwine
 from entwine import corpus, fileformat
@@ -30,6 +30,8 @@ EVERY = SMASH | {"corpus"}
 CASES = {
     "help": (["--help"], CORE),
     "check-hopf": (["check", "hopf", "kz2.json"], CORE),
+    "check-hopf-option-between-files": (["check", "hopf", "kz2.json", "--format", "json",
+                                         "kz2.json"], CORE),
     "build-dual": (["build", "dual", "--hopf", "kz2.json", "-o", "dual.json"], CORE),
     "check-entwining": (["check", "entwining", "yd_kz2.json"], CORE),
     "check-datum": (["check", "datum", "yd_kz2.json"], CORE),
@@ -48,28 +50,33 @@ CASES = {
     "corpus-list": (["corpus-list"], EVERY),
 }
 
+# modules no command may load: the CLI's start-up pays for none of them
+HEAVY = ("click", "dataclasses", "inspect")
+
 PROBE = textwrap.dedent("""
     import json, sys
     from entwine.cli import main
     try:
-        code = main(sys.argv[1:], standalone_mode=False)
+        main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
     loaded = sorted(m[len("entwine."):] for m in sys.modules if m.startswith("entwine."))
-    print(json.dumps([code, loaded]), file=sys.stderr)
-""")
+    heavy = sorted(m for m in %r if m in sys.modules)
+    print(json.dumps([code, loaded, heavy]), file=sys.stderr)
+""" % (HEAVY,))
 
 
 @pytest.fixture(scope="module")
-def loaded(tmp_path_factory):
-    "Case -> (exit code, modules loaded), each from its own fresh interpreter."
+def loaded(tmp_path_factory, runner):
+    """Case -> (exit code, entwine modules loaded, HEAVY modules loaded), each
+    from its own fresh interpreter."""
     work = tmp_path_factory.mktemp("lazy")
     for name in ("kz2", "yd_kz2", "yd_dqg_kz2", "yd_h4", "g1_yd_h4",
                  "long_dqg_kz2", "g_ribbon_long_kz2"):
         fileformat.save(corpus.corpus_build(name)[1], work / f"{name}.json")
     fileformat.save(std_module_CA(corpus.corpus_build("yd_kz2")[1]), work / "mod.json")
-    CliRunner().invoke(main, ["check", "hopf", str(work / "kz2.json"),
-                              "--report-out", str(work / "saved_report.json")])
+    runner.invoke(main, ["check", "hopf", str(work / "kz2.json"),
+                         "--report-out", str(work / "saved_report.json")])
     src = str(Path(entwine.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
 
@@ -77,18 +84,28 @@ def loaded(tmp_path_factory):
         args, _ = CASES[case]
         proc = subprocess.run([sys.executable, "-c", PROBE, *args], cwd=work, env=env,
                               capture_output=True, text=True, timeout=60, check=True)
-        code, modules = json.loads(proc.stderr.strip().splitlines()[-1])
-        return code, set(modules)
+        code, modules, heavy = json.loads(proc.stderr.strip().splitlines()[-1])
+        return code, set(modules), set(heavy)
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         return dict(zip(CASES, pool.map(run, CASES)))
 
 
+@pytest.fixture(scope="module")
+def bare_heavy():
+    "The HEAVY modules that a bare interpreter already loads, in this environment."
+    code = f"import json, sys; print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True)
+    return set(json.loads(out.stdout))
+
+
 @pytest.mark.parametrize("case", CASES)
-def test_command_loads_only_the_modules_it_runs(case, loaded):
-    code, modules = loaded[case]
-    assert code in (0, None)
+def test_command_loads_only_the_modules_it_runs(case, loaded, bare_heavy):
+    code, modules, heavy = loaded[case]
+    assert code == 0
     assert modules == CASES[case][1]
+    assert heavy <= bare_heavy
 
 
 # -- the lazy namespace ---------------------------------------------------------
