@@ -1,7 +1,8 @@
 """Command-line front end: checks, constructions, search, corpus export.
 
 Exit codes follow the verification contract: 0 when every requested
-check passes, 1 when a check fails, 2 on usage or parse errors.  Reports
+check passes, 1 when a check fails, 2 on usage or parse errors, and 141
+when the reader of stdout closes it before the output is written.  Reports
 render as text or machine-readable JSON mirroring the AxiomReport
 structure, byte-for-byte deterministic for identical inputs.  A bad input
 found while a command runs prints ``Error: <message>`` on stderr, and
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fileformat as ff
@@ -356,9 +358,15 @@ def main(args=None, prog_name=None):
         ns.files += extra
     try:
         ok = ns.run(ns)
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"Error: {exc}", file=sys.stderr)
         sys.exit(2)
+    except BrokenPipeError:
+        # stdout's reader closed early (`| head`), which is no verdict: devnull
+        # keeps the exit flush from failing again; 141 = 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
     sys.exit(1 if ok is False else 0)
 
 

@@ -92,11 +92,10 @@ def sweedler_h4() -> HopfAlgebraData:
     }
     s_gen = {one: {(one,): ONE}, e: {(e,): ONE}, x: {(y,): -ONE}}
     d_gen = on_generators(delta, (dim, dim))
-    delta[y] = pipeline(
-        (e, x), _ap(1, d_gen), _ap(0, d_gen), _pm((0, 2, 1, 3)), _ap(0, mul), _ap(1, mul)
-    )
+    delta[y] = pipeline((dim, dim), (e, x),
+                        _ap(1, d_gen), _ap(0, d_gen), _pm((0, 2, 1, 3)), _ap(0, mul), _ap(1, mul))
     s_op = on_generators(s_gen, (dim,))
-    s_gen[y] = pipeline((e, x), _ap(0, s_op), _ap(1, s_op), _pm((1, 0)), _ap(0, mul))
+    s_gen[y] = pipeline((dim, dim), (e, x), _ap(0, s_op), _ap(1, s_op), _pm((1, 0)), _ap(0, mul))
     comult = matrix_from_columns_fn((dim,), (dim, dim), lambda t: delta[t[0]])
     counit = Matrix([[1, 1, 0, 0]])
     antipode = matrix_from_columns_fn((dim,), (dim,), lambda t: s_gen[t[0]])

@@ -289,7 +289,7 @@ def _dual_module(m: EntwinedModule, antipode_a: TensorOp, antipode_c: TensorOp) 
     dim, na, nc = m.dim, d.a_dim, d.c_dim
     action_t = TensorOp(m.action.transpose(), (dim,), (dim, na))
     coaction_t = TensorOp(m.coaction.transpose(), (dim, nc), (dim,))
-    cup, cap = Cup(nc), Cap()
+    cup, cap = Cup(nc), Cap(na)
     # (f.a)(x) = f(x . sa(a)): sa on a, the action transposed on f, then the
     # action's algebra leg closed against sa(a)
     action = _action_op((dim,), na, (_ap(1, antipode_a), _ap(0, action_t), _ap(1, cap)))

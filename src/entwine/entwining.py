@@ -249,7 +249,7 @@ def check_monoidal_datum(d: MonoidalEntwiningDatum) -> AxiomReport:
 # ---------------------------------------------------------------------------
 # Entwined convolutions on hom(C, A) and hom(C (x) C, A (x) A)
 #
-# Each product formula is written once, as steps on keys that end in a slot
+# Each product formula is written once, as steps on legs that end in a slot
 # leg.  With two concrete maps there is one slot and the steps evaluate the
 # product; with a SlotLeg standing for one factor they yield the operator
 # x -> g*x (or x -> x*g) in one pass per batch of input tuples.
@@ -506,7 +506,7 @@ def check_antipode_compat(d: MonoidalEntwiningDatum) -> AxiomReport:
     """
     c, a = d.c, d.a
     nc, na = d.c_dim, d.a_dim
-    phi, cup, cap = d.phi_op, Cup(na), Cap()
+    phi, cup, cap = d.phi_op, Cup(na), Cap(na)
 
     def item(axiom_id, sa, sc):
         return compare_item(

@@ -5,7 +5,9 @@ basis, stored as its nonzero entries column by column; this module is the
 substrate they all compute on.  There is no floating point and no
 tolerance anywhere: comparisons are exact equality of canonical rationals.
 
-Inside the tensor-contraction kernel (the second half of this module) a
+The tensor-contraction kernel (the second half of this module) keys each
+term of a state by its flat index over the state's leg dimensions
+``dims``, the batch leg last, so no step ever reshapes a key.  There a
 coefficient is an ``int`` where it is integral and a Fraction otherwise:
 the corpus data is integral, and int arithmetic is far cheaper.  In the
 finder's quadratic stage it may also be a ``pivribbon._Poly``: the kernel
@@ -35,8 +37,8 @@ import itertools
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
-from operator import itemgetter
 
 Rat = Fraction
 
@@ -507,68 +509,68 @@ def invert(a: Matrix) -> Matrix:
 #
 # Intermediate states of a structural computation (an axiom side, a
 # structure-map column) are sparse vectors in a tensor product of basis
-# spaces, keyed by index tuples.  A TensorOp applies one linear map to a
+# spaces: a State keys each term by its flat index over the leg dimensions
+# ``dims``, the batch leg last.  A TensorOp applies one linear map to a
 # contiguous block of legs; permutations rearrange legs.  Cup and Cap
-# insert and contract a pair of dual-basis legs, so a partial trace (one
-# output of a map fed back into an input) or a dual-basis transposition is
-# a plain pipeline too.  A SlotLeg stands for an unknown map, so a side
-# that is linear in it comes out as a matrix (hom_operator), its columns
-# in the order of Matrix.flat.  Everything
-# is exact and allocation-light: dims stay <= 16 throughout the corpus.
+# insert and contract a pair of dual-basis legs, so a partial trace or a
+# dual-basis transposition is a plain pipeline too.  A SlotLeg stands for
+# an unknown map, so a side linear in it comes out as a matrix
+# (hom_operator), its columns in the order of Matrix.flat.
 #
-# Ops.  Every op (KernelOp) keeps a column table ``_cols``: input legs ->
-# [(output legs, coefficient)].  sv_apply reads the table directly.  At its
-# first miss in a call it hands all the input legs of its state that the
-# table lacks to the op's ``fill`` in one call, and reads on.  Cup, SlotLeg
-# and the finder's family op hand KernelOp their whole table up front; Cap
-# fills an entry when it is first asked for.  A TensorOp fills its columns
-# from one of two sources:
-#  * a Matrix: a column is read off the matrix, each row index unflattened
-#    once per op;
-#  * kernel steps: they run over only the missing tuples, BATCH_CAP at a
-#    time (run_batch), on legs that may differ from the op's own (a tensor
-#    module's (m*n, a) action runs on (m, n, a) legs, a snake's (m, m) ev
-#    on (m*m,) legs; a tuple has the same flat index over both).
-# So a step-built op builds the columns a scan reads and no others.  Its
-# Matrix is made only when something reads ``matrix``: a module's
-# ``action``/``coaction`` (a dual's transpose, a file save, an equality) or
-# a morphism's ``map`` (then, transpose, nat_to_hom).  The missing columns
-# are filled and the table goes through matrix_from_columns_fn.
-# pipeline_matrix is that materialisation of a fresh step-built op.  A map
-# used only as an op stays step-built and is never made a Matrix and
-# wrapped again: each map has one op, so each column is filled once.
+# Flat keys.  With ts the product of the dims after an op's block, a key's
+# input column is ``key // ts % n_in``, and output o of that column goes to
+# ``key // (n_in * ts) * (n_out * ts) + key % ts + o * ts``: no tuple to
+# slice, build or hash.  A flat index is the same under any reshape of the
+# legs, so nothing is ever reshaped.  sv_apply checks that its legs are the
+# op's in_dims, before the batch leg, as a wrong op would give wrong indices
+# silently.  Two
+# divmod() calls per key in place of // and % made dqg-e10b wall_s 18 %
+# and verify-scan op_p50_ms 20 % worse (2-vCPU VM): states there average
+# 8 terms, so per-key overhead decides.
 #
-# Coefficients are ints where integral: a TensorOp hands out the integral
-# entries of its matrix as ints, SlotLeg, Cup, Cap and the seeds use 1, and
-# sv_apply sums from 0.  A coefficient is an int, a Fraction or, in the
-# finder's quadratic stage, a pivribbon._Poly of the family op: sv_apply
-# only adds, multiplies and tests coefficients for truth.  The functions
-# that turn a state into a Vector or a Matrix (state_to_vector,
-# matrix_from_columns_fn, pipeline_matrix, hom_operator) convert every
+# Ops.  Every op (KernelOp) has ``in_dims``/``out_dims`` and a column table
+# ``_cols``: flat input index -> [(flat output index, coefficient)].  At
+# its first miss in a call sv_apply hands every input column its state
+# lacks to the op's ``fill`` at once.  Cup, Cap, SlotLeg and the finder's
+# family op come with their whole table.  A TensorOp fills its columns
+# from a Matrix (its sparse columns) or from kernel steps, run over only
+# the missing columns, BATCH_CAP at a time, on legs that may factor
+# differently from the op's own (a tensor module's (m*n, a) action runs on
+# (m, n, a) legs).  So a step-built op builds only the columns a scan
+# reads, and makes its Matrix (through matrix_from_columns_fn) only when
+# something reads ``matrix``: a module's ``action``/``coaction`` or a
+# morphism's ``map``.  pipeline_matrix is that materialisation of a fresh
+# step-built op.  Each map has one op, so each column is filled once.
+#
+# Coefficients are ints where integral (a TensorOp hands out integral
+# matrix entries as ints; SlotLeg, Cup, Cap and the seeds use 1), else
+# Fractions, or in the finder's quadratic stage pivribbon._Polys: sv_apply
+# only adds, multiplies and tests them for truth.  state_to_vector,
+# matrix_from_columns_fn, pipeline_matrix and hom_operator convert every
 # value back to a Fraction.
 #
-# Batches.  Steps run once per batch of basis tuples, not once per tuple:
-# run_batch seeds {(*t, j): 1} for the j-th tuple t of a batch, and every
-# step leaves that trailing batch leg j where it is (sv_apply carries the
-# legs after its block, sv_permute those after its perm).  Terms of
-# different tuples never meet, so the state restricted to j is what t alone
-# gives.  A state holds about one term per tuple, so batching pays a step's
-# per-call cost once per batch instead of once per tuple.  compare_item
-# takes batches of 1, 2, 4, ... tuples, so a scan that fails early
-# evaluates little past its witness; a step-built TensorOp, and with it
-# pipeline_matrix, and hom_operator take full batches.  Either way a batch
-# holds at most BATCH_CAP = 64 tuples: larger batches hold larger states at
-# once and were no faster.  Peak RSS of `entwine check hopf` on four
-# 16-dimensional built Hopf algebras was 23.8 MB one tuple at a time,
-# 24.7 MB with a cap of 64, 26.3 MB with 256 and 26.5 MB with 4096; the
-# benchmark's modules-duality workload peaked at 25.2, 25.2, 25.4 and
-# 25.6 MB.  Every key of a state has the same number of legs.
+# Batches.  Steps run once per batch of basis vectors: run_batch seeds the
+# j-th on batch leg j, and every step keeps that leg last.  Terms of
+# different basis vectors never meet, so the state on batch leg j is what
+# the j-th alone gives, and a step's per-call cost is paid once per batch.
+# compare_item takes batches of 1, 2, 4, ... vectors, so a scan that fails
+# early evaluates little past its witness; step-built ops and hom_operator
+# take full batches.  A batch holds at most BATCH_CAP = 64 vectors: larger
+# ones hold larger states and were no faster.  Peak RSS of `entwine check
+# hopf` on four 16-dimensional built Hopf algebras was 23.8 MB one tuple
+# at a time, 24.7 MB with a cap of 64, 26.3 MB with 256 and 26.5 MB with
+# 4096; the modules-duality workload peaked at 25.2, 25.2, 25.4 and 25.6 MB.
 # ---------------------------------------------------------------------------
 
-# a sparse tensor: index tuple -> nonzero int or Fraction coefficient
-State = dict[tuple, int | Fraction]
 
-# the most basis tuples one batch holds (see above)
+class State(dict):
+    """A sparse tensor: flat index over ``dims`` -> nonzero int, Fraction or
+    _Poly coefficient.  Inside a pipeline the last leg is the batch leg."""
+
+    __slots__ = ("dims",)
+
+
+# the most basis vectors one batch holds (see above)
 BATCH_CAP = 64
 
 
@@ -593,122 +595,79 @@ def _basis(dims):
 
 
 class KernelOp:
-    """A kernel op: ``arity_in`` legs in, ``arity_out`` legs out, and the
-    column table ``_cols`` (input legs -> [(output legs, coefficient)])
-    that sv_apply reads.  ``fill(legs)`` adds the columns at each of legs
-    that the table lacks; this base's table is complete from the start."""
+    """A kernel op from legs over ``in_dims`` to legs over ``out_dims``,
+    with the column table ``_cols`` (flat input index -> [(flat output
+    index, coefficient)]) that sv_apply reads.  ``fill(flats)`` adds the
+    columns at each of flats that the table lacks; this base's table is
+    complete from the start."""
 
-    __slots__ = ("arity_in", "arity_out", "_cols")
+    __slots__ = ("in_dims", "out_dims", "n_in", "n_out", "_cols")
 
-    def __init__(self, arity_in: int, arity_out: int, cols: dict):
-        self.arity_in, self.arity_out, self._cols = arity_in, arity_out, cols
+    def __init__(self, in_dims, out_dims, cols: dict):
+        self.in_dims, self.out_dims = tuple(in_dims), tuple(out_dims)
+        self.n_in, self.n_out = prod(self.in_dims), prod(self.out_dims)
+        self._cols = cols
 
-    def fill(self, legs) -> None:
-        "Add the columns at legs to the table (nothing is missing here)."
-
-    def cols(self, legs: tuple) -> list[tuple[tuple, int | Fraction]]:
-        "The column at legs, filled first if the table lacks it."
-        col = self._cols.get(legs)
-        if col is None:
-            self.fill((legs,))
-            col = self._cols[legs]
-        return col
+    def fill(self, flats) -> None:
+        "Add the columns at flats to the table (nothing is missing here)."
 
 
 class TensorOp(KernelOp):
     """A linear map between tensor-index spaces as a kernel op.
 
-    Its input and output spaces factor as ``in_dims`` and ``out_dims``, and
-    ``cols(legs)`` is the image of a basis tuple as (out_tuple, coefficient)
-    pairs in flat-index order.  The columns come from ``matrix``, or, with
-    ``matrix`` None, from kernel ``steps`` run on legs over ``step_dims`` =
-    (input dims, output dims), by default the op's own; a basis tuple and
-    its reshape have the same flat index.  A step-built op fills only the
-    columns it is asked for, and makes its Matrix on first access to
-    ``matrix`` (see the comment above).
+    Its input and output spaces factor as ``in_dims`` and ``out_dims``.
+    The columns come from ``matrix``, or, with ``matrix`` None, from kernel
+    ``steps`` run on legs over ``step_dims`` = (input dims, output dims), by
+    default the op's own; both factorings have the same flat indices.  A
+    step-built op fills only the columns it is asked for, and makes its
+    Matrix on first access to ``matrix`` (see the comment above).
     """
 
-    __slots__ = ("in_dims", "out_dims", "_matrix", "_steps", "_step_dims", "_outs")
+    __slots__ = ("_matrix", "_steps", "_step_in")
 
     def __init__(self, matrix: Matrix | None, in_dims, out_dims, steps=None, step_dims=None):
-        self.in_dims = tuple(in_dims)
-        self.out_dims = tuple(out_dims)
-        self._step_dims = (self.in_dims, self.out_dims)
-        if step_dims is not None:
-            self._step_dims = tuple(step_dims[0]), tuple(step_dims[1])
-        if matrix is not None:
-            shape = matrix.ncols, matrix.nrows
-        else:
-            shape = prod(self._step_dims[0]), prod(self._step_dims[1])
-        if shape != (prod(self.in_dims), prod(self.out_dims)):
+        super().__init__(in_dims, out_dims, {})
+        step_in, step_out = step_dims or (self.in_dims, self.out_dims)
+        shape = (prod(step_in), prod(step_out)) if matrix is None else (matrix.ncols, matrix.nrows)
+        if shape != (self.n_in, self.n_out):
             raise ValueError("tensor dims inconsistent with matrix shape")
-        super().__init__(len(self.in_dims), len(self.out_dims), {})
-        self._matrix = matrix
-        self._steps = steps
-        # the op's output legs per matrix row, or per output key of the steps
-        self._outs: dict = {}
+        self._matrix, self._steps, self._step_in = matrix, steps, tuple(step_in)
 
     @property
     def matrix(self) -> Matrix:
         if self._matrix is None:
             table = self._cols
-            self.fill([t for t in _basis(self.in_dims) if t not in table])
-            self._matrix = matrix_from_columns_fn(self.in_dims, self.out_dims,
-                                                  lambda t: dict(table[t]))
+            self.fill([f for f in range(self.n_in) if f not in table])
+            self._matrix = matrix_from_columns_fn((self.n_in,), (self.n_out,),
+                                                  lambda t: {(o,): c for o, c in table[t[0]]})
         return self._matrix
 
-    def fill(self, legs) -> None:
+    def fill(self, flats) -> None:
+        table = self._cols
         if self._steps is None:
-            self._fill_from_matrix(legs)
-        else:
-            self._fill_from_steps(list(legs))
-
-    def _fill_from_matrix(self, legs) -> None:
-        cols, outs, table = self._matrix.sparse_cols(), self._outs, self._cols
-        in_dims, out_dims = self.in_dims, self.out_dims
-        for t in legs:
-            col = []
-            for i, x in cols[flatten_index(in_dims, t)]:
-                out = outs.get(i)
-                if out is None:
-                    out = outs[i] = unflatten_index(out_dims, i)
-                col.append((out, x.numerator if x.denominator == 1 else x))
-            table[t] = col
-
-    def _fill_from_steps(self, legs: list) -> None:
-        (step_in, step_out), outs, table = self._step_dims, self._outs, self._cols
-        in_dims, out_dims = self.in_dims, self.out_dims
-        for start in range(0, len(legs), BATCH_CAP):
-            batch = legs[start:start + BATCH_CAP]
-            if step_in == in_dims:
-                seeds = batch
-            elif in_dims and len(step_in) == len(in_dims) + 1 and step_in[2:] == in_dims[1:]:
-                # a module op's first leg splits in two (emodcat._action_op): one
-                # divmod; a memo of reshaped tuples shared by ops was faster but
-                # outlived them
-                seeds = [(*divmod(t[0], step_in[1]), *t[1:]) for t in batch]
-            else:
-                seeds = [unflatten_index(step_in, flatten_index(in_dims, t)) for t in batch]
+            cols = self._matrix.sparse_cols()
+            for f in flats:
+                table[f] = [(i, x.numerator if x.denominator == 1 else x) for i, x in cols[f]]
+            return
+        flats = list(flats)
+        for start in range(0, len(flats), BATCH_CAP):
+            batch = flats[start:start + BATCH_CAP]
+            b = len(batch)
             parts = [[] for _ in batch]
-            for key, c in run_batch(seeds, self._steps).items():
-                k = key[:-1]
-                out = outs.get(k)
-                if out is None:
-                    out = outs[k] = k if step_out == out_dims else unflatten_index(
-                        out_dims, flatten_index(step_out, k))
-                parts[key[-1]].append((out, c))
-            for t, part in zip(batch, parts):
-                # output legs differ within a column and sort in flat-index order
+            for key, c in run_batch(self._step_in, batch, self._steps).items():
+                parts[key % b].append((key // b, c))
+            for f, part in zip(batch, parts):
+                # output indices differ within a column
                 part.sort()
-                table[t] = part
+                table[f] = part
 
 
 class SlotLeg(KernelOp):
     """An unknown map f: ``in_dims`` -> ``out_dims`` as a kernel op.
 
-    It rides on a pipeline whose keys end in one extra slot leg, 0 on
+    It rides on a pipeline whose legs end in one extra slot leg, 0 on
     entry.  Applied to the input legs of f followed by that slot leg, it
-    sends ``(*legs, 0)`` to every ``(*out, slot)`` with coefficient 1, where
+    sends ``(legs, 0)`` to every ``(out, slot)`` with coefficient 1, where
     ``slot`` is the flat index of the matrix unit ``out <- legs`` in
     hom(in_dims, out_dims), output major.  Concrete maps in the same
     pipeline act on their own legs and carry the slot leg along.  A side
@@ -719,12 +678,10 @@ class SlotLeg(KernelOp):
     __slots__ = ()
 
     def __init__(self, in_dims, out_dims):
-        in_dims, out_dims = tuple(in_dims), tuple(out_dims)
-        outs = list(_basis(out_dims))
-        n_in = prod(in_dims)
-        super().__init__(len(in_dims) + 1, len(out_dims) + 1, {
-            legs + (0,): [(out + (i * n_in + j,), 1) for i, out in enumerate(outs)]
-            for j, legs in enumerate(_basis(in_dims))
+        n_in, n_out = prod(in_dims), prod(out_dims)
+        n = n_in * n_out
+        super().__init__((*in_dims, 1), (*out_dims, n), {
+            j: [(o * n + o * n_in + j, 1) for o in range(n_out)] for j in range(n_in)
         })
 
 
@@ -735,38 +692,41 @@ class Cup(KernelOp):
     __slots__ = ()
 
     def __init__(self, n: int):
-        super().__init__(0, 2, {(): [((x, x), 1) for x in range(n)]})
+        super().__init__((), (n, n), {0: [(x * (n + 1), 1) for x in range(n)]})
 
 
 class Cap(KernelOp):
-    """Contraction of two legs against each other, as a kernel op from
-    ``(x, y)`` to no legs: it keeps a term only when x == y."""
+    """Contraction of two n-dimensional legs against each other, as a
+    kernel op from ``(x, y)`` to no legs: it keeps a term only when x == y."""
 
     __slots__ = ()
-    _KEEP = [((), 1)]
 
-    def __init__(self):
-        super().__init__(2, 0, {})
-
-    def fill(self, legs) -> None:
-        for t in legs:
-            self._cols[t] = self._KEEP if t[0] == t[1] else []
+    def __init__(self, n: int):
+        keep = [(0, 1)]
+        super().__init__((n, n), (), {f: [] if f % (n + 1) else keep for f in range(n * n)})
 
 
 def sv_apply(state: State, pos: int, op: KernelOp) -> State:
-    "Apply op to the legs [pos, pos + op.arity_in) of every key."
-    out: State = {}
-    get, table, end = out.get, op._cols, pos + op.arity_in
+    "Apply op to the legs [pos, pos + len(op.in_dims)) of every key."
+    dims, in_dims = state.dims, op.in_dims
+    end = pos + len(in_dims)
+    if dims[pos:end] != in_dims or end >= len(dims):
+        raise ValueError(f"op on legs {in_dims} applied at leg {pos} of {dims}")
+    ts = prod(dims[end:])
+    n_in = op.n_in
+    block_in, block_out = n_in * ts, op.n_out * ts
+    out = State()
+    out.dims = dims[:pos] + op.out_dims + dims[end:]
+    get, table = out.get, op._cols
     for key, c in state.items():
-        legs = key[pos:end]
-        col = table.get(legs)
+        col = table.get(key // ts % n_in)
         if col is None:
             # the first miss fills every column the state still lacks
-            op.fill(dict.fromkeys(k[pos:end] for k in state if k[pos:end] not in table))
-            col = table[legs]
-        head, tail = key[:pos], key[end:]
-        for out_legs, x in col:
-            nk = head + out_legs + tail
+            op.fill(dict.fromkeys(f for k in state if (f := k // ts % n_in) not in table))
+            col = table[key // ts % n_in]
+        base = key // block_in * block_out + key % ts
+        for o, x in col:
+            nk = base + o * ts
             nv = get(nk, 0) + c * x
             if nv:
                 out[nk] = nv
@@ -775,44 +735,68 @@ def sv_apply(state: State, pos: int, op: KernelOp) -> State:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _permutation(dims, perm):
+    """The dims after perm, and the (stride, dim, shift) of each leg that
+    moves: a key gains its index on that leg times the change of the leg's
+    stride.  Memoised, as the steps of a scan repeat a few perms on a few
+    shapes; working them out on each call was half of sv_permute's time on
+    the small states of dqg-e10b."""
+    new_dims = tuple(dims[p] for p in perm) + dims[len(perm):]
+    old, new = ([prod(ds[i + 1:]) for i in range(len(ds))] for ds in (dims, new_dims))
+    return new_dims, tuple((old[p], dims[p], new[i] - old[p])
+                           for i, p in enumerate(perm) if new[i] != old[p] and dims[p] > 1)
+
+
 def sv_permute(state: State, perm: tuple[int, ...]) -> State:
-    "Reorder legs: new_key[i] = old_key[perm[i]]; legs past len(perm) stay last."
-    n = len(next(iter(state), ()))
-    if n < 2:
-        return dict(state)
-    pick = itemgetter(*perm, *range(len(perm), n))
-    return {pick(key): c for key, c in state.items()}
-
-
-def state_to_vector(state: State, dims: tuple[int, ...]) -> Vector:
-    coords = [ZERO] * prod(dims) if dims else [ZERO]
-    if not dims:
-        # scalar-valued state: the only key is ()
-        return Vector([state.get((), ZERO)])
+    "Reorder legs: new leg i is old leg perm[i]; legs past len(perm) stay last."
+    new_dims, moves = _permutation(state.dims, perm)
+    out = State()
+    out.dims = new_dims
+    if not moves:
+        out.update(state)
+        return out
     for key, c in state.items():
-        coords[flatten_index(dims, key)] = c
+        nk = key
+        for s, d, shift in moves:
+            nk += key // s % d * shift
+        out[nk] = c
+    return out
+
+
+def state_to_vector(state: State, j: int = 0) -> Vector:
+    "The terms of a State on batch leg j, as a Vector over its other legs."
+    b = state.dims[-1]
+    coords = [ZERO] * prod(state.dims[:-1])
+    for key, c in state.items():
+        if key % b == j:
+            coords[key // b] = c
     return Vector(coords)
 
 
 def basis_batches(dims, first: int = BATCH_CAP):
-    """The basis tuples over dims in lexicographic order, in lists of first,
-    2 * first, 4 * first, ... tuples, none longer than BATCH_CAP."""
-    tuples = _basis(dims)
-    size = min(first, BATCH_CAP)
-    while batch := list(itertools.islice(tuples, size)):
-        yield batch
+    """The flat indices over dims in ascending (lexicographic) order, in
+    ranges of first, 2 * first, 4 * first, ... indices, none longer than
+    BATCH_CAP."""
+    n, start, size = prod(dims), 0, min(first, BATCH_CAP)
+    while start < n:
+        yield range(start, min(start + size, n))
+        start += size
         size = min(2 * size, BATCH_CAP)
 
 
-def run_batch(tuples, steps) -> State:
-    """Run steps (callables State -> State) once over a batch of tuples.
+def run_batch(dims, flats, steps) -> State:
+    """Run steps (callables State -> State) once over a batch of basis
+    vectors, given by their flat indices over dims.
 
-    The seed holds (*t, j) with coefficient 1 for the j-th tuple t; each
-    step acts on the legs before the trailing batch leg j and carries it
-    along, so the terms keyed (..., j) are what steps give on t alone.
-    Callers pass at most BATCH_CAP tuples (basis_batches, TensorOp.fill).
+    The seed holds the j-th on batch leg j with coefficient 1; each step
+    acts on the legs before the batch leg and carries it along, so the
+    terms on batch leg j are what steps give on the j-th alone.  Callers
+    pass at most BATCH_CAP indices (basis_batches, TensorOp.fill).
     """
-    state: State = {(*t, j): 1 for j, t in enumerate(tuples)}
+    b = len(flats)
+    state = State.fromkeys([f * b + j for j, f in enumerate(flats)], 1)
+    state.dims = (*dims, b)
     for step in steps:
         state = step(state)
     return state
@@ -858,24 +842,26 @@ def hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> Matrix:
     """The matrix of f -> side(f), for f: ``in_dims`` -> ``out_dims``.
 
     ``side(f_op)`` gives the steps of side(f), with ``f_op`` standing for
-    f.  They run on the seeds ``(*t, 0)`` for the tuples t over
-    ``seed_dims`` (the 0 is the slot leg, see SlotLeg), a batch at a time
-    (see run_batch), and end on keys over ``key_dims``, the slot leg and
-    the batch leg.  Row ``key * prod(seed_dims) + t`` holds the
-    coefficients of that output entry, column ``out * prod(in_dims) + in``
-    those of f's matrix unit ``out <- in``.  With a SlotLeg as f one pass
-    yields every column at once.  For a side from hom(in_dims, out_dims) to
-    itself, seed and key dims are f's own.
+    f.  They run on the basis vectors over ``seed_dims`` followed by a slot
+    leg 0 (see SlotLeg), a batch at a time (see run_batch), and end on legs
+    over ``key_dims``, the slot leg and the batch leg.  Row ``key *
+    prod(seed_dims) + t`` holds the coefficients of that output entry,
+    column ``out * prod(in_dims) + in`` those of f's matrix unit ``out <-
+    in``.  With a SlotLeg as f one pass yields every column at once.  For a
+    side from hom(in_dims, out_dims) to itself, seed and key dims are f's
+    own.
     """
-    key_dims = tuple(key_dims)
-    n_seed = prod(seed_dims)
-    steps = side(SlotLeg(in_dims, out_dims))
-    cols = [[] for _ in range(prod(out_dims) * prod(in_dims))]
-    start = 0
+    slot = SlotLeg(in_dims, out_dims)
+    n_seed, n_hom = prod(seed_dims), slot.out_dims[-1]
+    end_dims = (*key_dims, n_hom)
+    steps = side(slot)
+    cols = [[] for _ in range(n_hom)]
     for batch in basis_batches(seed_dims):
-        for key, x in run_batch([(*t, 0) for t in batch], steps).items():
-            # flatten_index reads the legs over key_dims, not slot and batch
-            row = flatten_index(key_dims, key) * n_seed + start + key[-1]
-            cols[key[-2]].append((row, _as_rat(x)))
-        start += len(batch)
-    return Matrix(shape=(prod(key_dims) * n_seed, len(cols)), cols=[sorted(c) for c in cols])
+        state = run_batch((*seed_dims, 1), batch, steps)
+        if state.dims[:-1] != end_dims:
+            raise ValueError(f"side ends on legs {state.dims[:-1]}, not {end_dims}")
+        b, start = len(batch), batch.start
+        for key, x in state.items():
+            rest = key // b
+            cols[rest % n_hom].append((rest // n_hom * n_seed + start + key % b, _as_rat(x)))
+    return Matrix(shape=(prod(key_dims) * n_seed, n_hom), cols=[sorted(c) for c in cols])

@@ -57,7 +57,7 @@ FinderResult = namedtuple("FinderResult", "status solutions family notes")
 # ---------------------------------------------------------------------------
 # Laws linear in g, each side written once
 #
-# A side takes g as a kernel op and gives steps on keys that end in a slot
+# A side takes g as a kernel op and gives steps on legs that end in a slot
 # leg after the scanned legs; g is always applied where its input leg sits
 # just before that slot leg.  A verifier passes g's TensorOp, which carries
 # the slot leg along as 0, and inserts the slot leg with a leading _slot
@@ -102,7 +102,7 @@ def _linear_laws(d: MonoidalEntwiningDatum, kind: str):
         # g(c) = (S_A^{-1} g S_C (c^phi))_phi: phi's coalgebra output runs
         # through g back into its own algebra input, a loop that a Cup opens
         # and a Cap closes
-        cup, cap = Cup(na), Cap()
+        cup, cap = Cup(na), Cap(na)
         laws.append((
             "R4_self_dual",
             (nc,),
@@ -435,13 +435,13 @@ def _quadratic_residuals(d: MonoidalEntwiningDatum, kind: str,
     for s, v in enumerate([family.particular, *family.nullspace_basis]):
         for i, x in enumerate(v):
             entries[i].add_term((s - 1,) if s else (), x)
-    g = KernelOp(1, 1, {(c,): [((a,), p) for a in range(na) if (p := entries[a * nc + c])]
-                        for c in range(nc)})
+    g = KernelOp((nc,), (na,), {c: [(a, p) for a in range(na) if (p := entries[a * nc + c])]
+                                for c in range(nc)})
     _, scan, _, linear_side, bilinear_side = _quadratic_law(d, kind, q)
     distinct: dict[frozenset, _Poly] = {}
     for batch in basis_batches(scan):
-        res = run_batch(batch, bilinear_side(g))
-        for key, val in run_batch(batch, linear_side(g)).items():
+        res = run_batch(scan, batch, bilinear_side(g))
+        for key, val in run_batch(scan, batch, linear_side(g)).items():
             res[key] = res.get(key, 0) + val * -1
         distinct.update((frozenset(p.terms.items()), p) for p in res.values() if p)
     return list(distinct.values())

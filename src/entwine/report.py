@@ -13,14 +13,15 @@ from collections import namedtuple
 
 from .exactla import (
     Matrix,
-    State,
     TensorOp,
     basis_batches,
+    flatten_index,
     run_batch,
     rat_to_str,
     state_to_vector,
     sv_apply,
     sv_permute,
+    unflatten_index,
 )
 
 
@@ -119,27 +120,30 @@ def compare_item(axiom_id, in_dims, out_dims, lhs, rhs) -> AxiomItem:
     0.0421 s, but verify-scan op_p50_ms went 1.43 -> 1.77 and op_p90_ms
     4.15 -> 5.59, as its mutants fail early.  On a mismatch the smallest
     batch leg j whose terms differ names the witness tuple, and its sides
-    are the two states restricted to j: the first failing tuple and the
+    are the two states on batch leg j: the first failing tuple and the
     sides it alone gives.
     """
-    out_dims = tuple(out_dims)
+    in_dims, out_dims = tuple(in_dims), tuple(out_dims)
     for batch in basis_batches(in_dims, 1):
-        left, right = run_batch(batch, lhs), run_batch(batch, rhs)
+        left, right = run_batch(in_dims, batch, lhs), run_batch(in_dims, batch, rhs)
+        if {left.dims[:-1], right.dims[:-1]} != {out_dims}:
+            raise ValueError(f"{axiom_id}: a side ends on legs other than {out_dims}")
         if left != right:
-            j = min(key[-1] for key, _ in left.items() ^ right.items())
-
-            def side(state):
-                return state_to_vector({k[:-1]: c for k, c in state.items() if k[-1] == j},
-                                       out_dims)
-
-            return AxiomItem(axiom_id, False, Witness(batch[j], side(left), side(right)))
+            b = len(batch)
+            j = min(key % b for key, _ in left.items() ^ right.items())
+            return AxiomItem(axiom_id, False, Witness(unflatten_index(in_dims, batch[j]),
+                                                      state_to_vector(left, j),
+                                                      state_to_vector(right, j)))
     return AxiomItem(axiom_id, True)
 
 
-def pipeline(idx, *steps) -> State:
-    """Run one basis tuple through a sequence of kernel steps (callables
-    State -> State): a batch of one, with its batch leg dropped."""
-    return {key[:-1]: c for key, c in run_batch([tuple(idx)], steps).items()}
+def pipeline(dims, idx, *steps) -> dict:
+    """Run the basis tuple idx over dims through a sequence of kernel steps
+    (callables State -> State): a batch of one, its terms keyed by the
+    tuple of their output legs."""
+    state = run_batch(dims, (flatten_index(dims, idx),), steps)
+    out_dims = state.dims[:-1]
+    return {unflatten_index(out_dims, key): c for key, c in state.items()}
 
 
 def _ap(pos, op):

@@ -27,11 +27,11 @@ from .exactla import (
     Cap,
     Cup,
     Matrix,
-    State,
     TensorOp,
     Vector,
     kron,
     pipeline_matrix,
+    run_batch,
     state_to_vector,
 )
 from .emodcat import EntwinedModule, _action_op, _coaction_op
@@ -52,7 +52,7 @@ from .hopfcore import (
     dual_hopf,
 )
 from .pivribbon import require_verified
-from .report import AxiomItem, AxiomReport, compare_item, pipeline, _ap, _pm
+from .report import AxiomItem, AxiomReport, compare_item, _ap, _pm
 
 
 class DistributiveLaw:
@@ -171,7 +171,7 @@ def _dual_c_view(e) -> TensorOp:
     f_k (x) e^j -> sum e^m (x) f_u, weighted by the coefficient of
     f_u (x) e_j in phi(e_m (x) f_k)."""
     nc, na = e.c_dim, e.a_dim
-    cup, cap = Cup(nc), Cap()
+    cup, cap = Cup(nc), Cap(nc)
     return TensorOp(None, (na, nc), (nc, na), (
         _ap(0, cup), _ap(1, e.phi_op), _ap(2, cap),  # m m k j -> m u j j
     ))
@@ -182,7 +182,7 @@ def _dual_a_view(e) -> TensorOp:
     f^u (x) e_c -> sum e_v (x) f^i, weighted by the coefficient of
     f_u (x) e_v in phi(e_c (x) f_i)."""
     nc, na = e.c_dim, e.a_dim
-    cup, cap = Cup(na), Cap()
+    cup, cap = Cup(na), Cap(na)
     return TensorOp(None, (na, nc), (nc, na), (
         _ap(2, cup), _ap(1, e.phi_op), _ap(0, cap),  # u c i i -> u u v i
     ))
@@ -210,7 +210,7 @@ def distlaw_to_entwining(law: DistributiveLaw, c) -> EntwiningMap:
     if law.kind != "algebra":
         raise ValueError("expected an algebra distributive law")
     a = law.left
-    op, cup, cap = law.op, Cup(c.dim), Cap()
+    op, cup, cap = law.op, Cup(c.dim), Cap(c.dim)
     phi = pipeline_matrix(
         (c.dim, a.dim),
         (a.dim, c.dim),
@@ -231,7 +231,7 @@ def codistlaw_to_entwining(law: DistributiveLaw, a) -> EntwiningMap:
     if law.kind != "coalgebra":
         raise ValueError("expected a coalgebra distributive law")
     c = law.right
-    op, cup, cap = law.op, Cup(a.dim), Cap()
+    op, cup, cap = law.op, Cup(a.dim), Cap(a.dim)
     phi = pipeline_matrix(
         (c.dim, a.dim),
         (a.dim, c.dim),
@@ -367,7 +367,7 @@ def module_transport_to_smash(m: EntwinedModule) -> Matrix:
     """Action of the smash product on the module's own space:
     x <- (p (x) a) = p(x_coact) x_0 . a.  Returns dim x (dim*dimSmash)."""
     nc, na = m.datum.c_dim, m.datum.a_dim
-    cap = Cap()
+    cap = Cap(nc)
     return pipeline_matrix(
         (m.dim, nc, na),
         (m.dim,),
@@ -435,12 +435,13 @@ def extract_pivot(d: MonoidalEntwiningDatum, t: Element) -> HomCA:
     return HomCA(d, Matrix.from_flat(t.coords, d.a_dim).transpose())
 
 
-def _rmap_legs(q: DoubleQuantumGroup, perm) -> State:
+def _rmap_legs(q: DoubleQuantumGroup, perm) -> Vector:
     """R(c_j (x) c_i) summed over dual bases, with both dual-basis legs kept:
     two Cups open e^j (x) c_j and c_i (x) e^i, R acts on the middle, which
-    gives legs j u v i for R1 = e_u and R2 = e_v; perm then reorders them."""
+    gives legs j u v i for R1 = e_u and R2 = e_v; perm reorders the Vector's."""
     cup = Cup(q.datum.c_dim)
-    return pipeline((), _ap(0, cup), _ap(2, cup), _ap(1, q.rmap_op), _pm(perm))
+    return state_to_vector(run_batch((), (0,), (
+        _ap(0, cup), _ap(2, cup), _ap(1, q.rmap_op), _pm(perm))))
 
 
 def transport_rmatrix(q: DoubleQuantumGroup) -> Vector:
@@ -453,9 +454,8 @@ def transport_rmatrix(q: DoubleQuantumGroup) -> Vector:
     axioms hold on the double of the Sweedler algebra, and the checks
     assert it on every corpus double structure.
     """
-    d = q.datum
     # first smash leg (i, u) carries R1, second (j, v) carries R2
-    return state_to_vector(_rmap_legs(q, (3, 1, 0, 2)), (d.c_dim, d.a_dim) * 2)
+    return _rmap_legs(q, (3, 1, 0, 2))
 
 
 def transport_ribbon(q: DoubleQuantumGroup, g: HomCA,
@@ -493,7 +493,7 @@ def transport_coribbon(q: DoubleQuantumGroup, g: HomCA,
     if cosmash is None:
         cosmash = smash_coproduct(d)
     # zeta((e^u (x) c_j) (x) (e^v (x) c_i)) = (e^u (x) e^v)(R(c_j (x) c_i))
-    row = state_to_vector(_rmap_legs(q, (1, 0, 2, 3)), (d.a_dim, d.c_dim) * 2)
+    row = _rmap_legs(q, (1, 0, 2, 3))
     form = BilinearForm(cosmash, cosmash, Matrix.from_flat(row, row.dim))
     return form, Functional(cosmash, _cosmash_row(g))
 

@@ -148,6 +148,7 @@ def test_criterion_06_double_and_module_transport(monoidal_datums, double_h4, yd
                 (m.dim, n.dim, sm.dim),
                 (m.dim, n.dim),
                 lambda t: pipeline(
+                    (m.dim, n.dim, sm.dim),
                     t,
                     lambda s: sv_apply(s, 2, sm.comul_op),
                     lambda s: sv_permute(s, (0, 2, 1, 3)),

@@ -3,7 +3,10 @@
 compare_item, pipeline_matrix and hom_operator run their steps once per
 batch of basis tuples, the tuple index riding along as a trailing batch leg
 (exactla.run_batch).  The per-tuple scan loop, pipeline fold, column builder
-and operator builder they replaced are kept below verbatim as oracles.  The
+and operator builder they replaced are kept below as oracles, verbatim but
+for the pipeline fold's seed: kernel states are keyed by flat indices over
+their leg dims, so the fold seeds one basis tuple as a batch of one and
+reads its result back as a dict keyed by leg tuples.  The
 tests run every checker and builder both ways, through the batched code and
 with the oracles patched in, on the corpus and on seeded one-entry mutants,
 and compare report dicts and matrices.  Synthetic scans put the first
@@ -42,13 +45,15 @@ from entwine.emodcat import (
 from entwine.exactla import (
     BATCH_CAP,
     Matrix,
+    ZERO,
     SlotLeg,
+    State,
     TensorOp,
+    Vector,
     _as_rat,
     flatten_index,
     hom_operator,
     pipeline_matrix,
-    state_to_vector,
     unflatten_index,
 )
 from entwine.hopfcore import AlgebraData, CoalgebraData, HopfAlgebraData, check_hopf, dual_hopf
@@ -75,6 +80,17 @@ from entwine.smash import (
 # -- oracles: the per-tuple code, verbatim ------------------------------------
 
 
+def state_to_vector(state, dims) -> Vector:
+    "A state keyed by leg tuples over dims as a Vector."
+    coords = [ZERO] * prod(dims) if dims else [ZERO]
+    if not dims:
+        # scalar-valued state: the only key is ()
+        return Vector([state.get((), ZERO)])
+    for key, c in state.items():
+        coords[flatten_index(dims, key)] = c
+    return Vector(coords)
+
+
 def oracle_compare_item(axiom_id, in_dims, out_dims, lhs_fn, rhs_fn) -> AxiomItem:
     """Evaluate two sides on every basis tuple and report the first mismatch.
 
@@ -95,16 +111,18 @@ def oracle_compare_item(axiom_id, in_dims, out_dims, lhs_fn, rhs_fn) -> AxiomIte
     return AxiomItem(axiom_id, True)
 
 
-def oracle_pipeline(idx, *steps):
-    """Run a basis tuple through a sequence of kernel steps.
+def oracle_pipeline(dims, idx, *steps):
+    """Run a basis tuple over dims through a sequence of kernel steps.
 
     Each step is a callable State -> State; this is just foldl with a
-    basis seed, kept tiny so axiom transcriptions stay readable.
+    basis seed, kept tiny so axiom transcriptions stay readable.  The seed
+    carries a batch leg of one, dropped from the result's leg tuples.
     """
-    state = {tuple(idx): 1}
+    state = State({flatten_index(dims, idx): 1})
+    state.dims = (*dims, 1)
     for step in steps:
         state = step(state)
-    return state
+    return {unflatten_index(state.dims[:-1], key): c for key, c in state.items()}
 
 
 def oracle_matrix_from_columns_fn(in_dims, out_dims, fn) -> Matrix:
@@ -151,18 +169,19 @@ def oracle_hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> Matrix:
 
 def per_tuple_compare_item(axiom_id, in_dims, out_dims, lhs, rhs):
     return oracle_compare_item(axiom_id, in_dims, out_dims,
-                               lambda t: oracle_pipeline(t, *lhs),
-                               lambda t: oracle_pipeline(t, *rhs))
+                               lambda t: oracle_pipeline(in_dims, t, *lhs),
+                               lambda t: oracle_pipeline(in_dims, t, *rhs))
 
 
 def per_tuple_pipeline_matrix(in_dims, out_dims, steps):
     return oracle_matrix_from_columns_fn(in_dims, out_dims,
-                                         lambda t: oracle_pipeline(t, *steps))
+                                         lambda t: oracle_pipeline(in_dims, t, *steps))
 
 
 def per_tuple_hom_operator(in_dims, out_dims, seed_dims, key_dims, side):
     return oracle_hom_operator(in_dims, out_dims, seed_dims, key_dims,
-                               lambda f, t: oracle_pipeline(t + (0,), *side(f)))
+                               lambda f, t: oracle_pipeline((*seed_dims, 1), t + (0,),
+                                                            *side(f)))
 
 
 _BATCHED = {compare_item: per_tuple_compare_item,

@@ -367,6 +367,35 @@ def test_multi_file_check_starts_no_thread(runner, tmp_path, h4_file):
     assert out.stderr.strip() == "0 [] False"
 
 
+def _closed_reader(h4_file, read: int):
+    """Run `entwine check hopf` on h4.json given 30 times (8.5 kB of reports,
+    more than one 8 kB write), read that many bytes of its stdout, close
+    it, and return the exit code and stderr."""
+    src = str(Path(entwine.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "entwine.cli", "check", "hopf", *[h4_file] * 30],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.read(read)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+def test_stdout_closed_before_the_reports_exits_141(h4_file):
+    # a closed pipe is no FAIL verdict: 141 = 128 + SIGPIPE, and no traceback
+    code, err = _closed_reader(h4_file, 0)
+    assert (code, err) == (141, "")
+
+
+def test_stdout_closed_after_one_byte_is_no_failure(h4_file):
+    """As `| head -c 1`: the writes after the close fail, exit 141; when
+    every write came before it, all output was delivered and 0 is right."""
+    for _ in range(3):
+        code, err = _closed_reader(h4_file, 1)
+        assert code in (0, 141) and "Traceback" not in err, (code, err)
+
+
 def test_cli_import_leaves_out_the_thread_pool():
     # no command runs a thread pool, so concurrent.futures stays out of start-up
     code = "import sys, entwine.cli; print('concurrent.futures' in sys.modules)"

@@ -38,10 +38,10 @@ def oracle_element_inverse(h: HopfAlgebraData, v: Vector) -> Vector | None:
     d = h.dim
     v_op = element_op(v)
     left = matrix_from_columns_fn(
-        (d,), (d,), lambda t: pipeline(t, _ap(0, v_op), _ap(0, h.mul_op))
+        (d,), (d,), lambda t: pipeline((d,), t, _ap(0, v_op), _ap(0, h.mul_op))
     )
     right = matrix_from_columns_fn(
-        (d,), (d,), lambda t: pipeline(t, _ap(1, v_op), _ap(0, h.mul_op))
+        (d,), (d,), lambda t: pipeline((d,), t, _ap(1, v_op), _ap(0, h.mul_op))
     )
     return two_sided_solve(left, right, h.unit)
 
@@ -56,7 +56,7 @@ def oracle_conv_functional_inverse(c: HopfAlgebraData, g_row: Matrix) -> Matrix 
     def conv_operator(g_on_left: bool) -> Matrix:
         rows = [[ZERO] * d for _ in range(d)]
         for target in range(d):
-            for (c1, c2), w in comul.cols((target,)):
+            for (c1, c2), w in pipeline((d,), (target,), _ap(0, comul)).items():
                 if g_on_left:
                     rows[target][c2] += w * g[c1]
                 else:

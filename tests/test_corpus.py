@@ -46,12 +46,12 @@ def test_long_condition_on_std_modules(long_h4):
         for x in range(m.dim):
             for a in range(long_h4.a_dim):
                 lhs = pipeline(
-                    (x, a),
+                    (m.dim, long_h4.a_dim), (x, a),
                     lambda s: sv_apply(s, 0, m.action_op),
                     lambda s: sv_apply(s, 0, m.coaction_op),
                 )
                 rhs = pipeline(
-                    (x, a),
+                    (m.dim, long_h4.a_dim), (x, a),
                     lambda s: sv_apply(s, 0, m.coaction_op),
                     lambda s: sv_permute(s, (0, 2, 1)),
                     lambda s: sv_apply(s, 0, m.action_op),
@@ -65,12 +65,12 @@ def test_yd_condition_on_std_modules(yd_h4, h4):
         for x in range(m.dim):
             for a in range(4):
                 lhs = pipeline(
-                    (x, a),
+                    (m.dim, 4), (x, a),
                     lambda s: sv_apply(s, 0, m.action_op),
                     lambda s: sv_apply(s, 0, m.coaction_op),
                 )
                 rhs = pipeline(
-                    (x, a),
+                    (m.dim, 4), (x, a),
                     lambda s: sv_apply(s, 1, h4.comul_op),      # x a1 a2
                     lambda s: sv_apply(s, 2, h4.comul_op),      # x a1 a2 a3
                     lambda s: sv_apply(s, 0, m.coaction_op),    # x0 x1 a1 a2 a3

@@ -42,6 +42,11 @@ from entwine.hopfcore import trivial_hopf
 from entwine.report import _ap, pipeline
 
 
+def _col(op, legs):
+    "The column of op at the basis tuple legs: (output legs, coefficient) pairs."
+    return pipeline(op.in_dims, legs, _ap(0, op)).items()
+
+
 def _all_std_modules(d):
     return {"CA": std_module_CA(d), "AC": std_module_AC(d), "unit": tensor_unit(d)}
 
@@ -125,7 +130,7 @@ def test_duality_on_corpus(monoidal_datums):
 @pytest.mark.parametrize("dim", [1, 2, 4, 16])
 def test_pairing_and_copairing_match_cap_and_cup(dim):
     ev, coev = _pairing_copairing(dim)
-    assert ev == pipeline_matrix((dim, dim), (), (_ap(0, Cap()),))
+    assert ev == pipeline_matrix((dim, dim), (), (_ap(0, Cap(dim)),))
     assert coev == pipeline_matrix((), (dim, dim), (_ap(0, Cup(dim)),))
 
 
@@ -147,7 +152,7 @@ def test_flip_left_dual_closed_form(long_kz2, kz2):
         (i,) = t
         out = {}
         for j in range(m.dim):
-            for (u, v), c in m.coaction_op.cols((j,)):
+            for (u, v), c in _col(m.coaction_op, (j,)):
                 if u != i:
                     continue
                 for s in range(2):
@@ -174,7 +179,7 @@ def _non_identity_endomorphisms(case):
         m = std_module_CA(d)
         f, g = (
             ModuleMorphism(m, m, matrix_from_columns_fn((4, 4), (4, 4), lambda t, k=k: pipeline(
-                t, _ap(0, d.c.comul_op),
+                (4, 4), t, _ap(0, d.c.comul_op),
                 _ap(0, TensorOp(Matrix([[int(i == k) for i in range(4)]]), (4,), ())))))
             for k in (0, 1)
         )
@@ -245,11 +250,12 @@ def test_braiding_yd_closed_form(yd_dqg_h4):
     br = braiding(m, n, q)
 
     def closed(t):
-        s = {(t[0], t[1]): Fraction(1)}
-        s = sv_apply(s, 1, n.coaction_op)
-        s = sv_permute(s, (1, 0, 2))
-        s = sv_apply(s, 1, m.action_op)
-        return s
+        return pipeline(
+            (m.dim, n.dim), t,
+            lambda s: sv_apply(s, 1, n.coaction_op),
+            lambda s: sv_permute(s, (1, 0, 2)),
+            lambda s: sv_apply(s, 1, m.action_op),
+        )
 
     assert br == matrix_from_columns_fn((m.dim, n.dim), (n.dim, m.dim), closed)
 
@@ -267,8 +273,8 @@ def test_braiding_long_closed_form(dqgs, kz2):
 
     def closed(t):
         out = {}
-        for (m0, m1), cm in m.coaction_op.cols((t[0],)):
-            for (n0, n1), cn in n.coaction_op.cols((t[1],)):
+        for (m0, m1), cm in _col(m.coaction_op, (t[0],)):
+            for (n0, n1), cn in _col(n.coaction_op, (t[1],)):
                 beta = form.value(m1, n1)
                 if beta == 0:
                     continue
@@ -277,8 +283,8 @@ def test_braiding_long_closed_form(dqgs, kz2):
                         x = r[u * 2 + v]
                         if x == 0:
                             continue
-                        for (nn,), ca in n.action_op.cols((n0, v)):
-                            for (mm,), cb in m.action_op.cols((m0, u)):
+                        for (nn,), ca in _col(n.action_op, (n0, v)):
+                            for (mm,), cb in _col(m.action_op, (m0, u)):
                                 key = (nn, mm)
                                 val = out.get(key, Fraction(0)) + cm * cn * beta * x * ca * cb
                                 if val == 0:
@@ -382,10 +388,11 @@ def test_hexagon_split_left_h4_columnwise(yd_dqg_h4):
             for pi in range(p.dim):
                 lhs = {
                     (pp, qq // n.dim, qq % n.dim): v
-                    for (pp, qq), v in pipeline((mi * n.dim + ni, pi), *steps).items()
+                    for (pp, qq), v in pipeline((m.dim * n.dim, p.dim), (mi * n.dim + ni, pi),
+                                                *steps).items()
                 }
                 rhs = pipeline(
-                    (mi, ni, pi),
+                    (m.dim, n.dim, p.dim), (mi, ni, pi),
                     lambda s: sv_apply(s, 1, br_np),
                     lambda s: sv_apply(s, 0, br_mp),
                 )
@@ -503,9 +510,10 @@ def test_braiding_naturality_holds_for_any_linear_r(yd_dqg_h4):
         b = TensorOp(Matrix([[int(i == k)] for i in range(4)]), (), (4,))
         extra += [
             ModuleMorphism(m, m, matrix_from_columns_fn(
-                (4, 4), (4, 4), lambda t: pipeline(t, _ap(0, d.c.comul_op), _ap(0, theta)))),
+                (4, 4), (4, 4), lambda t: pipeline((4, 4), t, _ap(0, d.c.comul_op),
+                                                   _ap(0, theta)))),
             ModuleMorphism(n, n, matrix_from_columns_fn(
-                (4, 4), (4, 4), lambda t: pipeline(t, _ap(0, b), _ap(0, d.a.mul_op)))),
+                (4, 4), (4, 4), lambda t: pipeline((4, 4), t, _ap(0, b), _ap(0, d.a.mul_op)))),
         ]
     rep = check_braiding_naturality(m, n, q, morphisms=extra)
     assert rep.overall

@@ -27,6 +27,12 @@ from entwine.entwining import (
     conv_unit,
 )
 from entwine.exactla import Matrix, matrix_from_columns_fn
+from entwine.report import _ap, pipeline
+
+
+def _col(op, legs):
+    "The column of op at the basis tuple legs: (output legs, coefficient) pairs."
+    return pipeline(op.in_dims, legs, _ap(0, op)).items()
 
 
 def _mutate_phi(e: EntwiningMap, i: int, j: int) -> EntwiningMap:
@@ -156,10 +162,10 @@ def test_conv_product_flip_has_no_decorations(long_kz2, kz2):
     expect = Matrix.zero(2, 2)
     rows = [[Fraction(0)] * 2 for _ in range(2)]
     for c in range(2):
-        for (c1, c2), w in kz2.comul_op.cols((c,)):
+        for (c1, c2), w in _col(kz2.comul_op, (c,)):
             for i in range(2):
                 for j in range(2):
-                    for (z,), m in kz2.mul_op.cols((i, j)):
+                    for (z,), m in _col(kz2.mul_op, (i, j)):
                         rows[z][c] += w * f.map.entry(i, c2) * g.map.entry(j, c1)
     assert got.map == Matrix(rows)
 
@@ -283,8 +289,6 @@ def test_e10b_reported_when_rmap_not_invertible(yd_h4, h4):
 
 def test_e3_restated_as_matrix_identity(monoidal_datums):
     # phi restricted to C (x) 1_A equals inserting the unit on the left
-    from entwine.exactla import matrix_from_columns_fn
-    from entwine.report import pipeline
     from entwine.exactla import sv_apply
 
     for name, d in monoidal_datums.items():
@@ -292,7 +296,7 @@ def test_e3_restated_as_matrix_identity(monoidal_datums):
             (d.c_dim,),
             (d.a_dim, d.c_dim),
             lambda t: pipeline(
-                t,
+                (d.c_dim,), t,
                 lambda s: sv_apply(s, 1, d.a.unit_op),
                 lambda s: sv_apply(s, 0, d.phi_op),
             ),
@@ -300,7 +304,7 @@ def test_e3_restated_as_matrix_identity(monoidal_datums):
         right = matrix_from_columns_fn(
             (d.c_dim,),
             (d.a_dim, d.c_dim),
-            lambda t: pipeline(t, lambda s: sv_apply(s, 0, d.a.unit_op)),
+            lambda t: pipeline((d.c_dim,), t, lambda s: sv_apply(s, 0, d.a.unit_op)),
         )
         assert left == right, name
 

@@ -1,0 +1,296 @@
+"""The flat-keyed kernel against the tuple-keyed kernel it replaced.
+
+Kernel states were dicts keyed by index tuples, one entry per leg; they are
+now States keyed by the flat index of the legs over ``state.dims``.  The
+tuple-keyed sv_apply and sv_permute, and the column tables of Cup, Cap and
+SlotLeg they read, are kept below verbatim as oracles.  Each case runs
+one random state through one op or permutation both ways, on seeded random
+dims, positions and perms, with int, Fraction and finder-polynomial
+coefficients and with terms that cancel, and compares the results leg
+tuple by leg tuple.  An op whose input dims differ from the legs it is
+applied to must raise, because flat indices would otherwise land on wrong
+terms without an error.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+from math import prod
+from operator import itemgetter
+
+import pytest
+
+from entwine.exactla import (
+    Cap,
+    Cup,
+    KernelOp,
+    Matrix,
+    SlotLeg,
+    State,
+    TensorOp,
+    flatten_index,
+    sv_apply,
+    sv_permute,
+    unflatten_index,
+)
+from entwine.pivribbon import _Poly
+
+
+# -- oracles: the tuple-keyed kernel, verbatim ----------------------------------
+
+
+def oracle_sv_apply(state, pos: int, op):
+    "Apply op to the legs [pos, pos + op.arity_in) of every key."
+    out = {}
+    get, table, end = out.get, op._cols, pos + op.arity_in
+    for key, c in state.items():
+        legs = key[pos:end]
+        col = table.get(legs)
+        if col is None:
+            # the first miss fills every column the state still lacks
+            op.fill(dict.fromkeys(k[pos:end] for k in state if k[pos:end] not in table))
+            col = table[legs]
+        head, tail = key[:pos], key[end:]
+        for out_legs, x in col:
+            nk = head + out_legs + tail
+            nv = get(nk, 0) + c * x
+            if nv:
+                out[nk] = nv
+            else:
+                out.pop(nk, None)
+    return out
+
+
+def oracle_sv_permute(state, perm: tuple[int, ...]):
+    "Reorder legs: new_key[i] = old_key[perm[i]]; legs past len(perm) stay last."
+    n = len(next(iter(state), ()))
+    if n < 2:
+        return dict(state)
+    pick = itemgetter(*perm, *range(len(perm), n))
+    return {pick(key): c for key, c in state.items()}
+
+
+def _basis(dims):
+    return itertools.product(*(range(d) for d in dims))
+
+
+class OracleOp:
+    "A tuple-keyed column table: input legs -> [(output legs, coefficient)]."
+
+    def __init__(self, arity_in: int, arity_out: int, cols: dict):
+        self.arity_in, self.arity_out, self._cols = arity_in, arity_out, cols
+
+    def fill(self, legs) -> None:
+        "Add the columns at legs to the table (nothing is missing here)."
+
+
+def oracle_tensor_op(matrix: Matrix, in_dims, out_dims) -> OracleOp:
+    "The columns of a matrix on leg tuples, integral entries as ints."
+    return OracleOp(len(in_dims), len(out_dims), {
+        t: [(unflatten_index(out_dims, i), x.numerator if x.denominator == 1 else x)
+            for i, x in matrix.sparse_cols()[flatten_index(in_dims, t)]]
+        for t in _basis(in_dims)})
+
+
+def oracle_slot_leg(in_dims, out_dims) -> OracleOp:
+    outs = list(_basis(out_dims))
+    n_in = prod(in_dims)
+    return OracleOp(len(in_dims) + 1, len(out_dims) + 1, {
+        legs + (0,): [(out + (i * n_in + j,), 1) for i, out in enumerate(outs)]
+        for j, legs in enumerate(_basis(in_dims))
+    })
+
+
+def oracle_cup(n: int) -> OracleOp:
+    return OracleOp(0, 2, {(): [((x, x), 1) for x in range(n)]})
+
+
+class OracleCap(OracleOp):
+    _KEEP = [((), 1)]
+
+    def __init__(self):
+        super().__init__(2, 0, {})
+
+    def fill(self, legs) -> None:
+        for t in legs:
+            self._cols[t] = self._KEEP if t[0] == t[1] else []
+
+
+# -- random inputs -----------------------------------------------------------------
+
+
+def _coeff(rng: random.Random, kind: str):
+    "A nonzero coefficient: an int, a Fraction or a degree-1 finder polynomial."
+    x = rng.choice((-2, -1, 1, 2))
+    if kind == "int":
+        return x
+    if kind == "fraction":
+        return Fraction(x, rng.choice((1, 2, 3)))
+    p = _Poly()
+    p.add_term((), x)
+    p.add_term((rng.randrange(3),), rng.choice((-1, 1)))
+    return p
+
+
+def _random_state(rng: random.Random, dims, kind: str) -> State:
+    "A State over dims, the last leg a batch leg, on a random third of the flats."
+    n = prod(dims)
+    state = State({f: _coeff(rng, kind) for f in rng.sample(range(n), max(1, n // 3))})
+    state.dims = tuple(dims)
+    return state
+
+
+def _random_matrix(rng: random.Random, nrows: int, ncols: int) -> Matrix:
+    # entries -1, 0 and 1 make terms cancel; a few are proper Fractions
+    return Matrix([[rng.choice((-1, 0, 0, 1, Fraction(1, 2))) for _ in range(ncols)]
+                   for _ in range(nrows)])
+
+
+def _legs(state: State) -> dict:
+    "A flat-keyed State as the tuple-keyed dict the old kernel gave."
+    return {unflatten_index(state.dims, key): c for key, c in state.items()}
+
+
+def _comparable(d: dict) -> dict:
+    "_Poly has no __eq__: compare its terms."
+    return {k: (c.terms if isinstance(c, _Poly) else c) for k, c in d.items()}
+
+
+def _agree(state: State, got: State, want: dict, dims) -> None:
+    assert got.dims == tuple(dims)
+    assert _comparable(_legs(got)) == _comparable(want), (state.dims, dims)
+
+
+KINDS = ("int", "fraction", "poly")
+
+
+# -- tests -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_tensor_op_at_a_random_position_matches_the_tuple_kernel(kind):
+    rng = random.Random(f"apply/{kind}")
+    for _ in range(300):
+        dims = [rng.randint(1, 4) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 5)]
+        pos = rng.randint(0, len(dims) - 1)
+        in_dims = tuple(dims[pos:rng.randint(pos, len(dims) - 1)])
+        out_dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
+        m = _random_matrix(rng, prod(out_dims), prod(in_dims))
+        state = _random_state(rng, dims, kind)
+        got = sv_apply(state, pos, TensorOp(m, in_dims, out_dims))
+        want = oracle_sv_apply(_legs(state), pos, oracle_tensor_op(m, in_dims, out_dims))
+        _agree(state, got, want, (*dims[:pos], *out_dims, *dims[pos + len(in_dims):]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_permutation_matches_the_tuple_kernel(kind):
+    rng = random.Random(f"permute/{kind}")
+    for _ in range(300):
+        dims = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 5)]
+        # a perm of the first k legs; the legs after them stay where they are
+        k = rng.randint(0, len(dims))
+        perm = tuple(rng.sample(range(k), k))
+        state = _random_state(rng, dims, kind)
+        want = oracle_sv_permute(_legs(state), perm)
+        _agree(state, sv_permute(state, perm), want,
+               (*(dims[p] for p in perm), *dims[k:]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cup_cap_and_slot_leg_match_the_tuple_kernel(kind):
+    rng = random.Random(f"cup/{kind}")
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        dims = [rng.randint(1, 3) for _ in range(rng.randint(0, 2))] + [rng.randint(1, 4)]
+        state = _random_state(rng, dims, kind)
+        pos = rng.randint(0, len(dims) - 1)
+        opened = sv_apply(state, pos, Cup(n))
+        want = oracle_sv_apply(_legs(state), pos, oracle_cup(n))
+        _agree(state, opened, want, (*dims[:pos], n, n, *dims[pos:]))
+        # the opened pair, moved among the other legs and maybe swapped,
+        # then closed again against itself
+        others = [i for i in range(len(dims) - 1 + 2) if i not in (pos, pos + 1)]
+        at = rng.randint(0, len(others))
+        perm = (*others[:at], *rng.sample((pos, pos + 1), 2), *others[at:])
+        mixed = sv_permute(opened, perm)
+        want = oracle_sv_permute(want, perm)
+        closed = sv_apply(mixed, at, Cap(n))
+        want = oracle_sv_apply(want, at, OracleCap())
+        _agree(mixed, closed, want, mixed.dims[:at] + mixed.dims[at + 2:])
+
+        # a Cap on two legs of a random state, which mostly differ
+        dims = [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+        at = len(dims)
+        dims += [n, n, rng.randint(1, 4)]
+        state = _random_state(rng, dims, kind)
+        want = oracle_sv_apply(_legs(state), at, OracleCap())
+        _agree(state, sv_apply(state, at, Cap(n)), want, (*dims[:at], dims[-1]))
+
+        # a SlotLeg on f's input legs followed by a slot leg 0
+        f_in = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
+        f_out = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
+        dims = [*f_in, 1, rng.randint(1, 4)]
+        state = _random_state(rng, dims, kind)
+        got = sv_apply(state, 0, SlotLeg(f_in, f_out))
+        want = oracle_sv_apply(_legs(state), 0, oracle_slot_leg(f_in, f_out))
+        _agree(state, got, want, (*f_out, prod(f_in) * prod(f_out), dims[-1]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_terms_that_cancel_leave_no_key(kind):
+    # columns 0 and 1 of the op are equal, so c on one and -c on the other cancel
+    rng = random.Random(f"cancel/{kind}")
+    m = Matrix([[1, 1, 0], [Fraction(1, 2), Fraction(1, 2), 2]])
+    c = _coeff(rng, kind)
+    state = State({0 * 3 + 0: c, 1 * 3 + 0: -1 * c, 2 * 3 + 1: c})
+    state.dims = (3, 3)
+    got = sv_apply(state, 0, TensorOp(m, (3,), (2,)))
+    want = oracle_sv_apply(_legs(state), 0, oracle_tensor_op(m, (3,), (2,)))
+    _agree(state, got, want, (2, 3))
+    assert set(_legs(got)) == {(1, 1)}
+
+
+def test_a_finder_family_op_matches_the_tuple_kernel():
+    # the finder's op C -> A whose entries are polynomials, on int seeds
+    rng = random.Random(5)
+    nc, na = 3, 2
+    entries = {(a, c): _coeff(rng, "poly") for a in range(na) for c in range(nc)
+               if rng.random() < 0.7}
+    flat = KernelOp((nc,), (na,), {c: [(a, entries[a, c]) for a in range(na) if (a, c) in entries]
+                                   for c in range(nc)})
+    oracle = OracleOp(1, 1, {(c,): [((a,), entries[a, c]) for a in range(na) if (a, c) in entries]
+                             for c in range(nc)})
+    for kind in KINDS:
+        state = _random_state(rng, (2, nc, 4), kind)
+        want = oracle_sv_apply(_legs(state), 1, oracle)
+        _agree(state, sv_apply(state, 1, flat), want, (2, na, 4))
+
+
+@pytest.mark.parametrize("op, legs", [
+    (Cap(3), (3, 2)),
+    (TensorOp(Matrix([[1, 0, 1]]), (3,), ()), (2,)),
+    (TensorOp(Matrix.identity(4), (2, 2), (4,)), (4,)),
+    (Cap(2), (4,)),
+])
+def test_an_op_on_other_legs_raises(op, legs):
+    """The op's input dims must be the legs it is applied to, the batch leg
+    after them.  Flat indices would otherwise land on wrong terms without
+    an error: (3,) on a leg of 2 reads the wrong columns, and even an op on
+    (2, 2) applied to a leg of 4 mislabels the legs."""
+    state = State({0: 1, 1: 1})
+    state.dims = (*legs, 2)
+    with pytest.raises(ValueError):
+        sv_apply(state, 0, op)
+
+
+@pytest.mark.parametrize("op", [Cup(2), TensorOp(Matrix([[1], [2]]), (), (2,))])
+def test_an_op_after_the_batch_leg_raises(op):
+    # an op from no legs matches the empty legs past the batch leg; its
+    # output legs there would be read as part of the batch index
+    state = State({0: 1, 1: 1})
+    state.dims = (3, 2)
+    assert len(sv_apply(state, 1, op)) == 2 * len(op._cols[0])
+    with pytest.raises(ValueError):
+        sv_apply(state, 2, op)

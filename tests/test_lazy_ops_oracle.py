@@ -5,8 +5,9 @@ fill only the columns a scan reads, on legs reshaped from the steps' own
 (a tensor module's action runs on (m, n, a) legs and is an op on (m*n, a)
 legs), and make their Matrix only when asked.  The eager builder they
 replaced, pipeline_matrix with the column assembler it called, is kept
-below verbatim as the oracle.  Every module op, fresh or partly filled,
-must give the oracle's columns through ``cols``, through sv_apply on a
+below as the oracle, verbatim but for reading the flat-keyed batched state
+back by leg tuples.  Every module op, fresh or partly filled, must give
+the oracle's columns through its column table, through sv_apply on a
 state spanning several batches and through ``matrix``, on the corpus
 datums and on seeded one-entry mutants of their entwining maps.
 """
@@ -33,12 +34,14 @@ from entwine.emodcat import (
 )
 from entwine.exactla import (
     Matrix,
+    State,
     TensorOp,
     _as_rat,
     basis_batches,
     flatten_index,
     run_batch,
     sv_apply,
+    unflatten_index,
 )
 
 
@@ -70,9 +73,10 @@ def oracle_pipeline_matrix(in_dims, out_dims, steps) -> Matrix:
     in the lexicographic order the batches come in."""
     def columns():
         for batch in basis_batches(in_dims):
+            b = len(batch)
             part = [{} for _ in batch]
-            for key, c in run_batch(batch, steps).items():
-                part[key[-1]][key[:-1]] = c
+            for key, c in run_batch(in_dims, batch, steps).items():
+                part[key % b][unflatten_index(out_dims, key // b)] = c
             yield from part
 
     cols = columns()
@@ -80,9 +84,10 @@ def oracle_pipeline_matrix(in_dims, out_dims, steps) -> Matrix:
 
 
 def oracle_op(op: TensorOp) -> TensorOp:
-    "The Matrix-backed op of op's steps, built eagerly on the steps' own legs."
-    step_in, step_out = op._step_dims
-    return TensorOp(oracle_pipeline_matrix(step_in, step_out, op._steps), op.in_dims, op.out_dims)
+    """The Matrix-backed op of op's steps, built eagerly from the steps' own
+    input legs (the output legs have the op's flat indices)."""
+    return TensorOp(oracle_pipeline_matrix(op._step_in, op.out_dims, op._steps),
+                    op.in_dims, op.out_dims)
 
 
 # -- inputs ----------------------------------------------------------------------
@@ -129,8 +134,18 @@ def _fresh_op(datum_name, builder, which) -> TensorOp:
     return op
 
 
-def _basis(dims):
-    return list(itertools.product(*(range(d) for d in dims)))
+def _col(op, f):
+    "The column of op at the flat index f, filled first if the table lacks it."
+    if f not in op._cols:
+        op.fill((f,))
+    return op._cols[f]
+
+
+def _state(dims, flats, coeff):
+    "A State holding flats[j] on a trailing leg j, as the batch leg does in a scan."
+    state = State({f * len(flats) + j: coeff(j) for j, f in enumerate(flats)})
+    state.dims = (*dims, len(flats))
+    return state
 
 
 # -- tests -------------------------------------------------------------------------
@@ -140,17 +155,17 @@ def _basis(dims):
 def test_step_built_op_matches_eager_build(datum_name, builder, which):
     op = _fresh_op(datum_name, builder, which)
     oracle = oracle_op(op)
-    tuples = _basis(op.in_dims)
+    flats = list(range(op.n_in))
     rng = random.Random(f"{datum_name}/{builder}/{which}")
     # a seeded third of the columns one at a time, in a shuffled order
-    some = rng.sample(tuples, max(1, len(tuples) // 3))
-    for t in some:
-        assert op.cols(t) == oracle.cols(t), t
+    some = rng.sample(flats, max(1, len(flats) // 3))
+    for f in some:
+        assert _col(op, f) == _col(oracle, f), f
     assert set(op._cols) == set(some)
     # then the matrix, built from the filled and the missing columns alike
     assert op.matrix == oracle.matrix
-    for t in tuples:
-        assert op.cols(t) == oracle.cols(t), t
+    for f in flats:
+        assert _col(op, f) == _col(oracle, f), f
     # a fresh op built whole
     assert _fresh_op(datum_name, builder, which).matrix == oracle.matrix
 
@@ -162,16 +177,16 @@ def test_step_built_op_under_sv_apply(datum_name, builder, which):
     columns, eight batches of BATCH_CAP."""
     op = _fresh_op(datum_name, builder, which)
     oracle = oracle_op(op)
-    tuples = _basis(op.in_dims)
+    flats = list(range(op.n_in))
     rng = random.Random(7)
-    rng.shuffle(tuples)
+    rng.shuffle(flats)
     # a trailing leg keeps every key apart, as the batch leg does in a scan
-    first = {(*t, j): 1 + j % 3 for j, t in enumerate(tuples[: len(tuples) // 2])}
+    first = _state(op.in_dims, flats[: len(flats) // 2], lambda j: 1 + j % 3)
     assert sv_apply(first, 0, op) == sv_apply(first, 0, oracle)
     assert len(op._cols) == len(first)
-    whole = {(*t, j): 1 for j, t in enumerate(tuples)}
+    whole = _state(op.in_dims, flats, lambda j: 1)
     assert sv_apply(whole, 0, op) == sv_apply(whole, 0, oracle)
-    assert len(op._cols) == len(tuples)
+    assert len(op._cols) == len(flats)
     assert op.matrix == oracle.matrix
 
 
@@ -196,7 +211,7 @@ def test_duality_check_builds_only_the_coevaluation_columns_it_reads(monkeypatch
     assert coev_tgt.dim == 256
     assert len(coev_tgt.action_op._cols) == 64
     assert len(coev_tgt.coaction_op._cols) == 16
-    assert sorted(coev_tgt.coaction_op._cols) == [(x * 17,) for x in range(16)]
+    assert sorted(coev_tgt.coaction_op._cols) == [x * 17 for x in range(16)]
     assert len(ev_src.action_op._cols) == 1024
     assert len(ev_src.coaction_op._cols) == 256
     # asked for, the matrix is the eager one

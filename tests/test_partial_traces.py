@@ -21,7 +21,7 @@ from entwine.entwining import (
     check_antipode_compat,
     conv_unit,
 )
-from entwine.exactla import ONE, ZERO, Cap, Cup, Matrix, TensorOp, Vector, solve_affine, state_to_vector
+from entwine.exactla import ONE, ZERO, Cap, Cup, Matrix, TensorOp, Vector, solve_affine
 from entwine.pivribbon import _linear_system, stage1_affine_family, verify_ribbon
 from entwine.report import AxiomItem, AxiomReport, Witness, compare_item, pipeline, _ap
 
@@ -87,8 +87,8 @@ def oracle_antipode_compat(d: MonoidalEntwiningDatum) -> AxiomReport:
                         False,
                         Witness(
                             (i, k),
-                            state_to_vector(lhs, (na, nc)),
-                            state_to_vector(got, (na, nc)),
+                            Vector([lhs.get((u, j), ZERO) for u in range(na) for j in range(nc)]),
+                            Vector([got.get((u, j), ZERO) for u in range(na) for j in range(nc)]),
                         ),
                     )
         return AxiomItem(axiom_id, True)
@@ -183,10 +183,10 @@ def oracle_linear_constraint_rows(d: MonoidalEntwiningDatum, kind: str):
                 steps = [_ap(0, g.op)]
                 if tw is not None:
                     steps.insert(0, _ap(1, tw))
-                return pipeline(t, *steps, _ap(0, mul_a))
+                return pipeline((nc, na), t, *steps, _ap(0, mul_a))
 
             def rhs(g, t=(c_idx, a_idx)):
-                return pipeline(t, _ap(0, phi), _ap(1, g.op), _ap(0, mul_a))
+                return pipeline((nc, na), t, _ap(0, phi), _ap(1, g.op), _ap(0, mul_a))
 
             lt = g_entry_coeffs(lambda g: lhs(g))
             rt = g_entry_coeffs(lambda g: rhs(g))
@@ -196,13 +196,13 @@ def oracle_linear_constraint_rows(d: MonoidalEntwiningDatum, kind: str):
     ctw = d.c.antipode_inv_sq_op if kind == "pivotal" else None
     for c_idx in range(nc):
         def lhs(g, t=(c_idx,)):
-            return pipeline(t, _ap(0, comul_c), _ap(0, g.op))
+            return pipeline((nc,), t, _ap(0, comul_c), _ap(0, g.op))
 
         def rhs(g, t=(c_idx,)):
             steps = [_ap(0, comul_c), _ap(1, g.op), _ap(0, phi)]
             if ctw is not None:
                 steps.append(_ap(1, ctw))
-            return pipeline(t, *steps)
+            return pipeline((nc,), t, *steps)
 
         lt = g_entry_coeffs(lambda g: lhs(g))
         rt = g_entry_coeffs(lambda g: rhs(g))
@@ -212,7 +212,7 @@ def oracle_linear_constraint_rows(d: MonoidalEntwiningDatum, kind: str):
         # self-duality law R4 is linear in g
         for c_idx in range(nc):
             def lhs(g, t=(c_idx,)):
-                return pipeline(t, _ap(0, g.op))
+                return pipeline((nc,), t, _ap(0, g.op))
 
             def rhs(g, t=(c_idx,)):
                 m = _closed_loop_twist(d, d.a.antipode_inv * g.map * d.c.antipode)
@@ -288,13 +288,13 @@ def _same_report(got: AxiomReport, want: AxiomReport):
 
 
 def test_cup_and_cap_contract_a_pair_of_legs():
-    cup, cap = Cup(3), Cap()
-    assert (cup.arity_in, cup.arity_out, cap.arity_in, cap.arity_out) == (0, 2, 2, 0)
-    opened = pipeline((1,), _ap(1, cup))
+    cup, cap = Cup(3), Cap(3)
+    assert (cup.in_dims, cup.out_dims, cap.in_dims, cap.out_dims) == ((), (3, 3), (3, 3), ())
+    opened = pipeline((3,), (1,), _ap(1, cup))
     assert opened == {(1, 0, 0): ONE, (1, 1, 1): ONE, (1, 2, 2): ONE}
     # the trace of the identity is the dimension: cup then cap on the same legs
-    assert pipeline((), _ap(0, cup), _ap(0, cap)) == {(): Fraction(3)}
-    assert pipeline((2, 1), _ap(0, cap)) == {}
+    assert pipeline((), (), _ap(0, cup), _ap(0, cap)) == {(): Fraction(3)}
+    assert pipeline((3, 3), (2, 1), _ap(0, cap)) == {}
 
 
 @pytest.mark.parametrize("name", sorted(DATUMS))

@@ -333,13 +333,13 @@ def test_flip_specialized_pivotal_conditions(long_h4, h4):
     for b in range(4):
         for a in range(4):
             lhs = pipeline(
-                (b, a),
+                (4, 4), (b, a),
                 lambda s: sv_apply(s, 1, h4.antipode_op),
                 lambda s: sv_apply(s, 0, g_op),
                 lambda s: sv_apply(s, 0, h4.mul_op),
             )
             rhs = pipeline(
-                (b, a),
+                (4, 4), (b, a),
                 lambda s: sv_apply(s, 1, h4.antipode_inv_op),
                 lambda s: sv_permute(s, (1, 0)),
                 lambda s: sv_apply(s, 1, g_op),
@@ -348,13 +348,13 @@ def test_flip_specialized_pivotal_conditions(long_h4, h4):
             assert lhs == rhs
     for b in range(4):
         lhs = pipeline(
-            (b,),
+            (4,), (b,),
             lambda s: sv_apply(s, 0, h4.comul_op),
             lambda s: sv_apply(s, 0, g_op),
             lambda s: sv_apply(s, 1, h4.antipode_op),
         )
         rhs = pipeline(
-            (b,),
+            (4,), (b,),
             lambda s: sv_apply(s, 0, h4.comul_op),
             lambda s: sv_apply(s, 1, g_op),
             lambda s: sv_permute(s, (1, 0)),
@@ -517,9 +517,13 @@ def test_finder_points_zero_every_quadratic_residual(finder_run, kind, name):
 
 
 def _law_values(scan, steps) -> dict:
-    "(scan tuple, output key) -> value, for steps run over every scan tuple."
-    return {(batch[key[-1]], key[:-1]): val for batch in basis_batches(scan)
-            for key, val in run_batch(batch, steps).items()}
+    "(scan flat index, output flat index) -> value, for steps run over every scan tuple."
+    values = {}
+    for batch in basis_batches(scan):
+        b = len(batch)
+        for key, val in run_batch(scan, batch, steps).items():
+            values[batch[key % b], key // b] = val
+    return values
 
 
 def _pairwise_residuals(d, kind, q, family) -> list:

@@ -33,7 +33,7 @@ from entwine.emodcat import (
     std_module_CA,
 )
 from entwine.entwining import check_antipode_compat, check_entwining, check_monoidal_datum
-from entwine.exactla import Matrix, TensorOp, flatten_index, sv_apply
+from entwine.exactla import Matrix, TensorOp, run_batch, sv_apply
 from entwine.hopfcore import check_hopf
 from entwine.pivribbon import nat_to_hom, pivotal_structure, twist
 from entwine.smash import (
@@ -50,15 +50,16 @@ def fills(monkeypatch):
     matrix-backed fill from here on.  The matrices are kept alive, so no id
     is reused."""
     seen, kept = Counter(), []
-    real = TensorOp._fill_from_matrix
+    real = TensorOp.fill
 
-    def recording(self, legs):
-        legs = list(legs)
-        kept.append(self._matrix)
-        seen.update((id(self._matrix), flatten_index(self.in_dims, t)) for t in legs)
-        return real(self, legs)
+    def recording(self, flats):
+        flats = list(flats)
+        if self._steps is None:
+            kept.append(self._matrix)
+            seen.update((id(self._matrix), f) for f in flats)
+        return real(self, flats)
 
-    monkeypatch.setattr(TensorOp, "_fill_from_matrix", recording)
+    monkeypatch.setattr(TensorOp, "fill", recording)
     return seen
 
 
@@ -90,7 +91,7 @@ def test_morphism_checks_its_squares_with_the_op_it_keeps(h4, fills):
     m = std_module_CA(corpus.yd_datum(h4))
     f = ModuleMorphism(m, m, Matrix.identity(m.dim))
     # every column of f.op, read after construction, was filled by it
-    state = {(x, 0): 1 for x in range(m.dim)}
+    state = run_batch((m.dim,), range(m.dim), ())
     assert sv_apply(state, 0, f.op) == state
     assert fills and not _twice(fills)
 

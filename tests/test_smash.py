@@ -48,6 +48,11 @@ from entwine.smash import (
 )
 
 
+def _col(op, legs):
+    "The column of op at the basis tuple legs: (output legs, coefficient) pairs."
+    return pipeline(op.in_dims, legs, _ap(0, op)).items()
+
+
 # -- distributive laws ---------------------------------------------------------
 
 
@@ -76,20 +81,20 @@ def test_hopf_module_smash_algebra_formula(h4):
     def displayed(t):
         i, k, j, l = t
         out = {}
-        for (k1, k2), w in h4.comul_op.cols((k,)):
+        for (k1, k2), w in _col(h4.comul_op, (k,)):
             r = [Fraction(0)] * 4
             for c in range(4):
-                for (z,), m in h4.mul_op.cols((c, k2)):
+                for (z,), m in _col(h4.mul_op, (c, k2)):
                     if z == j:
                         r[c] += m
             rp = [
                 sum(
-                    (m * r[c1] for (c1, c2), m in h4.comul_op.cols((w2,)) if c2 == i),
+                    (m * r[c1] for (c1, c2), m in _col(h4.comul_op, (w2,)) if c2 == i),
                     Fraction(0),
                 )
                 for w2 in range(4)
             ]
-            for (z,), m in h4.mul_op.cols((k1, l)):
+            for (z,), m in _col(h4.mul_op, (k1, l)):
                 for w2 in range(4):
                     if rp[w2] != 0:
                         key = (w2, z)
@@ -241,7 +246,8 @@ def test_cosmash_of_flip_is_tensor_hopf(long_h4, h4):
     tens_comult = matrix_from_columns_fn(
         (4, 4),
         (4, 4, 4, 4),
-        lambda t: pipeline(t, _ap(0, acop.comul_op), _ap(2, h4.comul_op), _pm((0, 2, 1, 3))),
+        lambda t: pipeline((4, 4), t, _ap(0, acop.comul_op), _ap(2, h4.comul_op),
+                           _pm((0, 2, 1, 3))),
     )
     assert cm.comult == tens_comult
     assert cm.antipode == kron(acop.antipode, h4.antipode)
@@ -297,7 +303,7 @@ def test_module_transport_preserves_tensor(yd_h4, double_h4):
         (m.dim, n.dim, 16),
         (m.dim, n.dim),
         lambda t: pipeline(
-            t, _ap(2, double_h4.comul_op), _pm((0, 2, 1, 3)), _ap(0, am_op), _ap(1, an_op)
+            (m.dim, n.dim, 16), t, _ap(2, double_h4.comul_op), _pm((0, 2, 1, 3)), _ap(0, am_op), _ap(1, an_op)
         ),
     )
     assert t_tm == tens

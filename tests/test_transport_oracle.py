@@ -13,8 +13,13 @@ import pytest
 from entwine import corpus
 from entwine.entwining import DoubleQuantumGroup, HomCA
 from entwine.exactla import ZERO, Matrix, Vector
-from entwine.report import AxiomReport
+from entwine.report import AxiomReport, _ap, pipeline
 from entwine.smash import transport_coribbon, transport_rmatrix
+
+
+def _col(op, legs):
+    "The column of op at the basis tuple legs: (output legs, coefficient) pairs."
+    return pipeline(op.in_dims, legs, _ap(0, op)).items()
 
 
 # -- oracles (the index loops of transport_rmatrix and transport_coribbon) ------
@@ -27,7 +32,7 @@ def oracle_transport_rmatrix(q: DoubleQuantumGroup) -> Vector:
     coords = [ZERO] * (dim * dim)
     for j in range(nc):
         for i in range(nc):
-            for (u, v), x in q.rmap_op.cols((j, i)):
+            for (u, v), x in _col(q.rmap_op, (j, i)):
                 # first smash leg (i, u) carries R1, second (j, v) carries R2
                 coords[(i * na + u) * dim + (j * na + v)] += x
     return Vector(coords)
@@ -40,7 +45,7 @@ def oracle_coribbon_form_row(q: DoubleQuantumGroup) -> Matrix:
     row = [ZERO] * (dim * dim)
     for j in range(nc):
         for i in range(nc):
-            for (u, v), x in q.rmap_op.cols((j, i)):
+            for (u, v), x in _col(q.rmap_op, (j, i)):
                 # zeta((e^u (x) c_j) (x) (e^v (x) c_i)) = (e^u (x) e^v)(R(c_j (x) c_i))
                 row[(u * nc + j) * dim + (v * nc + i)] = x
     return Matrix([row])
