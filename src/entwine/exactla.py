@@ -18,7 +18,7 @@ leaves the kernel: ``Vector`` and ``Matrix(rows)`` convert their entries,
 ``matrix_from_columns_fn``, ``hom_operator`` and ``state_to_vector``
 convert what they read from a state (so a ``Witness`` holds Fractions),
 and the finder's polynomials convert their coefficients.  Outside the
-kernel an int must not appear, because ``int / int`` is a float.
+kernel and _eliminate's rows an int must not appear: ``int / int`` is a float.
 
 Conventions fixed here and used everywhere else:
 
@@ -355,7 +355,7 @@ class AffineSolution(namedtuple("AffineSolution", "particular nullspace_basis"))
         return len(self.nullspace_basis)
 
 
-def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
+def _eliminate(rows: list[dict[int, int | Fraction]], ncols: int):
     """Gauss-Jordan elimination on sparse rows (in place).
 
     Pivot selection is deterministic: columns left to right, the lowest
@@ -366,8 +366,11 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
     can be read off the reduced rows (_read_off).  Rows must store no zero
     entries.  An index of the rows holding each later column is kept as
     entries fill in and cancel, so a column costs its own holders rather
-    than a scan of every row.  Returns the list of (row_index, pivot_col)
-    pairs in elimination order.
+    than a scan of every row.  Integral entries may be ints: a factor is an
+    int where the pivot divides the entry, else one Fraction (never ``int /
+    int``), so integral rows stay in int arithmetic and equal the Fraction
+    rows value for value.  Returns the (row_index, pivot_col) pairs in
+    elimination order.
     """
     holders: dict[int, set[int]] = {}
     for r, row in enumerate(rows):
@@ -390,7 +393,9 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
             if r == piv:
                 continue
             row = rows[r]
-            factor = row[col] / pval
+            factor, rem = divmod(row[col], pval)
+            if rem:
+                factor = Fraction(row[col], pval)
             for c, x in prow.items():
                 old = row.get(c)
                 if old is None:
@@ -412,16 +417,16 @@ def _reduce(a: Matrix, rhs_cols: list[list[tuple[int, Fraction]]]):
     """The rows of [a | rhs] after _eliminate, and its pivots.
 
     ``rhs_cols`` are sparse columns like Matrix.sparse_cols(); right-hand
-    side k sits at column ``a.ncols + k``.
+    side k sits at column ``a.ncols + k``.  Integral entries become ints.
     """
     n = a.ncols
-    rows: list[dict[int, Fraction]] = [{} for _ in range(a.nrows)]
+    rows: list[dict[int, int | Fraction]] = [{} for _ in range(a.nrows)]
     for j, col in enumerate(a.sparse_cols()):
         for i, x in col:
-            rows[i][j] = x
+            rows[i][j] = x.numerator if x.denominator == 1 else x
     for k, col in enumerate(rhs_cols):
         for i, x in col:
-            rows[i][n + k] = x
+            rows[i][n + k] = x.numerator if x.denominator == 1 else x
     return rows, _eliminate(rows, n)
 
 
@@ -429,8 +434,9 @@ def _read_off(rows, pivots, col: int) -> dict[int, Fraction]:
     """Column col read off the reduced rows: x[c] = row[col] / row[c] at
     each pivot (r, c), zero elsewhere (only the nonzeros are returned).
     For a right-hand side this is the solution with every free variable 0;
-    for a free column f, minus it is the pivot part of f's null vector."""
-    return {c: rows[r][col] / rows[r][c] for r, c in pivots if col in rows[r]}
+    for a free column f, minus it is the pivot part of f's null vector.
+    Values are Fractions, though rows may hold ints."""
+    return {c: Fraction(rows[r][col], rows[r][c]) for r, c in pivots if col in rows[r]}
 
 
 def vstack(*blocks: Matrix) -> Matrix:
@@ -553,13 +559,21 @@ def invert(a: Matrix) -> Matrix:
 # j-th on batch leg j, and every step keeps that leg last.  Terms of
 # different basis vectors never meet, so the state on batch leg j is what
 # the j-th alone gives, and a step's per-call cost is paid once per batch.
-# compare_item takes batches of 1, 2, 4, ... vectors, so a scan that fails
-# early evaluates little past its witness; step-built ops and hom_operator
-# take full batches.  A batch holds at most BATCH_CAP = 64 vectors: larger
-# ones hold larger states and were no faster.  Peak RSS of `entwine check
-# hopf` on four 16-dimensional built Hopf algebras was 23.8 MB one tuple
-# at a time, 24.7 MB with a cap of 64, 26.3 MB with 256 and 26.5 MB with
-# 4096; the modules-duality workload peaked at 25.2, 25.2, 25.4 and 25.6 MB.
+# compare_item takes batches of SCAN_FIRST_BATCH = 16, 32, then 64 vectors;
+# step-built ops and hom_operator take full batches.  Median pass time over
+# that with a first batch of 1, by first batch (2-vCPU VM, alternating):
+#     first batch        4     8     16    32    64
+#     dqg-e10b         0.92  0.90  0.85  0.83  0.84
+#     modules-duality  0.96  0.94  0.93  0.92  0.89
+#     verify-scan      0.95  0.94  0.93  0.95  0.99
+# Above 16 a scan that fails early pays for the tuples past its witness
+# (verify-scan's mutant_datum_yd_kz8: 3.2 ms from 1, 2.8 from 16, 4.1 from
+# 32, 6.8 from 64).  A batch holds at most BATCH_CAP = 64 vectors: larger
+# ones hold larger states and were little faster.  Peak RSS of `entwine
+# check hopf` on four 16-dimensional built Hopf algebras was 23.8 MB one
+# tuple at a time, 24.7 MB with a cap of 64, 26.3 MB with 256 and 26.5 MB
+# with 4096; the modules-duality workload peaked at 25.2, 25.2, 25.4 and
+# 25.6 MB.
 # ---------------------------------------------------------------------------
 
 
@@ -570,8 +584,9 @@ class State(dict):
     __slots__ = ("dims",)
 
 
-# the most basis vectors one batch holds (see above)
+# the batch sizes (see above)
 BATCH_CAP = 64
+SCAN_FIRST_BATCH = 16
 
 
 def flatten_index(dims: tuple[int, ...], idx: tuple[int, ...]) -> int:

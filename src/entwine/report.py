@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .exactla import (
+    SCAN_FIRST_BATCH,
     Matrix,
     TensorOp,
     basis_batches,
@@ -110,21 +111,20 @@ def compare_item(axiom_id, in_dims, out_dims, lhs, rhs) -> AxiomItem:
 
     ``lhs``/``rhs`` are step sequences taking a basis tuple over
     ``in_dims`` to a State over ``out_dims``.  The tuples run in
-    lexicographic order, in batches of 1, 2, 4, ... up to BATCH_CAP = 64
-    (see run_batch), and each batch is decided by one comparison of the two
-    batched states.  The batches grow so that a scan failing early
-    evaluates few tuples past its witness, and stop at 64 because a larger
-    batch holds larger states for no gain in speed (exactla's kernel
-    comment has the figures).  Fixed batches of 64 were tried and dropped
-    (2-vCPU VM, 3 alternating pairs): dqg-e10b wall_s went 0.0448 ->
-    0.0421 s, but verify-scan op_p50_ms went 1.43 -> 1.77 and op_p90_ms
-    4.15 -> 5.59, as its mutants fail early.  On a mismatch the smallest
-    batch leg j whose terms differ names the witness tuple, and its sides
-    are the two states on batch leg j: the first failing tuple and the
-    sides it alone gives.
+    lexicographic order, in batches of 16, 32, then 64 = BATCH_CAP (see
+    run_batch), and each batch is decided by one comparison of the two
+    batched states.  A first batch of 16 pays each step's per-call cost
+    once for many tuples, while a scan failing early evaluates few tuples
+    past its witness; the batches stop at 64 because a larger batch holds
+    larger states for little gain in speed (exactla's kernel comment has
+    the figures for both).  On a mismatch the smallest batch leg j whose
+    terms differ names the witness tuple, and its sides are the two states
+    on batch leg j.  Every earlier batch compared equal, so that is the
+    first failing tuple in lexicographic order whatever the batch sizes,
+    with the sides it alone gives.
     """
     in_dims, out_dims = tuple(in_dims), tuple(out_dims)
-    for batch in basis_batches(in_dims, 1):
+    for batch in basis_batches(in_dims, SCAN_FIRST_BATCH):
         left, right = run_batch(in_dims, batch, lhs), run_batch(in_dims, batch, rhs)
         if {left.dims[:-1], right.dims[:-1]} != {out_dims}:
             raise ValueError(f"{axiom_id}: a side ends on legs other than {out_dims}")

@@ -11,9 +11,11 @@ tests run every checker and builder both ways, through the batched code and
 with the oracles patched in, on the corpus and on seeded one-entry mutants,
 and compare report dicts and matrices.  Synthetic scans put the first
 failing tuple at index 0, at each end and start of a batch (the batches
-hold 1, 2, 4, ... up to BATCH_CAP tuples), and at the last tuple, and pair
-it with a later failure in the same batch, so a witness taken from another
-batch leg, or sides not restricted to the witness's leg, show up.
+hold SCAN_FIRST_BATCH, twice that, ... up to BATCH_CAP tuples), at the
+edges batches growing from one tuple would have, which fall inside these,
+and at the last tuple, and pair it with a later failure in the same batch,
+so a witness taken from another batch leg, or sides not restricted to the
+witness's leg, show up.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from entwine.emodcat import (
 )
 from entwine.exactla import (
     BATCH_CAP,
+    SCAN_FIRST_BATCH,
     Matrix,
     ZERO,
     SlotLeg,
@@ -406,9 +409,10 @@ def _ops(dims, n_out, failing, seed):
     return (TensorOp(Matrix(rows), dims, (n_out,)), TensorOp(Matrix(other), dims, (n_out,)))
 
 
-def _batch_starts(n):
-    "Flat index of the first tuple of each batch compare_item takes over n tuples."
-    starts, size, at = [], 1, 0
+def _batch_starts(n, first=SCAN_FIRST_BATCH):
+    """Flat index of the first tuple of each batch compare_item takes over n
+    tuples, its first batch holding first tuples."""
+    starts, size, at = [], first, 0
     while at < n:
         starts.append(at)
         at += size
@@ -417,12 +421,14 @@ def _batch_starts(n):
 
 
 def test_batch_starts_grow_to_the_cap():
-    assert _batch_starts(256) == [0, 1, 3, 7, 15, 31, 63, 127, 191, 255]
+    assert _batch_starts(256) == [0, 16, 48, 112, 176, 240]
 
 
 # index 0, then each batch's first tuple and the last tuple of the batch
-# before it, up to the last tuple of a 256-tuple scan
-_FIRST_FAILING = sorted({0, 255} | {i for s in _batch_starts(256)[1:] for i in (s - 1, s)})
+# before it, up to the last tuple of a 256-tuple scan; the same for batches
+# growing from one tuple, whose edges fall inside compare_item's batches
+_FIRST_FAILING = sorted({0, 255} | {i for first in (1, SCAN_FIRST_BATCH)
+                                    for s in _batch_starts(256, first)[1:] for i in (s - 1, s)})
 
 
 @pytest.mark.parametrize("flat", _FIRST_FAILING)
@@ -434,6 +440,18 @@ def test_first_failure_at_and_around_batch_boundaries(flat):
     got = compare_item("X", dims, (3,), (_ap(0, lhs),), (_ap(0, rhs),))
     assert got == per_tuple_compare_item("X", dims, (3,), (_ap(0, lhs),), (_ap(0, rhs),))
     assert got.witness.basis == unflatten_index(dims, flat)
+
+
+@pytest.mark.parametrize("failing, witness", [
+    ((0, 9), 0),    # both in the first batch
+    ((15, 16), 15),  # the last tuple of the first batch and the first of the second
+])
+def test_two_failures_name_the_earlier(failing, witness):
+    dims = (16, 16)
+    lhs, rhs = _ops(dims, 3, failing, seed=witness)
+    got = compare_item("X", dims, (3,), (_ap(0, lhs),), (_ap(0, rhs),))
+    assert got == per_tuple_compare_item("X", dims, (3,), (_ap(0, lhs),), (_ap(0, rhs),))
+    assert got.witness.basis == unflatten_index(dims, witness)
 
 
 @pytest.mark.parametrize("dims", [(10, 10), (7, 3, 5), (2,), (64,), (65,)])

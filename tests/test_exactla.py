@@ -17,6 +17,7 @@ from entwine.exactla import (
     Vector,
     _as_rat,
     _eliminate,
+    _reduce,
     hom_operator,
     invert,
     kron,
@@ -663,3 +664,62 @@ def test_eliminate_pivot_rule_matches_row_scan(name):
         else:
             assert invert(a) == Matrix(expected._rows)
             assert (invert(a) * a).is_identity()
+
+
+# ---------------------------------------------------------------------------
+# Exact quotients: _reduce stores integral entries as ints, and _eliminate
+# clears with an int factor where the pivot divides and a Fraction where it
+# does not.  The reduced rows must equal the all-Fraction rows of
+# scan_eliminate value for value, and what leaves the solver is a Fraction:
+# ``int / int`` would be a float.
+# ---------------------------------------------------------------------------
+
+QUOTIENT_SYSTEMS = {
+    # a pivot of 2 clears a 3 and a 1
+    "pivot_2_clears_3": ([[2, 1, 0], [3, 1, 1], [1, 0, 5]], [1, 2, 3]),
+    # every pivot divides what it clears: the rows stay ints throughout
+    "pivots_divide": ([[1, 2, 3], [2, 5, 7], [1, 3, 5]], [1, 0, -1]),
+    # negative pivots, some dividing (-3 into 6 and 9) and some not
+    "negative_pivots": ([[-3, 6, 1], [6, -12, 2], [9, 1, -1]], [2, -1, 4]),
+    # rank 2 of 3, consistent, one null vector
+    "singular_no_divide": ([[2, 3, 5], [4, 7, 11], [6, 10, 16]], [1, 2, 3]),
+    # wide, rank 2, coprime pivots
+    "wide_coprime": ([[2, 3, 0, 1], [3, 5, 7, 0]], [1, 1]),
+    # non-integral entries stay Fractions
+    "non_integral": ([[Fraction(1, 2), 3, 1], [Fraction(2, 3), Fraction(-5, 4), 0],
+                      [1, Fraction(1, 3), Fraction(7, 2)]], [Fraction(1, 2), 1, 0]),
+}
+
+
+def _non_fractions(*vectors):
+    "The types of the entries of vectors that are not Fractions."
+    return [type(x) for v in vectors for x in v if type(x) is not Fraction]
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_SYSTEMS))
+def test_exact_quotients_match_fraction_elimination(name):
+    entries, rhs = QUOTIENT_SYSTEMS[name]
+    n = len(entries[0])
+    a, a_ref, b = Matrix(entries), DenseMatrix(entries), Vector(rhs)
+    rows, pivots = _reduce(a, [[(i, x) for i, x in enumerate(b) if x]])
+    ref = _rows_of(entries, rhs)
+    assert pivots == scan_eliminate(ref, n)
+    assert rows == ref
+    if name == "pivots_divide":
+        assert {type(x) for row in rows for x in row.values()} == {int}
+    sol = solve_affine(a, b)
+    assert sol == dense_solve_affine(a_ref, b)
+    assert sol is not None and a.apply(sol.particular) == b
+    assert not _non_fractions(sol.particular, *sol.nullspace_basis)
+    if name == "singular_no_divide":
+        assert sol.dimension == 1
+        with pytest.raises(NotInvertibleError):
+            invert(a)
+    elif a.nrows == a.ncols:
+        inv = invert(a)
+        assert inv == Matrix(dense_invert(a_ref)._rows)
+        assert not _non_fractions(*([v for _, v in col] for col in inv.sparse_cols()))
+        assert (inv * a).is_identity()
+        x = two_sided_solve(a, a, rhs)
+        assert x == dense_solve_affine(DenseMatrix(entries + entries), Vector([*rhs, *rhs])).particular
+        assert not _non_fractions(x)
