@@ -64,16 +64,19 @@ def _write_report_file(report_out, docs) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _emit_report(label: str, report: AxiomReport, fmt: str, report_out=None) -> None:
-    doc = {"subject": label, **report.to_dict()}
+def _emit_report(label: str, report: AxiomReport, fmt: str, report_out=None) -> dict:
+    "Print the report (and save it to report_out); returns its to_dict(), made once."
+    body = report.to_dict()
+    doc = {"subject": label, **body}
     if fmt == "json":
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         if label:
             print(f"== {label}")
-        print(report.render_text())
+        print(render_text(doc))
     if report_out:
         _write_report_file(report_out, [doc])
+    return body
 
 
 def _run_file_checks(paths, runner, fmt, report_out) -> bool:
@@ -87,8 +90,7 @@ def _run_file_checks(paths, runner, fmt, report_out) -> bool:
     docs = []
     for path, report in zip(paths, reports):
         label = path if len(paths) > 1 else ""
-        _emit_report(label, report, fmt, None)
-        docs.append({"subject": label or path, **report.to_dict()})
+        docs.append({"subject": label or path, **_emit_report(label, report, fmt, None)})
         ok &= report.overall
     if report_out:
         _write_report_file(report_out, docs)

@@ -1,14 +1,13 @@
 """Built-in exactly-specified example structures.
 
 Everything here is constructed from first principles: the 4-dimensional
-Sweedler algebra from its defining relations through a deterministic
-word-rewriting normalizer, cyclic group algebras from group structure,
-flip and conjugation entwinings from their closed forms.  These objects
-are the regression surface for the whole package: every constructor's
-output passes its full checker suite.  Every structure map that is not
-a closed-form table (the Sweedler coproduct and antipode on y = ex, the
-conjugation and Hopf-module entwinings, the braiding maps) is a kernel
-pipeline over those tables; the checks run through report.compare_item.
+Sweedler algebra from the sign rule of its basis words, cyclic group
+algebras from group structure, flip and conjugation entwinings from their
+closed forms.  These objects are the regression surface for the whole
+package: every constructor's output passes its full checker suite.  Every
+structure map that is not a closed-form table (the conjugation and
+Hopf-module entwinings, the braiding maps) is a kernel pipeline over
+those tables; the checks run through report.compare_item.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .hopfcore import (
     element_op,
 )
 from .pivribbon import separable_candidate
-from .report import pipeline, _ap, _pm
+from .report import _ap, _pm
 from .smash import smash_coproduct, smash_product
 
 
@@ -36,74 +35,39 @@ from .smash import smash_coproduct, smash_product
 # Sweedler's 4-dimensional Hopf algebra
 # ---------------------------------------------------------------------------
 
-# basis words g^i x^j in normal form; y is the name of the word g*x
-_H4_WORDS = ((0, 0), (1, 0), (0, 1), (1, 1))
-_H4_NAMES = ("1", "e", "x", "y")
-
-
-def _h4_mul_words(w1, w2):
-    """Normal form of the product of two basis words.
-
-    Rewriting rules: e*e -> 1, x*x -> 0, x*e -> -e*x.  Returns None for
-    zero, else (sign, word).
-    """
-    (i, j), (k, l) = w1, w2
-    if j and l:
-        return None
-    sign = -1 if (j and k) else 1
-    return sign, ((i + k) % 2, j + l)
-
-
 def sweedler_h4() -> HopfAlgebraData:
     """The smallest noncommutative noncocommutative Hopf algebra.
 
     Generators: a grouplike e with e^2 = 1 and a skew-primitive x with
-    x^2 = 0, xe = -ex; the fourth basis vector is y = ex.  The full
-    multiplication table is derived by the word normalizer; coproduct
-    and antipode are set on generators and extended (anti)multiplicatively.
+    x^2 = 0, xe = -ex.  Basis vector i + 2j is the word e^i x^j: 1, e, x
+    and y = ex.  Words multiply by the sign rule
+
+        e^i x^j * e^k x^l = (-1)^(jk) e^(i+k) x^(j+l),  zero when j = l = 1,
+
+    with e^2 = 1.  Delta(x) = x (x) 1 + e (x) x and S(x) = -y, and on
+    y = ex Delta is multiplicative and S antimultiplicative:
+
+        Delta(y) = Delta(e)Delta(x) = (e (x) e)(x (x) 1 + e (x) x) = y (x) e + 1 (x) y,
+        S(y) = S(x)S(e) = -ye = -e(xe) = e^2 x = x.
     """
-    index = {w: i for i, w in enumerate(_H4_WORDS)}
-    dim = 4
+    one, e, x, y = range(4)
 
     def mult_col(t):
-        r = _h4_mul_words(_H4_WORDS[t[0]], _H4_WORDS[t[1]])
-        if r is None:
+        (j, i), (l, k) = divmod(t[0], 2), divmod(t[1], 2)
+        if j and l:
             return {}
-        sign, w = r
-        return {(index[w],): Fraction(sign)}
+        return {((i + k) % 2 + 2 * (j + l),): -ONE if j and k else ONE}
 
-    mult = matrix_from_columns_fn((dim, dim), (dim,), mult_col)
-    alg = AlgebraData(dim, _H4_NAMES, mult, Vector([1, 0, 0, 0]))
-    mul = alg.mul_op
-
-    def on_generators(values, out_dims):
-        "A map given on the generators 1, e, x as a kernel op, zero on y."
-        gen = matrix_from_columns_fn((dim,), out_dims, lambda t: values.get(t[0], {}))
-        return TensorOp(gen, (dim,), out_dims)
-
-    # coproduct and antipode on generators, extended to y = e*x through the
-    # product: Delta(y) = Delta(e)Delta(x) multiplicatively, and
-    # S(y) = S(x)S(e) antimultiplicatively
-    one, e, x, y = 0, 1, 2, 3
-    delta = {
-        one: {(one, one): ONE},
-        e: {(e, e): ONE},
-        x: {(x, one): ONE, (e, x): ONE},
-    }
-    s_gen = {one: {(one,): ONE}, e: {(e,): ONE}, x: {(y,): -ONE}}
-    d_gen = on_generators(delta, (dim, dim))
-    delta[y] = pipeline((dim, dim), (e, x),
-                        _ap(1, d_gen), _ap(0, d_gen), _pm((0, 2, 1, 3)), _ap(0, mul), _ap(1, mul))
-    s_op = on_generators(s_gen, (dim,))
-    s_gen[y] = pipeline((dim, dim), (e, x), _ap(0, s_op), _ap(1, s_op), _pm((1, 0)), _ap(0, mul))
-    comult = matrix_from_columns_fn((dim,), (dim, dim), lambda t: delta[t[0]])
-    counit = Matrix([[1, 1, 0, 0]])
-    antipode = matrix_from_columns_fn((dim,), (dim,), lambda t: s_gen[t[0]])
-    coa = CoalgebraData(dim, _H4_NAMES, comult, counit)
-    h = HopfAlgebraData(alg, coa, antipode)
-    # h keeps the product op that extended Delta and S: one op, one fill
-    h.mul_op = mul
-    return h
+    delta = ({(one, one): ONE}, {(e, e): ONE}, {(x, one): ONE, (e, x): ONE},
+             {(y, e): ONE, (one, y): ONE})
+    s = ({(one,): ONE}, {(e,): ONE}, {(y,): -ONE}, {(x,): ONE})
+    names = ("1", "e", "x", "y")
+    mult = matrix_from_columns_fn((4, 4), (4,), mult_col)
+    comult = matrix_from_columns_fn((4,), (4, 4), lambda t: delta[t[0]])
+    antipode = matrix_from_columns_fn((4,), (4,), lambda t: s[t[0]])
+    alg = AlgebraData(4, names, mult, Vector([1, 0, 0, 0]))
+    coa = CoalgebraData(4, names, comult, Matrix([[1, 1, 0, 0]]))
+    return HopfAlgebraData(alg, coa, antipode)
 
 
 def h4_copivot(h4: HopfAlgebraData) -> Functional:
@@ -263,47 +227,43 @@ def h4_yd_pivotal_pair(d: MonoidalEntwiningDatum) -> tuple[HomCA, HomCA]:
     return g1, g2
 
 
-# registry used by the command line `corpus` command
+# registry used by the command line `corpus` command: name -> (kind, builder)
 def _corpus_registry():
-    def entry_hopf(builder):
-        return lambda: ("hopf", builder())
-
-    reg = {
-        "h4": entry_hopf(sweedler_h4),
-        "kz2": entry_hopf(lambda: cyclic_group_algebra(2)),
-        "kz3": entry_hopf(lambda: cyclic_group_algebra(3)),
-        "dual_kz2": entry_hopf(lambda: dual_cyclic_group_algebra(2)),
-        "dual_h4": entry_hopf(lambda: dual_hopf(sweedler_h4(), "plain")),
-        "double_h4": entry_hopf(lambda: drinfeld_double(sweedler_h4())),
-        "double_kz2": entry_hopf(lambda: drinfeld_double(cyclic_group_algebra(2))),
-        "cosmash_yd_h4": entry_hopf(lambda: smash_coproduct(yd_datum(sweedler_h4()))),
-        "long_h4": lambda: ("entwining", long_datum(sweedler_h4(), sweedler_h4())),
-        "long_kz2": lambda: (
+    return {
+        "h4": ("hopf", sweedler_h4),
+        "kz2": ("hopf", lambda: cyclic_group_algebra(2)),
+        "kz3": ("hopf", lambda: cyclic_group_algebra(3)),
+        "dual_kz2": ("hopf", lambda: dual_cyclic_group_algebra(2)),
+        "dual_h4": ("hopf", lambda: dual_hopf(sweedler_h4(), "plain")),
+        "double_h4": ("hopf", lambda: drinfeld_double(sweedler_h4())),
+        "double_kz2": ("hopf", lambda: drinfeld_double(cyclic_group_algebra(2))),
+        "cosmash_yd_h4": ("hopf", lambda: smash_coproduct(yd_datum(sweedler_h4()))),
+        "long_h4": ("entwining", lambda: long_datum(sweedler_h4(), sweedler_h4())),
+        "long_kz2": (
             "entwining",
-            long_datum(cyclic_group_algebra(2), cyclic_group_algebra(2)),
+            lambda: long_datum(cyclic_group_algebra(2), cyclic_group_algebra(2)),
         ),
-        "yd_h4": lambda: ("entwining", yd_datum(sweedler_h4())),
-        "yd_kz2": lambda: ("entwining", yd_datum(cyclic_group_algebra(2))),
-        "hopfmod_h4": lambda: ("entwining", hopf_module_datum(sweedler_h4())),
-        "yd_dqg_h4": lambda: ("dqg", yd_dqg(sweedler_h4())),
-        "yd_dqg_kz2": lambda: ("dqg", yd_dqg(cyclic_group_algebra(2))),
-        "long_dqg_kz2": lambda: ("dqg", _long_dqg_kz2()),
-        "g1_yd_h4": lambda: ("morphism", h4_yd_pivotal_pair(yd_datum(sweedler_h4()))[0]),
-        "g2_yd_h4": lambda: ("morphism", h4_yd_pivotal_pair(yd_datum(sweedler_h4()))[1]),
-        "g_long_h4": lambda: ("morphism", h4_long_pivotal(long_datum(sweedler_h4(), sweedler_h4()))),
-        "unit_morphism_yd_h4": lambda: ("morphism", conv_unit(yd_datum(sweedler_h4()))),
-        "g_ribbon_long_kz2": lambda: ("morphism", long_kz2_ribbon()),
-        "pivot_h4": lambda: ("element", Element(sweedler_h4(), Vector([0, 1, 0, 0]))),
-        "copivot_h4": lambda: ("functional", h4_copivot(sweedler_h4())),
-        "form_dual_kz2": lambda: (
+        "yd_h4": ("entwining", lambda: yd_datum(sweedler_h4())),
+        "yd_kz2": ("entwining", lambda: yd_datum(cyclic_group_algebra(2))),
+        "hopfmod_h4": ("entwining", lambda: hopf_module_datum(sweedler_h4())),
+        "yd_dqg_h4": ("dqg", lambda: yd_dqg(sweedler_h4())),
+        "yd_dqg_kz2": ("dqg", lambda: yd_dqg(cyclic_group_algebra(2))),
+        "long_dqg_kz2": ("dqg", _long_dqg_kz2),
+        "g1_yd_h4": ("morphism", lambda: h4_yd_pivotal_pair(yd_datum(sweedler_h4()))[0]),
+        "g2_yd_h4": ("morphism", lambda: h4_yd_pivotal_pair(yd_datum(sweedler_h4()))[1]),
+        "g_long_h4": ("morphism", lambda: h4_long_pivotal(long_datum(sweedler_h4(), sweedler_h4()))),
+        "unit_morphism_yd_h4": ("morphism", lambda: conv_unit(yd_datum(sweedler_h4()))),
+        "g_ribbon_long_kz2": ("morphism", long_kz2_ribbon),
+        "pivot_h4": ("element", lambda: Element(sweedler_h4(), Vector([0, 1, 0, 0]))),
+        "copivot_h4": ("functional", lambda: h4_copivot(sweedler_h4())),
+        "form_dual_kz2": (
             "form",
-            z2_dual_triangular_form(
+            lambda: z2_dual_triangular_form(
                 dual_cyclic_group_algebra(2),
                 z2_triangular_rmatrix(cyclic_group_algebra(2)),
             ),
         ),
     }
-    return reg
 
 
 def _long_dqg_kz2() -> DoubleQuantumGroup:
@@ -333,26 +293,14 @@ def corpus_build(name: str):
     reg = _corpus_registry()
     if name not in reg:
         raise KeyError(f"unknown corpus name {name!r}; known: {', '.join(sorted(reg))}")
-    return reg[name]()
+    kind, build = reg[name]
+    return kind, build()
 
 
 def corpus_monoidal_datums() -> dict[str, MonoidalEntwiningDatum]:
     "The monoidal datums used by cross-cutting property tests."
-    h4 = sweedler_h4()
-    kz2 = cyclic_group_algebra(2)
-    return {
-        "long_h4": long_datum(h4, h4),
-        "long_kz2": long_datum(kz2, kz2),
-        "yd_h4": yd_datum(h4),
-        "yd_kz2": yd_datum(kz2),
-    }
+    return {name: corpus_build(name)[1] for name in ("long_h4", "long_kz2", "yd_h4", "yd_kz2")}
 
 
 def corpus_dqgs() -> dict[str, DoubleQuantumGroup]:
-    h4 = sweedler_h4()
-    kz2 = cyclic_group_algebra(2)
-    return {
-        "yd_dqg_h4": yd_dqg(h4),
-        "yd_dqg_kz2": yd_dqg(kz2),
-        "long_dqg_kz2": _long_dqg_kz2(),
-    }
+    return {name: corpus_build(name)[1] for name in ("yd_dqg_h4", "yd_dqg_kz2", "long_dqg_kz2")}

@@ -114,11 +114,9 @@ def _parse_hopf_payload(obj: dict, where: str, rats: _Rats) -> HopfAlgebraData:
     if not isinstance(obj, dict):
         raise FileFormatError(f"{where}: expected an object")
     dim = _parse_dim(obj, "dim", where)
-    basis = obj.get("basis")
-    if basis is None:
-        basis = [f"b{i}" for i in range(dim)]
-    elif not (isinstance(basis, list) and len(basis) == dim
-              and all(isinstance(name, str) for name in basis)):
+    basis = obj.get("basis")  # None: hopfcore names the basis b0, b1, ...
+    if basis is not None and not (isinstance(basis, list) and len(basis) == dim
+                                  and all(isinstance(name, str) for name in basis)):
         raise FileFormatError(f"{where}.basis: expected a list of {dim} names")
     try:
         mult = _parse_matrix(obj["mult"], dim, dim * dim, f"{where}.mult", rats)

@@ -193,24 +193,38 @@ def test_bad_input_exits_2_with_field_path(runner, tmp_path, build, field):
     assert "Traceback" not in res.output
 
 
-@pytest.mark.parametrize("args", [
-    [],
-    ["bogus"],
-    ["check", "hopf"],
-    ["check", "hopf", "{h4}", "--format", "xml"],
-    ["check", "hopf", "{h4}", "--bogus"],
-    ["find", "pivotal", "--datum", "{yd}", "--max-params", "x"],
-    ["check", "pivotal", "--datum", "{yd}"],
-    ["corpus", "not-a-name", "-o", "{out}"],
+@pytest.mark.parametrize("args, error", [
+    ([], None),
+    (["bogus"], None),
+    (["check", "hopf"], None),
+    (["check", "hopf", "{h4}", "--format", "xml"], None),
+    (["check", "hopf", "{h4}", "--bogus"], None),
+    (["find", "pivotal", "--datum", "{yd}", "--max-params", "x"], None),
+    (["check", "pivotal", "--datum", "{yd}"], None),
+    (["corpus", "not-a-name", "-o", "{out}"], None),
+    (["check", "pivotal", "--datum", "{yd}", "--morphism", "{ribbon}"],
+     "Error: {ribbon}: map is 2x2, expected 4x4 for this datum\n"),
+    (["report", "{missing}"], "Error: {missing}: no such file\n"),
+    (["report", "{brace}"], "Error: {brace}: not valid JSON: "),
 ], ids=["no_command", "unknown_command", "no_files", "format_xml", "unknown_option",
-        "max_params_x", "no_morphism", "unknown_corpus_name"])
-def test_usage_error_exit_2(runner, tmp_path, h4_file, yd_file, args):
-    paths = {"h4": h4_file, "yd": yd_file, "out": str(tmp_path / "out.json")}
+        "max_params_x", "no_morphism", "unknown_corpus_name", "morphism_of_another_datum",
+        "report_missing_file", "report_not_json"])
+def test_usage_error_exit_2(runner, tmp_path, h4_file, yd_file, args, error):
+    paths = {"h4": h4_file, "yd": yd_file, "out": str(tmp_path / "out.json"),
+             "ribbon": str(tmp_path / "g_ribbon_long_kz2.json"),
+             "missing": str(tmp_path / "missing.json"), "brace": str(tmp_path / "brace.json")}
+    if "{ribbon}" in args:
+        res = runner.invoke(main, ["corpus", "g_ribbon_long_kz2", "-o", paths["ribbon"]])
+        assert res.exit_code == 0
+    Path(paths["brace"]).write_text("{")
     res = runner.invoke(main, [a.format(**paths) for a in args], prog_name="entwine")
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert res.stdout == ""
     assert "Traceback" not in res.output
+    if error is not None:
+        # stdout is empty, so the output is stderr alone
+        assert res.output.startswith(error.format(**paths)), res.output
     assert not (tmp_path / "out.json").exists()
 
 

@@ -136,6 +136,15 @@ def test_rejects_dimension_mismatch(h4):
         ff.from_payload(doc)
 
 
+def test_missing_basis_gets_default_names_and_a_short_one_is_rejected(h4):
+    doc = json.loads(ff.dumps(h4))
+    del doc["basis"]
+    assert ff.from_payload(doc).basis_names == ("b0", "b1", "b2", "b3")
+    doc["basis"] = ["1", "e", "x"]
+    with pytest.raises(ff.FileFormatError, match=r"^hopf\.basis: expected a list of 4 names$"):
+        ff.from_payload(doc)
+
+
 def test_factor_order_declared_and_validated(yd_h4, yd_dqg_h4):
     doc = json.loads(ff.dumps(yd_h4.base))
     assert doc["phi_signature"] == "C(x)A -> A(x)C"

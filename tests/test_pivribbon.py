@@ -31,10 +31,12 @@ from entwine.exactla import (
 )
 from entwine.hopfcore import Element, Functional, trivial_hopf
 from entwine.pivribbon import (
+    FinderResult,
     _Poly,
     _act_by_g_op,
     _quadratic_law,
     _quadratic_residuals,
+    _rational_roots_deg2,
     find_morphisms,
     nat_to_hom,
     pivotal_structure,
@@ -621,19 +623,37 @@ def test_finder_undecided_when_family_too_large(long_kz2):
     assert res.family is not None and res.family.dimension > 0
 
 
-def test_finder_inconsistent_linear_stage_reports_complete_empty(kz2):
-    # an entwining with a scaled unit row makes the counit normalization
-    # unsatisfiable together with the coaction law; craft it directly by
-    # shrinking the codomain: use a datum whose linear stage pins g to 0
-    # but the normalization wants eps(g(1)) = 1.
-    ck = trivial_hopf()
-    d = MonoidalEntwiningDatum(EntwiningMap(ck, kz2, Matrix.identity(2)))
-    # over C = k the linear stage is consistent, so instead check that the
-    # finder honestly reports completeness with its solutions verified
-    res = find_morphisms(d, "pivotal", max_params=4)
-    assert res.status in ("complete", "parametric")
-    for c in res.solutions:
-        assert verify_pivotal(d, c.map).overall
+def test_finder_inconsistent_linear_stage_reports_complete_empty():
+    # yd_kz2 with phi[0][0] raised by 1 is no entwining: the linear laws of
+    # a pivotal map have no common solution, so there is nothing to list
+    d = corpus.corpus_build("yd_kz2")[1]
+    rows = [list(r) for r in d.phi.rows()]
+    rows[0][0] += 1
+    bad = MonoidalEntwiningDatum(EntwiningMap(d.c, d.a, Matrix(rows)))
+    res = find_morphisms(bad, "pivotal", max_params=4)
+    assert res == FinderResult("complete", [], None, "linear stage inconsistent")
+
+
+@pytest.mark.parametrize("terms, roots", [
+    ({(0, 0): 1, (): 1}, []),         # t_0^2 + 1: negative discriminant
+    ({(0, 0): 1, (): -2}, []),        # t_0^2 - 2: discriminant 8 is no square
+    ({(0, 0): 1, (0,): -1}, [0, 1]),  # t_0^2 - t_0
+])
+def test_rational_roots_deg2(terms, roots):
+    poly = _Poly({m: Fraction(c) for m, c in terms.items()})
+    assert _rational_roots_deg2(poly, 0) == roots
+
+
+def test_finder_quadratic_without_rational_root_closes_its_branch(long_dqg_kz2, monkeypatch):
+    # t_0^2 - 2 has no rational root: its branch closes with no leaf, so
+    # every branch closed, and there is no solution over Q
+    from entwine import pivribbon
+
+    poly = _Poly({(0, 0): Fraction(1), (): Fraction(-2)})
+    monkeypatch.setattr(pivribbon, "_quadratic_residuals", lambda d, kind, q, family: [poly])
+    res = find_morphisms(long_dqg_kz2, "ribbon", max_params=4)
+    assert res.family.dimension > 1
+    assert res.status == "complete" and res.solutions == []
 
 
 def test_finder_one_parameter_branch_is_parametric_when_others_unpinned(long_dqg_kz2, monkeypatch):
