@@ -623,6 +623,17 @@ def test_finder_undecided_when_family_too_large(long_kz2):
     assert res.family is not None and res.family.dimension > 0
 
 
+def test_finder_over_trivial_coalgebra_lists_verified_solutions(kz2):
+    # over C = k the linear stage is consistent: the finder reports
+    # completeness honestly, and every map it lists verifies
+    ck = trivial_hopf()
+    d = MonoidalEntwiningDatum(EntwiningMap(ck, kz2, Matrix.identity(2)))
+    res = find_morphisms(d, "pivotal", max_params=4)
+    assert res.status in ("complete", "parametric")
+    for c in res.solutions:
+        assert verify_pivotal(d, c.map).overall
+
+
 def test_finder_inconsistent_linear_stage_reports_complete_empty():
     # yd_kz2 with phi[0][0] raised by 1 is no entwining: the linear laws of
     # a pivotal map have no common solution, so there is nothing to list
