@@ -31,6 +31,7 @@ from .exactla import (
     Cap,
     Cup,
     Matrix,
+    Rows,
     TensorOp,
     Vector,
     hom_operator,
@@ -145,10 +146,11 @@ class HomCA:
         return TensorOp(self.map, (self.datum.c_dim,), (self.datum.a_dim,))
 
     def __eq__(self, other):
+        "The same map over equal datums (datums_compatible), built once or twice."
         return (
             isinstance(other, HomCA)
-            and self.datum is other.datum
             and self.map == other.map
+            and datums_compatible(self.datum, other.datum)
         )
 
     def __hash__(self):
@@ -256,8 +258,8 @@ def check_monoidal_datum(d: MonoidalEntwiningDatum) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
-def _operator(d, in_dims, out_dims, side, g_op, g_first: bool) -> Matrix:
-    "The matrix of x -> g*x (g_first) or of x -> x*g on hom(in_dims, out_dims)."
+def _operator(d, in_dims, out_dims, side, g_op, g_first: bool) -> Rows:
+    "The rows of x -> g*x (g_first) or of x -> x*g on hom(in_dims, out_dims)."
     def steps(f):
         return side(d, g_op, f) if g_first else side(d, f, g_op)
 
@@ -269,30 +271,40 @@ def _product(d, in_dims, out_dims, side, g_op, f_op) -> Matrix:
     return pipeline_matrix(in_dims, (*out_dims, 1), (_slot(len(in_dims)), *side(d, g_op, f_op)))
 
 
+def _hom_matrix(entries: dict, like: Matrix) -> Matrix:
+    "The Matrix shaped like ``like`` with the flat entries {index: value}."
+    cols = [[] for _ in range(like.ncols)]
+    for k, v in sorted(entries.items()):
+        cols[k % like.ncols].append((k // like.ncols, v))
+    return Matrix(shape=(like.nrows, like.ncols), cols=cols)
+
+
 def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     """The x with g*x = unit = x*g, or None if there is none.
 
-    Only x -> x*g is built, and x*g = unit is solved alone.  A two-sided
-    inverse solves it, so an inconsistent system means there is none, and
-    a unique solution x is the inverse exactly when g*x = unit, which one
-    product checks.  In an associative algebra a left inverse is two-sided
-    and unique, so a consistent rank-deficient system arises only on a
-    datum failing E01-E06; there x -> g*x is built as well and the stacked
-    system g*x = unit = x*g is solved, as two_sided_solve does.  Every
-    branch returns what the stacked solve returns.
+    Only the rows of x -> x*g are built, and x*g = unit is solved alone on
+    the unit's nonzero entries.  A two-sided inverse solves it, so an
+    inconsistent system means there is none, and a unique solution x is the
+    inverse exactly when g*x = unit, which one scan against the unit
+    decides.  In an associative algebra a left inverse is two-sided and
+    unique, so a consistent rank-deficient system arises only on a datum
+    failing E01-E06; there x -> g*x is built as well and the stacked system
+    g*x = unit = x*g is solved (two_sided_solve).  Every branch returns
+    what the stacked solve returns.
     """
+    rhs = {o * unit.ncols + j: v for j, col in enumerate(unit.sparse_cols()) for o, v in col}
     right = _operator(d, in_dims, out_dims, side, g_op, False)
-    rhs = unit.flat()
     sol = solve_affine(right, rhs)
     if sol is None:
         return None
     if sol.dimension:
         left = _operator(d, in_dims, out_dims, side, g_op, True)
         x = two_sided_solve(left, right, rhs)
-        return None if x is None else Matrix.from_flat(x, unit.ncols)
-    x = Matrix.from_flat(sol.particular, unit.ncols)
-    gx = _product(d, in_dims, out_dims, side, g_op, TensorOp(x, in_dims, out_dims))
-    return x if gx == unit else None
+        return None if x is None else _hom_matrix(x, unit)
+    x = _hom_matrix(sol.particular, unit)
+    gx = (_slot(len(in_dims)), *side(d, g_op, TensorOp(x, in_dims, out_dims)))
+    one = (_slot(len(in_dims)), _ap(0, TensorOp(unit, in_dims, out_dims)))
+    return x if compare_item("g*x = 1", in_dims, (*out_dims, 1), gx, one).passed else None
 
 
 def conv_unit(d: MonoidalEntwiningDatum) -> HomCA:

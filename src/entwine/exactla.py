@@ -15,10 +15,12 @@ needs only ``+``, ``*`` and truth of a coefficient.  Mixed int/Fraction
 arithmetic is exact and ``Fraction(2) == 2`` with equal hashes, so states
 compare the same either way.  A value becomes a Fraction again wherever it
 leaves the kernel: ``Vector`` and ``Matrix(rows)`` convert their entries,
-``matrix_from_columns_fn``, ``hom_operator`` and ``state_to_vector``
-convert what they read from a state (so a ``Witness`` holds Fractions),
-and the finder's polynomials convert their coefficients.  Outside the
-kernel and _eliminate's rows an int must not appear: ``int / int`` is a float.
+``matrix_from_columns_fn`` and ``state_to_vector`` convert what they read
+from a state (so a ``Witness`` holds Fractions), and the finder's
+polynomials convert their coefficients.  ``hom_operator`` writes a side's
+coefficients unconverted into the solver's ``Rows``, whose ints stay until
+``_read_off`` divides them into Fractions.  Outside the kernel and the
+solver's rows an int must not appear: ``int / int`` is a float.
 
 Conventions fixed here and used everywhere else:
 
@@ -343,9 +345,10 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 class AffineSolution(namedtuple("AffineSolution", "particular nullspace_basis")):
     """Full solution set of a consistent affine system a.x = b.
 
-    ``particular`` (a Vector) solves the inhomogeneous system;
-    ``nullspace_basis`` is a tuple of linearly independent Vectors solving
-    a.x = 0, so the set of all solutions is particular + span(nullspace_basis).
+    ``particular`` solves the inhomogeneous system; ``nullspace_basis`` is a
+    tuple of linearly independent solutions of a.x = 0, so the set of all
+    solutions is particular + span(nullspace_basis).  Each is a Vector, or
+    its nonzero entries {column: Fraction} where b was given that way.
     """
 
     __slots__ = ()
@@ -353,6 +356,29 @@ class AffineSolution(namedtuple("AffineSolution", "particular nullspace_basis"))
     @property
     def dimension(self) -> int:
         return len(self.nullspace_basis)
+
+
+class Rows(list):
+    """A linear map on ``ncols`` unknowns as sparse rows, the form the
+    solvers eliminate on: row i is a dict column -> nonzero entry, an int
+    where integral, else a Fraction.  hom_operator builds its operators in
+    this form, and Rows.of converts a Matrix."""
+
+    __slots__ = ("ncols",)
+    nrows = property(list.__len__)
+
+    def __init__(self, rows, ncols: int):
+        super().__init__(rows)
+        self.ncols = ncols
+
+    @staticmethod
+    def of(a: Matrix) -> "Rows":
+        "The rows of a, its integral entries as ints."
+        rows = Rows([{} for _ in range(a.nrows)], a.ncols)
+        for j, col in enumerate(a.sparse_cols()):
+            for i, x in col:
+                rows[i][j] = x.numerator if x.denominator == 1 else x
+        return rows
 
 
 def _eliminate(rows: list[dict[int, int | Fraction]], ncols: int):
@@ -380,8 +406,8 @@ def _eliminate(rows: list[dict[int, int | Fraction]], ncols: int):
     pivots = []
     pivoted: set[int] = set()
     for col in range(ncols):
-        held = holders.pop(col, ())
-        piv = min((r for r in held if r not in pivoted), default=None)
+        held = holders.pop(col, set())
+        piv = min(held - pivoted, default=None)
         if piv is None:
             continue
         pivoted.add(piv)
@@ -413,23 +439,6 @@ def _eliminate(rows: list[dict[int, int | Fraction]], ncols: int):
     return pivots
 
 
-def _reduce(a: Matrix, rhs_cols: list[list[tuple[int, Fraction]]]):
-    """The rows of [a | rhs] after _eliminate, and its pivots.
-
-    ``rhs_cols`` are sparse columns like Matrix.sparse_cols(); right-hand
-    side k sits at column ``a.ncols + k``.  Integral entries become ints.
-    """
-    n = a.ncols
-    rows: list[dict[int, int | Fraction]] = [{} for _ in range(a.nrows)]
-    for j, col in enumerate(a.sparse_cols()):
-        for i, x in col:
-            rows[i][j] = x.numerator if x.denominator == 1 else x
-    for k, col in enumerate(rhs_cols):
-        for i, x in col:
-            rows[i][n + k] = x.numerator if x.denominator == 1 else x
-    return rows, _eliminate(rows, n)
-
-
 def _read_off(rows, pivots, col: int) -> dict[int, Fraction]:
     """Column col read off the reduced rows: x[c] = row[col] / row[c] at
     each pivot (r, c), zero elsewhere (only the nonzeros are returned).
@@ -439,38 +448,30 @@ def _read_off(rows, pivots, col: int) -> dict[int, Fraction]:
     return {c: Fraction(rows[r][col], rows[r][c]) for r, c in pivots if col in rows[r]}
 
 
-def vstack(*blocks: Matrix) -> Matrix:
-    "The rows of each block in turn; every block must have the same unknowns."
-    ncols = blocks[0].ncols
-    if any(b.ncols != ncols for b in blocks):
-        raise ValueError("stacked blocks must have the same number of columns")
-    cols = [[] for _ in range(ncols)]
-    offset = 0
-    for b in blocks:
-        for col, bcol in zip(cols, b.sparse_cols()):
-            col.extend((i + offset, x) for i, x in bcol)
-        offset += b.nrows
-    return Matrix(shape=(offset, ncols), cols=cols)
-
-
-def solve_affine(a: Matrix, b: Vector) -> AffineSolution | None:
+def solve_affine(a: Matrix | Rows, b: Vector | dict) -> AffineSolution | None:
     """Exact affine solve of a.x = b; None when inconsistent.
 
-    The right-hand side is carried in one augmented column.  The particular
-    solution sets every free variable to 0; the null vector of free column
-    f sets f to 1 and the other free variables to 0.
+    The solve runs on a copy of the rows of a (a Matrix or Rows), the
+    right-hand side b in one augmented column.  b is a Vector or its
+    nonzero entries {row: value}, and the solutions come in b's form.  The
+    particular solution sets every free variable to 0; the null vector of
+    free column f sets f to 1 and the other free variables to 0.
     """
-    if a.nrows != b.dim:
+    rows = Rows.of(a) if isinstance(a, Matrix) else Rows(map(dict, a), a.ncols)
+    n, dense = rows.ncols, isinstance(b, Vector)
+    if dense and rows.nrows != b.dim:
         raise ValueError("rows(a) must equal dim(b)")
-    n = a.ncols
-    rows, pivots = _reduce(a, [[(i, x) for i, x in enumerate(b.coords) if x]])
+    for i, x in enumerate(b.coords) if dense else b.items():
+        if x:
+            rows[i][n] = x.numerator if x.denominator == 1 else x
+    pivots = _eliminate(rows, n)
     piv_rows = {r for r, _ in pivots}
     if any(n in row for r, row in enumerate(rows) if r not in piv_rows):
         return None
     piv_cols = {c for _, c in pivots}
 
-    def vector(entries: dict[int, Fraction]) -> Vector:
-        return Vector([entries.get(c, ZERO) for c in range(n)])
+    def vector(entries: dict[int, Fraction]) -> Vector | dict[int, Fraction]:
+        return Vector([entries.get(c, ZERO) for c in range(n)]) if dense else entries
 
     null_basis = []
     for f in range(n):
@@ -481,11 +482,12 @@ def solve_affine(a: Matrix, b: Vector) -> AffineSolution | None:
     return AffineSolution(vector(_read_off(rows, pivots, n)), tuple(null_basis))
 
 
-def two_sided_solve(left: Matrix, right: Matrix, rhs) -> Vector | None:
+def two_sided_solve(left: Rows, right: Rows, rhs: dict) -> dict | None:
     """The x with left.x = rhs = right.x, or None when there is none.
 
-    The two systems are stacked left rows first and handed to solve_affine,
-    whose particular solution is returned.  For the operators x -> g*x and
+    ``rhs`` and x are given by their nonzero entries {index: value}.  The
+    rows are stacked, left first, and handed to solve_affine, whose
+    particular solution is returned.  For the operators x -> g*x and
     x -> x*g of an associative algebra and rhs its unit, x is the two-sided
     inverse of g, which is unique when it exists.  Convolution inverses
     solve right.x = rhs alone and call this only when that system is
@@ -493,7 +495,10 @@ def two_sided_solve(left: Matrix, right: Matrix, rhs) -> Vector | None:
     a unique solution of one side is the two-sided inverse or there is
     none, and the stacked system has no more solutions than either side.
     """
-    sol = solve_affine(vstack(left, right), Vector([*rhs, *rhs]))
+    if left.ncols != right.ncols:
+        raise ValueError("stacked blocks must have the same number of columns")
+    both = {**rhs, **{i + left.nrows: x for i, x in rhs.items()}}
+    sol = solve_affine(Rows(left + right, left.ncols), both)
     return None if sol is None else sol.particular
 
 
@@ -502,7 +507,10 @@ def invert(a: Matrix) -> Matrix:
     if a.nrows != a.ncols:
         raise NotInvertibleError("matrix is not square")
     n = a.nrows
-    rows, pivots = _reduce(a, Matrix.identity(n).sparse_cols())
+    rows = Rows.of(a)
+    for i, row in enumerate(rows):
+        row[n + i] = 1
+    pivots = _eliminate(rows, n)
     if len(pivots) < n:
         raise NotInvertibleError("matrix is rank-deficient")
     # pivots come in column order, so each read-off is a sorted column
@@ -520,8 +528,8 @@ def invert(a: Matrix) -> Matrix:
 # contiguous block of legs; permutations rearrange legs.  Cup and Cap
 # insert and contract a pair of dual-basis legs, so a partial trace or a
 # dual-basis transposition is a plain pipeline too.  A SlotLeg stands for
-# an unknown map, so a side linear in it comes out as a matrix
-# (hom_operator), its columns in the order of Matrix.flat.
+# an unknown map, so a side linear in it comes out as the rows of a linear
+# system (hom_operator), its columns in the order of Matrix.flat.
 #
 # Flat keys.  With ts the product of the dims after an op's block, a key's
 # input column is ``key // ts % n_in``, and output o of that column goes to
@@ -552,8 +560,8 @@ def invert(a: Matrix) -> Matrix:
 # matrix entries as ints; SlotLeg, Cup, Cap and the seeds use 1), else
 # Fractions, or in the finder's quadratic stage pivribbon._Polys: sv_apply
 # only adds, multiplies and tests them for truth.  state_to_vector,
-# matrix_from_columns_fn, pipeline_matrix and hom_operator convert every
-# value back to a Fraction.
+# matrix_from_columns_fn and pipeline_matrix convert every value back to a
+# Fraction; hom_operator keeps integral ones as ints in the solver's Rows.
 #
 # Batches.  Steps run once per batch of basis vectors: run_batch seeds the
 # j-th on batch leg j, and every step keeps that leg last.  Terms of
@@ -853,8 +861,8 @@ def pipeline_matrix(in_dims, out_dims, steps) -> Matrix:
     return TensorOp(None, in_dims, out_dims, steps).matrix
 
 
-def hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> Matrix:
-    """The matrix of f -> side(f), for f: ``in_dims`` -> ``out_dims``.
+def hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> Rows:
+    """The Rows of the operator f -> side(f), for f: ``in_dims`` -> ``out_dims``.
 
     ``side(f_op)`` gives the steps of side(f), with ``f_op`` standing for
     f.  They run on the basis vectors over ``seed_dims`` followed by a slot
@@ -862,15 +870,16 @@ def hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> Matrix:
     over ``key_dims``, the slot leg and the batch leg.  Row ``key *
     prod(seed_dims) + t`` holds the coefficients of that output entry,
     column ``out * prod(in_dims) + in`` those of f's matrix unit ``out <-
-    in``.  With a SlotLeg as f one pass yields every column at once.  For a
-    side from hom(in_dims, out_dims) to itself, seed and key dims are f's
-    own.
+    in``.  With a SlotLeg as f one pass yields every column at once.  Each
+    coefficient is written once, as it leaves the kernel: an int where
+    integral, else a Fraction.  For a side from hom(in_dims, out_dims) to
+    itself, seed and key dims are f's own.
     """
     slot = SlotLeg(in_dims, out_dims)
     n_seed, n_hom = prod(seed_dims), slot.out_dims[-1]
     end_dims = (*key_dims, n_hom)
     steps = side(slot)
-    cols = [[] for _ in range(n_hom)]
+    rows = Rows([{} for _ in range(prod(key_dims) * n_seed)], n_hom)
     for batch in basis_batches(seed_dims):
         state = run_batch((*seed_dims, 1), batch, steps)
         if state.dims[:-1] != end_dims:
@@ -878,5 +887,6 @@ def hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> Matrix:
         b, start = len(batch), batch.start
         for key, x in state.items():
             rest = key // b
-            cols[rest % n_hom].append((rest // n_hom * n_seed + start + key % b, _as_rat(x)))
-    return Matrix(shape=(prod(key_dims) * n_seed, n_hom), cols=[sorted(c) for c in cols])
+            rows[rest // n_hom * n_seed + start + key % b][rest % n_hom] = (
+                x.numerator if x.denominator == 1 else x)
+    return rows

@@ -26,6 +26,7 @@ from .exactla import (
     Cup,
     KernelOp,
     Matrix,
+    Rows,
     TensorOp,
     Vector,
     _as_rat,
@@ -34,7 +35,6 @@ from .exactla import (
     pipeline_matrix,
     run_batch,
     solve_affine,
-    vstack,
 )
 from .emodcat import EntwinedModule, ModuleMorphism, double_right_dual
 from .entwining import (
@@ -305,20 +305,26 @@ def separable_candidate(d: MonoidalEntwiningDatum, kappa: Element, rho: Function
 # ---------------------------------------------------------------------------
 
 
-def _linear_system(d: MonoidalEntwiningDatum, kind: str) -> tuple[Matrix, Vector]:
+def _linear_system(d: MonoidalEntwiningDatum, kind: str) -> tuple[Rows, Vector]:
     """The linear laws as a system a.x = b over the unknown entries of g,
     flattened as (a_out, c_in) pairs: P2's row (right-hand side 1, pivotal
-    only), then one block lop - rop per law, one hom_operator pass per side.
-    Rows that vanish stay; they never hold a pivot."""
+    only), then one block lop - rop per law, one hom_operator pass per side,
+    merged row by row.  Rows that vanish stay; they never hold a pivot."""
     g_dims = ((d.c_dim,), (d.a_dim,))
-    blocks = []
+    a = Rows([], d.c_dim * d.a_dim)
     if kind == "pivotal":
         # counit normalization: eps(g(1_C)) = 1
-        blocks.append(hom_operator(*g_dims, (), (), lambda g: _counit_side(d, g)))
+        a += hom_operator(*g_dims, (), (), lambda g: _counit_side(d, g))
     for _, scan, out, lhs, rhs in _linear_laws(d, kind):
         lop, rop = (hom_operator(*g_dims, scan, out, side) for side in (lhs, rhs))
-        blocks.append(lop - rop)
-    a = vstack(*blocks)
+        for row, sub in zip(lop, rop):
+            for c, x in sub.items():
+                v = row.get(c, 0) - x
+                if v:
+                    row[c] = v.numerator if v.denominator == 1 else v
+                else:
+                    del row[c]
+        a += lop
     b = [ZERO] * a.nrows
     if kind == "pivotal":
         b[0] = ONE
@@ -333,7 +339,8 @@ def stage1_affine_family(d: MonoidalEntwiningDatum, kind: str):
 def stage1_residual(d: MonoidalEntwiningDatum, kind: str, g: HomCA) -> Vector:
     "Residual of the linear laws at a concrete candidate (zero iff satisfied)."
     a, b = _linear_system(d, kind)
-    return a.apply(g.map.flat()) - b
+    x = g.map.flat()
+    return Vector([sum(v * x[c] for c, v in row.items()) for row in a]) - b
 
 
 class _Poly:

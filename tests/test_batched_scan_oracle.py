@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -49,6 +50,7 @@ from entwine.exactla import (
     SCAN_FIRST_BATCH,
     Matrix,
     ZERO,
+    Rows,
     SlotLeg,
     State,
     TensorOp,
@@ -182,9 +184,10 @@ def per_tuple_pipeline_matrix(in_dims, out_dims, steps):
 
 
 def per_tuple_hom_operator(in_dims, out_dims, seed_dims, key_dims, side):
-    return oracle_hom_operator(in_dims, out_dims, seed_dims, key_dims,
-                               lambda f, t: oracle_pipeline((*seed_dims, 1), t + (0,),
-                                                            *side(f)))
+    "The rows of the oracle's Matrix, integral entries as ints: hom_operator's form."
+    return Rows.of(oracle_hom_operator(in_dims, out_dims, seed_dims, key_dims,
+                                       lambda f, t: oracle_pipeline((*seed_dims, 1), t + (0,),
+                                                                    *side(f))))
 
 
 _BATCHED = {compare_item: per_tuple_compare_item,
@@ -510,6 +513,15 @@ def test_hom_operator_over_several_batches(n):
     rng = random.Random(n)
     a = TensorOp(Matrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]), (2,), (2,))
     b = TensorOp(Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]), (n,), (n,))
-    for side in (lambda f: (_ap(0, f), _ap(0, a)), lambda f: (_ap(0, b), _ap(0, f))):
-        assert (hom_operator((n,), (2,), (n,), (2,), side)
-                == per_tuple_hom_operator((n,), (2,), (n,), (2,), side))
+    # h then its inverse: the kernel's coefficients become integral Fractions
+    # (1/2 * 2), which must come out as ints
+    h = TensorOp(Matrix([[Fraction(1, 2), 0], [0, 2]]), (2,), (2,))
+    h_inv = TensorOp(Matrix([[2, 0], [0, Fraction(1, 2)]]), (2,), (2,))
+    sides = (lambda f: (_ap(0, f), _ap(0, a)), lambda f: (_ap(0, b), _ap(0, f)),
+             lambda f: (_ap(0, f), _ap(0, h), _ap(0, h_inv), _ap(0, a)))
+    for side in sides:
+        got = hom_operator((n,), (2,), (n,), (2,), side)
+        want = per_tuple_hom_operator((n,), (2,), (n,), (2,), side)
+        assert got == want and (got.nrows, got.ncols) == (want.nrows, want.ncols)
+        assert [sorted((c, type(x)) for c, x in row.items()) for row in got] == \
+            [sorted((c, type(x)) for c, x in row.items()) for row in want]

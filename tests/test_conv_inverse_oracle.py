@@ -3,7 +3,9 @@
 An element of H is inverted as a map k -> H, and a functional on C as a
 map C -> k, over the datum with one side trivial_hopf() and identity
 entwining map.  The oracles below are the hand-built operators this
-replaced, kept verbatim; inverses, None-ness and the RE4/CB4 items must
+replaced, kept verbatim but for handing two_sided_solve their rows
+(Rows.of) and right-hand side, and reading its solution, by nonzero
+entries {index: value}; inverses, None-ness and the RE4/CB4 items must
 be equal on seeded elements and functionals, invertible and not.
 """
 
@@ -14,7 +16,7 @@ import pytest
 
 from entwine import corpus
 from entwine.entwining import HomCA, conv_inverse
-from entwine.exactla import Matrix, Vector, matrix_from_columns_fn, two_sided_solve
+from entwine.exactla import Matrix, Rows, Vector, matrix_from_columns_fn, two_sided_solve
 from entwine.hopfcore import (
     BilinearForm,
     Element,
@@ -43,7 +45,8 @@ def oracle_element_inverse(h: HopfAlgebraData, v: Vector) -> Vector | None:
     right = matrix_from_columns_fn(
         (d,), (d,), lambda t: pipeline((d,), t, _ap(1, v_op), _ap(0, h.mul_op))
     )
-    return two_sided_solve(left, right, h.unit)
+    x = two_sided_solve(Rows.of(left), Rows.of(right), dict(enumerate(h.unit)))
+    return None if x is None else Vector([x.get(i, 0) for i in range(d)])
 
 
 def oracle_conv_functional_inverse(c: HopfAlgebraData, g_row: Matrix) -> Matrix | None:
@@ -63,8 +66,9 @@ def oracle_conv_functional_inverse(c: HopfAlgebraData, g_row: Matrix) -> Matrix 
                     rows[target][c1] += w * g[c2]
         return Matrix(rows)
 
-    x = two_sided_solve(conv_operator(True), conv_operator(False), c.counit.rows()[0])
-    return None if x is None else Matrix([x.coords])
+    x = two_sided_solve(Rows.of(conv_operator(True)), Rows.of(conv_operator(False)),
+                        dict(enumerate(c.counit.rows()[0])))
+    return None if x is None else Matrix([[x.get(i, 0) for i in range(d)]])
 
 
 def oracle_item(axiom_id: str, inverse, flat: Vector) -> AxiomItem:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from entwine import corpus
+from entwine import corpus, fileformat
 from entwine.emodcat import (
     EntwinedModule,
     ModuleMorphism,
@@ -25,7 +25,12 @@ from entwine.emodcat import (
     tensor_unit,
     transpose,
 )
-from entwine.entwining import DoubleQuantumGroup, EntwiningMap, MonoidalEntwiningDatum
+from entwine.entwining import (
+    DoubleQuantumGroup,
+    EntwiningMap,
+    MonoidalEntwiningDatum,
+    datums_compatible,
+)
 from entwine.exactla import (
     Cap,
     Cup,
@@ -38,7 +43,7 @@ from entwine.exactla import (
     sv_apply,
     sv_permute,
 )
-from entwine.hopfcore import trivial_hopf
+from entwine.hopfcore import HopfAlgebraData, trivial_hopf
 from entwine.report import _ap, pipeline
 
 
@@ -628,3 +633,26 @@ def test_one_entry_perturbation_fails_module_over_algebra_axiom(kz2, row, col, f
     for axiom_id, (basis, lhs, rhs) in failed.items():
         w = rep.item(axiom_id).witness
         assert (w.basis, w.lhs, w.rhs) == (basis, Vector(lhs), Vector(rhs))
+
+
+def test_modules_meet_on_a_datum_reloaded_from_file(yd_h4):
+    # the reloaded datum shares no object with the corpus one, so
+    # datums_compatible compares phi and each structure map of both sides
+    again = MonoidalEntwiningDatum(fileformat.loads(fileformat.dumps(yd_h4)))
+    assert again.a is not yd_h4.a and again.c is not yd_h4.c
+    m, n = std_module_CA(again), std_module_CA(yd_h4)
+    assert check_entwined_module(tensor_modules(m, n)).overall
+    assert check_entwined_module(tensor_modules(n, m)).overall
+    assert ModuleMorphism(m, n, Matrix.identity(n.dim)).map.is_identity()
+    # the same phi over an A whose antipode differs in one entry
+    a = yd_h4.a
+    s = [list(r) for r in a.antipode.rows()]
+    i, j = next((i, j) for i, r in enumerate(s) for j, x in enumerate(r) if x)
+    s[i][j] *= 2
+    other = MonoidalEntwiningDatum(
+        EntwiningMap(yd_h4.c, HopfAlgebraData(a.algebra, a.coalgebra, Matrix(s)), yd_h4.phi))
+    assert not datums_compatible(other, yd_h4)
+    with pytest.raises(ValueError):
+        tensor_modules(std_module_CA(other), n)
+    with pytest.raises(ValueError):
+        ModuleMorphism(std_module_CA(other), n, Matrix.identity(n.dim))

@@ -13,11 +13,11 @@ from entwine.exactla import (
     AffineSolution,
     Matrix,
     NotInvertibleError,
+    Rows,
     TensorOp,
     Vector,
     _as_rat,
     _eliminate,
-    _reduce,
     hom_operator,
     invert,
     kron,
@@ -26,7 +26,6 @@ from entwine.exactla import (
     rat_to_str,
     solve_affine,
     two_sided_solve,
-    vstack,
 )
 from entwine.report import _ap
 
@@ -175,9 +174,10 @@ def test_hom_operator_of_compositions(a, b):
     a_op = TensorOp(a, (3,), (3,))
     b_op = TensorOp(b, (2,), (2,))
     after = hom_operator((2,), (3,), (2,), (3,), lambda f: (_ap(0, f), _ap(0, a_op)))
-    assert after == kron(a, Matrix.identity(2))
+    assert after == Rows.of(kron(a, Matrix.identity(2)))
     before = hom_operator((2,), (3,), (2,), (3,), lambda f: (_ap(0, b_op), _ap(0, f)))
-    assert before == kron(Matrix.identity(3), b.transpose())
+    assert before == Rows.of(kron(Matrix.identity(3), b.transpose()))
+    assert (after.nrows, after.ncols) == (before.nrows, before.ncols) == (6, 6)
 
 
 def test_floats_are_rejected():
@@ -215,41 +215,42 @@ def test_column_assembly_memos_keep_values_exact():
 def test_two_sided_solve():
     # left and right multiplication by [[1, 1], [0, 1]] on 2x2 matrices, flattened row-major
     g = Matrix([[1, 1], [0, 1]])
-    left, right = kron(g, Matrix.identity(2)), kron(Matrix.identity(2), g.transpose())
-    ident = [1, 0, 0, 1]
-    assert two_sided_solve(left, right, ident) == Vector([1, -1, 0, 1])
+    left = Rows.of(kron(g, Matrix.identity(2)))
+    right = Rows.of(kron(Matrix.identity(2), g.transpose()))
+    ident = {0: 1, 3: 1}
+    assert two_sided_solve(left, right, ident) == {0: 1, 1: -1, 3: 1}
+    # the solve works on copies: the rows are unchanged
+    assert left == Rows.of(kron(g, Matrix.identity(2)))
     # a one-sided solution is not enough
-    assert two_sided_solve(left, Matrix.zero(4, 4), ident) is None
+    assert two_sided_solve(left, Rows.of(Matrix.zero(4, 4)), ident) is None
 
 
-def test_vstack_offsets_the_rows_of_each_block():
-    a = Matrix([[1, 0, 2], [0, 3, 0]])
-    b = Matrix([[0, 0, 4]])
-    c = Matrix([[5, 6, 0], [0, 0, 0], [7, 0, 8]])
-    stacked = vstack(a, b, c)
-    assert stacked.rows() == a.rows() + b.rows() + c.rows()
-    assert stacked.sparse_cols() == [
-        [(0, 1), (3, 5), (5, 7)],
-        [(1, 3), (3, 6)],
-        [(0, 2), (2, 4), (5, 8)],
-    ]
-    assert vstack(a) == a
-
-
-def test_vstack_keeps_blocks_of_zero_rows():
-    a = Matrix([[1, 2]])
-    # a block without rows shifts nothing; an all-zero block keeps its rows
-    assert vstack(Matrix.zero(0, 2), a, Matrix.zero(0, 2)) == a
-    stacked = vstack(Matrix.zero(2, 2), a)
-    assert (stacked.nrows, stacked.ncols) == (3, 2)
-    assert stacked.sparse_cols() == [[(2, 1)], [(2, 2)]]
-
-
-def test_vstack_rejects_a_column_count_mismatch():
+def test_two_sided_solve_rejects_a_column_count_mismatch():
     with pytest.raises(ValueError):
-        vstack(Matrix.identity(2), Matrix.identity(3))
-    with pytest.raises(ValueError):
-        two_sided_solve(Matrix.identity(2), Matrix.zero(2, 3), [1, 0])
+        two_sided_solve(Rows.of(Matrix.identity(2)), Rows.of(Matrix.zero(2, 3)), {0: 1})
+
+
+def test_solve_affine_on_rows_matches_the_matrix_solve():
+    # a row of zeros stays a row; a sparse right-hand side gives sparse solutions
+    a = Matrix([[1, 0, 2], [0, 0, 0], [0, 3, Fraction(1, 2)]])
+    rows = Rows.of(a)
+    assert rows == [{0: 1, 2: 2}, {}, {1: 3, 2: Fraction(1, 2)}]
+    assert [type(x) for row in rows for x in row.values()] == [int, int, int, Fraction]
+
+    def dense(v):
+        return Vector([v.get(c, 0) for c in range(3)])
+
+    for rhs in ({}, {0: 4}, {2: Fraction(-1, 3)}, {0: 2, 2: 3}):
+        b = dense(rhs)
+        want = solve_affine(a, b)
+        for got in (solve_affine(rows, rhs), solve_affine(a, rhs)):
+            assert dense(got.particular) == want.particular
+            assert tuple(map(dense, got.nullspace_basis)) == want.nullspace_basis
+            assert all(x and type(x) is Fraction for v in (got.particular, *got.nullspace_basis)
+                       for x in v.values())
+        assert solve_affine(rows, b) == want
+    assert solve_affine(rows, {1: 1}) is None
+    assert rows == Rows.of(a)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +668,7 @@ def test_eliminate_pivot_rule_matches_row_scan(name):
 
 
 # ---------------------------------------------------------------------------
-# Exact quotients: _reduce stores integral entries as ints, and _eliminate
+# Exact quotients: Rows.of stores integral entries as ints, and _eliminate
 # clears with an int factor where the pivot divides and a Fraction where it
 # does not.  The reduced rows must equal the all-Fraction rows of
 # scan_eliminate value for value, and what leaves the solver is a Fraction:
@@ -701,7 +702,11 @@ def test_exact_quotients_match_fraction_elimination(name):
     entries, rhs = QUOTIENT_SYSTEMS[name]
     n = len(entries[0])
     a, a_ref, b = Matrix(entries), DenseMatrix(entries), Vector(rhs)
-    rows, pivots = _reduce(a, [[(i, x) for i, x in enumerate(b) if x]])
+    rows = Rows.of(a)
+    for row, x in zip(rows, rhs):
+        if x:
+            row[n] = x
+    pivots = _eliminate(rows, n)
     ref = _rows_of(entries, rhs)
     assert pivots == scan_eliminate(ref, n)
     assert rows == ref
@@ -720,6 +725,7 @@ def test_exact_quotients_match_fraction_elimination(name):
         assert inv == Matrix(dense_invert(a_ref)._rows)
         assert not _non_fractions(*([v for _, v in col] for col in inv.sparse_cols()))
         assert (inv * a).is_identity()
-        x = two_sided_solve(a, a, rhs)
-        assert x == dense_solve_affine(DenseMatrix(entries + entries), Vector([*rhs, *rhs])).particular
-        assert not _non_fractions(x)
+        x = two_sided_solve(Rows.of(a), Rows.of(a), dict(enumerate(rhs)))
+        want = dense_solve_affine(DenseMatrix(entries + entries), Vector([*rhs, *rhs])).particular
+        assert Vector([x.get(c, 0) for c in range(n)]) == want
+        assert not _non_fractions(x.values())

@@ -32,7 +32,7 @@ INCONSISTENT = "inconsistent"
 
 
 def conv2_operators(d, g2):
-    "x -> g2*x and x -> x*g2 on hom(C (x) C, A (x) A), from the production _operator."
+    "The rows of x -> g2*x and x -> x*g2 on hom(C (x) C, A (x) A), from the production _operator."
     nc, na = d.c_dim, d.a_dim
     return tuple(ent._operator(d, (nc, nc), (na, na), ent._conv2_side, ent._conv2_op(d, g2), first)
                  for first in (True, False))
@@ -40,11 +40,11 @@ def conv2_operators(d, g2):
 
 def stacked_oracle(d, g2):
     unit = conv2_unit(d)
-    x = two_sided_solve(*conv2_operators(d, g2), [e for row in unit.rows() for e in row])
+    x = two_sided_solve(*conv2_operators(d, g2), dict(enumerate(unit.flat())))
     if x is None:
         return None
     n = unit.ncols
-    return Matrix([x.coords[i : i + n] for i in range(0, len(x), n)])
+    return Matrix([[x.get(i + j, 0) for j in range(n)] for i in range(0, unit.nrows * n, n)])
 
 
 @pytest.fixture

@@ -343,7 +343,7 @@ def test_linear_stage_matches_matrix_unit_oracle(name, kind):
         want = oracle_linear_constraint_rows(dd, kind)
         a, b = _linear_system(dd, kind)
         # the stacked system keeps the rows that vanish; the oracle drops them
-        got = [(r, x) for r, x in zip(a.rows(), b) if any(r) or x]
+        got = [([row.get(c, 0) for c in range(a.ncols)], x) for row, x in zip(a, b) if row or x]
 
         def canon(rows):
             return sorted((tuple(r), b) for r, b in rows)
