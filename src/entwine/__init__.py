@@ -28,9 +28,10 @@ _EXPORTS = {
                "right_dual std_module_AC std_module_CA tensor_modules tensor_unit transpose",
     "pivribbon": "FinderResult MorphismCandidate find_morphisms nat_to_hom pivotal_structure "
                  "separable_candidate twist verify_pivotal verify_ribbon",
-    "smash": "DistributiveLaw check_distributive_law distlaw_to_entwining "
-             "entwining_to_distlaw extract_copivot extract_coribbon extract_pivot "
-             "extract_ribbon module_transport_from_smash module_transport_to_smash "
+    "smash": "DistributiveLaw check_distributive_law codistlaw_to_entwining "
+             "distlaw_to_entwining entwining_to_codistlaw entwining_to_distlaw "
+             "extract_copivot extract_coribbon extract_pivot extract_ribbon "
+             "module_transport_from_smash module_transport_to_smash "
              "smash_coproduct smash_identity_checks smash_product transport_copivot "
              "transport_coribbon transport_pivot transport_rmatrix transport_ribbon",
     "corpus": "",

@@ -101,16 +101,6 @@ def dual_cyclic_group_algebra(n: int) -> HopfAlgebraData:
     return dual_hopf(cyclic_group_algebra(n), "plain")
 
 
-def z2_characters(b: HopfAlgebraData):
-    """The two characters of functions-on-Z/2 as elements of b, i.e. the
-    grouplike basis (counit-like and sign-like) exhibiting b = kZ2."""
-    if b.dim != 2:
-        raise ValueError("expected the dual Z/2 algebra")
-    eps = Vector([1, 1])
-    sgn = Vector([1, -1])
-    return eps, sgn
-
-
 def z2_triangular_rmatrix(h: HopfAlgebraData) -> Vector:
     "(1/2)(1 (x) 1 + 1 (x) g + g (x) 1 - g (x) g) on a 2-dim group algebra."
     if h.dim != 2:
@@ -295,12 +285,3 @@ def corpus_build(name: str):
         raise KeyError(f"unknown corpus name {name!r}; known: {', '.join(sorted(reg))}")
     kind, build = reg[name]
     return kind, build()
-
-
-def corpus_monoidal_datums() -> dict[str, MonoidalEntwiningDatum]:
-    "The monoidal datums used by cross-cutting property tests."
-    return {name: corpus_build(name)[1] for name in ("long_h4", "long_kz2", "yd_h4", "yd_kz2")}
-
-
-def corpus_dqgs() -> dict[str, DoubleQuantumGroup]:
-    return {name: corpus_build(name)[1] for name in ("yd_dqg_h4", "yd_dqg_kz2", "long_dqg_kz2")}

@@ -413,11 +413,6 @@ def braiding(m: EntwinedModule, n: EntwinedModule, q: DoubleQuantumGroup) -> Mat
     return pipeline_matrix((m.dim, n.dim), (n.dim, m.dim), braiding_steps(m, n, q))
 
 
-def braiding_morphism(m, n, q) -> ModuleMorphism:
-    "The braiding packaged as a validated morphism between tensor modules."
-    return ModuleMorphism(tensor_modules(m, n), tensor_modules(n, m), braiding(m, n, q))
-
-
 def action_endomorphisms(m: EntwinedModule) -> list[ModuleMorphism]:
     """Deterministic generating family of endomorphisms: the identity plus
     every action-by-basis-element map that happens to be a morphism, each
@@ -480,26 +475,4 @@ def check_braiding_naturality(m: EntwinedModule, n: EntwinedModule,
             if not item.passed:
                 break
         items.append(item)
-    return AxiomReport(items)
-
-
-def check_module_over_algebra(alg, dim: int, action: Matrix) -> AxiomReport:
-    "Right-module axioms over a plain algebra (used for transported modules)."
-    act = TensorOp(action, (dim, alg.dim), (dim,))
-    items = [
-        compare_item(
-            "RM1_assoc",
-            (dim, alg.dim, alg.dim),
-            (dim,),
-            (_ap(1, alg.mul_op), _ap(0, act)),
-            (_ap(0, act), _ap(0, act)),
-        ),
-        compare_item(
-            "RM2_unit",
-            (dim,),
-            (dim,),
-            (_ap(1, alg.unit_op), _ap(0, act)),
-            (),
-        ),
-    ]
     return AxiomReport(items)

@@ -193,13 +193,6 @@ class Matrix:
         return Matrix(shape=(n, n), cols=[[(i, ONE)] for i in range(n)])
 
     @staticmethod
-    def from_cols(cols: list[Vector] | list[list[Fraction]], nrows: int | None = None) -> "Matrix":
-        cols = [list(c) for c in cols]
-        if nrows is None:
-            nrows = len(cols[0])
-        return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(nrows)])
-
-    @staticmethod
     def from_flat(values, ncols: int) -> "Matrix":
         "The matrix with ncols columns whose flat() is the sequence values."
         return Matrix([values[i:i + ncols] for i in range(0, len(values), ncols)])
@@ -313,11 +306,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(self._colcache)
-
-    def is_identity(self) -> bool:
-        return self.nrows == self.ncols and all(
-            col == [(j, ONE)] for j, col in enumerate(self._colcache)
-        )
 
     def __repr__(self):
         body = "; ".join(

@@ -422,12 +422,6 @@ def _element_hom(h: HopfAlgebraData, v: Vector) -> ent.HomCA:
     return ent.HomCA(_degenerate_datum(trivial_hopf(), h), Matrix.from_flat(v, 1))
 
 
-def element_inverse(h: HopfAlgebraData, v: Vector) -> Vector | None:
-    "Two-sided multiplicative inverse of an element, or None."
-    inv = ent.conv_inverse(_element_hom(h, v))
-    return None if inv is None else inv.map.col(0)
-
-
 def verify_ribbon_element(h: HopfAlgebraData, rmatrix: Vector, v: Element) -> AxiomReport:
     """Ribbon-element conditions in a quasitriangular Hopf algebra.
 

@@ -336,13 +336,6 @@ def stage1_affine_family(d: MonoidalEntwiningDatum, kind: str):
     return solve_affine(*_linear_system(d, kind))
 
 
-def stage1_residual(d: MonoidalEntwiningDatum, kind: str, g: HomCA) -> Vector:
-    "Residual of the linear laws at a concrete candidate (zero iff satisfied)."
-    a, b = _linear_system(d, kind)
-    x = g.map.flat()
-    return Vector([sum(v * x[c] for c, v in row.items()) for row in a]) - b
-
-
 class _Poly:
     """Sparse polynomial in finder parameters, degree <= 2 by construction,
     and a kernel coefficient: ``+`` and ``*`` take a _Poly, an int or a

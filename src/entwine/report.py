@@ -16,7 +16,6 @@ from .exactla import (
     Matrix,
     TensorOp,
     basis_batches,
-    flatten_index,
     run_batch,
     rat_to_str,
     state_to_vector,
@@ -135,15 +134,6 @@ def compare_item(axiom_id, in_dims, out_dims, lhs, rhs) -> AxiomItem:
                                                       state_to_vector(left, j),
                                                       state_to_vector(right, j)))
     return AxiomItem(axiom_id, True)
-
-
-def pipeline(dims, idx, *steps) -> dict:
-    """Run the basis tuple idx over dims through a sequence of kernel steps
-    (callables State -> State): a batch of one, its terms keyed by the
-    tuple of their output legs."""
-    state = run_batch(dims, (flatten_index(dims, idx),), steps)
-    out_dims = state.dims[:-1]
-    return {unflatten_index(out_dims, key): c for key, c in state.items()}
 
 
 def _ap(pos, op):

@@ -245,37 +245,11 @@ def codistlaw_to_entwining(law: DistributiveLaw, a) -> EntwiningMap:
 # ---------------------------------------------------------------------------
 
 
-def smash_algebra(e) -> AlgebraData:
-    """The smash product as an algebra; works for any entwining map.
-
-    Product: (p (x) a)(q (x) b) = sum (e^i * p) (x) a_phi b q(e_i^phi),
-    with * the plain dual convolution (e^i on the left).
-    """
-    return _smash_algebra(e, dual_hopf(e.c, "op"), _dual_c_view(e))
-
-
-def _smash_algebra(e, dual_c: HopfAlgebraData, phi_dc: TensorOp) -> AlgebraData:
-    "smash_algebra with (dual C, op) and the dual view of phi already built."
-    nc, na = e.c_dim, e.a_dim
-    mul_dc = dual_c.mul_op  # mult of (dual C, op): (p, q) -> q * p in plain dual
-    mul_a = e.a.mul_op
-
-    # input legs: (i, k, j, l) for (e^i (x) f_k)(e^j (x) f_l)
-    mult = pipeline_matrix((nc, na, nc, na), (nc, na), (
-        _pm((1, 2, 0, 3)),   # k j i l
-        _ap(0, phi_dc),      # m u i l   (dual leg m, a_phi leg u)
-        _pm((2, 0, 1, 3)),   # i m u l
-        _ap(0, mul_dc),      # (p *op e^m) = e^m * p ; legs: w u l
-        _ap(1, mul_a),       # w (a_phi b)
-    ))
-    unit = kron(e.c.counit, Matrix.from_flat(e.a.unit, na)).flat()
-    names = [f"{cn}^(x){an}" for cn in e.c.basis_names for an in e.a.basis_names]
-    return AlgebraData(nc * na, names, mult, unit)
-
-
 def smash_product(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     """The full smash product Hopf algebra on (dual of C, op) (x) A.
 
+    Product: (p (x) a)(q (x) b) = sum (e^i * p) (x) a_phi b q(e_i^phi),
+    with * the plain dual convolution (e^i on the left).
     Comultiplication is componentwise; the antipode routes the dual leg
     through the entwining map against the antipode of A, with the
     inverse dual antipode on the C side.
@@ -283,7 +257,18 @@ def smash_product(d: MonoidalEntwiningDatum) -> HopfAlgebraData:
     nc, na = d.c_dim, d.a_dim
     dual_c = dual_hopf(d.c, "op")
     phi_dc = _dual_c_view(d)
-    alg = _smash_algebra(d, dual_c, phi_dc)
+
+    # input legs: (i, k, j, l) for (e^i (x) f_k)(e^j (x) f_l)
+    mult = pipeline_matrix((nc, na, nc, na), (nc, na), (
+        _pm((1, 2, 0, 3)),      # k j i l
+        _ap(0, phi_dc),         # m u i l   (dual leg m, a_phi leg u)
+        _pm((2, 0, 1, 3)),      # i m u l
+        _ap(0, dual_c.mul_op),  # (p *op e^m) = e^m * p ; legs: w u l
+        _ap(1, d.a.mul_op),     # w (a_phi b)
+    ))
+    unit = kron(d.c.counit, Matrix.from_flat(d.a.unit, na)).flat()
+    names = [f"{cn}^(x){an}" for cn in d.c.basis_names for an in d.a.basis_names]
+    alg = AlgebraData(nc * na, names, mult, unit)
 
     comult = pipeline_matrix(
         (nc, na),
@@ -492,8 +477,9 @@ def transport_coribbon(q: DoubleQuantumGroup, g: HomCA,
     d = q.datum
     if cosmash is None:
         cosmash = smash_coproduct(d)
-    # zeta((e^u (x) c_j) (x) (e^v (x) c_i)) = (e^u (x) e^v)(R(c_j (x) c_i))
-    row = _rmap_legs(q, (1, 0, 2, 3))
+    # zeta((e^v (x) c_j) (x) (e^u (x) c_i)) = (e^u (x) e^v)(R(c_j (x) c_i)), the
+    # grouping under which the form is coquasitriangular on the corpus doubles
+    row = _rmap_legs(q, (2, 0, 1, 3))
     form = BilinearForm(cosmash, cosmash, Matrix.from_flat(row, row.dim))
     return form, Functional(cosmash, _cosmash_row(g))
 

@@ -7,6 +7,8 @@ import pytest
 from entwine import corpus
 from entwine.smash import smash_coproduct, smash_product
 
+from oracles import corpus_dqgs, corpus_monoidal_datums
+
 
 @pytest.fixture(scope="session")
 def h4():
@@ -45,7 +47,7 @@ def yd_dqg_h4(h4):
 
 @pytest.fixture(scope="session")
 def long_dqg_kz2():
-    return corpus.corpus_dqgs()["long_dqg_kz2"]
+    return corpus_dqgs()["long_dqg_kz2"]
 
 
 @pytest.fixture(scope="session")
@@ -60,12 +62,12 @@ def cosmash_yd_h4(yd_h4):
 
 @pytest.fixture(scope="session")
 def monoidal_datums():
-    return corpus.corpus_monoidal_datums()
+    return corpus_monoidal_datums()
 
 
 @pytest.fixture(scope="session")
 def dqgs():
-    return corpus.corpus_dqgs()
+    return corpus_dqgs()
 
 
 CliResult = namedtuple("CliResult", "exit_code output stdout exception")

@@ -15,7 +15,6 @@ from entwine import corpus
 from entwine.emodcat import (
     braiding,
     check_entwined_module,
-    check_module_over_algebra,
     left_dual,
     std_module_AC,
     std_module_CA,
@@ -38,12 +37,10 @@ from entwine.pivribbon import (
     find_morphisms,
     nat_to_hom,
     pivotal_structure,
-    stage1_residual,
     twist,
     verify_pivotal,
     verify_ribbon,
 )
-from entwine.report import pipeline
 from entwine.smash import (
     extract_copivot,
     extract_pivot,
@@ -55,6 +52,8 @@ from entwine.smash import (
     transport_pivot,
 )
 from entwine.exactla import sv_apply, sv_permute
+
+from oracles import check_module_over_algebra, pipeline, stage1_residual
 
 
 @contextmanager
@@ -72,7 +71,7 @@ def test_criterion_01_sweedler_h4(h4):
         assert check_hopf(h4).overall
         s2 = h4.antipode * h4.antipode
         assert s2.col(2) == Vector([0, 0, -1, 0])
-        assert (s2 * s2).is_identity()
+        assert s2 * s2 == Matrix.identity(4)
 
 
 def test_criterion_02_pivot_and_copivot_of_h4(h4):
@@ -109,7 +108,7 @@ def test_criterion_04_yd_pivotal_morphisms(yd_h4):
         n = std_module_AC(yd_h4)
         for g in (g1, g2):
             beta_m = pivotal_structure(yd_h4, g, m)  # validated module morphism
-            assert (invert(beta_m.map) * beta_m.map).is_identity()
+            assert invert(beta_m.map) * beta_m.map == Matrix.identity(m.dim)
             beta_n = pivotal_structure(yd_h4, g, n)
             beta_t = pivotal_structure(yd_h4, g, tensor_modules(m, n))
             assert beta_t.map == kron(beta_m.map, beta_n.map)

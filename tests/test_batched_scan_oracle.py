@@ -81,6 +81,8 @@ from entwine.smash import (
     smash_identity_checks,
 )
 
+from oracles import corpus_dqgs
+
 
 # -- oracles: the per-tuple code, verbatim ------------------------------------
 
@@ -277,7 +279,7 @@ def test_datum_reports_match_per_tuple_scan(per_tuple):
 def _dqg_reports():
     kz2 = corpus.cyclic_group_algebra(2)
     out = []
-    for q in corpus.corpus_dqgs().values():
+    for q in corpus_dqgs().values():
         out.append(_items(ent.check_double_quantum_group(q)))
     q = corpus.yd_dqg(kz2)
     for seed in range(3):
@@ -330,7 +332,7 @@ def _morphism_reports():
     gs += [ent.HomCA(yd, _bump(gs[0].map, rng)) for _ in range(3)]
     for g in gs:
         out.append(_items(verify_pivotal(yd, g)))
-    dqgs = corpus.corpus_dqgs()
+    dqgs = corpus_dqgs()
     ribbon = corpus.long_kz2_ribbon()
     out.append(_items(verify_ribbon(dqgs["long_dqg_kz2"], ribbon)))
     out.append(_items(verify_ribbon(dqgs["long_dqg_kz2"],

@@ -23,13 +23,15 @@ from entwine.hopfcore import (
     Functional,
     HopfAlgebraData,
     _degenerate_datum,
-    element_inverse,
+    _element_hom,
     element_op,
     trivial_hopf,
     verify_coribbon_form,
     verify_ribbon_element,
 )
-from entwine.report import AxiomItem, Witness, pipeline, _ap
+from entwine.report import AxiomItem, Witness, _ap
+
+from oracles import pipeline
 
 
 # -- oracles (the operator builds the degenerate datum replaced) ---------------
@@ -110,7 +112,8 @@ def test_element_inverse_matches_oracle(hosts, name):
     for coords in _seeded(h, 101):
         v = Vector(coords)
         want = oracle_element_inverse(h, v)
-        assert element_inverse(h, v) == want
+        inv = conv_inverse(_element_hom(h, v))
+        assert (None if inv is None else inv.map.col(0)) == want
         kinds.add(want is None)
         item = verify_ribbon_element(h, r, Element(h, v)).item("RE4_invertible")
         assert item.to_dict() == oracle_item("RE4_invertible", want, v).to_dict()

@@ -14,7 +14,8 @@ from entwine.entwining import (
 )
 from entwine.exactla import sv_apply, sv_permute
 from entwine.hopfcore import check_hopf
-from entwine.report import pipeline
+
+from oracles import pipeline
 
 
 def test_every_hopf_constructor_passes():
@@ -127,14 +128,6 @@ def test_corpus_names_cover_cli_registry():
 def test_unknown_corpus_name():
     with pytest.raises(KeyError):
         corpus.corpus_build("nope")
-
-
-def test_z2_characters_needs_a_two_dimensional_algebra(h4):
-    eps, sgn = corpus.z2_characters(corpus.dual_cyclic_group_algebra(2))
-    assert [list(eps), list(sgn)] == [[1, 1], [1, -1]]
-    for b in (h4, corpus.cyclic_group_algebra(3)):
-        with pytest.raises(ValueError):
-            corpus.z2_characters(b)
 
 
 def oracle_long_dqg_rmap(h, rmatrix, b, form):

@@ -27,7 +27,9 @@ from entwine.entwining import (
     conv_unit,
 )
 from entwine.exactla import Matrix, Rows, matrix_from_columns_fn
-from entwine.report import _ap, pipeline
+from entwine.report import _ap
+
+from oracles import pipeline
 
 
 def _col(op, legs):
@@ -342,7 +344,7 @@ def _reference_operators(g, product, nrows, ncols):
         unit[k // ncols][k % ncols] = 1
         left.append(flat(product(g, Matrix(unit))))
         right.append(flat(product(Matrix(unit), g)))
-    return Rows.of(Matrix.from_cols(left)), Rows.of(Matrix.from_cols(right))
+    return Rows.of(Matrix(left).transpose()), Rows.of(Matrix(right).transpose())
 
 
 @pytest.mark.parametrize("name", ["yd_kz2", "yd_h4"])

@@ -48,6 +48,8 @@ from entwine.hopfcore import AlgebraData, CoalgebraData, HopfAlgebraData, check_
 from entwine.pivribbon import _Poly, find_morphisms, verify_pivotal, verify_ribbon
 from entwine.report import Witness
 
+from oracles import corpus_dqgs, corpus_monoidal_datums
+
 DENSE_OK = (int, Fraction)
 
 
@@ -130,8 +132,8 @@ def test_no_float_or_int_leaves_the_kernel(leaks):
             check_hopf(obj)
             for mutant in _hopf_mutants(obj, rng):
                 check_hopf(mutant)
-    datums = corpus.corpus_monoidal_datums()
-    dqgs = corpus.corpus_dqgs()
+    datums = corpus_monoidal_datums()
+    dqgs = corpus_dqgs()
     for d in [*datums.values(), *(q.datum for q in dqgs.values())]:
         _datum_checks(d)
         find_morphisms(d, "pivotal")

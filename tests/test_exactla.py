@@ -106,7 +106,7 @@ def test_nullspace_independent():
     sol = solve_affine(Matrix([[1, 1, 1]]), Vector([0]))
     assert len(sol.nullspace_basis) == 2
     # independence: the only combination summing to zero is trivial
-    cols = Matrix.from_cols(list(sol.nullspace_basis), 3)
+    cols = Matrix(sol.nullspace_basis).transpose()
     dep = solve_affine(cols, Vector.zero(3))
     assert dep is not None and dep.dimension == 0
     assert dep.particular.is_zero()
@@ -127,8 +127,8 @@ def test_invert_h4_antipode():
     h4 = sweedler_h4()
     sinv = invert(h4.antipode)
     assert sinv == h4.antipode_inv
-    assert (sinv * h4.antipode).is_identity()
-    assert (h4.antipode * sinv).is_identity()
+    assert sinv * h4.antipode == Matrix.identity(4)
+    assert h4.antipode * sinv == Matrix.identity(4)
     # S^{-1}(x) = y and S^{-1}(y) = -x on the basis (1, e, x, y)
     assert sinv.col(2) == Vector([0, 0, 0, 1])
     assert sinv.col(3) == Vector([0, 0, -1, 0])
@@ -395,15 +395,6 @@ class DenseMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._rows for x in row)
 
-    def is_identity(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        return all(
-            self._rows[i][j] == (ONE if i == j else ZERO)
-            for i in range(self.nrows)
-            for j in range(self.ncols)
-        )
-
 
 def dense_kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Kronecker product realizing the tensor product of linear maps.
@@ -533,7 +524,6 @@ def assert_same(sparse, dense):
     assert sparse.rows() == dense._rows
     assert sparse.sparse_cols() == dense.sparse_cols()
     assert sparse.is_zero() == dense.is_zero()
-    assert sparse.is_identity() == dense.is_identity()
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -563,13 +553,13 @@ def test_sparse_matrix_agrees_with_dense_reference(seed):
     assert_same(Matrix.zero(n, m), DenseMatrix([[0] * m for _ in range(n)]))
     # equality and hashing: the same verdicts, whichever way a matrix was built
     assert (a == b) == (a_ref == b_ref)
-    for same in (a.transpose().transpose(), a + Matrix.zero(n, m), Matrix.from_cols(
-            [a.col(j) for j in range(m)], n), Matrix(a.rows()), a * Matrix.identity(m)):
+    for same in (a.transpose().transpose(), a + Matrix.zero(n, m), Matrix(
+            [a.col(j) for j in range(m)]).transpose(), Matrix(a.rows()), a * Matrix.identity(m)):
         assert same == a and hash(same) == hash(a)
     assert ((a * c) == (a * c).scale(1)) and hash(a * c) == hash((a * c).scale(1))
     sq, sq_ref = random_pair(rng, n, n)
     assert (sq == Matrix.identity(n)) == (sq_ref == DenseMatrix(Matrix.identity(n).rows()))
-    assert (sq - sq + Matrix.identity(n)).is_identity()
+    assert sq - sq + Matrix.identity(n) == Matrix.identity(n)
     for i in range(n):
         for j in range(m):
             assert a.entry(i, j) == a_ref._rows[i][j]
@@ -664,7 +654,7 @@ def test_eliminate_pivot_rule_matches_row_scan(name):
                 invert(a)
         else:
             assert invert(a) == Matrix(expected._rows)
-            assert (invert(a) * a).is_identity()
+            assert invert(a) * a == Matrix.identity(a.nrows)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +714,7 @@ def test_exact_quotients_match_fraction_elimination(name):
         inv = invert(a)
         assert inv == Matrix(dense_invert(a_ref)._rows)
         assert not _non_fractions(*([v for _, v in col] for col in inv.sparse_cols()))
-        assert (inv * a).is_identity()
+        assert inv * a == Matrix.identity(a.nrows)
         x = two_sided_solve(Rows.of(a), Rows.of(a), dict(enumerate(rhs)))
         want = dense_solve_affine(DenseMatrix(entries + entries), Vector([*rhs, *rhs])).particular
         assert Vector([x.get(c, 0) for c in range(n)]) == want

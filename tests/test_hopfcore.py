@@ -3,6 +3,7 @@
 import pytest
 
 from entwine import corpus
+from entwine.entwining import conv_inverse
 from entwine.exactla import Matrix, NotInvertibleError, Vector, invert, kron
 from entwine.hopfcore import (
     AlgebraData,
@@ -11,10 +12,10 @@ from entwine.hopfcore import (
     Element,
     Functional,
     HopfAlgebraData,
+    _element_hom,
     check_hopf,
     coquasitri_check,
     dual_hopf,
-    element_inverse,
     quasitri_check,
     trivial_hopf,
     verify_copivot,
@@ -95,8 +96,8 @@ def test_h4_frozen_coproduct_of_y(h4):
 def test_h4_antipode_squares(h4):
     s2 = h4.antipode * h4.antipode
     assert s2.col(2) == Vector([0, 0, -1, 0])  # S^2(x) = -x
-    assert (s2 * s2).is_identity()             # S^4 = id
-    assert not s2.is_identity()
+    assert s2 * s2 == Matrix.identity(4)       # S^4 = id
+    assert s2 != Matrix.identity(4)
 
 
 def test_h4_passes_check_hopf(h4):
@@ -193,7 +194,7 @@ def test_group_algebra_small_cases():
     k1 = corpus.cyclic_group_algebra(1)
     assert k1.dim == 1
     k2 = corpus.cyclic_group_algebra(2)
-    assert k2.antipode.is_identity()  # every element self-inverse
+    assert k2.antipode == Matrix.identity(2)  # every element self-inverse
     # cocommutative
     for k in range(2):
         for i in range(2):
@@ -203,8 +204,8 @@ def test_group_algebra_small_cases():
 
 def test_dual_of_group_algebra_is_group_algebra(kz2, dual_kz2):
     # basis change onto the two characters exhibits the isomorphism
-    eps, sgn = corpus.z2_characters(dual_kz2)
-    p = Matrix.from_cols([eps, sgn], 2)
+    eps, sgn = Vector([1, 1]), Vector([1, -1])
+    p = Matrix([eps, sgn]).transpose()
     pinv = invert(p)
     assert pinv * dual_kz2.mult * kron(p, p) == kz2.mult
     assert kron(pinv, pinv) * dual_kz2.comult * p == kz2.comult
@@ -253,8 +254,9 @@ def test_pivot_implies_antipode_square_conjugation(h4, kz2):
     for h, coords in ((h4, Vector([0, 1, 0, 0])), (kz2, Vector([1, 0]))):
         g = Element(h, coords)
         assert verify_pivot(h, g).overall
-        ginv = element_inverse(h, coords)
-        assert ginv is not None
+        inv = conv_inverse(_element_hom(h, coords))
+        assert inv is not None
+        ginv = inv.map.col(0)
         s2 = h.antipode * h.antipode
         for a in range(h.dim):
             lhs = s2.col(a)

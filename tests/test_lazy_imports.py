@@ -1,14 +1,17 @@
 """Start-up guards: the CLI loads emodcat, pivribbon, smash and corpus only in
 the commands that run them, no command loads click, dataclasses or inspect,
 and the ``entwine`` namespace resolves every public name through its
-submodule."""
+submodule.  A last guard keeps helpers that only tests call out of src/."""
 
+import ast
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import tokenize
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -118,12 +121,12 @@ PUBLIC = [
     "MorphismCandidate", "NotInvertibleError", "Rat", "Vector", "Witness", "braiding",
     "check_antipode_compat", "check_braiding_naturality", "check_distributive_law",
     "check_double_quantum_group", "check_duality", "check_entwined_module",
-    "check_entwining", "check_hopf", "check_monoidal_datum", "conv2_inverse",
-    "conv2_product", "conv_inverse", "conv_product", "conv_unit", "coquasitri_check",
-    "corpus", "distlaw_to_entwining", "double_right_dual", "dual_hopf", "emodcat",
-    "entwining", "entwining_to_distlaw", "exactla", "extend_MC", "extract_copivot",
-    "extract_coribbon", "extract_pivot", "extract_ribbon", "find_morphisms", "hopfcore",
-    "invert", "kron", "left_dual", "module_transport_from_smash",
+    "check_entwining", "check_hopf", "check_monoidal_datum", "codistlaw_to_entwining",
+    "conv2_inverse", "conv2_product", "conv_inverse", "conv_product", "conv_unit",
+    "coquasitri_check", "corpus", "distlaw_to_entwining", "double_right_dual", "dual_hopf",
+    "emodcat", "entwining", "entwining_to_codistlaw", "entwining_to_distlaw", "exactla",
+    "extend_MC", "extract_copivot", "extract_coribbon", "extract_pivot", "extract_ribbon",
+    "find_morphisms", "hopfcore", "invert", "kron", "left_dual", "module_transport_from_smash",
     "module_transport_to_smash", "nat_to_hom", "pivotal_structure", "pivribbon",
     "quasitri_check", "rat_from_str", "rat_to_str", "report", "right_dual",
     "separable_candidate", "smash", "smash_coproduct", "smash_identity_checks",
@@ -181,3 +184,34 @@ def test_namespace_follows_a_rebinding_and_its_undo(monkeypatch):
     monkeypatch.undo()
     assert entwine.check_hopf is original
     assert "check_hopf" not in vars(entwine)
+
+
+# -- src/ holds what the product runs ---------------------------------------------
+
+
+def test_every_public_src_name_is_exported_or_used():
+    """Every module-level def or class of src/entwine without a leading
+    underscore is exported by the package or named by src/ code outside its
+    own definition; a helper that only tests call lives under tests/.
+
+    Uses are read from tokens, so a comment or a docstring that names a
+    helper does not keep it.  Methods are out of scope: names such as row,
+    col or flat are common words, and a token scan cannot tell one class's
+    method from another's."""
+    src = Path(entwine.__file__).resolve().parent
+    defined, used = [], set()
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        spans = {}
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((path.stem, node.name))
+                spans[node.name] = (node.lineno, node.end_lineno)
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                first, last = spans.get(tok.string, (0, -1))
+                if not first <= tok.start[0] <= last:
+                    used.add(tok.string)
+    unused = [f"{mod}.{name}" for mod, name in defined
+              if name not in entwine.__all__ and name not in used]
+    assert unused == []

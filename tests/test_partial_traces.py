@@ -23,7 +23,9 @@ from entwine.entwining import (
 )
 from entwine.exactla import ONE, ZERO, Cap, Cup, Matrix, TensorOp, Vector, solve_affine
 from entwine.pivribbon import _linear_system, stage1_affine_family, verify_ribbon
-from entwine.report import AxiomItem, AxiomReport, Witness, compare_item, pipeline, _ap
+from entwine.report import AxiomItem, AxiomReport, Witness, compare_item, _ap
+
+from oracles import corpus_dqgs, corpus_monoidal_datums, pipeline
 
 
 # -- oracles (the dense loops the kernel pipelines replaced) --------------------
@@ -249,8 +251,8 @@ def oracle_affine_family(d: MonoidalEntwiningDatum, kind: str):
 
 
 def _datums():
-    out = dict(corpus.corpus_monoidal_datums())
-    for name, q in corpus.corpus_dqgs().items():
+    out = dict(corpus_monoidal_datums())
+    for name, q in corpus_dqgs().items():
         out[name] = q.datum
     return out
 
@@ -310,9 +312,9 @@ def test_antipode_compat_matches_dense_oracle(name):
     assert failing >= 4  # the witnesses are compared, not only verdicts
 
 
-@pytest.mark.parametrize("name", sorted(corpus.corpus_dqgs()))
+@pytest.mark.parametrize("name", sorted(corpus_dqgs()))
 def test_r4_matches_closed_loop_oracle(name):
-    q = corpus.corpus_dqgs()[name]
+    q = corpus_dqgs()[name]
     rng = random.Random(7)
     cases = []
     for dd in [q.datum, *phi_mutants(q.datum, 4, seed=11)]:

@@ -43,6 +43,8 @@ from entwine.smash import (
     smash_product,
 )
 
+from oracles import corpus_dqgs
+
 
 @pytest.fixture
 def fills(monkeypatch):
@@ -164,7 +166,7 @@ def test_pivotal_structure_fills_each_column_once(h4, fills):
 
 
 def test_twist_fills_each_column_once(fills):
-    q = corpus.corpus_dqgs()["long_dqg_kz2"]
+    q = corpus_dqgs()["long_dqg_kz2"]
     m = std_module_CA(q.datum)
     theta = twist(q, corpus.long_kz2_ribbon(), m)
     assert theta.map.nrows == theta.map.ncols == m.dim

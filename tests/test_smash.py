@@ -6,7 +6,6 @@ import pytest
 
 from entwine import corpus
 from entwine.emodcat import (
-    check_module_over_algebra,
     std_module_AC,
     std_module_CA,
     tensor_modules,
@@ -24,9 +23,11 @@ from entwine.hopfcore import (
     verify_pivot,
     verify_ribbon_element,
 )
-from entwine.report import _ap, _pm, pipeline
+from entwine.pivribbon import find_morphisms
+from entwine.report import AxiomReport, _ap, _pm
 from entwine.smash import (
     check_distributive_law,
+    codistlaw_to_entwining,
     distlaw_to_entwining,
     entwining_to_codistlaw,
     entwining_to_distlaw,
@@ -36,7 +37,6 @@ from entwine.smash import (
     extract_ribbon,
     module_transport_from_smash,
     module_transport_to_smash,
-    smash_algebra,
     smash_coproduct,
     smash_identity_checks,
     smash_product,
@@ -46,6 +46,8 @@ from entwine.smash import (
     transport_rmatrix,
     transport_ribbon,
 )
+
+from oracles import check_module_over_algebra, pipeline
 
 
 def _col(op, legs):
@@ -72,8 +74,8 @@ def test_flip_entwining_gives_flip_law(long_h4):
 
 def test_hopf_module_smash_algebra_formula(h4):
     # the displayed product: (p (x) a)(q (x) b) = (q((-) a_2) * p) (x) a_1 b
-    e = corpus.hopf_module_datum(h4)
-    alg = smash_algebra(e)
+    # the product and unit of the smash product on a datum that is not monoidal
+    alg = smash_product(MonoidalEntwiningDatum(corpus.hopf_module_datum(h4)))
     from entwine.hopfcore import check_algebra
 
     assert check_algebra(alg).overall
@@ -105,8 +107,6 @@ def test_hopf_module_smash_algebra_formula(h4):
 
 
 def test_coalgebra_distributive_law_round_trip(h4, yd_h4, long_h4):
-    from entwine.smash import codistlaw_to_entwining, entwining_to_codistlaw
-
     for e in (yd_h4.base, long_h4.base, corpus.hopf_module_datum(h4)):
         law = entwining_to_codistlaw(e)
         assert check_distributive_law(law).overall
@@ -353,6 +353,20 @@ def test_transport_rmatrix_quasitriangular(dqgs):
         assert quasitri_check(sm, rhat).overall, name
 
 
+# every corpus double structure, and yd_dqg(kz3)
+@pytest.mark.parametrize("name", ["long_dqg_kz2", "yd_dqg_h4", "yd_dqg_kz2", "yd_dqg_kz3"])
+def test_transported_form_is_coquasitriangular(dqgs, name, monkeypatch):
+    # the form depends on R alone, so it is checked on double structures
+    # with no ribbon morphism too, the ribbon check passed through
+    import entwine.pivribbon
+
+    q = corpus.yd_dqg(corpus.cyclic_group_algebra(3)) if name == "yd_dqg_kz3" else dqgs[name]
+    monkeypatch.setattr(entwine.pivribbon, "verify_ribbon", lambda q, g: AxiomReport([]))
+    cm = smash_coproduct(q.datum)
+    form, _ = transport_coribbon(q, HomCA(q.datum, Matrix.zero(q.datum.a_dim, q.datum.c_dim)), cm)
+    assert coquasitri_check(cm, form).failed_ids() == []
+
+
 def test_transport_ribbon_and_extract(long_dqg_kz2):
     q = long_dqg_kz2
     g = corpus.long_kz2_ribbon()
@@ -392,6 +406,46 @@ def test_transport_coribbon_and_extract(long_dqg_kz2):
     assert coquasitri_check(cm, form).overall
     assert verify_coribbon_form(cm, form, zeta).overall
     assert extract_coribbon(q.datum, zeta).map == g.map
+
+
+# -- every transport over every morphism the finder lists ---------------------
+
+
+def test_pivot_transports_on_every_listed_pivotal_morphism(monoidal_datums):
+    counts = {}
+    for name, d in monoidal_datums.items():
+        res = find_morphisms(d, "pivotal")
+        assert res.status == "complete", name
+        counts[name] = len(res.solutions)
+        sm, cm = smash_product(d), smash_coproduct(d)
+        for c in res.solutions:
+            t = transport_pivot(d, c.map, sm)
+            assert verify_pivot(sm, t).overall, name
+            assert extract_pivot(d, t).map == c.map.map, name
+            gamma = transport_copivot(d, c.map, cm)
+            assert verify_copivot(cm, gamma).overall, name
+            assert extract_copivot(d, gamma).map == c.map.map, name
+    # a sweep over no morphism would prove nothing
+    assert counts == {"long_h4": 1, "long_kz2": 4, "yd_h4": 2, "yd_kz2": 4}
+
+
+@pytest.mark.parametrize("name, count", [("long_dqg_kz2", 4), ("yd_dqg_h4", 0),
+                                         ("yd_dqg_kz2", 4)])
+def test_ribbon_transports_on_every_listed_ribbon_morphism(dqgs, name, count):
+    q = dqgs[name]
+    res = find_morphisms(q, "ribbon")
+    assert res.status == "complete"
+    assert len(res.solutions) == count
+    sm, cm = smash_product(q.datum), smash_coproduct(q.datum)
+    for c in res.solutions:
+        rhat, el = transport_ribbon(q, c.map, sm)
+        assert quasitri_check(sm, rhat).overall
+        assert verify_ribbon_element(sm, rhat, el).overall
+        assert extract_ribbon(q.datum, el).map == c.map.map
+        form, theta = transport_coribbon(q, c.map, cm)
+        assert coquasitri_check(cm, form).overall
+        assert verify_coribbon_form(cm, form, theta).overall
+        assert extract_coribbon(q.datum, theta).map == c.map.map
 
 
 # -- antipode identity checks -------------------------------------------------

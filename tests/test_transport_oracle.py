@@ -1,9 +1,12 @@
 """The R-matrix and coribbon-form transport are kernel pipelines.
 
 The oracles below are the index loops these pipelines replaced, kept
-verbatim; the transported R-matrix and coquasitriangular form must be
-equal on every corpus double structure, on yd_dqg(kz3), and on seeded
-random braiding maps over datums whose two sides differ in dimension.
+verbatim but for the coribbon form's index: the old loop paired the first
+form factor's dual leg with R1, as the pipeline did, and that form is not
+coquasitriangular on yd_dqg_h4; both now pair it with R2.  The transported
+R-matrix and coquasitriangular form must be equal on every corpus double
+structure, on yd_dqg(kz3), and on seeded random braiding maps over datums
+whose two sides differ in dimension.
 """
 
 import random
@@ -13,8 +16,10 @@ import pytest
 from entwine import corpus
 from entwine.entwining import DoubleQuantumGroup, HomCA
 from entwine.exactla import ZERO, Matrix, Vector
-from entwine.report import AxiomReport, _ap, pipeline
+from entwine.report import AxiomReport, _ap
 from entwine.smash import transport_coribbon, transport_rmatrix
+
+from oracles import corpus_dqgs, pipeline
 
 
 def _col(op, legs):
@@ -46,8 +51,8 @@ def oracle_coribbon_form_row(q: DoubleQuantumGroup) -> Matrix:
     for j in range(nc):
         for i in range(nc):
             for (u, v), x in _col(q.rmap_op, (j, i)):
-                # zeta((e^u (x) c_j) (x) (e^v (x) c_i)) = (e^u (x) e^v)(R(c_j (x) c_i))
-                row[(u * nc + j) * dim + (v * nc + i)] = x
+                # zeta((e^v (x) c_j) (x) (e^u (x) c_i)) = (e^u (x) e^v)(R(c_j (x) c_i))
+                row[(v * nc + j) * dim + (u * nc + i)] = x
     return Matrix([row])
 
 
@@ -63,7 +68,7 @@ def _random_rmap(datum, seed: int) -> DoubleQuantumGroup:
 
 def _dqgs():
     h4, kz2, kz3 = corpus.sweedler_h4(), corpus.cyclic_group_algebra(2), corpus.cyclic_group_algebra(3)
-    out = dict(corpus.corpus_dqgs())
+    out = dict(corpus_dqgs())
     out["yd_dqg_kz3"] = corpus.yd_dqg(kz3)
     # algebra side h4 (dim 4), coalgebra side kz2 (dim 2), and the reverse
     out["random_long_h4_kz2"] = _random_rmap(corpus.long_datum(h4, kz2), 11)
@@ -83,7 +88,7 @@ def test_transport_rmatrix_matches_oracle(name):
 
 
 def test_transport_coribbon_form_matches_oracle():
-    q = corpus.corpus_dqgs()["long_dqg_kz2"]
+    q = corpus_dqgs()["long_dqg_kz2"]
     form, _theta = transport_coribbon(q, corpus.long_kz2_ribbon())
     assert form.coords == oracle_coribbon_form_row(q)
     assert not form.coords.is_zero()
