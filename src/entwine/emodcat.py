@@ -178,11 +178,6 @@ class ModuleMorphism:
     def map(self) -> Matrix:
         return self.op.matrix
 
-    def then(self, other: "ModuleMorphism") -> "ModuleMorphism":
-        if other.source is not self.target and not other.source.same_structure(self.target):
-            raise ValueError("composition mismatch")
-        return ModuleMorphism(self.source, other.target, other.map * self.map)
-
 
 # ---------------------------------------------------------------------------
 # Standard modules and tensor products

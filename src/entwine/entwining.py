@@ -9,13 +9,15 @@ hom(C (x) C, A (x) A), and the antipode compatibility identities that
 make the dual-module formulas work downstream.
 
 Convolution inverses (E10b here, P5/R5 in the pivotal layer, RE4/CB4 in
-hopfcore on a datum with one trivial side) solve x*g = unit and check
-g*x = unit on the solution; only a rank-deficient system falls back to
-the stacked system g*x = unit = x*g.  The operators x -> x*g and
-x -> g*x are built by the same pipeline that evaluates a product: with a
-SlotLeg standing for x, one pass per batch of input basis tuples yields
-every column of the operator at once, keyed by the slot leg.  One
-builder, invertibility_item, turns each inverse into its axiom item.
+hopfcore on a datum with one trivial side) solve x*g = unit on the rows
+the unit reaches through shared columns and check g*x = unit on the
+solution; only when that check fails is x*g = unit solved in full, and
+only a rank-deficient system then falls back to the stacked system
+g*x = unit = x*g.  The operators x -> x*g and x -> g*x are built by the
+same pipeline that evaluates a product: with a SlotLeg standing for x,
+one pass per batch of input basis tuples yields every column of the
+operator at once, keyed by the slot leg.  One builder,
+invertibility_item, turns each inverse into its axiom item.
 
 The second decorated copy of the entwining map appearing in several
 axioms is always another evaluation of the single stored phi, and the
@@ -83,6 +85,16 @@ class MonoidalEntwiningDatum(EntwiningMap):
     def __init__(self, base: EntwiningMap):
         super().__init__(base.c, base.a, base.phi)
         self.base = base
+
+    @cached_property
+    def conv_unit_matrix(self) -> Matrix:
+        "The matrix of conv_unit: unit_A after counit_C."
+        return Matrix.from_flat(self.a.unit, 1) * self.c.counit
+
+    @cached_property
+    def conv2_unit_matrix(self) -> Matrix:
+        "The matrix of conv2_unit: the convolution unit on each factor."
+        return kron(self.conv_unit_matrix, self.conv_unit_matrix)
 
 
 def _hopf_like_equal(x, y) -> bool:
@@ -282,34 +294,47 @@ def _hom_matrix(entries: dict, like: Matrix) -> Matrix:
 def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     """The x with g*x = unit = x*g, or None if there is none.
 
-    Only the rows of x -> x*g are built, and x*g = unit is solved alone on
-    the unit's nonzero entries.  A two-sided inverse solves it, so an
-    inconsistent system means there is none, and a unique solution x is the
-    inverse exactly when g*x = unit, which one scan against the unit
-    decides.  In an associative algebra a left inverse is two-sided and
-    unique, so a consistent rank-deficient system arises only on a datum
-    failing E01-E06; there x -> g*x is built as well and the stacked system
-    g*x = unit = x*g is solved (two_sided_solve).  Every branch returns
-    what the stacked solve returns.
+    x*g = unit is solved on the rows the unit reaches (Rows.component), and
+    its solution x is returned when one scan finds g*x = unit.  That x is
+    what the stacked system g*x = unit = x*g solves to (two_sided_solve).
+    Rows outside the component share no column with it, so the system is
+    block-diagonal, and the other blocks have a zero right-hand side, so
+    their part of the particular solution (free variables 0) is 0.  A pivot
+    column is one outside the span of the earlier columns, decided within
+    its block, so x extended by zeros is the whole system's particular
+    solution.  Stacking the rows of x -> g*x only turns free columns into
+    pivot columns, and x is zero on every free column and solves both
+    systems, so it is the stacked particular solution too.  An inconsistent
+    component makes the whole system inconsistent, as every other block is
+    homogeneous, and a two-sided inverse would solve it.
+
+    When g*x = unit fails, x*g = unit is solved in full.  A unique solution
+    is x, so there is no inverse.  A rank-deficient one arises only on a
+    datum failing E01-E06 (in an associative algebra a left inverse is
+    two-sided and unique); there x -> g*x is built as well and the stacked
+    system is solved.
     """
     rhs = {o * unit.ncols + j: v for j, col in enumerate(unit.sparse_cols()) for o, v in col}
     right = _operator(d, in_dims, out_dims, side, g_op, False)
-    sol = solve_affine(right, rhs)
+    sub, sub_rhs, cols = right.component(rhs)
+    sol = solve_affine(sub, sub_rhs)
     if sol is None:
         return None
-    if sol.dimension:
-        left = _operator(d, in_dims, out_dims, side, g_op, True)
-        x = two_sided_solve(left, right, rhs)
-        return None if x is None else _hom_matrix(x, unit)
-    x = _hom_matrix(sol.particular, unit)
+    x = _hom_matrix({cols[k]: v for k, v in sol.particular.items()}, unit)
     gx = (_slot(len(in_dims)), *side(d, g_op, TensorOp(x, in_dims, out_dims)))
     one = (_slot(len(in_dims)), _ap(0, TensorOp(unit, in_dims, out_dims)))
-    return x if compare_item("g*x = 1", in_dims, (*out_dims, 1), gx, one).passed else None
+    if compare_item("g*x = 1", in_dims, (*out_dims, 1), gx, one).passed:
+        return x
+    if not solve_affine(right, rhs).dimension:  # consistent, as its component is
+        return None
+    left = _operator(d, in_dims, out_dims, side, g_op, True)
+    x = two_sided_solve(left, right, rhs)
+    return None if x is None else _hom_matrix(x, unit)
 
 
 def conv_unit(d: MonoidalEntwiningDatum) -> HomCA:
-    "The convolution unit: unit_A after counit_C."
-    return HomCA(d, Matrix.from_flat(d.a.unit, 1) * d.c.counit)
+    "The convolution unit: unit_A after counit_C, its matrix built once per datum."
+    return HomCA(d, d.conv_unit_matrix)
 
 
 def _conv_side(d: MonoidalEntwiningDatum, g_op, f_op):
@@ -333,10 +358,10 @@ def conv_product(g: HomCA, f: HomCA) -> HomCA:
 def conv_inverse(g: HomCA) -> HomCA | None:
     """Two-sided inverse of g in the entwined convolution algebra, or None.
 
-    Solves x*g = unit and checks g*x = unit on its solution (see _inverse):
-    a two-sided inverse solves x*g = unit, so when that solution is unique
-    it is the inverse or there is none.  Equal to the solution of the
-    stacked system g*x = unit = x*g in every case.
+    Solves x*g = unit on the rows the unit reaches and checks g*x = unit
+    on its solution (see _inverse): a two-sided inverse solves x*g = unit,
+    so an inconsistent system means there is none.  Equal to the solution
+    of the stacked system g*x = unit = x*g in every case.
     """
     d = g.datum
     inv = _inverse(d, (d.c_dim,), (d.a_dim,), _conv_side, g.op, conv_unit(d).map)
@@ -355,8 +380,7 @@ def invertibility_item(axiom_id: str, map: Matrix, inverse) -> AxiomItem:
 
 def conv2_unit(d: MonoidalEntwiningDatum) -> Matrix:
     "The unit of hom(C (x) C, A (x) A): the convolution unit on each factor."
-    u = conv_unit(d).map
-    return kron(u, u)
+    return d.conv2_unit_matrix
 
 
 def _conv2_side(d: MonoidalEntwiningDatum, g_op, f_op):

@@ -368,6 +368,27 @@ class Rows(list):
                 rows[i][j] = x.numerator if x.denominator == 1 else x
         return rows
 
+    def component(self, rhs: dict) -> tuple["Rows", dict, list[int]]:
+        """The rows that the nonzero rows of ``rhs`` reach, two rows meeting
+        when they share a column: their Rows, ``rhs`` on them and the old
+        column of each new one.  Rows and columns keep their order, so the
+        subsystem eliminates with the same pivots as in the whole."""
+        holders: dict[int, list[int]] = {}
+        for r, row in enumerate(self):
+            for c in row:
+                holders.setdefault(c, []).append(r)
+        reached = {r for r, x in rhs.items() if x}
+        cols, todo = set(), list(reached)
+        while todo:
+            for c in self[todo.pop()].keys() - cols:
+                cols.add(c)
+                todo.extend(r for r in holders[c] if r not in reached)
+                reached.update(holders[c])
+        rows, cols = sorted(reached), sorted(cols)
+        new = {c: k for k, c in enumerate(cols)}
+        sub = Rows([{new[c]: x for c, x in self[r].items()} for r in rows], len(cols))
+        return sub, {k: rhs[r] for k, r in enumerate(rows) if r in rhs}, cols
+
 
 def _eliminate(rows: list[dict[int, int | Fraction]], ncols: int):
     """Gauss-Jordan elimination on sparse rows (in place).
@@ -478,10 +499,12 @@ def two_sided_solve(left: Rows, right: Rows, rhs: dict) -> dict | None:
     particular solution is returned.  For the operators x -> g*x and
     x -> x*g of an associative algebra and rhs its unit, x is the two-sided
     inverse of g, which is unique when it exists.  Convolution inverses
-    solve right.x = rhs alone and call this only when that system is
-    consistent and rank-deficient, which needs a non-associative product:
-    a unique solution of one side is the two-sided inverse or there is
-    none, and the stacked system has no more solutions than either side.
+    solve right.x = rhs alone, on the rows rhs reaches (Rows.component),
+    and call this only when that solution fails left.x = rhs and
+    right.x = rhs is consistent and rank-deficient, which needs a
+    non-associative product: a unique solution of one side is the
+    two-sided inverse or there is none, and the stacked system has no more
+    solutions than either side.
     """
     if left.ncols != right.ncols:
         raise ValueError("stacked blocks must have the same number of columns")

@@ -208,7 +208,7 @@ def test_transpose_laws():
         assert transpose(ident, "left").map == Matrix.identity(m.dim)
         tf = transpose(f, "left")
         tg = transpose(g, "left")
-        comp = f.then(g)
+        comp = ModuleMorphism(f.source, g.target, g.map * f.map)
         assert transpose(comp, "left").map == tf.map * tg.map
         # transpose on dual bases is the matrix transpose
         assert tf.map == f.map.transpose()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from entwine import corpus, fileformat
+from entwine import entwining as ent
 from entwine.entwining import (
     DoubleQuantumGroup,
     EntwiningMap,
@@ -209,6 +210,19 @@ def test_conv_inverse_unique_when_exists(yd_h4):
     assert inv is not None
     assert conv_product(g1, inv).map == conv_unit(yd_h4).map
     assert conv_product(inv, g1).map == conv_unit(yd_h4).map
+
+
+def test_conv_units_are_built_once_per_datum(monkeypatch, yd_h4):
+    want = conv2_unit(yd_h4)
+    d = MonoidalEntwiningDatum(yd_h4.base)
+    krons = []
+    kron = ent.kron
+    monkeypatch.setattr(ent, "kron", lambda a, b: krons.append(1) or kron(a, b))
+    assert conv2_unit(d) == want
+    assert conv2_unit(d) is conv2_unit(d)
+    assert len(krons) == 1
+    u, v = conv_unit(d), conv_unit(d)
+    assert u is not v and u.map is v.map
 
 
 def test_conv2_unit_laws(yd_h4):

@@ -1,14 +1,17 @@
-"""The convolution inverse solves x*g = unit alone, checks g*x = unit on a
-unique solution, and stacks both systems only when x*g = unit is
-consistent and rank-deficient.
+"""The convolution inverse solves x*g = unit on the rows the unit reaches
+through shared columns, checks g*x = unit on that solution, and solves
+x*g = unit in full only when the check fails; a rank-deficient full system
+then falls back to the stacked system.
 
 The oracle is the stacked solve two_sided_solve(*conv2_operators(d, g2),
 unit): inverses and None-ness must agree with it on the corpus R-maps, on
 one-entry phi mutants (which break associativity, so every branch occurs)
-and on seeded dense R-maps.  hom_operator is counted around each inverse:
-one operator per inverse, two on the rank-deficient branch only.
+and on seeded dense R-maps.  hom_operator, solve_affine and the g*x = 1
+scan are counted around each inverse: one operator, except two on the
+rank-deficient fallback; one solve, except two whenever g*x = 1 fails.
 """
 
+import functools
 import random
 from collections import Counter
 
@@ -21,14 +24,17 @@ from entwine.entwining import (
     EntwiningMap,
     MonoidalEntwiningDatum,
     conv2_inverse,
+    conv2_product,
     conv2_unit,
 )
 from entwine.exactla import Matrix, two_sided_solve
 
-UNIQUE = "unique, g*x = 1"
+# the component solve
+INCONSISTENT = "inconsistent"
+TWO_SIDED = "component, g*x = 1"
+# the full solve of x*g = 1 that follows a failed g*x = 1
 NOT_TWO_SIDED = "unique, g*x != 1"
 DEFICIENT = "rank-deficient"
-INCONSISTENT = "inconsistent"
 
 
 def conv2_operators(d, g2):
@@ -48,10 +54,10 @@ def stacked_oracle(d, g2):
 
 
 @pytest.fixture
-def inverse(monkeypatch):
-    """conv2_inverse with the branch it took; asserts the operator count."""
-    seen = {"operators": 0, "solves": []}
-    build, solve = ent.hom_operator, ent.solve_affine
+def seen(monkeypatch):
+    "What conv2_inverse built, solved and scanned: operators, (rows, solution) and verdicts."
+    seen = {"operators": 0, "solves": [], "checks": []}
+    build, solve, compare = ent.hom_operator, ent.solve_affine, ent.compare_item
 
     def hom_operator(*args):
         seen["operators"] += 1
@@ -59,23 +65,43 @@ def inverse(monkeypatch):
 
     def solve_affine(a, b):
         sol = solve(a, b)
-        seen["solves"].append(sol)
+        seen["solves"].append((a.nrows, sol))
         return sol
+
+    def compare_item(*args):
+        item = compare(*args)
+        seen["checks"].append(item.passed)
+        return item
 
     monkeypatch.setattr(ent, "hom_operator", hom_operator)
     monkeypatch.setattr(ent, "solve_affine", solve_affine)
+    monkeypatch.setattr(ent, "compare_item", compare_item)
+    return seen
 
+
+@pytest.fixture
+def inverse(seen):
+    """conv2_inverse with the branch it took; asserts the operator and
+    solve counts of that branch."""
     def run(d, g2):
         seen["operators"] = 0
         seen["solves"].clear()
+        seen["checks"].clear()
         got = conv2_inverse(d, g2)
-        (sol,) = seen["solves"]
-        if sol is None:
+        (_, first), *rest = seen["solves"]
+        if first is None:
             branch = INCONSISTENT
-        elif sol.dimension:
-            branch = DEFICIENT
+            assert seen["checks"] == [] and rest == []
+        elif seen["checks"] == [True]:
+            branch = TWO_SIDED
+            assert rest == [] and got is not None
         else:
-            branch = UNIQUE if got is not None else NOT_TWO_SIDED
+            assert seen["checks"] == [False]
+            # the fallback solves the whole of x*g = 1
+            ((rows, full),) = rest
+            assert rows == conv2_unit(d).nrows * conv2_unit(d).ncols
+            branch = DEFICIENT if full.dimension else NOT_TWO_SIDED
+            assert got is None or branch == DEFICIENT
         assert seen["operators"] == (2 if branch == DEFICIENT else 1), branch
         return got, branch
 
@@ -88,8 +114,23 @@ def phi_mutant(q: DoubleQuantumGroup, i: int, j: int, delta: int) -> MonoidalEnt
     return MonoidalEntwiningDatum(EntwiningMap(q.datum.c, q.datum.a, Matrix(rows)))
 
 
+@functools.cache
+def yd_dqg_kz3() -> DoubleQuantumGroup:
+    return corpus.yd_dqg(corpus.cyclic_group_algebra(3))
+
+
+@functools.cache
+def dense_case(seed: int):
+    "A seeded dense R on yd_dqg(kz3), entries in -3..3: (datum, R, stacked_oracle)."
+    d = yd_dqg_kz3().datum
+    n = d.c.dim ** 2
+    rng = random.Random(seed)
+    rmap = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    return d, rmap, stacked_oracle(d, rmap)
+
+
 def test_corpus_rmaps_match_stacked_oracle(inverse, dqgs, yd_h4):
-    cases = {name: (q.datum, q.rmap, UNIQUE) for name, q in dqgs.items()}
+    cases = {name: (q.datum, q.rmap, TWO_SIDED) for name, q in dqgs.items()}
     cases["yd_h4_zero_r"] = (yd_h4, Matrix.zero(16, 16), INCONSISTENT)
     for name, (d, rmap, want_branch) in cases.items():
         got, branch = inverse(d, rmap)
@@ -99,7 +140,7 @@ def test_corpus_rmaps_match_stacked_oracle(inverse, dqgs, yd_h4):
 
 # branch counts over the 32 one-entry +-1 mutants of each 4 x 4 phi
 @pytest.mark.parametrize("name, counts", [
-    ("yd_dqg_kz2", {UNIQUE: 15, NOT_TWO_SIDED: 8, INCONSISTENT: 9}),
+    ("yd_dqg_kz2", {TWO_SIDED: 15, NOT_TWO_SIDED: 8, INCONSISTENT: 9}),
     ("long_dqg_kz2", {NOT_TWO_SIDED: 20, INCONSISTENT: 12}),
 ])
 def test_phi_mutants_match_stacked_oracle(inverse, dqgs, name, counts):
@@ -115,9 +156,13 @@ def test_phi_mutants_match_stacked_oracle(inverse, dqgs, name, counts):
     assert branches == counts
 
 
+# of the 512 one-entry +-1 mutants of yd_dqg_h4's phi, (6, 8, -1) alone
+# reaches the rank-deficient fallback; (3, 12, -1) and two others have a
+# rank-deficient x*g = 1 whose component solution is two-sided
 @pytest.mark.parametrize("i, j, delta, want_branch, invertible", [
     (0, 2, 1, NOT_TWO_SIDED, False),
-    (3, 12, -1, DEFICIENT, True),
+    (6, 8, -1, DEFICIENT, False),
+    (3, 12, -1, TWO_SIDED, True),
     (0, 0, -1, INCONSISTENT, False),
 ])
 def test_h4_phi_mutant_takes_each_branch(inverse, yd_dqg_h4, i, j, delta, want_branch,
@@ -130,15 +175,51 @@ def test_h4_phi_mutant_takes_each_branch(inverse, yd_dqg_h4, i, j, delta, want_b
 
 
 def test_dense_rmaps_match_stacked_oracle(inverse):
-    # seeded dense R on yd_dqg(kz3), entries in -3..3; seeds 3 and 5 are
-    # invertible, the others are not
-    q = corpus.yd_dqg(corpus.cyclic_group_algebra(3))
-    n = q.datum.c.dim ** 2
+    # seeds 3 and 5 are invertible, the others are not
     branches = Counter()
     for seed in range(6):
-        rng = random.Random(seed)
-        rmap = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        got, branch = inverse(q.datum, rmap)
-        assert got == stacked_oracle(q.datum, rmap), seed
+        d, rmap, want = dense_case(seed)
+        got, branch = inverse(d, rmap)
+        assert got == want, seed
         branches[branch] += 1
-    assert branches == {UNIQUE: 2, INCONSISTENT: 4}
+    assert branches == {TWO_SIDED: 2, INCONSISTENT: 4}
+
+
+# rows of the hom space against rows of the component solve: the unit's
+# rows and those they reach through shared columns of x -> x*R
+@pytest.mark.parametrize("n, hom_rows, solved_rows", [(3, 81, 9), (5, 625, 25)])
+def test_solver_sees_only_the_unit_component_on_kz(seen, n, hom_rows, solved_rows):
+    q = corpus.yd_dqg(corpus.cyclic_group_algebra(n))
+    assert conv2_unit(q.datum).nrows * conv2_unit(q.datum).ncols == hom_rows
+    assert q.rmap_conv_inverse is not None
+    assert [rows for rows, _ in seen["solves"]] == [solved_rows]
+
+
+def test_solver_sees_only_the_unit_component_on_h4(seen, yd_dqg_h4, yd_h4):
+    assert conv2_inverse(yd_dqg_h4.datum, yd_dqg_h4.rmap) is not None
+    assert [rows for rows, _ in seen["solves"]] == [16]
+    # R = 0 reaches no column: only the unit's 4 rows, and no solution
+    seen["solves"].clear()
+    assert conv2_inverse(yd_h4, Matrix.zero(16, 16)) is None
+    assert seen["solves"] == [(4, None)]
+
+
+def test_every_inverse_is_two_sided(dqgs):
+    # corpus R-maps, 32 seeded one-entry phi mutants of yd_dqg_h4 (22 of
+    # them invertible) and the seeded dense R-maps on yd_dqg(kz3)
+    h4 = dqgs["yd_dqg_h4"]
+    rng = random.Random(27)
+    cases = [(q.datum, q.rmap) for q in dqgs.values()]
+    cases += [(phi_mutant(h4, rng.randrange(16), rng.randrange(16), rng.choice((1, -1))),
+               h4.rmap) for _ in range(32)]
+    cases = [(d, g, stacked_oracle(d, g)) for d, g in cases]
+    cases += [dense_case(seed) for seed in range(6)]
+    inverses = 0
+    for k, (d, g, want) in enumerate(cases):
+        x = conv2_inverse(d, g)
+        assert x == want, k
+        if x is not None:
+            inverses += 1
+            assert conv2_product(d, x, g) == conv2_unit(d), k
+            assert conv2_product(d, g, x) == conv2_unit(d), k
+    assert inverses == len(dqgs) + 22 + 2
