@@ -10,9 +10,10 @@ make the dual-module formulas work downstream.
 
 Convolution inverses (E10b here, P5/R5 in the pivotal layer, RE4/CB4 in
 hopfcore on a datum with one trivial side) solve x*g = unit on the rows
-the unit reaches through shared columns and check g*x = unit on the
-solution; only when that check fails is x*g = unit solved in full, and
-only a rank-deficient system then falls back to the stacked system
+the unit reaches through shared columns, built for their input tuples
+only, and check g*x = unit on the solution; only when that check fails
+is x*g = unit solved in full, and only a rank-deficient system then
+falls back to the stacked system
 g*x = unit = x*g.  The operators x -> x*g and x -> g*x are built by the
 same pipeline that evaluates a product: with a SlotLeg standing for x,
 one pass per batch of input basis tuples yields every column of the
@@ -28,6 +29,7 @@ stored R.
 from __future__ import annotations
 
 from functools import cached_property
+from math import lcm
 
 from .exactla import (
     Cap,
@@ -38,6 +40,7 @@ from .exactla import (
     Vector,
     hom_operator,
     kron,
+    linked_seeds,
     pipeline_matrix,
     solve_affine,
     two_sided_solve,
@@ -270,12 +273,12 @@ def check_monoidal_datum(d: MonoidalEntwiningDatum) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
-def _operator(d, in_dims, out_dims, side, g_op, g_first: bool) -> Rows:
-    "The rows of x -> g*x (g_first) or of x -> x*g on hom(in_dims, out_dims)."
+def _operator(d, in_dims, out_dims, side, g_op, g_first: bool, seeds=None) -> Rows:
+    "The rows of x -> g*x (g_first) or x -> x*g on hom(in_dims, out_dims), on seeds."
     def steps(f):
         return side(d, g_op, f) if g_first else side(d, f, g_op)
 
-    return hom_operator(in_dims, out_dims, in_dims, out_dims, steps)
+    return hom_operator(in_dims, out_dims, in_dims, out_dims, steps, seeds)
 
 
 def _product(d, in_dims, out_dims, side, g_op, f_op) -> Matrix:
@@ -308,23 +311,41 @@ def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     component makes the whole system inconsistent, as every other block is
     homogeneous, and a two-sided inverse would solve it.
 
-    When g*x = unit fails, x*g = unit is solved in full.  A unique solution
-    is x, so there is no inverse.  A rank-deficient one arises only on a
-    datum failing E01-E06 (in an associative algebra a left inverse is
+    Only the rows of seeds linked to the unit's are built (linked_seeds;
+    row o * n + t has seed t).  They hold every component row, by induction
+    along Rows.component's search: the unit's rows have start seeds, and a
+    row reached from a built row through a column (out, j) has a seed that
+    reads j, as the built row's seed does.  A row depends on its seed alone
+    and the others are empty, so the component, and x, are the full
+    operator's.  On kZ_n the unit holds every seed, and the pass is skipped.
+
+    g*x = unit is checked as g*(den x) = den unit, den the lcm of x's
+    denominators: the same, as the product is linear in x and den != 0,
+    but no Fraction enters the scan on integral data.
+
+    When g*x = unit fails, x*g = unit is built and solved in full.  A unique
+    solution is x, so there is no inverse.  A rank-deficient one arises only
+    on a datum failing E01-E06 (in an associative algebra a left inverse is
     two-sided and unique); there x -> g*x is built as well and the stacked
     system is solved.
     """
     rhs = {o * unit.ncols + j: v for j, col in enumerate(unit.sparse_cols()) for o, v in col}
-    right = _operator(d, in_dims, out_dims, side, g_op, False)
-    sub, sub_rhs, cols = right.component(rhs)
+    start = {r % unit.ncols for r in rhs}
+    seeds = None if len(start) == unit.ncols else linked_seeds(
+        in_dims, out_dims, lambda f: side(d, f, g_op), start)
+    sub, sub_rhs, cols = _operator(d, in_dims, out_dims, side, g_op, False, seeds).component(rhs)
     sol = solve_affine(sub, sub_rhs)
     if sol is None:
         return None
-    x = _hom_matrix({cols[k]: v for k, v in sol.particular.items()}, unit)
-    gx = (_slot(len(in_dims)), *side(d, g_op, TensorOp(x, in_dims, out_dims)))
-    one = (_slot(len(in_dims)), _ap(0, TensorOp(unit, in_dims, out_dims)))
+    entries = {cols[k]: v for k, v in sol.particular.items()}
+    x = _hom_matrix(entries, unit)
+    den = lcm(*(v.denominator for v in entries.values()))
+    dx, dunit = (x, unit) if den == 1 else (x.scale(den), unit.scale(den))
+    gx = (_slot(len(in_dims)), *side(d, g_op, TensorOp(dx, in_dims, out_dims)))
+    one = (_slot(len(in_dims)), _ap(0, TensorOp(dunit, in_dims, out_dims)))
     if compare_item("g*x = 1", in_dims, (*out_dims, 1), gx, one).passed:
         return x
+    right = _operator(d, in_dims, out_dims, side, g_op, False)
     if not solve_affine(right, rhs).dimension:  # consistent, as its component is
         return None
     left = _operator(d, in_dims, out_dims, side, g_op, True)

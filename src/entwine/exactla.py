@@ -872,7 +872,7 @@ def pipeline_matrix(in_dims, out_dims, steps) -> Matrix:
     return TensorOp(None, in_dims, out_dims, steps).matrix
 
 
-def hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> Rows:
+def hom_operator(in_dims, out_dims, seed_dims, key_dims, side, seeds=None) -> Rows:
     """The Rows of the operator f -> side(f), for f: ``in_dims`` -> ``out_dims``.
 
     ``side(f_op)`` gives the steps of side(f), with ``f_op`` standing for
@@ -883,21 +883,57 @@ def hom_operator(in_dims, out_dims, seed_dims, key_dims, side) -> Rows:
     column ``out * prod(in_dims) + in`` those of f's matrix unit ``out <-
     in``.  With a SlotLeg as f one pass yields every column at once.  Each
     coefficient is written once, as it leaves the kernel: an int where
-    integral, else a Fraction.  For a side from hom(in_dims, out_dims) to
-    itself, seed and key dims are f's own.
+    integral, else a Fraction.  Only the rows of ``seeds`` (ascending flat
+    indices, all by default) are built, the others stay empty.  For a side
+    from hom(in_dims, out_dims) to itself, seed and key dims are f's own.
     """
     slot = SlotLeg(in_dims, out_dims)
     n_seed, n_hom = prod(seed_dims), slot.out_dims[-1]
     end_dims = (*key_dims, n_hom)
     steps = side(slot)
     rows = Rows([{} for _ in range(prod(key_dims) * n_seed)], n_hom)
-    for batch in basis_batches(seed_dims):
+    seeds = range(n_seed) if seeds is None else seeds
+    for start in range(0, len(seeds), BATCH_CAP):
+        batch = seeds[start:start + BATCH_CAP]
         state = run_batch((*seed_dims, 1), batch, steps)
         if state.dims[:-1] != end_dims:
             raise ValueError(f"side ends on legs {state.dims[:-1]}, not {end_dims}")
-        b, start = len(batch), batch.start
+        b = len(batch)
         for key, x in state.items():
             rest = key // b
-            rows[rest // n_hom * n_seed + start + key % b][rest % n_hom] = (
+            rows[rest // n_hom * n_seed + batch[key % b]][rest % n_hom] = (
                 x.numerator if x.denominator == 1 else x)
     return rows
+
+
+def linked_seeds(in_dims, out_dims, side, start) -> list[int]:
+    """The seeds of hom_operator(in_dims, out_dims, in_dims, _, side) linked
+    to ``start``, ascending; two seeds are linked when the unknown f reads a
+    common input index j on both.  Each batch runs with an f that has no
+    images, up to f's step, where the slot leg grows (a slot leg of 1 never
+    does, but then there is one seed), and j is read there: after f a term
+    may cancel and hide it.
+    """
+    slot = SlotLeg(in_dims, out_dims)
+    steps = side(KernelOp(slot.in_dims, slot.out_dims, dict.fromkeys(range(slot.n_in), ())))
+    reads = [set() for _ in range(slot.n_in)]
+    readers: dict[int, set[int]] = {}
+    for batch in basis_batches(in_dims):
+        state = run_batch(slot.in_dims, batch, ())
+        for step in steps:
+            after = step(state)
+            if after.dims[-2] != 1:
+                break
+            state = after
+        b = len(batch)
+        for key in state:
+            t, j = batch.start + key % b, key // b % slot.n_in
+            reads[t].add(j)
+            readers.setdefault(j, set()).add(t)
+    reached, todo = set(start), list(start)
+    while todo:
+        for j in reads[todo.pop()]:
+            new = readers.pop(j, set()) - reached
+            reached |= new
+            todo += new
+    return sorted(reached)

@@ -185,11 +185,18 @@ def per_tuple_pipeline_matrix(in_dims, out_dims, steps):
                                          lambda t: oracle_pipeline(in_dims, t, *steps))
 
 
-def per_tuple_hom_operator(in_dims, out_dims, seed_dims, key_dims, side):
-    "The rows of the oracle's Matrix, integral entries as ints: hom_operator's form."
-    return Rows.of(oracle_hom_operator(in_dims, out_dims, seed_dims, key_dims,
+def per_tuple_hom_operator(in_dims, out_dims, seed_dims, key_dims, side, seeds=None):
+    """The rows of the oracle's Matrix, integral entries as ints: hom_operator's
+    form, with the rows of the seeds outside ``seeds`` emptied."""
+    rows = Rows.of(oracle_hom_operator(in_dims, out_dims, seed_dims, key_dims,
                                        lambda f, t: oracle_pipeline((*seed_dims, 1), t + (0,),
                                                                     *side(f))))
+    if seeds is not None:
+        n_seed, seeds = prod(seed_dims), set(seeds)
+        for r, row in enumerate(rows):
+            if r % n_seed not in seeds:
+                row.clear()
+    return rows
 
 
 _BATCHED = {compare_item: per_tuple_compare_item,
@@ -511,7 +518,8 @@ def test_random_scans_match_per_tuple_scan(dims, seed, failing):
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_hom_operator_over_several_batches(n):
-    # f -> a.f and f -> f.b on hom(n, 2), seeded on n tuples: one batch or several
+    # f -> a.f and f -> f.b on hom(n, 2), seeded on n tuples or on some of
+    # them: one batch or several
     rng = random.Random(n)
     a = TensorOp(Matrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]), (2,), (2,))
     b = TensorOp(Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]), (n,), (n,))
@@ -521,9 +529,10 @@ def test_hom_operator_over_several_batches(n):
     h_inv = TensorOp(Matrix([[2, 0], [0, Fraction(1, 2)]]), (2,), (2,))
     sides = (lambda f: (_ap(0, f), _ap(0, a)), lambda f: (_ap(0, b), _ap(0, f)),
              lambda f: (_ap(0, f), _ap(0, h), _ap(0, h_inv), _ap(0, a)))
-    for side in sides:
-        got = hom_operator((n,), (2,), (n,), (2,), side)
-        want = per_tuple_hom_operator((n,), (2,), (n,), (2,), side)
+    # every seed, or every other one (65 of them, past one batch, at n = 130)
+    for side, seeds in itertools.product(sides, (None, list(range(0, n, 2)))):
+        got = hom_operator((n,), (2,), (n,), (2,), side, seeds)
+        want = per_tuple_hom_operator((n,), (2,), (n,), (2,), side, seeds)
         assert got == want and (got.nrows, got.ncols) == (want.nrows, want.ncols)
         assert [sorted((c, type(x)) for c, x in row.items()) for row in got] == \
             [sorted((c, type(x)) for c, x in row.items()) for row in want]

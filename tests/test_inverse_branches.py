@@ -7,8 +7,10 @@ The oracle is the stacked solve two_sided_solve(*conv2_operators(d, g2),
 unit): inverses and None-ness must agree with it on the corpus R-maps, on
 one-entry phi mutants (which break associativity, so every branch occurs)
 and on seeded dense R-maps.  hom_operator, solve_affine and the g*x = 1
-scan are counted around each inverse: one operator, except two on the
-rank-deficient fallback; one solve, except two whenever g*x = 1 fails.
+scan are counted around each inverse: one operator on the seeds the unit
+reaches, one more (x -> x*g in full) whenever g*x = 1 fails and a third
+(x -> g*x) on the rank-deficient fallback; one solve, except two whenever
+g*x = 1 fails.
 """
 
 import functools
@@ -102,7 +104,8 @@ def inverse(seen):
             assert rows == conv2_unit(d).nrows * conv2_unit(d).ncols
             branch = DEFICIENT if full.dimension else NOT_TWO_SIDED
             assert got is None or branch == DEFICIENT
-        assert seen["operators"] == (2 if branch == DEFICIENT else 1), branch
+        # the seed-restricted x*g; the full x*g after a failed g*x = 1; x -> g*x
+        assert seen["operators"] == {NOT_TWO_SIDED: 2, DEFICIENT: 3}.get(branch, 1), branch
         return got, branch
 
     return run
