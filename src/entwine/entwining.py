@@ -12,12 +12,11 @@ Convolution inverses (E10b here, P5/R5 in the pivotal layer, RE4/CB4 in
 hopfcore on a datum with one trivial side) solve x*g = unit on the rows
 the unit reaches through shared columns, built for their input tuples
 only, and check g*x = unit on the solution; only when that check fails
-is x*g = unit solved in full, and only a rank-deficient system then
-falls back to the stacked system
-g*x = unit = x*g.  The operators x -> x*g and x -> g*x are built by the
-same pipeline that evaluates a product: with a SlotLeg standing for x,
-one pass per batch of input basis tuples yields every column of the
-operator at once, keyed by the slot leg.  One builder,
+is the stacked system g*x = unit = x*g solved, again on the rows its
+right-hand side reaches.  The operators x -> x*g and x -> g*x are built
+by the same pipeline that evaluates a product: with a SlotLeg standing
+for x, one pass per batch of input basis tuples yields every column of
+the operator at once, keyed by the slot leg.  One builder,
 invertibility_item, turns each inverse into its axiom item.
 
 The second decorated copy of the entwining map appearing in several
@@ -43,7 +42,6 @@ from .exactla import (
     linked_seeds,
     pipeline_matrix,
     solve_affine,
-    two_sided_solve,
 )
 from .report import AxiomItem, AxiomReport, Witness, compare_item, _ap, _pm, _slot
 
@@ -294,20 +292,28 @@ def _hom_matrix(entries: dict, like: Matrix) -> Matrix:
     return Matrix(shape=(like.nrows, like.ncols), cols=cols)
 
 
+def _solve(rows: Rows, rhs: dict) -> dict | None:
+    """The particular solution of rows.x = rhs, solved on rows.component(rhs),
+    by its nonzero entries on the old columns; None when inconsistent."""
+    sub, sub_rhs, cols = rows.component(rhs)
+    sol = solve_affine(sub, sub_rhs)
+    return None if sol is None else {cols[k]: v for k, v in sol.particular.items()}
+
+
 def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     """The x with g*x = unit = x*g, or None if there is none.
 
     x*g = unit is solved on the rows the unit reaches (Rows.component), and
     its solution x is returned when one scan finds g*x = unit.  That x is
-    what the stacked system g*x = unit = x*g solves to (two_sided_solve).
-    Rows outside the component share no column with it, so the system is
-    block-diagonal, and the other blocks have a zero right-hand side, so
-    their part of the particular solution (free variables 0) is 0.  A pivot
-    column is one outside the span of the earlier columns, decided within
-    its block, so x extended by zeros is the whole system's particular
-    solution.  Stacking the rows of x -> g*x only turns free columns into
-    pivot columns, and x is zero on every free column and solves both
-    systems, so it is the stacked particular solution too.  An inconsistent
+    what the stacked system g*x = unit = x*g solves to.  Rows outside the
+    component share no column with it, so the system is block-diagonal,
+    and the other blocks have a zero right-hand side, so their part of the
+    particular solution (free variables 0) is 0.  A pivot column is one
+    outside the span of the earlier columns, decided within its block, so
+    x extended by zeros is the whole system's particular solution.
+    Stacking the rows of x -> g*x only turns free columns into pivot
+    columns, and x is zero on every free column and solves both systems,
+    so it is the stacked particular solution too.  An inconsistent
     component makes the whole system inconsistent, as every other block is
     homogeneous, and a two-sided inverse would solve it.
 
@@ -323,21 +329,23 @@ def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     denominators: the same, as the product is linear in x and den != 0,
     but no Fraction enters the scan on integral data.
 
-    When g*x = unit fails, x*g = unit is built and solved in full.  A unique
-    solution is x, so there is no inverse.  A rank-deficient one arises only
-    on a datum failing E01-E06 (in an associative algebra a left inverse is
-    two-sided and unique); there x -> g*x is built as well and the stacked
-    system is solved.
+    When g*x = unit fails, the rows of x -> g*x stacked on those of the
+    full x -> x*g are solved, the unit on both halves, on the component of
+    that right-hand side (_solve, as for x*g = unit): the block argument
+    above holds for any rows, so this is the stacked particular solution.
+    On kZ_n the first x -> x*g is already full, and it is reused.  Where
+    x*g = unit has one solution, it is the x that failed, and the stacked
+    system has none; several arise only on a datum failing E01-E06, as in
+    an associative algebra a left inverse is two-sided and unique.
     """
     rhs = {o * unit.ncols + j: v for j, col in enumerate(unit.sparse_cols()) for o, v in col}
     start = {r % unit.ncols for r in rhs}
     seeds = None if len(start) == unit.ncols else linked_seeds(
         in_dims, out_dims, lambda f: side(d, f, g_op), start)
-    sub, sub_rhs, cols = _operator(d, in_dims, out_dims, side, g_op, False, seeds).component(rhs)
-    sol = solve_affine(sub, sub_rhs)
-    if sol is None:
+    right = _operator(d, in_dims, out_dims, side, g_op, False, seeds)
+    entries = _solve(right, rhs)
+    if entries is None:
         return None
-    entries = {cols[k]: v for k, v in sol.particular.items()}
     x = _hom_matrix(entries, unit)
     den = lcm(*(v.denominator for v in entries.values()))
     dx, dunit = (x, unit) if den == 1 else (x.scale(den), unit.scale(den))
@@ -345,12 +353,12 @@ def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     one = (_slot(len(in_dims)), _ap(0, TensorOp(dunit, in_dims, out_dims)))
     if compare_item("g*x = 1", in_dims, (*out_dims, 1), gx, one).passed:
         return x
-    right = _operator(d, in_dims, out_dims, side, g_op, False)
-    if not solve_affine(right, rhs).dimension:  # consistent, as its component is
-        return None
+    if seeds is not None:
+        right = _operator(d, in_dims, out_dims, side, g_op, False)
     left = _operator(d, in_dims, out_dims, side, g_op, True)
-    x = two_sided_solve(left, right, rhs)
-    return None if x is None else _hom_matrix(x, unit)
+    entries = _solve(Rows(left + right, left.ncols),
+                     {**rhs, **{i + left.nrows: v for i, v in rhs.items()}})
+    return None if entries is None else _hom_matrix(entries, unit)
 
 
 def conv_unit(d: MonoidalEntwiningDatum) -> HomCA:
@@ -381,8 +389,9 @@ def conv_inverse(g: HomCA) -> HomCA | None:
 
     Solves x*g = unit on the rows the unit reaches and checks g*x = unit
     on its solution (see _inverse): a two-sided inverse solves x*g = unit,
-    so an inconsistent system means there is none.  Equal to the solution
-    of the stacked system g*x = unit = x*g in every case.
+    so an inconsistent system means there is none.  When the check fails,
+    the stacked system g*x = unit = x*g is solved on the rows the unit
+    reaches in it.  Equal to the stacked system's solution in every case.
     """
     d = g.datum
     inv = _inverse(d, (d.c_dim,), (d.a_dim,), _conv_side, g.op, conv_unit(d).map)
@@ -436,7 +445,9 @@ def conv2_product(d: MonoidalEntwiningDatum, g2: Matrix, f2: Matrix) -> Matrix:
 
 
 def conv2_inverse(d: MonoidalEntwiningDatum, g2: Matrix) -> Matrix | None:
-    "Two-sided inverse in hom(C (x) C, A (x) A), or None; solved as in conv_inverse."
+    """Two-sided inverse in hom(C (x) C, A (x) A), or None: x*g2 = unit on
+    the unit's component, checked by g2*x = unit, and the stacked system's
+    component only when that check fails, as in conv_inverse."""
     nc, na = d.c_dim, d.a_dim
     return _inverse(d, (nc, nc), (na, na), _conv2_side, _conv2_op(d, g2), conv2_unit(d))
 

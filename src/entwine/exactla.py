@@ -373,21 +373,27 @@ class Rows(list):
         when they share a column: their Rows, ``rhs`` on them and the old
         column of each new one.  Rows and columns keep their order, so the
         subsystem eliminates with the same pivots as in the whole."""
-        holders: dict[int, list[int]] = {}
-        for r, row in enumerate(self):
-            for c in row:
-                holders.setdefault(c, []).append(r)
-        reached = {r for r, x in rhs.items() if x}
-        cols, todo = set(), list(reached)
-        while todo:
-            for c in self[todo.pop()].keys() - cols:
-                cols.add(c)
-                todo.extend(r for r in holders[c] if r not in reached)
-                reached.update(holders[c])
-        rows, cols = sorted(reached), sorted(cols)
+        rows = sorted(_linked(self, [r for r, x in rhs.items() if x]))
+        cols = sorted({c for r in rows for c in self[r]})
         new = {c: k for k, c in enumerate(cols)}
         sub = Rows([{new[c]: x for c, x in self[r].items()} for r in rows], len(cols))
         return sub, {k: rhs[r] for k, r in enumerate(rows) if r in rhs}, cols
+
+
+def _linked(keys, start) -> set[int]:
+    """The indices linked to ``start``: i and i' are linked when ``keys[i]``
+    and ``keys[i']`` share a key, and through chains of such links."""
+    holders: dict = {}
+    for i, ks in enumerate(keys):
+        for k in ks:
+            holders.setdefault(k, []).append(i)
+    reached, todo = set(start), list(start)
+    while todo:
+        for k in keys[todo.pop()]:
+            new = [i for i in holders.pop(k, ()) if i not in reached]
+            reached.update(new)
+            todo += new
+    return reached
 
 
 def _eliminate(rows: list[dict[int, int | Fraction]], ncols: int):
@@ -489,28 +495,6 @@ def solve_affine(a: Matrix | Rows, b: Vector | dict) -> AffineSolution | None:
             entries[f] = ONE
             null_basis.append(vector(entries))
     return AffineSolution(vector(_read_off(rows, pivots, n)), tuple(null_basis))
-
-
-def two_sided_solve(left: Rows, right: Rows, rhs: dict) -> dict | None:
-    """The x with left.x = rhs = right.x, or None when there is none.
-
-    ``rhs`` and x are given by their nonzero entries {index: value}.  The
-    rows are stacked, left first, and handed to solve_affine, whose
-    particular solution is returned.  For the operators x -> g*x and
-    x -> x*g of an associative algebra and rhs its unit, x is the two-sided
-    inverse of g, which is unique when it exists.  Convolution inverses
-    solve right.x = rhs alone, on the rows rhs reaches (Rows.component),
-    and call this only when that solution fails left.x = rhs and
-    right.x = rhs is consistent and rank-deficient, which needs a
-    non-associative product: a unique solution of one side is the
-    two-sided inverse or there is none, and the stacked system has no more
-    solutions than either side.
-    """
-    if left.ncols != right.ncols:
-        raise ValueError("stacked blocks must have the same number of columns")
-    both = {**rhs, **{i + left.nrows: x for i, x in rhs.items()}}
-    sol = solve_affine(Rows(left + right, left.ncols), both)
-    return None if sol is None else sol.particular
 
 
 def invert(a: Matrix) -> Matrix:
@@ -917,7 +901,6 @@ def linked_seeds(in_dims, out_dims, side, start) -> list[int]:
     slot = SlotLeg(in_dims, out_dims)
     steps = side(KernelOp(slot.in_dims, slot.out_dims, dict.fromkeys(range(slot.n_in), ())))
     reads = [set() for _ in range(slot.n_in)]
-    readers: dict[int, set[int]] = {}
     for batch in basis_batches(in_dims):
         state = run_batch(slot.in_dims, batch, ())
         for step in steps:
@@ -927,13 +910,5 @@ def linked_seeds(in_dims, out_dims, side, start) -> list[int]:
             state = after
         b = len(batch)
         for key in state:
-            t, j = batch.start + key % b, key // b % slot.n_in
-            reads[t].add(j)
-            readers.setdefault(j, set()).add(t)
-    reached, todo = set(start), list(start)
-    while todo:
-        for j in reads[todo.pop()]:
-            new = readers.pop(j, set()) - reached
-            reached |= new
-            todo += new
-    return sorted(reached)
+            reads[batch.start + key % b].add(key // b % slot.n_in)
+    return sorted(_linked(reads, start))

@@ -3,12 +3,22 @@
 ``pipeline`` evaluates one basis tuple through kernel steps, the form most
 hand-derived sides are written in.  ``check_module_over_algebra`` checks a
 transported module against a plain algebra, and ``stage1_residual``
-evaluates the finder's linear laws at a concrete map.  The corpus maps
-name the datums the cross-cutting property tests run over.
+evaluates the finder's linear laws at a concrete map.  ``two_sided_solve``
+solves the stacked system left.x = rhs = right.x in full, the reference the
+convolution inverses' component solves are compared against.  The corpus
+maps name the datums the cross-cutting property tests run over.
 """
 
 from entwine.corpus import corpus_build
-from entwine.exactla import TensorOp, Vector, flatten_index, run_batch, unflatten_index
+from entwine.exactla import (
+    Rows,
+    TensorOp,
+    Vector,
+    flatten_index,
+    run_batch,
+    solve_affine,
+    unflatten_index,
+)
 from entwine.pivribbon import _linear_system
 from entwine.report import AxiomReport, _ap, compare_item
 
@@ -20,6 +30,24 @@ def pipeline(dims, idx, *steps) -> dict:
     state = run_batch(dims, (flatten_index(dims, idx),), steps)
     out_dims = state.dims[:-1]
     return {unflatten_index(out_dims, key): c for key, c in state.items()}
+
+
+def two_sided_solve(left: Rows, right: Rows, rhs: dict) -> dict | None:
+    """The x with left.x = rhs = right.x, or None when there is none.
+
+    ``rhs`` and x are given by their nonzero entries {index: value}.  The
+    rows are stacked, left first, and handed to solve_affine, whose
+    particular solution is returned.  For the operators x -> g*x and
+    x -> x*g of an associative algebra and rhs its unit, x is the two-sided
+    inverse of g, which is unique when it exists.  Convolution inverses
+    (entwining._inverse) solve only the rows their right-hand side
+    reaches, and must return this particular solution.
+    """
+    if left.ncols != right.ncols:
+        raise ValueError("stacked blocks must have the same number of columns")
+    both = {**rhs, **{i + left.nrows: x for i, x in rhs.items()}}
+    sol = solve_affine(Rows(left + right, left.ncols), both)
+    return None if sol is None else sol.particular
 
 
 def check_module_over_algebra(alg, dim: int, action) -> AxiomReport:

@@ -16,7 +16,7 @@ import pytest
 
 from entwine import corpus
 from entwine.entwining import HomCA, conv_inverse
-from entwine.exactla import Matrix, Rows, Vector, matrix_from_columns_fn, two_sided_solve
+from entwine.exactla import Matrix, Rows, Vector, matrix_from_columns_fn
 from entwine.hopfcore import (
     BilinearForm,
     Element,
@@ -31,7 +31,7 @@ from entwine.hopfcore import (
 )
 from entwine.report import AxiomItem, Witness, _ap
 
-from oracles import pipeline
+from oracles import pipeline, two_sided_solve
 
 
 # -- oracles (the operator builds the degenerate datum replaced) ---------------

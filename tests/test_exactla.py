@@ -25,9 +25,10 @@ from entwine.exactla import (
     rat_from_str,
     rat_to_str,
     solve_affine,
-    two_sided_solve,
 )
 from entwine.report import _ap
+
+from oracles import two_sided_solve
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=6
@@ -251,6 +252,43 @@ def test_solve_affine_on_rows_matches_the_matrix_solve():
         assert solve_affine(rows, b) == want
     assert solve_affine(rows, {1: 1}) is None
     assert rows == Rows.of(a)
+
+
+@st.composite
+def sparse_systems(draw):
+    "Sparse Rows with small int entries, and a right-hand side {row: value} that may hold zeros."
+    ncols = draw(st.integers(1, 8))
+    entry = st.integers(-3, 3).filter(bool)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=3),
+                         max_size=10))
+    rhs = draw(st.dictionaries(st.integers(0, len(rows) - 1), st.integers(-2, 2), max_size=4)
+               if rows else st.just({}))
+    return Rows(rows, ncols), rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_systems())
+def test_component_is_the_fixpoint_of_shared_columns(system):
+    rows, rhs = system
+    # add every row sharing a column with a reached row until nothing changes
+    reached = {r for r, x in rhs.items() if x}
+    while True:
+        cols = {c for r in reached for c in rows[r]}
+        more = reached | {r for r, row in enumerate(rows) if cols & row.keys()}
+        if more == reached:
+            break
+        reached = more
+    want = sorted(reached)
+    sub, sub_rhs, old_cols = rows.component(rhs)
+    assert old_cols == sorted({c for r in want for c in rows[r]})
+    assert sub.ncols == len(old_cols)
+    assert [{old_cols[c]: x for c, x in row.items()} for row in sub] == [rows[r] for r in want]
+    assert sub_rhs == {k: rhs[r] for k, r in enumerate(want) if r in rhs}
+    # the system is block-diagonal: the component's particular solution is the whole one's
+    whole, part = solve_affine(rows, rhs), solve_affine(sub, sub_rhs)
+    assert (whole is None) == (part is None)
+    if whole is not None:
+        assert {old_cols[c]: x for c, x in part.particular.items()} == whole.particular
 
 
 # ---------------------------------------------------------------------------

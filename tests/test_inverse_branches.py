@@ -1,16 +1,18 @@
 """The convolution inverse solves x*g = unit on the rows the unit reaches
-through shared columns, checks g*x = unit on that solution, and solves
-x*g = unit in full only when the check fails; a rank-deficient full system
-then falls back to the stacked system.
+through shared columns, checks g*x = unit on that solution, and only when
+the check fails solves the stacked system g*x = unit = x*g, again on the
+rows its right-hand side reaches.
 
 The oracle is the stacked solve two_sided_solve(*conv2_operators(d, g2),
-unit): inverses and None-ness must agree with it on the corpus R-maps, on
-one-entry phi mutants (which break associativity, so every branch occurs)
-and on seeded dense R-maps.  hom_operator, solve_affine and the g*x = 1
-scan are counted around each inverse: one operator on the seeds the unit
-reaches, one more (x -> x*g in full) whenever g*x = 1 fails and a third
-(x -> g*x) on the rank-deficient fallback; one solve, except two whenever
-g*x = 1 fails.
+unit) over the whole hom space: inverses and None-ness must agree with it
+on the corpus R-maps, on one-entry phi mutants (which break associativity,
+so every branch occurs) and on seeded dense R-maps.  hom_operator,
+solve_affine and the g*x = 1 scan are counted around each inverse: one
+operator, on the seeds the unit reaches, and one solve, except that a
+failed g*x = 1 builds x -> g*x and, unless the first build was already
+over every seed (kZ_n), the full x -> x*g, and solves once more.  On
+yd_dqg_h4's mutants that solve is pinned to a few rows of the stacked
+system.
 """
 
 import functools
@@ -29,14 +31,15 @@ from entwine.entwining import (
     conv2_product,
     conv2_unit,
 )
-from entwine.exactla import Matrix, two_sided_solve
+from entwine.exactla import Matrix
 
-# the component solve
+from oracles import two_sided_solve
+
+# the component solve of x*g = 1
 INCONSISTENT = "inconsistent"
 TWO_SIDED = "component, g*x = 1"
-# the full solve of x*g = 1 that follows a failed g*x = 1
-NOT_TWO_SIDED = "unique, g*x != 1"
-DEFICIENT = "rank-deficient"
+# the component solve of the stacked system that follows a failed g*x = 1
+STACKED = "stacked"
 
 
 def conv2_operators(d, g2):
@@ -57,17 +60,19 @@ def stacked_oracle(d, g2):
 
 @pytest.fixture
 def seen(monkeypatch):
-    "What conv2_inverse built, solved and scanned: operators, (rows, solution) and verdicts."
-    seen = {"operators": 0, "solves": [], "checks": []}
+    """What conv2_inverse built, solved and scanned: the seeds of each
+    operator (None: all), each solve's (rows, cols) and solution, and the
+    g*x = 1 verdicts."""
+    seen = {"operators": [], "solves": [], "checks": []}
     build, solve, compare = ent.hom_operator, ent.solve_affine, ent.compare_item
 
-    def hom_operator(*args):
-        seen["operators"] += 1
-        return build(*args)
+    def hom_operator(in_dims, out_dims, seed_dims, key_dims, side, seeds=None):
+        seen["operators"].append(None if seeds is None else len(seeds))
+        return build(in_dims, out_dims, seed_dims, key_dims, side, seeds)
 
     def solve_affine(a, b):
         sol = solve(a, b)
-        seen["solves"].append((a.nrows, sol))
+        seen["solves"].append(((a.nrows, a.ncols), sol))
         return sol
 
     def compare_item(*args):
@@ -86,9 +91,8 @@ def inverse(seen):
     """conv2_inverse with the branch it took; asserts the operator and
     solve counts of that branch."""
     def run(d, g2):
-        seen["operators"] = 0
-        seen["solves"].clear()
-        seen["checks"].clear()
+        for record in seen.values():
+            record.clear()
         got = conv2_inverse(d, g2)
         (_, first), *rest = seen["solves"]
         if first is None:
@@ -99,13 +103,15 @@ def inverse(seen):
             assert rest == [] and got is not None
         else:
             assert seen["checks"] == [False]
-            # the fallback solves the whole of x*g = 1
-            ((rows, full),) = rest
-            assert rows == conv2_unit(d).nrows * conv2_unit(d).ncols
-            branch = DEFICIENT if full.dimension else NOT_TWO_SIDED
-            assert got is None or branch == DEFICIENT
-        # the seed-restricted x*g; the full x*g after a failed g*x = 1; x -> g*x
-        assert seen["operators"] == {NOT_TWO_SIDED: 2, DEFICIENT: 3}.get(branch, 1), branch
+            (_, stacked), = rest
+            branch = STACKED
+            assert (got is None) == (stacked is None)
+        # the x*g the unit reaches; after a failed g*x = 1, the full x*g
+        # unless the first build was already over every seed, and x -> g*x:
+        # 2 operators on a fallback over kZ_n, 3 on the others
+        first_build, *fallback = seen["operators"]
+        assert fallback == ([] if branch != STACKED else
+                            [None, None] if first_build is not None else [None]), branch
         return got, branch
 
     return run
@@ -143,8 +149,8 @@ def test_corpus_rmaps_match_stacked_oracle(inverse, dqgs, yd_h4):
 
 # branch counts over the 32 one-entry +-1 mutants of each 4 x 4 phi
 @pytest.mark.parametrize("name, counts", [
-    ("yd_dqg_kz2", {TWO_SIDED: 15, NOT_TWO_SIDED: 8, INCONSISTENT: 9}),
-    ("long_dqg_kz2", {NOT_TWO_SIDED: 20, INCONSISTENT: 12}),
+    ("yd_dqg_kz2", {TWO_SIDED: 15, STACKED: 8, INCONSISTENT: 9}),
+    ("long_dqg_kz2", {STACKED: 20, INCONSISTENT: 12}),
 ])
 def test_phi_mutants_match_stacked_oracle(inverse, dqgs, name, counts):
     q = dqgs[name]
@@ -159,21 +165,28 @@ def test_phi_mutants_match_stacked_oracle(inverse, dqgs, name, counts):
     assert branches == counts
 
 
-# of the 512 one-entry +-1 mutants of yd_dqg_h4's phi, (6, 8, -1) alone
-# reaches the rank-deficient fallback; (3, 12, -1) and two others have a
-# rank-deficient x*g = 1 whose component solution is two-sided
+# one-entry +-1 mutants of yd_dqg_h4's phi: with (0, 2, +1) x*g = 1 has one
+# solution and with (6, 8, -1) many, and neither is two-sided; the stacked
+# component is then a few rows of the 512 x 256 stacked system.  (3, 12, -1)
+# and two others have a rank-deficient x*g = 1 whose component solution is
+# two-sided.  The (rows, cols) of each one's last solve:
+H4_LAST_SOLVE = {(0, 2, 1): (72, 36), (6, 8, -1): (32, 16), (3, 12, -1): (16, 16),
+                 (0, 0, -1): (7, 4)}
+
+
 @pytest.mark.parametrize("i, j, delta, want_branch, invertible", [
-    (0, 2, 1, NOT_TWO_SIDED, False),
-    (6, 8, -1, DEFICIENT, False),
+    (0, 2, 1, STACKED, False),
+    (6, 8, -1, STACKED, False),
     (3, 12, -1, TWO_SIDED, True),
     (0, 0, -1, INCONSISTENT, False),
 ])
-def test_h4_phi_mutant_takes_each_branch(inverse, yd_dqg_h4, i, j, delta, want_branch,
+def test_h4_phi_mutant_takes_each_branch(inverse, seen, yd_dqg_h4, i, j, delta, want_branch,
                                          invertible):
     d = phi_mutant(yd_dqg_h4, i, j, delta)
     got, branch = inverse(d, yd_dqg_h4.rmap)
     assert branch == want_branch
     assert (got is not None) == invertible
+    assert seen["solves"][-1][0] == H4_LAST_SOLVE[i, j, delta]
     assert got == stacked_oracle(d, yd_dqg_h4.rmap)
 
 
@@ -195,16 +208,16 @@ def test_solver_sees_only_the_unit_component_on_kz(seen, n, hom_rows, solved_row
     q = corpus.yd_dqg(corpus.cyclic_group_algebra(n))
     assert conv2_unit(q.datum).nrows * conv2_unit(q.datum).ncols == hom_rows
     assert q.rmap_conv_inverse is not None
-    assert [rows for rows, _ in seen["solves"]] == [solved_rows]
+    assert [rows for (rows, _), _ in seen["solves"]] == [solved_rows]
 
 
 def test_solver_sees_only_the_unit_component_on_h4(seen, yd_dqg_h4, yd_h4):
     assert conv2_inverse(yd_dqg_h4.datum, yd_dqg_h4.rmap) is not None
-    assert [rows for rows, _ in seen["solves"]] == [16]
+    assert [rows for (rows, _), _ in seen["solves"]] == [16]
     # R = 0 reaches no column: only the unit's 4 rows, and no solution
     seen["solves"].clear()
     assert conv2_inverse(yd_h4, Matrix.zero(16, 16)) is None
-    assert seen["solves"] == [(4, None)]
+    assert seen["solves"] == [((4, 0), None)]
 
 
 def test_every_inverse_is_two_sided(dqgs):
