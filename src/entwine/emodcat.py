@@ -17,6 +17,9 @@ pipeline (TensorOp steps, with Cup and Cap for the dual-basis legs).  A
 module's action and coaction and a morphism's map are each one TensorOp,
 made a Matrix only when ``action``, ``coaction`` or ``map`` is read.  Every
 axiom scan, snakes and naturality included, goes through compare_item.
+ModuleMorphism and check_duality share the two morphism squares; D3/D4 read
+the tensor products ev and coev go between as steps over the factor
+modules' ops, inside the scans, and build no tensor module.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .exactla import (
     pipeline_matrix,
 )
 from .entwining import DoubleQuantumGroup, MonoidalEntwiningDatum, datums_compatible
-from .report import AxiomItem, AxiomReport, compare_item, _ap, _pm
+from .report import AxiomItem, AxiomReport, compare_item, _ap, _pm, _rs
 
 
 class EntwinedModule:
@@ -154,29 +157,36 @@ class ModuleMorphism:
                              "map must be target.dim x source.dim")
         self.source = source
         self.target = target
-        d, f_op = source.datum, self.op
-        linear = compare_item(
-            "A_linear",
-            (source.dim, d.a_dim),
-            (target.dim,),
-            (_ap(0, source.action_op), _ap(0, f_op)),
-            (_ap(0, f_op), _ap(0, target.action_op)),
-        )
-        if not linear.passed:
-            raise NotAMorphismError("module-linear", linear)
-        colinear = compare_item(
-            "C_colinear",
-            (source.dim,),
-            (target.dim, d.c_dim),
-            (_ap(0, f_op), _ap(0, target.coaction_op)),
-            (_ap(0, source.coaction_op), _ap(0, f_op)),
-        )
-        if not colinear.passed:
-            raise NotAMorphismError("comodule-colinear", colinear)
+        failed = _failed_square(source.datum, (source.dim, target.dim), (_ap(0, self.op),),
+                                _structure_steps(source), _structure_steps(target))
+        if failed is not None:
+            raise failed
 
     @property
     def map(self) -> Matrix:
         return self.op.matrix
+
+
+def _structure_steps(m: EntwinedModule):
+    "m's action and coaction, each as the one step that applies its op at leg 0."
+    return (_ap(0, m.action_op),), (_ap(0, m.coaction_op),)
+
+
+def _failed_square(d: MonoidalEntwiningDatum, dims, f, source,
+                   target) -> NotAMorphismError | None:
+    """The first of the two squares of a linear map f that fails, A_linear and
+    then C_colinear, as a NotAMorphismError; None when both commute.  dims
+    are the source's and target's dimensions; f and each (action, coaction)
+    pair of source and target are kernel steps on the modules' own legs."""
+    (src, tgt), (src_act, src_coact), (tgt_act, tgt_coact) = dims, source, target
+    linear = compare_item("A_linear", (src, d.a_dim), (tgt,), (*src_act, *f), (*f, *tgt_act))
+    if not linear.passed:
+        return NotAMorphismError("module-linear", linear)
+    colinear = compare_item("C_colinear", (src,), (tgt, d.c_dim),
+                            (*f, *tgt_coact), (*src_coact, *f))
+    if not colinear.passed:
+        return NotAMorphismError("comodule-colinear", colinear)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -231,33 +241,29 @@ def tensor_unit(d: MonoidalEntwiningDatum) -> EntwinedModule:
     return EntwinedModule(d, 1, d.a.counit, Matrix.from_flat(d.c.unit, 1), ("1",))
 
 
-def tensor_modules(m: EntwinedModule, n: EntwinedModule) -> EntwinedModule:
-    "Tensor product through the comultiplications; needs a monoidal datum."
+def _tensor_steps(m: EntwinedModule, n: EntwinedModule):
+    """The action and coaction of m (x) n as kernel steps on the split legs
+    (m.dim, n.dim); ValueError when m and n live over different datums."""
     if not datums_compatible(m.datum, n.datum):
         raise ValueError("modules live over different datums")
     d = m.datum
-    action = _action_op(
-        (m.dim, n.dim),
-        d.a_dim,
-        (
-            _ap(2, d.a.comul_op),
-            _pm((0, 2, 1, 3)),
-            _ap(0, m.action_op),
-            _ap(1, n.action_op),
-        ),
-    )
-    coaction = _coaction_op(
-        (m.dim, n.dim),
-        d.c_dim,
-        (
-            _ap(0, m.coaction_op),
-            _ap(2, n.coaction_op),
-            _pm((0, 2, 1, 3)),
-            _ap(2, d.c.mul_op),
-        ),
-    )
+    action = (_ap(2, d.a.comul_op), _pm((0, 2, 1, 3)), _ap(0, m.action_op), _ap(1, n.action_op))
+    coaction = (_ap(0, m.coaction_op), _ap(2, n.coaction_op), _pm((0, 2, 1, 3)),
+                _ap(2, d.c.mul_op))
+    return action, coaction
+
+
+def tensor_modules(m: EntwinedModule, n: EntwinedModule) -> EntwinedModule:
+    """Tensor product through the comultiplications; needs a monoidal datum.
+
+    Its action and coaction are ops on the flat leg (m.dim*n.dim) whose
+    columns _tensor_steps fills on split legs.  check_duality runs the same
+    steps inside its scans and builds no tensor module."""
+    action, coaction = _tensor_steps(m, n)
+    d, legs = m.datum, (m.dim, n.dim)
     names = [f"{a}|{b}" for a in m.basis_names for b in n.basis_names]
-    return EntwinedModule(d, m.dim * n.dim, action, coaction, names)
+    return EntwinedModule(d, m.dim * n.dim, _action_op(legs, d.a_dim, action),
+                          _coaction_op(legs, d.c_dim, coaction), names)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +327,16 @@ def right_dual(m: EntwinedModule) -> DualityData:
 
 
 def check_duality(m: EntwinedModule, dd: DualityData) -> AxiomReport:
-    """Snake identities plus morphism-ness of ev and coev.  Each map has one
-    op, on the flat legs D3/D4 take; the snakes read it on split legs."""
+    """Snake identities plus morphism-ness of ev and coev.
+
+    Each map has one op, on the flat leg D3/D4 take; the snakes read it on
+    split legs.  D3/D4 are ModuleMorphism's two squares, with ev's source and
+    coev's target, tensor products of the dual and m, run as _tensor_steps
+    over the factor modules' ops between a split and a merge of the flat
+    leg: no tensor module is built.  A dual over another datum than m's is a
+    ValueError before any scan."""
     d = m.datum
     dim = m.dim
-    dual = dd.dual_module
     ev_op = TensorOp(dd.ev, (dim * dim,), (1,))
     coev_op = TensorOp(dd.coev, (1,), (dim * dim,))
     ev = TensorOp(None, (dim, dim), (), (_ap(0, ev_op),), ((dim * dim,), (1,)))
@@ -336,27 +347,28 @@ def check_duality(m: EntwinedModule, dd: DualityData) -> AxiomReport:
     coev_first = (_ap(0, coev), _ap(1, ev))
     coev_last = (_ap(1, coev), _ap(0, ev))
     snake_obj, snake_dual = (coev_first, coev_last) if left else (coev_last, coev_first)
-    ev_src = tensor_modules(dual, m) if left else tensor_modules(m, dual)
-    coev_tgt = tensor_modules(m, dual) if left else tensor_modules(dual, m)
+    split, merge = _rs(0, (dim * dim,), (dim, dim)), _rs(0, (dim, dim), (dim * dim,))
 
-    def snake_item(axiom_id, steps):
-        return compare_item(axiom_id, (dim,), (dim,), steps, ())
+    def product(a, b):
+        "The action and coaction of a (x) b as steps on its flat leg."
+        return tuple((split, *steps, merge) for steps in _tensor_steps(a, b))
 
-    def morphism_item(axiom_id, source, target, map):
+    # ev's source is dual (x) m on the left, m (x) dual on the right, and
+    # coev's target the other order
+    pair = (dd.dual_module, m) if left else (m, dd.dual_module)
+    unit = _structure_steps(tensor_unit(d))
+    squares = {
+        "D3_ev_morphism": ((dim * dim, 1), (_ap(0, ev_op),), product(*pair), unit),
+        "D4_coev_morphism": ((1, dim * dim), (_ap(0, coev_op),), unit, product(*pair[::-1])),
+    }
+    items = [compare_item(axiom_id, (dim,), (dim,), steps, ())
+             for axiom_id, steps in (("D1_snake_object", snake_obj),
+                                     ("D2_snake_dual", snake_dual))]
+    for axiom_id, args in squares.items():
         # the witness is the first failing square's: A_linear, then C_colinear
-        try:
-            ModuleMorphism(source, target, map)
-        except NotAMorphismError as err:
-            return AxiomItem(axiom_id, False, err.item.witness)
-        return AxiomItem(axiom_id, True)
-
-    unit = tensor_unit(d)
-    items = [
-        snake_item("D1_snake_object", snake_obj),
-        snake_item("D2_snake_dual", snake_dual),
-        morphism_item("D3_ev_morphism", ev_src, unit, ev_op),
-        morphism_item("D4_coev_morphism", unit, coev_tgt, coev_op),
-    ]
+        failed = _failed_square(d, *args)
+        items.append(AxiomItem(axiom_id, failed is None,
+                               None if failed is None else failed.item.witness))
     return AxiomReport(items)
 
 

@@ -10,10 +10,12 @@ only on the input data.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import prod
 
 from .exactla import (
     SCAN_FIRST_BATCH,
     Matrix,
+    State,
     TensorOp,
     basis_batches,
     run_batch,
@@ -144,6 +146,25 @@ def _ap(pos, op):
 def _pm(perm):
     "Pipeline step: permute legs."
     return lambda state: sv_permute(state, perm)
+
+
+def _rs(pos, in_dims, out_dims):
+    """Pipeline step: read the legs over in_dims at leg position pos as legs
+    over out_dims, of the same size.  A flat key is the same under both (see
+    exactla's kernel comment), so only ``dims`` changes."""
+    if prod(in_dims) != prod(out_dims):
+        raise ValueError(f"legs {in_dims} cannot be read as {out_dims}")
+    end = pos + len(in_dims)
+
+    def step(state):
+        dims = state.dims
+        if dims[pos:end] != in_dims or end >= len(dims):
+            raise ValueError(f"legs {in_dims} reshaped at leg {pos} of {dims}")
+        out = State(state)
+        out.dims = dims[:pos] + out_dims + dims[end:]
+        return out
+
+    return step
 
 
 # the kernel op inserting one leg of dimension 1, always 0

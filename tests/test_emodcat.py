@@ -444,6 +444,22 @@ def test_duality_reports_the_failed_square_of_ev_and_coev(yd_h4):
 
 
 @pytest.mark.parametrize("dualize", [left_dual, right_dual])
+def test_duality_with_a_dual_over_another_datum_is_an_error_before_any_scan(
+        yd_h4, long_h4, dualize, monkeypatch):
+    from entwine import emodcat
+
+    m = std_module_CA(yd_h4)
+    # a 16-dimensional dual with the pairing of the right size, over long_h4
+    dd = dualize(std_module_CA(long_h4))
+    assert not datums_compatible(m.datum, dd.dual_module.datum)
+    scans = []
+    monkeypatch.setattr(emodcat, "compare_item", lambda *args: scans.append(args))
+    with pytest.raises(ValueError, match="different datums"):
+        check_duality(m, dd)
+    assert scans == []
+
+
+@pytest.mark.parametrize("dualize", [left_dual, right_dual])
 @pytest.mark.parametrize("scaled, k", [("ev", 2), ("coev", 3)])
 def test_scaled_ev_or_coev_fails_both_snakes(yd_h4, dualize, scaled, k):
     from entwine.emodcat import DualityData

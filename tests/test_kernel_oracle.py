@@ -31,11 +31,13 @@ from entwine.exactla import (
     State,
     TensorOp,
     flatten_index,
+    kron,
     sv_apply,
     sv_permute,
     unflatten_index,
 )
 from entwine.pivribbon import _Poly
+from entwine.report import _rs
 
 
 # -- oracles: the tuple-keyed kernel, verbatim ----------------------------------
@@ -294,3 +296,29 @@ def test_an_op_after_the_batch_leg_raises(op):
     assert len(sv_apply(state, 1, op)) == 2 * len(op._cols[0])
     with pytest.raises(ValueError):
         sv_apply(state, 2, op)
+
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_reshape_relabels_legs_and_keeps_every_key(kind):
+    """A flat key is the same under any factoring of the legs, so the
+    reshape step changes dims alone.  An op on one factor of a split leg is
+    then the op tensored with the identity on the other factor."""
+    rng = random.Random(11)
+    state = _random_state(rng, (2, 6, 3), kind)
+    split, merge = _rs(1, (6,), (2, 3)), _rs(1, (2, 4), (8,))
+    out = split(state)
+    assert out is not state and out.dims == (2, 2, 3, 3)
+    assert _comparable(out) == _comparable(state)
+    m = _random_matrix(rng, 4, 3)
+    got = merge(sv_apply(out, 2, TensorOp(m, (3,), (4,))))
+    want = sv_apply(state, 1, TensorOp(kron(Matrix.identity(2), m), (6,), (8,)))
+    assert got.dims == want.dims == (2, 8, 3)
+    assert _comparable(got) == _comparable(want)
+    with pytest.raises(ValueError):
+        _rs(0, (6,), (4,))
+    # other legs, or the batch leg, at the position
+    with pytest.raises(ValueError):
+        _rs(0, (6,), (2, 3))(state)
+    with pytest.raises(ValueError):
+        _rs(2, (3,), (3,))(state)

@@ -190,29 +190,37 @@ def test_step_built_op_under_sv_apply(datum_name, builder, which):
     assert op.matrix == oracle.matrix
 
 
-def test_duality_check_builds_only_the_coevaluation_columns_it_reads(monkeypatch):
-    """D4 checks that coev: 1 -> M (x) M* is a morphism.  The unit has one
-    basis vector, coev sends it to the 16 terms e_x (x) e_x, and the target's
-    action is read at those 16 times 4 algebra legs and its coaction at the
-    16: 64 of 1024 and 16 of 256 columns.  D3's source, M* (x) M, is read
-    whole."""
-    built = []
-    real = emodcat.tensor_modules
-
-    def recording(m, n):
-        built.append(real(m, n))
-        return built[-1]
-
-    monkeypatch.setattr(emodcat, "tensor_modules", recording)
+def test_duality_check_fills_no_tensor_product_column(monkeypatch):
+    """D3 and D4 check that ev: M* (x) M -> 1 and coev: 1 -> M (x) M* are
+    morphisms.  Their scans run the action and coaction of the 256-dimensional
+    tensor products as steps over the factor modules' ops: no tensor module is
+    built, and the only ops with a 256-dimensional input that fill a column
+    are ev's own, on the flat leg D3 takes and on the split legs the snakes
+    take, one column per entry of ev.  The dual module's ops are read
+    whole, 64 action and 16 coaction columns, once each."""
     d = DATUMS["yd_h4"]
     m = std_module_CA(d)
-    assert check_duality(m, left_dual(m)).overall
-    ev_src, coev_tgt = built
-    assert coev_tgt.dim == 256
-    assert len(coev_tgt.action_op._cols) == 64
-    assert len(coev_tgt.coaction_op._cols) == 16
-    assert sorted(coev_tgt.coaction_op._cols) == [x * 17 for x in range(16)]
-    assert len(ev_src.action_op._cols) == 1024
-    assert len(ev_src.coaction_op._cols) == 256
-    # asked for, the matrix is the eager one
-    assert coev_tgt.action == oracle_op(coev_tgt.action_op).matrix
+    dd = left_dual(m)
+    dim, dual = m.dim, dd.dual_module
+    built, fills = [], []
+    real_fill = TensorOp.fill
+
+    def recording_fill(op, flats):
+        flats = list(flats)
+        fills.append((op, flats))
+        real_fill(op, flats)
+
+    monkeypatch.setattr(emodcat, "tensor_modules", lambda *args: built.append(args))
+    monkeypatch.setattr(TensorOp, "fill", recording_fill)
+    assert check_duality(m, dd).overall
+    assert built == []
+    filled = {}
+    for op, flats in fills:
+        filled.setdefault(op, []).extend(flats)
+    wide = [(op.in_dims, op.out_dims, sorted(flats)) for op, flats in filled.items()
+            if op.n_in >= dim * dim]
+    every = list(range(dim * dim))
+    assert sorted(wide) == [((dim, dim), (), every), ((dim * dim,), (1,), every)]
+    for op in (dual.action_op, dual.coaction_op):
+        assert sorted(filled[op]) == list(range(op.n_in))
+    assert (dual.action_op.n_in, dual.coaction_op.n_in) == (64, 16)
