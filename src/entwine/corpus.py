@@ -180,16 +180,17 @@ def hopf_module_datum(h: HopfAlgebraData) -> EntwiningMap:
 
 def long_dqg(h: HopfAlgebraData, rmatrix: Vector, b: HopfAlgebraData,
              form: BilinearForm) -> DoubleQuantumGroup:
-    """Braided structure on the flip datum: the map B (x) B -> H (x) H sends
-    a (x) b to beta(a, b) R2 (x) R1 for a quasitriangular (H, R) and a
-    coquasitriangular (B, beta)."""
+    """Braided structure on the flip datum for a quasitriangular (H, R) and
+    a coquasitriangular (B, beta): the map B (x) B -> H (x) H sends a (x) b
+    to beta(a, b) R1 (x) R2.  It passes E07-E10b whenever both premises
+    hold; R2 (x) R1 would fail E09 and E10a for an R that is not symmetric."""
     if rmatrix.dim != h.dim * h.dim:
         raise ValueError("rmatrix must live in H (x) H")
     datum = long_datum(h, b)
     nb, nh = b.dim, h.dim
     form_op = TensorOp(form.coords, (nb, nb), ())
     r_op = element_op(rmatrix, (nh, nh))
-    rmap = pipeline_matrix((nb, nb), (nh, nh), (_ap(0, form_op), _ap(0, r_op), _pm((1, 0))))
+    rmap = pipeline_matrix((nb, nb), (nh, nh), (_ap(0, form_op), _ap(0, r_op)))
     return DoubleQuantumGroup(datum, rmap)
 
 

@@ -329,23 +329,27 @@ def right_dual(m: EntwinedModule) -> DualityData:
 def check_duality(m: EntwinedModule, dd: DualityData) -> AxiomReport:
     """Snake identities plus morphism-ness of ev and coev.
 
-    Each map has one op, on the flat leg D3/D4 take; the snakes read it on
-    split legs.  D3/D4 are ModuleMorphism's two squares, with ev's source and
-    coev's target, tensor products of the dual and m, run as _tensor_steps
-    over the factor modules' ops between a split and a merge of the flat
-    leg: no tensor module is built.  A dual over another datum than m's is a
+    Each map has one op, on the flat leg D3/D4 take; the snakes apply it
+    there too, between reshapes of the legs around it.  D3/D4 are
+    ModuleMorphism's two squares, with ev's source and coev's target,
+    tensor products of the dual and m, run as _tensor_steps over the factor
+    modules' ops between a split and a merge of the flat leg: no tensor
+    module is built.  A dual over another datum than m's is a
     ValueError before any scan."""
     d = m.datum
     dim = m.dim
     ev_op = TensorOp(dd.ev, (dim * dim,), (1,))
     coev_op = TensorOp(dd.coev, (1,), (dim * dim,))
-    ev = TensorOp(None, (dim, dim), (), (_ap(0, ev_op),), ((dim * dim,), (1,)))
-    coev = TensorOp(None, (), (dim, dim), (_ap(0, coev_op),), ((1,), (dim * dim,)))
     left = dd.side == "left"
     # left:  (V (x) ev)(coev (x) V) = id_V ; (ev (x) V*)(V* (x) coev) = id_V*
     # right: (ev~ (x) V)(V (x) coev~) = id_V ; (V* (x) ev~)(coev~ (x) V*) = id_V*
-    coev_first = (_ap(0, coev), _ap(1, ev))
-    coev_last = (_ap(1, coev), _ap(0, ev))
+    # the ops' unit legs come and go by reshapes, and so does the leg that
+    # coev's pair and ev's share
+    sq, one = (dim * dim,), (dim,)
+    coev_first = (_rs(0, (), (1,)), _ap(0, coev_op), _rs(0, sq + one, one + sq),
+                  _ap(1, ev_op), _rs(1, (1,), ()))
+    coev_last = (_rs(1, (), (1,)), _ap(1, coev_op), _rs(0, one + sq, sq + one),
+                 _ap(0, ev_op), _rs(0, (1,), ()))
     snake_obj, snake_dual = (coev_first, coev_last) if left else (coev_last, coev_first)
     split, merge = _rs(0, (dim * dim,), (dim, dim)), _rs(0, (dim, dim), (dim * dim,))
 

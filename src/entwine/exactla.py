@@ -537,6 +537,26 @@ def invert(a: Matrix) -> Matrix:
 # and verify-scan op_p50_ms 20 % worse (2-vCPU VM): states there average
 # 8 terms, so per-key overhead decides.
 #
+# Permutations.  sv_permute moves only the block of legs from the first
+# leg perm moves to the last; the legs around it keep their strides.  With
+# stride the product of the dims after the block and size the block's, a
+# key's digit ``key // stride % size`` is its index over the block, and the
+# key moves by ``deltas[digit] * stride``: one lookup per key, where a loop
+# over the moved legs cost a ``//``, ``%`` and ``*`` per leg.  The deltas
+# table is cached by the block's dims and the perm on it, not by the whole
+# dims, so batch legs of 16, 32 and 64 and any trailing legs share one
+# table, and its equal values share one int; _permutation memoises the
+# rest per dims, as a scan repeats a few perms on a few shapes.  A table
+# has prod(block dims) entries: 65,536 for E07's and E09's four
+# 16-dimensional legs on yd_dqg(double_h4), whose `check dqg` peaked at
+# 57.5 MB against 54.5 MB with the loop.  Rejected on a prototype: tables
+# keyed by the whole dims (73.4 MB there, one such table per batch size),
+# and array('q') tables, which box an int on each read (dqg-e10b gained
+# about half as much).  Over the 94 permutations of one `check dqg` of
+# yd_dqg_h4 and yd_dqg(kz3), sv_permute took about half the loop's time:
+# 0.36-0.66 ms against 0.68-1.21 ms (best of 20, in 8 runs on a shared
+# 2-vCPU VM).
+#
 # Ops.  Every op (KernelOp) has ``in_dims``/``out_dims`` and a column table
 # ``_cols``: flat input index -> [(flat output index, coefficient)].  At
 # its first miss in a call sv_apply hands every input column its state
@@ -754,31 +774,47 @@ def sv_apply(state: State, pos: int, op: KernelOp) -> State:
 
 
 @lru_cache(maxsize=4096)
+def _deltas(dims, perm) -> tuple[int, ...]:
+    """The new flat index minus the old one of each key over dims (one
+    permutation block) when new leg i is old leg perm[i], in old-key order;
+    equal values are one int object."""
+    new_dims = [dims[p] for p in perm]
+    new = {p: prod(new_dims[i + 1:]) for i, p in enumerate(perm)}
+    deltas, shared = [0], {}
+    for p, d in enumerate(dims):
+        step = new[p] - prod(dims[p + 1:])
+        deltas = [x + i * step for x in deltas for i in range(d)]
+    return tuple(shared.setdefault(x, x) for x in deltas)
+
+
+@lru_cache(maxsize=4096)
 def _permutation(dims, perm):
-    """The dims after perm, and the (stride, dim, shift) of each leg that
-    moves: a key gains its index on that leg times the change of the leg's
-    stride.  Memoised, as the steps of a scan repeat a few perms on a few
-    shapes; working them out on each call was half of sv_permute's time on
-    the small states of dqg-e10b."""
+    """The dims after perm, and None when no key moves or else (stride, size,
+    deltas): the block of legs from the first moved one to the last moves a
+    key by ``deltas[key // stride % size] * stride``.  The table is shared by
+    every dims with the same block, whatever the batch and trailing legs."""
     new_dims = tuple(dims[p] for p in perm) + dims[len(perm):]
-    old, new = ([prod(ds[i + 1:]) for i in range(len(ds))] for ds in (dims, new_dims))
-    return new_dims, tuple((old[p], dims[p], new[i] - old[p])
-                           for i, p in enumerate(perm) if new[i] != old[p] and dims[p] > 1)
+    moved = [i for i, p in enumerate(perm) if i != p]
+    if not moved:
+        return new_dims, None
+    lo, hi = moved[0], moved[-1] + 1
+    deltas = _deltas(dims[lo:hi], tuple(p - lo for p in perm[lo:hi]))
+    if not any(deltas):
+        return new_dims, None
+    return new_dims, (prod(dims[hi:]), len(deltas), deltas)
 
 
 def sv_permute(state: State, perm: tuple[int, ...]) -> State:
     "Reorder legs: new leg i is old leg perm[i]; legs past len(perm) stay last."
-    new_dims, moves = _permutation(state.dims, perm)
+    new_dims, move = _permutation(state.dims, perm)
     out = State()
     out.dims = new_dims
-    if not moves:
+    if move is None:
         out.update(state)
         return out
+    s, n, deltas = move
     for key, c in state.items():
-        nk = key
-        for s, d, shift in moves:
-            nk += key // s % d * shift
-        out[nk] = c
+        out[key + deltas[key // s % n] * s] = c
     return out
 
 

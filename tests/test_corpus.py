@@ -12,8 +12,8 @@ from entwine.entwining import (
     check_entwining,
     check_monoidal_datum,
 )
-from entwine.exactla import sv_apply, sv_permute
-from entwine.hopfcore import check_hopf
+from entwine.exactla import Matrix, Vector, sv_apply, sv_permute
+from entwine.hopfcore import BilinearForm, check_hopf, coquasitri_check, quasitri_check
 
 from oracles import pipeline
 
@@ -131,7 +131,9 @@ def test_unknown_corpus_name():
 
 
 def oracle_long_dqg_rmap(h, rmatrix, b, form):
-    "The column loop long_dqg used before it became a pipeline, kept verbatim."
+    """The column loop long_dqg used before it became a pipeline, with its
+    layout changed from R2 (x) R1 to R1 (x) R2 (see
+    test_long_dqg_of_premises_that_hold_passes_the_chain)."""
     from entwine.exactla import matrix_from_columns_fn
 
     nb, nh = b.dim, h.dim
@@ -145,7 +147,7 @@ def oracle_long_dqg_rmap(h, rmatrix, b, form):
             for v in range(nh):
                 x = rmatrix[u * nh + v]
                 if x != 0:
-                    out[(v, u)] = beta * x
+                    out[(u, v)] = beta * x
         return out
 
     return matrix_from_columns_fn((nb, nb), (nh, nh), col)
@@ -157,9 +159,6 @@ def test_long_dqg_braiding_map_matches_oracle(h4, seed):
     # long_dqg only assembles the map
     import random
 
-    from entwine.exactla import Matrix, Vector
-    from entwine.hopfcore import BilinearForm
-
     rng = random.Random(seed)
     b = corpus.cyclic_group_algebra(3)
     r = Vector([rng.choice([0, 1, -2, Fraction(1, 3)]) for _ in range(16)])
@@ -167,3 +166,43 @@ def test_long_dqg_braiding_map_matches_oracle(h4, seed):
     q = corpus.long_dqg(h4, r, b, form)
     assert q.rmap == oracle_long_dqg_rmap(h4, r, b, form)
     assert not q.rmap.is_zero()
+
+
+def h4_rmatrix(alpha) -> Vector:
+    """R_alpha on H4 in the basis 1, e, x, y = ex (Panaite-Van Oystaeyen):
+    (1/2)(1(x)1 + 1(x)e + e(x)1 - e(x)e) + (alpha/2)(x(x)x - x(x)y + y(x)x
+    + y(x)y).  It is quasitriangular and, for alpha != 0, not symmetric."""
+    half, a = Fraction(1, 2), Fraction(alpha) / 2
+    r = [0] * 16
+    for (u, v), c in {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): -half,
+                      (2, 2): a, (2, 3): -a, (3, 2): a, (3, 3): a}.items():
+        r[u * 4 + v] = c
+    return Vector(r)
+
+
+def h4_form(h4, gamma) -> BilinearForm:
+    """beta_gamma on H4: 1 on (1,1), (1,e), (e,1), -1 on (e,e), gamma on (x,x),
+    (x,y), (y,y) and -gamma on (y,x).  It is coquasitriangular."""
+    f = [0] * 16
+    for (u, v), c in {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1,
+                      (2, 2): gamma, (2, 3): gamma, (3, 3): gamma, (3, 2): -gamma}.items():
+        f[u * 4 + v] = c
+    return BilinearForm(h4, h4, Matrix([f]))
+
+
+@pytest.mark.parametrize("alpha", [0, 1, Fraction(2, 3)])
+@pytest.mark.parametrize("gamma", [0, 1])
+def test_long_dqg_of_premises_that_hold_passes_the_chain(h4, alpha, gamma):
+    """long_dqg's claim: a quasitriangular (H, R) and a coquasitriangular
+    (B, beta) give a double structure, E01-E10b.  R_alpha with alpha != 0 is
+    not symmetric, so the layout R2 (x) R1 fails E09 and E10a here."""
+    r, form = h4_rmatrix(alpha), h4_form(h4, gamma)
+    # the premises hold on the whole grid, so the implication is never vacuous
+    assert quasitri_check(h4, r).overall
+    assert coquasitri_check(h4, form).overall
+    q = corpus.long_dqg(h4, r, h4, form)
+    rep = (check_entwining(q.datum).merged_with(check_monoidal_datum(q.datum))
+           .merged_with(check_double_quantum_group(q)))
+    ids = [item.axiom_id for item in rep.items]
+    assert ids[0].startswith("E01") and ids[-1].startswith("E10b")
+    assert [i for item, i in zip(rep.items, ids) if not item.passed] == []

@@ -30,6 +30,7 @@ from entwine.exactla import (
     SlotLeg,
     State,
     TensorOp,
+    _permutation,
     flatten_index,
     kron,
     sv_apply,
@@ -198,6 +199,66 @@ def test_permutation_matches_the_tuple_kernel(kind):
         want = oracle_sv_permute(_legs(state), perm)
         _agree(state, sv_permute(state, perm), want,
                (*(dims[p] for p in perm), *dims[k:]))
+
+
+# blocks of 3-4 moved legs, some with a leg inside that stays, as E07-E10b use
+BLOCKS = ((2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 3, 1), (3, 1, 0, 2), (0, 3, 1, 2),
+          (3, 1, 2, 0), (1, 0, 3, 2), (0, 2, 1, 3))
+
+
+def _sparse_state(rng: random.Random, dims, kind: str, terms: int) -> State:
+    "A State over dims with at most terms keys, for dims too wide to sample a third of."
+    n = prod(dims)
+    state = State({rng.randrange(n): _coeff(rng, kind) for _ in range(terms)})
+    state.dims = tuple(dims)
+    return state
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_permutation_of_wide_legs_matches_the_tuple_kernel(kind):
+    """Legs of up to 16 and of size 1, moved blocks of 3-4 legs after 0-2
+    legs that stay, and batch legs of 16, 32, 64 and odd sizes.  Each
+    (block dims, block perm) has one deltas table, whatever the legs around
+    the block and the batch size."""
+    rng = random.Random(f"permute-wide/{kind}")
+    cases = [((16, 16, 16, 16), (), (2, 0, 3, 1)), ((16, 16, 16, 16), (), (3, 1, 0, 2))]
+    for _ in range(60):
+        block = rng.choice(BLOCKS)
+        legs = [rng.choice((1, 2, 3, 16)) for _ in block]
+        while prod(legs) > 4096:
+            legs[legs.index(16)] = rng.choice((1, 5))
+        lead = tuple(rng.choice((1, 2, 16)) for _ in range(rng.randint(0, 2)))
+        cases.append((lead + tuple(legs), lead, tuple(len(lead) + p for p in block)))
+    for legs, lead, block_perm in cases:
+        perm = (*range(len(lead)), *block_perm)
+        tail = tuple(rng.choice((1, 3)) for _ in range(rng.randint(0, 1)))
+        tables = []
+        for batch in (16, 32, 64, rng.choice((1, 3, 7, 33))):
+            dims = (*legs, *tail, batch)
+            state = _sparse_state(rng, dims, kind, 40)
+            want = oracle_sv_permute(_legs(state), perm)
+            _agree(state, sv_permute(state, perm), want,
+                   (*(dims[p] for p in perm), *dims[len(perm):]))
+            tables.append(_permutation(dims, perm)[1])
+        # the block alone, before a batch leg of 1, has the same table, and
+        # it moves every key over the block as the tuple kernel does
+        block_dims = legs[len(lead):]
+        block = tuple(p - len(lead) for p in block_perm)
+        alone = _permutation((*block_dims, 1), block)[1]
+        new_dims = tuple(block_dims[p] for p in block)
+        for f, t in enumerate(_basis(block_dims)):
+            got = f if alone is None else f + alone[2][f // alone[0] % alone[1]] * alone[0]
+            assert got == flatten_index(new_dims, tuple(t[p] for p in block))
+        if alone is None:
+            assert tables == [None] * 4
+            continue
+        # some key moves, and the table spans the legs from the first moved
+        # one to the last
+        assert any(alone[2])
+        moved = [i for i, p in enumerate(block) if i != p]
+        assert len(alone[2]) == alone[1] == prod(block_dims[moved[0]:moved[-1] + 1])
+        for move in tables:
+            assert move[1] == alone[1] and move[2] is alone[2]
 
 
 @pytest.mark.parametrize("kind", KINDS)
