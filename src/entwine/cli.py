@@ -290,7 +290,17 @@ _FORMAT = ("--format",), {"dest": "fmt", "choices": ("text", "json"), "default":
 _REPORT = (_FORMAT, (("--report-out",), {"metavar": "PATH",
                                          "help": "also write the JSON report to this path"}))
 _FILES = ((("files",), {"nargs": "+", "metavar": "FILES"}),) + _REPORT
-_MAX_PARAMS = ("--max-params",), {"type": int, "default": 4,
+
+
+def _count(text: str) -> int:
+    "An argument that counts something: an int of at least 0."
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 0, got {n}")
+    return n
+
+
+_MAX_PARAMS = ("--max-params",), {"type": _count, "default": 4,
                                   "help": "most free parameters to search (default 4)"}
 _OUTPUT = _path("-o", "--output")
 

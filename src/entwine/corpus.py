@@ -26,7 +26,6 @@ from .hopfcore import (
     dual_hopf,
     element_op,
 )
-from .pivribbon import separable_candidate
 from .report import _ap, _pm
 from .smash import smash_coproduct, smash_product
 
@@ -268,6 +267,8 @@ def _long_dqg_kz2() -> DoubleQuantumGroup:
 def long_kz2_ribbon() -> HomCA:
     """The ribbon morphism b -> eps_B(b) 1_H on the braided flip datum over
     Z/2: the ribbon-element/ribbon-character pairing with both trivial."""
+    from .pivribbon import separable_candidate
+
     q = _long_dqg_kz2()
     d = q.datum
     kappa = Element(d.a, d.a.unit)

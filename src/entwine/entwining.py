@@ -10,10 +10,10 @@ make the dual-module formulas work downstream.
 
 Convolution inverses (E10b here, P5/R5 in the pivotal layer, RE4/CB4 in
 hopfcore on a datum with one trivial side) solve x*g = unit on the rows
-the unit reaches through shared columns, built for their input tuples
-only, and check g*x = unit on the solution; only when that check fails
-is the stacked system g*x = unit = x*g solved, again on the rows its
-right-hand side reaches.  The operators x -> x*g and x -> g*x are built
+the unit reaches through shared columns, building no other row, and
+check g*x = unit on the solution; only when that check fails is the
+stacked system g*x = unit = x*g solved, again on the rows its right-hand
+side reaches.  The operators x -> x*g and x -> g*x are built
 by the same pipeline that evaluates a product: with a SlotLeg standing
 for x, one pass per batch of input basis tuples yields every column of
 the operator at once, keyed by the slot leg.  One builder,
@@ -39,7 +39,6 @@ from .exactla import (
     Vector,
     hom_operator,
     kron,
-    linked_seeds,
     pipeline_matrix,
     solve_affine,
 )
@@ -271,12 +270,13 @@ def check_monoidal_datum(d: MonoidalEntwiningDatum) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
-def _operator(d, in_dims, out_dims, side, g_op, g_first: bool, seeds=None) -> Rows:
-    "The rows of x -> g*x (g_first) or x -> x*g on hom(in_dims, out_dims), on seeds."
+def _operator(d, in_dims, out_dims, side, g_op, g_first: bool, rhs=None) -> Rows:
+    """The rows of x -> g*x (g_first) or x -> x*g on hom(in_dims, out_dims);
+    given rhs, only those hom_operator reaches from it."""
     def steps(f):
         return side(d, g_op, f) if g_first else side(d, f, g_op)
 
-    return hom_operator(in_dims, out_dims, in_dims, out_dims, steps, seeds)
+    return hom_operator(in_dims, out_dims, in_dims, out_dims, steps, rhs)
 
 
 def _product(d, in_dims, out_dims, side, g_op, f_op) -> Matrix:
@@ -317,13 +317,16 @@ def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     component makes the whole system inconsistent, as every other block is
     homogeneous, and a two-sided inverse would solve it.
 
-    Only the rows of seeds linked to the unit's are built (linked_seeds;
-    row o * n + t has seed t).  They hold every component row, by induction
-    along Rows.component's search: the unit's rows have start seeds, and a
-    row reached from a built row through a column (out, j) has a seed that
-    reads j, as the built row's seed does.  A row depends on its seed alone
-    and the others are empty, so the component, and x, are the full
-    operator's.  On kZ_n the unit holds every seed, and the pass is skipped.
+    x -> x*g is built only on the rows hom_operator reaches from the
+    unit's (exactla._reach): each row it builds is whole, and it builds
+    every row that shares a column with a built one.  A candidate column
+    comes from the supports of the two halves of the product, so a
+    cancellation can only add a column, never drop one; each column found
+    is built in every row, and every row it meets is taken on.  At the
+    fixpoint each reached row holds all of its nonzero entries, so
+    Rows.component finds the full operator's component, row for row: the
+    pivots, and x, are the same.  With g = 0 no column is reached, the
+    unit's rows stay empty, and the system is inconsistent.
 
     g*x = unit is checked as g*(den x) = den unit, den the lcm of x's
     denominators: the same, as the product is linear in x and den != 0,
@@ -333,16 +336,13 @@ def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     full x -> x*g are solved, the unit on both halves, on the component of
     that right-hand side (_solve, as for x*g = unit): the block argument
     above holds for any rows, so this is the stacked particular solution.
-    On kZ_n the first x -> x*g is already full, and it is reused.  Where
-    x*g = unit has one solution, it is the x that failed, and the stacked
-    system has none; several arise only on a datum failing E01-E06, as in
-    an associative algebra a left inverse is two-sided and unique.
+    Where x*g = unit has one solution, it is the x that failed, and the
+    stacked system has none; several arise only on a datum failing
+    E01-E06, as in an associative algebra a left inverse is two-sided and
+    unique.
     """
     rhs = {o * unit.ncols + j: v for j, col in enumerate(unit.sparse_cols()) for o, v in col}
-    start = {r % unit.ncols for r in rhs}
-    seeds = None if len(start) == unit.ncols else linked_seeds(
-        in_dims, out_dims, lambda f: side(d, f, g_op), start)
-    right = _operator(d, in_dims, out_dims, side, g_op, False, seeds)
+    right = _operator(d, in_dims, out_dims, side, g_op, False, rhs)
     entries = _solve(right, rhs)
     if entries is None:
         return None
@@ -353,8 +353,7 @@ def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     one = (_slot(len(in_dims)), _ap(0, TensorOp(dunit, in_dims, out_dims)))
     if compare_item("g*x = 1", in_dims, (*out_dims, 1), gx, one).passed:
         return x
-    if seeds is not None:
-        right = _operator(d, in_dims, out_dims, side, g_op, False)
+    right = _operator(d, in_dims, out_dims, side, g_op, False)
     left = _operator(d, in_dims, out_dims, side, g_op, True)
     entries = _solve(Rows(left + right, left.ncols),
                      {**rhs, **{i + left.nrows: v for i, v in rhs.items()}})

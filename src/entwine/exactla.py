@@ -560,10 +560,11 @@ def invert(a: Matrix) -> Matrix:
 # Ops.  Every op (KernelOp) has ``in_dims``/``out_dims`` and a column table
 # ``_cols``: flat input index -> [(flat output index, coefficient)].  At
 # its first miss in a call sv_apply hands every input column its state
-# lacks to the op's ``fill`` at once.  Cup, Cap, SlotLeg and the finder's
-# family op come with their whole table.  A TensorOp fills its columns
-# from a Matrix (its sparse columns) or from kernel steps, run over only
-# the missing columns, BATCH_CAP at a time, on legs that may factor
+# lacks to the op's ``fill`` at once.  Cup, Cap and the finder's family op
+# come with their whole table, and a SlotLeg fills its columns on demand
+# (hom_operator's reach runs none).  A TensorOp fills its columns from a
+# Matrix (its sparse columns) or from kernel steps, run over only the
+# missing columns, BATCH_CAP at a time, on legs that may factor
 # differently from the op's own (a tensor module's (m*n, a) action runs on
 # (m, n, a) legs).  So a step-built op builds only the columns a scan
 # reads, and makes its Matrix (through matrix_from_columns_fn) only when
@@ -710,17 +711,20 @@ class SlotLeg(KernelOp):
     hom(in_dims, out_dims), output major.  Concrete maps in the same
     pipeline act on their own legs and carry the slot leg along.  A side
     that is linear in f then comes out with the images of all matrix
-    units at once, told apart by the slot leg (see hom_operator).
+    units at once, told apart by the slot leg (see hom_operator).  Its
+    columns are filled when a state first reads them.
     """
 
     __slots__ = ()
 
     def __init__(self, in_dims, out_dims):
-        n_in, n_out = prod(in_dims), prod(out_dims)
-        n = n_in * n_out
-        super().__init__((*in_dims, 1), (*out_dims, n), {
-            j: [(o * n + o * n_in + j, 1) for o in range(n_out)] for j in range(n_in)
-        })
+        n = prod(in_dims) * prod(out_dims)
+        super().__init__((*in_dims, 1), (*out_dims, n), {})
+
+    def fill(self, flats) -> None:
+        n_in, n = self.n_in, self.out_dims[-1]
+        for j in flats:
+            self._cols[j] = [(o * n + o * n_in + j, 1) for o in range(n // n_in)]
 
 
 class Cup(KernelOp):
@@ -892,7 +896,7 @@ def pipeline_matrix(in_dims, out_dims, steps) -> Matrix:
     return TensorOp(None, in_dims, out_dims, steps).matrix
 
 
-def hom_operator(in_dims, out_dims, seed_dims, key_dims, side, seeds=None) -> Rows:
+def hom_operator(in_dims, out_dims, seed_dims, key_dims, side, rhs=None) -> Rows:
     """The Rows of the operator f -> side(f), for f: ``in_dims`` -> ``out_dims``.
 
     ``side(f_op)`` gives the steps of side(f), with ``f_op`` standing for
@@ -903,48 +907,152 @@ def hom_operator(in_dims, out_dims, seed_dims, key_dims, side, seeds=None) -> Ro
     column ``out * prod(in_dims) + in`` those of f's matrix unit ``out <-
     in``.  With a SlotLeg as f one pass yields every column at once.  Each
     coefficient is written once, as it leaves the kernel: an int where
-    integral, else a Fraction.  Only the rows of ``seeds`` (ascending flat
-    indices, all by default) are built, the others stay empty.  For a side
-    from hom(in_dims, out_dims) to itself, seed and key dims are f's own.
+    integral, else a Fraction.  For a side from hom(in_dims, out_dims) to
+    itself, seed and key dims are f's own.
+
+    Given a right-hand side ``rhs`` (its nonzero entries {row: value}), only
+    the rows that _reach meets from rhs's rows are built, each whole, and
+    the others stay empty: they include every row of ``rows.component(rhs)``,
+    so that component is the full operator's.
     """
     slot = SlotLeg(in_dims, out_dims)
-    n_seed, n_hom = prod(seed_dims), slot.out_dims[-1]
-    end_dims = (*key_dims, n_hom)
     steps = side(slot)
-    rows = Rows([{} for _ in range(prod(key_dims) * n_seed)], n_hom)
-    seeds = range(n_seed) if seeds is None else seeds
-    for start in range(0, len(seeds), BATCH_CAP):
-        batch = seeds[start:start + BATCH_CAP]
-        state = run_batch((*seed_dims, 1), batch, steps)
-        if state.dims[:-1] != end_dims:
-            raise ValueError(f"side ends on legs {state.dims[:-1]}, not {end_dims}")
-        b = len(batch)
-        for key, x in state.items():
-            rest = key // b
-            rows[rest // n_hom * n_seed + batch[key % b]][rest % n_hom] = (
-                x.numerator if x.denominator == 1 else x)
+    rows = Rows([{} for _ in range(prod(key_dims) * prod(seed_dims))], slot.out_dims[-1])
+    if rhs is not None:
+        _reach(rows, rhs, slot, steps, seed_dims, key_dims)
+        return rows
+    for batch in basis_batches(seed_dims):
+        _write(rows, batch, run_batch((*seed_dims, 1), batch, steps), key_dims)
     return rows
 
 
-def linked_seeds(in_dims, out_dims, side, start) -> list[int]:
-    """The seeds of hom_operator(in_dims, out_dims, in_dims, _, side) linked
-    to ``start``, ascending; two seeds are linked when the unknown f reads a
-    common input index j on both.  Each batch runs with an f that has no
-    images, up to f's step, where the slot leg grows (a slot leg of 1 never
-    does, but then there is one seed), and j is read there: after f a term
-    may cancel and hide it.
+def _write(rows: Rows, batch, state: State, key_dims) -> None:
+    "Write a batch of seeds' terms, over (*key_dims, slot leg, batch leg), into rows."
+    if state.dims[:-1] != (*key_dims, rows.ncols):
+        raise ValueError(f"side ends on legs {state.dims[:-1]}, not {(*key_dims, rows.ncols)}")
+    b, n_hom, n_seed = len(batch), rows.ncols, len(rows) // prod(key_dims)
+    for key, x in state.items():
+        rest = key // b
+        rows[rest // n_hom * n_seed + batch[key % b]][rest % n_hom] = (
+            x.numerator if x.denominator == 1 else x)
+
+
+def _reach(rows: Rows, rhs: dict, slot: SlotLeg, steps, seed_dims, key_dims) -> None:
+    """Build into rows the rows met from rhs's nonzero rows, through the
+    columns they hold and back, each row whole (see hom_operator).
+
+    The operator is read as a bipartite graph of rows and columns, and one
+    connected block of it is reached from both ends.  f's step (an _ap of
+    slot) splits steps into a head and a tail.  The head runs once over
+    every seed, up to f's input legs j and the legs w before them: ``reads[t]
+    [w]`` lists the j of seed t.  The entry at row (o, t), column (u, j) is
+    the sum over w of tail[o, (w, u)] * head[t, (w, j)].  A round takes the
+    new rows (o, t) to columns: the tail run transposed from o (each op
+    through its transpose, each permutation through its inverse, in reverse
+    order) gives the (w, u) with tail[o, (w, u)] != 0, and each j in
+    ``reads[t][w]`` makes (u, j) a candidate.  Then it takes the new columns
+    to rows: a SlotLeg emitting only their matrix units, and the tail, run
+    over the head's states, give every entry of those columns, and the rows
+    they meet are the next round's.  No new column ends the reach.
+
+    A candidate comes from supports: it may cancel in its row, but no
+    nonzero entry is missed.  So each row built is whole, and so is each row
+    sharing a column with it.  The tail must be _ap and _pm steps, whose
+    defaults say what they apply.
     """
-    slot = SlotLeg(in_dims, out_dims)
-    steps = side(KernelOp(slot.in_dims, slot.out_dims, dict.fromkeys(range(slot.n_in), ())))
-    reads = [set() for _ in range(slot.n_in)]
-    for batch in basis_batches(in_dims):
-        state = run_batch(slot.in_dims, batch, ())
-        for step in steps:
-            after = step(state)
-            if after.dims[-2] != 1:
-                break
-            state = after
+    head, pos, tail = _split_at(steps, slot)
+    n_in, n_hom = slot.n_in, rows.ncols
+    n_out, n_seed = n_hom // n_in, len(rows) // prod(key_dims)
+    # the head over every seed, a batch at a time, and what each seed reads
+    heads, reads = [], [{} for _ in range(n_seed)]
+    for batch in basis_batches(seed_dims):
+        state = run_batch((*seed_dims, 1), batch, head)
+        if state.dims[pos:-1] != slot.in_dims:
+            raise ValueError(f"f's legs {slot.in_dims} at leg {pos} of {state.dims}")
+        heads.append((batch, state))
         b = len(batch)
         for key in state:
-            reads[batch.start + key % b].add(key // b % slot.n_in)
-    return sorted(_linked(reads, start))
+            w, j = divmod(key // b, n_in)
+            reads[batch[key % b]].setdefault(w, []).append(j)
+    back = _transposed(tail)
+    coreads: dict[int, list] = {}
+    cols: set[int] = set()
+    frontier = [r for r, x in rhs.items() if x]
+    reached = set(frontier)
+    while frontier:
+        # rows -> columns: the (w, u) of each new output key o, from the
+        # transposed tail, joined with the seed's reads on w
+        todo = sorted({r // n_seed for r in frontier} - coreads.keys())
+        for start in range(0, len(todo), BATCH_CAP):
+            batch = todo[start:start + BATCH_CAP]
+            b = len(batch)
+            for o in batch:
+                coreads[o] = []
+            for key in run_batch((*key_dims, 1), batch, back):
+                coreads[batch[key % b]].append(divmod(key // b, n_out))
+        units: dict[int, list] = {}
+        for r in frontier:
+            o, t = divmod(r, n_seed)
+            at = reads[t]
+            for w, u in coreads[o]:
+                for j in at.get(w, ()):
+                    c = u * n_in + j
+                    if c not in cols:
+                        cols.add(c)
+                        units.setdefault(j, []).append((u * n_hom + c, 1))
+        if not units:
+            break
+        # columns -> rows: the new columns' entries in every row
+        new_units = KernelOp(slot.in_dims, slot.out_dims,
+                             {j: units.get(j, ()) for j in range(n_in)})
+        frontier = []
+        for batch, state in heads:
+            state = sv_apply(state, pos, new_units)
+            if not state:
+                continue
+            for step in tail:
+                state = step(state)
+            _write(rows, batch, state, key_dims)
+            b = len(batch)
+            for key in state:
+                r = key // b // n_hom * n_seed + batch[key % b]
+                if r not in reached:
+                    reached.add(r)
+                    frontier.append(r)
+
+
+def _split_at(steps, slot: SlotLeg):
+    "The steps before the one applying slot, its leg position, and the steps after it."
+    for k, step in enumerate(steps):
+        args = getattr(step, "__defaults__", None) or ()
+        if len(args) == 2 and args[1] is slot:
+            return steps[:k], args[0], steps[k + 1:]
+    raise ValueError("the side has no _ap step of f")
+
+
+def _transposed(steps) -> list:
+    """The steps that run _ap and _pm steps backwards: in reverse order, an
+    op through its transpose, a permutation through its inverse."""
+    back = []
+    for step in reversed(steps):
+        args = getattr(step, "__defaults__", None) or ()
+        if len(args) == 2 and isinstance(args[1], KernelOp):
+            back.append(lambda state, pos=args[0], op=_transpose(args[1]): sv_apply(state, pos, op))
+        elif len(args) == 1 and isinstance(args[0], tuple):
+            inverse = [0] * len(args[0])
+            for i, p in enumerate(args[0]):
+                inverse[p] = i
+            back.append(lambda state, perm=tuple(inverse): sv_permute(state, perm))
+        else:
+            raise ValueError(f"step {step!r} after f is not an _ap or _pm step")
+    return back
+
+
+def _transpose(op: KernelOp) -> KernelOp:
+    "The transpose of op, from a table with every column filled."
+    op.fill([f for f in range(op.n_in) if f not in op._cols])
+    cols = {o: [] for o in range(op.n_out)}
+    for i, col in op._cols.items():
+        for o, x in col:
+            cols[o].append((i, x))
+    return KernelOp(op.out_dims, op.in_dims, cols)

@@ -231,7 +231,8 @@ def from_payload(doc: dict):
     kind = doc.get("kind")
     if kind not in KINDS:
         raise FileFormatError(f"kind: expected one of {', '.join(KINDS)}; got {kind!r}")
-    meta = doc.get("metadata", {}) or {}
+    # a missing or null metadata is none; any other non-object is an error
+    meta = {} if doc.get("metadata") is None else doc["metadata"]
     if not isinstance(meta, dict):
         raise FileFormatError("metadata: expected an object")
     rats = _Rats()

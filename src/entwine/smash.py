@@ -34,7 +34,6 @@ from .exactla import (
     run_batch,
     state_to_vector,
 )
-from .emodcat import EntwinedModule, _action_op, _coaction_op
 from .entwining import (
     DoubleQuantumGroup,
     EntwiningMap,
@@ -51,7 +50,6 @@ from .hopfcore import (
     HopfAlgebraData,
     dual_hopf,
 )
-from .pivribbon import require_verified
 from .report import AxiomItem, AxiomReport, compare_item, _ap, _pm
 
 
@@ -368,6 +366,8 @@ def module_transport_from_smash(d: MonoidalEntwiningDatum, dim: int,
     Action: u . a = u <- (counit (x) a); coaction: the dual-leg sweep
     u -> sum (u <- (e^i (x) 1)) (x) e_i.
     """
+    from .emodcat import EntwinedModule, _action_op, _coaction_op
+
     nc, na = d.c_dim, d.a_dim
     act = TensorOp(action, (dim, nc, na), (dim,))
     cup = Cup(nc)
@@ -395,6 +395,13 @@ def module_transport_from_smash(d: MonoidalEntwiningDatum, dim: int,
 # ---------------------------------------------------------------------------
 
 
+def _require_verified(kind: str, target, g: HomCA) -> None:
+    "pivribbon.require_verified, loaded here: building a smash product needs no pivribbon."
+    from .pivribbon import require_verified
+
+    require_verified(kind, target, g)
+
+
 def _smash_coords(g: HomCA) -> Vector:
     "Coordinates of sum_i e^i (x) g(e_i) on the smash product basis."
     return g.map.transpose().flat()
@@ -409,7 +416,7 @@ def _cosmash_row(g: HomCA) -> Matrix:
 def transport_pivot(d: MonoidalEntwiningDatum, g: HomCA,
                     smash: HopfAlgebraData | None = None) -> Element:
     "The candidate pivot sum_i e^i (x) g(e_i) of the smash product."
-    require_verified("pivotal", d, g)
+    _require_verified("pivotal", d, g)
     if smash is None:
         smash = smash_product(d)
     return Element(smash, _smash_coords(g))
@@ -446,7 +453,7 @@ def transport_rmatrix(q: DoubleQuantumGroup) -> Vector:
 def transport_ribbon(q: DoubleQuantumGroup, g: HomCA,
                      smash: HopfAlgebraData | None = None):
     "The candidate (R-matrix, ribbon element) pair of the smash product."
-    require_verified("ribbon", q, g)
+    _require_verified("ribbon", q, g)
     if smash is None:
         smash = smash_product(q.datum)
     return transport_rmatrix(q), Element(smash, _smash_coords(g))
@@ -459,7 +466,7 @@ def extract_ribbon(d: MonoidalEntwiningDatum, t: Element) -> HomCA:
 def transport_copivot(d: MonoidalEntwiningDatum, g: HomCA,
                       cosmash: HopfAlgebraData | None = None) -> Functional:
     "The candidate copivot gamma (x) c -> gamma(g(c)) on the smash coproduct."
-    require_verified("pivotal", d, g)
+    _require_verified("pivotal", d, g)
     if cosmash is None:
         cosmash = smash_coproduct(d)
     return Functional(cosmash, _cosmash_row(g))
@@ -473,7 +480,7 @@ def extract_copivot(d: MonoidalEntwiningDatum, gamma: Functional) -> HomCA:
 def transport_coribbon(q: DoubleQuantumGroup, g: HomCA,
                        cosmash: HopfAlgebraData | None = None):
     "The candidate (coquasitriangular form, ribbon character) on the coproduct."
-    require_verified("ribbon", q, g)
+    _require_verified("ribbon", q, g)
     d = q.datum
     if cosmash is None:
         cosmash = smash_coproduct(d)

@@ -48,6 +48,8 @@ from entwine.emodcat import (
 from entwine.exactla import (
     BATCH_CAP,
     SCAN_FIRST_BATCH,
+    Cap,
+    Cup,
     Matrix,
     ZERO,
     Rows,
@@ -70,7 +72,7 @@ from entwine.pivribbon import (
     verify_pivotal,
     verify_ribbon,
 )
-from entwine.report import AxiomItem, Witness, _ap, compare_item
+from entwine.report import AxiomItem, Witness, _ap, _pm, compare_item
 from entwine.smash import (
     check_distributive_law,
     entwining_to_codistlaw,
@@ -185,18 +187,31 @@ def per_tuple_pipeline_matrix(in_dims, out_dims, steps):
                                          lambda t: oracle_pipeline(in_dims, t, *steps))
 
 
-def per_tuple_hom_operator(in_dims, out_dims, seed_dims, key_dims, side, seeds=None):
+def per_tuple_hom_operator(in_dims, out_dims, seed_dims, key_dims, side, rhs=None):
     """The rows of the oracle's Matrix, integral entries as ints: hom_operator's
-    form, with the rows of the seeds outside ``seeds`` emptied."""
+    form, with the rows outside the component of rhs's rows emptied."""
     rows = Rows.of(oracle_hom_operator(in_dims, out_dims, seed_dims, key_dims,
                                        lambda f, t: oracle_pipeline((*seed_dims, 1), t + (0,),
                                                                     *side(f))))
-    if seeds is not None:
-        n_seed, seeds = prod(seed_dims), set(seeds)
+    if rhs is not None:
+        keep = component_rows(rows, rhs)
         for r, row in enumerate(rows):
-            if r % n_seed not in seeds:
+            if r not in keep:
                 row.clear()
     return rows
+
+
+def component_rows(rows, rhs) -> set[int]:
+    "The rows linked to rhs's nonzero rows through shared columns, by search."
+    keep = {r for r, x in rhs.items() if x}
+    todo = list(keep)
+    while todo:
+        cols = set(rows[todo.pop()])
+        for r, row in enumerate(rows):
+            if r not in keep and cols & row.keys():
+                keep.add(r)
+                todo.append(r)
+    return keep
 
 
 _BATCHED = {compare_item: per_tuple_compare_item,
@@ -518,8 +533,8 @@ def test_random_scans_match_per_tuple_scan(dims, seed, failing):
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_hom_operator_over_several_batches(n):
-    # f -> a.f and f -> f.b on hom(n, 2), seeded on n tuples or on some of
-    # them: one batch or several
+    # f -> a.f and f -> f.b on hom(n, 2), on every row, or on the rows
+    # reached from a right-hand side: one batch or several
     rng = random.Random(n)
     a = TensorOp(Matrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]), (2,), (2,))
     b = TensorOp(Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]), (n,), (n,))
@@ -527,12 +542,17 @@ def test_hom_operator_over_several_batches(n):
     # (1/2 * 2), which must come out as ints
     h = TensorOp(Matrix([[Fraction(1, 2), 0], [0, 2]]), (2,), (2,))
     h_inv = TensorOp(Matrix([[2, 0], [0, Fraction(1, 2)]]), (2,), (2,))
+    # the last side is f -> a.f again, through a cup, a 3-cycle and a cap:
+    # the reach runs each of them transposed, the 3-cycle through its inverse
     sides = (lambda f: (_ap(0, f), _ap(0, a)), lambda f: (_ap(0, b), _ap(0, f)),
-             lambda f: (_ap(0, f), _ap(0, h), _ap(0, h_inv), _ap(0, a)))
-    # every seed, or every other one (65 of them, past one batch, at n = 130)
-    for side, seeds in itertools.product(sides, (None, list(range(0, n, 2)))):
-        got = hom_operator((n,), (2,), (n,), (2,), side, seeds)
-        want = per_tuple_hom_operator((n,), (2,), (n,), (2,), side, seeds)
+             lambda f: (_ap(0, f), _ap(0, h), _ap(0, h_inv), _ap(0, a)),
+             lambda f: (_ap(0, f), _ap(1, Cup(2)), _ap(1, a), _pm((1, 2, 0)), _ap(1, Cap(2))))
+    # no right-hand side, one on the first row, or one on the second output
+    # of every third seed (past one batch at n = 130)
+    rhss = (None, {0: 1}, {r: 1 for r in range(n, 2 * n, 3)})
+    for side, rhs in itertools.product(sides, rhss):
+        got = hom_operator((n,), (2,), (n,), (2,), side, rhs)
+        want = per_tuple_hom_operator((n,), (2,), (n,), (2,), side, rhs)
         assert got == want and (got.nrows, got.ncols) == (want.nrows, want.ncols)
         assert [sorted((c, type(x)) for c, x in row.items()) for row in got] == \
             [sorted((c, type(x)) for c, x in row.items()) for row in want]

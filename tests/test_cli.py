@@ -228,6 +228,43 @@ def test_usage_error_exit_2(runner, tmp_path, h4_file, yd_file, args, error):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("metadata", [0, False, "", []], ids=["zero", "false", "empty_string",
+                                                             "empty_list"])
+def test_falsy_metadata_exits_2(runner, tmp_path, metadata):
+    path = tmp_path / "h4.json"
+    path.write_text(json.dumps({**_exported(runner, tmp_path, "h4"), "metadata": metadata}))
+    res = runner.invoke(main, ["check", "hopf", str(path)])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.output == f"Error: {path}: metadata: expected an object\n"
+
+
+def test_null_metadata_is_none(runner, tmp_path):
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({**_exported(runner, tmp_path, "h4"), "metadata": None}))
+    res = runner.invoke(main, ["check", "hopf", str(path)])
+    assert res.exit_code == 0, res.output
+    assert res.output == runner.invoke(main, ["check", "hopf", str(tmp_path / "h4.json")]).output
+    morphism = {**_exported(runner, tmp_path, "g1_yd_h4"), "metadata": None}
+    assert ff.from_payload(morphism).metadata == {}
+
+
+@pytest.mark.parametrize("command, flag, name", [
+    ("pivotal", "--datum", "yd_h4"), ("ribbon", "--dqg", "long_dqg_kz2")])
+def test_negative_max_params_exits_2(runner, tmp_path, command, flag, name):
+    path = tmp_path / f"{name}.json"
+    assert runner.invoke(main, ["corpus", name, "-o", str(path)]).exit_code == 0
+    res = runner.invoke(main, ["find", command, flag, str(path), "--max-params", "-3"],
+                        prog_name="entwine")
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert "--max-params: expected a count of at least 0, got -3" in res.output
+    # 0 is a count: the search runs, and with no free parameter allowed decides nothing
+    res = runner.invoke(main, ["find", command, flag, str(path), "--max-params", "0"])
+    assert res.exit_code == 0, res.output
+
+
 def test_files_may_follow_an_option(runner, tmp_path, h4_file):
     kz2 = tmp_path / "kz2.json"
     assert runner.invoke(main, ["corpus", "kz2", "-o", str(kz2)]).exit_code == 0

@@ -8,11 +8,10 @@ unit) over the whole hom space: inverses and None-ness must agree with it
 on the corpus R-maps, on one-entry phi mutants (which break associativity,
 so every branch occurs) and on seeded dense R-maps.  hom_operator,
 solve_affine and the g*x = 1 scan are counted around each inverse: one
-operator, on the seeds the unit reaches, and one solve, except that a
-failed g*x = 1 builds x -> g*x and, unless the first build was already
-over every seed (kZ_n), the full x -> x*g, and solves once more.  On
-yd_dqg_h4's mutants that solve is pinned to a few rows of the stacked
-system.
+operator, on the rows the unit reaches, and one solve, except that a
+failed g*x = 1 builds the full x -> x*g and x -> g*x and solves once
+more.  On yd_dqg_h4's mutants that solve is pinned to a few rows of the
+stacked system.
 """
 
 import functools
@@ -60,15 +59,16 @@ def stacked_oracle(d, g2):
 
 @pytest.fixture
 def seen(monkeypatch):
-    """What conv2_inverse built, solved and scanned: the seeds of each
-    operator (None: all), each solve's (rows, cols) and solution, and the
-    g*x = 1 verdicts."""
+    """What conv2_inverse built, solved and scanned: the rows each operator
+    holds (None: a full build), each solve's (rows, cols) and solution,
+    and the g*x = 1 verdicts."""
     seen = {"operators": [], "solves": [], "checks": []}
     build, solve, compare = ent.hom_operator, ent.solve_affine, ent.compare_item
 
-    def hom_operator(in_dims, out_dims, seed_dims, key_dims, side, seeds=None):
-        seen["operators"].append(None if seeds is None else len(seeds))
-        return build(in_dims, out_dims, seed_dims, key_dims, side, seeds)
+    def hom_operator(in_dims, out_dims, seed_dims, key_dims, side, rhs=None):
+        rows = build(in_dims, out_dims, seed_dims, key_dims, side, rhs)
+        seen["operators"].append(None if rhs is None else sum(1 for row in rows if row))
+        return rows
 
     def solve_affine(a, b):
         sol = solve(a, b)
@@ -106,12 +106,11 @@ def inverse(seen):
             (_, stacked), = rest
             branch = STACKED
             assert (got is None) == (stacked is None)
-        # the x*g the unit reaches; after a failed g*x = 1, the full x*g
-        # unless the first build was already over every seed, and x -> g*x:
-        # 2 operators on a fallback over kZ_n, 3 on the others
+        # the rows of x*g the unit reaches, never more than its component
+        # holds; after a failed g*x = 1, the full x*g and x -> g*x
         first_build, *fallback = seen["operators"]
-        assert fallback == ([] if branch != STACKED else
-                            [None, None] if first_build is not None else [None]), branch
+        assert first_build is not None and first_build <= seen["solves"][0][0][0], branch
+        assert fallback == ([] if branch != STACKED else [None, None]), branch
         return got, branch
 
     return run

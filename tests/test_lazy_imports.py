@@ -24,10 +24,11 @@ from entwine.emodcat import std_module_CA
 
 # what `import entwine.cli` loads: the modules every check and build reads
 CORE = {"cli", "fileformat", "exactla", "report", "hopfcore", "entwining"}
+# each of emodcat, pivribbon and smash loads alone, in the commands that run it
 MODULE = CORE | {"emodcat"}
-PIVRIBBON = MODULE | {"pivribbon"}
-SMASH = PIVRIBBON | {"smash"}
-EVERY = SMASH | {"corpus"}
+PIVRIBBON = CORE | {"pivribbon"}
+SMASH = CORE | {"smash"}
+CORPUS = SMASH | {"corpus"}
 
 # command -> the entwine.* modules loaded once it has run
 CASES = {
@@ -49,8 +50,8 @@ CASES = {
     "find-ribbon": (["find", "ribbon", "--dqg", "yd_dqg_kz2.json"], PIVRIBBON),
     "build-smash": (["build", "smash", "--datum", "yd_kz2.json", "-o", "s.json"], SMASH),
     "build-cosmash": (["build", "cosmash", "--datum", "yd_kz2.json", "-o", "cs.json"], SMASH),
-    "build-double": (["build", "double", "--hopf", "kz2.json", "-o", "d.json"], EVERY),
-    "corpus-list": (["corpus-list"], EVERY),
+    "build-double": (["build", "double", "--hopf", "kz2.json", "-o", "d.json"], CORPUS),
+    "corpus-list": (["corpus-list"], CORPUS),
 }
 
 # modules no command may load: the CLI's start-up pays for none of them
