@@ -17,8 +17,7 @@ _EXPORTS = {
                "rat_from_str rat_to_str solve_affine",
     "report": "AxiomItem AxiomReport Witness",
     "hopfcore": "AlgebraData BilinearForm CoalgebraData Element Functional HopfAlgebraData "
-                "check_hopf coquasitri_check dual_hopf quasitri_check trivial_hopf "
-                "verify_copivot verify_coribbon_form verify_pivot verify_ribbon_element",
+                "check_hopf coquasitri_check dual_hopf quasitri_check trivial_hopf",
     "entwining": "DoubleQuantumGroup EntwiningMap HomCA MonoidalEntwiningDatum "
                  "check_antipode_compat check_double_quantum_group check_entwining "
                  "check_monoidal_datum conv2_inverse conv2_product conv_inverse "
@@ -27,7 +26,8 @@ _EXPORTS = {
                "check_duality check_entwined_module double_right_dual extend_MC left_dual "
                "right_dual std_module_AC std_module_CA tensor_modules tensor_unit transpose",
     "pivribbon": "FinderResult MorphismCandidate find_morphisms nat_to_hom pivotal_structure "
-                 "separable_candidate twist verify_pivotal verify_ribbon",
+                 "separable_candidate twist verify_copivot verify_coribbon_form verify_pivot "
+                 "verify_pivotal verify_ribbon verify_ribbon_element",
     "smash": "DistributiveLaw check_distributive_law codistlaw_to_entwining "
              "distlaw_to_entwining entwining_to_codistlaw entwining_to_distlaw "
              "extract_copivot extract_coribbon extract_pivot extract_ribbon "

@@ -8,12 +8,12 @@ invertibility), the entwined convolution algebras on hom(C, A) and
 hom(C (x) C, A (x) A), and the antipode compatibility identities that
 make the dual-module formulas work downstream.
 
-Convolution inverses (E10b here, P5/R5 in the pivotal layer, RE4/CB4 in
-hopfcore on a datum with one trivial side) solve x*g = unit on the rows
-the unit reaches through shared columns, building no other row, and
-check g*x = unit on the solution; only when that check fails is the
-stacked system g*x = unit = x*g solved, again on the rows its right-hand
-side reaches.  The operators x -> x*g and x -> g*x are built
+Convolution inverses (E10b here, P5/R5 in the pivotal layer, there also
+on a datum with one trivial side) solve x*g = unit on the rows the unit
+reaches through shared columns, building no other row, and check
+g*x = unit on the solution; only when that check fails is the stacked
+system g*x = unit = x*g solved, again on the rows its right-hand side
+reaches.  The operators x -> x*g and x -> g*x are built
 by the same pipeline that evaluates a product: with a SlotLeg standing
 for x, one pass per batch of input basis tuples yields every column of
 the operator at once, keyed by the slot leg.  One builder,
@@ -398,9 +398,9 @@ def conv_inverse(g: HomCA) -> HomCA | None:
 
 
 def invertibility_item(axiom_id: str, map: Matrix, inverse) -> AxiomItem:
-    """The item saying that map has a convolution inverse (E10b, P5, R5,
-    RE4, CB4); a missing inverse fails with the map's row-major entries
-    against zeros as the witness."""
+    """The item saying that map has a convolution inverse (E10b, P5, R5);
+    a missing inverse fails with the map's row-major entries against zeros
+    as the witness."""
     if inverse is not None:
         return AxiomItem(axiom_id, True)
     flat = map.flat()

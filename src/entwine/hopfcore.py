@@ -10,12 +10,9 @@ tuples, never sampled.
 The quasitriangular / coquasitriangular checks are not hand-coded here:
 they specialize the double-structure axioms of :mod:`entwine.entwining`
 to the degenerate case where one side is the ground field, so the
-hardest axiom block has a single source of truth.  The invertibility
-items RE4 and CB4 do the same: an element of H is inverted as a map
-k -> H and a functional on C as a map C -> k, by the entwined
-convolution inverse over that degenerate datum.  There the convolution
-is the product of H (reversed) and the plain convolution on the dual
-of C.
+hardest axiom block has a single source of truth.  Pivots, copivots,
+ribbon elements and ribbon characters specialize the same way, to the
+pivotal and ribbon laws of :mod:`entwine.pivribbon`, which defines them.
 """
 
 from __future__ import annotations
@@ -29,8 +26,6 @@ from .exactla import (
     Vector,
     invert,
     pipeline_matrix,
-    sv_apply,
-    sv_permute,
 )
 from .report import AxiomReport, compare_item, _ap, _pm
 
@@ -344,192 +339,6 @@ def dual_hopf(h: HopfAlgebraData, twist: str = "plain") -> HopfAlgebraData:
     alg = AlgebraData(d, names, mult, unit)
     coa = CoalgebraData(d, names, comult, counit)
     return HopfAlgebraData(alg, coa, antipode)
-
-
-# ---------------------------------------------------------------------------
-# Pivots, copivots, ribbon elements, coribbon forms
-# ---------------------------------------------------------------------------
-
-
-def verify_pivot(h: HopfAlgebraData, g: Element) -> AxiomReport:
-    "Pivot conditions: grouplike, counit one, and g*S(a) = S^{-1}(a)*g."
-    if g.host is not h:
-        raise ValueError("element must be hosted in h")
-    d = h.dim
-    g_op = element_op(g.coords)
-    mul, comul, counit = h.mul_op, h.comul_op, h.counit_op
-    items = [
-        compare_item(
-            "PV1_grouplike",
-            (),
-            (d, d),
-            (_ap(0, g_op), _ap(0, comul)),
-            (_ap(0, g_op), _ap(1, g_op)),
-        ),
-        compare_item(
-            "PV2_counit_one",
-            (),
-            (),
-            (_ap(0, g_op), _ap(0, counit)),
-            (),
-        ),
-        compare_item(
-            "PV3_antipode_twist",
-            (d,),
-            (d,),
-            (_ap(0, h.antipode_op), _ap(0, g_op), _ap(0, mul)),
-            (_ap(0, h.antipode_inv_op), _ap(1, g_op), _ap(0, mul)),
-        ),
-    ]
-    return AxiomReport(items)
-
-
-def verify_copivot(c: HopfAlgebraData, g: Functional) -> AxiomReport:
-    "Copivot conditions: multiplicative, unit one, g(c1)S(c2) = S^{-1}(c1)g(c2)."
-    if g.host is not c:
-        raise ValueError("functional must be hosted in c")
-    d = c.dim
-    g_op = TensorOp(g.coords, (d,), ())
-    mul, comul = c.mul_op, c.comul_op
-    items = [
-        compare_item(
-            "CP1_multiplicative",
-            (d, d),
-            (),
-            (_ap(0, mul), _ap(0, g_op)),
-            (_ap(0, g_op), _ap(0, g_op)),
-        ),
-        compare_item(
-            "CP2_unit_one",
-            (),
-            (),
-            (_ap(0, c.unit_op), _ap(0, g_op)),
-            (),
-        ),
-        compare_item(
-            "CP3_antipode_twist",
-            (d,),
-            (d,),
-            (_ap(0, comul), _ap(0, g_op), _ap(0, c.antipode_op)),
-            (_ap(0, comul), _ap(1, g_op), _ap(0, c.antipode_inv_op)),
-        ),
-    ]
-    return AxiomReport(items)
-
-
-def _element_hom(h: HopfAlgebraData, v: Vector) -> ent.HomCA:
-    "v as the map k -> H over the degenerate datum."
-    return ent.HomCA(_degenerate_datum(trivial_hopf(), h), Matrix.from_flat(v, 1))
-
-
-def verify_ribbon_element(h: HopfAlgebraData, rmatrix: Vector, v: Element) -> AxiomReport:
-    """Ribbon-element conditions in a quasitriangular Hopf algebra.
-
-    Checks centrality, Delta(v) = (v (x) v) * R21 R, S(v) = v, and
-    invertibility; quasitriangularity of (h, rmatrix) is the caller's
-    precondition (see quasitri_check).
-    """
-    if v.host is not h:
-        raise ValueError("element must be hosted in h")
-    if rmatrix.dim != h.dim * h.dim:
-        raise ValueError("rmatrix must live in H (x) H")
-    d = h.dim
-    mul, comul = h.mul_op, h.comul_op
-    v_op = element_op(v.coords)
-    r_op = element_op(rmatrix, (d, d))
-
-    def componentwise_mul(state):
-        # (x1 (x) x2) * (y1 (x) y2) on a 4-leg state
-        state = sv_permute(state, (0, 2, 1, 3))
-        state = sv_apply(state, 0, mul)
-        return sv_apply(state, 1, mul)
-
-    items = [
-        compare_item(
-            "RE1_central",
-            (d,),
-            (d,),
-            (_ap(0, v_op), _ap(0, mul)),
-            (_ap(1, v_op), _ap(0, mul)),
-        ),
-        compare_item(
-            "RE2_comult_r21r",
-            (),
-            (d, d),
-            (_ap(0, v_op), _ap(0, comul)),
-            (
-                _ap(0, r_op),          # r1 r2
-                _pm((1, 0)),           # r2 r1  (this is R21)
-                _ap(2, r_op),          # r2 r1 R1 R2
-                componentwise_mul,     # R21 * R
-                _ap(0, v_op),
-                _ap(1, v_op),          # v v (R21R)1 (R21R)2
-                componentwise_mul,     # (v (x) v) * R21 R
-            ),
-        ),
-        compare_item(
-            "RE3_antipode_fixed",
-            (),
-            (d,),
-            (_ap(0, v_op), _ap(0, h.antipode_op)),
-            (_ap(0, v_op),),
-        ),
-    ]
-    g = _element_hom(h, v.coords)
-    items.append(ent.invertibility_item("RE4_invertible", g.map, ent.conv_inverse(g)))
-    return AxiomReport(items)
-
-
-def verify_coribbon_form(c: HopfAlgebraData, form: BilinearForm, g: Functional) -> AxiomReport:
-    """Coribbon conditions in a coquasitriangular Hopf algebra.
-
-    Checks cocentrality g(c1)c2 = c1 g(c2), the product rule through the
-    form, invariance under the antipode, and convolution invertibility;
-    coquasitriangularity of (c, form) is the caller's precondition.
-    """
-    if g.host is not c or form.host_left is not c or form.host_right is not c:
-        raise ValueError("form and functional must be hosted in c")
-    d = c.dim
-    comul = c.comul_op
-    g_op = TensorOp(g.coords, (d,), ())
-    form_op = TensorOp(form.coords, (d, d), ())
-    items = [
-        compare_item(
-            "CB1_cocentral",
-            (d,),
-            (d,),
-            (_ap(0, comul), _ap(0, g_op)),
-            (_ap(0, comul), _ap(1, g_op)),
-        ),
-        compare_item(
-            "CB2_product_rule",
-            (d, d),
-            (),
-            (_ap(0, c.mul_op), _ap(0, g_op)),
-            (
-                _ap(0, comul),
-                _ap(1, comul),       # c1 c2 c3 d
-                _ap(3, comul),
-                _ap(4, comul),       # c1 c2 c3 d1 d2 d3
-                _ap(0, g_op),        # g(c1):      c2 c3 d1 d2 d3
-                _ap(2, g_op),        # g(d1):      c2 c3 d2 d3
-                _pm((0, 2, 3, 1)),   # c2 d2 d3 c3
-                _ap(0, form_op),     # R(c2 (x) d2):   d3 c3
-                _ap(0, form_op),     # R(d3 (x) c3)
-            ),
-        ),
-        compare_item(
-            "CB3_antipode_fixed",
-            (d,),
-            (),
-            (_ap(0, g_op),),
-            (_ap(0, c.antipode_op), _ap(0, g_op)),
-        ),
-    ]
-    # g as the map C -> k, inverted under the plain convolution of C*
-    g_hom = ent.HomCA(_degenerate_datum(c, trivial_hopf()), g.coords)
-    items.append(ent.invertibility_item("CB4_conv_invertible", g.coords, ent.conv_inverse(g_hom)))
-    return AxiomReport(items)
 
 
 # ---------------------------------------------------------------------------

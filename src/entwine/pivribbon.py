@@ -41,9 +41,17 @@ from .entwining import (
     HomCA,
     MonoidalEntwiningDatum,
     conv_inverse,
+    datums_compatible,
     invertibility_item,
 )
-from .hopfcore import Element, Functional
+from .hopfcore import (
+    BilinearForm,
+    Element,
+    Functional,
+    HopfAlgebraData,
+    _degenerate_datum,
+    trivial_hopf,
+)
 from .report import AxiomItem, AxiomReport, compare_item, _ap, _pm, _slot
 
 
@@ -190,6 +198,8 @@ def verify_pivotal(d: MonoidalEntwiningDatum, g: HomCA) -> AxiomReport:
     P3: g(c) S_A^2(a) = a_phi g(c^phi)        (all pairs a, c)
     P4: g(c1) (x) c2 = g(c2)_phi (x) S_C^{-2}(c1^phi)
     """
+    if not datums_compatible(g.datum, d):
+        raise ValueError("g must be a map over d")
     g_op = g.op
     items = [
         _quadratic_item(d, "pivotal", None, g),
@@ -215,12 +225,68 @@ def verify_ribbon(q: DoubleQuantumGroup, g: HomCA) -> AxiomReport:
     R4: g(c) = (S_A^{-1} g S_C (c^phi))_phi   (a closed-loop contraction)
     """
     d = q.datum
+    if not datums_compatible(g.datum, d):
+        raise ValueError("g must be a map over q's datum")
     items = [
         _quadratic_item(d, "ribbon", q, g),
         *_law_items(d, "ribbon", g),
         invertibility_item("R5_conv_invertible", g.map, conv_inverse(g)),
     ]
     return AxiomReport(items)
+
+
+# ---------------------------------------------------------------------------
+# Hopf-level structures: the same laws on a datum with one trivial side
+#
+# Over (k, H) a map k -> H is an element of H, and over (C, k) a map C -> k
+# is a functional on C; the entwining map is the identity.  P3 is then vacuous
+# for a copivot and P4 for a pivot, R1 for a ribbon character and R2 for a
+# ribbon element.
+# ---------------------------------------------------------------------------
+
+
+def verify_pivot(h: HopfAlgebraData, g: Element) -> AxiomReport:
+    """A pivot of h by verify_pivotal over (k, H): g grouplike (P1) with
+    counit one (P2), g S^2(a) = a g (P3), and g invertible (P5)."""
+    if g.host is not h:
+        raise ValueError("element must be hosted in h")
+    d = _degenerate_datum(trivial_hopf(), h)
+    return verify_pivotal(d, HomCA(d, Matrix.from_flat(g.coords, 1)))
+
+
+def verify_copivot(c: HopfAlgebraData, g: Functional) -> AxiomReport:
+    """A copivot of c by verify_pivotal over (C, k): g multiplicative (P1)
+    with g(1) = 1 (P2), g(c1) c2 = S^{-2}(c1) g(c2) (P4), and g
+    convolution-invertible (P5)."""
+    if g.host is not c:
+        raise ValueError("functional must be hosted in c")
+    d = _degenerate_datum(c, trivial_hopf())
+    return verify_pivotal(d, HomCA(d, g.coords))
+
+
+def verify_ribbon_element(h: HopfAlgebraData, rmatrix: Vector, v: Element) -> AxiomReport:
+    """A ribbon element of (h, R) by verify_ribbon over (k, H) with R as its
+    braiding: v central (R1), Delta(v) = (v (x) v) R21 R (R3), S(v) = v (R4),
+    and v invertible (R5).  Quasitriangularity of (h, R) is the caller's
+    precondition (see quasitri_check)."""
+    if v.host is not h:
+        raise ValueError("element must be hosted in h")
+    if rmatrix.dim != h.dim * h.dim:
+        raise ValueError("rmatrix must live in H (x) H")
+    d = _degenerate_datum(trivial_hopf(), h)
+    q = DoubleQuantumGroup(d, Matrix.from_flat(rmatrix, 1))
+    return verify_ribbon(q, HomCA(d, Matrix.from_flat(v.coords, 1)))
+
+
+def verify_coribbon_form(c: HopfAlgebraData, form: BilinearForm, g: Functional) -> AxiomReport:
+    """A ribbon character of (c, form) by verify_ribbon over (C, k) with the
+    form as its braiding: g cocentral (R2), the product rule through the form
+    (R3), g S = g (R4), and g convolution-invertible (R5).
+    Coquasitriangularity of (c, form) is the caller's precondition."""
+    if g.host is not c or form.host_left is not c or form.host_right is not c:
+        raise ValueError("form and functional must be hosted in c")
+    d = _degenerate_datum(c, trivial_hopf())
+    return verify_ribbon(DoubleQuantumGroup(d, form.coords), HomCA(d, g.coords))
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,15 @@ from entwine.entwining import (
     conv_unit,
 )
 from entwine.exactla import Matrix, TensorOp, Vector, invert, kron, matrix_from_columns_fn
-from entwine.hopfcore import Element, Functional, check_hopf, verify_copivot, verify_pivot
+from entwine.hopfcore import Element, Functional, check_hopf
 from entwine.pivribbon import (
     _act_by_g_op,
     find_morphisms,
     nat_to_hom,
     pivotal_structure,
     twist,
+    verify_copivot,
+    verify_pivot,
     verify_pivotal,
     verify_ribbon,
 )
@@ -79,11 +81,11 @@ def test_criterion_02_pivot_and_copivot_of_h4(h4):
         assert verify_pivot(h4, Element(h4, Vector([0, 1, 0, 0]))).overall
         rep = verify_pivot(h4, Element(h4, Vector([1, 0, 0, 0])))
         assert not rep.overall
-        assert rep.item("PV3_antipode_twist").witness.basis == (2,)
+        assert rep.item("P3_action_twist").witness.basis == (2, 0)
         assert verify_copivot(h4, corpus.h4_copivot(h4)).overall
         rep = verify_copivot(h4, Functional(h4, h4.counit))
         assert not rep.overall
-        assert rep.item("CP3_antipode_twist").witness.basis == (2,)
+        assert rep.item("P4_coaction_twist").witness.basis == (2,)
 
 
 def test_criterion_03_yd_datum_and_dqg(yd_h4, yd_dqg_h4):

@@ -1,12 +1,15 @@
-"""RE4 and CB4 invert through the entwined convolution inverse.
+"""Ribbon elements and ribbon characters invert through the entwined
+convolution inverse.
 
 An element of H is inverted as a map k -> H, and a functional on C as a
 map C -> k, over the datum with one side trivial_hopf() and identity
 entwining map.  The oracles below are the hand-built operators this
 replaced, kept verbatim but for handing two_sided_solve their rows
 (Rows.of) and right-hand side, and reading its solution, by nonzero
-entries {index: value}; inverses, None-ness and the RE4/CB4 items must
-be equal on seeded elements and functionals, invertible and not.
+entries {index: value}; inverses, None-ness and the R5 items of
+verify_ribbon_element and verify_coribbon_form (RE4 and CB4 of the
+hand-written reference) must be equal on seeded elements and
+functionals, invertible and not.
 """
 
 import random
@@ -23,12 +26,10 @@ from entwine.hopfcore import (
     Functional,
     HopfAlgebraData,
     _degenerate_datum,
-    _element_hom,
     element_op,
     trivial_hopf,
-    verify_coribbon_form,
-    verify_ribbon_element,
 )
+from entwine.pivribbon import verify_coribbon_form, verify_ribbon_element
 from entwine.report import AxiomItem, Witness, _ap
 
 from oracles import pipeline, two_sided_solve
@@ -107,16 +108,17 @@ def hosts():
 @pytest.mark.parametrize("name", HOSTS)
 def test_element_inverse_matches_oracle(hosts, name):
     h = hosts[name]
+    d = _degenerate_datum(trivial_hopf(), h)
     r = Vector([1] + [0] * (h.dim * h.dim - 1))
     kinds = set()
     for coords in _seeded(h, 101):
         v = Vector(coords)
         want = oracle_element_inverse(h, v)
-        inv = conv_inverse(_element_hom(h, v))
+        inv = conv_inverse(HomCA(d, Matrix.from_flat(v, 1)))
         assert (None if inv is None else inv.map.col(0)) == want
         kinds.add(want is None)
-        item = verify_ribbon_element(h, r, Element(h, v)).item("RE4_invertible")
-        assert item.to_dict() == oracle_item("RE4_invertible", want, v).to_dict()
+        item = verify_ribbon_element(h, r, Element(h, v)).item("R5_conv_invertible")
+        assert item.to_dict() == oracle_item("R5_conv_invertible", want, v).to_dict()
     assert kinds == {True, False}
 
 
@@ -134,6 +136,6 @@ def test_functional_inverse_matches_oracle(hosts, name):
         if want is not None:
             assert got.map == want
         kinds.add(want is None)
-        item = verify_coribbon_form(c, form, Functional(c, row)).item("CB4_conv_invertible")
-        assert item.to_dict() == oracle_item("CB4_conv_invertible", want, row.row(0)).to_dict()
+        item = verify_coribbon_form(c, form, Functional(c, row)).item("R5_conv_invertible")
+        assert item.to_dict() == oracle_item("R5_conv_invertible", want, row.row(0)).to_dict()
     assert kinds == {True, False}

@@ -15,7 +15,7 @@ from entwine.entwining import (
 from entwine.exactla import Matrix, Vector, sv_apply, sv_permute
 from entwine.hopfcore import BilinearForm, check_hopf, coquasitri_check, quasitri_check
 
-from oracles import pipeline
+from oracles import h4_form, h4_rmatrix, pipeline
 
 
 def test_every_hopf_constructor_passes():
@@ -166,28 +166,6 @@ def test_long_dqg_braiding_map_matches_oracle(h4, seed):
     q = corpus.long_dqg(h4, r, b, form)
     assert q.rmap == oracle_long_dqg_rmap(h4, r, b, form)
     assert not q.rmap.is_zero()
-
-
-def h4_rmatrix(alpha) -> Vector:
-    """R_alpha on H4 in the basis 1, e, x, y = ex (Panaite-Van Oystaeyen):
-    (1/2)(1(x)1 + 1(x)e + e(x)1 - e(x)e) + (alpha/2)(x(x)x - x(x)y + y(x)x
-    + y(x)y).  It is quasitriangular and, for alpha != 0, not symmetric."""
-    half, a = Fraction(1, 2), Fraction(alpha) / 2
-    r = [0] * 16
-    for (u, v), c in {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): -half,
-                      (2, 2): a, (2, 3): -a, (3, 2): a, (3, 3): a}.items():
-        r[u * 4 + v] = c
-    return Vector(r)
-
-
-def h4_form(h4, gamma) -> BilinearForm:
-    """beta_gamma on H4: 1 on (1,1), (1,e), (e,1), -1 on (e,e), gamma on (x,x),
-    (x,y), (y,y) and -gamma on (y,x).  It is coquasitriangular."""
-    f = [0] * 16
-    for (u, v), c in {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1,
-                      (2, 2): gamma, (2, 3): gamma, (3, 3): gamma, (3, 2): -gamma}.items():
-        f[u * 4 + v] = c
-    return BilinearForm(h4, h4, Matrix([f]))
 
 
 @pytest.mark.parametrize("alpha", [0, 1, Fraction(2, 3)])

@@ -1,9 +1,14 @@
-"""Hopf data checkers, duals, pivots, copivots, ribbon elements, forms."""
+"""Hopf data checkers, duals, pivots, copivots, ribbon elements, forms.
+
+Pivots, copivots, ribbon elements and ribbon characters are checked by
+entwine.pivribbon's P and R laws on a datum with one trivial side; their
+reports carry those axiom IDs."""
 
 import pytest
 
-from entwine import corpus
-from entwine.entwining import conv_inverse
+import oracles
+from entwine import corpus, pivribbon
+from entwine.entwining import HomCA, conv_inverse
 from entwine.exactla import Matrix, NotInvertibleError, Vector, invert, kron
 from entwine.hopfcore import (
     AlgebraData,
@@ -12,17 +17,20 @@ from entwine.hopfcore import (
     Element,
     Functional,
     HopfAlgebraData,
-    _element_hom,
+    _degenerate_datum,
     check_hopf,
     coquasitri_check,
     dual_hopf,
     quasitri_check,
     trivial_hopf,
+)
+from entwine.pivribbon import (
     verify_copivot,
     verify_coribbon_form,
     verify_pivot,
     verify_ribbon_element,
 )
+from oracles import LAW_OF
 
 
 # -- independent word-rewriting oracle for the Sweedler multiplication table --
@@ -237,12 +245,12 @@ def test_pivot_of_h4(h4):
 
 def test_unit_is_not_a_pivot_of_h4(h4):
     rep = verify_pivot(h4, Element(h4, Vector([1, 0, 0, 0])))
-    assert not rep.overall
-    item = rep.item("PV3_antipode_twist")
-    assert not item.passed and item.witness.basis == (2,)
-    # 1*S(x) = -y against S^{-1}(x)*1 = y
-    assert item.witness.lhs == Vector([0, 0, 0, -1])
-    assert item.witness.rhs == Vector([0, 0, 0, 1])
+    assert rep.failed_ids() == ["P3_action_twist"]
+    item = rep.item("P3_action_twist")
+    # at (a, c) = (x, 1): 1*S^2(x) = -x against x*1 = x
+    assert item.witness.basis == (2, 0)
+    assert item.witness.lhs == Vector([0, 0, -1, 0])
+    assert item.witness.rhs == Vector([0, 0, 1, 0])
 
 
 def test_unit_is_a_pivot_when_antipode_involutive(kz2):
@@ -254,7 +262,8 @@ def test_pivot_implies_antipode_square_conjugation(h4, kz2):
     for h, coords in ((h4, Vector([0, 1, 0, 0])), (kz2, Vector([1, 0]))):
         g = Element(h, coords)
         assert verify_pivot(h, g).overall
-        inv = conv_inverse(_element_hom(h, coords))
+        d = _degenerate_datum(trivial_hopf(), h)
+        inv = conv_inverse(HomCA(d, Matrix.from_flat(coords, 1)))
         assert inv is not None
         ginv = inv.map.col(0)
         s2 = h.antipode * h.antipode
@@ -282,9 +291,13 @@ def test_copivot_of_h4(h4):
 
 def test_counit_is_not_a_copivot_of_h4(h4):
     rep = verify_copivot(h4, Functional(h4, h4.counit))
-    assert not rep.overall
-    item = rep.item("CP3_antipode_twist")
-    assert not item.passed and item.witness.basis == (2,)
+    assert rep.failed_ids() == ["P4_coaction_twist"]
+    item = rep.item("P4_coaction_twist")
+    # at c = x, Delta(x) = x (x) 1 + e (x) x: eps(x1) x2 = x against
+    # S^{-2}(x1) eps(x2) = S^{-2}(x) = -x
+    assert item.witness.basis == (2,)
+    assert item.witness.lhs == Vector([0, 0, 1, 0])
+    assert item.witness.rhs == Vector([0, 0, -1, 0])
 
 
 def test_counit_is_a_copivot_on_group_algebra(kz2):
@@ -324,13 +337,15 @@ def test_ribbon_element_trivial_r(kz2):
 
 def test_ribbon_element_noncentral_fails(h4):
     rep = verify_ribbon_element(h4, Vector([1] + [0] * 15), Element(h4, Vector([0, 1, 0, 0])))
-    assert not rep.item("RE1_central").passed
+    assert not rep.item("R1_action").passed
 
 
 def test_ribbon_element_nilpotent_fails_re4(h4):
-    # x is nilpotent in h4, so it has no inverse; RE4 names x against zeros
+    # x is nilpotent in h4, so it has no inverse; R5 (RE4 of the hand-written
+    # reference) names x against zeros
     x = Vector([0, 0, 1, 0])
-    item = verify_ribbon_element(h4, Vector([1] + [0] * 15), Element(h4, x)).item("RE4_invertible")
+    rep = verify_ribbon_element(h4, Vector([1] + [0] * 15), Element(h4, x))
+    item = rep.item("R5_conv_invertible")
     assert not item.passed
     assert item.witness.basis == ()
     assert item.witness.lhs == x
@@ -340,7 +355,8 @@ def test_ribbon_element_nilpotent_fails_re4(h4):
 def test_coribbon_zero_functional_fails_cb4(kz2):
     triv = BilinearForm(kz2, kz2, Matrix([[1, 1, 1, 1]]))
     zero = Functional(kz2, Matrix.zero(1, 2))
-    item = verify_coribbon_form(kz2, triv, zero).item("CB4_conv_invertible")
+    # R5 (CB4 of the hand-written reference)
+    item = verify_coribbon_form(kz2, triv, zero).item("R5_conv_invertible")
     assert not item.passed
     assert item.witness.basis == ()
     assert item.witness.lhs == Vector.zero(2)
@@ -369,80 +385,102 @@ def test_coquasitri_precondition_fails_on_h4(h4):
     assert not coquasitri_check(h4, eps2).overall
 
 
-def _pivot_kz2(coords):
+def _pivot_kz2(coords, verifiers):
     h = corpus.cyclic_group_algebra(2)
-    return verify_pivot(h, Element(h, Vector(coords)))
+    return verifiers.verify_pivot(h, Element(h, Vector(coords)))
 
 
-def _copivot_kz2(coords):
+def _copivot_kz2(coords, verifiers):
     h = corpus.cyclic_group_algebra(2)
-    return verify_copivot(h, Functional(h, Matrix([coords])))
+    return verifiers.verify_copivot(h, Functional(h, Matrix([coords])))
 
 
 def _ribbon_kz(n):
-    def build(coords):
+    def build(coords, verifiers):
         h = corpus.cyclic_group_algebra(n)
         trivial_r = Vector([1] + [0] * (n * n - 1))  # R = 1 (x) 1
-        return verify_ribbon_element(h, trivial_r, Element(h, Vector(coords)))
+        return verifiers.verify_ribbon_element(h, trivial_r, Element(h, Vector(coords)))
     return build
 
 
 def _coribbon(host):
-    def build(coords):
+    def build(coords, verifiers):
         h = host()
         eps = h.counit.row(0)
         eps2 = BilinearForm(h, h, Matrix([[a * b for a in eps for b in eps]]))
-        return verify_coribbon_form(h, eps2, Functional(h, Matrix([coords])))
+        return verifiers.verify_coribbon_form(h, eps2, Functional(h, Matrix([coords])))
     return build
 
 
-# One-entry perturbations of passing pivots, copivots, ribbon elements and
-# coribbon functionals.  kz_n has basis 1 = g^0, g, ..., g^(n-1), with
+# Perturbations of passing pivots, copivots, ribbon elements and coribbon
+# functionals.  Each case names the item of the hand-written reference
+# (oracles.verify_pivot and the rest) that its input was made to break; the
+# law of entwine.pivribbon that item became (LAW_OF) fails with the witness
+# derived below, and the two reports fail the same laws under LAW_OF, but for
+# P5 beside P1 or P2.  kz_n has basis 1 = g^0, g, ..., g^(n-1), with
 # Delta(g^i) = g^i (x) g^i, eps = 1 on every g^i and S(g^i) = g^(n-i); h4 has
 # basis 1, e, x, y with Delta(x) = x (x) 1 + e (x) x and eps = (1, 1, 0, 0).
-# Ribbon elements use R = 1 (x) 1, coribbon functionals the form eps (x) eps,
-# so R21 R = 1 (x) 1 and every R(., .) factor is a product of counits.  An
+# A pivot or ribbon element v is the map k -> H over (k, H), a copivot or
+# coribbon functional g the map C -> k over (C, k), so a law scanned over C
+# scans the one basis vector of k there, and phi is the identity.  Ribbon
+# elements use R = 1 (x) 1, coribbon functionals the form eps (x) eps, so
+# R21 R = 1 (x) 1 and every R(., .) factor is a product of counits.  An
 # output over (d, d) is flattened as x1 * d + x2; the unperturbed input passes
-# every item of its report.
-#  - PV1, g = 1 -> 1 + g: Delta(1 + g) = 1 1 + g g against
+# every item of both reports.
+#  - P1, g = 1 -> 1 + g: at (1, 1) of k, Delta(1 + g) = 1 1 + g g against
 #    (1 + g) (x) (1 + g).
-#  - PV2, g = 1 -> 0: eps(0) = 0 against 1 (0 is grouplike, so PV1 passes).
-#  - CP1, g = eps -> g(1) = 2: at (1, 1), g(1 1) = 2 against g(1) g(1) = 4.
-#  - CP2, g = eps -> g(1) = 0: g(1) = 0 against 1.
-#  - RE2, v = 1 -> 2 on kz2: Delta(2) = 2 1 1 against (v (x) v) = 4 1 1.
-#  - RE3, v = 1 -> 1 + g on kz3 (S = id on kz2): S(1 + g) = 1 + g^2
-#    against 1 + g.
-#  - CB1, g = eps -> g(x) = 1 on h4 (kz_n is cocommutative): at 1 and e
+#  - P2, g = 1 -> 0: eps(0) = 0 against 1 (0 is grouplike, so P1 passes).
+#  - P1 on a copivot, g = eps -> g(1) = 2: at (1, 1), g(1 1) = 2 against
+#    g(1) g(1) = 4.
+#  - P2 on a copivot, g = eps -> g(1) = 0: g(1) = 0 against 1.
+#  - R3, v = 1 -> 2 on kz2: at (1, 1) of k, Delta(2) = 2 1 1 against
+#    (v (x) v) R21 R = 4 1 1.
+#  - R4, v = 1 -> 1 + g on kz3: v = 1 + g against S^{-1}(v) = 1 + g^2
+#    (S_k and phi are identities).
+#  - R2, g = eps -> g(x) = 1 on h4 (kz_n is cocommutative): at 1 and e
 #    both sides are the basis vector; at x, g(x) 1 + g(e) x = 1 + x against
 #    x g(1) + e g(x) = e + x.
-#  - CB2, g = eps -> g(1) = 2 on kz2: at (1, 1), g(1 1) = 2 against
-#    g(1) g(1) R(1, 1) R(1, 1) = 4.
-#  - CB3, g = eps -> g(g) = 2 on kz3: at 1 both sides are 1; at g,
-#    g(g) = 2 against g(S(g)) = g(g^2) = 1.
+#  - R3 on a coribbon functional, g = eps -> g(1) = 2 on kz2: at (1, 1),
+#    g(1 1) = 2 against g(1) g(1) R(1, 1) R(1, 1) = 4.
+#  - R4 on a coribbon functional, g = eps -> g(g) = 2 on kz3: at 1 both
+#    sides are 1; at g, g(g) = 2 against g(S(g)) = g(g^2) = 1.
+#  - R4 alone, v = 1 -> g on kz3 (two entries change): v = g against
+#    S^{-1}(g) = g^2.  g is central and grouplike, so R1 and R3 hold with
+#    R = 1 (x) 1, and invertible, so R5 holds; R2 is vacuous over (k, H).
+#    Only RE3 fails in the reference.
 @pytest.mark.parametrize("axiom, build, base, entry, delta, basis, lhs, rhs", [
-    ("PV1_grouplike", _pivot_kz2, [1, 0], 1, 1, (), [1, 0, 0, 1], [1, 1, 1, 1]),
+    ("PV1_grouplike", _pivot_kz2, [1, 0], 1, 1, (0, 0), [1, 0, 0, 1], [1, 1, 1, 1]),
     ("PV2_counit_one", _pivot_kz2, [1, 0], 0, -1, (), [0], [1]),
     ("CP1_multiplicative", _copivot_kz2, [1, 1], 0, 1, (0, 0), [2], [4]),
     ("CP2_unit_one", _copivot_kz2, [1, 1], 0, -1, (), [0], [1]),
-    ("RE2_comult_r21r", _ribbon_kz(2), [1, 0], 0, 1, (), [2, 0, 0, 0], [4, 0, 0, 0]),
-    ("RE3_antipode_fixed", _ribbon_kz(3), [1, 0, 0], 1, 1, (), [1, 0, 1], [1, 1, 0]),
+    ("RE2_comult_r21r", _ribbon_kz(2), [1, 0], 0, 1, (0, 0), [2, 0, 0, 0], [4, 0, 0, 0]),
+    ("RE3_antipode_fixed", _ribbon_kz(3), [1, 0, 0], 1, 1, (0,), [1, 1, 0], [1, 0, 1]),
     ("CB1_cocentral", _coribbon(corpus.sweedler_h4), [1, 1, 0, 0], 2, 1, (2,),
      [1, 0, 1, 0], [0, 1, 1, 0]),
     ("CB2_product_rule", _coribbon(lambda: corpus.cyclic_group_algebra(2)), [1, 1], 0, 1,
      (0, 0), [2], [4]),
     ("CB3_antipode_fixed", _coribbon(lambda: corpus.cyclic_group_algebra(3)), [1, 1, 1], 1, 1,
      (1,), [2], [1]),
+    ("RE3_antipode_fixed", _ribbon_kz(3), [1, 0, 0], (0, 1), (-1, 1), (0,), [0, 1, 0], [0, 0, 1]),
 ])
 def test_one_entry_perturbation_fails_pivot_or_ribbon_axiom(axiom, build, base, entry, delta,
                                                              basis, lhs, rhs):
-    assert build(base).overall
+    assert build(base, oracles).overall and build(base, pivribbon).overall
     coords = list(base)
-    coords[entry] += delta
-    item = build(coords).item(axiom)
+    moved = isinstance(entry, tuple)  # a grouplike moved to another
+    for i, d in zip(*((entry, delta) if moved else ((entry,), (delta,)))):
+        coords[i] += d
+    reference, rep = build(coords, oracles), build(coords, pivribbon)
+    assert not reference.item(axiom).passed
+    item = rep.item(LAW_OF[axiom])
     assert not item.passed
     assert item.witness.basis == basis
     assert list(item.witness.lhs) == lhs
     assert list(item.witness.rhs) == rhs
+    failed = set(rep.failed_ids())
+    assert failed - {"P5_conv_invertible"} == {LAW_OF[i] for i in reference.failed_ids()}
+    if moved:
+        assert failed == {item.axiom_id}
 
 
 def test_trivial_hopf():

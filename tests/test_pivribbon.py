@@ -236,6 +236,32 @@ def test_zero_map_fails_r5_on_long_dqg_kz2(long_dqg_kz2):
     assert item.witness.rhs == Vector.zero(4)
 
 
+def _phi_changed(d, i, j, delta):
+    rows = [list(r) for r in d.phi.rows()]
+    rows[i][j] += delta
+    return MonoidalEntwiningDatum(EntwiningMap(d.c, d.a, Matrix(rows)))
+
+
+# A verifier reads P1-P4 (R1-R4) over the datum it is given but inverts g
+# over g.datum, so a map over another datum is rejected: read over yd_h4
+# (long_dqg_kz2) and inverted over it with phi[0][0] lowered by 1, the
+# passing map below fails P5 (R5) alone.  A datum equal to the given one but
+# built again is accepted.
+def test_verify_pivotal_rejects_a_map_over_another_datum(yd_h4):
+    g = find_morphisms(yd_h4, "pivotal").solutions[0].map
+    assert verify_pivotal(yd_h4, g).overall
+    with pytest.raises(ValueError, match="over d"):
+        verify_pivotal(yd_h4, HomCA(_phi_changed(yd_h4, 0, 0, -1), g.map))
+    assert verify_pivotal(yd_h4, HomCA(_phi_changed(yd_h4, 0, 0, 0), g.map)).overall
+
+
+def test_verify_ribbon_rejects_a_map_over_another_datum(long_dqg_kz2):
+    g = corpus.long_kz2_ribbon()
+    assert g.datum is not long_dqg_kz2.datum and verify_ribbon(long_dqg_kz2, g).overall
+    with pytest.raises(ValueError, match="over q's datum"):
+        verify_ribbon(long_dqg_kz2, HomCA(_phi_changed(long_dqg_kz2.datum, 0, 0, -1), g.map))
+
+
 def test_pivotal_structure_on_unit_is_identity(yd_h4):
     g1, _ = corpus.h4_yd_pivotal_pair(yd_h4)
     beta = pivotal_structure(yd_h4, g1, tensor_unit(yd_h4))

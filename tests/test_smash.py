@@ -18,12 +18,14 @@ from entwine.hopfcore import (
     dual_hopf,
     quasitri_check,
     trivial_hopf,
+)
+from entwine.pivribbon import (
+    find_morphisms,
     verify_copivot,
     verify_coribbon_form,
     verify_pivot,
     verify_ribbon_element,
 )
-from entwine.pivribbon import find_morphisms
 from entwine.report import AxiomReport, _ap, _pm
 from entwine.smash import (
     check_distributive_law,
