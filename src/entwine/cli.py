@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import fileformat as ff
 from .entwining import (
@@ -49,18 +50,34 @@ def _max_workers() -> int:
     return 1
 
 
-def _load(path):
+@contextmanager
+def _opening(path):
+    """A block that reads or writes path: an OSError there (a directory, no
+    permission) or bytes that are not UTF-8 are bad input, not a verdict.
+    A closed stdout stays a BrokenPipeError (exit 141)."""
     try:
-        return ff.load(path)
+        yield
     except FileNotFoundError:
         raise UsageError(f"{path}: no such file")
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
+def _load(path):
+    try:
+        with _opening(path):
+            return ff.load(path)
     except ff.FileFormatError as exc:
         raise UsageError(f"{path}: {exc}")
 
 
 def _write_report_file(report_out, docs) -> None:
     payload = docs[0] if len(docs) == 1 else docs
-    with open(report_out, "w", encoding="utf-8", newline="\n") as fh:
+    with _opening(report_out), open(report_out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -168,7 +185,8 @@ def _save_built(path, src, build, output, construction: str) -> None:
     except NotInvertibleError:
         raise UsageError(f"{path}: the antipode of its {construction} is singular")
     src_hash = ff.content_hash(ff.to_payload(src))
-    ff.save(obj, output, metadata={"construction": construction, "source_hash": src_hash})
+    with _opening(output):
+        ff.save(obj, output, metadata={"construction": construction, "source_hash": src_hash})
 
 
 def _smash_cmd(a) -> None:
@@ -228,7 +246,8 @@ def _corpus_cmd(a) -> None:
         _kind, obj = corpus_build(a.name)
     except KeyError as exc:
         raise UsageError(str(exc.args[0]))
-    ff.save(obj, a.output, name=a.name, metadata={"construction": f"corpus:{a.name}"})
+    with _opening(a.output):
+        ff.save(obj, a.output, name=a.name, metadata={"construction": f"corpus:{a.name}"})
 
 
 def _corpus_list_cmd(a) -> None:
@@ -262,10 +281,8 @@ def _saved_reports(doc, file) -> list[dict]:
 
 def _report_cmd(a) -> bool:
     try:
-        with open(a.file, encoding="utf-8") as fh:
+        with _opening(a.file), open(a.file, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"{a.file}: no such file")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{a.file}: not valid JSON: {exc}")
     docs = _saved_reports(doc, a.file)

@@ -28,11 +28,12 @@ stored R.
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 
 from .exactla import (
     Cap,
     Cup,
+    KernelOp,
     Matrix,
     Rows,
     TensorOp,
@@ -292,6 +293,18 @@ def _hom_matrix(entries: dict, like: Matrix) -> Matrix:
     return Matrix(shape=(like.nrows, like.ncols), cols=cols)
 
 
+def _scaled_op(entries: dict, den: int, in_dims, out_dims) -> KernelOp:
+    """den times the map in hom(in_dims, out_dims) with the flat entries
+    {out * n_in + in: value}, as a kernel op: an int where integral, which
+    den * v is exactly where v's denominator divides den."""
+    n_in = prod(in_dims)
+    cols = {j: [] for j in range(n_in)}
+    for k, v in sorted(entries.items()):
+        q, r = divmod(den, v.denominator)
+        cols[k % n_in].append((k // n_in, v * den if r else v.numerator * q))
+    return KernelOp(in_dims, out_dims, cols)
+
+
 def _solve(rows: Rows, rhs: dict) -> dict | None:
     """The particular solution of rows.x = rhs, solved on rows.component(rhs),
     by its nonzero entries on the old columns; None when inconsistent."""
@@ -318,19 +331,23 @@ def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     homogeneous, and a two-sided inverse would solve it.
 
     x -> x*g is built only on the rows hom_operator reaches from the
-    unit's (exactla._reach): each row it builds is whole, and it builds
-    every row that shares a column with a built one.  A candidate column
-    comes from the supports of the two halves of the product, so a
-    cancellation can only add a column, never drop one; each column found
-    is built in every row, and every row it meets is taken on.  At the
-    fixpoint each reached row holds all of its nonzero entries, so
-    Rows.component finds the full operator's component, row for row: the
-    pivots, and x, are the same.  With g = 0 no column is reached, the
-    unit's rows stay empty, and the system is inconsistent.
+    unit's (exactla._reach), and only they come back, each with its
+    operator row: each row it builds is whole, and it builds every row
+    that shares a column with a built one.  A candidate column comes from
+    the supports of the two halves of the product, so a cancellation can
+    only add a column, never drop one; each column found is built in every
+    row, and every row it meets is taken on.  At the fixpoint each reached
+    row holds all of its nonzero entries, so the reached rows contain the
+    full operator's component, and Rows.component finds it among them, row
+    for row and in the same order: the pivots, and x, are the same.  With
+    g = 0 no column is reached, the unit's rows come back empty, and the
+    system is inconsistent.
 
     g*x = unit is checked as g*(den x) = den unit, den the lcm of x's
     denominators: the same, as the product is linear in x and den != 0,
-    but no Fraction enters the scan on integral data.
+    but no Fraction enters the scan on integral data.  den x and den unit
+    are kernel ops built from the solution's entries and the unit's, their
+    integral values as ints (_scaled_op).
 
     When g*x = unit fails, the rows of x -> g*x stacked on those of the
     full x -> x*g are solved, the unit on both halves, on the component of
@@ -346,13 +363,11 @@ def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     entries = _solve(right, rhs)
     if entries is None:
         return None
-    x = _hom_matrix(entries, unit)
     den = lcm(*(v.denominator for v in entries.values()))
-    dx, dunit = (x, unit) if den == 1 else (x.scale(den), unit.scale(den))
-    gx = (_slot(len(in_dims)), *side(d, g_op, TensorOp(dx, in_dims, out_dims)))
-    one = (_slot(len(in_dims)), _ap(0, TensorOp(dunit, in_dims, out_dims)))
+    gx = (_slot(len(in_dims)), *side(d, g_op, _scaled_op(entries, den, in_dims, out_dims)))
+    one = (_slot(len(in_dims)), _ap(0, _scaled_op(rhs, den, in_dims, out_dims)))
     if compare_item("g*x = 1", in_dims, (*out_dims, 1), gx, one).passed:
-        return x
+        return _hom_matrix(entries, unit)
     right = _operator(d, in_dims, out_dims, side, g_op, False)
     left = _operator(d, in_dims, out_dims, side, g_op, True)
     entries = _solve(Rows(left + right, left.ncols),

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -350,14 +350,17 @@ class Rows(list):
     """A linear map on ``ncols`` unknowns as sparse rows, the form the
     solvers eliminate on: row i is a dict column -> nonzero entry, an int
     where integral, else a Fraction.  hom_operator builds its operators in
-    this form, and Rows.of converts a Matrix."""
+    this form, and Rows.of converts a Matrix.  ``index`` holds the operator
+    row of each row, ascending, where only some of an operator's rows are
+    held (hom_operator with a right-hand side); None means row i is
+    operator row i."""
 
-    __slots__ = ("ncols",)
+    __slots__ = ("ncols", "index")
     nrows = property(list.__len__)
 
-    def __init__(self, rows, ncols: int):
+    def __init__(self, rows, ncols: int, index=None):
         super().__init__(rows)
-        self.ncols = ncols
+        self.ncols, self.index = ncols, index
 
     @staticmethod
     def of(a: Matrix) -> "Rows":
@@ -369,15 +372,19 @@ class Rows(list):
         return rows
 
     def component(self, rhs: dict) -> tuple["Rows", dict, list[int]]:
-        """The rows that the nonzero rows of ``rhs`` reach, two rows meeting
-        when they share a column: their Rows, ``rhs`` on them and the old
-        column of each new one.  Rows and columns keep their order, so the
-        subsystem eliminates with the same pivots as in the whole."""
-        rows = sorted(_linked(self, [r for r, x in rhs.items() if x]))
-        cols = sorted({c for r in rows for c in self[r]})
+        """The rows that the nonzero rows of ``rhs`` (keyed by operator row,
+        each one held) reach, two rows meeting when they share a column:
+        their Rows, ``rhs`` on them and the old column of each new one.
+        Only the rows held are searched.  Rows and columns keep their
+        order, so the subsystem eliminates with the same pivots as in the
+        whole."""
+        index = self.index or range(len(self))
+        at = {r: k for k, r in enumerate(index)} if self.index else index
+        rows = sorted(_linked(self, [at[r] for r, x in rhs.items() if x]))
+        cols = sorted({c for k in rows for c in self[k]})
         new = {c: k for k, c in enumerate(cols)}
-        sub = Rows([{new[c]: x for c, x in self[r].items()} for r in rows], len(cols))
-        return sub, {k: rhs[r] for k, r in enumerate(rows) if r in rhs}, cols
+        sub = Rows([{new[c]: x for c, x in self[k].items()} for k in rows], len(cols))
+        return sub, {n: rhs[index[k]] for n, k in enumerate(rows) if index[k] in rhs}, cols
 
 
 def _linked(keys, start) -> set[int]:
@@ -571,6 +578,12 @@ def invert(a: Matrix) -> Matrix:
 # something reads ``matrix``: a module's ``action``/``coaction`` or a
 # morphism's ``map``.  pipeline_matrix is that materialisation of a fresh
 # step-built op.  Each map has one op, so each column is filled once.
+# Likewise _transpose builds an op's transpose once and keeps it in the
+# op's ``_t`` slot: the reach's transposed tail reads A's multiplication
+# and phi, which live as long as their algebra and datum, and transposes
+# them once per process, not once per inverse.  A per-call op (R's, in
+# conv2_inverse) takes its transpose with it when the call ends, which a
+# module-level cache would not.
 #
 # Coefficients are ints where integral (a TensorOp hands out integral
 # matrix entries as ints; SlotLeg, Cup, Cap and the seeds use 1), else
@@ -592,12 +605,20 @@ def invert(a: Matrix) -> Matrix:
 #     verify-scan      0.95  0.94  0.93  0.95  0.99
 # Above 16 a scan that fails early pays for the tuples past its witness
 # (verify-scan's mutant_datum_yd_kz8: 3.2 ms from 1, 2.8 from 16, 4.1 from
-# 32, 6.8 from 64).  A batch holds at most BATCH_CAP = 64 vectors: larger
-# ones hold larger states and were little faster.  Peak RSS of `entwine
-# check hopf` on four 16-dimensional built Hopf algebras was 23.8 MB one
-# tuple at a time, 24.7 MB with a cap of 64, 26.3 MB with 256 and 26.5 MB
-# with 4096; the modules-duality workload peaked at 25.2, 25.2, 25.4 and
-# 25.6 MB.
+# 32, 6.8 from 64).  A last batch of at most the first batch's size joins
+# the one before it where the two hold at most BATCH_CAP (basis_batches):
+# E08-E10a's 27 tuples on yd_dqg(kz3) run as one batch, not 16 + 11, and
+# 64 tuples as 16 + 48.  Per-op medians with and without the fold, in one
+# process, alternating (10 blocks, 2-vCPU VM): dqg-e10b -3.4 % in sum
+# (yd_dqg_kz3 -9.7 %), modules-duality -0.9 %, verify-scan 0.0 %.  One
+# batch for every domain of at most 64 tuples read dqg-e10b about 6 %
+# faster but verify-scan about 5 % slower, as mutants failing early pay
+# for the whole domain.  A batch holds at most BATCH_CAP = 64 vectors:
+# larger ones hold larger states and were little faster.  Peak RSS of
+# `entwine check hopf` on four 16-dimensional built Hopf algebras was
+# 23.8 MB one tuple at a time, 24.7 MB with a cap of 64, 26.3 MB with 256
+# and 26.5 MB with 4096; the modules-duality workload peaked at 25.2,
+# 25.2, 25.4 and 25.6 MB.
 # ---------------------------------------------------------------------------
 
 
@@ -638,14 +659,15 @@ class KernelOp:
     with the column table ``_cols`` (flat input index -> [(flat output
     index, coefficient)]) that sv_apply reads.  ``fill(flats)`` adds the
     columns at each of flats that the table lacks; this base's table is
-    complete from the start."""
+    complete from the start.  ``_t`` keeps the op's transpose once
+    _transpose has built it."""
 
-    __slots__ = ("in_dims", "out_dims", "n_in", "n_out", "_cols")
+    __slots__ = ("in_dims", "out_dims", "n_in", "n_out", "_cols", "_t")
 
     def __init__(self, in_dims, out_dims, cols: dict):
         self.in_dims, self.out_dims = tuple(in_dims), tuple(out_dims)
         self.n_in, self.n_out = prod(self.in_dims), prod(self.out_dims)
-        self._cols = cols
+        self._cols, self._t = cols, None
 
     def fill(self, flats) -> None:
         "Add the columns at flats to the table (nothing is missing here)."
@@ -835,11 +857,15 @@ def state_to_vector(state: State, j: int = 0) -> Vector:
 def basis_batches(dims, first: int = BATCH_CAP):
     """The flat indices over dims in ascending (lexicographic) order, in
     ranges of first, 2 * first, 4 * first, ... indices, none longer than
-    BATCH_CAP."""
+    BATCH_CAP.  A last range of at most first indices joins the one before
+    it where the two fit in BATCH_CAP together (see the kernel comment)."""
     n, start, size = prod(dims), 0, min(first, BATCH_CAP)
     while start < n:
-        yield range(start, min(start + size, n))
-        start += size
+        end = min(start + size, n)
+        if n - end <= first and n - start <= BATCH_CAP:
+            end = n
+        yield range(start, end)
+        start = end
         size = min(2 * size, BATCH_CAP)
 
 
@@ -912,34 +938,38 @@ def hom_operator(in_dims, out_dims, seed_dims, key_dims, side, rhs=None) -> Rows
 
     Given a right-hand side ``rhs`` (its nonzero entries {row: value}), only
     the rows that _reach meets from rhs's rows are built, each whole, and
-    the others stay empty: they include every row of ``rows.component(rhs)``,
-    so that component is the full operator's.
+    only they are returned, in operator-row order with their operator rows
+    as ``index``: they include every row of the full operator's component
+    of rhs's rows, so ``rows.component(rhs)`` is that component.
     """
     slot = SlotLeg(in_dims, out_dims)
     steps = side(slot)
-    rows = Rows([{} for _ in range(prod(key_dims) * prod(seed_dims))], slot.out_dims[-1])
     if rhs is not None:
-        _reach(rows, rhs, slot, steps, seed_dims, key_dims)
-        return rows
+        return _reach(rhs, slot, steps, seed_dims, key_dims)
+    n_seed, n_hom = prod(seed_dims), slot.out_dims[-1]
+    rows = Rows([{} for _ in range(prod(key_dims) * n_seed)], n_hom)
     for batch in basis_batches(seed_dims):
-        _write(rows, batch, run_batch((*seed_dims, 1), batch, steps), key_dims)
+        _write(rows, batch, run_batch((*seed_dims, 1), batch, steps), key_dims, n_seed, n_hom)
     return rows
 
 
-def _write(rows: Rows, batch, state: State, key_dims) -> None:
-    "Write a batch of seeds' terms, over (*key_dims, slot leg, batch leg), into rows."
-    if state.dims[:-1] != (*key_dims, rows.ncols):
-        raise ValueError(f"side ends on legs {state.dims[:-1]}, not {(*key_dims, rows.ncols)}")
-    b, n_hom, n_seed = len(batch), rows.ncols, len(rows) // prod(key_dims)
+def _write(rows, batch, state: State, key_dims, n_seed: int, n_hom: int) -> None:
+    """Write a batch of seeds' terms, over (*key_dims, slot leg, batch leg),
+    into rows (a list, or a dict of the rows built, by operator row)."""
+    if state.dims[:-1] != (*key_dims, n_hom):
+        raise ValueError(f"side ends on legs {state.dims[:-1]}, not {(*key_dims, n_hom)}")
+    b = len(batch)
     for key, x in state.items():
         rest = key // b
         rows[rest // n_hom * n_seed + batch[key % b]][rest % n_hom] = (
             x.numerator if x.denominator == 1 else x)
 
 
-def _reach(rows: Rows, rhs: dict, slot: SlotLeg, steps, seed_dims, key_dims) -> None:
-    """Build into rows the rows met from rhs's nonzero rows, through the
-    columns they hold and back, each row whole (see hom_operator).
+def _reach(rhs: dict, slot: SlotLeg, steps, seed_dims, key_dims) -> Rows:
+    """The rows met from rhs's nonzero rows, through the columns they hold
+    and back, each built whole (see hom_operator), with rhs's rows: Rows in
+    operator-row order, their operator rows as ``index``.  No other row is
+    allocated.
 
     The operator is read as a bipartite graph of rows and columns, and one
     connected block of it is reached from both ends.  f's step (an _ap of
@@ -961,8 +991,9 @@ def _reach(rows: Rows, rhs: dict, slot: SlotLeg, steps, seed_dims, key_dims) -> 
     defaults say what they apply.
     """
     head, pos, tail = _split_at(steps, slot)
-    n_in, n_hom = slot.n_in, rows.ncols
-    n_out, n_seed = n_hom // n_in, len(rows) // prod(key_dims)
+    n_in, n_hom = slot.n_in, slot.out_dims[-1]
+    n_out, n_seed = n_hom // n_in, prod(seed_dims)
+    rows: dict[int, dict] = defaultdict(dict)
     # the head over every seed, a batch at a time, and what each seed reads
     heads, reads = [], [{} for _ in range(n_seed)]
     for batch in basis_batches(seed_dims):
@@ -1012,13 +1043,15 @@ def _reach(rows: Rows, rhs: dict, slot: SlotLeg, steps, seed_dims, key_dims) -> 
                 continue
             for step in tail:
                 state = step(state)
-            _write(rows, batch, state, key_dims)
+            _write(rows, batch, state, key_dims, n_seed, n_hom)
             b = len(batch)
             for key in state:
                 r = key // b // n_hom * n_seed + batch[key % b]
                 if r not in reached:
                     reached.add(r)
                     frontier.append(r)
+    index = sorted(reached)
+    return Rows([rows[r] for r in index], n_hom, index)
 
 
 def _split_at(steps, slot: SlotLeg):
@@ -1049,10 +1082,13 @@ def _transposed(steps) -> list:
 
 
 def _transpose(op: KernelOp) -> KernelOp:
-    "The transpose of op, from a table with every column filled."
-    op.fill([f for f in range(op.n_in) if f not in op._cols])
-    cols = {o: [] for o in range(op.n_out)}
-    for i, col in op._cols.items():
-        for o, x in col:
-            cols[o].append((i, x))
-    return KernelOp(op.out_dims, op.in_dims, cols)
+    """The transpose of op, from a table with every column filled, built
+    once and kept on op, so it lives as long as op does."""
+    if op._t is None:
+        op.fill([f for f in range(op.n_in) if f not in op._cols])
+        cols = {o: [] for o in range(op.n_out)}
+        for i, col in op._cols.items():
+            for o, x in col:
+                cols[o].append((i, x))
+        op._t = KernelOp(op.out_dims, op.in_dims, cols)
+    return op._t

@@ -11,11 +11,12 @@ tests run every checker and builder both ways, through the batched code and
 with the oracles patched in, on the corpus and on seeded one-entry mutants,
 and compare report dicts and matrices.  Synthetic scans put the first
 failing tuple at index 0, at each end and start of a batch (the batches
-hold SCAN_FIRST_BATCH, twice that, ... up to BATCH_CAP tuples), at the
-edges batches growing from one tuple would have, which fall inside these,
-and at the last tuple, and pair it with a later failure in the same batch,
-so a witness taken from another batch leg, or sides not restricted to the
-witness's leg, show up.
+hold SCAN_FIRST_BATCH, twice that, ... up to BATCH_CAP tuples, a short last
+batch joined to the one before it), at the edges batches growing from one
+tuple would have, which fall inside these, at the edges a folded batch
+would have had, and at the last tuple, and pair it with a later failure in
+the same batch or the next, so a witness taken from another batch leg, or
+sides not restricted to the witness's leg, show up.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from entwine.exactla import (
     TensorOp,
     Vector,
     _as_rat,
+    basis_batches,
     flatten_index,
     hom_operator,
     pipeline_matrix,
@@ -189,16 +191,15 @@ def per_tuple_pipeline_matrix(in_dims, out_dims, steps):
 
 def per_tuple_hom_operator(in_dims, out_dims, seed_dims, key_dims, side, rhs=None):
     """The rows of the oracle's Matrix, integral entries as ints: hom_operator's
-    form, with the rows outside the component of rhs's rows emptied."""
+    form.  Given rhs, only the component of rhs's rows, their operator rows
+    as the index."""
     rows = Rows.of(oracle_hom_operator(in_dims, out_dims, seed_dims, key_dims,
                                        lambda f, t: oracle_pipeline((*seed_dims, 1), t + (0,),
                                                                     *side(f))))
-    if rhs is not None:
-        keep = component_rows(rows, rhs)
-        for r, row in enumerate(rows):
-            if r not in keep:
-                row.clear()
-    return rows
+    if rhs is None:
+        return rows
+    keep = sorted(component_rows(rows, rhs))
+    return Rows([rows[r] for r in keep], rows.ncols, keep)
 
 
 def component_rows(rows, rhs) -> set[int]:
@@ -438,17 +439,39 @@ def _ops(dims, n_out, failing, seed):
 
 def _batch_starts(n, first=SCAN_FIRST_BATCH):
     """Flat index of the first tuple of each batch compare_item takes over n
-    tuples, its first batch holding first tuples."""
+    tuples, its first batch holding first tuples: each batch twice the one
+    before, up to BATCH_CAP, and a last batch of at most first tuples
+    joined to the one before it where the two hold at most BATCH_CAP."""
     starts, size, at = [], first, 0
     while at < n:
         starts.append(at)
         at += size
         size = min(2 * size, BATCH_CAP)
+    if len(starts) > 1 and n - starts[-1] <= first and n - starts[-2] <= BATCH_CAP:
+        starts.pop()
     return starts
 
 
 def test_batch_starts_grow_to_the_cap():
     assert _batch_starts(256) == [0, 16, 48, 112, 176, 240]
+    # a short last batch folds into the one before it
+    assert _batch_starts(27) == [0]
+    assert _batch_starts(64) == [0, 16]
+    assert _batch_starts(32) == [0] and _batch_starts(49) == [0, 16]
+    # a last batch longer than the first, or one that would overfill the cap, stays
+    assert _batch_starts(48) == [0, 16] and _batch_starts(65) == [0, 16, 48]
+    assert _batch_starts(127) == [0, 16, 48, 112] and _batch_starts(256, 1)[-2:] == [191, 255]
+
+
+@pytest.mark.parametrize("first", [1, SCAN_FIRST_BATCH, BATCH_CAP])
+def test_basis_batches_follow_the_schedule(first):
+    # the ranges cover the domain in order, hold at most BATCH_CAP, and start
+    # where the model says
+    for n in range(300):
+        batches = list(basis_batches((n,), first))
+        assert [i for r in batches for i in r] == list(range(n))
+        assert all(0 < len(r) <= BATCH_CAP for r in batches)
+        assert [r.start for r in batches] == _batch_starts(n, min(first, BATCH_CAP))
 
 
 # index 0, then each batch's first tuple and the last tuple of the batch
@@ -463,6 +486,21 @@ def test_first_failure_at_and_around_batch_boundaries(flat):
     dims = (16, 16)
     # a second, later failure in the same batch or the next must not win
     later = min(flat + 1 + (flat % 3), 255)
+    lhs, rhs = _ops(dims, 3, [flat, later] if later != flat else [flat], seed=flat)
+    got = compare_item("X", dims, (3,), (_ap(0, lhs),), (_ap(0, rhs),))
+    assert got == per_tuple_compare_item("X", dims, (3,), (_ap(0, lhs),), (_ap(0, rhs),))
+    assert got.witness.basis == unflatten_index(dims, flat)
+
+
+# domains whose short last batch folds into the one before it: 27 tuples
+# run as one batch, 64 as 16 + 48.  The first failure sits at each batch's
+# first tuple and the one before it, at the edges the unfolded batches had
+# (16; 48) and the one before each, and at the domain's last tuple.
+@pytest.mark.parametrize("dims, flat", [((3, 3, 3), f) for f in (0, 15, 16, 26)]
+                         + [((4, 4, 4), f) for f in (0, 15, 16, 47, 48, 63)])
+def test_first_failure_over_folded_batches(dims, flat):
+    n = prod(dims)
+    later = min(flat + 1 + (flat % 3), n - 1)
     lhs, rhs = _ops(dims, 3, [flat, later] if later != flat else [flat], seed=flat)
     got = compare_item("X", dims, (3,), (_ap(0, lhs),), (_ap(0, rhs),))
     assert got == per_tuple_compare_item("X", dims, (3,), (_ap(0, lhs),), (_ap(0, rhs),))
@@ -553,6 +591,14 @@ def test_hom_operator_over_several_batches(n):
     for side, rhs in itertools.product(sides, rhss):
         got = hom_operator((n,), (2,), (n,), (2,), side, rhs)
         want = per_tuple_hom_operator((n,), (2,), (n,), (2,), side, rhs)
-        assert got == want and (got.nrows, got.ncols) == (want.nrows, want.ncols)
+        if rhs is not None:
+            # the reached rows hold the component, each the full row at its index
+            full = per_tuple_hom_operator((n,), (2,), (n,), (2,), side)
+            assert set(got.index) >= set(want.index)
+            assert list(got) == [full[r] for r in got.index]
+            assert got.component(rhs) == want.component(rhs)
+            got = Rows([got[got.index.index(r)] for r in want.index], got.ncols, want.index)
+        assert got == want and (got.nrows, got.ncols, got.index) == \
+            (want.nrows, want.ncols, want.index)
         assert [sorted((c, type(x)) for c, x in row.items()) for row in got] == \
             [sorted((c, type(x)) for c, x in row.items()) for row in want]

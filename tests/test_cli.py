@@ -228,6 +228,33 @@ def test_usage_error_exit_2(runner, tmp_path, h4_file, yd_file, args, error):
     assert not (tmp_path / "out.json").exists()
 
 
+# a path that cannot be read or written is bad input: exit 2 with the path
+# named, never a traceback under exit 1.  The report of --report-out is
+# printed before its file is written; every other command prints nothing.
+@pytest.mark.parametrize("args, error", [
+    (["check", "hopf", "{dir}"], "Error: {dir}: "),
+    (["check", "hopf", "{latin1}"], "Error: {latin1}: not UTF-8 text ("),
+    (["report", "{dir}"], "Error: {dir}: "),
+    (["report", "{latin1}"], "Error: {latin1}: not UTF-8 text ("),
+    (["build", "dual", "--hopf", "{h4}", "-o", "{dir}"], "Error: {dir}: "),
+    (["corpus", "h4", "-o", "{dir}"], "Error: {dir}: "),
+    (["check", "hopf", "{h4}", "--report-out", "{dir}"], "Error: {dir}: "),
+], ids=["check_directory", "check_not_utf8", "report_directory", "report_not_utf8",
+        "build_output_directory", "corpus_output_directory", "report_out_directory"])
+def test_unreadable_or_unwritable_path_exits_2(runner, tmp_path, h4_file, args, error):
+    paths = {"h4": h4_file, "dir": str(tmp_path / "dir"), "latin1": str(tmp_path / "latin1.json")}
+    os.mkdir(paths["dir"])
+    Path(paths["latin1"]).write_bytes('{"kind": "hopf", "name": "café"}'.encode("latin-1"))
+    res = runner.invoke(main, [a.format(**paths) for a in args], prog_name="entwine")
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    report = "--report-out" in args
+    assert (res.stdout != "") == report
+    assert res.output[len(res.stdout):].startswith(error.format(**paths)), res.output
+    assert os.listdir(paths["dir"]) == []
+
+
 @pytest.mark.parametrize("metadata", [0, False, "", []], ids=["zero", "false", "empty_string",
                                                              "empty_list"])
 def test_falsy_metadata_exits_2(runner, tmp_path, metadata):

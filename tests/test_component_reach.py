@@ -2,13 +2,16 @@
 hom_operator reaches from the unit's (exactla._reach), and checks g*x =
 unit in integers.
 
-The component that Rows.component finds on the reached rows must be the
+The reach returns only the rows it builds, each with its operator row as
+its index.  The component that Rows.component finds on them must be the
 one it finds on the full operator: the same rows, right-hand side and
-columns, and every row the reach builds must be the full operator's row.
+columns, and every row the reach returns must be the full operator's row
+at its index.
 This holds for x -> x*R on the corpus dqgs and their 576 one-entry +-1 phi
 changes, and for x -> x*g on hom(C, A) over yd_h4, long_h4 and their phi
 changes.  The rows each inverse builds are pinned: the unit's component,
-and none at all where R = 0.
+and none at all where R = 0; so are the transposes the reach builds, and
+the g*x = unit check, which scales no Matrix.
 """
 
 import pytest
@@ -57,8 +60,11 @@ def conv_case(d, g):
 def assert_reach_is_exact(in_dims, out_dims, side, rhs, label):
     reached, full = (hom_operator(in_dims, out_dims, in_dims, out_dims, side, r)
                      for r in (rhs, None))
-    assert (reached.nrows, reached.ncols) == (full.nrows, full.ncols), label
-    assert all(not row or row == whole for row, whole in zip(reached, full)), label
+    # the reached rows alone, in operator-row order, each the full operator's
+    # row at its index
+    assert reached.ncols == full.ncols and full.index is None, label
+    assert reached.index == sorted(set(reached.index)) and len(reached.index) == reached.nrows
+    assert list(reached) == [full[r] for r in reached.index], label
     (rows, sub_rhs, cols), (full_rows, full_rhs, full_cols) = \
         reached.component(rhs), full.component(rhs)
     assert rows.ncols == full_rows.ncols and rows == full_rows, label
@@ -86,13 +92,14 @@ def test_reached_rows_of_conv_give_the_full_component(request, datum):
 
 @pytest.fixture
 def built(monkeypatch):
-    "The rows each operator the inverses build holds (None: a full build)."
+    """The rows each operator the inverses build returns and the rows among
+    them that hold an entry (None: a full build)."""
     built = []
     build = ent.hom_operator
 
     def hom_operator(in_dims, out_dims, seed_dims, key_dims, side, rhs=None):
         rows = build(in_dims, out_dims, seed_dims, key_dims, side, rhs)
-        built.append(None if rhs is None else sum(1 for row in rows if row))
+        built.append(None if rhs is None else (rows.nrows, sum(1 for row in rows if row)))
         return rows
 
     monkeypatch.setattr(ent, "hom_operator", hom_operator)
@@ -104,17 +111,18 @@ def test_rows_built_on_kz(built, n):
     # the unit's component of x -> x*R: n^2 of the n^4 rows
     q = corpus.yd_dqg(corpus.cyclic_group_algebra(n))
     assert conv2_inverse(q.datum, q.rmap) is not None
-    assert built == [n * n]
+    assert built == [(n * n, n * n)]
 
 
 def test_rows_built_on_h4(built, yd_dqg_h4, yd_h4):
     # 16 of the 256 rows of x -> x*R
     assert conv2_inverse(yd_dqg_h4.datum, yd_dqg_h4.rmap) is not None
-    assert built == [16]
-    # R = 0 reaches no column: no row is built, and there is no solution
+    assert built == [(16, 16)]
+    # R = 0 reaches no column: no row is built, the unit's 4 rows come back
+    # empty, and there is no solution
     built.clear()
     assert conv2_inverse(yd_h4, Matrix.zero(16, 16)) is None
-    assert built == [0]
+    assert built == [(4, 0)]
 
 
 @pytest.mark.parametrize("datum", ["yd_h4", "long_h4"])
@@ -123,7 +131,7 @@ def test_rows_built_by_conv_inverse(built, request, datum):
     d = request.getfixturevalue(datum)
     inv = conv_inverse(conv_unit(d))
     assert inv is not None and inv.map == conv_unit(d).map
-    assert built == [2]
+    assert built == [(2, 2)]
 
 
 def test_rows_built_on_the_double_of_h4():
@@ -131,7 +139,7 @@ def test_rows_built_on_the_double_of_h4():
     q = corpus.yd_dqg(corpus.drinfeld_double(corpus.sweedler_h4()))
     in_dims, out_dims, side, rhs = conv2_case(q.datum, q.rmap)
     rows = hom_operator(in_dims, out_dims, in_dims, out_dims, side, rhs)
-    assert rows.nrows == 65536 and sum(1 for row in rows if row) == 384
+    assert rows.nrows == len(rows.index) == 384 and all(rows)
     assert rows.component(rhs)[0].nrows == 384
 
 
@@ -175,3 +183,24 @@ def test_integral_inverse_is_checked_unscaled(monkeypatch, long_kz2):
     monkeypatch.setattr(Matrix, "scale", lambda *a: pytest.fail("scaled an integral x"))
     inv = conv_inverse(HomCA(long_kz2, Matrix.identity(2)))
     assert inv is not None
+
+
+def test_fractional_inverse_is_checked_without_scaling_a_matrix(monkeypatch, yd_dqg_h4):
+    # x has denominator 3: the check's ops hold 3 x and 3 unit as ints,
+    # built from the solution's entries, and no Matrix is scaled
+    monkeypatch.setattr(Matrix, "scale", lambda *a: pytest.fail("scaled a Matrix"))
+    x = conv2_inverse(yd_dqg_h4.datum, yd_dqg_h4.rmap)
+    assert {v.denominator for col in x.sparse_cols() for _, v in col} == {1, 3}
+
+
+def test_multiplication_is_transposed_once():
+    # the reach runs the steps after x transposed, A's multiplication among
+    # them: its transpose is built by the first inverse and kept on the op
+    q = corpus.yd_dqg(corpus.cyclic_group_algebra(3))
+    mul = q.datum.a.mul_op
+    assert mul._t is None
+    assert conv2_inverse(q.datum, q.rmap) is not None
+    transposed = mul._t
+    assert transposed is not None and transposed.in_dims == mul.out_dims
+    assert conv2_inverse(q.datum, q.rmap) is not None
+    assert mul._t is transposed

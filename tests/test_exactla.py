@@ -284,6 +284,11 @@ def test_component_is_the_fixpoint_of_shared_columns(system):
     assert sub.ncols == len(old_cols)
     assert [{old_cols[c]: x for c, x in row.items()} for row in sub] == [rows[r] for r in want]
     assert sub_rhs == {k: rhs[r] for k, r in enumerate(want) if r in rhs}
+    # held as rows containing the component (every other row here), with
+    # their operator rows as the index, they give the same component
+    keep = sorted(reached | set(range(0, len(rows), 2)))
+    assert Rows([rows[r] for r in keep], rows.ncols, keep).component(rhs) == \
+        (sub, sub_rhs, old_cols)
     # the system is block-diagonal: the component's particular solution is the whole one's
     whole, part = solve_affine(rows, rhs), solve_affine(sub, sub_rhs)
     assert (whole is None) == (part is None)
