@@ -81,37 +81,42 @@ def _write_report_file(report_out, docs) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _emit_report(label: str, report: AxiomReport, fmt: str, report_out=None) -> dict:
-    "Print the report (and save it to report_out); returns its to_dict(), made once."
-    body = report.to_dict()
-    doc = {"subject": label, **body}
+def _print_doc(label: str, doc: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         if label:
             print(f"== {label}")
         print(render_text(doc))
+
+
+def _emit_report(label: str, report: AxiomReport, fmt: str, report_out=None) -> dict:
+    """Save the report to report_out, then print it; returns its to_dict(),
+    made once.  An unwritable report_out exits 2 with nothing printed."""
+    body = report.to_dict()
+    doc = {"subject": label, **body}
     if report_out:
         _write_report_file(report_out, [doc])
+    _print_doc(label, doc, fmt)
     return body
 
 
 def _run_file_checks(paths, runner, fmt, report_out) -> bool:
-    """Check every file in input order, then print and save the reports.
+    """Check every file in input order, then save and print the reports.
 
-    Nothing is output until every file is checked, so a bad later file
-    exits 2 with no report printed.
+    Nothing is output until every file is checked and report_out is
+    written, so a bad later file or an unwritable report_out exits 2 with
+    no report printed.
     """
     reports = [runner(path) for path in paths]
-    ok = True
-    docs = []
-    for path, report in zip(paths, reports):
-        label = path if len(paths) > 1 else ""
-        docs.append({"subject": label or path, **_emit_report(label, report, fmt, None)})
-        ok &= report.overall
+    labels = [path if len(paths) > 1 else "" for path in paths]
+    bodies = [report.to_dict() for report in reports]
     if report_out:
-        _write_report_file(report_out, docs)
-    return ok
+        _write_report_file(report_out, [{"subject": label or path, **body}
+                                        for path, label, body in zip(paths, labels, bodies)])
+    for label, body in zip(labels, bodies):
+        _print_doc(label, {"subject": label, **body}, fmt)
+    return all(report.overall for report in reports)
 
 
 def _load_as(path, cls, what):

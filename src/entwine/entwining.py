@@ -28,7 +28,7 @@ stored R.
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm, prod
+from math import lcm
 
 from .exactla import (
     Cap,
@@ -285,24 +285,23 @@ def _product(d, in_dims, out_dims, side, g_op, f_op) -> Matrix:
     return pipeline_matrix(in_dims, (*out_dims, 1), (_slot(len(in_dims)), *side(d, g_op, f_op)))
 
 
+def _hom_cols(entries: dict, n_in: int, den: int | None = None) -> list[list]:
+    """The columns of the map in hom(in, out) with the flat entries {out *
+    n_in + in: value}: for each in, its (out, value) pairs in order.  Given
+    den, each value times den, an int where integral, which den * v is
+    exactly where v's denominator divides den."""
+    cols = [[] for _ in range(n_in)]
+    for k, v in sorted(entries.items()):
+        if den is not None:
+            q, r = divmod(den, v.denominator)
+            v = v * den if r else v.numerator * q
+        cols[k % n_in].append((k // n_in, v))
+    return cols
+
+
 def _hom_matrix(entries: dict, like: Matrix) -> Matrix:
     "The Matrix shaped like ``like`` with the flat entries {index: value}."
-    cols = [[] for _ in range(like.ncols)]
-    for k, v in sorted(entries.items()):
-        cols[k % like.ncols].append((k // like.ncols, v))
-    return Matrix(shape=(like.nrows, like.ncols), cols=cols)
-
-
-def _scaled_op(entries: dict, den: int, in_dims, out_dims) -> KernelOp:
-    """den times the map in hom(in_dims, out_dims) with the flat entries
-    {out * n_in + in: value}, as a kernel op: an int where integral, which
-    den * v is exactly where v's denominator divides den."""
-    n_in = prod(in_dims)
-    cols = {j: [] for j in range(n_in)}
-    for k, v in sorted(entries.items()):
-        q, r = divmod(den, v.denominator)
-        cols[k % n_in].append((k // n_in, v * den if r else v.numerator * q))
-    return KernelOp(in_dims, out_dims, cols)
+    return Matrix(shape=(like.nrows, like.ncols), cols=_hom_cols(entries, like.ncols))
 
 
 def _solve(rows: Rows, rhs: dict) -> dict | None:
@@ -347,7 +346,7 @@ def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     denominators: the same, as the product is linear in x and den != 0,
     but no Fraction enters the scan on integral data.  den x and den unit
     are kernel ops built from the solution's entries and the unit's, their
-    integral values as ints (_scaled_op).
+    integral values as ints (_hom_cols).
 
     When g*x = unit fails, the rows of x -> g*x stacked on those of the
     full x -> x*g are solved, the unit on both halves, on the component of
@@ -364,8 +363,10 @@ def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     if entries is None:
         return None
     den = lcm(*(v.denominator for v in entries.values()))
-    gx = (_slot(len(in_dims)), *side(d, g_op, _scaled_op(entries, den, in_dims, out_dims)))
-    one = (_slot(len(in_dims)), _ap(0, _scaled_op(rhs, den, in_dims, out_dims)))
+    x_op, one_op = (KernelOp(in_dims, out_dims, dict(enumerate(_hom_cols(e, unit.ncols, den))))
+                    for e in (entries, rhs))
+    gx = (_slot(len(in_dims)), *side(d, g_op, x_op))
+    one = (_slot(len(in_dims)), _ap(0, one_op))
     if compare_item("g*x = 1", in_dims, (*out_dims, 1), gx, one).passed:
         return _hom_matrix(entries, unit)
     right = _operator(d, in_dims, out_dims, side, g_op, False)

@@ -69,6 +69,8 @@ def assert_reach_is_exact(in_dims, out_dims, side, rhs, label):
         reached.component(rhs), full.component(rhs)
     assert rows.ncols == full_rows.ncols and rows == full_rows, label
     assert sub_rhs == full_rhs and cols == full_cols, label
+    # and no row outside the component is built
+    assert reached.nrows == rows.nrows, label
 
 
 @pytest.mark.parametrize("name, n_changes", [
