@@ -295,10 +295,7 @@ def _report_cmd(a) -> bool:
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         for one in docs:
-            subject = one.get("subject")
-            if subject:
-                print(f"== {subject}")
-            print(render_text(one))
+            _print_doc(one.get("subject"), one, "text")
     return all(one.get("overall") for one in docs)
 
 

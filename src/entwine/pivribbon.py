@@ -1,10 +1,12 @@
 """Pivotal and ribbon morphisms on entwining datums.
 
-A pivotal candidate is a linear map g: C -> A satisfying one quadratic
-grouplike-style law plus three linear laws; verified candidates induce
-a monoidal isomorphism onto the double right dual (beta) on every
-module.  A ribbon candidate satisfies the braided analogues and induces
-a twist (theta).  Verification is exhaustive and exact.  The finder
+A pivotal or ribbon candidate is a linear map g: C -> A satisfying one
+law quadratic in g, several laws linear in g and convolution
+invertibility.  Each kind's laws are one table (``_laws``), which both
+the verifiers and the finder read.  Verified pivotal candidates induce a
+monoidal isomorphism onto the double right dual (beta) on every module;
+verified ribbon candidates, whose quadratic law reads R, induce a twist
+(theta).  Verification is exhaustive and exact.  The finder
 solves the linear laws into an affine family, runs the quadratic law
 once on one kernel op for the whole family, with polynomial coefficients,
 and branches and pins on its residuals: a degree-1 residual pins a
@@ -52,7 +54,7 @@ from .hopfcore import (
     _degenerate_datum,
     trivial_hopf,
 )
-from .report import AxiomItem, AxiomReport, compare_item, _ap, _pm, _slot
+from .report import AxiomReport, compare_item, _ap, _pm, _slot
 
 
 # kind is "pivotal" or "ribbon"; map is a HomCA on datum
@@ -62,10 +64,11 @@ FinderResult = namedtuple("FinderResult", "status solutions family notes")
 
 
 # ---------------------------------------------------------------------------
-# Laws linear in g, each side written once
+# The law table: one record per kind
 #
-# A side takes g as a kernel op and gives steps on legs that end in a slot
-# leg after the scanned legs; g is always applied where its input leg sits
+# A law's side takes g as a kernel op and gives steps.  The quadratic law's
+# sides run on its scan legs alone.  A linear law's sides end in a slot leg
+# after the scanned legs, and g is always applied where its input leg sits
 # just before that slot leg.  A verifier passes g's TensorOp, which carries
 # the slot leg along as 0, and inserts the slot leg with a leading _slot
 # step; the finder passes a SlotLeg through hom_operator, which seeds the
@@ -73,76 +76,58 @@ FinderResult = namedtuple("FinderResult", "status solutions family notes")
 # ---------------------------------------------------------------------------
 
 
-def _counit_side(d: MonoidalEntwiningDatum, g):
-    "eps_A(g(1_C)), the side of P2 that is linear in g."
-    return _ap(0, d.c.unit_op), _ap(0, g), _ap(0, d.a.counit_op)
+# a law on g: lhs(g) and rhs(g) give the steps of its two sides, which
+# agree on every scan tuple
+Law = namedtuple("Law", "axiom_id scan out lhs rhs")
+# the laws of one kind over its datum: the law quadratic in g, then the
+# laws linear in g, the first `normal` of which say lhs = 1 (their rhs is
+# the empty side), and the id of the convolution invertibility item
+Laws = namedtuple("Laws", "datum quadratic linear normal inverse_id")
 
 
-def _linear_laws(d: MonoidalEntwiningDatum, kind: str):
-    """The homogeneous laws linear in g, as (axiom id, scan dims, output
-    dims, lhs, rhs): the action law (P3 twists by S_A^2, R1 does not), the
-    coaction law (P4 twists by S_C^{-2}, R2 does not) and, for ribbon, R4."""
+def _twisted_laws(d: MonoidalEntwiningDatum, ids, a_twist=(), c_twist=()) -> list[Law]:
+    """The action law g(c) a = a_phi g(c^phi), scanned over (a, c), and the
+    coaction law g(c1) (x) c2 = g(c2)_phi (x) c1^phi, with the pivotal
+    twists as steps: S_A^2 on a (P3), S_C^{-2} on c1^phi (P4)."""
     nc, na = d.c_dim, d.a_dim
     phi, mul_a, comul_c = d.phi_op, d.a.mul_op, d.c.comul_op
-    pivotal = kind == "pivotal"
-    a_twist = [_ap(0, d.a.antipode_sq_op)] if pivotal else []
-    c_twist = [_ap(1, d.c.antipode_inv_sq_op)] if pivotal else []
-    laws = [
-        # g(c) a = a_phi g(c^phi), scanned over (a, c)
-        (
-            "P3_action_twist" if pivotal else "R1_action",
-            (na, nc),
-            (na,),
+    return [
+        Law(ids[0], (na, nc), (na,),
             lambda g: (*a_twist, _ap(1, g), _pm((1, 0, 2)), _ap(0, mul_a)),
-            lambda g: (_pm((1, 0, 2)), _ap(0, phi), _ap(1, g), _ap(0, mul_a)),
-        ),
-        # g(c1) (x) c2 = g(c2)_phi (x) c1^phi
-        (
-            "P4_coaction_twist" if pivotal else "R2_coaction",
-            (nc,),
-            (na, nc),
+            lambda g: (_pm((1, 0, 2)), _ap(0, phi), _ap(1, g), _ap(0, mul_a))),
+        Law(ids[1], (nc,), (na, nc),
             lambda g: (_ap(0, comul_c), _pm((1, 0, 2)), _ap(1, g), _pm((1, 0, 2))),
-            lambda g: (_ap(0, comul_c), _ap(1, g), _ap(0, phi), *c_twist),
-        ),
+            lambda g: (_ap(0, comul_c), _ap(1, g), _ap(0, phi), *c_twist)),
     ]
-    if not pivotal:
-        # g(c) = (S_A^{-1} g S_C (c^phi))_phi: phi's coalgebra output runs
-        # through g back into its own algebra input, a loop that a Cup opens
-        # and a Cap closes
-        cup, cap = Cup(na), Cap(na)
-        laws.append((
-            "R4_self_dual",
-            (nc,),
-            (na,),
-            lambda g: (_ap(0, g),),
-            lambda g: (
-                _ap(1, cup),                  # c x x s
-                _ap(0, phi),                  # x_phi c^phi x s
-                _pm((0, 2, 1, 3)),            # x_phi x c^phi s
-                _ap(2, d.c.antipode_op),
-                _ap(2, g),
-                _ap(2, d.a.antipode_inv_op),  # x_phi x y s
-                _ap(1, cap),                  # x_phi s where x = y
-            ),
-        ))
-    return laws
 
 
-def _quadratic_law(d: MonoidalEntwiningDatum, kind: str, q: DoubleQuantumGroup | None):
-    """The law quadratic in g, as (axiom id, scan dims, output dims, linear
-    side, bilinear side): P1 for pivotal, R3 (through q's R) for ribbon.
-    Each side takes g's kernel op and gives steps; the law says they agree."""
+def _laws(target, kind: str) -> Laws:
+    """The law table of kind over target: for "pivotal" a datum or a double
+    structure (its datum), for "ribbon" a double structure, whose R enters R3."""
+    if kind == "pivotal":
+        d = target if isinstance(target, MonoidalEntwiningDatum) else target.datum
+    elif kind == "ribbon":
+        if not isinstance(target, DoubleQuantumGroup):
+            raise ValueError("ribbon search needs a double structure")
+        d = target.datum
+    else:
+        raise ValueError("kind must be 'pivotal' or 'ribbon'")
     nc, na = d.c_dim, d.a_dim
-    mul_a, comul_a = d.a.mul_op, d.a.comul_op
-    mul_c, comul_c = d.c.mul_op, d.c.comul_op
 
     def linear(g):
-        return _ap(0, mul_c), _ap(0, g), _ap(0, comul_a)
+        "Delta_A(g(xy)), the side of P1 and R3 that is linear in g."
+        return _ap(0, d.c.mul_op), _ap(0, g), _ap(0, d.a.comul_op)
 
     if kind == "pivotal":
-        return ("P1_grouplike", (nc, nc), (na, na), linear,
-                lambda g: (_ap(0, g), _ap(1, g)))
-    rr, phi = q.rmap_op, d.phi_op
+        return Laws(d, Law("P1_grouplike", (nc, nc), (na, na), linear,
+                           lambda g: (_ap(0, g), _ap(1, g))), [
+            Law("P2_counit_one", (), (),
+                lambda g: (_ap(0, d.c.unit_op), _ap(0, g), _ap(0, d.a.counit_op)),
+                lambda g: ()),
+            *_twisted_laws(d, ("P3_action_twist", "P4_coaction_twist"),
+                           [_ap(0, d.a.antipode_sq_op)], [_ap(1, d.c.antipode_inv_sq_op)]),
+        ], 1, "P5_conv_invertible")
+    rr, phi, mul_a, comul_c = target.rmap_op, d.phi_op, d.a.mul_op, d.c.comul_op
 
     def bilinear(g):
         return (
@@ -166,7 +151,21 @@ def _quadratic_law(d: MonoidalEntwiningDatum, kind: str, q: DoubleQuantumGroup |
             _ap(1, mul_a),
         )
 
-    return "R3_braided_square", (nc, nc), (na, na), linear, bilinear
+    # R4: g(c) = (S_A^{-1} g S_C (c^phi))_phi: phi's coalgebra output runs
+    # through g back into its own algebra input, a loop that a Cup opens
+    # and a Cap closes
+    cup, cap = Cup(na), Cap(na)
+    r4 = Law("R4_self_dual", (nc,), (na,), lambda g: (_ap(0, g),), lambda g: (
+        _ap(1, cup),                  # c x x s
+        _ap(0, phi),                  # x_phi c^phi x s
+        _pm((0, 2, 1, 3)),            # x_phi x c^phi s
+        _ap(2, d.c.antipode_op),
+        _ap(2, g),
+        _ap(2, d.a.antipode_inv_op),  # x_phi x y s
+        _ap(1, cap),                  # x_phi s where x = y
+    ))
+    return Laws(d, Law("R3_braided_square", (nc, nc), (na, na), linear, bilinear),
+                [*_twisted_laws(d, ("R1_action", "R2_coaction")), r4], 0, "R5_conv_invertible")
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +173,17 @@ def _quadratic_law(d: MonoidalEntwiningDatum, kind: str, q: DoubleQuantumGroup |
 # ---------------------------------------------------------------------------
 
 
-def _law_items(d: MonoidalEntwiningDatum, kind: str, g: HomCA) -> list[AxiomItem]:
+def _verify(laws: Laws, g: HomCA) -> AxiomReport:
+    "Each law of the table on g, the quadratic one first, then invertibility."
     g_op = g.op
-    return [
-        compare_item(axiom_id, scan, out + (1,),
-                     (_slot(len(scan)), *lhs(g_op)), (_slot(len(scan)), *rhs(g_op)))
-        for axiom_id, scan, out, lhs, rhs in _linear_laws(d, kind)
-    ]
-
-
-def _quadratic_item(d: MonoidalEntwiningDatum, kind: str, q: DoubleQuantumGroup | None,
-                    g: HomCA) -> AxiomItem:
-    axiom_id, scan, out, linear, bilinear = _quadratic_law(d, kind, q)
-    g_op = g.op
-    return compare_item(axiom_id, scan, out, linear(g_op), bilinear(g_op))
+    quad = laws.quadratic
+    return AxiomReport([
+        compare_item(quad.axiom_id, quad.scan, quad.out, quad.lhs(g_op), quad.rhs(g_op)),
+        *(compare_item(axiom_id, scan, out + (1,),
+                       (_slot(len(scan)), *lhs(g_op)), (_slot(len(scan)), *rhs(g_op)))
+          for axiom_id, scan, out, lhs, rhs in laws.linear),
+        invertibility_item(laws.inverse_id, g.map, conv_inverse(g)),
+    ])
 
 
 def verify_pivotal(d: MonoidalEntwiningDatum, g: HomCA) -> AxiomReport:
@@ -198,22 +194,10 @@ def verify_pivotal(d: MonoidalEntwiningDatum, g: HomCA) -> AxiomReport:
     P3: g(c) S_A^2(a) = a_phi g(c^phi)        (all pairs a, c)
     P4: g(c1) (x) c2 = g(c2)_phi (x) S_C^{-2}(c1^phi)
     """
-    if not datums_compatible(g.datum, d):
+    laws = _laws(d, "pivotal")
+    if not datums_compatible(g.datum, laws.datum):
         raise ValueError("g must be a map over d")
-    g_op = g.op
-    items = [
-        _quadratic_item(d, "pivotal", None, g),
-        compare_item(
-            "P2_counit_one",
-            (),
-            (1,),
-            (_slot(0), *_counit_side(d, g_op)),
-            (_slot(0),),
-        ),
-        *_law_items(d, "pivotal", g),
-        invertibility_item("P5_conv_invertible", g.map, conv_inverse(g)),
-    ]
-    return AxiomReport(items)
+    return _verify(laws, g)
 
 
 def verify_ribbon(q: DoubleQuantumGroup, g: HomCA) -> AxiomReport:
@@ -224,15 +208,10 @@ def verify_ribbon(q: DoubleQuantumGroup, g: HomCA) -> AxiomReport:
     R3: Delta_A(g(xy)) = the braided square through R applied twice
     R4: g(c) = (S_A^{-1} g S_C (c^phi))_phi   (a closed-loop contraction)
     """
-    d = q.datum
-    if not datums_compatible(g.datum, d):
+    laws = _laws(q, "ribbon")
+    if not datums_compatible(g.datum, laws.datum):
         raise ValueError("g must be a map over q's datum")
-    items = [
-        _quadratic_item(d, "ribbon", q, g),
-        *_law_items(d, "ribbon", g),
-        invertibility_item("R5_conv_invertible", g.map, conv_inverse(g)),
-    ]
-    return AxiomReport(items)
+    return _verify(laws, g)
 
 
 # ---------------------------------------------------------------------------
@@ -376,35 +355,30 @@ def separable_candidate(d: MonoidalEntwiningDatum, kappa: Element, rho: Function
 # ---------------------------------------------------------------------------
 
 
-def _linear_system(d: MonoidalEntwiningDatum, kind: str) -> tuple[Rows, Vector]:
+def _linear_system(laws: Laws) -> tuple[Rows, Vector]:
     """The linear laws as a system a.x = b over the unknown entries of g,
-    flattened as (a_out, c_in) pairs: P2's row (right-hand side 1, pivotal
-    only), then one block lop - rop per law, one hom_operator pass per side,
-    merged row by row.  Rows that vanish stay; they never hold a pivot."""
+    flattened as (a_out, c_in) pairs: one block per law, in the table's
+    order.  A normalizing law's block is its lhs, with b = 1; any other
+    law's is lop - rop, one hom_operator pass per side, merged row by row,
+    with b = 0.  Rows that vanish stay; they never hold a pivot."""
+    d = laws.datum
     g_dims = ((d.c_dim,), (d.a_dim,))
-    a = Rows([], d.c_dim * d.a_dim)
-    if kind == "pivotal":
-        # counit normalization: eps(g(1_C)) = 1
-        a += hom_operator(*g_dims, (), (), lambda g: _counit_side(d, g))
-    for _, scan, out, lhs, rhs in _linear_laws(d, kind):
-        lop, rop = (hom_operator(*g_dims, scan, out, side) for side in (lhs, rhs))
-        for row, sub in zip(lop, rop):
-            for c, x in sub.items():
-                v = row.get(c, 0) - x
-                if v:
-                    row[c] = v.numerator if v.denominator == 1 else v
-                else:
-                    del row[c]
-        a += lop
-    b = [ZERO] * a.nrows
-    if kind == "pivotal":
-        b[0] = ONE
+    a, b = Rows([], d.c_dim * d.a_dim), []
+    for i, (_, scan, out, lhs, rhs) in enumerate(laws.linear):
+        block = hom_operator(*g_dims, scan, out, lhs)
+        if i < laws.normal:
+            b += [ONE] * block.nrows
+        else:
+            for row, sub in zip(block, hom_operator(*g_dims, scan, out, rhs)):
+                for c, x in sub.items():
+                    v = row.get(c, 0) - x
+                    if v:
+                        row[c] = v.numerator if v.denominator == 1 else v
+                    else:
+                        del row[c]
+            b += [ZERO] * block.nrows
+        a += block
     return a, Vector(b)
-
-
-def stage1_affine_family(d: MonoidalEntwiningDatum, kind: str):
-    "Solve the linear laws exactly; None when inconsistent."
-    return solve_affine(*_linear_system(d, kind))
 
 
 class _Poly:
@@ -492,15 +466,13 @@ def _rational_roots_deg2(poly: _Poly, var: int) -> list[Fraction]:
     return sorted({(-c1 + sq) / (2 * c2), (-c1 - sq) / (2 * c2)})
 
 
-def _quadratic_residuals(d: MonoidalEntwiningDatum, kind: str,
-                         q: DoubleQuantumGroup | None,
-                         family) -> list[_Poly]:
-    """The quadratic law (P1 for pivotal, R3 for ribbon) evaluated on the
-    affine family g0 + sum t_s h_s: both sides run once per batch on one
-    family op, so each output entry is a polynomial in t and its residual,
-    bilinear - linear, has degree <= 2.  Each distinct nonzero residual is
-    returned once, in order of first occurrence."""
-    nc, na = d.c_dim, d.a_dim
+def _quadratic_residuals(laws: Laws, family) -> list[_Poly]:
+    """The quadratic law of the table evaluated on the affine family
+    g0 + sum t_s h_s: both sides run once per batch on one family op, so
+    each output entry is a polynomial in t and its residual, rhs - lhs, has
+    degree <= 2.  Each distinct nonzero residual is returned once, in order
+    of first occurrence."""
+    nc, na = laws.datum.c_dim, laws.datum.a_dim
     # the family op C -> A: each entry a _Poly of degree <= 1, t_s the variable s
     entries = [_Poly() for _ in range(na * nc)]
     for s, v in enumerate([family.particular, *family.nullspace_basis]):
@@ -508,7 +480,7 @@ def _quadratic_residuals(d: MonoidalEntwiningDatum, kind: str,
             entries[i].add_term((s - 1,) if s else (), x)
     g = KernelOp((nc,), (na,), {c: [(a, p) for a in range(na) if (p := entries[a * nc + c])]
                                 for c in range(nc)})
-    _, scan, _, linear_side, bilinear_side = _quadratic_law(d, kind, q)
+    _, scan, _, linear_side, bilinear_side = laws.quadratic
     distinct: dict[frozenset, _Poly] = {}
     for batch in basis_batches(scan):
         res = run_batch(scan, batch, bilinear_side(g))
@@ -578,20 +550,11 @@ def find_morphisms(target, kind: str, max_params: int = 4) -> FinderResult:
     - "undecided": the family has more than max_params parameters, and
       only verified samples of it are listed.
     """
-    if kind == "pivotal":
-        d = target if isinstance(target, MonoidalEntwiningDatum) else target.datum
-        q = target if isinstance(target, DoubleQuantumGroup) else None
-        verifier = lambda g: verify_pivotal(d, g).overall
-    elif kind == "ribbon":
-        if not isinstance(target, DoubleQuantumGroup):
-            raise ValueError("ribbon search needs a double structure")
-        q = target
-        d = target.datum
-        verifier = lambda g: verify_ribbon(q, g).overall
-    else:
-        raise ValueError("kind must be 'pivotal' or 'ribbon'")
-
-    family = stage1_affine_family(d, kind)
+    laws = _laws(target, kind)
+    d = laws.datum
+    # the module's verifier by name, so that a wrapped or patched one sees every call
+    verify = verify_pivotal if kind == "pivotal" else verify_ribbon
+    family = solve_affine(*_linear_system(laws))
     if family is None:
         return FinderResult("complete", [], None, "linear stage inconsistent")
     k = family.dimension
@@ -620,7 +583,7 @@ def find_morphisms(target, kind: str, max_params: int = 4) -> FinderResult:
             g = HomCA(d, Matrix.from_flat(v, d.c_dim))
             if g.map not in seen:
                 seen.add(g.map)
-                if verifier(g):
+                if verify(target, g).overall:
                     out.append(MorphismCandidate(d, g, kind))
         return out
 
@@ -632,7 +595,7 @@ def find_morphisms(target, kind: str, max_params: int = 4) -> FinderResult:
         return FinderResult("undecided", verified(samples(())), family,
                             f"affine family has {k} parameters (> max_params)")
 
-    leaves = list(_branches(_quadratic_residuals(d, kind, q, family)))
+    leaves = list(_branches(_quadratic_residuals(laws, family)))
     sols = verified(t for pins in leaves for t in samples(pins))
     if all(len(pins) == k for pins in leaves):
         return FinderResult("complete", sols, family,

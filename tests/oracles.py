@@ -3,7 +3,8 @@
 ``pipeline`` evaluates one basis tuple through kernel steps, the form most
 hand-derived sides are written in.  ``check_module_over_algebra`` checks a
 transported module against a plain algebra, and ``stage1_residual``
-evaluates the finder's linear laws at a concrete map.  ``two_sided_solve``
+evaluates the finder's linear laws at a concrete map, over ``zero_r(d)``,
+d as a double structure with R = 0.  ``two_sided_solve``
 solves the stacked system left.x = rhs = right.x in full, the reference the
 convolution inverses' component solves are compared against.
 ``duality_morphism_items`` reads D3/D4 of check_duality through the
@@ -44,7 +45,7 @@ from entwine.hopfcore import (
     element_op,
     trivial_hopf,
 )
-from entwine.pivribbon import _linear_system
+from entwine.pivribbon import _laws, _linear_system
 from entwine.report import AxiomItem, AxiomReport, _ap, _pm, compare_item
 
 
@@ -85,9 +86,15 @@ def check_module_over_algebra(alg, dim: int, action) -> AxiomReport:
     ])
 
 
+def zero_r(d) -> ent.DoubleQuantumGroup:
+    """d as a double structure with R = 0: a target for the law table of
+    either kind, whose linear laws R does not enter (it enters only R3)."""
+    return ent.DoubleQuantumGroup(d, Matrix.zero(d.a_dim ** 2, d.c_dim ** 2))
+
+
 def stage1_residual(d, kind: str, g) -> Vector:
-    "Residual of the finder's linear laws at a concrete map (zero iff satisfied)."
-    a, b = _linear_system(d, kind)
+    "Residual of the finder's linear laws over datum d at a concrete map (zero iff satisfied)."
+    a, b = _linear_system(_laws(zero_r(d), kind))
     x = g.map.flat()
     return Vector([sum(v * x[c] for c, v in row.items()) for row in a]) - b
 

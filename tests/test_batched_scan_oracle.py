@@ -68,6 +68,7 @@ from entwine.exactla import (
 from entwine.hopfcore import AlgebraData, CoalgebraData, HopfAlgebraData, check_hopf, dual_hopf
 from entwine.pivribbon import (
     _act_by_g_op,
+    _laws,
     _linear_system,
     find_morphisms,
     nat_to_hom,
@@ -415,7 +416,7 @@ def _built_matrices():
         out[f"{name}.act_by_g"] = _act_by_g_op(ca, g).matrix
         out[f"{name}.nat_to_hom"] = nat_to_hom(d, _act_by_g_op(ca, g).matrix, "ribbon").map
         for kind in ("pivotal", "ribbon"):
-            out[f"{name}.{kind}_system"] = _linear_system(d, kind)
+            out[f"{name}.{kind}_system"] = _linear_system(_laws(q, kind))
     return out
 
 

@@ -34,7 +34,7 @@ from entwine.pivribbon import (
     FinderResult,
     _Poly,
     _act_by_g_op,
-    _quadratic_law,
+    _laws,
     _quadratic_residuals,
     _rational_roots_deg2,
     find_morphisms,
@@ -530,10 +530,9 @@ FINDER_RUNS += [("ribbon", name) for name in ("long_dqg_kz2", "yd_dqg_h4", "yd_d
 
 @pytest.mark.parametrize("kind, name", FINDER_RUNS)
 def test_finder_points_zero_every_quadratic_residual(finder_run, kind, name):
-    target, d, res = finder_run(kind, name)
+    target, _, res = finder_run(kind, name)
     assert res.status == "complete"
-    q = target if kind == "ribbon" else None
-    residuals = _quadratic_residuals(d, kind, q, res.family)
+    residuals = _quadratic_residuals(_laws(target, kind), res.family)
     basis = res.family.nullspace_basis
     for c in res.solutions:
         t = []
@@ -554,7 +553,7 @@ def _law_values(scan, steps) -> dict:
     return values
 
 
-def _pairwise_residuals(d, kind, q, family) -> list:
+def _pairwise_residuals(target, kind, family) -> list:
     """The quadratic law on g0 + sum t_s h_s, expanded one pair of family
     generators at a time on concrete maps (h_0 = g0, t_0 = 1).
 
@@ -565,7 +564,9 @@ def _pairwise_residuals(d, kind, q, family) -> list:
     x = h_s, y = h_r (polarization).  The linear side on h_s is subtracted
     at t_s.  Returns the nonzero polynomial of each (scan tuple, output
     key)."""
-    _, scan, _, linear, bilinear = _quadratic_law(d, kind, q)
+    laws = _laws(target, kind)
+    d = laws.datum
+    _, scan, _, linear, bilinear = laws.quadratic
     gens = [family.particular, *family.nullspace_basis]
 
     def op(*vs):
@@ -600,12 +601,11 @@ DISTINCT_RESIDUALS = {
 
 @pytest.mark.parametrize("kind, name", sorted(DISTINCT_RESIDUALS))
 def test_one_pass_residuals_match_the_pairwise_expansion(finder_run, kind, name):
-    target, d, res = finder_run(kind, name)
+    target, _, res = finder_run(kind, name)
     assert res.family.dimension > 0
-    q = target if kind == "ribbon" else None
-    got = [frozenset(p.terms.items()) for p in _quadratic_residuals(d, kind, q, res.family)]
+    got = [frozenset(p.terms.items()) for p in _quadratic_residuals(_laws(target, kind), res.family)]
     assert len(got) == len(set(got)), "a residual is listed twice"
-    want = {frozenset(p.terms.items()) for p in _pairwise_residuals(d, kind, q, res.family)}
+    want = {frozenset(p.terms.items()) for p in _pairwise_residuals(target, kind, res.family)}
     assert set(got) == want
     assert len(got) == DISTINCT_RESIDUALS[kind, name]
 
@@ -641,6 +641,47 @@ def test_finder_stage1_membership_of_known_morphisms(yd_h4, long_h4, long_dqg_kz
     # verified solutions always satisfy the linear stage
     for c in find_morphisms(yd_h4, "pivotal").solutions:
         assert stage1_residual(yd_h4, "pivotal", c.map).is_zero()
+
+
+def test_finder_calls_the_module_verifiers(yd_h4, long_dqg_kz2, monkeypatch):
+    # the bench tracer counts pivribbon.verifier.calls by wrapping the
+    # module's verify_pivotal and verify_ribbon, so the finder must reach
+    # its verifier through those names
+    from entwine import pivribbon
+
+    calls = {}
+    for name in ("verify_pivotal", "verify_ribbon"):
+        def counting(target, g, name=name, verify=getattr(pivribbon, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return verify(target, g)
+        monkeypatch.setattr(pivribbon, name, counting)
+    for name, target, kind in (("verify_pivotal", yd_h4, "pivotal"),
+                               ("verify_ribbon", long_dqg_kz2, "ribbon")):
+        res = find_morphisms(target, kind)
+        assert calls.get(name, 0) >= max(len(res.solutions), 1)
+
+
+@pytest.mark.parametrize("gamma", [0, 1])
+def test_finder_on_a_long_double_of_h4_whose_r_is_not_symmetric(h4, gamma):
+    # R_1 on H4 is quasitriangular and R_1 != R_1^21, so R3 runs on an R
+    # that is neither symmetric nor a Yetter-Drinfeld braiding
+    from oracles import h4_form, h4_rmatrix
+
+    q = corpus.long_dqg(h4, h4_rmatrix(1), h4, h4_form(h4, gamma))
+    d = q.datum
+    ribbon = find_morphisms(q, "ribbon")
+    assert ribbon.status == "complete"
+    unit = separable_candidate(d, Element(d.a, d.a.unit), Functional(d.c, d.c.counit), "ribbon")
+    assert [c.map for c in ribbon.solutions] == [unit.map]
+    pivotal = find_morphisms(q, "pivotal")
+    assert pivotal.status == "complete" and len(pivotal.solutions) == 1
+    # g(c) = chi(c) e: the pivot e of H4 times the copivot chi that sends
+    # 1, e, x, y to 1, -1, 0, 0
+    assert pivotal.solutions[0].map.map.flat() == Vector([0, 0, 0, 0, 1, -1] + [0] * 10)
+    for c in ribbon.solutions:
+        assert verify_ribbon(q, c.map).overall
+    for c in pivotal.solutions:
+        assert verify_pivotal(d, c.map).overall
 
 
 def test_finder_undecided_when_family_too_large(long_kz2):
@@ -687,7 +728,7 @@ def test_finder_quadratic_without_rational_root_closes_its_branch(long_dqg_kz2, 
     from entwine import pivribbon
 
     poly = _Poly({(0, 0): Fraction(1), (): Fraction(-2)})
-    monkeypatch.setattr(pivribbon, "_quadratic_residuals", lambda d, kind, q, family: [poly])
+    monkeypatch.setattr(pivribbon, "_quadratic_residuals", lambda laws, family: [poly])
     res = find_morphisms(long_dqg_kz2, "ribbon", max_params=4)
     assert res.family.dimension > 1
     assert res.status == "complete" and res.solutions == []
@@ -700,7 +741,7 @@ def test_finder_one_parameter_branch_is_parametric_when_others_unpinned(long_dqg
     from entwine import pivribbon
 
     poly = pivribbon._Poly({(0, 0): Fraction(1), (0,): Fraction(-1)})
-    monkeypatch.setattr(pivribbon, "_quadratic_residuals", lambda d, kind, q, family: [poly])
+    monkeypatch.setattr(pivribbon, "_quadratic_residuals", lambda laws, family: [poly])
     res = find_morphisms(long_dqg_kz2, "ribbon", max_params=4)
     assert res.family.dimension > 1
     assert res.notes.startswith("a branch of the quadratic stage stayed open")
@@ -734,7 +775,7 @@ def test_root_stage_only_sees_quadratics(monkeypatch):
     t0 = Fraction(1)
     residuals = [pivribbon._Poly({(0,): t0, (): -2 * t0}),
                  pivribbon._Poly({(0, 0): t0, (): -4 * t0})]
-    monkeypatch.setattr(pivribbon, "_quadratic_residuals", lambda d, kind, q, family: residuals)
+    monkeypatch.setattr(pivribbon, "_quadratic_residuals", lambda laws, family: residuals)
     before = len(seen)
     res = find_morphisms(dqgs["long_dqg_kz2"], "ribbon", max_params=4)
     # t_0 - 2 pins t_0 = 2 first, so t_0^2 - 4 vanishes before any root search
