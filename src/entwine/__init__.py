@@ -32,8 +32,8 @@ _EXPORTS = {
              "distlaw_to_entwining entwining_to_codistlaw entwining_to_distlaw "
              "extract_copivot extract_coribbon extract_pivot extract_ribbon "
              "module_transport_from_smash module_transport_to_smash "
-             "smash_coproduct smash_identity_checks smash_product transport_copivot "
-             "transport_coribbon transport_pivot transport_rmatrix transport_ribbon",
+             "smash_coproduct smash_product transport_copivot transport_coribbon "
+             "transport_pivot transport_rmatrix transport_ribbon",
     "corpus": "",
 }
 # name -> the submodule that defines it; a submodule's name maps to itself

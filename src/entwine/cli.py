@@ -263,24 +263,31 @@ def _corpus_list_cmd(a) -> None:
 
 def _saved_reports(doc, file) -> list[dict]:
     """The report objects of a saved report (one object or a list of them),
-    checked for the shape render_text reads; a misshapen one exits 2."""
+    checked for the shape render_text reads and for a verdict: overall and
+    each item's passed are booleans, overall their conjunction.  A
+    misshapen one exits 2."""
 
     def expect(value, kind, path):
         if not isinstance(value, kind):
-            what = "an object" if kind is dict else "a list"
+            what = {dict: "an object", list: "a list", bool: "a boolean"}[kind]
             raise UsageError(f"{file}: {path}: expected {what}")
         return value
 
     docs = doc if isinstance(doc, list) else [doc]
     for n, one in enumerate(docs):
         path = f"report[{n}]" if isinstance(doc, list) else "report"
-        items = expect(expect(one, dict, path).get("items", []), list, f"{path}.items")
+        overall = expect(expect(one, dict, path).get("overall"), bool, f"{path}.overall")
+        items = expect(one.get("items", []), list, f"{path}.items")
         for i, it in enumerate(items):
-            w = expect(it, dict, f"{path}.items[{i}]").get("witness")
+            expect(expect(it, dict, f"{path}.items[{i}]").get("passed"), bool,
+                   f"{path}.items[{i}].passed")
+            w = it.get("witness")
             if w is not None:
                 expect(w, dict, f"{path}.items[{i}].witness")
                 for key in ("basis", "lhs", "rhs"):
                     expect(w.get(key, []), list, f"{path}.items[{i}].witness.{key}")
+        if overall != all(it["passed"] for it in items):
+            raise UsageError(f"{file}: {path}.overall: is not the conjunction of its items' passed")
     return docs
 
 
@@ -296,7 +303,7 @@ def _report_cmd(a) -> bool:
     else:
         for one in docs:
             _print_doc(one.get("subject"), one, "text")
-    return all(one.get("overall") for one in docs)
+    return all(one["overall"] for one in docs)
 
 
 # arguments: (flags, add_argument keywords); a path option's dest is its first long flag

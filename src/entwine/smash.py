@@ -12,7 +12,8 @@ transport and transported R-matrix or form is a kernel pipeline: Cup
 brings in a pair of dual-basis legs and Cap pairs a dual leg with a
 plain one.  Units and counits are Kronecker products, and pivots and
 copivots a map's entries laid flat.  Every axiom scan goes through
-report.compare_item.
+report.compare_item.  check_hopf checks either construction whole: a Hopf
+antipode reverses products and coproducts, so no identity of it is kept.
 
 Basis convention for both constructions: dual-basis index first, then
 the plain-side index, left major (so the flat index of e^i (x) a_k is
@@ -39,7 +40,6 @@ from .entwining import (
     EntwiningMap,
     HomCA,
     MonoidalEntwiningDatum,
-    check_antipode_compat,
 )
 from .hopfcore import (
     AlgebraData,
@@ -50,7 +50,7 @@ from .hopfcore import (
     HopfAlgebraData,
     dual_hopf,
 )
-from .report import AxiomItem, AxiomReport, compare_item, _ap, _pm
+from .report import AxiomReport, compare_item, _ap, _pm
 
 
 class DistributiveLaw:
@@ -494,45 +494,3 @@ def transport_coribbon(q: DoubleQuantumGroup, g: HomCA,
 def extract_coribbon(d: MonoidalEntwiningDatum, theta: Functional) -> HomCA:
     return extract_copivot(d, theta)
 
-
-# ---------------------------------------------------------------------------
-# Antipode identity checks on the smash constructions
-# ---------------------------------------------------------------------------
-
-
-def smash_identity_checks(d: MonoidalEntwiningDatum) -> AxiomReport:
-    """Anti-(co)multiplicativity of the smash antipodes, cross-checked
-    against the direct antipode-compatibility identities.
-
-    SI1: the smash product antipode reverses products;
-    SI2: the smash coproduct antipode reverses coproducts;
-    SI3: the conjunction agrees with check_antipode_compat's verdict.
-    """
-    sp = smash_product(d)
-    dim = sp.dim
-    s_op = sp.antipode_op
-    si1 = compare_item(
-        "SI1_product_antimult",
-        (dim, dim),
-        (dim,),
-        (_ap(0, sp.mul_op), _ap(0, s_op)),
-        (_ap(0, s_op), _ap(1, s_op), _pm((1, 0)), _ap(0, sp.mul_op)),
-    )
-    sc = smash_coproduct(d)
-    dim2 = sc.dim
-    s2_op = sc.antipode_op
-    si2 = compare_item(
-        "SI2_coproduct_anticomult",
-        (dim2,),
-        (dim2, dim2),
-        (_ap(0, s2_op), _ap(0, sc.comul_op)),
-        (_ap(0, sc.comul_op), _pm((1, 0)), _ap(0, s2_op), _ap(1, s2_op)),
-    )
-    direct = check_antipode_compat(d)
-    agreed = (si1.passed and si2.passed) == direct.overall
-    if agreed:
-        si3 = AxiomItem("SI3_agrees_direct", True)
-    else:
-        bad = next(it for it in (si1, si2, *direct.items) if not it.passed)
-        si3 = AxiomItem("SI3_agrees_direct", False, bad.witness)
-    return AxiomReport([si1, si2, si3])

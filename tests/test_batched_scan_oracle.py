@@ -83,7 +83,7 @@ from entwine.smash import (
     module_transport_from_smash,
     module_transport_to_smash,
     smash_coproduct,
-    smash_identity_checks,
+    smash_product,
 )
 
 from oracles import corpus_dqgs
@@ -363,9 +363,9 @@ def _morphism_reports():
                                     ent.HomCA(ribbon.datum, _bump(ribbon.map, rng)))))
     out.append(_finder_summary(find_morphisms(yd, "pivotal")))
     out.append(_finder_summary(find_morphisms(dqgs["long_dqg_kz2"], "ribbon")))
-    out.append(_items(smash_identity_checks(yd)))
+    out += [_items(check_hopf(smash(yd))) for smash in (smash_product, smash_coproduct)]
     for mutant in _datum_mutants(corpus.yd_datum(corpus.cyclic_group_algebra(2)), 8, 3):
-        out.append(_items(smash_identity_checks(mutant)))
+        out += [_items(check_hopf(smash(mutant))) for smash in (smash_product, smash_coproduct)]
         out.append(_items(check_distributive_law(entwining_to_distlaw(mutant.base))))
         out.append(_items(check_distributive_law(entwining_to_codistlaw(mutant.base))))
     return out

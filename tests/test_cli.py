@@ -505,8 +505,25 @@ def test_report_text_renders_saved_failures_like_check(runner, tmp_path):
         ([5], "report[0]: expected an object"),
         ({"overall": False, "items": [{"axiom": "H01", "passed": False, "witness": {"basis": 5}}]},
          "report.items[0].witness.basis: expected a list"),
+        ({"items": []}, "report.overall: expected a boolean"),
+        ({"overall": "no", "items": [{"axiom": "X", "passed": "yes"}]},
+         "report.overall: expected a boolean"),
+        ({"overall": 1, "items": []}, "report.overall: expected a boolean"),
+        ({"overall": True, "items": [{"axiom": "X", "passed": "yes"}]},
+         "report.items[0].passed: expected a boolean"),
+        ({"overall": True, "items": [{"axiom": "X"}]},
+         "report.items[0].passed: expected a boolean"),
+        ({"overall": True, "items": [{"axiom": "X", "passed": True},
+                                     {"axiom": "Y", "passed": False}]},
+         "report.overall: is not the conjunction"),
+        ({"overall": False, "items": [{"axiom": "X", "passed": True}]},
+         "report.overall: is not the conjunction"),
+        ([{"overall": True, "items": []}, {"overall": False, "items": []}],
+         "report[1].overall: is not the conjunction"),
     ],
-    ids=["list_of_non_objects", "witness_basis_5"],
+    ids=["list_of_non_objects", "witness_basis_5", "no_overall", "string_verdicts",
+         "overall_1", "passed_string", "no_passed", "overall_true_over_a_fail",
+         "overall_false_over_passes", "second_report_overall"],
 )
 def test_report_bad_document_exits_2_with_field_path(runner, tmp_path, doc, field, fmt):
     path = tmp_path / "bad_report.json"

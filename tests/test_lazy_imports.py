@@ -130,12 +130,11 @@ PUBLIC = [
     "find_morphisms", "hopfcore", "invert", "kron", "left_dual", "module_transport_from_smash",
     "module_transport_to_smash", "nat_to_hom", "pivotal_structure", "pivribbon",
     "quasitri_check", "rat_from_str", "rat_to_str", "report", "right_dual",
-    "separable_candidate", "smash", "smash_coproduct", "smash_identity_checks",
-    "smash_product", "solve_affine", "std_module_AC", "std_module_CA", "tensor_modules",
-    "tensor_unit", "transport_copivot", "transport_coribbon", "transport_pivot",
-    "transport_ribbon", "transport_rmatrix", "transpose", "trivial_hopf", "twist",
-    "verify_copivot", "verify_coribbon_form", "verify_pivot", "verify_pivotal",
-    "verify_ribbon", "verify_ribbon_element",
+    "separable_candidate", "smash", "smash_coproduct", "smash_product", "solve_affine",
+    "std_module_AC", "std_module_CA", "tensor_modules", "tensor_unit", "transport_copivot",
+    "transport_coribbon", "transport_pivot", "transport_ribbon", "transport_rmatrix",
+    "transpose", "trivial_hopf", "twist", "verify_copivot", "verify_coribbon_form",
+    "verify_pivot", "verify_pivotal", "verify_ribbon", "verify_ribbon_element",
 ]
 SUBMODULES = ("corpus", "emodcat", "entwining", "exactla", "hopfcore", "pivribbon",
               "report", "smash")

@@ -1,5 +1,6 @@
 """Smash product/coproduct, distributive laws, structure transport."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,21 @@ from entwine.emodcat import (
     std_module_CA,
     tensor_modules,
 )
-from entwine.entwining import EntwiningMap, HomCA, MonoidalEntwiningDatum, conv_unit
-from entwine.exactla import Matrix, TensorOp, Vector, kron, matrix_from_columns_fn
+from entwine.entwining import (
+    EntwiningMap,
+    HomCA,
+    MonoidalEntwiningDatum,
+    check_antipode_compat,
+    conv_unit,
+)
+from entwine.exactla import (
+    Matrix,
+    NotInvertibleError,
+    TensorOp,
+    Vector,
+    kron,
+    matrix_from_columns_fn,
+)
 from entwine.hopfcore import (
     check_hopf,
     coquasitri_check,
@@ -40,7 +54,6 @@ from entwine.smash import (
     module_transport_from_smash,
     module_transport_to_smash,
     smash_coproduct,
-    smash_identity_checks,
     smash_product,
     transport_copivot,
     transport_coribbon,
@@ -450,28 +463,23 @@ def test_ribbon_transports_on_every_listed_ribbon_morphism(dqgs, name, count):
         assert extract_coribbon(q.datum, theta).map == c.map.map
 
 
-# -- antipode identity checks -------------------------------------------------
-
-
-def test_smash_identity_checks_on_corpus(monoidal_datums):
-    for name, d in monoidal_datums.items():
-        assert smash_identity_checks(d).overall, name
+# -- the smash constructions under a changed phi --------------------------------
 
 
 # long_kz2 (C = A = kZ2, basis 1 = e0, g = e1; phi the flip c (x) a ->
 # a (x) c) with phi[0][1] += 1, so phi(1 (x) g) = g (x) 1 + 1 (x) 1 and
 # every other basis pair flips as before.  S_A, S_C and the dual antipodes
 # are the identity, and a dual basis multiplies pointwise.
-#  - SI1, smash product on (C*, op) (x) A, basis x0..x3 = e^1#1, e^1#g,
+#  - Smash product on (C*, op) (x) A, basis x0..x3 = e^1#1, e^1#g,
 #    e^g#1, e^g#g.  (e^i#a)(e^j#b) = sum e^i e^m # f_u b over
 #    phi_dc(a (x) e^j) = sum e^m (x) f_u, weighted by the coefficient of
 #    f_u (x) e_j in phi(e_m (x) a), and S(e^j#a) = phi_dc(a (x) e^j).
 #    So phi_dc(1 (x) e^1) = e^1 (x) 1 and phi_dc(g (x) e^1) = e^1 (x) g +
 #    e^1 (x) 1: x0 x0 = x0, x0 x1 = x1,
-#    x1 x0 = x0 + x1, S(x0) = x0 and S(x1) = x0 + x1.  At (x0, x0) both
-#    sides are x0; at (x0, x1), S(x0 x1) = x0 + x1 against
-#    S(x1) S(x0) = x0 + (x0 + x1) = 2 x0 + x1.
-#  - SI2, smash coproduct on (A*, cop) (x) C, basis y0..y3 = f^1#1, f^1#g,
+#    x1 x0 = x0 + x1, S(x0) = x0 and S(x1) = x0 + x1.  An antipode
+#    reverses products, but S(x0 x1) = x0 + x1 against
+#    S(x1) S(x0) = x0 + (x0 + x1) = 2 x0 + x1, so check_hopf fails.
+#  - Smash coproduct on (A*, cop) (x) C, basis y0..y3 = f^1#1, f^1#g,
 #    f^g#1, f^g#g.  phi_da(f^u (x) c) = sum e_v (x) f^i, weighted by the
 #    coefficient of f_u (x) e_v in phi(c (x) f_i): phi_da(f^1 (x) 1) =
 #    1 (x) (f^1 + f^g) and phi_da(f^g (x) 1) = 1 (x) f^g.  S(f^u#c) = phi_da(f^u (x) c) with its
@@ -479,10 +487,10 @@ def test_smash_identity_checks_on_corpus(monoidal_datums):
 #    (gamma2 # c) (x) phi_da(gamma1 (x) c) over Delta(f^u) = sum gamma1
 #    (x) gamma2 (f^1 -> f^1 f^1 + f^g f^g, f^g -> f^1 f^g + f^g f^1),
 #    so Delta(y0) = y0y0 + y0y2 + y2y2 and Delta(y2) = y2y0 + y2y2 + y0y2.
-#    At y0, Delta(S(y0)) = y0y0 + 2 y0y2 + y2y0 + 2 y2y2 against
-#    (S (x) S)(y0y0 + y2y0 + y2y2) = y0y0 + y0y2 + 2 y2y0 + 3 y2y2, with
-#    y_a y_b at flat index 4a + b.
-#  - AC1 and AC2 fail as well, so SI3 (the agreement) passes.  All four
+#    An antipode reverses coproducts, but Delta(S(y0)) = y0y0 + 2 y0y2 +
+#    y2y0 + 2 y2y2 against (S (x) S)(y0y0 + y2y0 + y2y2) = y0y0 + y0y2 +
+#    2 y2y0 + 3 y2y2, so check_hopf fails.
+#  - AC1 and AC2 fail as well.  All four
 #    antipodes are the identity, so the two items read the same.  On
 #    (c, a) the left side is a (x) c; the right side sums u (x) j over x,
 #    phi(c (x) x) = sum u (x) w and phi(w (x) a) = sum x (x) j (the Cap
@@ -492,22 +500,21 @@ def test_smash_identity_checks_on_corpus(monoidal_datums):
 #    u in {g, 1} with w = 1, then l = g keeps j = 1: g (x) 1 + 1 (x) 1.
 #    So the basis tuple is (0, 1), lhs g (x) 1 = [0, 0, 1, 0] and rhs
 #    2 (1 (x) 1) + g (x) 1 = [2, 0, 1, 0], with a (x) c at flat index 2a + c.
-def test_one_entry_long_kz2_phi_change_fails_si1_and_si2(long_kz2):
-    from entwine.entwining import check_antipode_compat
-
+def test_one_entry_long_kz2_phi_change_breaks_both_smash_constructions(long_kz2):
     rows = [list(r) for r in long_kz2.phi.rows()]
     rows[0][1] += 1
     d = MonoidalEntwiningDatum(EntwiningMap(long_kz2.c, long_kz2.a, Matrix(rows)))
-    rep = smash_identity_checks(d)
-    si1, si2 = rep.item("SI1_product_antimult"), rep.item("SI2_coproduct_anticomult")
-    assert not si1.passed and not si2.passed
-    assert si1.witness.basis == (0, 1)
-    assert list(si1.witness.lhs) == [1, 1, 0, 0]
-    assert list(si1.witness.rhs) == [2, 1, 0, 0]
-    assert si2.witness.basis == (0,)
-    assert list(si2.witness.lhs) == [1, 0, 2, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0]
-    assert list(si2.witness.rhs) == [1, 0, 1, 0, 0, 0, 0, 0, 2, 0, 3, 0, 0, 0, 0, 0]
-    assert rep.item("SI3_agrees_direct").passed
+    sp, sc = smash_product(d), smash_coproduct(d)
+    assert dict(_col(sp.mul_op, (0, 0))) == {(0,): 1}
+    assert dict(_col(sp.mul_op, (0, 1))) == {(1,): 1}
+    assert dict(_col(sp.mul_op, (1, 0))) == {(0,): 1, (1,): 1}
+    assert dict(_col(sp.antipode_op, (0,))) == {(0,): 1}
+    assert dict(_col(sp.antipode_op, (1,))) == {(0,): 1, (1,): 1}
+    assert dict(_col(sc.antipode_op, (0,))) == {(0,): 1, (2,): 1}
+    assert dict(_col(sc.antipode_op, (2,))) == {(2,): 1}
+    assert dict(_col(sc.comul_op, (0,))) == {(0, 0): 1, (0, 2): 1, (2, 2): 1}
+    assert dict(_col(sc.comul_op, (2,))) == {(2, 0): 1, (2, 2): 1, (0, 2): 1}
+    assert not check_hopf(sp).overall and not check_hopf(sc).overall
     direct = check_antipode_compat(d)
     for axiom in ("AC1_inv_antipode", "AC2_antipode"):
         item = direct.item(axiom)
@@ -517,24 +524,35 @@ def test_one_entry_long_kz2_phi_change_fails_si1_and_si2(long_kz2):
         assert list(item.witness.rhs) == [2, 0, 1, 0]
 
 
-def test_smash_identity_checks_fail_consistently_for_corrupted_phi(yd_h4):
-    from entwine.entwining import check_antipode_compat
+def test_smash_constructions_fail_for_corrupted_phi(yd_h4):
+    # phi[0][0] += 1, the first one-entry change of yd_h4's phi that breaks AC1/AC2
+    rows = [list(r) for r in yd_h4.phi.rows()]
+    rows[0][0] += 1
+    d = MonoidalEntwiningDatum(EntwiningMap(yd_h4.c, yd_h4.a, Matrix(rows)))
+    assert not check_antipode_compat(d).overall
+    assert not check_hopf(smash_product(d)).overall
+    assert not check_hopf(smash_coproduct(d)).overall
 
-    found = False
-    for i in range(16):
-        for j in range(16):
-            rows = [list(r) for r in yd_h4.phi.rows()]
-            rows[i][j] += 1
-            e = EntwiningMap(yd_h4.c, yd_h4.a, Matrix(rows))
-            d = MonoidalEntwiningDatum(e)
-            if check_antipode_compat(d).overall:
-                continue
-            rep = smash_identity_checks(d)
-            assert not (rep.item("SI1_product_antimult").passed
-                        and rep.item("SI2_coproduct_anticomult").passed)
-            assert rep.item("SI3_agrees_direct").passed
-            found = True
-            break
-        if found:
-            break
-    assert found
+
+@pytest.mark.parametrize("name", ["long_kz2", "yd_kz2"])
+def test_smash_hopf_verdicts_agree_with_antipode_compat(monoidal_datums, name):
+    # every +-1 one-entry change of phi: check_hopf of both constructions and
+    # check_antipode_compat give one verdict; a singular smash antipode is
+    # bad input to either construction, so those changes are only counted
+    d0 = monoidal_datums[name]
+    verdicts, singular = Counter(), 0
+    for i in range(d0.phi.nrows):
+        for j in range(d0.phi.ncols):
+            for delta in (1, -1):
+                rows = [list(r) for r in d0.phi.rows()]
+                rows[i][j] += delta
+                d = MonoidalEntwiningDatum(EntwiningMap(d0.c, d0.a, Matrix(rows)))
+                try:
+                    sp, sc = smash_product(d), smash_coproduct(d)
+                except NotInvertibleError:
+                    singular += 1
+                    continue
+                verdict = check_antipode_compat(d).overall
+                assert check_hopf(sp).overall == check_hopf(sc).overall == verdict, (i, j, delta)
+                verdicts[verdict] += 1
+    assert (verdicts, singular) == ({False: 28}, 4)
