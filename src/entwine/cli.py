@@ -262,10 +262,10 @@ def _corpus_list_cmd(a) -> None:
 
 
 def _saved_reports(doc, file) -> list[dict]:
-    """The report objects of a saved report (one object or a list of them),
-    checked for the shape render_text reads and for a verdict: overall and
-    each item's passed are booleans, overall their conjunction.  A
-    misshapen one exits 2."""
+    """The report objects of a saved report (one object or a nonempty list
+    of them), checked for the shape render_text reads and for a verdict:
+    overall and each item's passed are booleans, overall their
+    conjunction.  A misshapen one exits 2."""
 
     def expect(value, kind, path):
         if not isinstance(value, kind):
@@ -274,6 +274,8 @@ def _saved_reports(doc, file) -> list[dict]:
         return value
 
     docs = doc if isinstance(doc, list) else [doc]
+    if not docs:
+        raise UsageError(f"{file}: report: expected at least one report")
     for n, one in enumerate(docs):
         path = f"report[{n}]" if isinstance(doc, list) else "report"
         overall = expect(expect(one, dict, path).get("overall"), bool, f"{path}.overall")

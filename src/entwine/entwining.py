@@ -11,9 +11,8 @@ make the dual-module formulas work downstream.
 Convolution inverses (E10b here, P5/R5 in the pivotal layer, there also
 on a datum with one trivial side) solve x*g = unit on the rows the unit
 reaches through shared columns, building no other row, and check
-g*x = unit on the solution.  When that check fails on the one solution
-of x*g = unit there is no inverse; on any other failure the stacked
-system g*x = unit = x*g is solved, again on the rows its right-hand side
+g*x = unit on the solution; only when that check fails is the stacked
+system g*x = unit = x*g solved, again on the rows its right-hand side
 reaches.  The operators x -> x*g and x -> g*x are built
 by the same pipeline that evaluates a product: with a SlotLeg standing
 for x, one pass per batch of input basis tuples yields every column of
@@ -305,17 +304,12 @@ def _hom_matrix(entries: dict, like: Matrix) -> Matrix:
     return Matrix(shape=(like.nrows, like.ncols), cols=_hom_cols(entries, like.ncols))
 
 
-def _solve(rows: Rows, rhs: dict) -> tuple[dict | None, bool]:
+def _solve(rows: Rows, rhs: dict) -> dict | None:
     """The particular solution of rows.x = rhs, solved on rows.component(rhs),
-    by its nonzero entries on the old columns, None when inconsistent; and
-    whether it is the only solution: the component holds every column of
-    rows and none is free, so every row outside it is empty."""
+    by its nonzero entries on the old columns; None when inconsistent."""
     sub, sub_rhs, cols = rows.component(rhs)
     sol = solve_affine(sub, sub_rhs)
-    if sol is None:
-        return None, False
-    return ({cols[k]: v for k, v in sol.particular.items()},
-            len(cols) == rows.ncols and not sol.nullspace_basis)
+    return None if sol is None else {cols[k]: v for k, v in sol.particular.items()}
 
 
 def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
@@ -354,21 +348,18 @@ def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     are kernel ops built from the solution's entries and the unit's, their
     integral values as ints (_hom_cols).
 
-    When g*x = unit fails and the component holds every column of the hom
-    space with none free, every other row is empty and x is the only
-    solution of x*g = unit.  A two-sided inverse would solve it, so there
-    is none: None, with no other operator built.  Otherwise x*g = unit may
-    have other solutions, through a free column of the component or a
-    column outside it (several arise only on a datum failing E01-E06, as
-    in an associative algebra a left inverse is two-sided and unique), and
-    the rows of x -> g*x stacked on those of the full x -> x*g are solved,
-    the unit on both halves, on the component of that right-hand side
-    (_solve, as for x*g = unit): the block argument above holds for any
-    rows, so this is the stacked particular solution.
+    When g*x = unit fails, the rows of x -> g*x stacked on those of the
+    full x -> x*g are solved, the unit on both halves, on the component of
+    that right-hand side (_solve, as for x*g = unit): the block argument
+    above holds for any rows, so this is the stacked particular solution.
+    Where x*g = unit has one solution, it is the x that failed, and the
+    stacked system has none; several arise only on a datum failing
+    E01-E06, as in an associative algebra a left inverse is two-sided and
+    unique.
     """
     rhs = {o * unit.ncols + j: v for j, col in enumerate(unit.sparse_cols()) for o, v in col}
     right = _operator(d, in_dims, out_dims, side, g_op, False, rhs)
-    entries, unique = _solve(right, rhs)
+    entries = _solve(right, rhs)
     if entries is None:
         return None
     den = lcm(*(v.denominator for v in entries.values()))
@@ -378,12 +369,10 @@ def _inverse(d, in_dims, out_dims, side, g_op, unit: Matrix) -> Matrix | None:
     one = (_slot(len(in_dims)), _ap(0, one_op))
     if compare_item("g*x = 1", in_dims, (*out_dims, 1), gx, one).passed:
         return _hom_matrix(entries, unit)
-    if unique:
-        return None
     right = _operator(d, in_dims, out_dims, side, g_op, False)
     left = _operator(d, in_dims, out_dims, side, g_op, True)
-    entries, _ = _solve(Rows(left + right, left.ncols),
-                        {**rhs, **{i + left.nrows: v for i, v in rhs.items()}})
+    entries = _solve(Rows(left + right, left.ncols),
+                     {**rhs, **{i + left.nrows: v for i, v in rhs.items()}})
     return None if entries is None else _hom_matrix(entries, unit)
 
 
@@ -415,10 +404,9 @@ def conv_inverse(g: HomCA) -> HomCA | None:
 
     Solves x*g = unit on the rows the unit reaches and checks g*x = unit
     on its solution (see _inverse): a two-sided inverse solves x*g = unit,
-    so an inconsistent system means there is none, and so does a failed
-    check on its one solution.  On any other failed check, the stacked
-    system g*x = unit = x*g is solved on the rows the unit reaches in it.
-    Equal to the stacked system's solution in every case.
+    so an inconsistent system means there is none.  When the check fails,
+    the stacked system g*x = unit = x*g is solved on the rows the unit
+    reaches in it.  Equal to the stacked system's solution in every case.
     """
     d = g.datum
     inv = _inverse(d, (d.c_dim,), (d.a_dim,), _conv_side, g.op, conv_unit(d).map)
@@ -474,8 +462,7 @@ def conv2_product(d: MonoidalEntwiningDatum, g2: Matrix, f2: Matrix) -> Matrix:
 def conv2_inverse(d: MonoidalEntwiningDatum, g2: Matrix) -> Matrix | None:
     """Two-sided inverse in hom(C (x) C, A (x) A), or None: x*g2 = unit on
     the unit's component, checked by g2*x = unit, and the stacked system's
-    component only when that check fails and x is not the one solution,
-    as in conv_inverse."""
+    component only when that check fails, as in conv_inverse."""
     nc, na = d.c_dim, d.a_dim
     return _inverse(d, (nc, nc), (na, na), _conv2_side, _conv2_op(d, g2), conv2_unit(d))
 

@@ -502,6 +502,7 @@ def test_report_text_renders_saved_failures_like_check(runner, tmp_path):
 @pytest.mark.parametrize(
     "doc, field",
     [
+        ([], "report: expected at least one report"),
         ([5], "report[0]: expected an object"),
         ({"overall": False, "items": [{"axiom": "H01", "passed": False, "witness": {"basis": 5}}]},
          "report.items[0].witness.basis: expected a list"),
@@ -521,7 +522,7 @@ def test_report_text_renders_saved_failures_like_check(runner, tmp_path):
         ([{"overall": True, "items": []}, {"overall": False, "items": []}],
          "report[1].overall: is not the conjunction"),
     ],
-    ids=["list_of_non_objects", "witness_basis_5", "no_overall", "string_verdicts",
+    ids=["empty_list", "list_of_non_objects", "witness_basis_5", "no_overall", "string_verdicts",
          "overall_1", "passed_string", "no_passed", "overall_true_over_a_fail",
          "overall_false_over_passes", "second_report_overall"],
 )

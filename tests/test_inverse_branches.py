@@ -1,8 +1,7 @@
 """The convolution inverse solves x*g = unit on the rows the unit reaches
-through shared columns and checks g*x = unit on that solution.  When the
-check fails on the one solution of x*g = unit there is no inverse, and on
-any other failure it solves the stacked system g*x = unit = x*g, again on
-the rows its right-hand side reaches.
+through shared columns, checks g*x = unit on that solution, and only when
+the check fails solves the stacked system g*x = unit = x*g, again on the
+rows its right-hand side reaches.
 
 The oracle is the stacked solve two_sided_solve(*conv2_operators(d, g2),
 unit) over the whole hom space: inverses and None-ness must agree with it
@@ -10,9 +9,9 @@ on the corpus R-maps, on one-entry phi mutants (which break associativity,
 so every branch occurs) and on seeded dense R-maps.  hom_operator,
 solve_affine and the g*x = 1 scan are counted around each inverse: one
 operator, on the rows the unit reaches, and one solve, except that a
-failed g*x = 1 with other solutions of x*g = 1 builds the full x -> x*g
-and x -> g*x and solves once more.  On yd_dqg_h4's mutants that solve is
-pinned to a few rows of the stacked system.
+failed g*x = 1 builds the full x -> x*g and x -> g*x and solves once
+more.  On yd_dqg_h4's mutants that solve is pinned to a few rows of the
+stacked system.
 """
 
 import functools
@@ -38,8 +37,6 @@ from oracles import two_sided_solve
 # the component solve of x*g = 1
 INCONSISTENT = "inconsistent"
 TWO_SIDED = "component, g*x = 1"
-# the component holds every column and none is free: its one solution fails g*x = 1
-UNIQUE = "component, unique, g*x != 1"
 # the component solve of the stacked system that follows a failed g*x = 1
 STACKED = "stacked"
 
@@ -104,11 +101,6 @@ def inverse(seen):
         elif seen["checks"] == [True]:
             branch = TWO_SIDED
             assert rest == [] and got is not None
-        elif rest == []:
-            assert seen["checks"] == [False] and got is None
-            branch = UNIQUE
-            (_, cols), sol = seen["solves"][0]
-            assert cols == (d.c_dim * d.a_dim) ** 2 and sol.dimension == 0
         else:
             assert seen["checks"] == [False]
             (_, stacked), = rest
@@ -157,7 +149,7 @@ def test_corpus_rmaps_match_stacked_oracle(inverse, dqgs, yd_h4):
 # branch counts over the 32 one-entry +-1 mutants of each 4 x 4 phi
 @pytest.mark.parametrize("name, counts", [
     ("yd_dqg_kz2", {TWO_SIDED: 15, STACKED: 8, INCONSISTENT: 9}),
-    ("long_dqg_kz2", {UNIQUE: 20, INCONSISTENT: 12}),
+    ("long_dqg_kz2", {STACKED: 20, INCONSISTENT: 12}),
 ])
 def test_phi_mutants_match_stacked_oracle(inverse, dqgs, name, counts):
     q = dqgs[name]
@@ -173,11 +165,10 @@ def test_phi_mutants_match_stacked_oracle(inverse, dqgs, name, counts):
 
 
 # one-entry +-1 mutants of yd_dqg_h4's phi: with (0, 2, +1) x*g = 1 has one
-# solution and with (6, 8, -1) many, and neither is two-sided; the unit's
-# component holds 16 and 12 of the 256 columns, so both take the stacked
-# solve, whose component is a few rows of the 512 x 256 stacked system.
-# (3, 12, -1) and two others have a rank-deficient x*g = 1 whose component
-# solution is two-sided.  The (rows, cols) of each one's last solve:
+# solution and with (6, 8, -1) many, and neither is two-sided; the stacked
+# component is then a few rows of the 512 x 256 stacked system.  (3, 12, -1)
+# and two others have a rank-deficient x*g = 1 whose component solution is
+# two-sided.  The (rows, cols) of each one's last solve:
 H4_LAST_SOLVE = {(0, 2, 1): (72, 36), (6, 8, -1): (32, 16), (3, 12, -1): (16, 16),
                  (0, 0, -1): (7, 4)}
 
