@@ -542,7 +542,16 @@ def invert(a: Matrix) -> Matrix:
 # silently.  Two
 # divmod() calls per key in place of // and % made dqg-e10b wall_s 18 %
 # and verify-scan op_p50_ms 20 % worse (2-vCPU VM): states there average
-# 8 terms, so per-key overhead decides.
+# 8 terms, so per-key overhead decides.  At leg 0 no leg comes before the
+# block, so sv_apply runs a loop of its own, whose column is ``key // ts``
+# and base ``key % ts``: no ``% n_in`` and no ``key // block_in *
+# block_out`` per key.  That loop alone made a pass 6-8 % faster on
+# modules-duality, 8 % on verify-scan and 7 % on dqg-e10b (one process,
+# 40-80 alternating rounds, 2-vCPU VM).  Rejected: column tables
+# pre-scaled per stride (verify-scan -21 % in one process, mostly from
+# tables kept across passes, and -3 to -11 % on fresh objects;
+# modules-duality +0.8 %, dqg-e10b +3.3 %), and a branch for a new key,
+# ``get(nk) is None``, 4.5-7.4 % slower.
 #
 # Permutations.  sv_permute moves only the block of legs from the first
 # leg perm moves to the last; the legs around it keep their strides.  With
@@ -596,6 +605,14 @@ def invert(a: Matrix) -> Matrix:
 # j-th on batch leg j, and every step keeps that leg last.  Terms of
 # different basis vectors never meet, so the state on batch leg j is what
 # the j-th alone gives, and a step's per-call cost is paid once per batch.
+# A first _ap step does not run on a seed state: _seeded writes seed f on
+# slot j as column ``f // ts_in % n_in`` at its base, ts_in the product of
+# the legs between the block and the batch leg.  Distinct seeds lie on
+# distinct slots and a column's outputs are distinct, so no two terms
+# meet: no seed dict, get, sum or zero test is needed, only a zero entry
+# is skipped.  On top of the leg-0 loop it made modules-duality op_p90_ms
+# 2.3 % lower (bench/run.py, 6 of 7 alternating pairs); alone, a pass
+# 1-2 % faster on modules-duality and dqg-e10b and 5 % on verify-scan.
 # compare_item takes batches of SCAN_FIRST_BATCH = 16, 32, then 64 vectors;
 # step-built ops and hom_operator take full batches.  Median pass time over
 # that with a first batch of 1, by first batch (2-vCPU VM, alternating):
@@ -771,17 +788,34 @@ class Cap(KernelOp):
 
 
 def sv_apply(state: State, pos: int, op: KernelOp) -> State:
-    "Apply op to the legs [pos, pos + len(op.in_dims)) of every key."
+    """Apply op to the legs [pos, pos + len(op.in_dims)) of every key.  At
+    leg 0 a loop of its own reads a key's column as ``key // ts`` and its
+    base as ``key % ts`` (see the kernel comment)."""
     dims, in_dims = state.dims, op.in_dims
     end = pos + len(in_dims)
     if dims[pos:end] != in_dims or end >= len(dims):
         raise ValueError(f"op on legs {in_dims} applied at leg {pos} of {dims}")
     ts = prod(dims[end:])
-    n_in = op.n_in
-    block_in, block_out = n_in * ts, op.n_out * ts
     out = State()
     out.dims = dims[:pos] + op.out_dims + dims[end:]
     get, table = out.get, op._cols
+    if pos == 0:
+        for key, c in state.items():
+            col = table.get(key // ts)
+            if col is None:
+                op.fill(dict.fromkeys(f for k in state if (f := k // ts) not in table))
+                col = table[key // ts]
+            base = key % ts
+            for o, x in col:
+                nk = base + o * ts
+                nv = get(nk, 0) + c * x
+                if nv:
+                    out[nk] = nv
+                else:
+                    out.pop(nk, None)
+        return out
+    n_in = op.n_in
+    block_in, block_out = n_in * ts, op.n_out * ts
     for key, c in state.items():
         col = table.get(key // ts % n_in)
         if col is None:
@@ -875,15 +909,52 @@ def run_batch(dims, flats, steps) -> State:
 
     The seed holds the j-th on batch leg j with coefficient 1; each step
     acts on the legs before the batch leg and carries it along, so the
-    terms on batch leg j are what steps give on the j-th alone.  Callers
-    pass at most BATCH_CAP indices (basis_batches, TensorOp.fill).
+    terms on batch leg j are what steps give on the j-th alone.  A first
+    _ap step (defaults (pos, KernelOp), as _split_at reads them) does not
+    run on a seed state: _seeded writes its state from the op's columns
+    (see the kernel comment).  Callers pass at most BATCH_CAP indices
+    (basis_batches, TensorOp.fill).
     """
-    b = len(flats)
-    state = State.fromkeys([f * b + j for j, f in enumerate(flats)], 1)
-    state.dims = (*dims, b)
+    dims = (*dims, len(flats))
+    steps = iter(steps)
+    first = next(steps, None)
+    args = getattr(first, "__defaults__", None) or ()
+    if len(args) == 2 and isinstance(args[1], KernelOp):
+        state = _seeded(dims, flats, *args)
+    else:
+        b = len(flats)
+        state = State.fromkeys([f * b + j for j, f in enumerate(flats)], 1)
+        state.dims = dims
+        if first is not None:
+            state = first(state)
     for step in steps:
         state = step(state)
     return state
+
+
+def _seeded(dims, flats, pos: int, op: KernelOp) -> State:
+    """sv_apply(seed, pos, op) on run_batch's seed over dims, written from
+    op's columns: seed f on batch slot j gets column ``f // ts_in % n_in``
+    at its base.  Distinct seeds lie on distinct slots and a column's
+    outputs are distinct, so no two terms meet; only a zero is skipped."""
+    end = pos + len(op.in_dims)
+    if dims[pos:end] != op.in_dims or end >= len(dims):
+        raise ValueError(f"op on legs {op.in_dims} applied at leg {pos} of {dims}")
+    b, n_in, table = dims[-1], op.n_in, op._cols
+    ts_in = prod(dims[end:-1])
+    missing = dict.fromkeys(c for f in flats if (c := f // ts_in % n_in) not in table)
+    if missing:
+        op.fill(missing)
+    ts = ts_in * b
+    block_in, block_out = n_in * ts_in, op.n_out * ts
+    out = State()
+    out.dims = dims[:pos] + op.out_dims + dims[end:]
+    for j, f in enumerate(flats):
+        base = f // block_in * block_out + f % ts_in * b + j
+        for o, x in table[f // ts_in % n_in]:
+            if x:
+                out[base + o * ts] = x
+    return out
 
 
 def matrix_from_columns_fn(in_dims, out_dims, fn) -> Matrix:

@@ -121,7 +121,7 @@ def test_entwining_passes_but_datum_fails_for_hopf_module(runner, tmp_path):
 
 def test_parse_error_exit_2(runner, tmp_path, h4_file):
     trunc = tmp_path / "trunc.json"
-    trunc.write_text(open(h4_file).read()[:60])
+    trunc.write_text(Path(h4_file).read_text()[:60])
     res = runner.invoke(main, ["check", "hopf", str(trunc)])
     assert res.exit_code == 2
     res = runner.invoke(main, ["check", "hopf", str(tmp_path / "missing.json")])
@@ -404,7 +404,7 @@ def test_bad_later_file_exits_2_before_any_report(runner, tmp_path, h4_file):
     # every file is checked before anything is printed, so a malformed second
     # file leaves no report of the first on stdout or in --report-out
     bad = tmp_path / "bad.json"
-    bad.write_text(open(h4_file).read()[:60])
+    bad.write_text(Path(h4_file).read_text()[:60])
     rep = tmp_path / "reps.json"
     res = runner.invoke(main, ["check", "hopf", h4_file, str(bad), "--report-out", str(rep)])
     assert res.exit_code == 2

@@ -184,3 +184,23 @@ def test_long_dqg_of_premises_that_hold_passes_the_chain(h4, alpha, gamma):
     ids = [item.axiom_id for item in rep.items]
     assert ids[0].startswith("E01") and ids[-1].startswith("E10b")
     assert [i for item, i in zip(rep.items, ids) if not item.passed] == []
+
+
+@pytest.mark.parametrize("alpha", [0, 1, Fraction(2, 3), -3])
+@pytest.mark.parametrize("gamma", [0, 1])
+def test_long_dqg_of_the_flipped_r_fails_exactly_e09_and_e10a(h4, alpha, gamma):
+    """The layout R2 (x) R1 that long_dqg once stored, as its input: long_dqg
+    of tau R_alpha, legs swapped.  For alpha != 0 R_alpha is not symmetric,
+    and exactly E09 and E10a fail, each with sides that differ; R_0 is
+    symmetric, and then every axiom holds."""
+    r = h4_rmatrix(alpha)
+    flipped = Vector([r[v * 4 + u] for u in range(4) for v in range(4)])
+    q = corpus.long_dqg(h4, flipped, h4, h4_form(h4, gamma))
+    rep = (check_entwining(q.datum).merged_with(check_monoidal_datum(q.datum))
+           .merged_with(check_double_quantum_group(q)))
+    failed = [item for item in rep.items if not item.passed]
+    if alpha == 0:
+        assert flipped == r and failed == []
+        return
+    assert [item.axiom_id for item in failed] == ["E09_split_right", "E10a_split_left"]
+    assert all(item.witness.lhs != item.witness.rhs for item in failed)

@@ -10,6 +10,12 @@ coefficients and with terms that cancel, and compares the results leg
 tuple by leg tuple.  An op whose input dims differ from the legs it is
 applied to must raise, because flat indices would otherwise land on wrong
 terms without an error.
+
+run_batch writes a first _ap step's state straight from the op's columns,
+not through sv_apply on a seed state; its cases compare that with the seed
+run through the tuple-keyed kernel, for ops at leg 0 and after it, ops from
+no legs, columns that hold an explicit zero, and a first step of another
+kind, which still takes the seed.
 """
 
 from __future__ import annotations
@@ -30,15 +36,18 @@ from entwine.exactla import (
     SlotLeg,
     State,
     TensorOp,
+    Vector,
     _permutation,
     flatten_index,
     kron,
+    run_batch,
     sv_apply,
     sv_permute,
     unflatten_index,
 )
+from entwine.hopfcore import element_op
 from entwine.pivribbon import _Poly
-from entwine.report import _rs
+from entwine.report import _ap, _pm, _rs, _slot
 
 
 # -- oracles: the tuple-keyed kernel, verbatim ----------------------------------
@@ -175,9 +184,10 @@ KINDS = ("int", "fraction", "poly")
 @pytest.mark.parametrize("kind", KINDS)
 def test_tensor_op_at_a_random_position_matches_the_tuple_kernel(kind):
     rng = random.Random(f"apply/{kind}")
-    for _ in range(300):
+    for i in range(300):
         dims = [rng.randint(1, 4) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 5)]
-        pos = rng.randint(0, len(dims) - 1)
+        # every other case at leg 0, which sv_apply runs in a loop of its own
+        pos = rng.randint(0, len(dims) - 1) if i % 2 else 0
         in_dims = tuple(dims[pos:rng.randint(pos, len(dims) - 1)])
         out_dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
         m = _random_matrix(rng, prod(out_dims), prod(in_dims))
@@ -383,3 +393,150 @@ def test_a_reshape_relabels_legs_and_keeps_every_key(kind):
         _rs(0, (6,), (2, 3))(state)
     with pytest.raises(ValueError):
         _rs(2, (3,), (3,))(state)
+
+
+# -- run_batch's first step, written from the op's columns ----------------------
+
+
+def _seed(dims, flats) -> dict:
+    "run_batch's seed as the tuple-keyed dict: flats[j] on batch leg j."
+    return {(*unflatten_index(dims, f), j): 1 for j, f in enumerate(flats)}
+
+
+def _oracle_of(op: KernelOp) -> OracleOp:
+    "The tuple-keyed table of an op whose table is complete, zeros kept."
+    return OracleOp(len(op.in_dims), len(op.out_dims), {
+        unflatten_index(op.in_dims, f): [(unflatten_index(op.out_dims, o), x) for o, x in col]
+        for f, col in op._cols.items()})
+
+
+def _random_op(rng: random.Random, in_dims, out_dims, kind: str) -> KernelOp:
+    """A KernelOp with a complete table, distinct outputs in each column, and
+    some entries an explicit zero (0, or an empty _Poly)."""
+    n_in, n_out = prod(in_dims), prod(out_dims)
+    zero = _Poly() if kind == "poly" else 0
+    cols = {}
+    for f in range(n_in):
+        outs = rng.sample(range(n_out), rng.randint(0, n_out))
+        cols[f] = [(o, zero if rng.random() < 0.25 else _coeff(rng, kind)) for o in outs]
+    return KernelOp(in_dims, out_dims, cols)
+
+
+def _run_first(dims, flats, pos, op, oracle, perm=None) -> None:
+    """run_batch with a first step _ap(pos, op), then _pm(perm) if given,
+    against the seed run through the tuple-keyed kernel."""
+    legs = (*dims[:pos], *op.out_dims, *dims[pos + len(op.in_dims):])
+    steps = [_ap(pos, op)]
+    want = oracle_sv_apply(_seed(dims, flats), pos, oracle)
+    if perm is not None:
+        steps.append(_pm(perm))
+        want = oracle_sv_permute(want, perm)
+        legs = (*(legs[p] for p in perm), *legs[len(perm):])
+    got = run_batch(dims, flats, steps)
+    _agree(got, got, want, (*legs, len(flats)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_first_op_step_matches_the_seed_through_the_tuple_kernel(kind):
+    rng = random.Random(f"first/{kind}")
+    for i in range(300):
+        dims = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 3)))
+        # every other case at leg 0; the block may also sit after every leg
+        pos = rng.randint(0, len(dims)) if i % 2 else 0
+        in_dims = dims[pos:rng.randint(pos, len(dims))]
+        out_dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
+        op = _random_op(rng, in_dims, out_dims, kind)
+        flats = rng.sample(range(prod(dims)), rng.randint(1, min(prod(dims), 7)))
+        _run_first(dims, flats, pos, op, _oracle_of(op))
+        # later steps run on the first step's state
+        legs = len(dims) - len(in_dims) + len(out_dims)
+        perm = tuple(rng.sample(range(legs), legs))
+        _run_first(dims, flats, pos, op, _oracle_of(op), perm)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_first_op_step_filled_on_demand_matches_the_tuple_kernel(kind):
+    """A TensorOp fills its columns from its Matrix, and a SlotLeg its own,
+    on the first batch that reads them; integral entries come out as ints."""
+    rng = random.Random(f"first-fill/{kind}")
+    for i in range(100):
+        dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+        pos = rng.randint(0, len(dims) - 1) if i % 2 else 0
+        in_dims = dims[pos:rng.randint(pos, len(dims))]
+        out_dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
+        m = _random_matrix(rng, prod(out_dims), prod(in_dims))
+        flats = rng.sample(range(prod(dims)), rng.randint(1, min(prod(dims), 7)))
+        op = TensorOp(m, in_dims, out_dims)
+        _run_first(dims, flats, pos, op, oracle_tensor_op(m, in_dims, out_dims))
+        assert len(op._cols) <= len(flats)
+    f_in = (2, 3)
+    f_out = (rng.randint(1, 3),)
+    flats = [5, 0, 3]
+    _run_first((*f_in, 1), flats, 0, SlotLeg(f_in, f_out), oracle_slot_leg(f_in, f_out))
+
+
+def test_a_first_op_from_no_legs_and_an_empty_cap_column():
+    """An op from no legs (_slot's unit leg, an element) reads column 0 on
+    every seed, at leg 0 or after any leg; a Cap's off-diagonal columns are
+    empty and leave their seeds without a term."""
+    dims, flats = (2, 3), [4, 0, 5, 1]
+    v = Vector([Fraction(1, 2), 0, -3])
+    for pos in range(3):
+        got = run_batch(dims, flats, (_slot(pos),))
+        assert got.dims == (*dims[:pos], 1, *dims[pos:], 4)
+        assert _legs(got) == {(*t[:pos], 0, *t[pos:]): 1 for t in _seed(dims, flats)}
+        op = element_op(v)
+        _run_first(dims, flats, pos, op, oracle_tensor_op(op.matrix, (), (3,)))
+        # the element's zero entry is no term
+        assert len(run_batch(dims, flats, (_ap(pos, op),))) == 2 * len(flats)
+    cap = Cap(3)
+    for flats in ([1, 2, 3, 5], [0, 4, 8, 7]):
+        got = run_batch((3, 3), flats, (_ap(0, cap),))
+        want = oracle_sv_apply(_seed((3, 3), flats), 0, OracleCap())
+        _agree(got, got, want, (len(flats),))
+        assert {k for k in got} == {j for j, f in enumerate(flats) if f % 4 == 0}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_explicit_zero_in_a_first_column_writes_no_key(kind):
+    "A column entry of 0 gives a zero term, which a State never holds."
+    zero = _Poly() if kind == "poly" else 0
+    c = _coeff(random.Random(3), kind)
+    op = KernelOp((2,), (3,), {0: [(0, c), (1, zero)], 1: [(2, zero)]})
+    for pos, dims in ((0, (2, 2)), (1, (3, 2))):
+        got = run_batch(dims, range(prod(dims)), (_ap(pos, op),))
+        want = oracle_sv_apply(_seed(dims, range(prod(dims))), pos, _oracle_of(op))
+        _agree(got, got, want, got.dims)
+        assert len(got) == prod(dims) // 2 and all(got.values())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_first_permutation_or_reshape_takes_the_seed(kind):
+    """Only an _ap step is written from columns; a first _pm or _rs step
+    gets the seed state, with coefficient 1 on each seed."""
+    rng = random.Random(f"first-pm/{kind}")
+    for _ in range(50):
+        dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3)))
+        flats = rng.sample(range(prod(dims)), rng.randint(1, min(prod(dims), 7)))
+        perm = tuple(rng.sample(range(len(dims)), len(dims)))
+        legs = tuple(dims[p] for p in perm)
+        op = _random_op(rng, legs[:1], (2,), kind)
+        got = run_batch(dims, flats, (_pm(perm), _ap(0, op)))
+        want = oracle_sv_apply(oracle_sv_permute(_seed(dims, flats), perm), 0, _oracle_of(op))
+        _agree(got, got, want, (2, *legs[1:], len(flats)))
+    got = run_batch((2, 3), [5, 1], (_rs(0, (2, 3), (6,)),))
+    assert got.dims == (6, 2) and dict(got) == {10: 1, 3: 1}
+
+
+@pytest.mark.parametrize("pos, legs, in_dims", [
+    (0, (3, 2), (2,)),
+    (0, (4,), (2, 2)),
+    (2, (3,), ()),
+    (0, (), (1,)),
+])
+def test_a_first_op_on_other_legs_raises(pos, legs, in_dims):
+    """As in sv_apply: the op's input dims must be the legs at pos, before
+    the batch leg; an op from no legs past the batch leg raises too."""
+    op = KernelOp(in_dims, (2,), {f: [(0, 1)] for f in range(prod(in_dims))})
+    with pytest.raises(ValueError):
+        run_batch(legs, [0], (_ap(pos, op),))
