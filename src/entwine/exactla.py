@@ -550,8 +550,10 @@ def invert(a: Matrix) -> Matrix:
 # 40-80 alternating rounds, 2-vCPU VM).  Rejected: column tables
 # pre-scaled per stride (verify-scan -21 % in one process, mostly from
 # tables kept across passes, and -3 to -11 % on fresh objects;
-# modules-duality +0.8 %, dqg-e10b +3.3 %), and a branch for a new key,
-# ``get(nk) is None``, 4.5-7.4 % slower.
+# modules-duality +0.8 %, dqg-e10b +3.3 %); a branch for a new key,
+# ``get(nk) is None``, 4.5-7.4 % slower; and a batch's first step written
+# straight from the op's columns with no seed state, which on top of this
+# loop won 47 of 80 rounds on modules-duality and 19 of 40 on dqg-e10b.
 #
 # Permutations.  sv_permute moves only the block of legs from the first
 # leg perm moves to the last; the legs around it keep their strides.  With
@@ -605,14 +607,6 @@ def invert(a: Matrix) -> Matrix:
 # j-th on batch leg j, and every step keeps that leg last.  Terms of
 # different basis vectors never meet, so the state on batch leg j is what
 # the j-th alone gives, and a step's per-call cost is paid once per batch.
-# A first _ap step does not run on a seed state: _seeded writes seed f on
-# slot j as column ``f // ts_in % n_in`` at its base, ts_in the product of
-# the legs between the block and the batch leg.  Distinct seeds lie on
-# distinct slots and a column's outputs are distinct, so no two terms
-# meet: no seed dict, get, sum or zero test is needed, only a zero entry
-# is skipped.  On top of the leg-0 loop it made modules-duality op_p90_ms
-# 2.3 % lower (bench/run.py, 6 of 7 alternating pairs); alone, a pass
-# 1-2 % faster on modules-duality and dqg-e10b and 5 % on verify-scan.
 # compare_item takes batches of SCAN_FIRST_BATCH = 16, 32, then 64 vectors;
 # step-built ops and hom_operator take full batches.  Median pass time over
 # that with a first batch of 1, by first batch (2-vCPU VM, alternating):
@@ -909,52 +903,15 @@ def run_batch(dims, flats, steps) -> State:
 
     The seed holds the j-th on batch leg j with coefficient 1; each step
     acts on the legs before the batch leg and carries it along, so the
-    terms on batch leg j are what steps give on the j-th alone.  A first
-    _ap step (defaults (pos, KernelOp), as _split_at reads them) does not
-    run on a seed state: _seeded writes its state from the op's columns
-    (see the kernel comment).  Callers pass at most BATCH_CAP indices
-    (basis_batches, TensorOp.fill).
+    terms on batch leg j are what steps give on the j-th alone.  Callers
+    pass at most BATCH_CAP indices (basis_batches, TensorOp.fill).
     """
-    dims = (*dims, len(flats))
-    steps = iter(steps)
-    first = next(steps, None)
-    args = getattr(first, "__defaults__", None) or ()
-    if len(args) == 2 and isinstance(args[1], KernelOp):
-        state = _seeded(dims, flats, *args)
-    else:
-        b = len(flats)
-        state = State.fromkeys([f * b + j for j, f in enumerate(flats)], 1)
-        state.dims = dims
-        if first is not None:
-            state = first(state)
+    b = len(flats)
+    state = State.fromkeys([f * b + j for j, f in enumerate(flats)], 1)
+    state.dims = (*dims, b)
     for step in steps:
         state = step(state)
     return state
-
-
-def _seeded(dims, flats, pos: int, op: KernelOp) -> State:
-    """sv_apply(seed, pos, op) on run_batch's seed over dims, written from
-    op's columns: seed f on batch slot j gets column ``f // ts_in % n_in``
-    at its base.  Distinct seeds lie on distinct slots and a column's
-    outputs are distinct, so no two terms meet; only a zero is skipped."""
-    end = pos + len(op.in_dims)
-    if dims[pos:end] != op.in_dims or end >= len(dims):
-        raise ValueError(f"op on legs {op.in_dims} applied at leg {pos} of {dims}")
-    b, n_in, table = dims[-1], op.n_in, op._cols
-    ts_in = prod(dims[end:-1])
-    missing = dict.fromkeys(c for f in flats if (c := f // ts_in % n_in) not in table)
-    if missing:
-        op.fill(missing)
-    ts = ts_in * b
-    block_in, block_out = n_in * ts_in, op.n_out * ts
-    out = State()
-    out.dims = dims[:pos] + op.out_dims + dims[end:]
-    for j, f in enumerate(flats):
-        base = f // block_in * block_out + f % ts_in * b + j
-        for o, x in table[f // ts_in % n_in]:
-            if x:
-                out[base + o * ts] = x
-    return out
 
 
 def matrix_from_columns_fn(in_dims, out_dims, fn) -> Matrix:

@@ -11,11 +11,10 @@ tuple by leg tuple.  An op whose input dims differ from the legs it is
 applied to must raise, because flat indices would otherwise land on wrong
 terms without an error.
 
-run_batch writes a first _ap step's state straight from the op's columns,
-not through sv_apply on a seed state; its cases compare that with the seed
-run through the tuple-keyed kernel, for ops at leg 0 and after it, ops from
-no legs, columns that hold an explicit zero, and a first step of another
-kind, which still takes the seed.
+run_batch's cases compare a batch's first step with its seed run through
+the tuple-keyed kernel, for ops at leg 0, where sv_apply runs a loop of its
+own, and after it, ops from no legs, columns that hold an explicit zero,
+and a first permutation or reshape.
 """
 
 from __future__ import annotations
@@ -456,7 +455,7 @@ def test_a_first_op_step_matches_the_seed_through_the_tuple_kernel(kind):
 
 def test_a_first_op_step_filled_on_demand_matches_the_tuple_kernel():
     """A TensorOp fills the columns its seeds read from its Matrix, and a
-    SlotLeg its own, before the state is written."""
+    SlotLeg its own, on the first miss."""
     rng = random.Random("first-fill")
     for i in range(200):
         dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
@@ -511,8 +510,8 @@ def test_an_explicit_zero_in_a_first_column_writes_no_key(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_first_permutation_or_reshape_takes_the_seed(kind):
-    """Only an _ap step is written from columns; a first _pm or _rs step
-    gets the seed state, with coefficient 1 on each seed."""
+    """A first _pm or _rs step gets the seed state, with coefficient 1 on
+    each seed."""
     rng = random.Random(f"first-pm/{kind}")
     for _ in range(50):
         dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3)))
@@ -534,8 +533,8 @@ def test_a_first_permutation_or_reshape_takes_the_seed(kind):
     (0, (), (1,)),
 ])
 def test_a_first_op_on_other_legs_raises(pos, legs, in_dims):
-    """As in sv_apply: the op's input dims must be the legs at pos, before
-    the batch leg; an op from no legs past the batch leg raises too."""
+    """The op's input dims must be the legs at pos, before the batch leg;
+    an op from no legs past the batch leg raises too."""
     op = KernelOp(in_dims, (2,), {f: [(0, 1)] for f in range(prod(in_dims))})
     with pytest.raises(ValueError):
         run_batch(legs, [0], (_ap(pos, op),))

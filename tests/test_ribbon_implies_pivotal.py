@@ -71,6 +71,9 @@ def _dqgs() -> dict:
 # the ribbon maps listed on each: none on yd_dqg_h4, whose check passes vacuously
 RIBBON_COUNTS = {"yd_dqg_h4": 0, "yd_dqg_kz2": 4, "long_dqg_kz2": 4, "yd_dqg_kz3": 1,
                  "yd_dqg_kz4": 4, "long_dqg_h4_r1_b0": 1, "long_dqg_h4_r1_b1": 1}
+# where find pivotal is not complete: on yd_dqg_kz3 it leaves a parametric
+# family and lists no map (ROADMAP item 17)
+PIVOTAL_NOT_COMPLETE = {"yd_dqg_kz3"}
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,7 @@ def test_each_ribbon_map_gives_a_pivotal_map(dqgs, name):
     found = find_morphisms(q, "ribbon", MAX_PARAMS)
     assert found.status == "complete" and len(found.solutions) == RIBBON_COUNTS[name]
     pivots = find_morphisms(d, "pivotal", MAX_PARAMS)
+    assert (pivots.status == "complete") == (name not in PIVOTAL_NOT_COMPLETE)
     images, inverse_fails = [], []
     for g in (s.map for s in found.solutions):
         rmatrix, v = transport_ribbon(q, g, sm)
