@@ -31,6 +31,7 @@ from .exactla import (
     Cup,
     Matrix,
     TensorOp,
+    _transpose,
     pipeline_matrix,
 )
 from .entwining import DoubleQuantumGroup, MonoidalEntwiningDatum, datums_compatible
@@ -47,8 +48,9 @@ class EntwinedModule:
     (the step-built constructors here and in smash).  Scans read the one
     op each is kept as, ``action_op`` and ``coaction_op``, so a step-built
     op builds only the columns a scan reads.  ``action`` and ``coaction``
-    are their matrices, made on first access: a file save, same_structure,
-    a dual's transpose and action_endomorphisms ask for them.
+    are their matrices, made on first access: a file save, same_structure
+    and action_endomorphisms ask for them.  A dual reads the transposes of
+    the ops (exactla._transpose), kept on them, and makes no matrix.
     """
 
     def __init__(self, datum: MonoidalEntwiningDatum, dim: int, action: Matrix | TensorOp,
@@ -288,8 +290,7 @@ def _dual_module(m: EntwinedModule, antipode_a: TensorOp, antipode_c: TensorOp) 
     through antipode_c applied to the output leg."""
     d = m.datum
     dim, na, nc = m.dim, d.a_dim, d.c_dim
-    action_t = TensorOp(m.action.transpose(), (dim,), (dim, na))
-    coaction_t = TensorOp(m.coaction.transpose(), (dim, nc), (dim,))
+    action_t, coaction_t = _transpose(m.action_op), _transpose(m.coaction_op)
     cup, cap = Cup(nc), Cap(na)
     # (f.a)(x) = f(x . sa(a)): sa on a, the action transposed on f, then the
     # action's algebra leg closed against sa(a)

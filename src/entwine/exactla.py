@@ -630,6 +630,42 @@ def invert(a: Matrix) -> Matrix:
 # 23.8 MB one tuple at a time, 24.7 MB with a cap of 64, 26.3 MB with 256
 # and 26.5 MB with 4096; the modules-duality workload peaked at 25.2,
 # 25.2, 25.4 and 25.6 MB.
+#
+# Scans by rows.  A scan whose output space is much smaller than its input
+# space pushes most of its terms through tuples whose images vanish or
+# repeat: M01 on a tensor module of modules-duality maps 256*4*4 tuples to
+# 256 outputs, D3's A_linear square 256*4 to 1, H01 on double_h4 16^3 to
+# 16.  Run backwards over the output basis (_transposed: each op through its
+# transpose, kept on the op, each perm through its inverse, each reshape
+# from its new legs to its old), the same exact map comes out a row per
+# batch leg and touches only its nonzero paths.  A map's transpose costs
+# about as much as the map (the transposition principle: Buergisser,
+# Clausen and Shokrollahi, Algebraic Complexity Theory, 1997, ch. 13), so
+# the smaller side sets the cost.  compare_item runs its first batch by
+# columns, and when that passes with tuples left it decides once, with
+# rows_cheaper, whether the rest runs by rows: every row batch, since a
+# later one may hold a smaller failing tuple, then the least failing tuple
+# alone forwards for the Witness.  The coefficients commute, so both ways
+# give equal entries.  The estimate counts the terms entering each step:
+# n_in times the mean fan-outs (nnz / n_in) of the ops before it, against
+# n_out times the transposed fan-outs (nnz / n_out) of those after it.  An
+# op keeps its nnz once its table is complete, and no column is filled for
+# the estimate, which costs 12-22 us a scan.  Rows are taken at no more
+# than half the column terms: the count leaves out each step's per-call
+# cost, the transposes' build and the witness's run, and near ties go
+# either way.  Per call with warm tables (one process, 60 alternating
+# rounds, 2-vCPU VM), E08 on yd_dqg(h4) (64 to 16 tuples) at 0.96 of the
+# column terms ran 0.36 ms by columns and 0.46 by rows, and on yd_dqg(kz5)
+# at 3.2, 0.51 and 1.40 ms: both stay by columns.  E01 at 0.55-0.65 (yd_h4,
+# long_h4, yd_kz6, yd_kz8) ran 6-36 % faster by rows, and stays by columns
+# at this margin.  Taken: M01 on the tensor modules of yd_h4, long_h4 and
+# yd_kz4 8.6, 5.2 and 5.3 ms by columns against 3.7, 1.7 and 1.7 by rows;
+# H01 on double_h4 3.7 against 0.48 ms; D3's A_linear square on the duals
+# of yd_h4 2.0-2.3 against 0.16-0.26 ms.  Per pass, where each op's fresh
+# modules build their transposes anew, the ops summed 89.3 ms by columns
+# and 62.7 ms as chosen on modules-duality, 58.9 and 35.0 ms on
+# verify-scan, and 7.10 and 7.44 ms on dqg-e10b, which runs by columns
+# throughout (one process, 5-7 passes each, medians per op).
 # ---------------------------------------------------------------------------
 
 
@@ -671,14 +707,15 @@ class KernelOp:
     index, coefficient)]) that sv_apply reads.  ``fill(flats)`` adds the
     columns at each of flats that the table lacks; this base's table is
     complete from the start.  ``_t`` keeps the op's transpose once
-    _transpose has built it."""
+    _transpose has built it, and ``_nnz`` the table's number of terms once
+    _fan_out has counted it complete."""
 
-    __slots__ = ("in_dims", "out_dims", "n_in", "n_out", "_cols", "_t")
+    __slots__ = ("in_dims", "out_dims", "n_in", "n_out", "_cols", "_t", "_nnz")
 
     def __init__(self, in_dims, out_dims, cols: dict):
         self.in_dims, self.out_dims = tuple(in_dims), tuple(out_dims)
         self.n_in, self.n_out = prod(self.in_dims), prod(self.out_dims)
-        self._cols, self._t = cols, None
+        self._cols, self._t, self._nnz = cols, None, None
 
     def fill(self, flats) -> None:
         "Add the columns at flats to the table (nothing is missing here)."
@@ -872,6 +909,51 @@ def sv_permute(state: State, perm: tuple[int, ...]) -> State:
     return out
 
 
+def sv_reshape(state: State, pos: int, src: tuple[int, ...], dst: tuple[int, ...]) -> State:
+    """Read the legs over src at leg position pos as legs over dst, of the
+    same size.  A flat key is the same under both, so only ``dims`` changes."""
+    dims, end = state.dims, pos + len(src)
+    if dims[pos:end] != src or end >= len(dims):
+        raise ValueError(f"legs {src} reshaped at leg {pos} of {dims}")
+    out = State(state)
+    out.dims = dims[:pos] + dst + dims[end:]
+    return out
+
+
+# Pipeline steps.  _ap, _pm and _rs keep what they apply as their defaults,
+# (pos, op), (perm,) and (pos, src, dst), so _step_parts can read a step
+# back and _transposed can run it backwards.  A lambda with defaults is made
+# faster than a closure (about 150 against 190 ns, CPython 3.11) and called
+# as fast (about 90 ns); a scan makes thousands.
+def _ap(pos, op):
+    "Pipeline step: apply op at leg position pos."
+    return lambda state, pos=pos, op=op: sv_apply(state, pos, op)
+
+
+def _pm(perm):
+    "Pipeline step: permute legs."
+    return lambda state, perm=perm: sv_permute(state, perm)
+
+
+def _rs(pos, src, dst):
+    "Pipeline step: read the legs over src at leg pos as legs over dst (sv_reshape)."
+    if prod(src) != prod(dst):
+        raise ValueError(f"legs {src} cannot be read as {dst}")
+    return lambda state, pos=pos, src=src, dst=dst: sv_reshape(state, pos, src, dst)
+
+
+# every step one maker makes shares the maker's inner code object
+_MAKERS = {make(*args).__code__: make
+           for make, args in ((_ap, (0, None)), (_pm, ((),)), (_rs, (0, (), ())))}
+
+
+def _step_parts(step) -> tuple:
+    """The maker of step, _ap, _pm or _rs, and the arguments it was made
+    with; (None, ()) for any other callable."""
+    make = _MAKERS.get(getattr(step, "__code__", None))
+    return (make, step.__defaults__) if make else (None, ())
+
+
 def state_to_vector(state: State, j: int = 0) -> Vector:
     "The terms of a State on batch leg j, as a Vector over its other legs."
     b = state.dims[-1]
@@ -1015,8 +1097,8 @@ def _reach(rhs: dict, slot: SlotLeg, steps, seed_dims, key_dims) -> Rows:
 
     A candidate comes from supports: it may cancel in its row, but no
     nonzero entry is missed.  So each row built is whole, and so is each row
-    sharing a column with it.  The tail must be _ap and _pm steps, whose
-    defaults say what they apply.
+    sharing a column with it.  The tail must be _ap, _pm and _rs steps,
+    which _transposed can run backwards.
     """
     head, pos, tail = _split_at(steps, slot)
     n_in, n_hom = slot.n_in, slot.out_dims[-1]
@@ -1085,27 +1167,34 @@ def _reach(rhs: dict, slot: SlotLeg, steps, seed_dims, key_dims) -> Rows:
 def _split_at(steps, slot: SlotLeg):
     "The steps before the one applying slot, its leg position, and the steps after it."
     for k, step in enumerate(steps):
-        args = getattr(step, "__defaults__", None) or ()
-        if len(args) == 2 and args[1] is slot:
+        make, args = _step_parts(step)
+        if make is _ap and args[1] is slot:
             return steps[:k], args[0], steps[k + 1:]
     raise ValueError("the side has no _ap step of f")
 
 
 def _transposed(steps) -> list:
-    """The steps that run _ap and _pm steps backwards: in reverse order, an
-    op through its transpose, a permutation through its inverse."""
+    """The steps that run _ap, _pm and _rs steps backwards: in reverse order,
+    an op through its transpose, a permutation through its inverse, a
+    reshape from its new legs to its old.  Over basis vectors of the legs
+    steps end on, they give the rows of the map steps give: the terms on
+    batch leg j, at the flat index t, are the entry (j-th vector, t).  The
+    reach runs the steps after f so (_reach), and compare_item runs a scan's
+    two sides so when rows_cheaper says so."""
     back = []
     for step in reversed(steps):
-        args = getattr(step, "__defaults__", None) or ()
-        if len(args) == 2 and isinstance(args[1], KernelOp):
-            back.append(lambda state, pos=args[0], op=_transpose(args[1]): sv_apply(state, pos, op))
-        elif len(args) == 1 and isinstance(args[0], tuple):
+        make, args = _step_parts(step)
+        if make is _ap:
+            back.append(_ap(args[0], _transpose(args[1])))
+        elif make is _pm:
             inverse = [0] * len(args[0])
             for i, p in enumerate(args[0]):
                 inverse[p] = i
-            back.append(lambda state, perm=tuple(inverse): sv_permute(state, perm))
+            back.append(_pm(tuple(inverse)))
+        elif make is _rs:
+            back.append(_rs(args[0], args[2], args[1]))
         else:
-            raise ValueError(f"step {step!r} after f is not an _ap or _pm step")
+            raise ValueError(f"step {step!r} is not an _ap or _pm step, nor an _rs step")
     return back
 
 
@@ -1120,3 +1209,45 @@ def _transpose(op: KernelOp) -> KernelOp:
                 cols[o].append((i, x))
         op._t = KernelOp(op.out_dims, op.in_dims, cols)
     return op._t
+
+
+def _fan_out(op: KernelOp) -> tuple[float, float]:
+    """The mean number of terms in a column of op and in one of its
+    transpose.  The table's count is kept on op once every column is
+    filled; before that it is scaled up from the columns filled so far (one
+    term a column when there are none), and no column is filled for it."""
+    nnz = op._nnz
+    if nnz is None:
+        table = op._cols
+        nnz = sum(map(len, table.values()))
+        if len(table) == op.n_in:
+            op._nnz = nnz
+        else:
+            nnz = nnz * op.n_in / len(table) if table else op.n_in
+    return nnz / op.n_in, nnz / op.n_out
+
+
+def rows_cheaper(n_in: int, n_out: int, sides) -> bool:
+    """Whether the steps of sides, run backwards from the n_out output basis
+    vectors (_transposed), are estimated to push at most half the terms they
+    push run forwards from the n_in input ones.  The estimate counts the
+    terms entering each step, an op multiplying them by its mean fan-out
+    (_fan_out) and a permutation or reshape by 1; see the kernel comment for
+    the margin.  False when a step is not an _ap, _pm or _rs step."""
+    forward = backward = 0
+    for steps in sides:
+        fans = []
+        for step in steps:
+            make, args = _step_parts(step)
+            if make is None:
+                return False
+            fans.append(_fan_out(args[1]) if make is _ap else (1, 1))
+        terms = n_in
+        for fan, _ in fans:
+            forward += terms
+            terms *= fan
+        terms = n_out
+        for _, fan in reversed(fans):
+            backward += terms
+            terms *= fan
+    return 2 * backward <= forward

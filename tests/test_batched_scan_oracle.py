@@ -17,6 +17,12 @@ tuple would have, which fall inside these, at the edges a folded batch
 would have had, and at the last tuple, and pair it with a later failure in
 the same batch or the next, so a witness taken from another batch leg, or
 sides not restricted to the witness's leg, show up.
+
+Scans past their first batch may run by rows (the sides run backwards over
+the output basis).  Those cases spy on report._transposed to show that the
+row scan ran, on sides with every step kind, on an output space of two row
+batches whose later one holds the least failing tuple, and on a tensor
+module's M01 with one action entry changed.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from entwine.emodcat import (
     braiding,
     check_braiding_naturality,
     check_duality,
+    EntwinedModule,
     check_entwined_module,
     double_right_dual,
     left_dual,
@@ -75,7 +82,8 @@ from entwine.pivribbon import (
     verify_pivotal,
     verify_ribbon,
 )
-from entwine.report import AxiomItem, Witness, _ap, _pm, compare_item
+from entwine import report
+from entwine.report import AxiomItem, Witness, _ap, _pm, _rs, _slot, compare_item
 from entwine.smash import (
     check_distributive_law,
     entwining_to_codistlaw,
@@ -602,3 +610,89 @@ def test_hom_operator_over_several_batches(n):
             (want.nrows, want.ncols, want.index)
         assert [sorted((c, type(x)) for c, x in row.items()) for row in got] == \
             [sorted((c, type(x)) for c, x in row.items()) for row in want]
+
+
+# -- scans by rows ---------------------------------------------------------------
+
+
+@pytest.fixture
+def row_scans(monkeypatch):
+    "The sides compare_item ran backwards, as a list that a spy on _transposed fills."
+    runs = []
+
+    def spy(steps):
+        runs.append(steps)
+        return transposed(steps)
+
+    transposed = report._transposed
+    monkeypatch.setattr(report, "_transposed", spy)
+    return runs
+
+
+@pytest.fixture
+def by_rows(monkeypatch, row_scans):
+    "Every scan that may run by rows does, whatever the estimate says."
+    monkeypatch.setattr(report, "rows_cheaper", lambda n_in, n_out, sides: True)
+    return row_scans
+
+
+# the identity on legs (4, 6, 5) through every step kind: a split and a
+# merge (_rs), a 3-cycle and its inverse (_pm), a snake (a Cup, then a Cap
+# against the leg before it) and a slot leg from an op of no legs, merged away
+_ROUND_TRIP = (_rs(1, (6,), (2, 3)), _pm((0, 2, 3, 1)), _pm((0, 3, 1, 2)), _rs(1, (2, 3), (6,)),
+               _ap(3, Cup(5)), _ap(2, Cap(5)), _slot(0), _rs(0, (1, 4), (4,)))
+
+
+@pytest.mark.parametrize("failing", [(), (16,), (47, 20), (119,), (111, 112), (5, 100)])
+def test_multi_step_sides_by_rows_match_per_tuple_scan(by_rows, failing):
+    dims = (4, 6, 5)
+    x, y = _ops(dims, 3, failing, seed=len(failing))
+    lhs = (*_ROUND_TRIP, _ap(0, x), _slot(1), _rs(0, (3, 1), (3,)))
+    rhs = (_ap(0, y),)
+    got = compare_item("X", dims, (3,), lhs, rhs)
+    assert got == per_tuple_compare_item("X", dims, (3,), lhs, rhs)
+    assert got.passed == (not failing)
+    # a failure in the first batch ends the scan there; anything else is
+    # decided by rows
+    assert bool(by_rows) == (min(failing, default=SCAN_FIRST_BATCH) >= SCAN_FIRST_BATCH)
+
+
+def test_the_least_failing_tuple_in_a_later_row_batch_wins(by_rows):
+    # 80 outputs: rows 0-63 are the first row batch, 64-79 the second.  Tuple
+    # 50 differs only in output 70, tuple 120 only in output 3, so the first
+    # row batch that differs names tuple 120, and only the second names 50
+    dims, n_out = (10, 20), 80
+    rng = random.Random(12)
+    rows = [[rng.randint(-2, 2) for _ in range(prod(dims))] for _ in range(n_out)]
+    other = [list(r) for r in rows]
+    other[70][50] += 1
+    other[3][120] -= 1
+    x, y = TensorOp(Matrix(rows), dims, (n_out,)), TensorOp(Matrix(other), dims, (n_out,))
+    got = compare_item("X", dims, (n_out,), (_ap(0, x),), (_ap(0, y),))
+    assert got == per_tuple_compare_item("X", dims, (n_out,), (_ap(0, x),), (_ap(0, y),))
+    assert got.witness.basis == unflatten_index(dims, 50) and by_rows
+
+
+def _bumped(m: Matrix, i: int, j: int) -> Matrix:
+    "m with entry (i, j) raised by 1."
+    cols = [list(c) for c in m.sparse_cols()]
+    col = dict(cols[j])
+    col[i] = col.get(i, 0) + 1
+    cols[j] = sorted((r, Fraction(x)) for r, x in col.items() if x)
+    return Matrix(shape=(m.nrows, m.ncols), cols=cols)
+
+
+def test_a_tensor_module_failing_past_the_first_batch_is_scanned_by_rows(row_scans):
+    # M01 on a tensor module of yd_h4 (4096 tuples to 256 outputs), one
+    # action entry raised: the estimate picks rows, and the witness is the
+    # per-tuple scan's
+    d = corpus.yd_datum(corpus.sweedler_h4())
+    t = tensor_modules(std_module_CA(d), std_module_AC(d))
+    bad = EntwinedModule(d, t.dim, _bumped(t.action, 5, 40), t.coaction)
+    act = bad.action_op
+    lhs, rhs = (_ap(1, d.a.mul_op), _ap(0, act)), (_ap(0, act), _ap(0, act))
+    dims = (t.dim, d.a_dim, d.a_dim)
+    got = compare_item("M01_action_assoc", dims, (t.dim,), lhs, rhs)
+    assert got == per_tuple_compare_item("M01_action_assoc", dims, (t.dim,), lhs, rhs)
+    assert flatten_index(dims, got.witness.basis) >= SCAN_FIRST_BATCH and row_scans
+    assert check_entwined_module(bad).item("M01_action_assoc") == got

@@ -11,6 +11,10 @@ tuple by leg tuple.  An op whose input dims differ from the legs it is
 applied to must raise, because flat indices would otherwise land on wrong
 terms without an error.
 
+_transposed runs each step kind backwards: over the basis vectors of the
+legs a step ends on it gives the transpose of the step's map, through a
+step of the same kind (_step_parts reads the kind).
+
 run_batch's cases compare a batch's first step with its seed run through
 the tuple-keyed kernel, for ops at leg 0, where sv_apply runs a loop of its
 own, and after it, ops from no legs, columns that hold an explicit zero,
@@ -36,9 +40,15 @@ from entwine.exactla import (
     State,
     TensorOp,
     Vector,
+    _ap,
     _permutation,
+    _pm,
+    _rs,
+    _step_parts,
+    _transposed,
     flatten_index,
     kron,
+    pipeline_matrix,
     run_batch,
     sv_apply,
     sv_permute,
@@ -46,7 +56,8 @@ from entwine.exactla import (
 )
 from entwine.hopfcore import element_op
 from entwine.pivribbon import _Poly
-from entwine.report import _ap, _pm, _rs, _slot
+from entwine import report
+from entwine.report import _slot
 
 
 # -- oracles: the tuple-keyed kernel, verbatim ----------------------------------
@@ -392,6 +403,62 @@ def test_a_reshape_relabels_legs_and_keeps_every_key(kind):
         _rs(0, (6,), (2, 3))(state)
     with pytest.raises(ValueError):
         _rs(2, (3,), (3,))(state)
+
+
+# -- the step format: each kind run backwards -----------------------------------
+
+
+def _step_cases():
+    "(name, in_dims, out_dims, steps) for each step kind and for a chain of them."
+    rng = random.Random("transposed")
+    op = TensorOp(_random_matrix(rng, 5, 3), (3,), (5,))
+    chain = (_rs(1, (6,), (3, 2)), _ap(1, op), _pm((2, 0, 1)), _ap(1, Cup(2)), _ap(0, Cap(2)),
+             _slot(2))
+    return [
+        ("ap", (2, 3, 4), (2, 5, 4), (_ap(1, op),)),
+        ("ap_cup", (2, 4), (2, 3, 3, 4), (_ap(1, Cup(3)),)),
+        ("ap_cap", (3, 3, 2), (2,), (_ap(0, Cap(3)),)),
+        ("ap_slot", (2, 4), (2, 1, 4), (_slot(1),)),
+        ("pm", (2, 3, 4), (4, 2, 3), (_pm((2, 0, 1)),)),
+        ("pm_prefix", (2, 3, 4), (3, 2, 4), (_pm((1, 0)),)),
+        ("rs", (2, 6), (2, 3, 2), (_rs(1, (6,), (3, 2)),)),
+        ("chain", (2, 6), (2, 2, 1, 5), chain),
+    ]
+
+
+@pytest.mark.parametrize("name, in_dims, out_dims, steps", _step_cases(),
+                         ids=[c[0] for c in _step_cases()])
+def test_transposed_runs_each_step_kind_backwards(name, in_dims, out_dims, steps):
+    """Over the basis vectors of the legs steps end on, _transposed(steps)
+    gives the transpose of the map steps give, each step through one of its
+    own kind: an op through its transpose, a perm through its inverse, a
+    reshape from its new legs to its old."""
+    back = _transposed(steps)
+    assert pipeline_matrix(out_dims, in_dims, back) == \
+        pipeline_matrix(in_dims, out_dims, steps).transpose()
+    for step, undo in zip(steps, reversed(back)):
+        (make, args), (make_back, args_back) = _step_parts(step), _step_parts(undo)
+        assert make_back is make
+        if make is _ap:
+            assert args_back == (args[0], args[1]._t) and args[1]._t.in_dims == args[1].out_dims
+        elif make is _pm:
+            assert tuple(args[0][p] for p in args_back[0]) == tuple(range(len(args[0])))
+        else:
+            assert args_back == (args[0], args[2], args[1])
+
+
+def test_step_parts_reads_only_the_step_makers():
+    op = Cup(2)
+    assert _step_parts(_ap(1, op)) == (_ap, (1, op))
+    assert _step_parts(_pm((1, 0))) == (_pm, ((1, 0),))
+    assert _step_parts(_rs(0, (4,), (2, 2))) == (_rs, (0, (4,), (2, 2)))
+    # report hands out exactla's makers, so a step made through it reads back
+    assert (report._ap, report._pm, report._rs) == (_ap, _pm, _rs)
+    # a callable with the same defaults is no step of theirs
+    other = lambda state, pos=1, op=op: sv_apply(state, pos, op)  # noqa: E731
+    assert _step_parts(other) == (None, ()) and _step_parts(len) == (None, ())
+    with pytest.raises(ValueError, match="not an _ap or _pm step"):
+        _transposed([_ap(0, op), other])
 
 
 # -- run_batch's first step, written from the op's columns ----------------------

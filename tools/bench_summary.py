@@ -13,6 +13,14 @@ and quartiles of every end-to-end metric, read from the JSON object that each
 run prints on its last line.  ``better_in`` counts the pairs in which the
 change is better than the parent, in the direction ``BENCHMARK.json`` gives.
 ``--note`` adds free text (the machine, how the change was checked out).
+
+``--claim WORKLOAD/METRIC`` names the one metric the change claims to
+improve.  ``claim`` then records whether it meets the rule for a claimed
+gain: at least 10 pairs, the change better in at least 9 of every 10, and
+the medians apart by more than the parent's quartile spread (q3 - q1), in
+the better direction.  ``bounds`` records, for every other pair of workload
+and metric, the change's median over the parent's and whether that ratio
+stays inside the metric's ``BENCHMARK.json`` bound.
 """
 
 from __future__ import annotations
@@ -53,9 +61,27 @@ def side_summary(runs: list[tuple[str | None, dict]], metrics) -> dict:
     return out
 
 
-def summary(pr: int, parent: Path, change: Path, note: str) -> dict:
+def claim_check(w: dict, metric: str, how: str) -> dict:
+    "Whether the change's gain in metric on workload summary w meets the rule for a claim."
+    pairs, wins = len(w["seeds"]), w["better_in"][metric]
+    p, c = w["parent"]["metrics"][metric], w["change"]["metrics"][metric]
+    gap, spread = SIGN[how] * (p["median"] - c["median"]), p["q3"] - p["q1"]
+    return {"pairs": pairs, "wins": wins, "median_gap": gap, "parent_quartile_spread": spread,
+            "met": pairs >= 10 and 10 * wins >= 9 * pairs and gap > spread}
+
+
+def bound_check(w: dict, metric: str, how: str, bound: float) -> dict:
+    "The change's median over the parent's in metric, and whether it is inside bound."
+    p, c = w["parent"]["metrics"][metric]["median"], w["change"]["metrics"][metric]["median"]
+    ratio = c / p if p else None
+    worse = SIGN[how] * (c - p) / abs(p) if p else SIGN[how] * (c - p)
+    return {"ratio": ratio, "bound": bound, "within": worse <= bound}
+
+
+def summary(pr: int, parent: Path, change: Path, note: str, claim: str | None = None) -> dict:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     workloads = {}
     for w in (w["name"] for w in bench["workloads"]):
         seeds = sorted(int(p.stem[len(w) + 1:]) for p in parent.glob(f"{w}-*.txt"))
@@ -72,7 +98,17 @@ def summary(pr: int, parent: Path, change: Path, note: str) -> dict:
                           for (_, p), (_, c) in zip(sides["parent"], sides["change"]))
                 for name, how in better.items()},
         }
-    return {"pr": pr, "command": COMMAND, "order": ORDER, "note": note, "workloads": workloads}
+    out = {"pr": pr, "command": COMMAND, "order": ORDER, "note": note, "workloads": workloads}
+    if claim is not None:
+        name, _, metric = claim.partition("/")
+        if name not in workloads or metric not in better:
+            raise ValueError(f"claim {claim!r} names no workload run and metric of BENCHMARK.json")
+        out["claim"] = {"workload": name, "metric": metric,
+                        **claim_check(workloads[name], metric, better[metric])}
+        out["bounds"] = {w: {m: bound_check(workloads[w], m, how, bounds[m])
+                             for m, how in better.items() if (w, m) != (name, metric)}
+                         for w in workloads}
+    return out
 
 
 def main(argv=None) -> None:
@@ -81,9 +117,10 @@ def main(argv=None) -> None:
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--note", default="")
+    p.add_argument("--claim", metavar="WORKLOAD/METRIC")
     p.add_argument("-o", "--out", type=Path, required=True)
     args = p.parse_args(argv)
-    data = summary(args.pr, args.parent, args.change, args.note)
+    data = summary(args.pr, args.parent, args.change, args.note, args.claim)
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
