@@ -650,22 +650,26 @@ def invert(a: Matrix) -> Matrix:
 # n_in times the mean fan-outs (nnz / n_in) of the ops before it, against
 # n_out times the transposed fan-outs (nnz / n_out) of those after it.  An
 # op keeps its nnz once its table is complete, and no column is filled for
-# the estimate, which costs 12-22 us a scan.  Rows are taken at no more
-# than half the column terms: the count leaves out each step's per-call
-# cost, the transposes' build and the witness's run, and near ties go
-# either way.  Per call with warm tables (one process, 60 alternating
-# rounds, 2-vCPU VM), E08 on yd_dqg(h4) (64 to 16 tuples) at 0.96 of the
-# column terms ran 0.36 ms by columns and 0.46 by rows, and on yd_dqg(kz5)
-# at 3.2, 0.51 and 1.40 ms: both stay by columns.  E01 at 0.55-0.65 (yd_h4,
-# long_h4, yd_kz6, yd_kz8) ran 6-36 % faster by rows, and stays by columns
-# at this margin.  Taken: M01 on the tensor modules of yd_h4, long_h4 and
-# yd_kz4 8.6, 5.2 and 5.3 ms by columns against 3.7, 1.7 and 1.7 by rows;
-# H01 on double_h4 3.7 against 0.48 ms; D3's A_linear square on the duals
-# of yd_h4 2.0-2.3 against 0.16-0.26 ms.  Per pass, where each op's fresh
-# modules build their transposes anew, the ops summed 89.3 ms by columns
-# and 62.7 ms as chosen on modules-duality, 58.9 and 35.0 ms on
-# verify-scan, and 7.10 and 7.44 ms on dqg-e10b, which runs by columns
-# throughout (one process, 5-7 passes each, medians per op).
+# the estimate.  Rows are taken at no more than half the column terms: the
+# count leaves out each step's per-call cost, the transposes' build and
+# the witness's run, and near ties go either way.  Per call with warm
+# tables (one process, 60 alternating rounds, 2-vCPU VM), E08 on
+# yd_dqg(h4) (64 to 16 tuples) at 0.96 of the column terms ran 0.36 ms by
+# columns and 0.46 by rows, and on yd_dqg(kz5) at 3.2, 0.51 and 1.40 ms.
+# E01 at 0.55-0.65 (yd_h4, long_h4, yd_kz6, yd_kz8) ran 6-36 % faster by
+# rows, and stays by columns at this margin.  A scan whose output space is
+# more than an eighth of its input space stays by columns with no
+# estimate: the estimate costs 8-19 us a scan (16 steps on E08), and
+# dqg-e10b, whose every op runs one E08, read 1.5 % slower in wall_s and
+# op_p90_ms in 5 of 5 bench/run.py pairs with it; the scans it leaves out
+# (braiding's A_linear, 64 to 16 tuples; E04 on yd_kz6, 36 to 6) gained
+# under 0.03 ms by rows.  Taken: M01 on the tensor modules of yd_h4,
+# long_h4 and yd_kz4 8.6, 5.2 and 5.3 ms by columns against 3.7, 1.7 and
+# 1.7 by rows; H01 on double_h4 3.7 against 0.48 ms; D3's A_linear square
+# on the duals of yd_h4 2.0-2.3 against 0.16-0.26 ms.  Per pass, where each
+# op's fresh modules build their transposes anew, by columns against as
+# chosen (one process, 30 alternating rounds): modules-duality 94.5 and
+# 61.0 ms, verify-scan 41.3 and 29.7 ms, dqg-e10b 14.66 and 14.71 ms.
 # ---------------------------------------------------------------------------
 
 
@@ -1232,8 +1236,11 @@ def rows_cheaper(n_in: int, n_out: int, sides) -> bool:
     vectors (_transposed), are estimated to push at most half the terms they
     push run forwards from the n_in input ones.  The estimate counts the
     terms entering each step, an op multiplying them by its mean fan-out
-    (_fan_out) and a permutation or reshape by 1; see the kernel comment for
-    the margin.  False when a step is not an _ap, _pm or _rs step."""
+    (_fan_out) and a permutation or reshape by 1.  False without an estimate
+    when n_out is more than n_in / 8, and when a step is not an _ap, _pm or
+    _rs step; see the kernel comment for both bounds."""
+    if 8 * n_out > n_in:
+        return False
     forward = backward = 0
     for steps in sides:
         fans = []

@@ -142,8 +142,7 @@ def compare_item(axiom_id, in_dims, out_dims, lhs, rhs) -> AxiomItem:
             raise ValueError(f"{axiom_id}: a side ends on legs other than {out_dims}")
         if left != right:
             return _failed(axiom_id, in_dims, batch, left, right)
-        if (batch.start == 0 and batch.stop < n_in and n_out < n_in
-                and rows_cheaper(n_in, n_out, (lhs, rhs))):
+        if batch.start == 0 and batch.stop < n_in and rows_cheaper(n_in, n_out, (lhs, rhs)):
             t = _least_differing_column(out_dims, lhs, rhs)
             if t is None:
                 break

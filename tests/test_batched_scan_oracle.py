@@ -22,7 +22,8 @@ Scans past their first batch may run by rows (the sides run backwards over
 the output basis).  Those cases spy on report._transposed to show that the
 row scan ran, on sides with every step kind, on an output space of two row
 batches whose later one holds the least failing tuple, and on a tensor
-module's M01 with one action entry changed.
+module's M01 with one action entry changed; a scan whose output space is
+more than an eighth of its input space stays by columns.
 """
 
 from __future__ import annotations
@@ -696,3 +697,14 @@ def test_a_tensor_module_failing_past_the_first_batch_is_scanned_by_rows(row_sca
     assert got == per_tuple_compare_item("M01_action_assoc", dims, (t.dim,), lhs, rhs)
     assert flatten_index(dims, got.witness.basis) >= SCAN_FIRST_BATCH and row_scans
     assert check_entwined_module(bad).item("M01_action_assoc") == got
+
+
+@pytest.mark.parametrize("n_out, rows", [(8, True), (9, False)])
+def test_an_output_space_over_an_eighth_of_the_input_stays_by_columns(row_scans, n_out, rows):
+    # 64 tuples and one step a side: the term count favours rows at either
+    # size, but 9 outputs are more than an eighth of 64
+    dims = (8, 8)
+    x, y = _ops(dims, n_out, [40], seed=n_out)
+    got = compare_item("X", dims, (n_out,), (_ap(0, x),), (_ap(0, y),))
+    assert got == per_tuple_compare_item("X", dims, (n_out,), (_ap(0, x),), (_ap(0, y),))
+    assert got.witness.basis == (5, 0) and bool(row_scans) == rows
