@@ -646,30 +646,28 @@ def invert(a: Matrix) -> Matrix:
 # rows_cheaper, whether the rest runs by rows: every row batch, since a
 # later one may hold a smaller failing tuple, then the least failing tuple
 # alone forwards for the Witness.  The coefficients commute, so both ways
-# give equal entries.  The estimate counts the terms entering each step:
-# n_in times the mean fan-outs (nnz / n_in) of the ops before it, against
-# n_out times the transposed fan-outs (nnz / n_out) of those after it.  An
-# op keeps its nnz once its table is complete, and no column is filled for
-# the estimate.  Rows are taken at no more than half the column terms: the
-# count leaves out each step's per-call cost, the transposes' build and
-# the witness's run, and near ties go either way.  Per call with warm
-# tables (one process, 60 alternating rounds, 2-vCPU VM), E08 on
-# yd_dqg(h4) (64 to 16 tuples) at 0.96 of the column terms ran 0.36 ms by
-# columns and 0.46 by rows, and on yd_dqg(kz5) at 3.2, 0.51 and 1.40 ms.
-# E01 at 0.55-0.65 (yd_h4, long_h4, yd_kz6, yd_kz8) ran 6-36 % faster by
-# rows, and stays by columns at this margin.  A scan whose output space is
-# more than an eighth of its input space stays by columns with no
-# estimate: the estimate costs 8-19 us a scan (16 steps on E08), and
-# dqg-e10b, whose every op runs one E08, read 1.5 % slower in wall_s and
-# op_p90_ms in 5 of 5 bench/run.py pairs with it; the scans it leaves out
-# (braiding's A_linear, 64 to 16 tuples; E04 on yd_kz6, 36 to 6) gained
-# under 0.03 ms by rows.  Taken: M01 on the tensor modules of yd_h4,
-# long_h4 and yd_kz4 8.6, 5.2 and 5.3 ms by columns against 3.7, 1.7 and
-# 1.7 by rows; H01 on double_h4 3.7 against 0.48 ms; D3's A_linear square
-# on the duals of yd_h4 2.0-2.3 against 0.16-0.26 ms.  Per pass, where each
-# op's fresh modules build their transposes anew, by columns against as
-# chosen (one process, 30 alternating rounds): modules-duality 94.5 and
-# 61.0 ms, verify-scan 41.3 and 29.7 ms, dqg-e10b 14.66 and 14.71 ms.
+# give equal entries.  Rows are taken where the output space is at most an
+# eighth of the input space (8 * n_out <= n_in) and every step of both
+# sides is an _ap, _pm or _rs step.  Under that ratio the two ways are
+# close or columns win.  Per call with warm tables (one process, 60
+# alternating rounds, 2-vCPU VM), by columns against by rows: E08 on
+# yd_dqg(h4) and yd_dqg(kz5) (64 to 16 and 125 to 25 tuples) 0.37 and 0.48
+# ms, 0.58 and 1.59 ms; E04 on yd_kz6 (36 to 6) 0.053 and 0.061 ms; E01 on
+# yd_h4 and long_h4 (64 to 16) 0.18 and 0.17 ms, 0.13 both ways; braiding's
+# A_linear (64 to 16) 0.06 ms both ways.  The bound keeps all of these by
+# columns, and also E01 on yd_kz6 (216 to 36), 0.84 against 0.64 ms: by
+# the ratio alone it cannot be told from E04 on the same datum.  At the
+# bound E01 on yd_kz8 (512 to 64) runs 1.07 ms by columns and 0.70 by rows.
+# Taken: M01 on the tensor modules of yd_h4, long_h4 and yd_kz4 8.6, 5.2
+# and 5.3 ms by columns against 3.7, 1.7 and 1.7 by rows; H01 on double_h4
+# 3.7 against 0.48 ms; D3's A_linear square on the duals of yd_h4 2.0-2.3
+# against 0.16-0.26 ms.  An estimate of each way's terms from the ops'
+# fan-outs (rows at no more than half the column terms) was measured in
+# place of the bound alone and dropped.  Past the bound, on all four
+# bench/run.py workloads, the one scan it kept by columns was E01 on
+# yd_kz8, which runs faster by rows.  It cost 8-19 us a scan, and run on
+# every scan it made dqg-e10b, whose every op runs one E08, 1.5 % slower in
+# wall_s and op_p90_ms in 5 of 5 pairs.
 # ---------------------------------------------------------------------------
 
 
@@ -711,15 +709,14 @@ class KernelOp:
     index, coefficient)]) that sv_apply reads.  ``fill(flats)`` adds the
     columns at each of flats that the table lacks; this base's table is
     complete from the start.  ``_t`` keeps the op's transpose once
-    _transpose has built it, and ``_nnz`` the table's number of terms once
-    _fan_out has counted it complete."""
+    _transpose has built it."""
 
-    __slots__ = ("in_dims", "out_dims", "n_in", "n_out", "_cols", "_t", "_nnz")
+    __slots__ = ("in_dims", "out_dims", "n_in", "n_out", "_cols", "_t")
 
     def __init__(self, in_dims, out_dims, cols: dict):
         self.in_dims, self.out_dims = tuple(in_dims), tuple(out_dims)
         self.n_in, self.n_out = prod(self.in_dims), prod(self.out_dims)
-        self._cols, self._t, self._nnz = cols, None, None
+        self._cols, self._t = cols, None
 
     def fill(self, flats) -> None:
         "Add the columns at flats to the table (nothing is missing here)."
@@ -1215,46 +1212,9 @@ def _transpose(op: KernelOp) -> KernelOp:
     return op._t
 
 
-def _fan_out(op: KernelOp) -> tuple[float, float]:
-    """The mean number of terms in a column of op and in one of its
-    transpose.  The table's count is kept on op once every column is
-    filled; before that it is scaled up from the columns filled so far (one
-    term a column when there are none), and no column is filled for it."""
-    nnz = op._nnz
-    if nnz is None:
-        table = op._cols
-        nnz = sum(map(len, table.values()))
-        if len(table) == op.n_in:
-            op._nnz = nnz
-        else:
-            nnz = nnz * op.n_in / len(table) if table else op.n_in
-    return nnz / op.n_in, nnz / op.n_out
-
-
 def rows_cheaper(n_in: int, n_out: int, sides) -> bool:
-    """Whether the steps of sides, run backwards from the n_out output basis
-    vectors (_transposed), are estimated to push at most half the terms they
-    push run forwards from the n_in input ones.  The estimate counts the
-    terms entering each step, an op multiplying them by its mean fan-out
-    (_fan_out) and a permutation or reshape by 1.  False without an estimate
-    when n_out is more than n_in / 8, and when a step is not an _ap, _pm or
-    _rs step; see the kernel comment for both bounds."""
-    if 8 * n_out > n_in:
-        return False
-    forward = backward = 0
-    for steps in sides:
-        fans = []
-        for step in steps:
-            make, args = _step_parts(step)
-            if make is None:
-                return False
-            fans.append(_fan_out(args[1]) if make is _ap else (1, 1))
-        terms = n_in
-        for fan, _ in fans:
-            forward += terms
-            terms *= fan
-        terms = n_out
-        for _, fan in reversed(fans):
-            backward += terms
-            terms *= fan
-    return 2 * backward <= forward
+    """Whether a scan from n_in input to n_out output tuples runs by rows:
+    the steps of sides backwards from the output basis vectors
+    (_transposed).  True when n_out is at most n_in / 8 and every step is
+    an _ap, _pm or _rs step; see the kernel comment for the bound."""
+    return 8 * n_out <= n_in and all(_step_parts(step)[0] for steps in sides for step in steps)

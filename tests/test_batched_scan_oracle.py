@@ -23,7 +23,8 @@ the output basis).  Those cases spy on report._transposed to show that the
 row scan ran, on sides with every step kind, on an output space of two row
 batches whose later one holds the least failing tuple, and on a tensor
 module's M01 with one action entry changed; a scan whose output space is
-more than an eighth of its input space stays by columns.
+more than an eighth of its input space stays by columns, and so does one
+with a step that cannot be run backwards.
 """
 
 from __future__ import annotations
@@ -632,7 +633,7 @@ def row_scans(monkeypatch):
 
 @pytest.fixture
 def by_rows(monkeypatch, row_scans):
-    "Every scan that may run by rows does, whatever the estimate says."
+    "Every scan that may run by rows does, whatever its output space."
     monkeypatch.setattr(report, "rows_cheaper", lambda n_in, n_out, sides: True)
     return row_scans
 
@@ -685,7 +686,7 @@ def _bumped(m: Matrix, i: int, j: int) -> Matrix:
 
 def test_a_tensor_module_failing_past_the_first_batch_is_scanned_by_rows(row_scans):
     # M01 on a tensor module of yd_h4 (4096 tuples to 256 outputs), one
-    # action entry raised: the estimate picks rows, and the witness is the
+    # action entry raised: rows_cheaper picks rows, and the witness is the
     # per-tuple scan's
     d = corpus.yd_datum(corpus.sweedler_h4())
     t = tensor_modules(std_module_CA(d), std_module_AC(d))
@@ -701,10 +702,22 @@ def test_a_tensor_module_failing_past_the_first_batch_is_scanned_by_rows(row_sca
 
 @pytest.mark.parametrize("n_out, rows", [(8, True), (9, False)])
 def test_an_output_space_over_an_eighth_of_the_input_stays_by_columns(row_scans, n_out, rows):
-    # 64 tuples and one step a side: the term count favours rows at either
-    # size, but 9 outputs are more than an eighth of 64
+    # 64 tuples and one step a side: 8 outputs are an eighth of 64, 9 are
+    # more
     dims = (8, 8)
     x, y = _ops(dims, n_out, [40], seed=n_out)
     got = compare_item("X", dims, (n_out,), (_ap(0, x),), (_ap(0, y),))
     assert got == per_tuple_compare_item("X", dims, (n_out,), (_ap(0, x),), (_ap(0, y),))
     assert got.witness.basis == (5, 0) and bool(row_scans) == rows
+
+
+def test_a_side_with_a_step_not_run_backwards_stays_by_columns(row_scans):
+    # 64 tuples to 8 passes the bound, but a plain callable is no _ap, _pm
+    # or _rs step, so _transposed could not run it
+    dims = (8, 8)
+    x, y = _ops(dims, 8, [40], seed=8)
+    step = _ap(0, x)
+    lhs, rhs = (lambda state: step(state),), (_ap(0, y),)
+    got = compare_item("X", dims, (8,), lhs, rhs)
+    assert got == per_tuple_compare_item("X", dims, (8,), lhs, rhs)
+    assert got.witness.basis == (5, 0) and not row_scans
