@@ -700,24 +700,15 @@ def test_a_tensor_module_failing_past_the_first_batch_is_scanned_by_rows(row_sca
     assert check_entwined_module(bad).item("M01_action_assoc") == got
 
 
-@pytest.mark.parametrize("n_out, rows", [(8, True), (9, False)])
-def test_an_output_space_over_an_eighth_of_the_input_stays_by_columns(row_scans, n_out, rows):
+@pytest.mark.parametrize("n_out, plain, rows", [(8, False, True), (9, False, False), (8, True, False)])
+def test_rows_need_a_small_output_space_and_steps_run_backwards(row_scans, n_out, plain, rows):
     # 64 tuples and one step a side: 8 outputs are an eighth of 64, 9 are
-    # more
+    # more; a plain callable is no _ap, _pm or _rs step, so _transposed
+    # could not run it
     dims = (8, 8)
     x, y = _ops(dims, n_out, [40], seed=n_out)
-    got = compare_item("X", dims, (n_out,), (_ap(0, x),), (_ap(0, y),))
-    assert got == per_tuple_compare_item("X", dims, (n_out,), (_ap(0, x),), (_ap(0, y),))
-    assert got.witness.basis == (5, 0) and bool(row_scans) == rows
-
-
-def test_a_side_with_a_step_not_run_backwards_stays_by_columns(row_scans):
-    # 64 tuples to 8 passes the bound, but a plain callable is no _ap, _pm
-    # or _rs step, so _transposed could not run it
-    dims = (8, 8)
-    x, y = _ops(dims, 8, [40], seed=8)
     step = _ap(0, x)
-    lhs, rhs = (lambda state: step(state),), (_ap(0, y),)
-    got = compare_item("X", dims, (8,), lhs, rhs)
-    assert got == per_tuple_compare_item("X", dims, (8,), lhs, rhs)
-    assert got.witness.basis == (5, 0) and not row_scans
+    lhs, rhs = ((lambda state: step(state)) if plain else step,), (_ap(0, y),)
+    got = compare_item("X", dims, (n_out,), lhs, rhs)
+    assert got == per_tuple_compare_item("X", dims, (n_out,), lhs, rhs)
+    assert got.witness.basis == (5, 0) and bool(row_scans) == rows
